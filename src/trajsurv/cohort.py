@@ -373,7 +373,8 @@ def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats:
         outer = _deal(_strata(all_idx, records, k), k, rng)
         for f in range(k):
             test = sorted(outer[f])
-            rest = [i for i in all_idx if i not in set(test)]
+            in_test = set(test)
+            rest = [i for i in all_idx if i not in in_test]
             inner_rng = np.random.default_rng(np.random.SeedSequence([seed, rep, f]))
             buckets = _deal(_strata(rest, records, 5), 5, inner_rng)
             val = sorted(buckets[0])

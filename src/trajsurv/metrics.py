@@ -4,6 +4,15 @@ Conventions: equal observed times are never comparable in the concordance
 index; the censoring survival G comes from a Kaplan-Meier fit with flipped
 indicators; IPCW terms use G with a left limit at event times; undefined
 metrics propagate as None (missing), never as zeros.
+
+Cost for n patients, none of it an n x n matrix:
+- `harrell_cindex`: O(n) memory; ceil(log2 n) merge levels, each one sort
+  and two binary searches over at most n/2 keys, so O(n log^2 n) time.
+- `time_dependent_auc`: O(n) memory; one sort of the controls and two
+  binary searches per case, O(n log n) time.
+- `km_censoring_survival`: O(n) memory; one sorted pass, O(n log n) time.
+The rank metrics count pairs in integers and divide once, so they return
+the value of a pair-by-pair count bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +37,31 @@ def _arrays(labels: Sequence[SurvivalLabel]) -> tuple[np.ndarray, np.ndarray]:
     return times, events
 
 
+def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
+    """Sum over positions p in `query` of #{j > p : ranks[j] < ranks[p]}.
+
+    Bottom-up merge levels: at the level of width w, a pair p < j is counted
+    once, when p lies in the left and j in the right half of the same
+    2w-aligned block. Each level sorts the right halves by (block, rank) as
+    one integer key and counts with two binary searches, so a call makes
+    ceil(log2 n) sorts and no Python step per patient.
+    """
+    n = ranks.size
+    pos = np.arange(n)
+    total = 0
+    level = 0
+    while (1 << level) < n:
+        block = pos >> (level + 1)
+        right = ((pos >> level) & 1).astype(bool)
+        keys = np.sort(block[right] * (n + 1) + ranks[right])
+        left = query[~right[query]]
+        base = block[left] * (n + 1)
+        total += int((np.searchsorted(keys, base + ranks[left])
+                      - np.searchsorted(keys, base)).sum())
+        level += 1
+    return total
+
+
 def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> float:
     """Concordance over comparable pairs; risk ties count one half.
 
@@ -41,13 +75,23 @@ def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> f
     if not np.isfinite(r).all():
         raise ValueError("risk scores must be finite")
     t, e = _arrays(labels)
-    comparable = (t[:, None] < t[None, :]) & (e[:, None] == 1)
-    n_comp = comparable.sum()
+    _, t_rank, t_counts = np.unique(t, return_inverse=True, return_counts=True)
+    r_rank = np.unique(r, return_inverse=True)[1]
+    events = np.flatnonzero(e == 1)
+    # comparable: for each event, the patients with a strictly later time
+    n_comp = int((t.size - np.cumsum(t_counts)[t_rank[events]]).sum())
     if n_comp == 0:
         raise ValueError("no comparable pairs")
-    concordant = (r[:, None] > r[None, :]) & comparable
-    tied = (r[:, None] == r[None, :]) & comparable
-    return float((concordant.sum() + 0.5 * tied.sum()) / n_comp)
+    # tied: among those, the ones with the same risk rank
+    key = r_rank * t_counts.size + t_rank
+    tie_keys = np.sort(key)
+    tied = int((np.searchsorted(tie_keys, (r_rank[events] + 1) * t_counts.size)
+                - np.searchsorted(tie_keys, key[events], side="right")).sum())
+    # concordant: in (time, rank) order an event outranks exactly the later
+    # patients with a smaller rank, because equal times sort by rank
+    order = np.argsort(t_rank * t.size + r_rank)
+    concordant = _later_smaller_counts(r_rank[order], np.flatnonzero(e[order] == 1))
+    return float((concordant + 0.5 * tied) / n_comp)
 
 
 def time_dependent_auc(scores: Sequence[float], labels: Sequence[SurvivalLabel],
@@ -60,16 +104,20 @@ def time_dependent_auc(scores: Sequence[float], labels: Sequence[SurvivalLabel],
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if len(scores) != len(labels):
+        raise ValueError("need matching scores and labels")
     s = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     t, e = _arrays(labels)
-    cases = (e == 1) & (t <= horizon)
-    controls = t > horizon
-    if not cases.any() or not controls.any():
+    cases = s[(e == 1) & (t <= horizon)]
+    controls = np.sort(s[t > horizon])
+    if cases.size == 0 or controls.size == 0:
         return None
-    cs = s[cases][:, None]
-    ct = s[controls][None, :]
-    wins = (cs > ct).sum() + 0.5 * (cs == ct).sum()
-    return float(wins / (cases.sum() * controls.sum()))
+    below = np.searchsorted(controls, cases, side="left")
+    ties = np.searchsorted(controls, cases, side="right") - below
+    wins = int(below.sum()) + 0.5 * int(ties.sum())
+    return float(wins / (cases.size * controls.size))
 
 
 @dataclass(frozen=True)
@@ -98,19 +146,13 @@ def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
     if len(labels) == 0:
         raise ValueError("need at least one patient")
     t, e = _arrays(labels)
-    drops = []
-    values = []
-    g = 1.0
-    for u in np.unique(t):
-        at_risk = (t >= u).sum()
-        d = ((t == u) & (e == 0)).sum()
-        if d == 0:
-            continue
-        g *= 1.0 - d / at_risk
-        drops.append(u)
-        values.append(g)
-    return CensoringSurvival(np.array(drops, dtype=np.float64),
-                             np.array(values, dtype=np.float64))
+    u, inverse, counts = np.unique(t, return_inverse=True, return_counts=True)
+    at_risk = t.size - np.cumsum(counts) + counts
+    d = np.bincount(inverse[e == 0], minlength=u.size)
+    drop = d > 0
+    # the running product, factor by factor in time order, as a loop would
+    values = np.cumprod(1.0 - d[drop] / at_risk[drop])
+    return CensoringSurvival(u[drop], values)
 
 
 def integrated_brier(curves: Sequence[SurvivalCurve], labels: Sequence[SurvivalLabel],

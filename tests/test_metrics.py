@@ -1,9 +1,12 @@
 """Evaluation metrics pinned against brute-force oracles and hand examples."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance, unweighted_ibs)
@@ -100,6 +103,15 @@ class TestTimeDependentAuc:
         with pytest.raises(ValueError):
             time_dependent_auc([0.5], [lab(1, 1)], 0.0)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="matching"):
+            time_dependent_auc([0.5], [lab(1, 1), lab(5, 0)], 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            time_dependent_auc([bad, 0.1], [lab(1, 1), lab(5, 0)], 2.0)
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
@@ -111,6 +123,90 @@ class TestTimeDependentAuc:
                     assert got is None
                 else:
                     assert got == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def tied_cohorts(draw):
+    """2-60 patients with small integer times and risks, so ties are common.
+
+    The event pattern is drawn as a whole cohort as often as patient by
+    patient, so all-censored cohorts and cohorts with one event turn up.
+    """
+    n = draw(st.integers(2, 60))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    pattern = draw(st.sampled_from(["each", "none", "one", "all"]))
+    if pattern == "each":
+        events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif pattern == "one":
+        events = [0] * n
+        events[draw(st.integers(0, n - 1))] = 1
+    else:
+        events = [int(pattern == "all")] * n
+    risks = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    labels = [lab(t, e) for t, e in zip(times, events)]
+    return labels, np.array(risks, dtype=np.float64), np.array(scores) / 4.0
+
+
+class TestRankMetricsEqualPairEnumeration:
+    """Exact (==) agreement with the pair-enumeration oracles, not 1e-12."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_cohorts())
+    @example(([lab(1, 0), lab(2, 0)], np.array([1.0, 2.0]), np.array([0.0, 1.0])))
+    @example(([lab(2, 0), lab(1, 1), lab(2, 0)], np.array([1.0, 1.0, 3.0]),
+              np.array([0.5, 0.5, 0.25])))
+    def test_cindex_and_auc(self, cohort):
+        labels, risks, scores = cohort
+        expected = pair_cindex(risks, labels)
+        if expected is None:
+            with pytest.raises(ValueError, match="no comparable pairs"):
+                harrell_cindex(risks, labels)
+        else:
+            assert harrell_cindex(risks, labels) == expected
+        for horizon in (1.0, 2.5, 4.0, 6.0):
+            assert time_dependent_auc(scores, labels, horizon) == \
+                pair_auc(scores, labels, horizon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts())
+    def test_censoring_survival(self, cohort):
+        labels = cohort[0]
+        G = km_censoring_survival(labels)
+        for t in (0.5, 1.0, 2.0, 3.5, 6.0, 7.0):
+            assert G.at(t) == km_censor_at(labels, t)
+            assert G.at_left(t) == km_censor_at(labels, t, left=True)
+
+
+class TestRankMetricMemory:
+    """At n=5000 an n x n boolean matrix alone is 25 MB; the guard is 2 MB."""
+
+    N = 5000
+    LIMIT = 2 * 1024 * 1024
+
+    def cohort(self):
+        rng = np.random.default_rng(17)
+        times = np.round(rng.exponential(3.0, size=self.N), 2)
+        events = rng.random(self.N) < 0.6
+        labels = [lab(t, e) for t, e in zip(times, events)]
+        return labels, rng.normal(size=self.N)
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cindex_peak_below_limit(self):
+        labels, risks = self.cohort()
+        assert self.peak_bytes(lambda: harrell_cindex(risks, labels)) < self.LIMIT
+
+    def test_auc_peak_below_limit(self):
+        labels, scores = self.cohort()
+        assert self.peak_bytes(lambda: time_dependent_auc(scores, labels, 3.0)) < self.LIMIT
 
 
 class TestKmCensoring:
