@@ -6,9 +6,10 @@ import numpy as np
 
 from .autodiff import grad_check
 from .cohort import Scenario, record_to_graph, simulate_cohort
+from .graph import batch_graphs
 from .model import ModelConfig, init_model
-from .objective import LossWeights, batch_mean
-from .training import patient_loss
+from .objective import LossWeights
+from .training import _mean_loss
 
 
 def toy_setup(n_patients: int = 3, seed: int = 7, backbone: str = "graphsage"):
@@ -33,10 +34,10 @@ def full_pipeline_gradcheck(step: float = 1e-5, backbone: str = "graphsage") -> 
     model, records, graphs = toy_setup(backbone=backbone)
     bins = model.config.bins()
     weights = LossWeights(1.0, 1.0)
+    batch = batch_graphs(graphs)
 
     def loss():
-        per_patient = [patient_loss(model, g, r.dfs, r.os, bins, weights)
-                       for g, r in zip(graphs, records)]
-        return batch_mean(per_patient)
+        return _mean_loss(model, batch, [r.dfs for r in records], [r.os for r in records],
+                          bins, weights)
 
     return grad_check(loss, dict(model.named_parameters()), step=step)

@@ -9,6 +9,7 @@ parameters are ever updated, and only between tapes (by the optimizer).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -61,9 +62,11 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = data
         t.op = op
-        t.parents = parents
-        t.ctx = ctx
         t.requires_grad = any(p.requires_grad for p in parents)
+        # A node nothing differentiates through keeps no parents, so its
+        # inputs are freed as soon as the caller drops them.
+        t.parents = parents if t.requires_grad else ()
+        t.ctx = ctx
         t.name = None
         return t
 
@@ -117,6 +120,24 @@ def parameter(data, name: str | None = None) -> Tensor:
 def constant(data, name: str | None = None) -> Tensor:
     """A non-trainable leaf (inputs, masks, adjacency and the like)."""
     return Tensor(data, requires_grad=False, name=name)
+
+
+@contextmanager
+def no_grad(leaves: Iterable[Tensor]):
+    """Treat `leaves` as constants inside the block.
+
+    Nothing computed there can be differentiated, so no tape is kept and a
+    forward pass frees each intermediate once the next one is built.
+    """
+    leaves = list(leaves)
+    saved = [leaf.requires_grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.requires_grad = False
+    try:
+        yield
+    finally:
+        for leaf, flag in zip(leaves, saved):
+            leaf.requires_grad = flag
 
 
 def _coerce(x, shape) -> Tensor:
@@ -233,11 +254,57 @@ def mean_rows(a: Tensor) -> Tensor:
     return Tensor._node(a.data.mean(axis=0, keepdims=True), "mean-rows", (a,))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return Tensor._node(e / e.sum(axis=1, keepdims=True), "softmax-rows", (a,))
+class SparseRows:
+    """A constant sparse matrix in padded per-row slots (ELL layout).
+
+    Row i keeps up to `width` (column, value) pairs in `cols[i]`/`vals[i]`,
+    in the order the entries were given; unused slots point at column
+    `shape[1]`, a zero row that `apply` appends to its operand. Duplicate
+    entries add up. The transpose is built once, on first use.
+    """
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), rows.shape)
+        n, m = shape
+        if cols.shape != rows.shape or ((rows < 0) | (rows >= n) | (cols < 0)
+                                        | (cols >= m)).any():
+            raise ShapeMismatchError("sparse-rows", shape)
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        width = int(counts.max()) if rows.size else 0
+        self.shape = (n, m)
+        self.cols = np.full((n, width), m, dtype=np.intp)
+        self.vals = np.zeros((n, width))
+        self.cols[rows, slot] = cols
+        self.vals[rows, slot] = vals
+        self._entries = (rows, cols, vals)
+        self._transpose: SparseRows | None = None
+
+    @property
+    def T(self) -> "SparseRows":
+        if self._transpose is None:
+            rows, cols, vals = self._entries
+            self._transpose = SparseRows(cols, rows, vals, self.shape[::-1])
+        return self._transpose
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """S @ x as one gather-multiply-add per slot, in slot order."""
+        padded = np.vstack([x, np.zeros((1, x.shape[1]))])
+        out = np.zeros((self.shape[0], x.shape[1]))
+        for d in range(self.cols.shape[1]):
+            out += self.vals[:, d, None] * padded[self.cols[:, d]]
+        return out
+
+
+def spmm(s: SparseRows, x: Tensor) -> Tensor:
+    """Constant sparse matrix times a tape tensor; only x gets a gradient."""
+    if s.shape[1] != x.rows:
+        raise ShapeMismatchError("spmm", s.shape, x.shape)
+    return Tensor._node(s.apply(x.data), "spmm", (x,), s)
 
 
 _FORWARD: dict[str, Callable] = {
@@ -257,7 +324,7 @@ _FORWARD: dict[str, Callable] = {
     "sum-all": sum_all,
     "mean-rows": mean_rows,
     "mean-all": mean_all,
-    "softmax-rows": softmax_rows,
+    "spmm": spmm,
 }
 
 PRIMITIVE_OPS = tuple(_FORWARD)
@@ -365,10 +432,8 @@ def _bw_mean_rows(node, g):
     return (np.repeat(g / a.rows, a.rows, axis=0),)
 
 
-def _bw_softmax_rows(node, g):
-    s = node.data
-    dot = (g * s).sum(axis=1, keepdims=True)
-    return (s * (g - dot),)
+def _bw_spmm(node, g):
+    return (node.ctx.T.apply(g),)
 
 
 _BACKWARD: dict[str, Callable] = {
@@ -388,7 +453,7 @@ _BACKWARD: dict[str, Callable] = {
     "sum-all": _bw_sum_all,
     "mean-all": _bw_mean_all,
     "mean-rows": _bw_mean_rows,
-    "softmax-rows": _bw_softmax_rows,
+    "spmm": _bw_spmm,
 }
 
 
@@ -445,25 +510,6 @@ def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Ten
             if p.requires_grad and p not in result:
                 result[p] = Tensor(np.zeros_like(p.data))
     return result
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1 x c tensors into an n x c tensor (composition of primitives)."""
-    n = len(rows)
-    if n == 0:
-        raise ShapeMismatchError("stack-rows", ())
-    if n == 1:
-        return rows[0]
-    cols = rows[0].cols
-    acc = None
-    for i, r in enumerate(rows):
-        if r.shape != (1, cols):
-            raise ShapeMismatchError("stack-rows", (1, cols), r.shape)
-        sel = np.zeros((n, 1))
-        sel[i, 0] = 1.0
-        placed = matmul(Tensor(sel), r)
-        acc = placed if acc is None else add(acc, placed)
-    return acc
 
 
 def grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> float:

@@ -19,8 +19,9 @@ from . import autodiff as ad
 from .cohort import CohortError, load_cohort, save_cohort, simulate_cohort
 from .config import ConfigError, RunConfig, load_config
 from .crossval import VARIANTS, emit_report, evaluate_model, run_ablation, run_crossval
+from .evolution import BACKBONES
 from .graph import GraphConstructionError
-from .model import init_model, load_model, save_model
+from .model import ModelFileError, init_model, load_model, save_model
 from .training import train_model
 
 EXIT_OK = 0
@@ -160,10 +161,15 @@ def cmd_evaluate(cfg: RunConfig, model_path: str | None) -> int:
 def cmd_gradcheck() -> int:
     from .acceptance_support import full_pipeline_gradcheck
 
-    err = full_pipeline_gradcheck()
-    print(f"max relative gradient error: {err:.3e}")
-    if err > 1e-4:
-        print("gradient check FAILED (tolerance 1e-4)", file=sys.stderr)
+    failed = []
+    for backbone in BACKBONES:
+        err = full_pipeline_gradcheck(backbone=backbone)
+        print(f"{backbone}: max relative gradient error {err:.3e}")
+        if err > 1e-4:
+            failed.append(backbone)
+    if failed:
+        print(f"gradient check FAILED for {', '.join(failed)} (tolerance 1e-4)",
+              file=sys.stderr)
         return EXIT_TRAINING
     print("gradient check passed (tolerance 1e-4)")
     return EXIT_OK
@@ -194,7 +200,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CohortError, GraphConstructionError, FileNotFoundError,
+    except (CohortError, GraphConstructionError, ModelFileError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

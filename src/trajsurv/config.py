@@ -81,7 +81,7 @@ _MODEL_KEYS = {
     "backbone": "backbone", "d": "hidden_dim", "d_t": "time_dim", "d_h": "summary_dim",
     "d_c": "context_dim", "T": "horizon", "K": "num_bins", "bin_edges": "bin_edges",
     "message_dim": "message_dim", "attention_dim": "attention_dim",
-    "cascade": "cascade", "integrator": "integrator", "static_no_update": "static_no_update",
+    "cascade": "cascade", "integrator": "integrator",
 }
 
 

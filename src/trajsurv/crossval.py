@@ -118,18 +118,21 @@ class _FoldPrediction:
 
 
 def _predict_fold(model: FullModel, records: list[PatientRecord], bins: TimeBins,
-                  horizons) -> list[_FoldPrediction]:
+                  horizons, chunk: int) -> list[_FoldPrediction]:
+    """Score `records` in batches of `chunk`, so memory is bounded by one chunk."""
     preds = []
-    for rec in records:
-        curves = model.predict_curves(record_to_graph(rec))
-        risks, scores, arrs, times = {}, {}, {}, {}
-        for task, (hc, sc) in curves.items():
-            est = point_estimate_time(sc, bins)
-            risks[task] = -est
-            times[task] = est
-            scores[task] = {t: 1.0 - sc.at_time(t, bins) for t in horizons}
-            arrs[task] = (hc.h, sc.s)
-        preds.append(_FoldPrediction(rec, risks, scores, arrs, times))
+    for start in range(0, len(records), chunk):
+        part = records[start:start + chunk]
+        curves_of = model.predict_curves([record_to_graph(rec) for rec in part])
+        for rec, curves in zip(part, curves_of):
+            risks, scores, arrs, times = {}, {}, {}, {}
+            for task, (hc, sc) in curves.items():
+                est = point_estimate_time(sc, bins)
+                risks[task] = -est
+                times[task] = est
+                scores[task] = {t: 1.0 - sc.at_time(t, bins) for t in horizons}
+                arrs[task] = (hc.h, sc.s)
+            preds.append(_FoldPrediction(rec, risks, scores, arrs, times))
     return preds
 
 
@@ -179,8 +182,8 @@ def _cascade_grad_check(model: FullModel, records: list[PatientRecord],
                         bins: TimeBins) -> bool:
     """True iff the OS loss sends exactly zero gradient to the context weights."""
     rec = records[0]
-    out = model.forward(record_to_graph(rec))
-    os_loss = discrete_nll(out.os_hazards, rec.os, bins)
+    out = model.forward([record_to_graph(rec)])
+    os_loss = discrete_nll(out.os_hazards, [rec.os], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     ctx = grads[model.heads.w_ctx].data
     ctx_b = grads[model.heads.b_ctx].data
@@ -232,7 +235,8 @@ def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
         try:
             train_model(model, [records[i] for i in spec.train],
                         [records[i] for i in spec.val], settings)
-            preds = _predict_fold(model, [records[i] for i in spec.test], bins, horizons)
+            preds = _predict_fold(model, [records[i] for i in spec.test], bins, horizons,
+                                  config.train.batch_size)
             per_task, capped = _fold_metrics(preds, bins, tau, horizons)
         except (ad.NonFiniteError, ad.DomainError) as exc:
             report.failed_folds.append({"repeat": spec.repeat, "fold": spec.fold,
@@ -314,7 +318,8 @@ def evaluate_model(model: FullModel, records: list[PatientRecord], config: RunCo
     """Single-model evaluation presented as one pseudo-fold."""
     bins = model.config.bins()
     tau = config.eval.resolve_tau(bins)
-    preds = _predict_fold(model, records, bins, config.eval.horizons)
+    preds = _predict_fold(model, records, bins, config.eval.horizons,
+                          config.train.batch_size)
     per_task, capped = _fold_metrics(preds, bins, tau, config.eval.horizons)
     report = CvReport(variant=variant, config=config_to_dict(config),
                       seed=config.train.seed)

@@ -6,6 +6,12 @@ every node state, computes an update through one hidden message layer plus a
 linear output projection, and adds it residually (so zero weights leave the
 state untouched). The mean-pooled state after each update is one snapshot of
 the patient's latent trajectory.
+
+Everything runs on a `GraphBatch`, the disjoint union of B graphs: node
+states are one matrix with a row per node of every graph, and each
+neighbour mean, normalised adjacency, per-arc gather and per-target sum is
+a constant sparse matrix applied with `spmm`. This module decides the
+adjacency of each backbone; snapshots have one row per graph.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import EDGE_ATTR_DIM, PatientGraph
+from .autodiff import SparseRows
+from .graph import EDGE_ATTR_DIM, GraphBatch
 
 BACKBONES = ("graphsage", "gcn", "gat")
 
@@ -50,9 +57,7 @@ def time_embedding(t: int, table: TimeEmbeddingTable) -> Tensor:
     """Row t of the table as a 1 x d_t tensor on the tape."""
     if not (0 <= t < table.steps):
         raise IndexError(f"time step {t} outside table with {table.steps} rows")
-    sel = np.zeros((1, table.steps))
-    sel[0, t] = 1.0
-    return ad.matmul(ad.constant(sel), table.table)
+    return ad.spmm(SparseRows([0], [t], 1.0, (1, table.steps)), table.table)
 
 
 @dataclass
@@ -121,92 +126,98 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
     )
 
 
-class GraphCache:
-    """Per-graph constants shared by all evolution steps of one forward pass."""
+def adjacency(batch: GraphBatch, backbone: str) -> dict:
+    """The backbone's constant operators for this batch, built on first use.
 
-    def __init__(self, graph: PatientGraph, backbone: str):
-        n = graph.num_nodes
-        self.n = n
-        in_arcs = graph.in_neighbors()
-        if backbone == "graphsage":
-            # Mean over in-neighbors of [x_j ; a_ij] factors into a
-            # row-normalized adjacency matmul plus a constant attr-mean block.
-            nb = np.zeros((n, n))
-            attr_mean = np.zeros((n, EDGE_ATTR_DIM))
-            for i, arcs in enumerate(in_arcs):
-                if not arcs:
-                    continue  # isolated node: neighbor term stays zero
-                for j, attr in arcs:
-                    nb[i, j] += 1.0
-                    attr_mean[i] += attr
-                nb[i] /= len(arcs)
-                attr_mean[i] /= len(arcs)
-            self.neighbor_mean = ad.constant(nb)
-            self.attr_mean = ad.constant(attr_mean)
-        elif backbone == "gcn":
-            a = np.eye(n)
-            for i, arcs in enumerate(in_arcs):
-                for j, _ in arcs:
-                    a[i, j] = 1.0
-            deg = a.sum(axis=1)
-            inv_sqrt = 1.0 / np.sqrt(deg)
-            self.norm_adj = ad.constant(inv_sqrt[:, None] * a * inv_sqrt[None, :])
-        elif backbone == "gat":
-            self.in_arcs = [[(j, ad.constant(attr.reshape(1, -1))) for j, attr in arcs]
-                            for arcs in in_arcs]
-            self.selectors = []
-            for i in range(n):
-                sel = np.zeros((1, n))
-                sel[0, i] = 1.0
-                self.selectors.append(ad.constant(sel))
-        else:
-            raise ValueError(f"unknown backbone {backbone!r}")
+    graphsage: `mean` averages in-neighbours (1/in-degree per arc) and
+    `attr_mean` is the matching mean of arc attributes. gcn: `norm` is the
+    symmetric normalisation D^-1/2 (A + I) D^-1/2. gat: `at_dst`/`at_src`
+    gather each arc's target/source row, `sum_dst` sums arcs into their
+    target, and `no_arcs` is 1 on nodes without in-arcs. Isolated nodes get
+    an empty row, so their neighbour term is zero.
+    """
+    ops = batch.operators.get(backbone)
+    if ops is not None:
+        return ops
+    n, src, dst = batch.n_nodes, batch.src, batch.dst
+    deg = np.bincount(dst, minlength=n).astype(np.float64)
+    if backbone == "graphsage":
+        attr_sum = np.zeros((n, EDGE_ATTR_DIM))
+        np.add.at(attr_sum, dst, batch.attr)
+        ops = {"mean": SparseRows(dst, src, 1.0 / deg[dst], (n, n)),
+               "attr_mean": ad.constant(attr_sum / np.maximum(deg, 1.0)[:, None])}
+    elif backbone == "gcn":
+        pairs = np.unique(np.stack([dst, src], axis=1), axis=0)
+        loops = np.arange(n)
+        rows = np.concatenate([loops, pairs[:, 0]])
+        cols = np.concatenate([loops, pairs[:, 1]])
+        inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n))
+        ops = {"norm": SparseRows(rows, cols, inv_sqrt[rows] * inv_sqrt[cols], (n, n))}
+    elif backbone == "gat":
+        arcs = np.arange(dst.size)
+        at_dst = SparseRows(arcs, dst, 1.0, (dst.size, n))
+        ops = {"at_dst": at_dst, "at_src": SparseRows(arcs, src, 1.0, (dst.size, n)),
+               "sum_dst": at_dst.T, "attr": ad.constant(batch.attr),
+               "no_arcs": ad.constant((deg == 0.0).astype(np.float64)[:, None])}
+    else:
+        raise ValueError(f"unknown backbone {backbone!r}")
+    batch.operators[backbone] = ops
+    return ops
 
 
-def _message(x: Tensor, cache: GraphCache, params: EvolutionParams) -> Tensor:
+def segment_softmax(scores: Tensor, batch: GraphBatch) -> Tensor:
+    """Softmax of per-arc scores (arcs x 1) over the in-arcs of each target.
+
+    The per-target maximum is subtracted as a constant, so exp never
+    overflows; the weights are exp(shifted - log(per-target sum of exp)).
+    """
+    ops = adjacency(batch, "gat")
+    top = np.full(batch.n_nodes, -np.inf)
+    np.maximum.at(top, batch.dst, scores.data[:, 0])
+    shifted = ad.sub(scores, ad.constant(top[batch.dst][:, None]))
+    total = ad.add(ad.spmm(ops["sum_dst"], ad.exp(shifted)), ops["no_arcs"])
+    return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
+
+
+def _attend(x: Tensor, batch: GraphBatch, params: EvolutionParams) -> Tensor:
+    """gat: single-head additive attention; each arc is scored from [x_dst ; x_src ; a]."""
+    ops = adjacency(batch, "gat")
+    x_src = ad.spmm(ops["at_src"], x)
+    pair = ad.concat_cols(ad.spmm(ops["at_dst"], x), x_src, ops["attr"])
+    hidden = ad.tanh(ad.add(ad.matmul(pair, params.attn_u), params.attn_b))
+    alpha = segment_softmax(ad.matmul(hidden, params.attn_v), batch)
+    msgs = ad.concat_cols(x_src, ops["attr"])
+    spread = ad.matmul(alpha, ad.constant(np.ones((1, msgs.cols))))
+    return ad.spmm(ops["sum_dst"], ad.mul(msgs, spread))
+
+
+def _message(x: Tensor, batch: GraphBatch, params: EvolutionParams) -> Tensor:
+    if params.backbone == "gcn":
+        mixed = ad.spmm(adjacency(batch, "gcn")["norm"], x)
+        return ad.relu(ad.add(ad.matmul(mixed, params.w_self), params.b_msg))
     if params.backbone == "graphsage":
-        agg = ad.concat_cols(ad.matmul(cache.neighbor_mean, x), cache.attr_mean)
-        pre = ad.add(ad.add(ad.matmul(x, params.w_self), ad.matmul(agg, params.w_neigh)),
-                     params.b_msg)
-    elif params.backbone == "gcn":
-        pre = ad.add(ad.matmul(ad.matmul(cache.norm_adj, x), params.w_self), params.b_msg)
-    else:  # gat: single-head additive attention over in-neighbors
-        node_rows = [ad.matmul(sel, x) for sel in cache.selectors]
-        agg_rows = []
-        for i in range(cache.n):
-            arcs = cache.in_arcs[i]
-            if not arcs:
-                agg_rows.append(ad.constant(np.zeros((1, x.cols + EDGE_ATTR_DIM))))
-                continue
-            scores, msgs = [], []
-            for j, attr in arcs:
-                pair = ad.concat_cols(node_rows[i], node_rows[j], attr)
-                hidden = ad.tanh(ad.add(ad.matmul(pair, params.attn_u), params.attn_b))
-                scores.append(ad.matmul(hidden, params.attn_v))
-                msgs.append(ad.concat_cols(node_rows[j], attr))
-            alpha = ad.softmax_rows(ad.concat_cols(*scores) if len(scores) > 1 else scores[0])
-            agg_rows.append(ad.matmul(alpha, ad.stack_rows(msgs)))
-        agg = ad.stack_rows(agg_rows)
-        pre = ad.add(ad.add(ad.matmul(x, params.w_self), ad.matmul(agg, params.w_neigh)),
-                     params.b_msg)
+        ops = adjacency(batch, "graphsage")
+        agg = ad.concat_cols(ad.spmm(ops["mean"], x), ops["attr_mean"])
+    else:
+        agg = _attend(x, batch, params)
+    pre = ad.add(ad.add(ad.matmul(x, params.w_self), ad.matmul(agg, params.w_neigh)),
+                 params.b_msg)
     return ad.relu(pre)
 
 
-def residual_step(h: Tensor, e_t: Tensor, graph: PatientGraph, params: EvolutionParams,
-                  cache: GraphCache | None = None) -> Tensor:
+def residual_step(h: Tensor, e_t: Tensor, batch: GraphBatch,
+                  params: EvolutionParams) -> Tensor:
     """Incremental update dH for one step: operator applied to [H ; e_t]."""
-    if cache is None:
-        cache = GraphCache(graph, params.backbone)
     x = ad.concat_cols(h, ad.broadcast_row(e_t, h.rows))
-    m = _message(x, cache, params)
+    m = _message(x, batch, params)
     return ad.add(ad.matmul(m, params.w_out), params.b_out)
 
 
-def readout(h: Tensor) -> Tensor:
-    """Graph-level snapshot: column-wise mean over present-node rows."""
+def readout(h: Tensor, pool: SparseRows) -> Tensor:
+    """Graph-level snapshots: per graph, the column-wise mean of its node rows."""
     if h.rows == 0:
         raise ValueError("readout of empty node-state matrix")
-    return ad.mean_rows(h)
+    return ad.spmm(pool, h)
 
 
 @dataclass
@@ -220,7 +231,7 @@ class TrajectorySnapshots:
         return len(self.z)
 
 
-def evolve(h0: Tensor, graph: PatientGraph, params: EvolutionParams, horizon: int,
+def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams, horizon: int,
            collect_states: bool = False) -> TrajectorySnapshots:
     """Roll the residual operator forward `horizon` steps from H0."""
     if horizon < 1:
@@ -228,21 +239,16 @@ def evolve(h0: Tensor, graph: PatientGraph, params: EvolutionParams, horizon: in
     if horizon > params.time_table.steps:
         raise IndexError(f"horizon {horizon} exceeds time table with "
                          f"{params.time_table.steps} rows")
-    cache = GraphCache(graph, params.backbone)
     h = h0
     snapshots: list[Tensor] = []
     states: list[Tensor] | None = [h0] if collect_states else None
     for t in range(horizon):
-        delta = residual_step(h, time_embedding(t, params.time_table), graph, params, cache)
+        delta = residual_step(h, time_embedding(t, params.time_table), batch, params)
         h = ad.add(h, delta)
         if not np.isfinite(h.data).all():
             raise ad.NonFiniteError(f"node states diverged at evolution step {t}")
-        snapshots.append(readout(h))
+        snapshots.append(readout(h, batch.pool))
         if states is not None:
             states.append(h)
     return TrajectorySnapshots(z=snapshots, h_seq=states)
 
-
-def static_snapshot(h0: Tensor) -> TrajectorySnapshots:
-    """Zero-update variant: the single snapshot is the readout of H0."""
-    return TrajectorySnapshots(z=[readout(h0)])

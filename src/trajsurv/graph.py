@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import SparseRows, Tensor
 
 
 class NodeKind(Enum):
@@ -71,13 +72,6 @@ class Edge:
     attr: np.ndarray
 
 
-@dataclass(frozen=True)
-class Arc:
-    source: NodeKind
-    target: NodeKind
-    attr: np.ndarray
-
-
 @dataclass
 class PatientGraph:
     patient_id: str
@@ -85,6 +79,10 @@ class PatientGraph:
     edges: list[Edge]
     # Present-node order; node-state rows are aligned to this.
     order: list[NodeKind] = field(default_factory=list)
+    # Arc arrays, computed the first time the graph joins a batch; a graph
+    # is not edited after that.
+    _arcs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.order:
@@ -102,22 +100,21 @@ class PatientGraph:
     def row_of(self, kind: NodeKind) -> int:
         return self.order.index(kind)
 
-    def arcs(self) -> list[Arc]:
-        """Two directed arcs per logical edge; reverse arc negates the attr."""
-        out: list[Arc] = []
-        for e in self.edges:
-            out.append(Arc(e.source, e.target, e.attr))
-            out.append(Arc(e.target, e.source, -e.attr))
-        return out
-
-    def in_neighbors(self) -> list[list[tuple[int, np.ndarray]]]:
-        """Per present-node row: incoming (source row, attr) pairs."""
-        idx = {k: i for i, k in enumerate(self.order)}
-        result: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.order]
-        for arc in self.arcs():
-            if arc.source in idx and arc.target in idx:
-                result[idx[arc.target]].append((idx[arc.source], arc.attr))
-        return result
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source rows, target rows, attrs) of the directed arcs between
+        present nodes: two per edge, the reverse one with its attr negated,
+        sorted by target row and in edge order within a target."""
+        if self._arcs is None:
+            idx = {k: i for i, k in enumerate(self.order)}
+            arcs = [(idx[s], idx[t], a) for e in self.edges
+                    for s, t, a in ((e.source, e.target, e.attr), (e.target, e.source, -e.attr))
+                    if s in idx and t in idx]
+            arcs.sort(key=lambda arc: arc[1])
+            src = np.array([arc[0] for arc in arcs], dtype=np.intp)
+            dst = np.array([arc[1] for arc in arcs], dtype=np.intp)
+            attr = np.array([arc[2] for arc in arcs]).reshape(-1, EDGE_ATTR_DIM)
+            self._arcs = (src, dst, attr)
+        return self._arcs
 
 
 def _as_vector(x, what: str, length: int | None = None) -> np.ndarray:
@@ -269,13 +266,69 @@ def init_embedding(feature_widths: dict[NodeKind, int], hidden_dim: int,
     return EmbeddingParams(weights, biases)
 
 
-def embed_nodes(graph: PatientGraph, params: EmbeddingParams) -> Tensor:
-    """Initial node-state matrix H0, one row per present node in graph.order."""
-    rows = []
-    for kind in graph.order:
+def mean_pool(sizes) -> SparseRows:
+    """Readout operator: row b averages the `sizes[b]` consecutive node rows of graph b."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    return SparseRows(rows, np.arange(rows.size), 1.0 / sizes[rows],
+                      (sizes.size, rows.size))
+
+
+@dataclass
+class GraphBatch:
+    """B patient graphs as one disjoint union.
+
+    Node rows are graph by graph, each graph's rows in its `order`. Arcs are
+    sorted by target row. `kinds` maps each node kind to its placement (node
+    rows x nodes of that kind) and the stacked raw features of those nodes.
+    `operators` holds adjacency operators, built once per backbone.
+    """
+
+    n_nodes: int
+    kinds: dict[NodeKind, tuple[SparseRows, np.ndarray]]
+    src: np.ndarray
+    dst: np.ndarray
+    attr: np.ndarray
+    pool: SparseRows
+    operators: dict = field(default_factory=dict)
+
+
+def batch_graphs(graphs: Sequence[PatientGraph]) -> GraphBatch:
+    """Concatenate each graph's cached arc arrays with its row offset."""
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    arcs = [g.arc_arrays() for g in graphs]
+    rows: dict[NodeKind, list[int]] = {}
+    feats: dict[NodeKind, list[np.ndarray]] = {}
+    for g, off in zip(graphs, offsets):
+        for local, kind in enumerate(g.order):
+            rows.setdefault(kind, []).append(off + local)
+            feats.setdefault(kind, []).append(g.nodes[kind].features)
+    n = int(sizes.sum())
+    kinds = {kind: (SparseRows(r, np.arange(len(r)), 1.0, (n, len(r))), np.stack(feats[kind]))
+             for kind, r in rows.items()}
+    return GraphBatch(
+        n_nodes=n, kinds=kinds,
+        src=np.concatenate([src + off for (src, _, _), off in zip(arcs, offsets)]),
+        dst=np.concatenate([dst + off for (_, dst, _), off in zip(arcs, offsets)]),
+        attr=np.concatenate([attr for _, _, attr in arcs]),
+        pool=mean_pool(sizes))
+
+
+def embed_nodes(batch: GraphBatch, params: EmbeddingParams) -> Tensor:
+    """Initial node-state matrix H0: each kind's rows projected, then placed."""
+    h0 = None
+    for kind in NodeKind:
+        if kind not in batch.kinds:
+            continue
         if kind not in params.weights:
             raise KeyError(f"no embedding projection for present node kind {kind.value}")
-        node = graph.nodes[kind]
-        x = ad.constant(node.features.reshape(1, -1))
-        rows.append(ad.add(ad.matmul(x, params.weights[kind]), params.biases[kind]))
-    return ad.stack_rows(rows)
+        place, x = batch.kinds[kind]
+        w = params.weights[kind]
+        if x.shape[1] != w.rows:
+            raise GraphConstructionError(
+                f"{kind.value} features have width {x.shape[1]}, the model expects {w.rows}")
+        rows = ad.add(ad.matmul(ad.constant(x), w), params.biases[kind])
+        placed = ad.spmm(place, rows)
+        h0 = placed if h0 is None else ad.add(h0, placed)
+    return h0

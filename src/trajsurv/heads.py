@@ -88,7 +88,7 @@ def init_heads(summary_dim: int, context_dim: int, num_bins: int,
 
 
 def dfs_head(h_star: Tensor, params: HeadParams) -> tuple[Tensor, Tensor]:
-    """Recurrence logits (1 x K) and the tanh-bounded context vector (1 x d_c)."""
+    """Recurrence logits (B x K) and the tanh-bounded context (B x d_c)."""
     context = ad.tanh(ad.add(ad.matmul(h_star, params.w_ctx), params.b_ctx))
     logits = ad.add(ad.matmul(h_star, params.w_dfs), params.b_dfs)
     return logits, context
@@ -99,7 +99,7 @@ def os_head(h_star: Tensor, dfs_context: Tensor, params: HeadParams,
     """Mortality logits; with the cascade disabled the context is replaced by
     a zero constant, so no gradient reaches the context projection."""
     if not cascade_enabled:
-        dfs_context = ad.constant(np.zeros((1, params.context_dim)))
+        dfs_context = ad.constant(np.zeros((h_star.rows, params.context_dim)))
     joint = ad.concat_cols(h_star, dfs_context)
     return ad.add(ad.matmul(joint, params.w_os), params.b_os)
 
@@ -137,15 +137,6 @@ class SurvivalCurve:
         return float(self.s[label_to_bin(t, bins)])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def hazards_from_logits(logits: np.ndarray | Tensor) -> HazardCurve:
     if isinstance(logits, Tensor):
         logits = logits.data
@@ -153,7 +144,7 @@ def hazards_from_logits(logits: np.ndarray | Tensor) -> HazardCurve:
     if not np.isfinite(x).all():
         raise ValueError("logits must be finite")
     # Clamp keeps the open-interval invariant at extreme logits.
-    h = np.clip(_sigmoid(x), 1e-300, 1.0 - 1e-16)
+    h = np.clip(ad.sigmoid(ad.constant(x)).data[0], 1e-300, 1.0 - 1e-16)
     return HazardCurve(h)
 
 

@@ -1,16 +1,25 @@
-"""Full prognostic model: embedding -> evolution -> integrator -> heads."""
+"""Full prognostic model: embedding -> evolution -> integrator -> heads.
+
+The forward pass takes a list of patient graphs (or a `GraphBatch` built
+from one) and runs them as one disjoint-union batch on one tape; every
+output has one row per patient, and one graph is simply a batch of one.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import zipfile
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evolution import (EvolutionParams, TrajectorySnapshots, evolve, init_evolution,
-                        static_snapshot)
-from .graph import EmbeddingParams, NodeKind, PatientGraph, embed_nodes, init_embedding
+from .evolution import EvolutionParams, TrajectorySnapshots, evolve, init_evolution
+from .graph import (EmbeddingParams, GraphBatch, NodeKind, PatientGraph, batch_graphs,
+                    embed_nodes, init_embedding)
 from .heads import (HazardCurve, HeadParams, SurvivalCurve, TimeBins, annual_bins,
                     dfs_head, hazards_from_logits, init_heads, os_head,
                     survival_from_hazards)
@@ -33,7 +42,6 @@ class ModelConfig:
     attention_dim: int = 16
     cascade: bool = True
     integrator: str = "lstm"
-    static_no_update: bool = False
 
     def bins(self) -> TimeBins:
         if self.bin_edges is not None:
@@ -64,13 +72,11 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, graph: PatientGraph) -> ForwardResult:
+    def forward(self, graphs: Sequence[PatientGraph] | GraphBatch) -> ForwardResult:
         cfg = self.config
-        h0 = embed_nodes(graph, self.embedding)
-        if cfg.static_no_update:
-            snapshots = static_snapshot(h0)
-        else:
-            snapshots = evolve(h0, graph, self.evolution, cfg.horizon)
+        batch = graphs if isinstance(graphs, GraphBatch) else batch_graphs(graphs)
+        h0 = embed_nodes(batch, self.embedding)
+        snapshots = evolve(h0, batch, self.evolution, cfg.horizon)
         if cfg.integrator == "lstm":
             h_star = integrate(snapshots, self.lstm)
         else:
@@ -87,14 +93,18 @@ class FullModel:
             os_hazards=ad.sigmoid(os_logits),
         )
 
-    def predict_curves(self, graph: PatientGraph
-                       ) -> dict[str, tuple[HazardCurve, SurvivalCurve]]:
-        """Hazard and survival curves per task (monotonicity asserted)."""
-        out = self.forward(graph)
-        result = {}
-        for task, logits in (("dfs", out.dfs_logits), ("os", out.os_logits)):
-            hc = hazards_from_logits(logits)
-            result[task] = (hc, survival_from_hazards(hc))
+    def predict_curves(self, graphs: Sequence[PatientGraph] | GraphBatch
+                       ) -> list[dict[str, tuple[HazardCurve, SurvivalCurve]]]:
+        """Per patient, hazard and survival curves per task (monotonicity asserted)."""
+        with ad.no_grad(p for _, p in self.named_parameters()):
+            out = self.forward(graphs)
+        result = []
+        for dfs, os_ in zip(out.dfs_logits.data, out.os_logits.data):
+            curves = {}
+            for task, logits in (("dfs", dfs), ("os", os_)):
+                hc = hazards_from_logits(logits)
+                curves[task] = (hc, survival_from_hazards(hc))
+            result.append(curves)
         return result
 
 
@@ -130,42 +140,44 @@ def restore_parameters(model: FullModel, snapshot: dict[str, np.ndarray]) -> Non
 
 def save_model(model: FullModel, path) -> None:
     """Persist weights and the architecture needed to rebuild them."""
-    import json
-
-    cfg = model.config
+    meta = dataclasses.asdict(model.config)
+    meta["feature_widths"] = {k.value: int(w.rows) for k, w in model.embedding.weights.items()}
     arrays = {name: leaf.data for name, leaf in model.named_parameters()}
-    meta = {
-        "backbone": cfg.backbone, "hidden_dim": cfg.hidden_dim, "time_dim": cfg.time_dim,
-        "summary_dim": cfg.summary_dim, "context_dim": cfg.context_dim,
-        "horizon": cfg.horizon, "num_bins": cfg.num_bins,
-        "bin_edges": list(cfg.bin_edges) if cfg.bin_edges is not None else None,
-        "message_dim": cfg.message_dim, "attention_dim": cfg.attention_dim,
-        "cascade": cfg.cascade, "integrator": cfg.integrator,
-        "static_no_update": cfg.static_no_update,
-        "feature_widths": {k.value: int(w.rows)
-                           for k, w in model.embedding.weights.items()},
-    }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **arrays)
 
 
-def load_model(path) -> FullModel:
-    import json
+class ModelFileError(ValueError):
+    """A model file that cannot be read or describes an unsupported model."""
 
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    cfg = ModelConfig(
-        backbone=meta["backbone"], hidden_dim=meta["hidden_dim"], time_dim=meta["time_dim"],
-        summary_dim=meta["summary_dim"], context_dim=meta["context_dim"],
-        horizon=meta["horizon"], num_bins=meta["num_bins"],
-        bin_edges=tuple(meta["bin_edges"]) if meta["bin_edges"] is not None else None,
-        message_dim=meta["message_dim"], attention_dim=meta["attention_dim"],
-        cascade=meta["cascade"], integrator=meta["integrator"],
-        static_no_update=meta["static_no_update"],
-    )
-    widths = {NodeKind(k): v for k, v in meta["feature_widths"].items()}
-    model = init_model(cfg, widths, np.random.default_rng(0))
-    for name, leaf in model.named_parameters():
-        leaf.data[:] = arrays[name]
+
+def load_model(path) -> FullModel:
+    """Rebuild a model written by `save_model`.
+
+    A field this version does not know is accepted only when it is false: a
+    switch removed at its off default, as older files carry. Any other value
+    would describe a model this version cannot build, so it is rejected.
+    """
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ModelFileError(f"{path}: not a readable model file ({exc})") from exc
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    unsupported = {k: v for k, v in meta.items()
+                   if k not in names | {"feature_widths"} and v is not False}
+    if unsupported:
+        raise ModelFileError(f"{path}: unsupported model fields {unsupported}")
+    try:
+        cfg = ModelConfig(**{k: meta[k] for k in names})
+        if cfg.bin_edges is not None:
+            cfg = dataclasses.replace(cfg, bin_edges=tuple(cfg.bin_edges))
+        widths = {NodeKind(k): v for k, v in meta["feature_widths"].items()}
+        model = init_model(cfg, widths, np.random.default_rng(0))
+        for name, leaf in model.named_parameters():
+            leaf.data[:] = arrays[name]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: not a readable model file "
+                             f"({type(exc).__name__}: {exc})") from exc
     return model

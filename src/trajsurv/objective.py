@@ -3,6 +3,7 @@
 The per-patient loss is the standard discrete-time survival likelihood: an
 event in bin k contributes -[ln h_k + sum_{j<k} ln(1-h_j)]; a censoring in
 bin k contributes survival through bin k inclusive, -sum_{j<=k} ln(1-h_j).
+A batch's loss is the mean over its patients.
 Optimization is AdamW with decoupled weight decay, a reduce-on-plateau
 learning-rate schedule, and early stopping with best-snapshot retention.
 """
@@ -10,6 +11,7 @@ learning-rate schedule, and early stopping with best-snapshot retention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -60,42 +62,22 @@ def clamp01(h: Tensor, eps: float = CLAMP_EPS) -> Tensor:
     return ad.sub(ad.add(lo, ad.relu(ad.sub(h, lo))), ad.relu(ad.sub(h, hi)))
 
 
-def discrete_nll(hazards: Tensor, label: SurvivalLabel, bins: TimeBins) -> Tensor:
-    """Negative log-likelihood of one patient given the 1 x K hazard row."""
-    k = label_to_bin(label.time, bins)
+def discrete_nll(hazards: Tensor, labels: Sequence[SurvivalLabel], bins: TimeBins) -> Tensor:
+    """Mean negative log-likelihood of a batch given its B x K hazard rows."""
     K = bins.count
-    if hazards.shape != (1, K):
-        raise ad.ShapeMismatchError("discrete-nll", hazards.shape, (1, K))
-    event_mask = np.zeros((1, K))
-    surv_mask = np.zeros((1, K))
-    if label.event == 1:
-        event_mask[0, k] = 1.0
-        surv_mask[0, :k] = 1.0
-    else:
-        surv_mask[0, :k + 1] = 1.0
+    if hazards.shape != (len(labels), K) or not labels:
+        raise ad.ShapeMismatchError("discrete-nll", hazards.shape, (len(labels), K))
+    k = np.array([label_to_bin(lab.time, bins) for lab in labels])[:, None]
+    event = np.array([lab.event for lab in labels])[:, None]
+    cols = np.arange(K)[None, :]
+    event_mask = ((cols == k) & (event == 1)).astype(np.float64)
+    surv_mask = (cols < k + 1 - event).astype(np.float64)
     h = clamp01(hazards)
     log_h = ad.log(h)
-    log_s = ad.log(ad.sub(ad.constant(np.ones((1, K))), h))
+    log_s = ad.log(ad.sub(ad.constant(np.ones(h.shape)), h))
     ll = ad.sum_all(ad.add(ad.mul(ad.constant(event_mask), log_h),
                            ad.mul(ad.constant(surv_mask), log_s)))
-    return ad.negate(ll)
-
-
-def combined_loss(os_nll: Tensor, dfs_nll: Tensor, weights: LossWeights) -> Tensor:
-    """alpha * OS + beta * DFS for one patient."""
-    a = ad.constant([[weights.alpha]])
-    b = ad.constant([[weights.beta]])
-    return ad.add(ad.mul(a, os_nll), ad.mul(b, dfs_nll))
-
-
-def batch_mean(losses: list[Tensor]) -> Tensor:
-    """Mean of per-patient scalar losses, accumulated in list order."""
-    if not losses:
-        raise ValueError("empty loss batch")
-    acc = losses[0]
-    for term in losses[1:]:
-        acc = ad.add(acc, term)
-    return ad.mul(acc, ad.constant([[1.0 / len(losses)]]))
+    return ad.mul(ad.negate(ll), ad.constant([[1.0 / len(labels)]]))
 
 
 @dataclass

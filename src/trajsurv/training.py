@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .batched import BATCHABLE_BACKBONES, batched_mean_loss
 from .cohort import PatientRecord, augment, record_to_graph
-from .graph import PatientGraph
+from .graph import GraphBatch, PatientGraph, batch_graphs
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
 from .objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                        adamw_step, batch_mean, combined_loss, discrete_nll, early_stop,
-                        plateau_schedule)
+                        adamw_step, discrete_nll, early_stop, plateau_schedule)
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,21 @@ class TrainResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
+def _mean_loss(model: FullModel, graphs: Sequence[PatientGraph] | GraphBatch,
+               dfs: Sequence[SurvivalLabel], os_labels: Sequence[SurvivalLabel],
+               bins: TimeBins, weights: LossWeights):
+    """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape."""
+    out = model.forward(graphs)
+    os_nll = discrete_nll(out.os_hazards, os_labels, bins)
+    dfs_nll = discrete_nll(out.dfs_hazards, dfs, bins)
+    return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
+                  ad.mul(ad.constant([[weights.beta]]), dfs_nll))
+
+
 def patient_loss(model: FullModel, graph: PatientGraph, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
-    out = model.forward(graph)
-    dfs_nll = discrete_nll(out.dfs_hazards, dfs, bins)
-    os_nll = discrete_nll(out.os_hazards, os_label, bins)
-    return combined_loss(os_nll, dfs_nll, weights)
-
-
-def _mean_loss(model: FullModel, items: list[tuple[PatientGraph, SurvivalLabel, SurvivalLabel]],
-               bins: TimeBins, weights: LossWeights):
-    # The stacked multi-patient tape computes the same mean loss with far
-    # fewer nodes; gat has no stacked form and goes patient by patient.
-    if model.config.backbone in BATCHABLE_BACKBONES:
-        return batched_mean_loss(model, items, bins, weights)
-    losses = [patient_loss(model, g, dfs, os_label, bins, weights)
-              for g, dfs, os_label in items]
-    return batch_mean(losses)
+    """The loss of one patient: a batch of one."""
+    return _mean_loss(model, [graph], [dfs], [os_label], bins, weights)
 
 
 def train_model(model: FullModel, train_records: list[PatientRecord],
@@ -82,7 +79,9 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     state = OptimizerState(lr=settings.lr)
 
     train_graphs = [record_to_graph(r) for r in train_records]
-    val_items = [(record_to_graph(r), r.dfs, r.os) for r in val_records]
+    val_batch = batch_graphs([record_to_graph(r) for r in val_records])
+    val_dfs = [r.dfs for r in val_records]
+    val_os = [r.os for r in val_records]
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
@@ -106,13 +105,14 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
 
         train_losses = []
         for start in range(0, len(epoch_items), settings.batch_size):
-            batch = epoch_items[start:start + settings.batch_size]
-            loss = _mean_loss(model, batch, bins, weights)
+            graphs, dfs, os_labels = zip(*epoch_items[start:start + settings.batch_size])
+            loss = _mean_loss(model, graphs, dfs, os_labels, bins, weights)
             grads = ad.backward(loss, params=[p for _, p in params])
             adamw_step(params, grads, state, hyper)
             train_losses.append(loss.item())
 
-        val_loss = _mean_loss(model, val_items, bins, weights).item()
+        with ad.no_grad(p for _, p in params):
+            val_loss = _mean_loss(model, val_batch, val_dfs, val_os, bins, weights).item()
         train_loss = float(np.mean(train_losses))
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{val_loss:.6f}\t{state.lr:.3e}")
         result.history.append((epoch, train_loss, val_loss, state.lr))

@@ -1,9 +1,9 @@
 """LSTM trajectory integrator: snapshot sequence -> summary vector h*.
 
-The snapshots z_0..z_{T-1} are consumed by a single-layer LSTM from a zero
-initial state; h* is the elementwise mean of all hidden states so no single
-step dominates. The integrator-ablation mode bypasses the LSTM and averages
-the raw snapshots instead.
+The snapshots z_0..z_{T-1} (one row per graph of the batch) are consumed by
+a single-layer LSTM from a zero initial state; h* is the elementwise mean of
+all hidden states so no single step dominates. The integrator-ablation
+mode bypasses the LSTM and averages the raw snapshots instead.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def integrate(snapshots: TrajectorySnapshots, params: LstmParams) -> Tensor:
     """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T."""
     if len(snapshots) == 0:
         raise ValueError("cannot integrate an empty snapshot sequence")
-    d_h = params.hidden_dim
-    h = ad.constant(np.zeros((1, d_h)))
-    c = ad.constant(np.zeros((1, d_h)))
+    zeros = np.zeros((snapshots.z[0].rows, params.hidden_dim))
+    h = ad.constant(zeros)
+    c = ad.constant(zeros)
     hidden: list[Tensor] = []
     for z in snapshots.z:
         h, c = lstm_step(z, h, c, params)

@@ -14,21 +14,20 @@ import pytest
 from oracles import (direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance)
 from trajsurv import autodiff as ad
-from trajsurv.acceptance_support import full_pipeline_gradcheck, toy_setup
-from trajsurv.batched import batched_mean_loss
+from trajsurv.acceptance_support import full_pipeline_gradcheck
 from trajsurv.cli import main as cli_main
 from trajsurv.cohort import (Scenario, oracle_cindex, record_to_graph,
                              simulate_cohort)
 from trajsurv.config import RunConfig
 from trajsurv.crossval import run_ablation, run_crossval
 from trajsurv.evolution import BACKBONES, evolve, init_evolution, readout
+from trajsurv.graph import batch_graphs
 from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_time,
                             survival_from_hazards)
 from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
                               harrell_cindex, integrated_brier, km_censoring_survival,
                               mae_uncensored, time_dependent_auc)
-from trajsurv.objective import LossWeights, SurvivalLabel, discrete_nll
-from trajsurv.training import patient_loss
+from trajsurv.objective import SurvivalLabel, discrete_nll
 
 SEED = 0
 
@@ -55,18 +54,21 @@ def full_run(synthetic):
 
 def test_01_gradient_fidelity():
     start = time.perf_counter()
-    err = full_pipeline_gradcheck(step=1e-5)
+    errs = {b: full_pipeline_gradcheck(step=1e-5, backbone=b) for b in BACKBONES}
     elapsed = time.perf_counter() - start
-    verdict(1, "full-pipeline gradient fidelity", err <= 1e-4 and elapsed < 60,
-            f"max rel err {err:.2e} in {elapsed:.1f}s, tolerance 1e-4")
+    verdict(1, "full-pipeline gradient fidelity",
+            max(errs.values()) <= 1e-4 and elapsed < 60,
+            ", ".join(f"{b} max rel err {e:.2e}" for b, e in errs.items())
+            + f" in {elapsed:.1f}s, tolerance 1e-4")
 
 
 def test_02_residual_identity():
     records, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
                                                                clinical_len=3))
     graph = record_to_graph(records[0])
+    batch = batch_graphs([graph])
     h0 = ad.constant(np.random.default_rng(9).normal(size=(graph.num_nodes, 8)))
-    base = readout(h0).data.tobytes()
+    base = readout(h0, batch.pool).data.tobytes()
     mismatches = 0
     checked = 0
     for backbone in BACKBONES:
@@ -74,7 +76,7 @@ def test_02_residual_identity():
                                 rng=np.random.default_rng(1), attention_dim=4)
         params.zero_weights()
         for horizon in (1, 12):
-            snaps = evolve(h0, graph, params, horizon)
+            snaps = evolve(h0, batch, params, horizon)
             for z in snaps.z:
                 checked += 1
                 if z.data.tobytes() != base:
@@ -165,19 +167,13 @@ def test_05_nll_closed_forms():
         h[0, :len(values)] = values
         return ad.constant(h)
 
-    errs = [
-        abs(discrete_nll(hz([0.5]), SurvivalLabel(0.2, 1), bins).item() - 0.6931),
-        abs(discrete_nll(hz([0.5]), SurvivalLabel(0.2, 0), bins).item() - 0.6931),
-        abs(discrete_nll(hz([0.2, 0.5]), SurvivalLabel(1.5, 1), bins).item() - 0.9163),
-    ]
-
-    model, records, graphs = toy_setup()
-    weights = LossWeights(1.0, 1.0)
-    tb = model.config.bins()
-    items = [(g, r.dfs, r.os) for g, r in zip(graphs, records)]
-    stacked = batched_mean_loss(model, items, tb, weights).item()
-    per = [patient_loss(model, g, d, o, tb, weights).item() for g, d, o in items]
-    mean_gap = abs(stacked - float(np.mean(per)))
+    labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
+    rows = [hz([0.5]), hz([0.5]), hz([0.2, 0.5])]
+    per = [discrete_nll(h, [lab], bins).item() for h, lab in zip(rows, labels)]
+    errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
+    together = discrete_nll(ad.constant(np.vstack([h.data for h in rows])), labels,
+                            bins).item()
+    mean_gap = abs(together - float(np.mean(per)))
 
     verdict(5, "closed-form likelihood values and batch-mean linearity",
             max(errs) <= 1e-4 and mean_gap <= 1e-12,

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from trajsurv import autodiff as ad
 
 
+# 3 x 3 with an empty row, an empty column and a duplicated entry.
+SPARSE = ad.SparseRows([0, 0, 2, 2, 0], [1, 0, 0, 1, 1], [0.5, -1.0, 2.0, 3.0, 0.25], (3, 3))
+
+
 def params_of(*arrays):
     return [ad.parameter(a) for a in arrays]
 
@@ -54,15 +58,6 @@ class TestForwardValues:
         a = ad.constant([[1.0, 1.0], [2.0, 2.0]])
         bias = ad.constant([[10.0, 20.0]])
         assert np.array_equal(ad.add(a, bias).data, [[11.0, 21.0], [12.0, 22.0]])
-
-    def test_softmax_rows_normalizes(self):
-        out = ad.softmax_rows(ad.constant([[0.0, 0.0], [1.0, 3.0]]))
-        assert np.allclose(out.data.sum(axis=1), 1.0)
-        assert np.allclose(out.data[0], [0.5, 0.5])
-
-    def test_softmax_rows_shift_invariant_at_extremes(self):
-        out = ad.softmax_rows(ad.constant([[1000.0, 1000.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]])
 
     def test_log_exp_inverse(self):
         x = ad.constant([[0.5, 2.0]])
@@ -159,7 +154,7 @@ class TestBackwardExamples:
         x = ad.parameter(rng.normal(size=(3, 3)))
 
         def run():
-            y = ad.softmax_rows(ad.matmul(x, ad.tanh(x)))
+            y = ad.spmm(SPARSE, ad.matmul(x, ad.tanh(x)))
             return ad.backward(ad.mean_all(y), params=[x])[x].data.copy()
 
         assert np.array_equal(run(), run())
@@ -197,8 +192,8 @@ def _fd_builders():
     cases["sum-all"] = ([x], lambda: ad.sum_all(x))
     cases["mean-rows"] = ([x], lambda: ad.sum_all(ad.mean_rows(x)))
     cases["mean-all"] = ([x], lambda: ad.mean_all(x))
-    cases["softmax-rows"] = ([x], lambda: ad.sum_all(
-        ad.mul(ad.softmax_rows(x), ad.constant(np.arange(12.0).reshape(3, 4)))))
+    cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
+        ad.spmm(SPARSE, x), ad.constant(np.arange(12.0).reshape(3, 4)))))
     return cases
 
 
@@ -242,36 +237,47 @@ class TestGradCheck:
         assert err <= 1e-6
 
 
-class TestStackRows:
-    def test_matches_vstack(self):
-        rows = [ad.constant([[1.0, 2.0]]), ad.constant([[3.0, 4.0]]),
-                ad.constant([[5.0, 6.0]])]
-        out = ad.stack_rows(rows)
-        assert np.array_equal(out.data, [[1, 2], [3, 4], [5, 6]])
-
-    def test_single_row_is_identity(self):
-        r = ad.constant([[1.0, 2.0]])
-        assert ad.stack_rows([r]) is r
-
-    def test_gradients_flow_to_each_row(self):
-        rows = [ad.parameter([[1.0, 2.0]]), ad.parameter([[3.0, 4.0]])]
-        scale = ad.constant([[1.0, 10.0], [100.0, 1000.0]])
-        grads = ad.backward(ad.sum_all(ad.mul(ad.stack_rows(rows), scale)))
-        assert np.allclose(grads[rows[0]].data, [[1.0, 10.0]])
-        assert np.allclose(grads[rows[1]].data, [[100.0, 1000.0]])
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ad.ShapeMismatchError):
-            ad.stack_rows([ad.constant([[1.0]]), ad.constant([[1.0, 2.0]])])
+def _dense(rows, cols, vals, shape):
+    dense = np.zeros(shape)
+    np.add.at(dense, (rows, cols), vals)
+    return dense
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
-def test_softmax_rows_property(rows, cols, seed):
-    x = np.random.default_rng(seed).normal(scale=5.0, size=(rows, cols))
-    out = ad.softmax_rows(ad.constant(x)).data
-    assert np.all(out > 0) and np.all(out < 1 + 1e-12)
-    assert np.allclose(out.sum(axis=1), 1.0)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(0, 12),
+       st.integers(0, 2 ** 31 - 1))
+def test_spmm_matches_dense_product(n, m, c, nnz, seed):
+    # Random entries, duplicates included, leave some rows and columns empty.
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, m, nnz)
+    vals = rng.normal(size=nnz)
+    dense = _dense(rows, cols, vals, (n, m))
+    x = ad.parameter(rng.normal(size=(m, c)))
+    y = ad.spmm(ad.SparseRows(rows, cols, vals, (n, m)), x)
+    np.testing.assert_allclose(y.data, dense @ x.data, rtol=0, atol=1e-12)
+    g = rng.normal(size=(n, c))
+    grad = ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))), params=[x])[x].data
+    np.testing.assert_allclose(grad, dense.T @ g, rtol=0, atol=1e-12)
+
+
+def test_no_grad_keeps_no_tape_and_restores_leaves():
+    w = ad.parameter([[1.0, 2.0]])
+    taped = ad.tanh(ad.mul(w, w))
+    with ad.no_grad([w]):
+        free = ad.tanh(ad.mul(w, w))
+    assert not free.requires_grad and free.parents == ()
+    assert np.array_equal(free.data, taped.data)
+    assert w.requires_grad
+    grads = ad.backward(ad.sum_all(ad.mul(w, w)), params=[w])
+    assert np.array_equal(grads[w].data, [[2.0, 4.0]])
+
+
+def test_spmm_shape_and_index_errors():
+    s = ad.SparseRows([0, 1], [1, 0], 1.0, (2, 2))
+    with pytest.raises(ad.ShapeMismatchError, match="spmm"):
+        ad.spmm(s, ad.constant(np.ones((3, 1))))
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.SparseRows([0, 2], [0, 0], 1.0, (2, 2))
 
 
 @settings(max_examples=50, deadline=None)

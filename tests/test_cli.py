@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_USAGE, main
 from trajsurv.cohort import load_cohort
+from trajsurv.evolution import BACKBONES
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
+from trajsurv.model import ModelConfig, ModelFileError, init_model, load_model, save_model
 
 BASE_DOC = {
     "model": {"d": 8, "d_t": 4, "d_h": 8, "d_c": 4, "T": 3, "K": 4, "message_dim": 8},
@@ -120,6 +124,35 @@ class TestTrainEvaluate:
         assert report["variant"] == "evaluate"
         assert len(report["folds"]) == 2
 
+    def test_evaluate_feature_width_mismatch_is_data_error(self, tmp_path, capsys):
+        model_path = save_untrained_model(tmp_path)
+        cohort = simulate_into(tmp_path, simulate={"clinical_len": 5})
+        config = write_config(tmp_path, name="w.json", cohort=cohort)
+        code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "w"),
+                     "--model", str(model_path)])
+        assert code == EXIT_DATA
+        assert "clinical features have width 5, the model expects 3" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array"))
+    def test_evaluate_corrupt_model_file_is_data_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "model.npz"
+        if kind == "text":
+            bad.write_bytes(b"not a model file")
+        elif kind == "object_array":
+            with open(bad, "wb") as fh:
+                np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        else:
+            with np.load(save_untrained_model(tmp_path)) as data:
+                arrays = {k: data[k] for k in data.files if k != "lstm.w_i"}
+            np.savez(bad, **arrays)
+        cohort = simulate_into(tmp_path)
+        config = write_config(tmp_path, name="c.json", cohort=cohort)
+        code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "c"),
+                     "--model", str(bad)])
+        assert code == EXIT_DATA
+        assert "not a readable model file" in capsys.readouterr().err
+
     def test_evaluate_without_model_is_usage_error(self, tmp_path, capsys):
         cohort = simulate_into(tmp_path)
         config = write_config(tmp_path, name="e.json", cohort=cohort)
@@ -127,6 +160,29 @@ class TestTrainEvaluate:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_USAGE
         assert "needs --model or paths.model" in capsys.readouterr().err
+
+
+def save_untrained_model(tmp_path, meta_extra=None):
+    """An untrained model for the BASE_DOC cohort widths (regions 4, clinical 3)."""
+    widths = {**{k: 4 for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 4, NodeKind.CLINICAL: 3}
+    config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
+                         num_bins=4, message_dim=8)
+    path = tmp_path / "untrained.npz"
+    save_model(init_model(config, widths, np.random.default_rng(0)), path)
+    if meta_extra:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = {**json.loads(bytes(arrays["__meta__"]).decode()), **meta_extra}
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+    return path
+
+
+def test_removed_switch_loads_only_when_false(tmp_path):
+    # Files written before the zero-update switch was removed carry it as false.
+    load_model(save_untrained_model(tmp_path, {"static_no_update": False}))
+    with pytest.raises(ModelFileError, match="static_no_update"):
+        load_model(save_untrained_model(tmp_path, {"static_no_update": True}))
 
 
 class TestAblate:
@@ -191,7 +247,8 @@ class TestExitCodes:
 def test_gradcheck_subcommand(capsys):
     assert main(["gradcheck"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "max relative gradient error" in out
+    for backbone in BACKBONES:
+        assert f"{backbone}: max relative gradient error" in out
     assert "passed" in out
 
 

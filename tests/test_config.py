@@ -51,6 +51,14 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="unknown key train.learning_rate"):
             config_from_dict({"train": {"learning_rate": 0.01}})
 
+    def test_removed_static_no_update_key_exits_one(self, tmp_path, capsys):
+        from trajsurv.cli import EXIT_USAGE, main
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"model": {"static_no_update": False}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "unknown key model.static_no_update" in capsys.readouterr().err
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="must be an object"):
             config_from_dict({"train": 3})

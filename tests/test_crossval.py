@@ -215,3 +215,18 @@ class TestEvaluateModel:
         assert all(r.repeat == 0 and r.fold == 0 for r in report.rows)
         assert len(report.curves) == len(records) * 2 * config.model.num_bins
         assert report.aggregate["os"]["cindex"]["n"] == 1
+
+    def test_chunked_scoring_matches_scoring_each_patient_alone(self):
+        config = small_config()
+        records, _ = simulate_cohort(70, seed=3, scenario=config.simulate.scenario())
+        model = init_model(config.model, cv._feature_widths(records),
+                           np.random.default_rng(1))
+        bins = config.model.bins()
+        chunked = cv._predict_fold(model, records, bins, config.eval.horizons, 64)
+        alone = cv._predict_fold(model, records, bins, config.eval.horizons, 1)
+        assert [p.record for p in chunked] == records
+        for a, b in zip(chunked, alone):
+            for task in cv.TASKS:
+                for got, want in zip(a.curves[task], b.curves[task]):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert a.risks[task] == pytest.approx(b.risks[task], abs=1e-12)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.evolution import (BACKBONES, EvolutionParams, GraphCache, evolve,
+from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
                                 init_evolution, init_time_table, readout,
-                                residual_step, static_snapshot, time_embedding,
+                                residual_step, segment_softmax, time_embedding,
                                 uniform_weight)
-from trajsurv.graph import Edge, EdgeKind, Node, NodeKind, PatientGraph
+from trajsurv.graph import (Edge, EdgeKind, Node, NodeKind, PatientGraph, batch_graphs,
+                            mean_pool)
 
 D = 4
 DT = 2
@@ -83,7 +84,8 @@ class TestResidualStep:
         params.zero_weights()
         g = full_graph()
         h = ad.constant(np.random.default_rng(1).normal(size=(g.num_nodes, D)))
-        delta = residual_step(h, time_embedding(0, params.time_table), g, params)
+        delta = residual_step(h, time_embedding(0, params.time_table), batch_graphs([g]),
+                              params)
         assert np.array_equal(delta.data, np.zeros((g.num_nodes, D)))
 
     def test_graphsage_single_neighbor_hand_case(self):
@@ -92,7 +94,7 @@ class TestResidualStep:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(2, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
         # Each node's only in-neighbor is the other node: the message is
         # relu([h_other ; e_t ; 0]) and the output projection keeps the first
         # D entries.
@@ -114,7 +116,7 @@ class TestResidualStep:
         rng = np.random.default_rng(4)
         h = rng.normal(size=(2, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
         x = np.hstack([h, np.repeat(e_t, 2, axis=0)])
         # With self-loops both degrees are 2, so every normalized weight is
         # 1/2 and the aggregate is the two-node average.
@@ -132,8 +134,8 @@ class TestResidualStep:
         gat.attn_v = uniform_weight(rng, 4, 1, "v")
         h = ad.constant(rng.normal(size=(2, D)))
         e_t = ad.constant(rng.normal(size=(1, DT)))
-        d_sage = residual_step(h, e_t, g, sage)
-        d_gat = residual_step(h, e_t, g, gat)
+        d_sage = residual_step(h, e_t, batch_graphs([g]), sage)
+        d_gat = residual_step(h, e_t, batch_graphs([g]), gat)
         assert np.allclose(d_sage.data, d_gat.data)
 
     @pytest.mark.parametrize("backbone", ("graphsage", "gat"))
@@ -150,7 +152,7 @@ class TestResidualStep:
         rng = np.random.default_rng(6)
         h = rng.normal(size=(3, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
         # The clinical row has no incident edges; only the self path remains.
         x_iso = np.concatenate([h[2], e_t[0]]).reshape(1, -1)
         m = np.maximum(x_iso @ params.w_self.data + params.b_msg.data, 0.0)
@@ -164,7 +166,8 @@ class TestResidualStep:
         h = ad.constant(np.random.default_rng(8).normal(size=(g.num_nodes, D)))
 
         def f():
-            delta = residual_step(h, time_embedding(1, params.time_table), g, params)
+            delta = residual_step(h, time_embedding(1, params.time_table),
+                                  batch_graphs([g]), params)
             return ad.mean_all(ad.tanh(delta))
 
         leaves = dict(params.named_leaves())
@@ -174,20 +177,20 @@ class TestResidualStep:
 class TestReadout:
     def test_identical_rows(self):
         r = np.array([[2.0, -1.0]])
-        out = readout(ad.constant(np.repeat(r, 4, axis=0)))
+        out = readout(ad.constant(np.repeat(r, 4, axis=0)), mean_pool([4]))
         assert np.allclose(out.data, r)
 
     def test_hand_mean(self):
-        out = readout(ad.constant([[1.0, 3.0], [5.0, 7.0]]))
+        out = readout(ad.constant([[1.0, 3.0], [5.0, 7.0]]), mean_pool([2]))
         assert np.array_equal(out.data, [[3.0, 5.0]])
 
     def test_single_row_passthrough(self):
-        out = readout(ad.constant([[1.0, 2.0]]))
+        out = readout(ad.constant([[1.0, 2.0]]), mean_pool([1]))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            readout(ad.constant(np.zeros((0, 3))))
+            readout(ad.constant(np.zeros((0, 3))), mean_pool([0]))
 
 
 class TestEvolve:
@@ -198,8 +201,8 @@ class TestEvolve:
         params.zero_weights()
         g = full_graph()
         h0 = ad.constant(np.random.default_rng(9).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, g, params, horizon)
-        base = readout(h0).data
+        snaps = evolve(h0, batch_graphs([g]), params, horizon)
+        base = readout(h0, mean_pool([g.num_nodes])).data
         assert len(snaps) == horizon
         for z in snaps.z:
             assert np.array_equal(z.data, base)
@@ -208,7 +211,7 @@ class TestEvolve:
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
         h0 = ad.constant(np.zeros((g.num_nodes, D)))
-        snaps = evolve(h0, g, params, 12)
+        snaps = evolve(h0, batch_graphs([g]), params, 12)
         assert len(snaps) == 12
         assert all(z.shape == (1, D) for z in snaps.z)
 
@@ -217,7 +220,7 @@ class TestEvolve:
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
         g = full_graph()
         h0 = ad.constant(np.random.default_rng(3).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, g, params, 3, collect_states=True)
+        snaps = evolve(h0, batch_graphs([g]), params, 3, collect_states=True)
         d1 = snaps.h_seq[1].data - snaps.h_seq[0].data
         d2 = snaps.h_seq[2].data - snaps.h_seq[1].data
         assert not np.allclose(d1, d2)
@@ -227,9 +230,9 @@ class TestEvolve:
         g = full_graph()
         h0 = ad.constant(np.zeros((g.num_nodes, D)))
         with pytest.raises(ValueError):
-            evolve(h0, g, params, 0)
+            evolve(h0, batch_graphs([g]), params, 0)
         with pytest.raises(IndexError):
-            evolve(h0, g, params, 5)
+            evolve(h0, batch_graphs([g]), params, 5)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_step(self):
@@ -239,22 +242,15 @@ class TestEvolve:
         g = full_graph()
         h0 = ad.constant(np.full((g.num_nodes, D), 1e10))
         with pytest.raises(ad.NonFiniteError, match="step 0"):
-            evolve(h0, g, params, 4)
+            evolve(h0, batch_graphs([g]), params, 4)
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
         g = full_graph()
         h0 = ad.constant(np.random.default_rng(5).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, g, params, 2, collect_states=True)
+        snaps = evolve(h0, batch_graphs([g]), params, 2, collect_states=True)
         assert len(snaps.h_seq) == 3
         assert snaps.h_seq[0] is h0
-
-
-def test_static_snapshot_reads_initial_state():
-    h0 = ad.constant([[1.0, 3.0], [5.0, 7.0]])
-    snaps = static_snapshot(h0)
-    assert len(snaps) == 1
-    assert np.array_equal(snaps.z[0].data, [[3.0, 5.0]])
 
 
 def test_uniform_weight_bound_and_determinism():
@@ -265,11 +261,62 @@ def test_uniform_weight_bound_and_determinism():
     assert w1.requires_grad
 
 
-def test_graph_cache_matches_fresh_computation():
+def test_batch_operators_built_once_match_fresh_batch():
     g = full_graph(seed=2)
     params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(3))
     h = ad.constant(np.random.default_rng(4).normal(size=(g.num_nodes, D)))
     e_t = time_embedding(0, params.time_table)
-    cached = residual_step(h, e_t, g, params, cache=GraphCache(g, "graphsage"))
-    fresh = residual_step(h, e_t, g, params)
-    assert np.array_equal(cached.data, fresh.data)
+    batch = batch_graphs([g])
+    first = residual_step(h, e_t, batch, params)
+    ops = batch.operators["graphsage"]
+    again = residual_step(h, e_t, batch, params)
+    assert batch.operators["graphsage"] is ops
+    fresh = residual_step(h, e_t, batch_graphs([g]), params)
+    assert np.array_equal(again.data, first.data)
+    assert np.array_equal(fresh.data, first.data)
+
+
+def test_graphs_in_one_batch_match_graphs_alone():
+    graphs = [full_graph(seed=s) for s in range(3)]
+    graphs[1] = two_node_graph()
+    rng = np.random.default_rng(12)
+    for backbone in BACKBONES:
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
+        hs = [rng.normal(size=(g.num_nodes, D)) for g in graphs]
+        e_t = time_embedding(1, params.time_table)
+        joint = residual_step(ad.constant(np.vstack(hs)), e_t, batch_graphs(graphs), params)
+        alone = [residual_step(ad.constant(h), e_t, batch_graphs([g]), params).data
+                 for h, g in zip(hs, graphs)]
+        np.testing.assert_allclose(joint.data, np.vstack(alone), rtol=0, atol=1e-12)
+
+
+class TestSegmentSoftmax:
+    def batch(self):
+        # The summary node has three in-arcs; the clinical node (row 4) has none.
+        regions = (NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS, NodeKind.PORTAL_VEINS)
+        nodes = {k: Node(k, True, np.zeros(D), np.zeros(3))
+                 for k in (*regions, NodeKind.GLOBAL_CT)}
+        nodes[NodeKind.CLINICAL] = Node(NodeKind.CLINICAL, True, np.zeros(D))
+        edges = [Edge(NodeKind.GLOBAL_CT, k, EdgeKind.SPATIAL_TOPOLOGY, np.full(3, 0.5))
+                 for k in regions]
+        return batch_graphs([PatientGraph(patient_id="seg", nodes=nodes, edges=edges),
+                             two_node_graph()])
+
+    @pytest.mark.parametrize("scale", (1.0, 1000.0, -1000.0))
+    def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
+        batch = self.batch()
+        arcs = batch.dst.size
+        scores = np.random.default_rng(14).normal(size=(arcs, 1)) * scale
+        alpha = segment_softmax(ad.constant(scores), batch).data
+        assert np.isfinite(alpha).all() and (alpha >= 0).all()
+        per_node = np.bincount(batch.dst, weights=alpha[:, 0], minlength=batch.n_nodes)
+        has_arcs = np.bincount(batch.dst, minlength=batch.n_nodes) > 0
+        assert not has_arcs.all()
+        np.testing.assert_allclose(per_node[has_arcs], 1.0, rtol=0, atol=1e-12)
+        assert (per_node[~has_arcs] == 0.0).all()
+
+    def test_equal_extreme_scores_split_evenly(self):
+        batch = self.batch()
+        alpha = segment_softmax(ad.constant(np.full((batch.dst.size, 1), 1000.0)), batch)
+        deg = np.bincount(batch.dst, minlength=batch.n_nodes)
+        np.testing.assert_allclose(alpha.data[:, 0], 1.0 / deg[batch.dst], rtol=0, atol=1e-15)

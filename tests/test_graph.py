@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from trajsurv import autodiff as ad
 from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, EdgeKind, EmbeddingParams,
-                            GraphConstructionError, NodeKind, build_patient_graph,
-                            embed_nodes, init_embedding, validate_graph)
+                            GraphConstructionError, NodeKind, batch_graphs,
+                            build_patient_graph, embed_nodes, init_embedding,
+                            validate_graph)
 
 F = 4
 CLIN = 3
@@ -110,26 +111,27 @@ class TestBuild:
 class TestArcs:
     def test_two_arcs_per_edge_with_flipped_attr(self):
         g = make_graph()
-        arcs = g.arcs()
+        src, dst, attr = g.arc_arrays()
+        arcs = list(zip(src.tolist(), dst.tolist(), map(tuple, attr)))
         assert len(arcs) == 2 * len(g.edges)
-        for e, (fwd, rev) in zip(g.edges, zip(arcs[0::2], arcs[1::2])):
-            assert (fwd.source, fwd.target) == (e.source, e.target)
-            assert (rev.source, rev.target) == (e.target, e.source)
-            assert np.array_equal(rev.attr, -fwd.attr)
+        for e in g.edges:
+            s, t = g.row_of(e.source), g.row_of(e.target)
+            assert (s, t, tuple(e.attr)) in arcs
+            assert (t, s, tuple(-e.attr)) in arcs
 
     def test_in_neighbors_degrees(self):
         g = make_graph()
-        degrees = [len(pairs) for pairs in g.in_neighbors()]
+        _, dst, _ = g.arc_arrays()
         # Regions hear from the summary and clinical nodes; the hubs hear
-        # from every present region.
-        assert degrees == [2, 2, 2, 2, 2, 5, 5]
+        # from every present region. Arcs come sorted by target.
+        assert np.bincount(dst, minlength=g.num_nodes).tolist() == [2, 2, 2, 2, 2, 5, 5]
+        assert (np.diff(dst) >= 0).all()
 
     def test_in_neighbors_row_indices_valid(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS))
-        for pairs in g.in_neighbors():
-            for j, attr in pairs:
-                assert 0 <= j < g.num_nodes
-                assert attr.shape == (EDGE_ATTR_DIM,)
+        src, dst, attr = g.arc_arrays()
+        assert ((0 <= src) & (src < g.num_nodes) & (0 <= dst) & (dst < g.num_nodes)).all()
+        assert attr.shape == (src.size, EDGE_ATTR_DIM)
 
 
 class TestValidate:
@@ -174,7 +176,7 @@ class TestEmbedding:
         params = init_embedding(self.widths(), 6, np.random.default_rng(0))
         for _, leaf in params.named_leaves():
             leaf.data[:] = 0.0
-        h0 = embed_nodes(make_graph(), params)
+        h0 = embed_nodes(batch_graphs([make_graph()]), params)
         assert h0.shape == (7, 6)
         assert np.array_equal(h0.data, np.zeros((7, 6)))
 
@@ -188,7 +190,7 @@ class TestEmbedding:
             biases={k: ad.parameter(np.zeros((1, F)))
                     for k in (NodeKind.LIVER_PARENCHYMA, NodeKind.GLOBAL_CT,
                               NodeKind.CLINICAL)})
-        h0 = embed_nodes(g, params)
+        h0 = embed_nodes(batch_graphs([g]), params)
         assert np.allclose(h0.data[g.row_of(NodeKind.LIVER_PARENCHYMA)],
                            g.nodes[NodeKind.LIVER_PARENCHYMA].features)
 
@@ -203,20 +205,29 @@ class TestEmbedding:
             biases={k: ad.parameter(np.zeros((1, 2)))
                     for k in (NodeKind.LIVER_PARENCHYMA, NodeKind.GLOBAL_CT,
                               NodeKind.CLINICAL)})
-        h0 = embed_nodes(g, params)
+        h0 = embed_nodes(batch_graphs([g]), params)
         assert np.allclose(h0.data[g.row_of(NodeKind.LIVER_PARENCHYMA)], [3.0, 10.0])
 
     def test_missing_projection_for_present_kind(self):
         params = init_embedding({NodeKind.LIVER_PARENCHYMA: F}, 4,
                                 np.random.default_rng(0))
+        batch = batch_graphs([make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,))])
         with pytest.raises(KeyError, match="global_ct"):
-            embed_nodes(make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,)), params)
+            embed_nodes(batch, params)
+
+    def test_feature_width_mismatch_names_kind_and_widths(self):
+        widths = {**self.widths(), NodeKind.CLINICAL: CLIN + 1}
+        params = init_embedding(widths, 4, np.random.default_rng(0))
+        with pytest.raises(GraphConstructionError,
+                           match=f"clinical features have width {CLIN}, .* expects {CLIN + 1}"):
+            embed_nodes(batch_graphs([make_graph()]), params)
 
     def test_embedding_is_differentiable(self):
         params = init_embedding(self.widths(), 5, np.random.default_rng(1))
         g = make_graph(seed=2)
         leaves = [leaf for _, leaf in params.named_leaves()]
-        err = ad.grad_check(lambda: ad.mean_all(ad.tanh(embed_nodes(g, params))), leaves)
+        batch = batch_graphs([g])
+        err = ad.grad_check(lambda: ad.mean_all(ad.tanh(embed_nodes(batch, params))), leaves)
         assert err <= 1e-4
 
     def test_init_respects_fan_in_bound(self):

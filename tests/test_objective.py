@@ -5,10 +5,11 @@ import pytest
 
 from trajsurv import autodiff as ad
 from trajsurv.heads import TimeBins, annual_bins
+from trajsurv.acceptance_support import toy_setup
 from trajsurv.objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                                adamw_step, batch_mean, clamp01, combined_loss,
-                                discrete_nll, early_stop, label_to_bin,
-                                plateau_schedule)
+                                adamw_step, clamp01, discrete_nll, early_stop,
+                                label_to_bin, plateau_schedule)
+from trajsurv.training import _mean_loss
 
 BINS = annual_bins(12)
 
@@ -87,15 +88,15 @@ class TestDiscreteNll:
         return ad.constant(h)
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), SurvivalLabel(0.2, 1), BINS)
+        loss = discrete_nll(self.hazards([0.5]), [SurvivalLabel(0.2, 1)], BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), SurvivalLabel(0.2, 0), BINS)
+        loss = discrete_nll(self.hazards([0.5]), [SurvivalLabel(0.2, 0)], BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.2, 0.5]), SurvivalLabel(1.5, 1), BINS)
+        loss = discrete_nll(self.hazards([0.2, 0.5]), [SurvivalLabel(1.5, 1)], BINS)
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
@@ -105,24 +106,24 @@ class TestDiscreteNll:
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
             loss = discrete_nll(ad.constant(h.reshape(1, -1)),
-                                SurvivalLabel(time, event), BINS)
+                                [SurvivalLabel(time, event)], BINS)
             assert loss.item() == pytest.approx(numpy_nll(h, time, event, BINS),
                                                 abs=1e-12)
 
     def test_boundary_hazards_stay_finite(self):
         h = np.zeros((1, BINS.count))
         h[0, 0] = 1.0
-        loss = discrete_nll(ad.constant(h), SurvivalLabel(1.5, 0), BINS)
+        loss = discrete_nll(ad.constant(h), [SurvivalLabel(1.5, 0)], BINS)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-np.log(1e-12), rel=1e-6)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            discrete_nll(ad.constant(np.zeros((1, 3))), SurvivalLabel(1.0, 1), BINS)
+            discrete_nll(ad.constant(np.zeros((1, 3))), [SurvivalLabel(1.0, 1)], BINS)
 
     def test_gradient_signs_push_toward_event_bin(self):
         h = ad.parameter(np.full((1, BINS.count), 0.4))
-        loss = discrete_nll(h, SurvivalLabel(2.5, 1), BINS)  # event in bin 2
+        loss = discrete_nll(h, [SurvivalLabel(2.5, 1)], BINS)  # event in bin 2
         g = ad.backward(loss, params=[h])[h].data[0]
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
@@ -131,41 +132,59 @@ class TestDiscreteNll:
     def test_gradient_matches_finite_differences(self):
         h = ad.parameter(np.random.default_rng(1).uniform(0.1, 0.9,
                                                           size=(1, BINS.count)))
-        err = ad.grad_check(lambda: discrete_nll(h, SurvivalLabel(3.5, 1), BINS), [h])
+        err = ad.grad_check(lambda: discrete_nll(h, [SurvivalLabel(3.5, 1)], BINS), [h])
         assert err <= 1e-4
 
 
 class TestCombinedLoss:
-    def scalar(self, v):
-        return ad.constant([[v]])
+    """The training loss is alpha * OS NLL + beta * DFS NLL."""
+
+    def parts(self, weights):
+        model, records, graphs = toy_setup()
+        bins = model.config.bins()
+        dfs, os_labels = [r.dfs for r in records], [r.os for r in records]
+        out = model.forward(graphs)
+        os_nll = discrete_nll(out.os_hazards, os_labels, bins).item()
+        dfs_nll = discrete_nll(out.dfs_hazards, dfs, bins).item()
+        return _mean_loss(model, graphs, dfs, os_labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
-        out = combined_loss(self.scalar(0.5), self.scalar(0.3), LossWeights(1.0, 0.0))
-        assert out.item() == pytest.approx(0.5)
+        loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))
+        assert loss == pytest.approx(os_nll, abs=1e-12)
 
     def test_equal_weights(self):
-        out = combined_loss(self.scalar(0.5), self.scalar(0.3), LossWeights(1.0, 1.0))
-        assert out.item() == pytest.approx(0.8)
+        loss, os_nll, dfs_nll = self.parts(LossWeights(1.0, 1.0))
+        assert loss == pytest.approx(os_nll + dfs_nll, abs=1e-12)
 
     def test_weighted(self):
-        out = combined_loss(self.scalar(0.5), self.scalar(0.3), LossWeights(2.0, 1.0))
-        assert out.item() == pytest.approx(1.3)
+        loss, os_nll, dfs_nll = self.parts(LossWeights(2.0, 1.0))
+        assert loss == pytest.approx(2.0 * os_nll + dfs_nll, abs=1e-12)
 
 
 class TestBatchMean:
+    """discrete_nll of B hazard rows is the mean of the B per-patient values."""
+
     def test_mean_of_scalars(self):
-        losses = [ad.constant([[v]]) for v in (1.0, 2.0, 6.0)]
-        assert batch_mean(losses).item() == pytest.approx(3.0, abs=1e-12)
+        h = np.full((3, BINS.count), 0.5)
+        h[2, 0] = 0.2
+        labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
+        loss = discrete_nll(ad.constant(h), labels, BINS)
+        expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
+        assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_equals_mean_of_per_patient_losses(self):
         rng = np.random.default_rng(2)
-        vals = rng.uniform(0, 5, size=16)
-        out = batch_mean([ad.constant([[v]]) for v in vals])
-        assert out.item() == pytest.approx(vals.mean(), abs=1e-12)
+        h = rng.uniform(0.01, 0.99, size=(16, BINS.count))
+        labels = [SurvivalLabel(rng.uniform(0, 14), int(rng.integers(0, 2)))
+                  for _ in range(16)]
+        out = discrete_nll(ad.constant(h), labels, BINS)
+        per = [discrete_nll(ad.constant(row[None, :]), [lab], BINS).item()
+               for row, lab in zip(h, labels)]
+        assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            batch_mean([])
+            discrete_nll(ad.constant(np.zeros((0, BINS.count))), [], BINS)
 
 
 class TestAdamW:

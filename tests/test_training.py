@@ -1,4 +1,4 @@
-"""Training loop behavior and the stacked-batch / per-patient loss agreement."""
+"""Training loop behavior and the one-batch / per-patient loss agreement."""
 
 import dataclasses
 import re
@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.batched import BATCHABLE_BACKBONES, batched_mean_loss
 from trajsurv.cohort import RegionData, Scenario, record_to_graph, simulate_cohort
+from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, snapshot_parameters
-from trajsurv.objective import LossWeights, batch_mean
-from trajsurv.training import TrainSettings, patient_loss, train_model
+from trajsurv.objective import LossWeights
+from trajsurv.training import TrainSettings, _mean_loss, patient_loss, train_model
 
 SCENARIO = Scenario(region_len=4, clinical_len=3)
 WIDTHS = {**{kind: 4 for kind in ANATOMICAL_KINDS},
@@ -31,7 +31,7 @@ def small_items(n=6, seed=0, drop_region=True):
     records, _ = simulate_cohort(max(n, 10), seed=seed, scenario=SCENARIO)
     records = list(records[:n])
     if drop_region:
-        # One smaller graph exercises variable block sizes in the batch.
+        # One smaller graph exercises variable graph sizes in the batch.
         trimmed = dict(records[0].regions)
         trimmed[NodeKind.METASTATIC_TUMORS] = RegionData(False)
         records[0] = dataclasses.replace(records[0], regions=trimmed)
@@ -40,50 +40,57 @@ def small_items(n=6, seed=0, drop_region=True):
 
 VARIANTS = {
     "default": {},
-    "static": {"horizon": 1, "static_no_update": True},
+    "static": {"horizon": 1},
     "mean_integrator": {"integrator": "mean"},
     "no_cascade": {"cascade": False},
 }
 
 
+def batch_loss(model, items, bins, weights):
+    graphs, dfs, os_labels = zip(*items)
+    return _mean_loss(model, graphs, dfs, os_labels, bins, weights)
+
+
 class TestBatchedAgreement:
-    @pytest.mark.parametrize("backbone", BATCHABLE_BACKBONES)
+    """One batch of B patients against B batches of one."""
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_loss_and_gradients_match_per_patient_route(self, backbone, variant):
         config, model = small_model(backbone, **VARIANTS[variant])
         _, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-
-        stacked = batched_mean_loss(model, items, bins, weights)
-        looped = batch_mean([patient_loss(model, g, d, o, bins, weights)
-                             for g, d, o in items])
-        assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
-
         params = model.named_parameters()
         leaves = [p for _, p in params]
+
+        stacked = batch_loss(model, items, bins, weights)
         gs = ad.backward(stacked, params=leaves)
-        gl = ad.backward(looped, params=leaves)
+        singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
+        assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
+                                               abs=1e-12)
+        per_patient = [ad.backward(s, params=leaves) for s in singles]
         for name, p in params:
-            np.testing.assert_allclose(gs[p].data, gl[p].data, atol=1e-12,
-                                       rtol=1e-10, err_msg=name)
+            looped = np.mean([g[p].data for g in per_patient], axis=0)
+            np.testing.assert_allclose(gs[p].data, looped, atol=1e-12, rtol=0,
+                                       err_msg=name)
 
     def test_unequal_task_weights_also_match(self):
         config, model = small_model("gcn")
         _, items = small_items(n=4, seed=2)
         bins = config.bins()
         weights = LossWeights(0.3, 1.7)
-        stacked = batched_mean_loss(model, items, bins, weights)
-        looped = batch_mean([patient_loss(model, g, d, o, bins, weights)
-                             for g, d, o in items])
-        assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
+        stacked = batch_loss(model, items, bins, weights)
+        looped = np.mean([patient_loss(model, g, d, o, bins, weights).item()
+                          for g, d, o in items])
+        assert stacked.item() == pytest.approx(looped, abs=1e-12)
 
     def test_single_patient_batch(self):
         config, model = small_model()
         _, items = small_items(n=1, drop_region=False)
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = batched_mean_loss(model, items, bins, weights)
+        stacked = batch_loss(model, items, bins, weights)
         g, dfs, os_label = items[0]
         looped = patient_loss(model, g, dfs, os_label, bins, weights)
         assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
@@ -114,10 +121,8 @@ class TestTrainModel:
         train, val = self.cohort()
         config, model = small_model(seed=4)
         result = train_model(model, train, val, quick_settings())
-        from trajsurv.training import _mean_loss
         items = [(record_to_graph(r), r.dfs, r.os) for r in val]
-        recomputed = _mean_loss(model, items, config.bins(),
-                                LossWeights(1.0, 1.0)).item()
+        recomputed = batch_loss(model, items, config.bins(), LossWeights(1.0, 1.0)).item()
         assert recomputed == pytest.approx(result.best_val, abs=1e-9)
         assert result.best_epoch <= result.epochs_run
 
