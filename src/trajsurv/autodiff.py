@@ -62,7 +62,11 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = data
         t.op = op
-        t.requires_grad = any(p.requires_grad for p in parents)
+        t.requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                break
         # A node nothing differentiates through keeps no parents, so its
         # inputs are freed as soon as the caller drops them.
         t.parents = parents if t.requires_grad else ()
@@ -90,25 +94,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = self.name or self.op or "leaf"
         return f"Tensor({self.rows}x{self.cols}, {tag})"
-
-    # Operator sugar; scalars are expanded to full-shape constants so the
-    # elementwise ops only ever see equal shapes or the broadcast-row pattern.
-    def __add__(self, other):
-        return add(self, _coerce(other, self.shape))
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self.shape))
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self.shape))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return negate(self)
 
 
 def parameter(data, name: str | None = None) -> Tensor:
@@ -138,12 +123,6 @@ def no_grad(leaves: Iterable[Tensor]):
     finally:
         for leaf, flag in zip(leaves, saved):
             leaf.requires_grad = flag
-
-
-def _coerce(x, shape) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full(shape, float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +176,10 @@ def concat_cols(*tensors: Tensor) -> Tensor:
                         "concat-cols", tuple(tensors), widths)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.cols):
-        raise ShapeMismatchError("slice-cols", a.shape, (start, stop))
-    return Tensor._node(a.data[:, start:stop].copy(), "slice-cols", (a,), (start, stop))
-
-
-def broadcast_row(a: Tensor, rows: int) -> Tensor:
-    if a.rows != 1 or rows < 1:
-        raise ShapeMismatchError("broadcast-row", a.shape, (rows,))
-    return Tensor._node(np.repeat(a.data, rows, axis=0), "broadcast-row", (a,), rows)
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return Tensor._node(out, "sigmoid", (a,))
+    # exp(-|x|) never overflows; each branch is the stable form on its side.
+    e = np.exp(-np.abs(a.data))
+    return Tensor._node(np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), "sigmoid", (a,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -245,42 +208,37 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor._node(np.array([[a.data.sum()]]), "sum-all", (a,))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return Tensor._node(np.array([[a.data.mean()]]), "mean-all", (a,))
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means: r x c -> 1 x c."""
-    return Tensor._node(a.data.mean(axis=0, keepdims=True), "mean-rows", (a,))
-
-
 class SparseRows:
-    """A constant sparse matrix in padded per-row slots (ELL layout).
+    """A constant sparse matrix stored slot by slot, with no padding.
 
-    Row i keeps up to `width` (column, value) pairs in `cols[i]`/`vals[i]`,
-    in the order the entries were given; unused slots point at column
-    `shape[1]`, a zero row that `apply` appends to its operand. Duplicate
-    entries add up. The transpose is built once, on first use.
+    Slot d holds the d-th entry of every row that has one, as (rows, cols,
+    vals) in row order; entries keep the order they were given within a row,
+    and duplicates add up. `rows` is None when the slot covers every row and
+    `vals` is None when every value is 1. The transpose is built once, on
+    first use.
     """
 
     def __init__(self, rows, cols, vals, shape: tuple[int, int]):
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), rows.shape)
+        vals = np.asarray(vals, dtype=np.float64)
+        vals = np.full(rows.shape, vals) if vals.ndim == 0 else vals.reshape(-1)
         n, m = shape
-        if cols.shape != rows.shape or ((rows < 0) | (rows >= n) | (cols < 0)
-                                        | (cols >= m)).any():
+        if (cols.shape != rows.shape or vals.shape != rows.shape
+                or (((rows | cols) < 0) | (rows >= n) | (cols >= m)).any()):
             raise ShapeMismatchError("sparse-rows", shape)
         order = np.argsort(rows, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         counts = np.bincount(rows, minlength=n)
-        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        width = int(counts.max()) if rows.size else 0
         self.shape = (n, m)
-        self.cols = np.full((n, width), m, dtype=np.intp)
-        self.vals = np.zeros((n, width))
-        self.cols[rows, slot] = cols
-        self.vals[rows, slot] = vals
+        self.slots = []
+        width = int(counts.max()) if rows.size else 0
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows] if width > 1 else None
+        for d in range(width):
+            pick = slice(None) if slot is None else slot == d
+            r, v = rows[pick], vals[pick]
+            self.slots.append((None if r.size == n else r, cols[pick],
+                               None if (v == 1.0).all() else v))
         self._entries = (rows, cols, vals)
         self._transpose: SparseRows | None = None
 
@@ -292,11 +250,14 @@ class SparseRows:
         return self._transpose
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """S @ x as one gather-multiply-add per slot, in slot order."""
-        padded = np.vstack([x, np.zeros((1, x.shape[1]))])
+        """S @ x as one gather(-multiply)-add per slot, in slot order."""
         out = np.zeros((self.shape[0], x.shape[1]))
-        for d in range(self.cols.shape[1]):
-            out += self.vals[:, d, None] * padded[self.cols[:, d]]
+        for rows, cols, vals in self.slots:
+            term = x[cols] if vals is None else vals[:, None] * x[cols]
+            if rows is None:
+                out += term
+            else:
+                out[rows] += term
         return out
 
 
@@ -313,8 +274,6 @@ _FORWARD: dict[str, Callable] = {
     "sub": sub,
     "elementwise-mul": mul,
     "concat-cols": concat_cols,
-    "slice-cols": slice_cols,
-    "broadcast-row": broadcast_row,
     "sigmoid": sigmoid,
     "tanh": tanh,
     "relu": relu,
@@ -322,8 +281,6 @@ _FORWARD: dict[str, Callable] = {
     "log": log,
     "negate": negate,
     "sum-all": sum_all,
-    "mean-rows": mean_rows,
-    "mean-all": mean_all,
     "spmm": spmm,
 }
 
@@ -349,9 +306,11 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
     return grad.sum(axis=0, keepdims=True)
 
 
+# matmul and mul skip the half that belongs to a constant parent.
 def _bw_matmul(node, g):
     a, b = node.parents
-    return (g @ b.data.T, a.data.T @ g)
+    return (g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None)
 
 
 def _bw_add(node, g):
@@ -366,7 +325,8 @@ def _bw_sub(node, g):
 
 def _bw_mul(node, g):
     a, b = node.parents
-    return (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape))
+    return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
+            _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
 
 
 def _bw_negate(node, g):
@@ -380,18 +340,6 @@ def _bw_concat_cols(node, g):
         out.append(g[:, start:start + w])
         start += w
     return tuple(out)
-
-
-def _bw_slice_cols(node, g):
-    (a,) = node.parents
-    start, stop = node.ctx
-    full = np.zeros_like(a.data)
-    full[:, start:stop] = g
-    return (full,)
-
-
-def _bw_broadcast_row(node, g):
-    return (g.sum(axis=0, keepdims=True),)
 
 
 def _bw_sigmoid(node, g):
@@ -422,16 +370,6 @@ def _bw_sum_all(node, g):
     return (np.full_like(a.data, g[0, 0]),)
 
 
-def _bw_mean_all(node, g):
-    (a,) = node.parents
-    return (np.full_like(a.data, g[0, 0] / a.data.size),)
-
-
-def _bw_mean_rows(node, g):
-    (a,) = node.parents
-    return (np.repeat(g / a.rows, a.rows, axis=0),)
-
-
 def _bw_spmm(node, g):
     return (node.ctx.T.apply(g),)
 
@@ -443,37 +381,33 @@ _BACKWARD: dict[str, Callable] = {
     "mul": _bw_mul,
     "negate": _bw_negate,
     "concat-cols": _bw_concat_cols,
-    "slice-cols": _bw_slice_cols,
-    "broadcast-row": _bw_broadcast_row,
     "sigmoid": _bw_sigmoid,
     "tanh": _bw_tanh,
     "relu": _bw_relu,
     "exp": _bw_exp,
     "log": _bw_log,
     "sum-all": _bw_sum_all,
-    "mean-all": _bw_mean_all,
-    "mean-rows": _bw_mean_rows,
     "spmm": _bw_spmm,
 }
 
 
 def _topo_order(output: Tensor) -> list[Tensor]:
-    # Iterative post-order DFS; parent order is fixed, so the ordering (and
-    # therefore gradient accumulation order) is deterministic.
+    # Iterative post-order DFS (tensors hash by identity); parent order is
+    # fixed, so the ordering and hence gradient accumulation is deterministic.
     order: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(output, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in visited and p.requires_grad:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
     return order
 
@@ -487,11 +421,11 @@ def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Ten
     if output.shape != (1, 1):
         raise ShapeMismatchError("backward", output.shape)
 
-    grads: dict[int, np.ndarray] = {id(output): np.ones((1, 1))}
+    grads: dict[Tensor, np.ndarray] = {output: np.ones((1, 1))}
     result: dict[Tensor, Tensor] = {}
     if output.requires_grad:
         for node in reversed(_topo_order(output)):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node.op is None:
@@ -500,11 +434,9 @@ def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Ten
             for parent, pg in zip(node.parents, _BACKWARD[node.op](node, g)):
                 if not parent.requires_grad:
                     continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.array(pg, dtype=np.float64)
-                else:
-                    acc += pg
+                # Rules may hand back their upstream array, so sums are new arrays.
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
     if params is not None:
         for p in params:
             if p.requires_grad and p not in result:

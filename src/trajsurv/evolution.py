@@ -1,8 +1,8 @@
 """Time-conditioned residual evolution of patient-graph node states.
 
 Starting from the embedded node states H0, a message-passing operator is
-applied T times. Each step concatenates a trainable time embedding onto
-every node state, computes an update through one hidden message layer plus a
+applied T times. Each step conditions every node on a trainable time
+embedding e_t, computes an update through one hidden message layer plus a
 linear output projection, and adds it residually (so zero weights leave the
 state untouched). The mean-pooled state after each update is one snapshot of
 the patient's latent trajectory.
@@ -12,17 +12,36 @@ states are one matrix with a row per node of every graph, and each
 neighbour mean, normalised adjacency, per-arc gather and per-target sum is
 a constant sparse matrix applied with `spmm`. This module decides the
 adjacency of each backbone; snapshots have one row per graph.
+
+Each step's message layer acts on [H | e_t] and arc attributes A, with its
+weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
+so every sparse operator propagates a projection of H alone:
+
+- graphsage: pre = H W_sh + M(H W_nh) + (A W_na + b_msg) + 1 (e_t W_st)
+  + r (e_t W_nt), with M the in-neighbour mean and r = M 1;
+- gcn: pre = N(H W_sh) + s (e_t W_st) + b_msg, N = D^-1/2 (A + I) D^-1/2, s = N 1;
+- gat: arc j -> i is scored from at_dst(H U_dh) + at_src(H U_sh) + (A U_a +
+  b_attn) + e_t (U_dt + U_st); its message at_src(H W_nh) + A W_na + e_t W_nt
+  is weighted by the softmax over the in-arcs of i and summed into i, and
+  pre = H W_sh + 1 (e_t W_st) + (that sum) + b_msg.
+
+A node with no in-arcs has an empty row in M and in the gat sum, so r is 0
+there and only the self path remains. r (e_t W) is computed as M(1 (e_t W))
+inside M's operand, and likewise s. The weight blocks, the arc terms and
+the T x m tables E W of all time rows are built once per forward; row t is
+picked by a selector built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .autodiff import SparseRows
+from .autodiff import SparseRows, Tensor
 from .graph import EDGE_ATTR_DIM, GraphBatch
 
 BACKBONES = ("graphsage", "gcn", "gat")
@@ -53,11 +72,16 @@ def init_time_table(steps: int, time_dim: int, rng: np.random.Generator) -> Time
     return TimeEmbeddingTable(uniform_weight(rng, steps, time_dim, "time_table"))
 
 
-def time_embedding(t: int, table: TimeEmbeddingTable) -> Tensor:
-    """Row t of the table as a 1 x d_t tensor on the tape."""
-    if not (0 <= t < table.steps):
-        raise IndexError(f"time step {t} outside table with {table.steps} rows")
-    return ad.spmm(SparseRows([0], [t], 1.0, (1, table.steps)), table.table)
+@lru_cache(maxsize=None)
+def _row_selector(start: int, stop: int, total: int) -> SparseRows:
+    # A selector is an immutable constant, so one per shape serves every model.
+    return SparseRows(np.arange(stop - start), np.arange(start, stop), 1.0,
+                      (stop - start, total))
+
+
+def rows_of(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of x on the tape, through a selector built once."""
+    return ad.spmm(_row_selector(start, stop, x.rows), x)
 
 
 @dataclass
@@ -81,6 +105,14 @@ class EvolutionParams:
     attn_u: Tensor | None = None
     attn_b: Tensor | None = None
     attn_v: Tensor | None = None
+
+    def blocks(self, name: str) -> list[Tensor]:
+        """Weight `name` split by rows into its H, e_t (and A) blocks, on the tape."""
+        d, d_t = self.w_out.cols, self.time_table.table.cols
+        heights = {"w_self": (d, d_t), "w_neigh": (d, d_t, EDGE_ATTR_DIM),
+                   "attn_u": (d, d_t, d, d_t, EDGE_ATTR_DIM)}[name]
+        stops = np.cumsum(heights).tolist()
+        return [rows_of(getattr(self, name), stop - h, stop) for h, stop in zip(heights, stops)]
 
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         pairs = [("op.w_self", self.w_self), ("op.b_msg", self.b_msg),
@@ -179,38 +211,60 @@ def segment_softmax(scores: Tensor, batch: GraphBatch) -> Tensor:
     return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
 
 
-def _attend(x: Tensor, batch: GraphBatch, params: EvolutionParams) -> Tensor:
-    """gat: single-head additive attention; each arc is scored from [x_dst ; x_src ; a]."""
+def _attention(batch: GraphBatch, params: EvolutionParams, w_na: Tensor) -> Callable:
+    """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
     ops = adjacency(batch, "gat")
-    x_src = ad.spmm(ops["at_src"], x)
-    pair = ad.concat_cols(ad.spmm(ops["at_dst"], x), x_src, ops["attr"])
-    hidden = ad.tanh(ad.add(ad.matmul(pair, params.attn_u), params.attn_b))
-    alpha = segment_softmax(ad.matmul(hidden, params.attn_v), batch)
-    msgs = ad.concat_cols(x_src, ops["attr"])
-    spread = ad.matmul(alpha, ad.constant(np.ones((1, msgs.cols))))
-    return ad.spmm(ops["sum_dst"], ad.mul(msgs, spread))
+    u_dh, u_dt, u_sh, u_st, u_a = params.blocks("attn_u")
+    score_rows = ad.matmul(params.time_table.table, ad.add(u_dt, u_st))
+    score_arcs = ad.add(ad.matmul(ops["attr"], u_a), params.attn_b)
+    msg_arcs = ad.matmul(ops["attr"], w_na)
+    spread = ad.constant(np.ones((1, w_na.cols)))
+
+    def neighbours(h: Tensor, x_n: Tensor, t: int) -> Tensor:
+        dst = ad.spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
+        src = ad.spmm(ops["at_src"], ad.matmul(h, u_sh))
+        hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
+        alpha = segment_softmax(ad.matmul(hidden, params.attn_v), batch)
+        msgs = ad.add(ad.spmm(ops["at_src"], x_n), msg_arcs)
+        return ad.spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
+
+    return neighbours
 
 
-def _message(x: Tensor, batch: GraphBatch, params: EvolutionParams) -> Tensor:
+def residual_update(batch: GraphBatch, params: EvolutionParams,
+                    ) -> Callable[[Tensor, int], Tensor]:
+    """dH of step t as a function of (H, t); terms without H are built here, once."""
+    e = params.time_table.table
+    w_sh, w_st = params.blocks("w_self")
+    self_rows = ad.matmul(e, w_st)
     if params.backbone == "gcn":
-        mixed = ad.spmm(adjacency(batch, "gcn")["norm"], x)
-        return ad.relu(ad.add(ad.matmul(mixed, params.w_self), params.b_msg))
-    if params.backbone == "graphsage":
-        ops = adjacency(batch, "graphsage")
-        agg = ad.concat_cols(ad.spmm(ops["mean"], x), ops["attr_mean"])
+        norm = adjacency(batch, "gcn")["norm"]
+
+        def pre(h: Tensor, t: int) -> Tensor:
+            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return ad.add(ad.spmm(norm, own), params.b_msg)
     else:
-        agg = _attend(x, batch, params)
-    pre = ad.add(ad.add(ad.matmul(x, params.w_self), ad.matmul(agg, params.w_neigh)),
-                 params.b_msg)
-    return ad.relu(pre)
+        w_nh, w_nt, w_na = params.blocks("w_neigh")
+        neigh_rows = ad.matmul(e, w_nt)
+        if params.backbone == "graphsage":
+            ops = adjacency(batch, "graphsage")
+            fixed = ad.add(ad.matmul(ops["attr_mean"], w_na), params.b_msg)
 
+            def neighbours(h: Tensor, x_n: Tensor, t: int) -> Tensor:
+                return ad.spmm(ops["mean"], x_n)
+        else:
+            fixed = params.b_msg
+            neighbours = _attention(batch, params, w_na)
 
-def residual_step(h: Tensor, e_t: Tensor, batch: GraphBatch,
-                  params: EvolutionParams) -> Tensor:
-    """Incremental update dH for one step: operator applied to [H ; e_t]."""
-    x = ad.concat_cols(h, ad.broadcast_row(e_t, h.rows))
-    m = _message(x, batch, params)
-    return ad.add(ad.matmul(m, params.w_out), params.b_out)
+        def pre(h: Tensor, t: int) -> Tensor:
+            x_n = ad.add(ad.matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
+            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return ad.add(ad.add(own, neighbours(h, x_n, t)), fixed)
+
+    def update(h: Tensor, t: int) -> Tensor:
+        return ad.add(ad.matmul(ad.relu(pre(h, t)), params.w_out), params.b_out)
+
+    return update
 
 
 def readout(h: Tensor, pool: SparseRows) -> Tensor:
@@ -239,12 +293,12 @@ def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams, horizon: int,
     if horizon > params.time_table.steps:
         raise IndexError(f"horizon {horizon} exceeds time table with "
                          f"{params.time_table.steps} rows")
+    update = residual_update(batch, params)
     h = h0
     snapshots: list[Tensor] = []
     states: list[Tensor] | None = [h0] if collect_states else None
     for t in range(horizon):
-        delta = residual_step(h, time_embedding(t, params.time_table), batch, params)
-        h = ad.add(h, delta)
+        h = ad.add(h, update(h, t))
         if not np.isfinite(h.data).all():
             raise ad.NonFiniteError(f"node states diverged at evolution step {t}")
         snapshots.append(readout(h, batch.pool))

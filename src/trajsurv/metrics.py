@@ -237,7 +237,7 @@ def bootstrap_ci(metric: Callable[[list], float | None], patients: Sequence, b: 
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, n, size=n)
-        sample = [patients[i] for i in idx]
+        sample = [patients[i] for i in idx.tolist()]
         try:
             v = metric(sample)
         except ValueError:

@@ -156,7 +156,8 @@ def load_model(path) -> FullModel:
 
     A field this version does not know is accepted only when it is false: a
     switch removed at its off default, as older files carry. Any other value
-    would describe a model this version cannot build, so it is rejected.
+    would describe a model this version cannot build, so it is rejected. The
+    parameter arrays must match the model's names and shapes exactly.
     """
     try:
         with np.load(path) as data:
@@ -175,6 +176,12 @@ def load_model(path) -> FullModel:
             cfg = dataclasses.replace(cfg, bin_edges=tuple(cfg.bin_edges))
         widths = {NodeKind(k): v for k, v in meta["feature_widths"].items()}
         model = init_model(cfg, widths, np.random.default_rng(0))
+        shapes = {name: leaf.shape for name, leaf in model.named_parameters()}
+        found = {k: a.shape for k, a in arrays.items()}
+        if found != shapes:
+            wrong = sorted(k for k in shapes.keys() | found.keys() if found.get(k) != shapes.get(k))
+            raise ValueError("parameter arrays do not match the model: " + ", ".join(
+                f"{k} {found.get(k, 'missing')} (expects {shapes.get(k, 'none')})" for k in wrong))
         for name, leaf in model.named_parameters():
             leaf.data[:] = arrays[name]
     except (KeyError, TypeError, ValueError) as exc:

@@ -4,6 +4,7 @@ Everything here is written as plain per-patient loops, deliberately sharing
 no code with the library: pair enumeration for the rank metrics, an explicit
 product recursion for Kaplan-Meier, and direct summation for the weighted
 Brier integral. Used to pin the vectorized implementations to 1e-12.
+`concat_step` is the evolution step in its first form, dense and per node.
 """
 
 import numpy as np
@@ -112,3 +113,36 @@ def random_survival_instance(rng, max_n=20):
     curves = [survival_from_hazards(HazardCurve(rng.uniform(0.05, 0.6, size=bins.count)))
               for _ in range(n)]
     return bins, labels, risks, scores, curves
+
+
+def concat_step(backbone, h, e_t, src, dst, attr, w):
+    """One residual update as first specified: each node state is concatenated
+    with e_t (x = [H | e_t]) and x itself is propagated, with dense matrices
+    and per-node loops. `w` maps op.* parameter names (without the prefix) to
+    arrays; arcs run src[k] -> dst[k] with attributes attr[k]."""
+    n = h.shape[0]
+    x = np.hstack([h, np.repeat(e_t, n, axis=0)])
+    if backbone == "gcn":
+        adj = np.eye(n)
+        for s, t in zip(src, dst):
+            adj[t, s] = 1.0
+        deg = adj.sum(axis=1)
+        pre = (adj / np.sqrt(np.outer(deg, deg))) @ x @ w["w_self"] + w["b_msg"]
+    else:
+        agg = np.zeros((n, x.shape[1] + attr.shape[1]))
+        for i in range(n):
+            arcs = [k for k in range(len(dst)) if dst[k] == i]
+            if not arcs:
+                continue
+            msgs = np.array([np.concatenate([x[src[k]], attr[k]]) for k in arcs])
+            if backbone == "graphsage":
+                weights = np.full(len(arcs), 1.0 / len(arcs))
+            else:
+                scores = np.array([
+                    np.tanh(np.concatenate([x[i], x[src[k]], attr[k]]) @ w["attn_u"]
+                            + w["attn_b"][0]) @ w["attn_v"][:, 0] for k in arcs])
+                e = np.exp(scores - scores.max())
+                weights = e / e.sum()
+            agg[i] = weights @ msgs
+        pre = x @ w["w_self"] + agg @ w["w_neigh"] + w["b_msg"]
+    return np.maximum(pre, 0.0) @ w["w_out"] + w["b_out"]

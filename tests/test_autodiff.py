@@ -24,14 +24,19 @@ class TestForwardValues:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.constant([[0.0]])).item() == 0.5
 
-    def test_mean_rows_is_column_means(self):
-        out = ad.mean_rows(ad.constant([[1.0, 3.0], [5.0, 7.0]]))
-        assert np.array_equal(out.data, [[3.0, 5.0]])
-
-    def test_mean_all_and_sum_all(self):
+    def test_sum_all(self):
         x = ad.constant([[1.0, 2.0], [3.0, 4.0]])
         assert ad.sum_all(x).item() == 10.0
-        assert ad.mean_all(x).item() == 2.5
+
+    def test_sigmoid_is_exact_and_finite_at_extremes(self):
+        x = np.array([[-1000.0, -30.0, -0.5, 0.0, 0.5, 30.0, 1000.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = ad.sigmoid(ad.constant(x)).data
+        neg = x < 0
+        expected = np.where(neg, np.exp(np.minimum(x, 0)) / (1 + np.exp(np.minimum(x, 0))),
+                            1 / (1 + np.exp(-np.maximum(x, 0))))
+        assert np.array_equal(out, expected)
+        assert out[0, 0] == 0.0 and out[0, -1] == 1.0
 
     def test_elementwise_and_unary(self):
         a = ad.constant([[1.0, -2.0]])
@@ -47,12 +52,8 @@ class TestForwardValues:
         b = ad.constant([[5.0], [6.0]])
         cat = ad.concat_cols(a, b)
         assert cat.shape == (2, 3)
-        assert np.array_equal(ad.slice_cols(cat, 0, 2).data, a.data)
-        assert np.array_equal(ad.slice_cols(cat, 2, 3).data, b.data)
-
-    def test_broadcast_row_repeats(self):
-        out = ad.broadcast_row(ad.constant([[1.0, 2.0]]), 3)
-        assert np.array_equal(out.data, [[1.0, 2.0]] * 3)
+        assert np.array_equal(cat.data[:, 0:2], a.data)
+        assert np.array_equal(cat.data[:, 2:3], b.data)
 
     def test_add_broadcasts_single_row(self):
         a = ad.constant([[1.0, 1.0], [2.0, 2.0]])
@@ -82,10 +83,6 @@ class TestErrors:
     def test_exp_overflow_is_nonfinite_error(self):
         with pytest.raises(ad.NonFiniteError):
             ad.exp(ad.constant([[1e4]]))
-
-    def test_slice_bounds(self):
-        with pytest.raises(ad.ShapeMismatchError):
-            ad.slice_cols(ad.constant([[1.0, 2.0]]), 1, 3)
 
     def test_backward_rejects_nonscalar(self):
         x = ad.parameter([[1.0, 2.0]])
@@ -130,9 +127,24 @@ class TestBackwardExamples:
         assert grads[x].item() == pytest.approx(5.0)  # 2x + 1
 
     def test_gradient_through_broadcast_row(self):
+        # A single row added to every row of a matrix gets the column sums.
         x = ad.parameter([[1.0, 2.0]])
-        grads = ad.backward(ad.sum_all(ad.broadcast_row(x, 4)))
+        grads = ad.backward(ad.sum_all(ad.add(ad.constant(np.zeros((4, 2))), x)))
         assert np.allclose(grads[x].data, [[4.0, 4.0]])
+
+    def test_shared_upstream_gradient_is_not_summed_in_place(self):
+        # The outer add hands the same array to x and to the inner add; the
+        # inner add hands it on to x and y. Summing in place would double y's.
+        x, y = ad.parameter([[1.0]]), ad.parameter([[1.0]])
+        grads = ad.backward(ad.sum_all(ad.add(ad.add(x, y), x)))
+        assert grads[x].item() == 2.0 and grads[y].item() == 1.0
+
+    def test_constant_operand_gets_no_gradient_product(self):
+        w = ad.parameter(np.ones((2, 2)))
+        for node in (ad.matmul(ad.constant(np.ones((3, 2))), w),
+                     ad.mul(ad.constant(np.ones((2, 2))), w)):
+            const_grad, w_grad = ad._BACKWARD[node.op](node, np.ones(node.shape))
+            assert const_grad is None and w_grad.shape == (2, 2)
 
     def test_gradient_additivity_across_terms(self):
         rng = np.random.default_rng(0)
@@ -142,7 +154,7 @@ class TestBackwardExamples:
             return ad.sum_all(ad.tanh(x))
 
         def g():
-            return ad.mean_all(ad.mul(x, x))
+            return ad.sum_all(ad.mul(x, x))
 
         gf = ad.backward(f(), params=[x])[x].data
         gg = ad.backward(g(), params=[x])[x].data
@@ -155,7 +167,7 @@ class TestBackwardExamples:
 
         def run():
             y = ad.spmm(SPARSE, ad.matmul(x, ad.tanh(x)))
-            return ad.backward(ad.mean_all(y), params=[x])[x].data.copy()
+            return ad.backward(ad.sum_all(y), params=[x])[x].data.copy()
 
         assert np.array_equal(run(), run())
 
@@ -181,17 +193,14 @@ def _fd_builders():
     cases["sub"] = ([x, y], lambda: ad.sum_all(ad.sub(x, y)))
     cases["elementwise-mul"] = ([x, y], lambda: ad.sum_all(ad.mul(x, y)))
     cases["negate"] = ([x], lambda: ad.sum_all(ad.negate(x)))
-    cases["concat-cols"] = ([x, y], lambda: ad.mean_all(ad.concat_cols(x, y)))
-    cases["slice-cols"] = ([x], lambda: ad.sum_all(ad.slice_cols(x, 1, 3)))
-    cases["broadcast-row"] = ([rl], lambda: ad.mean_all(ad.broadcast_row(rl, 5)))
+    cases["concat-cols"] = ([x, y], lambda: ad.sum_all(ad.mul(
+        ad.concat_cols(x, y), ad.constant(np.arange(24.0).reshape(3, 8)))))
     cases["sigmoid"] = ([x], lambda: ad.sum_all(ad.sigmoid(x)))
     cases["tanh"] = ([x], lambda: ad.sum_all(ad.tanh(x)))
     cases["relu"] = ([x], lambda: ad.sum_all(ad.relu(x)))
     cases["exp"] = ([x], lambda: ad.sum_all(ad.exp(x)))
     cases["log"] = ([pl], lambda: ad.sum_all(ad.log(pl)))
     cases["sum-all"] = ([x], lambda: ad.sum_all(x))
-    cases["mean-rows"] = ([x], lambda: ad.sum_all(ad.mean_rows(x)))
-    cases["mean-all"] = ([x], lambda: ad.mean_all(x))
     cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
         ad.spmm(SPARSE, x), ad.constant(np.arange(12.0).reshape(3, 4)))))
     return cases
@@ -286,8 +295,8 @@ def test_concat_slice_inverse_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
     cat = ad.concat_cols(ad.constant(a), ad.constant(b))
-    assert np.array_equal(ad.slice_cols(cat, 0, cols).data, a)
-    assert np.array_equal(ad.slice_cols(cat, cols, 2 * cols).data, b)
+    assert np.array_equal(cat.data[:, :cols], a)
+    assert np.array_equal(cat.data[:, cols:], b)
 
 
 def test_primitive_forward_dispatch():
@@ -297,10 +306,18 @@ def test_primitive_forward_dispatch():
         ad.primitive_forward("unknown-op", [])
 
 
-def test_operator_sugar_matches_functions():
-    x = ad.parameter([[1.0, -2.0]])
-    y = ad.parameter([[3.0, 4.0]])
-    assert np.array_equal((x + y).data, ad.add(x, y).data)
-    assert np.array_equal((x - y).data, ad.sub(x, y).data)
-    assert np.array_equal((x * 2.0).data, ad.mul(x, ad.constant([[2.0, 2.0]])).data)
-    assert np.array_equal((-x).data, ad.negate(x).data)
+def test_sparse_rows_slots_hold_only_rows_with_that_entry():
+    # SPARSE rows: 0 has entries (1, .5), (0, -1), (1, .25); 1 none; 2 has (0, 2), (1, 3).
+    (r0, c0, v0), (r1, c1, v1), (r2, c2, v2) = SPARSE.slots
+    assert r0.tolist() == [0, 2] and c0.tolist() == [1, 0] and v0.tolist() == [0.5, 2.0]
+    assert r1.tolist() == [0, 2] and c1.tolist() == [0, 1] and v1.tolist() == [-1.0, 3.0]
+    assert r2.tolist() == [0] and c2.tolist() == [1] and v2.tolist() == [0.25]
+    # A slot covering every row in order, with unit values, is a plain gather.
+    (rows, cols, vals), = ad.SparseRows([1, 0], [2, 2], 1.0, (2, 3)).slots
+    assert rows is None and vals is None and cols.tolist() == [2, 2]
+
+
+def test_sparse_apply_ignores_unreferenced_nonfinite_rows():
+    x = np.array([[1.0], [np.inf], [2.0]])
+    out = ad.SparseRows([0, 1], [0, 2], [3.0, 1.0], (2, 3)).apply(x)
+    assert np.array_equal(out, [[3.0], [2.0]])

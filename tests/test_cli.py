@@ -134,7 +134,8 @@ class TestTrainEvaluate:
         assert "clinical features have width 5, the model expects 3" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array"))
+    @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array",
+                                      "row_for_matrix", "unknown_array"))
     def test_evaluate_corrupt_model_file_is_data_error(self, tmp_path, capsys, kind):
         bad = tmp_path / "model.npz"
         if kind == "text":
@@ -143,9 +144,7 @@ class TestTrainEvaluate:
             with open(bad, "wb") as fh:
                 np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
         else:
-            with np.load(save_untrained_model(tmp_path)) as data:
-                arrays = {k: data[k] for k in data.files if k != "lstm.w_i"}
-            np.savez(bad, **arrays)
+            bad = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
         cohort = simulate_into(tmp_path)
         config = write_config(tmp_path, name="c.json", cohort=cohort)
         code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "c"),
@@ -176,6 +175,32 @@ def save_untrained_model(tmp_path, meta_extra=None):
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
     return path
+
+
+def rewrite_arrays(path, change):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    change(arrays)
+    np.savez(path, **arrays)
+    return path
+
+
+CORRUPTIONS = {
+    "missing_array": lambda a: a.pop("lstm.w_i"),
+    # One row of an 8 x 8 matrix would broadcast over all of its rows.
+    "row_for_matrix": lambda a: a.update({"op.w_out": a["op.w_out"][:1]}),
+    "unknown_array": lambda a: a.update({"op.w_extra": np.zeros((8, 8))}),
+}
+
+
+@pytest.mark.parametrize("kind,message", (
+    ("missing_array", r"lstm\.w_i missing \(expects \(16, 8\)\)"),
+    ("row_for_matrix", r"op\.w_out \(1, 8\) \(expects \(8, 8\)\)"),
+    ("unknown_array", r"op\.w_extra \(8, 8\) \(expects none\)")))
+def test_parameter_names_and_shapes_must_match(tmp_path, kind, message):
+    path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
 
 
 def test_removed_switch_loads_only_when_false(tmp_path):

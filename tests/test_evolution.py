@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
+from trajsurv.cohort import record_to_graph, simulate_cohort
+from trajsurv.crossval import _feature_widths
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
                                 init_evolution, init_time_table, readout,
-                                residual_step, segment_softmax, time_embedding,
+                                residual_update, rows_of, segment_softmax,
                                 uniform_weight)
-from trajsurv.graph import (Edge, EdgeKind, Node, NodeKind, PatientGraph, batch_graphs,
-                            mean_pool)
+from trajsurv.graph import (ANATOMICAL_KINDS, Edge, EdgeKind, Node, NodeKind, PatientGraph,
+                            batch_graphs, build_patient_graph, mean_pool)
+from trajsurv.model import ModelConfig, init_model
+from trajsurv.objective import LossWeights
+from trajsurv.training import _mean_loss
+
+import oracles
 
 D = 4
 DT = 2
@@ -31,6 +38,13 @@ def full_graph(seed=0):
     return make_graph(seed=seed)
 
 
+def residual_step(h, e_t, batch, params):
+    """dH of one step whose time embedding is e_t: e_t is written into row 0
+    of the time table and step 0 is taken."""
+    params.time_table.table.data[0] = e_t.data[0]
+    return residual_update(batch, params)(h, 0)
+
+
 def identity_params(backbone):
     """W_self=0, W_neigh=[I_din ; 0], W_out=[I_d ; 0]: delta picks out relu of
     the neighbor part of the state."""
@@ -50,6 +64,11 @@ def identity_params(backbone):
     )
 
 
+def time_embedding(t, table):
+    """e_t: row t of the time table, picked as the evolution step picks it."""
+    return rows_of(table.table, t, t + 1)
+
+
 class TestTimeEmbedding:
     def test_zero_table_gives_zero_vector(self):
         table = init_time_table(3, DT, np.random.default_rng(0))
@@ -63,9 +82,9 @@ class TestTimeEmbedding:
 
     def test_out_of_range_step_rejected(self):
         table = init_time_table(3, DT, np.random.default_rng(0))
-        with pytest.raises(IndexError):
+        with pytest.raises(ad.ShapeMismatchError):
             time_embedding(3, table)
-        with pytest.raises(IndexError):
+        with pytest.raises(ad.ShapeMismatchError):
             time_embedding(-1, table)
 
     def test_rows_are_trainable(self):
@@ -166,9 +185,8 @@ class TestResidualStep:
         h = ad.constant(np.random.default_rng(8).normal(size=(g.num_nodes, D)))
 
         def f():
-            delta = residual_step(h, time_embedding(1, params.time_table),
-                                  batch_graphs([g]), params)
-            return ad.mean_all(ad.tanh(delta))
+            delta = residual_update(batch_graphs([g]), params)(h, 1)
+            return ad.sum_all(ad.tanh(delta))
 
         leaves = dict(params.named_leaves())
         assert ad.grad_check(f, leaves) <= 1e-4
@@ -320,3 +338,67 @@ class TestSegmentSoftmax:
         alpha = segment_softmax(ad.constant(np.full((batch.dst.size, 1), 1000.0)), batch)
         deg = np.bincount(batch.dst, minlength=batch.n_nodes)
         np.testing.assert_allclose(alpha.data[:, 0], 1.0 / deg[batch.dst], rtol=0, atol=1e-15)
+
+
+def isolated_clinical_graph():
+    """Liver <-> summary pair plus a clinical node with no edges."""
+    g = two_node_graph()
+    g.nodes[NodeKind.CLINICAL] = Node(NodeKind.CLINICAL, True, np.zeros(D))
+    return PatientGraph(patient_id="iso", nodes=g.nodes, edges=g.edges)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_step_matches_concat_then_propagate_oracle(backbone):
+    rng = np.random.default_rng(15)
+    kinds = ANATOMICAL_KINDS[:2] + ANATOMICAL_KINDS[3:]   # hepatic veins missing
+    missing = build_patient_graph({k: rng.normal(size=D) for k in kinds}, rng.uniform(size=D),
+                                  {k: rng.uniform(-50, 50, size=3) for k in kinds})
+    batch = batch_graphs([missing, isolated_clinical_graph(), two_node_graph()])
+    assert np.bincount(batch.dst, minlength=batch.n_nodes).min() == 0
+    params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
+    for _, leaf in params.named_leaves():
+        leaf.data[:] = rng.normal(size=leaf.shape)
+    h = rng.normal(size=(batch.n_nodes, D))
+    delta = residual_update(batch, params)(ad.constant(h), 2)
+    weights = {name[3:]: leaf.data for name, leaf in params.named_leaves()}
+    expected = oracles.concat_step(backbone, h, params.time_table.table.data[2:3],
+                                   batch.src, batch.dst, batch.attr, weights)
+    np.testing.assert_allclose(delta.data, expected, rtol=0, atol=1e-12)
+
+
+def one_batch_loss(backbone, n=64):
+    records, _ = simulate_cohort(n, seed=0)
+    config = ModelConfig(backbone=backbone)
+    model = init_model(config, _feature_widths(records), np.random.default_rng(0))
+    batch = batch_graphs([record_to_graph(r) for r in records])
+    return model, batch, lambda: _mean_loss(model, batch, [r.dfs for r in records],
+                                            [r.os for r in records], config.bins(),
+                                            LossWeights())
+
+
+@pytest.mark.parametrize("backbone,nodes", (("graphsage", 534), ("gcn", 478), ("gat", 823)))
+def test_tape_node_count_of_one_batch_loss(backbone, nodes):
+    # Every distinct tensor reachable from the loss, leaves included. A change
+    # that adds per-step work to the rollout moves this count.
+    _, _, loss = one_batch_loss(backbone)
+    seen, stack = set(), [loss()]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.parents)
+    assert len(seen) == nodes
+
+
+def test_forwards_reuse_selectors_and_operators(monkeypatch):
+    # A second forward and backward on the same batch builds no sparse matrix:
+    # time-row and weight-block selectors, adjacency and transposes are reused.
+    model, batch, loss = one_batch_loss("graphsage", n=12)
+    params = [p for _, p in model.named_parameters()]
+    ad.backward(loss(), params=params)
+    built = []
+    init = ad.SparseRows.__init__
+    monkeypatch.setattr(ad.SparseRows, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    ad.backward(loss(), params=params)
+    assert built == []

@@ -99,7 +99,7 @@ class TestHeads:
         def f():
             logits, context = dfs_head(h_star, p)
             os_logits = os_head(h_star, context, p)
-            return ad.mean_all(ad.sigmoid(ad.concat_cols(logits, os_logits)))
+            return ad.sum_all(ad.sigmoid(ad.concat_cols(logits, os_logits)))
 
         assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
 

@@ -132,7 +132,7 @@ class TestIntegrate:
         seq = [ad.constant(rng.normal(size=(1, DIM))) for _ in range(3)]
 
         def f():
-            return ad.mean_all(integrate(TrajectorySnapshots(z=list(seq)), p))
+            return ad.sum_all(integrate(TrajectorySnapshots(z=list(seq)), p))
 
         assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
 
