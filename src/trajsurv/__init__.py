@@ -1,6 +1,6 @@
 """Graph-trajectory survival prognosis on a self-contained autodiff engine.
 
-Pipeline: heterogeneous 7-node patient graphs -> time-conditioned residual
+Pipeline: heterogeneous 7-slot patient graphs -> time-conditioned residual
 message passing -> LSTM trajectory integration -> cascaded discrete-time
 DFS/OS survival heads, with censored-survival training, evaluation metrics,
 and a repeated stratified cross-validation harness.
@@ -11,7 +11,7 @@ from .cohort import (PatientRecord, Scenario, augment, load_cohort, oracle_cinde
                      save_cohort, simulate_cohort, stratified_repeated_kfold)
 from .config import RunConfig, config_from_dict, load_config
 from .crossval import emit_report, run_ablation, run_crossval
-from .graph import NodeKind, PatientGraph, build_patient_graph, validate_graph
+from .graph import NodeKind
 from .heads import TimeBins, annual_bins
 from .metrics import (bootstrap_ci, harrell_cindex, integrated_brier,
                       km_censoring_survival, mae_uncensored, time_dependent_auc)
@@ -27,7 +27,7 @@ __all__ = [
     "save_cohort", "simulate_cohort", "stratified_repeated_kfold",
     "RunConfig", "config_from_dict", "load_config",
     "emit_report", "run_ablation", "run_crossval",
-    "NodeKind", "PatientGraph", "build_patient_graph", "validate_graph",
+    "NodeKind",
     "TimeBins", "annual_bins",
     "bootstrap_ci", "harrell_cindex", "integrated_brier", "km_censoring_survival",
     "mae_uncensored", "time_dependent_auc",

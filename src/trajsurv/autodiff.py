@@ -208,61 +208,38 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor._node(np.array([[a.data.sum()]]), "sum-all", (a,))
 
 
-class SparseRows:
-    """A constant sparse matrix stored slot by slot, with no padding.
+class Blocks:
+    """A constant block-diagonal matrix, held as its stack of dense blocks.
 
-    Slot d holds the d-th entry of every row that has one, as (rows, cols,
-    vals) in row order; entries keep the order they were given within a row,
-    and duplicates add up. `rows` is None when the slot covers every row and
-    `vals` is None when every value is 1. The transpose is built once, on
-    first use.
+    `blocks` of shape (B, r, c) stands for the (B r x B c) matrix whose b-th
+    diagonal block is blocks[b]. Applying it to a (B c x m) matrix is one
+    batched `np.matmul`, so its cost and memory grow linearly in B. The
+    transpose is the transposed stack, built once, on first use.
     """
 
-    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-        vals = np.asarray(vals, dtype=np.float64)
-        vals = np.full(rows.shape, vals) if vals.ndim == 0 else vals.reshape(-1)
-        n, m = shape
-        if (cols.shape != rows.shape or vals.shape != rows.shape
-                or (((rows | cols) < 0) | (rows >= n) | (cols >= m)).any()):
-            raise ShapeMismatchError("sparse-rows", shape)
-        order = np.argsort(rows, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        counts = np.bincount(rows, minlength=n)
-        self.shape = (n, m)
-        self.slots = []
-        width = int(counts.max()) if rows.size else 0
-        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows] if width > 1 else None
-        for d in range(width):
-            pick = slice(None) if slot is None else slot == d
-            r, v = rows[pick], vals[pick]
-            self.slots.append((None if r.size == n else r, cols[pick],
-                               None if (v == 1.0).all() else v))
-        self._entries = (rows, cols, vals)
-        self._transpose: SparseRows | None = None
+    def __init__(self, blocks):
+        self.blocks = np.asarray(blocks, dtype=np.float64)
+        if self.blocks.ndim != 3:
+            raise ShapeMismatchError("blocks", self.blocks.shape)
+        count, r, c = self.blocks.shape
+        self.shape = (count * r, count * c)
+        self._transpose: Blocks | None = None
 
     @property
-    def T(self) -> "SparseRows":
+    def T(self) -> "Blocks":
         if self._transpose is None:
-            rows, cols, vals = self._entries
-            self._transpose = SparseRows(cols, rows, vals, self.shape[::-1])
+            self._transpose = Blocks(np.ascontiguousarray(self.blocks.transpose(0, 2, 1)))
         return self._transpose
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """S @ x as one gather(-multiply)-add per slot, in slot order."""
-        out = np.zeros((self.shape[0], x.shape[1]))
-        for rows, cols, vals in self.slots:
-            term = x[cols] if vals is None else vals[:, None] * x[cols]
-            if rows is None:
-                out += term
-            else:
-                out[rows] += term
-        return out
+        """This matrix times x: block b times rows b c .. (b + 1) c - 1 of x."""
+        count, _, c = self.blocks.shape
+        m = x.shape[1]
+        return np.matmul(self.blocks, x.reshape(count, c, m)).reshape(self.shape[0], m)
 
 
-def spmm(s: SparseRows, x: Tensor) -> Tensor:
-    """Constant sparse matrix times a tape tensor; only x gets a gradient."""
+def spmm(s: Blocks, x: Tensor) -> Tensor:
+    """Constant block-diagonal matrix times a tape tensor; only x gets a gradient."""
     if s.shape[1] != x.rows:
         raise ShapeMismatchError("spmm", s.shape, x.shape)
     return Tensor._node(s.apply(x.data), "spmm", (x,), s)

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, Edge, EdgeKind, Node, NodeKind,
-                    PatientGraph, build_patient_graph, validate_graph)
+from .graph import (ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, GraphBatch, NodeKind,
+                    star_batch)
+from .heads import TimeBins
 from .metrics import harrell_cindex
-from .objective import SurvivalLabel
+from .objective import SurvivalLabel, label_bins
 
 SCHEMA_VERSION = 1
 
@@ -49,17 +51,70 @@ class PatientRecord:
     os: SurvivalLabel
 
     def __post_init__(self):
+        if not any(r.present for r in self.regions.values()):
+            raise CohortError(f"patient {self.patient_id}: no region is present")
         if self.dfs.time > self.os.time:
             raise CohortError(f"patient {self.patient_id}: DFS time exceeds OS time")
         if self.clinical.size and (self.clinical.min() < -1e-9 or self.clinical.max() > 1 + 1e-9):
             raise CohortError(f"patient {self.patient_id}: clinical features outside [0, 1]")
 
 
-def record_to_graph(record: PatientRecord, offset_scale: float = 100.0) -> PatientGraph:
-    feats = {k: r.features for k, r in record.regions.items() if r.present}
-    cents = {k: r.centroid for k, r in record.regions.items() if r.present}
-    return build_patient_graph(feats, record.clinical, cents,
-                               patient_id=record.patient_id, offset_scale=offset_scale)
+@dataclass(frozen=True)
+class CohortArrays:
+    """A cohort as arrays with one row per patient; see `cohort_arrays`."""
+
+    regions: np.ndarray            # (n, 5, L); zero rows for missing regions
+    present: np.ndarray            # (n, 5) bool
+    offsets: np.ndarray            # (n, 5, 3); zero rows for missing regions
+    global_features: np.ndarray    # (n, L)
+    clinical: np.ndarray           # (n, C)
+    labels: dict[str, np.ndarray]  # task -> (n, 2) bin and event rows
+
+    def __len__(self) -> int:
+        return self.present.shape[0]
+
+    def take(self, rows) -> "CohortArrays":
+        """The patients at `rows`, an index array or a slice."""
+        return CohortArrays(self.regions[rows], self.present[rows], self.offsets[rows],
+                            self.global_features[rows], self.clinical[rows],
+                            {task: lab[rows] for task, lab in self.labels.items()})
+
+    def batch(self) -> GraphBatch:
+        """All these patients as one batch."""
+        return star_batch(self.regions, self.present, self.offsets, self.global_features,
+                          self.clinical)
+
+
+def cohort_arrays(records: Sequence[PatientRecord], bins: TimeBins | None = None
+                  ) -> CohortArrays:
+    """The arrays of `records`; with `bins`, also each task's binned labels.
+
+    The summary features and centroid are the means over the present
+    regions. A region's offset is (its centroid - the summary centroid)
+    divided by DEFAULT_OFFSET_SCALE and clamped to [-1, 1].
+    """
+    present = np.array([[rec.regions[k].present for k in ANATOMICAL_KINDS] for rec in records],
+                       dtype=bool).reshape(len(records), len(ANATOMICAL_KINDS))
+    rows, cols = np.nonzero(present)
+    found = [records[i].regions[ANATOMICAL_KINDS[j]] for i, j in zip(rows, cols)]
+    regions = np.zeros(present.shape + (found[0].features.shape[0] if found else 0,))
+    centroids = np.zeros(present.shape + (EDGE_ATTR_DIM,))
+    if found:
+        regions[rows, cols] = [r.features for r in found]
+        centroids[rows, cols] = [r.centroid for r in found]
+    count = present.sum(axis=1, keepdims=True)
+    offsets = np.clip((centroids - (centroids.sum(axis=1) / count)[:, None])
+                      / DEFAULT_OFFSET_SCALE, -1.0, 1.0)
+    labels = {} if bins is None else {task: label_bins([getattr(r, task) for r in records], bins)
+                                      for task in ("os", "dfs")}
+    return CohortArrays(regions, present, np.where(present[:, :, None], offsets, 0.0),
+                        regions.sum(axis=1) / count,
+                        np.array([r.clinical for r in records], dtype=np.float64), labels)
+
+
+def record_to_graph(record: PatientRecord) -> GraphBatch:
+    """The patient's graph: a batch of one."""
+    return cohort_arrays([record]).batch()
 
 
 def _require(cond: bool, msg: str):
@@ -113,15 +168,17 @@ def load_cohort(path) -> list[PatientRecord]:
                      f"patient {pid}: region {key} features must have length {region_len}")
             _require(cent.shape == (EDGE_ATTR_DIM,),
                      f"patient {pid}: region {key} centroid must have length {EDGE_ATTR_DIM}")
+            for name, values in (("features", feats), ("centroid", cent)):
+                _require(np.isfinite(values).all(),
+                         f"patient {pid}: region {key} {name} must be finite")
             regions[kind] = RegionData(True, feats, cent)
         clinical = np.asarray(entry["clinical"], dtype=np.float64)
         _require(clinical.shape == (clinical_len,),
                  f"patient {pid}: clinical features must have length {clinical_len}")
+        _require(np.isfinite(clinical).all(), f"patient {pid}: clinical features must be finite")
         record = PatientRecord(pid, regions, clinical,
                                _parse_label(entry["dfs"], pid, "dfs"),
                                _parse_label(entry["os"], pid, "os"))
-        violations = validate_graph(record_to_graph(record))
-        _require(not violations, f"patient {pid}: invalid graph: {violations}")
         records.append(record)
     return records
 
@@ -388,40 +445,34 @@ def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats:
 # ---------------------------------------------------------------------------
 
 
-def augment(graph: PatientGraph, seed: int, variants: int = 5,
-            dropout_p: float = 0.05, sigma: float = 0.1) -> list[PatientGraph]:
-    """Original graph plus `variants - 1` randomized copies.
+def augment(data: CohortArrays, seeds: Sequence[int], variants: int = 5,
+            dropout_p: float = 0.05, sigma: float = 0.1) -> CohortArrays:
+    """Each patient's row followed by `variants - 1` randomized copies.
 
-    Each variant independently drops anatomical nodes with probability
-    `dropout_p` (hubs are never dropped, nor the last remaining region) and
-    adds Gaussian noise to every raw feature vector. Centroid-derived edge
-    offsets are preserved for the surviving regions.
+    Patient i's copies draw from `seeds[i]`. Each copy independently drops
+    present regions with probability `dropout_p` (never the last remaining
+    one; the hubs have no presence flag) and adds Gaussian noise to every
+    feature vector, the summary's included. Surviving regions keep their
+    offsets.
     """
-    out = [graph]
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    present = [k for k in ANATOMICAL_KINDS if graph.is_present(k)]
-    spatial_attr = {e.target: e.attr for e in graph.edges
-                    if e.kind is EdgeKind.SPATIAL_TOPOLOGY}
-    for _ in range(variants - 1):
-        survivors = list(present)
-        for kind in present:
-            if len(survivors) > 1 and rng.random() < dropout_p:
-                survivors.remove(kind)
-        nodes: dict[NodeKind, Node] = {}
-        for kind in ANATOMICAL_KINDS:
-            if kind in survivors:
-                src = graph.nodes[kind]
-                noisy = src.features + rng.normal(0.0, sigma, size=src.features.shape)
-                nodes[kind] = Node(kind, True, noisy, src.centroid)
-            else:
-                nodes[kind] = Node(kind, False)
-        for kind in (NodeKind.GLOBAL_CT, NodeKind.CLINICAL):
-            src = graph.nodes[kind]
-            noisy = src.features + rng.normal(0.0, sigma, size=src.features.shape)
-            nodes[kind] = Node(kind, True, noisy, src.centroid)
-        edges = [Edge(NodeKind.GLOBAL_CT, kind, EdgeKind.SPATIAL_TOPOLOGY, spatial_attr[kind])
-                 for kind in survivors]
-        edges += [Edge(NodeKind.CLINICAL, kind, EdgeKind.CLINICAL_CONTEXT,
-                       np.zeros(EDGE_ATTR_DIM)) for kind in survivors]
-        out.append(PatientGraph(patient_id=graph.patient_id, nodes=nodes, edges=edges))
+    out = data.take(np.repeat(np.arange(len(data)), variants))
+    width = data.regions.shape[2]
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        present = np.flatnonzero(data.present[i])
+        for row in range(i * variants + 1, (i + 1) * variants):
+            kept = list(present)
+            for j in present:
+                if len(kept) > 1 and rng.random() < dropout_p:
+                    kept.remove(j)
+            dropped = np.setdiff1d(present, kept)
+            out.present[row, dropped] = False
+            out.regions[row, dropped] = 0.0
+            out.offsets[row, dropped] = 0.0
+            # One draw in the order regions, summary, clinical.
+            cut = len(kept) * width
+            noise = rng.normal(0.0, sigma, size=cut + width + data.clinical.shape[1])
+            out.regions[row, kept] += noise[:cut].reshape(len(kept), width)
+            out.global_features[row] += noise[cut:cut + width]
+            out.clinical[row] += noise[cut + width:]
     return out

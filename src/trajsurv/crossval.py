@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cohort import PatientRecord, load_cohort, record_to_graph, stratified_repeated_kfold
+from .cohort import PatientRecord, cohort_arrays, load_cohort, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import TimeBins, point_estimate_time
@@ -120,10 +120,11 @@ class _FoldPrediction:
 def _predict_fold(model: FullModel, records: list[PatientRecord], bins: TimeBins,
                   horizons, chunk: int) -> list[_FoldPrediction]:
     """Score `records` in batches of `chunk`, so memory is bounded by one chunk."""
+    data = cohort_arrays(records)
     preds = []
     for start in range(0, len(records), chunk):
         part = records[start:start + chunk]
-        curves_of = model.predict_curves([record_to_graph(rec) for rec in part])
+        curves_of = model.predict_curves(data.take(slice(start, start + chunk)).batch())
         for rec, curves in zip(part, curves_of):
             risks, scores, arrs, times = {}, {}, {}, {}
             for task, (hc, sc) in curves.items():
@@ -181,9 +182,9 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 def _cascade_grad_check(model: FullModel, records: list[PatientRecord],
                         bins: TimeBins) -> bool:
     """True iff the OS loss sends exactly zero gradient to the context weights."""
-    rec = records[0]
-    out = model.forward([record_to_graph(rec)])
-    os_loss = discrete_nll(out.os_hazards, [rec.os], bins)
+    data = cohort_arrays(records[:1], bins)
+    out = model.forward(data.batch())
+    os_loss = discrete_nll(out.os_hazards, data.labels["os"], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     ctx = grads[model.heads.w_ctx].data
     ctx_b = grads[model.heads.b_ctx].data

@@ -7,29 +7,35 @@ linear output projection, and adds it residually (so zero weights leave the
 state untouched). The mean-pooled state after each update is one snapshot of
 the patient's latent trajectory.
 
-Everything runs on a `GraphBatch`, the disjoint union of B graphs: node
-states are one matrix with a row per node of every graph, and each
-neighbour mean, normalised adjacency, per-arc gather and per-target sum is
-a constant sparse matrix applied with `spmm`. This module decides the
-adjacency of each backbone; snapshots have one row per graph.
+Everything runs on a `GraphBatch` of B patients in the 7-slot star layout
+(see `graph.py`): node states are one matrix with 7 rows per patient, and
+every neighbour mean, normalised adjacency, per-arc gather and per-target
+sum is a stack of B per-patient dense blocks applied with `spmm`, one
+batched matmul. This module builds each backbone's blocks from the slots in
+use and one star template; snapshots have one row per patient.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
-so every sparse operator propagates a projection of H alone:
+so every block operator propagates a projection of H alone:
 
 - graphsage: pre = H W_sh + M(H W_nh) + (A W_na + b_msg) + 1 (e_t W_st)
-  + r (e_t W_nt), with M the in-neighbour mean and r = M 1;
-- gcn: pre = N(H W_sh) + s (e_t W_st) + b_msg, N = D^-1/2 (A + I) D^-1/2, s = N 1;
+  + r (e_t W_nt), with M the in-neighbour mean, (B, 7, 7), and r = M 1;
+- gcn: pre = N(H W_sh) + s (e_t W_st) + b_msg, N = D^-1/2 (A + I) D^-1/2,
+  (B, 7, 7), and s = N 1;
 - gat: arc j -> i is scored from at_dst(H U_dh) + at_src(H U_sh) + (A U_a +
   b_attn) + e_t (U_dt + U_st); its message at_src(H W_nh) + A W_na + e_t W_nt
   is weighted by the softmax over the in-arcs of i and summed into i, and
-  pre = H W_sh + 1 (e_t W_st) + (that sum) + b_msg.
+  pre = H W_sh + 1 (e_t W_st) + (that sum) + b_msg. The gathers at_dst and
+  at_src are (B, 20, 7), one row per arc slot (4 per region), and the sum
+  is at_dst's transpose, (B, 7, 20).
 
-A node with no in-arcs has an empty row in M and in the gat sum, so r is 0
-there and only the self path remains. r (e_t W) is computed as M(1 (e_t W))
-inside M's operand, and likewise s. The weight blocks, the arc terms and
-the T x m tables E W of all time rows are built once per forward; row t is
-picked by a selector built once per process.
+A node with no in-arcs, such as a missing region's padding row, has an empty
+row in M and in the gat sum, so r is 0 there and only the self path remains;
+no operator has a nonzero column for a padding row, and gcn gives it no
+self-loop. r (e_t W) is computed as M(1 (e_t W)) inside M's operand, and
+likewise s. The weight blocks, the arc terms and the T x m tables E W of
+all time rows are built once per forward; row t is picked by a selector
+built once per process.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SparseRows, Tensor
-from .graph import EDGE_ATTR_DIM, GraphBatch
+from .autodiff import Blocks, Tensor
+from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
+                    GraphBatch)
 
 BACKBONES = ("graphsage", "gcn", "gat")
 
@@ -73,10 +80,11 @@ def init_time_table(steps: int, time_dim: int, rng: np.random.Generator) -> Time
 
 
 @lru_cache(maxsize=None)
-def _row_selector(start: int, stop: int, total: int) -> SparseRows:
+def _row_selector(start: int, stop: int, total: int) -> Blocks:
     # A selector is an immutable constant, so one per shape serves every model.
-    return SparseRows(np.arange(stop - start), np.arange(start, stop), 1.0,
-                      (stop - start, total))
+    if not 0 <= start < stop <= total:
+        raise ad.ShapeMismatchError("rows", (start, stop), total)
+    return Blocks(np.eye(total)[None, start:stop])
 
 
 def rows_of(x: Tensor, start: int, stop: int) -> Tensor:
@@ -158,39 +166,57 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
     )
 
 
-def adjacency(batch: GraphBatch, backbone: str) -> dict:
-    """The backbone's constant operators for this batch, built on first use.
+# The star template. Arcs come four per region k, in region order:
+# global -> k (attribute +offset_k), clinical -> k (0), k -> global
+# (-offset_k) and k -> clinical (0). `_STAR` links every region to both hubs.
+_REGIONS = len(ANATOMICAL_KINDS)
+_ARC_REGION = np.repeat(np.arange(_REGIONS), 4)
+_ARC_SIGN = np.tile([1.0, 0.0, -1.0, 0.0], _REGIONS)
+_ARC_SRC = np.array([(GLOBAL_SLOT, CLINICAL_SLOT, k, k) for k in range(_REGIONS)]).ravel()
+_ARC_DST = np.array([(k, k, GLOBAL_SLOT, CLINICAL_SLOT) for k in range(_REGIONS)]).ravel()
+_STAR = np.eye(SLOTS)[_ARC_DST].T @ np.eye(SLOTS)[_ARC_SRC]
 
-    graphsage: `mean` averages in-neighbours (1/in-degree per arc) and
-    `attr_mean` is the matching mean of arc attributes. gcn: `norm` is the
-    symmetric normalisation D^-1/2 (A + I) D^-1/2. gat: `at_dst`/`at_src`
-    gather each arc's target/source row, `sum_dst` sums arcs into their
-    target, and `no_arcs` is 1 on nodes without in-arcs. Isolated nodes get
-    an empty row, so their neighbour term is zero.
+
+def _arcs(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per patient, the (20, 7) target and source gathers of the arcs and
+    their (20, 3) attributes; the arcs of a missing region are zero rows."""
+    used = batch.slots[:, _ARC_REGION].astype(np.float64)[:, :, None]
+    attr = used * _ARC_SIGN[:, None] * batch.offsets[:, _ARC_REGION]
+    return used * np.eye(SLOTS)[_ARC_DST], used * np.eye(SLOTS)[_ARC_SRC], attr
+
+
+def adjacency(batch: GraphBatch, backbone: str) -> dict:
+    """The backbone's constant blocks for this batch, built on first use.
+
+    graphsage: `mean` (B, 7, 7) averages in-neighbours (1/in-degree per arc)
+    and `attr_mean` is the matching mean of arc attributes. gcn: `norm`
+    (B, 7, 7) is the symmetric normalisation D^-1/2 (A + I) D^-1/2 over the
+    slots in use. gat: `at_dst`/`at_src` (B, 20, 7) gather each arc's
+    target/source row, `sum_dst` (B, 7, 20) sums arcs into their target, and
+    `no_arcs` is 1 on rows without in-arcs. Every block is zero in the rows
+    and columns of a missing region, so its neighbour term is zero.
     """
     ops = batch.operators.get(backbone)
     if ops is not None:
         return ops
-    n, src, dst = batch.n_nodes, batch.src, batch.dst
-    deg = np.bincount(dst, minlength=n).astype(np.float64)
+    used = batch.slots[:, :, None] & batch.slots[:, None, :]
     if backbone == "graphsage":
-        attr_sum = np.zeros((n, EDGE_ATTR_DIM))
-        np.add.at(attr_sum, dst, batch.attr)
-        ops = {"mean": SparseRows(dst, src, 1.0 / deg[dst], (n, n)),
-               "attr_mean": ad.constant(attr_sum / np.maximum(deg, 1.0)[:, None])}
+        at_dst, _, attr = _arcs(batch)
+        adj = _STAR * used
+        deg = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
+        attr_sum = np.matmul(at_dst.transpose(0, 2, 1), attr)
+        ops = {"mean": Blocks(adj / deg),
+               "attr_mean": ad.constant((attr_sum / deg).reshape(-1, EDGE_ATTR_DIM))}
     elif backbone == "gcn":
-        pairs = np.unique(np.stack([dst, src], axis=1), axis=0)
-        loops = np.arange(n)
-        rows = np.concatenate([loops, pairs[:, 0]])
-        cols = np.concatenate([loops, pairs[:, 1]])
-        inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n))
-        ops = {"norm": SparseRows(rows, cols, inv_sqrt[rows] * inv_sqrt[cols], (n, n))}
+        adj = (_STAR + np.eye(SLOTS)) * used
+        inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
+        ops = {"norm": Blocks(inv_sqrt[:, :, None] * adj * inv_sqrt[:, None, :])}
     elif backbone == "gat":
-        arcs = np.arange(dst.size)
-        at_dst = SparseRows(arcs, dst, 1.0, (dst.size, n))
-        ops = {"at_dst": at_dst, "at_src": SparseRows(arcs, src, 1.0, (dst.size, n)),
-               "sum_dst": at_dst.T, "attr": ad.constant(batch.attr),
-               "no_arcs": ad.constant((deg == 0.0).astype(np.float64)[:, None])}
+        at_dst, at_src, attr = _arcs(batch)
+        gather = Blocks(at_dst)
+        ops = {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
+               "attr": ad.constant(attr.reshape(-1, EDGE_ATTR_DIM)),
+               "no_arcs": ad.constant((~batch.slots).astype(np.float64).reshape(-1, 1))}
     else:
         raise ValueError(f"unknown backbone {backbone!r}")
     batch.operators[backbone] = ops
@@ -198,15 +224,18 @@ def adjacency(batch: GraphBatch, backbone: str) -> dict:
 
 
 def segment_softmax(scores: Tensor, batch: GraphBatch) -> Tensor:
-    """Softmax of per-arc scores (arcs x 1) over the in-arcs of each target.
+    """Softmax of per-arc scores (B 20 x 1) over the in-arcs of each target.
 
     The per-target maximum is subtracted as a constant, so exp never
     overflows; the weights are exp(shifted - log(per-target sum of exp)).
+    The arc slots of a missing region are shifted by their own score.
     """
     ops = adjacency(batch, "gat")
-    top = np.full(batch.n_nodes, -np.inf)
-    np.maximum.at(top, batch.dst, scores.data[:, 0])
-    shifted = ad.sub(scores, ad.constant(top[batch.dst][:, None]))
+    per_arc = scores.data.reshape(batch.size, -1)
+    in_arcs = ops["at_dst"].blocks > 0.0
+    top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
+    shift = np.where(in_arcs.any(axis=2), top[:, _ARC_DST], per_arc)
+    shifted = ad.sub(scores, ad.constant(shift.reshape(-1, 1)))
     total = ad.add(ad.spmm(ops["sum_dst"], ad.exp(shifted)), ops["no_arcs"])
     return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
 
@@ -267,8 +296,8 @@ def residual_update(batch: GraphBatch, params: EvolutionParams,
     return update
 
 
-def readout(h: Tensor, pool: SparseRows) -> Tensor:
-    """Graph-level snapshots: per graph, the column-wise mean of its node rows."""
+def readout(h: Tensor, pool: Blocks) -> Tensor:
+    """Patient-level snapshots: per patient, the column-wise mean of its rows in use."""
     if h.rows == 0:
         raise ValueError("readout of empty node-state matrix")
     return ad.spmm(pool, h)

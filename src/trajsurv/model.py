@@ -1,8 +1,8 @@
 """Full prognostic model: embedding -> evolution -> integrator -> heads.
 
-The forward pass takes a list of patient graphs (or a `GraphBatch` built
-from one) and runs them as one disjoint-union batch on one tape; every
-output has one row per patient, and one graph is simply a batch of one.
+The forward pass runs a `GraphBatch` of patients in the 7-slot layout on
+one tape; every output has one row per patient, and one patient is simply a
+batch of one.
 """
 
 from __future__ import annotations
@@ -11,15 +11,13 @@ import dataclasses
 import json
 import zipfile
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evolution import EvolutionParams, TrajectorySnapshots, evolve, init_evolution
-from .graph import (EmbeddingParams, GraphBatch, NodeKind, PatientGraph, batch_graphs,
-                    embed_nodes, init_embedding)
+from .graph import EmbeddingParams, GraphBatch, NodeKind, embed_nodes, init_embedding
 from .heads import (HazardCurve, HeadParams, SurvivalCurve, TimeBins, annual_bins,
                     dfs_head, hazards_from_logits, init_heads, os_head,
                     survival_from_hazards)
@@ -72,9 +70,8 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, graphs: Sequence[PatientGraph] | GraphBatch) -> ForwardResult:
+    def forward(self, batch: GraphBatch) -> ForwardResult:
         cfg = self.config
-        batch = graphs if isinstance(graphs, GraphBatch) else batch_graphs(graphs)
         h0 = embed_nodes(batch, self.embedding)
         snapshots = evolve(h0, batch, self.evolution, cfg.horizon)
         if cfg.integrator == "lstm":
@@ -93,11 +90,11 @@ class FullModel:
             os_hazards=ad.sigmoid(os_logits),
         )
 
-    def predict_curves(self, graphs: Sequence[PatientGraph] | GraphBatch
+    def predict_curves(self, batch: GraphBatch
                        ) -> list[dict[str, tuple[HazardCurve, SurvivalCurve]]]:
         """Per patient, hazard and survival curves per task (monotonicity asserted)."""
         with ad.no_grad(p for _, p in self.named_parameters()):
-            out = self.forward(graphs)
+            out = self.forward(batch)
         result = []
         for dfs, os_ in zip(out.dfs_logits.data, out.os_logits.data):
             curves = {}
@@ -138,9 +135,12 @@ def restore_parameters(model: FullModel, snapshot: dict[str, np.ndarray]) -> Non
         leaf.data[:] = snapshot[name]
 
 
+FORMAT_VERSION = 1
+
+
 def save_model(model: FullModel, path) -> None:
     """Persist weights and the architecture needed to rebuild them."""
-    meta = dataclasses.asdict(model.config)
+    meta = {"format_version": FORMAT_VERSION, **dataclasses.asdict(model.config)}
     meta["feature_widths"] = {k.value: int(w.rows) for k, w in model.embedding.weights.items()}
     arrays = {name: leaf.data for name, leaf in model.named_parameters()}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -154,10 +154,12 @@ class ModelFileError(ValueError):
 def load_model(path) -> FullModel:
     """Rebuild a model written by `save_model`.
 
-    A field this version does not know is accepted only when it is false: a
-    switch removed at its off default, as older files carry. Any other value
-    would describe a model this version cannot build, so it is rejected. The
-    parameter arrays must match the model's names and shapes exactly.
+    A file without `format_version` predates the field and reads as version
+    1; any other version is rejected. A field this version does not know is
+    accepted only when it is false: a switch removed at its off default, as
+    older files carry. Any other value would describe a model this version
+    cannot build, so it is rejected. The parameter arrays must match the
+    model's names and shapes exactly.
     """
     try:
         with np.load(path) as data:
@@ -165,6 +167,12 @@ def load_model(path) -> FullModel:
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ModelFileError(f"{path}: not a readable model file ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ModelFileError(f"{path}: not a readable model file (metadata is not an object)")
+    version = meta.pop("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ModelFileError(f"{path}: unsupported format_version {version!r} "
+                             f"(this version reads {FORMAT_VERSION})")
     names = {f.name for f in dataclasses.fields(ModelConfig)}
     unsupported = {k: v for k, v in meta.items()
                    if k not in names | {"feature_widths"} and v is not False}

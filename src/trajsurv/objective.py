@@ -55,6 +55,13 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
     return min(k, bins.count - 1)
 
 
+def label_bins(labels: Sequence[SurvivalLabel], bins: TimeBins) -> np.ndarray:
+    """(n, 2) integer rows of each label's bin (as `label_to_bin`) and event flag."""
+    times = np.array([lab.time for lab in labels], dtype=np.float64)
+    k = np.minimum(np.searchsorted(bins.edges, times, side="right") - 1, bins.count - 1)
+    return np.stack([k, [lab.event for lab in labels]], axis=1).astype(np.intp)
+
+
 def clamp01(h: Tensor, eps: float = CLAMP_EPS) -> Tensor:
     """On-tape clamp of every entry into [eps, 1-eps] via relu composition."""
     lo = ad.constant(np.full(h.shape, eps))
@@ -62,13 +69,13 @@ def clamp01(h: Tensor, eps: float = CLAMP_EPS) -> Tensor:
     return ad.sub(ad.add(lo, ad.relu(ad.sub(h, lo))), ad.relu(ad.sub(h, hi)))
 
 
-def discrete_nll(hazards: Tensor, labels: Sequence[SurvivalLabel], bins: TimeBins) -> Tensor:
-    """Mean negative log-likelihood of a batch given its B x K hazard rows."""
+def discrete_nll(hazards: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:
+    """Mean negative log-likelihood of a batch given its B x K hazard rows and
+    the (B, 2) bin and event rows of its labels (`label_bins`)."""
     K = bins.count
-    if hazards.shape != (len(labels), K) or not labels:
+    if hazards.shape != (len(labels), K) or not len(labels):
         raise ad.ShapeMismatchError("discrete-nll", hazards.shape, (len(labels), K))
-    k = np.array([label_to_bin(lab.time, bins) for lab in labels])[:, None]
-    event = np.array([lab.event for lab in labels])[:, None]
+    k, event = labels[:, :1], labels[:, 1:]
     cols = np.arange(K)[None, :]
     event_mask = ((cols == k) & (event == 1)).astype(np.float64)
     surv_mask = (cols < k + 1 - event).astype(np.float64)

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .cohort import PatientRecord, augment, record_to_graph
-from .graph import GraphBatch, PatientGraph, batch_graphs
+from .cohort import PatientRecord, augment, cohort_arrays
+from .graph import GraphBatch
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
 from .objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                        adamw_step, discrete_nll, early_stop, plateau_schedule)
+                        adamw_step, discrete_nll, early_stop, label_bins, plateau_schedule)
 
 
 @dataclass(frozen=True)
@@ -42,21 +41,22 @@ class TrainResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _mean_loss(model: FullModel, graphs: Sequence[PatientGraph] | GraphBatch,
-               dfs: Sequence[SurvivalLabel], os_labels: Sequence[SurvivalLabel],
+def _mean_loss(model: FullModel, batch: GraphBatch, labels: dict[str, np.ndarray],
                bins: TimeBins, weights: LossWeights):
-    """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape."""
-    out = model.forward(graphs)
-    os_nll = discrete_nll(out.os_hazards, os_labels, bins)
-    dfs_nll = discrete_nll(out.dfs_hazards, dfs, bins)
+    """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape; `labels`
+    maps each task to the batch's bin and event rows (`label_bins`)."""
+    out = model.forward(batch)
+    os_nll = discrete_nll(out.os_hazards, labels["os"], bins)
+    dfs_nll = discrete_nll(out.dfs_hazards, labels["dfs"], bins)
     return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
                   ad.mul(ad.constant([[weights.beta]]), dfs_nll))
 
 
-def patient_loss(model: FullModel, graph: PatientGraph, dfs: SurvivalLabel,
+def patient_loss(model: FullModel, graph: GraphBatch, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
-    """The loss of one patient: a batch of one."""
-    return _mean_loss(model, [graph], [dfs], [os_label], bins, weights)
+    """The loss of one patient, whose graph is a batch of one."""
+    labels = {"dfs": label_bins([dfs], bins), "os": label_bins([os_label], bins)}
+    return _mean_loss(model, graph, labels, bins, weights)
 
 
 def train_model(model: FullModel, train_records: list[PatientRecord],
@@ -67,7 +67,8 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     Validation is evaluated once per epoch on the combined loss; the plateau
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
-    variants, re-drawn every epoch from epoch-derived seeds.
+    variants, re-drawn every epoch from epoch-derived seeds. Each set is
+    turned into arrays once; every batch is a slice of them.
     """
     if not train_records or not val_records:
         raise ValueError("need nonempty train and validation sets")
@@ -78,10 +79,9 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
 
-    train_graphs = [record_to_graph(r) for r in train_records]
-    val_batch = batch_graphs([record_to_graph(r) for r in val_records])
-    val_dfs = [r.dfs for r in val_records]
-    val_os = [r.os for r in val_records]
+    train = cohort_arrays(train_records, bins)
+    val = cohort_arrays(val_records, bins)
+    val_batch = val.batch()
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
@@ -92,27 +92,21 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(len(train_records))
-        epoch_items: list[tuple[PatientGraph, SurvivalLabel, SurvivalLabel]] = []
-        for i in order:
-            rec = train_records[i]
-            if settings.augment:
-                variant_seed = int(np.random.SeedSequence(
-                    [settings.seed, 2, epoch, int(i)]).generate_state(1)[0])
-                for g in augment(train_graphs[i], variant_seed):
-                    epoch_items.append((g, rec.dfs, rec.os))
-            else:
-                epoch_items.append((train_graphs[i], rec.dfs, rec.os))
+        items = train.take(order)
+        if settings.augment:
+            items = augment(items, [int(np.random.SeedSequence(
+                [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
 
         train_losses = []
-        for start in range(0, len(epoch_items), settings.batch_size):
-            graphs, dfs, os_labels = zip(*epoch_items[start:start + settings.batch_size])
-            loss = _mean_loss(model, graphs, dfs, os_labels, bins, weights)
+        for start in range(0, len(items), settings.batch_size):
+            part = items.take(slice(start, start + settings.batch_size))
+            loss = _mean_loss(model, part.batch(), part.labels, bins, weights)
             grads = ad.backward(loss, params=[p for _, p in params])
             adamw_step(params, grads, state, hyper)
             train_losses.append(loss.item())
 
         with ad.no_grad(p for _, p in params):
-            val_loss = _mean_loss(model, val_batch, val_dfs, val_os, bins, weights).item()
+            val_loss = _mean_loss(model, val_batch, val.labels, bins, weights).item()
         train_loss = float(np.mean(train_losses))
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{val_loss:.6f}\t{state.lr:.3e}")
         result.history.append((epoch, train_loss, val_loss, state.lr))

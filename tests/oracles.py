@@ -146,3 +146,46 @@ def concat_step(backbone, h, e_t, src, dst, attr, w):
             agg[i] = weights @ msgs
         pre = x @ w["w_self"] + agg @ w["w_neigh"] + w["b_msg"]
     return np.maximum(pre, 0.0) @ w["w_out"] + w["b_out"]
+
+
+def star_operators(record, offset_scale=100.0):
+    """One patient's operators, written out from the edge rules with loops.
+
+    Slots follow `NodeKind` order: regions 0-4, the summary node 5 and the
+    clinical node 6. Every present region k has a spatial edge 5 - k carrying
+    clip((centroid_k - mean present centroid) / offset_scale, -1, 1) and a
+    context edge 6 - k carrying 0; each edge gives two arcs, the reverse one
+    with its attribute negated. Returns the dense 7 x 7 in-neighbour mean,
+    the 7 x 3 mean in-arc attribute, the 7 x 7 gcn normalisation over the
+    slots in use, and the arcs as (source, target, attribute) triples.
+    """
+    from trajsurv.graph import ANATOMICAL_KINDS
+
+    present = [k for k, kind in enumerate(ANATOMICAL_KINDS) if record.regions[kind].present]
+    centroids = {k: record.regions[ANATOMICAL_KINDS[k]].centroid for k in present}
+    centre = sum(centroids[k] for k in present) / len(present)
+    arcs = []
+    for k in present:
+        offset = np.clip((centroids[k] - centre) / offset_scale, -1.0, 1.0)
+        for hub, attr in ((5, offset), (6, np.zeros(3))):
+            arcs.append((hub, k, attr))
+            arcs.append((k, hub, -attr))
+    used = present + [5, 6]
+    mean = np.zeros((7, 7))
+    attr_mean = np.zeros((7, 3))
+    for t in range(7):
+        into = [(s, a) for s, d, a in arcs if d == t]
+        for s, a in into:
+            mean[t, s] += 1.0 / len(into)
+            attr_mean[t] += a / len(into)
+    adj = np.zeros((7, 7))
+    for i in used:
+        adj[i, i] = 1.0
+    for s, d, _ in arcs:
+        adj[d, s] = 1.0
+    deg = adj.sum(axis=1)
+    norm = np.zeros((7, 7))
+    for i in used:
+        for j in used:
+            norm[i, j] = adj[i, j] / np.sqrt(deg[i] * deg[j])
+    return {"mean": mean, "attr_mean": attr_mean, "norm": norm, "arcs": arcs}

@@ -21,13 +21,12 @@ from trajsurv.cohort import (Scenario, oracle_cindex, record_to_graph,
 from trajsurv.config import RunConfig
 from trajsurv.crossval import run_ablation, run_crossval
 from trajsurv.evolution import BACKBONES, evolve, init_evolution, readout
-from trajsurv.graph import batch_graphs
 from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_time,
                             survival_from_hazards)
 from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
                               harrell_cindex, integrated_brier, km_censoring_survival,
                               mae_uncensored, time_dependent_auc)
-from trajsurv.objective import SurvivalLabel, discrete_nll
+from trajsurv.objective import SurvivalLabel, discrete_nll, label_bins
 
 SEED = 0
 
@@ -65,9 +64,8 @@ def test_01_gradient_fidelity():
 def test_02_residual_identity():
     records, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
                                                                clinical_len=3))
-    graph = record_to_graph(records[0])
-    batch = batch_graphs([graph])
-    h0 = ad.constant(np.random.default_rng(9).normal(size=(graph.num_nodes, 8)))
+    batch = record_to_graph(records[0])
+    h0 = ad.constant(np.random.default_rng(9).normal(size=(batch.n_nodes, 8)))
     base = readout(h0, batch.pool).data.tobytes()
     mismatches = 0
     checked = 0
@@ -169,10 +167,11 @@ def test_05_nll_closed_forms():
 
     labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
     rows = [hz([0.5]), hz([0.5]), hz([0.2, 0.5])]
-    per = [discrete_nll(h, [lab], bins).item() for h, lab in zip(rows, labels)]
+    per = [discrete_nll(h, label_bins([lab], bins), bins).item()
+           for h, lab in zip(rows, labels)]
     errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
-    together = discrete_nll(ad.constant(np.vstack([h.data for h in rows])), labels,
-                            bins).item()
+    together = discrete_nll(ad.constant(np.vstack([h.data for h in rows])),
+                            label_bins(labels, bins), bins).item()
     mean_gap = abs(together - float(np.mean(per)))
 
     verdict(5, "closed-form likelihood values and batch-mean linearity",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from trajsurv import autodiff as ad
 
 
-# 3 x 3 with an empty row, an empty column and a duplicated entry.
-SPARSE = ad.SparseRows([0, 0, 2, 2, 0], [1, 0, 0, 1, 1], [0.5, -1.0, 2.0, 3.0, 0.25], (3, 3))
+# Three 2 x 1 blocks, one of them zero: a 6 x 3 block-diagonal matrix.
+BLOCKS = ad.Blocks([[[0.5], [-1.0]], [[0.0], [0.0]], [[2.0], [3.0]]])
 
 
 def params_of(*arrays):
@@ -166,7 +166,7 @@ class TestBackwardExamples:
         x = ad.parameter(rng.normal(size=(3, 3)))
 
         def run():
-            y = ad.spmm(SPARSE, ad.matmul(x, ad.tanh(x)))
+            y = ad.spmm(BLOCKS, ad.matmul(x, ad.tanh(x)))
             return ad.backward(ad.sum_all(y), params=[x])[x].data.copy()
 
         assert np.array_equal(run(), run())
@@ -202,7 +202,7 @@ def _fd_builders():
     cases["log"] = ([pl], lambda: ad.sum_all(ad.log(pl)))
     cases["sum-all"] = ([x], lambda: ad.sum_all(x))
     cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
-        ad.spmm(SPARSE, x), ad.constant(np.arange(12.0).reshape(3, 4)))))
+        ad.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
     return cases
 
 
@@ -246,25 +246,20 @@ class TestGradCheck:
         assert err <= 1e-6
 
 
-def _dense(rows, cols, vals, shape):
-    dense = np.zeros(shape)
-    np.add.at(dense, (rows, cols), vals)
-    return dense
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(0, 12),
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
        st.integers(0, 2 ** 31 - 1))
-def test_spmm_matches_dense_product(n, m, c, nnz, seed):
-    # Random entries, duplicates included, leave some rows and columns empty.
+def test_spmm_matches_dense_product(count, r, c, m, seed):
+    # Random blocks with some zero entries, applied against their block diagonal.
     rng = np.random.default_rng(seed)
-    rows, cols = rng.integers(0, n, nnz), rng.integers(0, m, nnz)
-    vals = rng.normal(size=nnz)
-    dense = _dense(rows, cols, vals, (n, m))
-    x = ad.parameter(rng.normal(size=(m, c)))
-    y = ad.spmm(ad.SparseRows(rows, cols, vals, (n, m)), x)
+    blocks = rng.normal(size=(count, r, c)) * (rng.random(size=(count, r, c)) < 0.7)
+    dense = np.zeros((count * r, count * c))
+    for b in range(count):
+        dense[b * r:(b + 1) * r, b * c:(b + 1) * c] = blocks[b]
+    x = ad.parameter(rng.normal(size=(count * c, m)))
+    y = ad.spmm(ad.Blocks(blocks), x)
     np.testing.assert_allclose(y.data, dense @ x.data, rtol=0, atol=1e-12)
-    g = rng.normal(size=(n, c))
+    g = rng.normal(size=(count * r, m))
     grad = ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))), params=[x])[x].data
     np.testing.assert_allclose(grad, dense.T @ g, rtol=0, atol=1e-12)
 
@@ -282,11 +277,12 @@ def test_no_grad_keeps_no_tape_and_restores_leaves():
 
 
 def test_spmm_shape_and_index_errors():
-    s = ad.SparseRows([0, 1], [1, 0], 1.0, (2, 2))
+    s = ad.Blocks(np.ones((2, 1, 1)))
+    assert s.shape == (2, 2)
     with pytest.raises(ad.ShapeMismatchError, match="spmm"):
         ad.spmm(s, ad.constant(np.ones((3, 1))))
     with pytest.raises(ad.ShapeMismatchError):
-        ad.SparseRows([0, 2], [0, 0], 1.0, (2, 2))
+        ad.Blocks(np.ones((2, 2)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -306,18 +302,24 @@ def test_primitive_forward_dispatch():
         ad.primitive_forward("unknown-op", [])
 
 
-def test_sparse_rows_slots_hold_only_rows_with_that_entry():
-    # SPARSE rows: 0 has entries (1, .5), (0, -1), (1, .25); 1 none; 2 has (0, 2), (1, 3).
-    (r0, c0, v0), (r1, c1, v1), (r2, c2, v2) = SPARSE.slots
-    assert r0.tolist() == [0, 2] and c0.tolist() == [1, 0] and v0.tolist() == [0.5, 2.0]
-    assert r1.tolist() == [0, 2] and c1.tolist() == [0, 1] and v1.tolist() == [-1.0, 3.0]
-    assert r2.tolist() == [0] and c2.tolist() == [1] and v2.tolist() == [0.25]
-    # A slot covering every row in order, with unit values, is a plain gather.
-    (rows, cols, vals), = ad.SparseRows([1, 0], [2, 2], 1.0, (2, 3)).slots
-    assert rows is None and vals is None and cols.tolist() == [2, 2]
+def test_blocks_transpose_is_the_transposed_stack_built_once():
+    t = BLOCKS.T
+    assert t is BLOCKS.T
+    assert t.shape == (3, 6)
+    assert np.array_equal(t.blocks, BLOCKS.blocks.transpose(0, 2, 1))
 
 
-def test_sparse_apply_ignores_unreferenced_nonfinite_rows():
-    x = np.array([[1.0], [np.inf], [2.0]])
-    out = ad.SparseRows([0, 1], [0, 2], [3.0, 1.0], (2, 3)).apply(x)
-    assert np.array_equal(out, [[3.0], [2.0]])
+def test_blocks_with_a_transpose_are_freed_without_the_cycle_collector():
+    # A reference cycle would keep every batch's blocks alive until a full
+    # collection, raising peak memory.
+    import gc
+    import weakref
+    blocks = ad.Blocks(np.ones((2, 3, 4)))
+    assert blocks.T.shape == (8, 6)
+    ref = weakref.ref(blocks)
+    gc.disable()
+    try:
+        del blocks
+        assert ref() is None
+    finally:
+        gc.enable()

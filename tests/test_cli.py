@@ -135,7 +135,7 @@ class TestTrainEvaluate:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array",
-                                      "row_for_matrix", "unknown_array"))
+                                      "row_for_matrix", "unknown_array", "meta_not_object"))
     def test_evaluate_corrupt_model_file_is_data_error(self, tmp_path, capsys, kind):
         bad = tmp_path / "model.npz"
         if kind == "text":
@@ -190,6 +190,7 @@ CORRUPTIONS = {
     # One row of an 8 x 8 matrix would broadcast over all of its rows.
     "row_for_matrix": lambda a: a.update({"op.w_out": a["op.w_out"][:1]}),
     "unknown_array": lambda a: a.update({"op.w_extra": np.zeros((8, 8))}),
+    "meta_not_object": lambda a: a.update({"__meta__": np.frombuffer(b"[1, 2]", dtype=np.uint8)}),
 }
 
 
@@ -208,6 +209,58 @@ def test_removed_switch_loads_only_when_false(tmp_path):
     load_model(save_untrained_model(tmp_path, {"static_no_update": False}))
     with pytest.raises(ModelFileError, match="static_no_update"):
         load_model(save_untrained_model(tmp_path, {"static_no_update": True}))
+
+
+def test_saved_model_carries_format_version(tmp_path):
+    with np.load(save_untrained_model(tmp_path)) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    assert meta["format_version"] == 1
+
+
+def test_file_without_format_version_reads_as_version_1(tmp_path):
+    path = save_untrained_model(tmp_path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    del meta["format_version"]
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    assert load_model(path).config.hidden_dim == 8
+
+
+@pytest.mark.parametrize("version", (2, 0, "1", True, None))
+def test_other_format_version_rejected(tmp_path, version):
+    with pytest.raises(ModelFileError, match="unsupported format_version"):
+        load_model(save_untrained_model(tmp_path, {"format_version": version}))
+
+
+def test_evaluate_other_format_version_is_data_error(tmp_path, capsys):
+    model_path = save_untrained_model(tmp_path, {"format_version": 2})
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="v.json", cohort=cohort)
+    code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "v"),
+                 "--model", str(model_path)])
+    assert code == EXIT_DATA
+    assert "unsupported format_version 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ("features", "centroid", "clinical"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+def test_nonfinite_cohort_value_is_data_error(tmp_path, capsys, field, value):
+    cohort = simulate_into(tmp_path)
+    doc = json.loads(cohort.read_text())
+    patient = doc["patients"][3]
+    if field == "clinical":
+        patient["clinical"][0] = value
+        message = "patient sim0003: clinical features must be finite"
+    else:
+        patient["regions"]["tumors"][field][0] = value
+        message = f"patient sim0003: region tumors {field} must be finite"
+    cohort.write_text(json.dumps(doc))
+    config = write_config(tmp_path, name="n.json", cohort=cohort)
+    code = main(["crossval", "--config", str(config), "--out", str(tmp_path / "n")])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 class TestAblate:

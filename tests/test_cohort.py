@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from trajsurv.cohort import (CohortError, PatientRecord, RegionData, Scenario,
-                             augment, load_cohort, oracle_cindex, record_to_graph,
-                             save_cohort, simulate_cohort, stratified_repeated_kfold)
-from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, validate_graph
+                             augment, cohort_arrays, load_cohort, oracle_cindex,
+                             record_to_graph, save_cohort, simulate_cohort,
+                             stratified_repeated_kfold)
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 
 
 def tiny_record(pid, os_t, os_e, dfs_t=None, dfs_e=None):
@@ -36,9 +37,9 @@ class TestRecordValidation:
 
     def test_record_to_graph_skips_absent_regions(self):
         g = record_to_graph(tiny_record("p3", 2.0, 1))
-        assert g.num_nodes == 3
-        assert not g.is_present(NodeKind.METASTATIC_TUMORS)
-        assert validate_graph(g) == []
+        assert g.size == 1 and g.n_nodes == 7
+        assert g.slots[0].tolist() == [True, False, False, False, False, True, True]
+        assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
 
 
 class TestCohortFile:
@@ -78,6 +79,25 @@ class TestCohortFile:
         doc["patients"][4]["regions"]["tumors"]["features"] = [1.0, 2.0]
         path.write_text(json.dumps(doc))
         with pytest.raises(CohortError, match="sim0004.*tumors.*length 8"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("field", ("features", "centroid", "clinical"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+    def test_nonfinite_value_names_patient_and_field(self, tmp_path, field, value):
+        records, _ = simulate_cohort(10, seed=0)
+        path = tmp_path / "c.json"
+        save_cohort(records, path, region_len=8, clinical_len=6)
+        import json
+        doc = json.loads(path.read_text())
+        patient = doc["patients"][3]
+        if field == "clinical":
+            patient["clinical"][1] = value
+            message = "patient sim0003: clinical features must be finite"
+        else:
+            patient["regions"]["liver"][field][1] = value
+            message = f"patient sim0003: region liver {field} must be finite"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CohortError, match=message):
             load_cohort(path)
 
     def test_dfs_exceeding_os_rejected_on_load(self, tmp_path):
@@ -165,8 +185,11 @@ class TestSimulator:
 
     def test_every_record_builds_a_clean_graph(self):
         records, _ = simulate_cohort(10, seed=6)
-        for r in records:
-            assert validate_graph(record_to_graph(r)) == []
+        data = cohort_arrays(records)
+        assert data.present.all()
+        assert np.isfinite(data.offsets).all() and np.abs(data.offsets).max() <= 1.0
+        np.testing.assert_allclose(data.global_features, data.regions.mean(axis=1),
+                                   rtol=0, atol=1e-15)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -233,55 +256,78 @@ class TestSplits:
 
 
 class TestAugment:
-    def source_graph(self):
+    def source(self, n=1):
         records, _ = simulate_cohort(10, seed=11)
-        return record_to_graph(records[0])
+        return cohort_arrays(records[:n])
 
     def test_original_comes_first_untouched(self):
-        g = self.source_graph()
-        out = augment(g, seed=0)
-        assert len(out) == 5
-        assert out[0] is g
+        data = self.source(n=2)
+        out = augment(data, seeds=[0, 1])
+        assert len(out) == 10
+        for i, row in ((0, 0), (1, 5)):
+            assert np.array_equal(out.regions[row], data.regions[i])
+            assert np.array_equal(out.present[row], data.present[i])
+            assert np.array_equal(out.offsets[row], data.offsets[i])
+            assert np.array_equal(out.global_features[row], data.global_features[i])
+            assert np.array_equal(out.clinical[row], data.clinical[i])
 
     def test_zero_noise_zero_dropout_is_identity(self):
-        g = self.source_graph()
-        for variant in augment(g, seed=0, dropout_p=0.0, sigma=0.0)[1:]:
-            assert variant.num_nodes == g.num_nodes
-            for kind in g.order:
-                assert np.array_equal(variant.nodes[kind].features,
-                                      g.nodes[kind].features)
+        data = self.source()
+        out = augment(data, seeds=[0], dropout_p=0.0, sigma=0.0)
+        for name in ("regions", "present", "offsets", "global_features", "clinical"):
+            assert np.array_equal(getattr(out, name), np.repeat(getattr(data, name), 5, axis=0))
 
     def test_full_dropout_keeps_one_region(self):
-        g = self.source_graph()
-        for variant in augment(g, seed=1, dropout_p=1.0)[1:]:
-            present = [k for k in ANATOMICAL_KINDS if variant.is_present(k)]
-            assert len(present) == 1
-            assert variant.num_nodes == 3
+        out = augment(self.source(), seeds=[1], dropout_p=1.0)
+        for row in range(1, 5):
+            assert out.present[row].tolist() == [False] * 4 + [True]
+            assert not out.regions[row, :4].any() and not out.offsets[row, :4].any()
 
     def test_hubs_always_survive(self):
-        g = self.source_graph()
-        for variant in augment(g, seed=2, dropout_p=0.5):
-            assert variant.is_present(NodeKind.GLOBAL_CT)
-            assert variant.is_present(NodeKind.CLINICAL)
+        out = augment(self.source(), seeds=[2], dropout_p=0.5)
+        batch = out.batch()
+        assert batch.slots[:, 5:].all()
+        assert out.present.any(axis=1).all()
 
     def test_fixed_seed_reproducible(self):
-        g = self.source_graph()
-        a = augment(g, seed=5)
-        b = augment(g, seed=5)
-        for va, vb in zip(a, b):
-            assert va.order == vb.order
-            for kind in va.order:
-                assert np.array_equal(va.nodes[kind].features,
-                                      vb.nodes[kind].features)
+        a = augment(self.source(n=3), seeds=[5, 6, 7])
+        b = augment(self.source(n=3), seeds=[5, 6, 7])
+        for name in ("regions", "present", "offsets", "global_features", "clinical"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_variants_validate_clean(self):
-        g = self.source_graph()
-        for variant in augment(g, seed=3, dropout_p=0.3, sigma=0.5):
-            assert validate_graph(variant) == []
+        data = self.source()
+        out = augment(data, seeds=[3], dropout_p=0.3, sigma=0.5)
+        for row in range(5):
+            kept = out.present[row]
+            assert kept.any() and not (kept & ~data.present[0]).any()
+            assert np.array_equal(out.offsets[row, kept], data.offsets[0, kept])
+            assert not out.regions[row, ~kept].any() and not out.offsets[row, ~kept].any()
 
     def test_noise_actually_perturbs(self):
-        g = self.source_graph()
-        variant = augment(g, seed=4, dropout_p=0.0, sigma=0.1)[1]
-        kind = NodeKind.LIVER_PARENCHYMA
-        assert not np.array_equal(variant.nodes[kind].features,
-                                  g.nodes[kind].features)
+        data = self.source()
+        out = augment(data, seeds=[4], dropout_p=0.0, sigma=0.1)
+        assert not np.array_equal(out.regions[1, 0], data.regions[0, 0])
+
+    def test_variants_match_pinned_draws(self):
+        # Drawn by the graph-object augment this one replaced: the same random
+        # draws in the same order give the same variants.
+        out = augment(self.source(), seeds=[5], dropout_p=0.3, sigma=0.2)
+        assert out.present.astype(int).tolist() == [
+            [1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]]
+        assert out.global_features[:, 0].tolist() == [
+            -0.27733850412107686, -0.3119695490934833, -0.47154577982529,
+            -0.3386258894914517, 0.1546575898347256]
+        assert out.clinical[:, -1].tolist() == [
+            0.37196257958719037, -0.027600758902753875, 0.12010114781154485,
+            0.4965969543257037, 0.7473463780780256]
+        assert out.regions[[0, 3, 4], 4, 1].tolist() == [
+            -0.2506696164506272, -0.24104581965265948, -0.3604585735634802]
+
+    def test_labels_follow_their_patient(self):
+        records, _ = simulate_cohort(10, seed=11)
+        from trajsurv.heads import annual_bins
+        data = cohort_arrays(records[:3], annual_bins(12))
+        out = augment(data, seeds=[0, 1, 2])
+        for task in ("os", "dfs"):
+            assert np.array_equal(out.labels[task], np.repeat(data.labels[task], 5, axis=0))

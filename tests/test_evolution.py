@@ -4,37 +4,32 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.cohort import record_to_graph, simulate_cohort
+from trajsurv.cohort import cohort_arrays, record_to_graph, simulate_cohort
 from trajsurv.crossval import _feature_widths
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
                                 init_evolution, init_time_table, readout,
                                 residual_update, rows_of, segment_softmax,
                                 uniform_weight)
-from trajsurv.graph import (ANATOMICAL_KINDS, Edge, EdgeKind, Node, NodeKind, PatientGraph,
-                            batch_graphs, build_patient_graph, mean_pool)
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss
 
 import oracles
+from test_graph import make_graph, make_record
 
 D = 4
 DT = 2
 DIN = D + DT
+LIVER, SUMMARY, CLINICAL = 0, 5, 6
 
 
-def two_node_graph():
-    """Liver <-> summary pair joined by one zero-offset spatial edge."""
-    nodes = {NodeKind.LIVER_PARENCHYMA: Node(NodeKind.LIVER_PARENCHYMA, True,
-                                             np.zeros(D), np.zeros(3)),
-             NodeKind.GLOBAL_CT: Node(NodeKind.GLOBAL_CT, True, np.zeros(D), np.zeros(3))}
-    edges = [Edge(NodeKind.GLOBAL_CT, NodeKind.LIVER_PARENCHYMA,
-                  EdgeKind.SPATIAL_TOPOLOGY, np.zeros(3))]
-    return PatientGraph(patient_id="pair", nodes=nodes, edges=edges)
+def one_region_graph():
+    """The liver linked to both hubs, zero offset; rows 1-4 are padding."""
+    return make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,))
 
 
 def full_graph(seed=0):
-    from test_graph import make_graph
     return make_graph(seed=seed)
 
 
@@ -102,27 +97,26 @@ class TestResidualStep:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0))
         params.zero_weights()
         g = full_graph()
-        h = ad.constant(np.random.default_rng(1).normal(size=(g.num_nodes, D)))
-        delta = residual_step(h, time_embedding(0, params.time_table), batch_graphs([g]),
-                              params)
-        assert np.array_equal(delta.data, np.zeros((g.num_nodes, D)))
+        h = ad.constant(np.random.default_rng(1).normal(size=(g.n_nodes, D)))
+        delta = residual_step(h, time_embedding(0, params.time_table), g, params)
+        assert np.array_equal(delta.data, np.zeros((g.n_nodes, D)))
 
     def test_graphsage_single_neighbor_hand_case(self):
-        g = two_node_graph()
+        g = one_region_graph()
         params = identity_params("graphsage")
         rng = np.random.default_rng(3)
-        h = rng.normal(size=(2, D))
+        h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
-        # Each node's only in-neighbor is the other node: the message is
-        # relu([h_other ; e_t ; 0]) and the output projection keeps the first
+        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        # Each hub's only in-neighbor is the liver: the message is
+        # relu([h_liver ; e_t ; 0]) and the output projection keeps the first
         # D entries.
-        for i, j in ((0, 1), (1, 0)):
-            expected = np.maximum(np.concatenate([h[j], e_t[0], np.zeros(3)]), 0.0)[:D]
+        for i in (SUMMARY, CLINICAL):
+            expected = np.maximum(np.concatenate([h[LIVER], e_t[0], np.zeros(3)]), 0.0)[:D]
             assert np.allclose(delta.data[i], expected)
 
-    def test_gcn_two_node_hand_case(self):
-        g = two_node_graph()
+    def test_gcn_one_region_hand_case(self):
+        g = one_region_graph()
         params = EvolutionParams(
             backbone="gcn",
             w_self=ad.parameter(np.eye(DIN)),
@@ -133,59 +127,56 @@ class TestResidualStep:
             time_table=init_time_table(4, DT, np.random.default_rng(0)),
         )
         rng = np.random.default_rng(4)
-        h = rng.normal(size=(2, D))
+        h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
-        x = np.hstack([h, np.repeat(e_t, 2, axis=0)])
-        # With self-loops both degrees are 2, so every normalized weight is
-        # 1/2 and the aggregate is the two-node average.
-        mixed = np.maximum((x[0] + x[1]) / 2.0, 0.0)[:D]
-        assert np.allclose(delta.data[0], mixed)
-        assert np.allclose(delta.data[1], mixed)
+        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        x = np.hstack([h, np.repeat(e_t, 7, axis=0)])
+        # With self-loops the liver has degree 3 and each hub degree 2, so the
+        # weights are 1/3 on the liver's own row, 1/2 on a hub's own row and
+        # 1/sqrt(6) between the liver and a hub.
+        liver = x[LIVER] / 3.0 + (x[SUMMARY] + x[CLINICAL]) / np.sqrt(6.0)
+        assert np.allclose(delta.data[LIVER], np.maximum(liver, 0.0)[:D])
+        for hub in (SUMMARY, CLINICAL):
+            mixed = x[hub] / 2.0 + x[LIVER] / np.sqrt(6.0)
+            assert np.allclose(delta.data[hub], np.maximum(mixed, 0.0)[:D])
 
     def test_gat_equals_graphsage_when_each_node_has_one_neighbor(self):
-        g = two_node_graph()
+        # Every row but the liver's has at most one in-neighbor.
+        g = one_region_graph()
         sage = identity_params("graphsage")
         gat = identity_params("gat")
         rng = np.random.default_rng(5)
         gat.attn_u = uniform_weight(rng, 2 * DIN + 3, 4, "u")
         gat.attn_b = ad.parameter(np.zeros((1, 4)))
         gat.attn_v = uniform_weight(rng, 4, 1, "v")
-        h = ad.constant(rng.normal(size=(2, D)))
+        h = ad.constant(rng.normal(size=(7, D)))
         e_t = ad.constant(rng.normal(size=(1, DT)))
-        d_sage = residual_step(h, e_t, batch_graphs([g]), sage)
-        d_gat = residual_step(h, e_t, batch_graphs([g]), gat)
-        assert np.allclose(d_sage.data, d_gat.data)
+        d_sage = residual_step(h, e_t, g, sage)
+        d_gat = residual_step(h, e_t, g, gat)
+        assert np.allclose(d_sage.data[1:], d_gat.data[1:])
 
     @pytest.mark.parametrize("backbone", ("graphsage", "gat"))
     def test_isolated_node_gets_zero_neighbor_term(self, backbone):
-        nodes = {NodeKind.LIVER_PARENCHYMA: Node(NodeKind.LIVER_PARENCHYMA, True,
-                                                 np.zeros(D), np.zeros(3)),
-                 NodeKind.GLOBAL_CT: Node(NodeKind.GLOBAL_CT, True,
-                                          np.zeros(D), np.zeros(3)),
-                 NodeKind.CLINICAL: Node(NodeKind.CLINICAL, True, np.zeros(D))}
-        edges = [Edge(NodeKind.GLOBAL_CT, NodeKind.LIVER_PARENCHYMA,
-                      EdgeKind.SPATIAL_TOPOLOGY, np.zeros(3))]
-        g = PatientGraph(patient_id="iso", nodes=nodes, edges=edges)
+        g = one_region_graph()
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(2))
         rng = np.random.default_rng(6)
-        h = rng.normal(size=(3, D))
+        h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), batch_graphs([g]), params)
-        # The clinical row has no incident edges; only the self path remains.
-        x_iso = np.concatenate([h[2], e_t[0]]).reshape(1, -1)
+        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        # The portal veins' padding row has no arcs; only the self path remains.
+        x_iso = np.concatenate([h[3], e_t[0]]).reshape(1, -1)
         m = np.maximum(x_iso @ params.w_self.data + params.b_msg.data, 0.0)
         expected = m @ params.w_out.data + params.b_out.data
-        assert np.allclose(delta.data[2], expected[0])
+        assert np.allclose(delta.data[3], expected[0])
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_gradients_through_one_step(self, backbone):
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7))
         g = full_graph(seed=1)
-        h = ad.constant(np.random.default_rng(8).normal(size=(g.num_nodes, D)))
+        h = ad.constant(np.random.default_rng(8).normal(size=(g.n_nodes, D)))
 
         def f():
-            delta = residual_update(batch_graphs([g]), params)(h, 1)
+            delta = residual_update(g, params)(h, 1)
             return ad.sum_all(ad.tanh(delta))
 
         leaves = dict(params.named_leaves())
@@ -195,20 +186,24 @@ class TestResidualStep:
 class TestReadout:
     def test_identical_rows(self):
         r = np.array([[2.0, -1.0]])
-        out = readout(ad.constant(np.repeat(r, 4, axis=0)), mean_pool([4]))
+        g = make_graph(kinds=ANATOMICAL_KINDS[1:3])
+        out = readout(ad.constant(np.repeat(r, 7, axis=0)), g.pool)
         assert np.allclose(out.data, r)
 
     def test_hand_mean(self):
-        out = readout(ad.constant([[1.0, 3.0], [5.0, 7.0]]), mean_pool([2]))
-        assert np.array_equal(out.data, [[3.0, 5.0]])
+        # The liver and both hubs count; the padding rows do not.
+        h = np.full((7, 2), 100.0)
+        h[[LIVER, SUMMARY, CLINICAL]] = [[1.0, 3.0], [5.0, 7.0], [3.0, 2.0]]
+        out = readout(ad.constant(h), one_region_graph().pool)
+        np.testing.assert_allclose(out.data, [[3.0, 4.0]], rtol=0, atol=1e-15)
 
     def test_single_row_passthrough(self):
-        out = readout(ad.constant([[1.0, 2.0]]), mean_pool([1]))
+        out = readout(ad.constant([[1.0, 2.0]]), ad.Blocks(np.ones((1, 1, 1))))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            readout(ad.constant(np.zeros((0, 3))), mean_pool([0]))
+            readout(ad.constant(np.zeros((0, 3))), ad.Blocks(np.zeros((0, 1, 7))))
 
 
 class TestEvolve:
@@ -218,9 +213,9 @@ class TestEvolve:
         params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0))
         params.zero_weights()
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(9).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, batch_graphs([g]), params, horizon)
-        base = readout(h0, mean_pool([g.num_nodes])).data
+        h0 = ad.constant(np.random.default_rng(9).normal(size=(g.n_nodes, D)))
+        snaps = evolve(h0, g, params, horizon)
+        base = readout(h0, g.pool).data
         assert len(snaps) == horizon
         for z in snaps.z:
             assert np.array_equal(z.data, base)
@@ -228,8 +223,8 @@ class TestEvolve:
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.num_nodes, D)))
-        snaps = evolve(h0, batch_graphs([g]), params, 12)
+        h0 = ad.constant(np.zeros((g.n_nodes, D)))
+        snaps = evolve(h0, g, params, 12)
         assert len(snaps) == 12
         assert all(z.shape == (1, D) for z in snaps.z)
 
@@ -237,8 +232,8 @@ class TestEvolve:
         # With distinct time rows, consecutive increments differ.
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(3).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, batch_graphs([g]), params, 3, collect_states=True)
+        h0 = ad.constant(np.random.default_rng(3).normal(size=(g.n_nodes, D)))
+        snaps = evolve(h0, g, params, 3, collect_states=True)
         d1 = snaps.h_seq[1].data - snaps.h_seq[0].data
         d2 = snaps.h_seq[2].data - snaps.h_seq[1].data
         assert not np.allclose(d1, d2)
@@ -246,11 +241,11 @@ class TestEvolve:
     def test_horizon_bounds(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.num_nodes, D)))
+        h0 = ad.constant(np.zeros((g.n_nodes, D)))
         with pytest.raises(ValueError):
-            evolve(h0, batch_graphs([g]), params, 0)
+            evolve(h0, g, params, 0)
         with pytest.raises(IndexError):
-            evolve(h0, batch_graphs([g]), params, 5)
+            evolve(h0, g, params, 5)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_step(self):
@@ -258,15 +253,15 @@ class TestEvolve:
         params.w_out.data[:] = 1e300
         params.b_msg.data[:] = 1.0
         g = full_graph()
-        h0 = ad.constant(np.full((g.num_nodes, D), 1e10))
+        h0 = ad.constant(np.full((g.n_nodes, D), 1e10))
         with pytest.raises(ad.NonFiniteError, match="step 0"):
-            evolve(h0, batch_graphs([g]), params, 4)
+            evolve(h0, g, params, 4)
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(5).normal(size=(g.num_nodes, D)))
-        snaps = evolve(h0, batch_graphs([g]), params, 2, collect_states=True)
+        h0 = ad.constant(np.random.default_rng(5).normal(size=(g.n_nodes, D)))
+        snaps = evolve(h0, g, params, 2, collect_states=True)
         assert len(snaps.h_seq) == 3
         assert snaps.h_seq[0] is h0
 
@@ -282,97 +277,95 @@ def test_uniform_weight_bound_and_determinism():
 def test_batch_operators_built_once_match_fresh_batch():
     g = full_graph(seed=2)
     params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(3))
-    h = ad.constant(np.random.default_rng(4).normal(size=(g.num_nodes, D)))
+    h = ad.constant(np.random.default_rng(4).normal(size=(g.n_nodes, D)))
     e_t = time_embedding(0, params.time_table)
-    batch = batch_graphs([g])
-    first = residual_step(h, e_t, batch, params)
-    ops = batch.operators["graphsage"]
-    again = residual_step(h, e_t, batch, params)
-    assert batch.operators["graphsage"] is ops
-    fresh = residual_step(h, e_t, batch_graphs([g]), params)
+    first = residual_step(h, e_t, g, params)
+    ops = g.operators["graphsage"]
+    again = residual_step(h, e_t, g, params)
+    assert g.operators["graphsage"] is ops
+    fresh = residual_step(h, e_t, full_graph(seed=2), params)
     assert np.array_equal(again.data, first.data)
     assert np.array_equal(fresh.data, first.data)
 
 
+def mixed_records():
+    """Three patients: all regions, the hepatic veins missing, the liver alone."""
+    kinds = (ANATOMICAL_KINDS, ANATOMICAL_KINDS[:2] + ANATOMICAL_KINDS[3:],
+             (NodeKind.LIVER_PARENCHYMA,))
+    return [make_record(k, seed) for seed, k in enumerate(kinds)]
+
+
 def test_graphs_in_one_batch_match_graphs_alone():
-    graphs = [full_graph(seed=s) for s in range(3)]
-    graphs[1] = two_node_graph()
+    records = mixed_records()
     rng = np.random.default_rng(12)
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
-        hs = [rng.normal(size=(g.num_nodes, D)) for g in graphs]
+        hs = [rng.normal(size=(7, D)) for _ in records]
         e_t = time_embedding(1, params.time_table)
-        joint = residual_step(ad.constant(np.vstack(hs)), e_t, batch_graphs(graphs), params)
-        alone = [residual_step(ad.constant(h), e_t, batch_graphs([g]), params).data
-                 for h, g in zip(hs, graphs)]
+        joint = residual_step(ad.constant(np.vstack(hs)), e_t,
+                              cohort_arrays(records).batch(), params)
+        alone = [residual_step(ad.constant(h), e_t, record_to_graph(r), params).data
+                 for h, r in zip(hs, records)]
         np.testing.assert_allclose(joint.data, np.vstack(alone), rtol=0, atol=1e-12)
 
 
 class TestSegmentSoftmax:
     def batch(self):
-        # The summary node has three in-arcs; the clinical node (row 4) has none.
-        regions = (NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS, NodeKind.PORTAL_VEINS)
-        nodes = {k: Node(k, True, np.zeros(D), np.zeros(3))
-                 for k in (*regions, NodeKind.GLOBAL_CT)}
-        nodes[NodeKind.CLINICAL] = Node(NodeKind.CLINICAL, True, np.zeros(D))
-        edges = [Edge(NodeKind.GLOBAL_CT, k, EdgeKind.SPATIAL_TOPOLOGY, np.full(3, 0.5))
-                 for k in regions]
-        return batch_graphs([PatientGraph(patient_id="seg", nodes=nodes, edges=edges),
-                             two_node_graph()])
+        # Rows without in-arcs: the missing regions' padding rows.
+        return cohort_arrays(mixed_records()[1:]).batch()
 
     @pytest.mark.parametrize("scale", (1.0, 1000.0, -1000.0))
     def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
         batch = self.batch()
-        arcs = batch.dst.size
-        scores = np.random.default_rng(14).normal(size=(arcs, 1)) * scale
+        ops = adjacency(batch, "gat")
+        scores = np.random.default_rng(14).normal(size=(ops["at_dst"].shape[0], 1)) * scale
         alpha = segment_softmax(ad.constant(scores), batch).data
         assert np.isfinite(alpha).all() and (alpha >= 0).all()
-        per_node = np.bincount(batch.dst, weights=alpha[:, 0], minlength=batch.n_nodes)
-        has_arcs = np.bincount(batch.dst, minlength=batch.n_nodes) > 0
+        per_node = ops["sum_dst"].apply(alpha)[:, 0]
+        has_arcs = ops["sum_dst"].apply(np.ones_like(alpha))[:, 0] > 0
         assert not has_arcs.all()
         np.testing.assert_allclose(per_node[has_arcs], 1.0, rtol=0, atol=1e-12)
         assert (per_node[~has_arcs] == 0.0).all()
 
     def test_equal_extreme_scores_split_evenly(self):
         batch = self.batch()
-        alpha = segment_softmax(ad.constant(np.full((batch.dst.size, 1), 1000.0)), batch)
-        deg = np.bincount(batch.dst, minlength=batch.n_nodes)
-        np.testing.assert_allclose(alpha.data[:, 0], 1.0 / deg[batch.dst], rtol=0, atol=1e-15)
-
-
-def isolated_clinical_graph():
-    """Liver <-> summary pair plus a clinical node with no edges."""
-    g = two_node_graph()
-    g.nodes[NodeKind.CLINICAL] = Node(NodeKind.CLINICAL, True, np.zeros(D))
-    return PatientGraph(patient_id="iso", nodes=g.nodes, edges=g.edges)
+        ops = adjacency(batch, "gat")
+        arcs = ops["at_dst"].shape[0]
+        alpha = segment_softmax(ad.constant(np.full((arcs, 1), 1000.0)), batch).data
+        deg = ops["sum_dst"].apply(np.ones((arcs, 1)))
+        used = ops["at_dst"].apply(np.ones((batch.n_nodes, 1)))[:, 0] > 0
+        np.testing.assert_allclose(alpha[used, 0], 1.0 / ops["at_dst"].apply(deg)[used, 0],
+                                   rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("backbone", BACKBONES)
 def test_step_matches_concat_then_propagate_oracle(backbone):
     rng = np.random.default_rng(15)
-    kinds = ANATOMICAL_KINDS[:2] + ANATOMICAL_KINDS[3:]   # hepatic veins missing
-    missing = build_patient_graph({k: rng.normal(size=D) for k in kinds}, rng.uniform(size=D),
-                                  {k: rng.uniform(-50, 50, size=3) for k in kinds})
-    batch = batch_graphs([missing, isolated_clinical_graph(), two_node_graph()])
-    assert np.bincount(batch.dst, minlength=batch.n_nodes).min() == 0
+    records = mixed_records()
+    batch = cohort_arrays(records).batch()
     params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
     for _, leaf in params.named_leaves():
         leaf.data[:] = rng.normal(size=leaf.shape)
     h = rng.normal(size=(batch.n_nodes, D))
     delta = residual_update(batch, params)(ad.constant(h), 2)
     weights = {name[3:]: leaf.data for name, leaf in params.named_leaves()}
-    expected = oracles.concat_step(backbone, h, params.time_table.table.data[2:3],
-                                   batch.src, batch.dst, batch.attr, weights)
-    np.testing.assert_allclose(delta.data, expected, rtol=0, atol=1e-12)
+    for b, rec in enumerate(records):
+        src, dst, attr = zip(*oracles.star_operators(rec)["arcs"])
+        expected = oracles.concat_step(backbone, h[7 * b:7 * b + 7],
+                                       params.time_table.table.data[2:3],
+                                       src, dst, np.array(attr), weights)
+        used = batch.slots[b]
+        np.testing.assert_allclose(delta.data[7 * b:7 * b + 7][used], expected[used],
+                                   rtol=0, atol=1e-12)
 
 
 def one_batch_loss(backbone, n=64):
     records, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
     model = init_model(config, _feature_widths(records), np.random.default_rng(0))
-    batch = batch_graphs([record_to_graph(r) for r in records])
-    return model, batch, lambda: _mean_loss(model, batch, [r.dfs for r in records],
-                                            [r.os for r in records], config.bins(),
+    data = cohort_arrays(records, config.bins())
+    batch = data.batch()
+    return model, batch, lambda: _mean_loss(model, batch, data.labels, config.bins(),
                                             LossWeights())
 
 
@@ -391,14 +384,14 @@ def test_tape_node_count_of_one_batch_loss(backbone, nodes):
 
 
 def test_forwards_reuse_selectors_and_operators(monkeypatch):
-    # A second forward and backward on the same batch builds no sparse matrix:
+    # A second forward and backward on the same batch builds no block stack:
     # time-row and weight-block selectors, adjacency and transposes are reused.
     model, batch, loss = one_batch_loss("graphsage", n=12)
     params = [p for _, p in model.named_parameters()]
     ad.backward(loss(), params=params)
     built = []
-    init = ad.SparseRows.__init__
-    monkeypatch.setattr(ad.SparseRows, "__init__",
+    init = ad.Blocks.__init__
+    monkeypatch.setattr(ad.Blocks, "__init__",
                         lambda self, *a, **k: built.append(a) or init(self, *a, **k))
     ad.backward(loss(), params=params)
     assert built == []

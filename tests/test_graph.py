@@ -1,168 +1,212 @@
-"""Patient-graph construction, validation, and node embedding."""
+"""The 7-slot star layout: cohort arrays, batch blocks, and node embedding."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from trajsurv import autodiff as ad
-from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, EdgeKind, EmbeddingParams,
-                            GraphConstructionError, NodeKind, batch_graphs,
-                            build_patient_graph, embed_nodes, init_embedding,
-                            validate_graph)
+from trajsurv.cohort import (CohortError, PatientRecord, RegionData, cohort_arrays,
+                             load_cohort, record_to_graph, save_cohort, simulate_cohort)
+from trajsurv.evolution import adjacency
+from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, SLOTS, EmbeddingParams,
+                            GraphConstructionError, NodeKind, embed_nodes, init_embedding)
+from trajsurv.objective import SurvivalLabel
 
 F = 4
 CLIN = 3
 
 
-def make_graph(kinds=ANATOMICAL_KINDS, seed=0, centroids=None, scale=100.0):
+def make_record(kinds=ANATOMICAL_KINDS, seed=0, centroids=None, features=None):
     rng = np.random.default_rng(seed)
-    feats = {k: rng.normal(size=F) for k in kinds}
+    feats = {k: rng.normal(size=F) for k in kinds} if features is None else features
     if centroids is None:
         centroids = {k: rng.uniform(-50, 50, size=3) for k in kinds}
-    return build_patient_graph(feats, rng.uniform(0, 1, size=CLIN), centroids,
-                               patient_id="p0", offset_scale=scale)
+    regions = {k: RegionData(k in kinds, feats.get(k), centroids.get(k))
+               for k in ANATOMICAL_KINDS}
+    return PatientRecord("p0", regions, rng.uniform(0, 1, size=CLIN),
+                         SurvivalLabel(1.0, 1), SurvivalLabel(2.0, 0))
+
+
+def make_graph(kinds=ANATOMICAL_KINDS, seed=0, centroids=None):
+    return record_to_graph(make_record(kinds, seed, centroids))
+
+
+def arc_list(batch, patient=0):
+    """(source slot, target slot, attribute) of every arc in use."""
+    ops = adjacency(batch, "gat")
+    at_dst, at_src = ops["at_dst"].blocks[patient], ops["at_src"].blocks[patient]
+    attr = ops["attr"].data.reshape(batch.size, -1, EDGE_ATTR_DIM)[patient]
+    return [(int(at_src[a].argmax()), int(at_dst[a].argmax()), attr[a])
+            for a in range(at_dst.shape[0]) if at_dst[a].any()]
+
+
+def cohort_file(tmp_path, change):
+    """A saved 10-patient simulated cohort with `change` applied to its JSON."""
+    records, _ = simulate_cohort(10, seed=0)
+    path = tmp_path / "c.json"
+    save_cohort(records, path, region_len=8, clinical_len=6)
+    doc = json.loads(path.read_text())
+    change(doc["patients"][3])
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestBuild:
     def test_full_graph_has_seven_nodes_ten_edges(self):
         g = make_graph()
-        assert g.num_nodes == 7
-        assert len(g.edges) == 10
-        kinds = [e.kind for e in g.edges]
-        assert kinds.count(EdgeKind.SPATIAL_TOPOLOGY) == 5
-        assert kinds.count(EdgeKind.CLINICAL_CONTEXT) == 5
+        assert g.slots.shape == (1, SLOTS) and g.slots.all()
+        arcs = arc_list(g)
+        assert len(arcs) == 2 * 10
+        summary = list(NodeKind).index(NodeKind.GLOBAL_CT)
+        assert sum(1 for s, d, _ in arcs if summary in (s, d)) == 2 * 5
 
     def test_minimal_graph_three_nodes_two_edges(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,))
-        assert g.num_nodes == 3
-        assert len(g.edges) == 2
-        assert not g.is_present(NodeKind.METASTATIC_TUMORS)
+        assert g.slots.sum() == 3
+        assert len(arc_list(g)) == 2 * 2
+        assert not g.slots[0, list(NodeKind).index(NodeKind.METASTATIC_TUMORS)]
 
     def test_identical_centroids_give_zero_offset(self):
         c = np.array([10.0, 20.0, 30.0])
         g = make_graph(centroids={k: c.copy() for k in ANATOMICAL_KINDS})
-        for e in g.edges:
-            if e.kind is EdgeKind.SPATIAL_TOPOLOGY:
-                assert np.array_equal(e.attr, np.zeros(3))
+        assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
+        for _, _, attr in arc_list(g):
+            assert np.array_equal(attr, np.zeros(3))
 
     def test_summary_node_averages_present_regions(self):
-        g = make_graph()
-        stacked = np.stack([g.nodes[k].features for k in ANATOMICAL_KINDS])
-        assert np.allclose(g.nodes[NodeKind.GLOBAL_CT].features, stacked.mean(axis=0))
-        cents = np.stack([g.nodes[k].centroid for k in ANATOMICAL_KINDS])
-        assert np.allclose(g.nodes[NodeKind.GLOBAL_CT].centroid, cents.mean(axis=0))
+        kinds = ANATOMICAL_KINDS[:2] + ANATOMICAL_KINDS[3:]
+        rec = make_record(kinds=kinds)
+        data = cohort_arrays([rec])
+        stacked = np.stack([rec.regions[k].features for k in kinds])
+        np.testing.assert_allclose(data.global_features[0], stacked.mean(axis=0),
+                                   rtol=0, atol=1e-15)
+        # The offsets are taken from the mean present centroid, so they sum to 0.
+        np.testing.assert_allclose(data.offsets[0].sum(axis=0), 0.0, rtol=0, atol=1e-15)
+        assert np.array_equal(data.offsets[0, 2], np.zeros(3))
 
     def test_offsets_scaled_and_clamped(self):
         kinds = (NodeKind.LIVER_PARENCHYMA, NodeKind.METASTATIC_TUMORS)
         cents = {NodeKind.LIVER_PARENCHYMA: np.array([0.0, 0.0, 0.0]),
                  NodeKind.METASTATIC_TUMORS: np.array([500.0, 10.0, 0.0])}
-        g = make_graph(kinds=kinds, centroids=cents, scale=100.0)
-        spatial = {e.target: e.attr for e in g.edges
-                   if e.kind is EdgeKind.SPATIAL_TOPOLOGY}
+        g = make_graph(kinds=kinds, centroids=cents)
         # Summary centroid is (250, 5, 0); the x offset saturates at the clamp.
-        assert np.allclose(spatial[NodeKind.METASTATIC_TUMORS], [1.0, 0.05, 0.0])
-        assert np.allclose(spatial[NodeKind.LIVER_PARENCHYMA], [-1.0, -0.05, 0.0])
+        assert np.allclose(g.offsets[0, 4], [1.0, 0.05, 0.0])
+        assert np.allclose(g.offsets[0, 0], [-1.0, -0.05, 0.0])
 
     def test_context_edges_carry_zero_attr(self):
-        g = make_graph()
-        for e in g.edges:
-            if e.kind is EdgeKind.CLINICAL_CONTEXT:
-                assert np.array_equal(e.attr, np.zeros(EDGE_ATTR_DIM))
+        clinical = list(NodeKind).index(NodeKind.CLINICAL)
+        context = [attr for s, d, attr in arc_list(make_graph()) if clinical in (s, d)]
+        assert len(context) == 10
+        for attr in context:
+            assert np.array_equal(attr, np.zeros(EDGE_ATTR_DIM))
 
     def test_node_order_is_canonical(self):
         g = make_graph()
-        assert g.order == [NodeKind.LIVER_PARENCHYMA, NodeKind.FUTURE_LIVER_REMNANT,
-                           NodeKind.HEPATIC_VEINS, NodeKind.PORTAL_VEINS,
-                           NodeKind.METASTATIC_TUMORS, NodeKind.GLOBAL_CT,
-                           NodeKind.CLINICAL]
+        assert list(g.kinds) == list(NodeKind)
+        for j, (place, _) in enumerate(g.kinds.values()):
+            assert np.array_equal(place.blocks[0, :, 0], np.eye(SLOTS)[j])
 
     def test_no_regions_rejected(self):
-        with pytest.raises(GraphConstructionError, match="no anatomical region"):
-            build_patient_graph({}, np.zeros(CLIN), {})
+        regions = {k: RegionData(False) for k in ANATOMICAL_KINDS}
+        with pytest.raises(CohortError, match="p9: no region is present"):
+            PatientRecord("p9", regions, np.zeros(CLIN), SurvivalLabel(1.0, 1),
+                          SurvivalLabel(1.0, 1))
 
-    def test_wrong_region_length_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(GraphConstructionError, match="expected length"):
-            build_patient_graph({NodeKind.LIVER_PARENCHYMA: rng.normal(size=F)},
-                                np.zeros(CLIN),
-                                {NodeKind.LIVER_PARENCHYMA: np.zeros(3)},
-                                region_len=F + 1)
+    def test_wrong_region_length_rejected(self, tmp_path):
+        def shorten(patient):
+            patient["regions"]["liver"]["centroid"] = [1.0, 2.0]
+        with pytest.raises(CohortError, match="sim0003: region liver centroid must have length 3"):
+            load_cohort(cohort_file(tmp_path, shorten))
 
     def test_inconsistent_region_widths_rejected(self):
-        feats = {NodeKind.LIVER_PARENCHYMA: np.zeros(4),
-                 NodeKind.METASTATIC_TUMORS: np.zeros(5)}
-        cents = {k: np.zeros(3) for k in feats}
-        with pytest.raises(GraphConstructionError, match="widths differ"):
-            build_patient_graph(feats, np.zeros(CLIN), cents)
+        feats = {NodeKind.LIVER_PARENCHYMA: np.zeros(4), NodeKind.METASTATIC_TUMORS: np.zeros(5)}
+        rec = make_record(kinds=tuple(feats), features=feats)
+        with pytest.raises(ValueError):
+            cohort_arrays([rec])
 
-    def test_missing_centroid_rejected(self):
-        with pytest.raises(GraphConstructionError, match="centroid missing"):
-            build_patient_graph({NodeKind.LIVER_PARENCHYMA: np.zeros(F)},
-                                np.zeros(CLIN), {})
+    def test_missing_centroid_rejected(self, tmp_path):
+        def drop(patient):
+            del patient["regions"]["portal_veins"]["centroid"]
+        with pytest.raises(CohortError, match="sim0003: region portal_veins must have"):
+            load_cohort(cohort_file(tmp_path, drop))
 
-    def test_nonfinite_feature_rejected(self):
-        with pytest.raises(GraphConstructionError, match="non-finite"):
-            build_patient_graph({NodeKind.LIVER_PARENCHYMA: np.array([np.nan] * F)},
-                                np.zeros(CLIN),
-                                {NodeKind.LIVER_PARENCHYMA: np.zeros(3)})
+    def test_nonfinite_feature_rejected(self, tmp_path):
+        def poison(patient):
+            patient["regions"]["liver"]["features"][2] = float("nan")
+        with pytest.raises(CohortError, match="sim0003: region liver features must be finite"):
+            load_cohort(cohort_file(tmp_path, poison))
 
 
 class TestArcs:
     def test_two_arcs_per_edge_with_flipped_attr(self):
-        g = make_graph()
-        src, dst, attr = g.arc_arrays()
-        arcs = list(zip(src.tolist(), dst.tolist(), map(tuple, attr)))
-        assert len(arcs) == 2 * len(g.edges)
-        for e in g.edges:
-            s, t = g.row_of(e.source), g.row_of(e.target)
-            assert (s, t, tuple(e.attr)) in arcs
-            assert (t, s, tuple(-e.attr)) in arcs
+        arcs = arc_list(make_graph())
+        assert len(arcs) == 20
+        for s, d, attr in arcs:
+            assert sum(1 for s2, d2, a2 in arcs
+                       if (s2, d2) == (d, s) and np.array_equal(a2, -attr)) == 1
 
     def test_in_neighbors_degrees(self):
         g = make_graph()
-        _, dst, _ = g.arc_arrays()
         # Regions hear from the summary and clinical nodes; the hubs hear
-        # from every present region. Arcs come sorted by target.
-        assert np.bincount(dst, minlength=g.num_nodes).tolist() == [2, 2, 2, 2, 2, 5, 5]
-        assert (np.diff(dst) >= 0).all()
+        # from every present region.
+        mean = adjacency(g, "graphsage")["mean"].blocks[0]
+        assert (mean > 0).sum(axis=1).tolist() == [2, 2, 2, 2, 2, 5, 5]
+        np.testing.assert_allclose(mean.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_in_neighbors_row_indices_valid(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS))
-        src, dst, attr = g.arc_arrays()
-        assert ((0 <= src) & (src < g.num_nodes) & (0 <= dst) & (dst < g.num_nodes)).all()
-        assert attr.shape == (src.size, EDGE_ATTR_DIM)
+        ops = adjacency(g, "gat")
+        unused = ~g.slots[0]
+        for name in ("at_dst", "at_src"):
+            assert ops[name].blocks.shape == (1, 20, SLOTS)
+            assert not ops[name].blocks[0][:, unused].any()
+        assert ops["attr"].shape == (20, EDGE_ATTR_DIM)
 
 
 class TestValidate:
     def test_well_formed_graph_is_clean(self):
-        assert validate_graph(make_graph()) == []
+        rec = make_record(seed=4)
+        g = record_to_graph(rec)
+        expected = oracles.star_operators(rec)
+        np.testing.assert_allclose(adjacency(g, "graphsage")["mean"].blocks[0],
+                                   expected["mean"], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(adjacency(g, "gcn")["norm"].blocks[0], expected["norm"],
+                                   rtol=0, atol=1e-15)
 
-    def test_absent_clinical_node_flagged(self):
-        g = make_graph()
-        g.nodes[NodeKind.CLINICAL].present = False
-        g.order.remove(NodeKind.CLINICAL)
-        violations = validate_graph(g)
-        assert "clinical node absent" in violations
+    def test_absent_clinical_node_flagged(self, tmp_path):
+        # Every patient has a clinical node; the loader flags one without values.
+        def empty(patient):
+            patient["clinical"] = []
+        with pytest.raises(CohortError, match="sim0003: clinical features must have length 6"):
+            load_cohort(cohort_file(tmp_path, empty))
 
-    def test_dangling_edge_flagged(self):
-        g = make_graph()
-        g.nodes[NodeKind.METASTATIC_TUMORS].present = False
-        g.order.remove(NodeKind.METASTATIC_TUMORS)
-        assert any(v.startswith("dangling edge") for v in validate_graph(g))
 
-    def test_out_of_range_offset_flagged(self):
-        g = make_graph()
-        for e in g.edges:
-            if e.kind is EdgeKind.SPATIAL_TOPOLOGY:
-                e.attr[0] = 1.5
-                break
-        assert any("outside [-1,1]" in v for v in validate_graph(g))
-
-    def test_duplicate_spatial_edge_flagged(self):
-        g = make_graph()
-        g.edges.append(g.edges[0])
-        assert any("exactly one spatial edge" in v for v in validate_graph(g))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=5, max_size=5).filter(any),
+                min_size=1, max_size=4),
+       st.integers(0, 2 ** 31 - 1))
+def test_batch_blocks_match_star_oracle(patterns, seed):
+    # Each patient of the batch has its own presence pattern.
+    records = [make_record(tuple(k for k, on in zip(ANATOMICAL_KINDS, p) if on), seed + i)
+               for i, p in enumerate(patterns)]
+    batch = cohort_arrays(records).batch()
+    mean = adjacency(batch, "graphsage")
+    norm = adjacency(batch, "gcn")["norm"].blocks
+    for b, rec in enumerate(records):
+        expected = oracles.star_operators(rec)
+        np.testing.assert_allclose(mean["mean"].blocks[b], expected["mean"], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mean["attr_mean"].data[SLOTS * b:SLOTS * (b + 1)],
+                                   expected["attr_mean"], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(norm[b], expected["norm"], rtol=0, atol=1e-15)
+        got = sorted((s, d, tuple(a)) for s, d, a in arc_list(batch, b))
+        want = sorted((s, d, tuple(a)) for s, d, a in expected["arcs"])
+        assert [(s, d) for s, d, _ in got] == [(s, d) for s, d, _ in want]
+        np.testing.assert_allclose([a for *_, a in got], [a for *_, a in want],
+                                   rtol=0, atol=1e-15)
 
 
 class TestEmbedding:
@@ -176,57 +220,54 @@ class TestEmbedding:
         params = init_embedding(self.widths(), 6, np.random.default_rng(0))
         for _, leaf in params.named_leaves():
             leaf.data[:] = 0.0
-        h0 = embed_nodes(batch_graphs([make_graph()]), params)
+        h0 = embed_nodes(make_graph(), params)
         assert h0.shape == (7, 6)
         assert np.array_equal(h0.data, np.zeros((7, 6)))
 
     def test_identity_projection_reproduces_features(self):
-        g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,), seed=3)
+        rec = make_record(kinds=(NodeKind.LIVER_PARENCHYMA,), seed=3)
         params = EmbeddingParams(
-            weights={k: ad.parameter(np.eye(F if k is not NodeKind.CLINICAL else CLIN,
-                                            F))
-                     for k in (NodeKind.LIVER_PARENCHYMA, NodeKind.GLOBAL_CT,
-                               NodeKind.CLINICAL)},
-            biases={k: ad.parameter(np.zeros((1, F)))
-                    for k in (NodeKind.LIVER_PARENCHYMA, NodeKind.GLOBAL_CT,
-                              NodeKind.CLINICAL)})
-        h0 = embed_nodes(batch_graphs([g]), params)
-        assert np.allclose(h0.data[g.row_of(NodeKind.LIVER_PARENCHYMA)],
-                           g.nodes[NodeKind.LIVER_PARENCHYMA].features)
+            weights={k: ad.parameter(np.eye(CLIN if k is NodeKind.CLINICAL else F, F))
+                     for k in NodeKind},
+            biases={k: ad.parameter(np.zeros((1, F))) for k in NodeKind})
+        data = cohort_arrays([rec])
+        data.regions[0, 1:] = 7.0
+        h0 = embed_nodes(data.batch(), params)
+        assert np.allclose(h0.data[0], rec.regions[NodeKind.LIVER_PARENCHYMA].features)
+        # The missing regions' rows start at zero, whatever their feature slots hold.
+        assert np.array_equal(h0.data[1:5], np.zeros((4, F)))
 
     def test_hand_projection_example(self):
-        g = build_patient_graph({NodeKind.LIVER_PARENCHYMA: np.array([3.0, 5.0])},
-                                np.array([1.0]),
-                                {NodeKind.LIVER_PARENCHYMA: np.zeros(3)})
+        regions = {k: RegionData(False) for k in ANATOMICAL_KINDS}
+        regions[NodeKind.LIVER_PARENCHYMA] = RegionData(True, np.array([3.0, 5.0]), np.zeros(3))
+        rec = PatientRecord("hand", regions, np.array([1.0]), SurvivalLabel(1.0, 1),
+                            SurvivalLabel(1.0, 1))
         w = ad.parameter(np.array([[1.0, 0.0], [0.0, 2.0]]))
         params = EmbeddingParams(
-            weights={NodeKind.LIVER_PARENCHYMA: w, NodeKind.GLOBAL_CT: w,
+            weights={**{k: w for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: w,
                      NodeKind.CLINICAL: ad.parameter(np.array([[1.0, 1.0]]))},
-            biases={k: ad.parameter(np.zeros((1, 2)))
-                    for k in (NodeKind.LIVER_PARENCHYMA, NodeKind.GLOBAL_CT,
-                              NodeKind.CLINICAL)})
-        h0 = embed_nodes(batch_graphs([g]), params)
-        assert np.allclose(h0.data[g.row_of(NodeKind.LIVER_PARENCHYMA)], [3.0, 10.0])
+            biases={k: ad.parameter(np.zeros((1, 2))) for k in NodeKind})
+        h0 = embed_nodes(record_to_graph(rec), params)
+        assert np.allclose(h0.data[0], [3.0, 10.0])
+        assert np.allclose(h0.data[6], [1.0, 1.0])
 
     def test_missing_projection_for_present_kind(self):
-        params = init_embedding({NodeKind.LIVER_PARENCHYMA: F}, 4,
-                                np.random.default_rng(0))
-        batch = batch_graphs([make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,))])
+        widths = {k: w for k, w in self.widths().items() if k is not NodeKind.GLOBAL_CT}
+        params = init_embedding(widths, 4, np.random.default_rng(0))
         with pytest.raises(KeyError, match="global_ct"):
-            embed_nodes(batch, params)
+            embed_nodes(make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,)), params)
 
     def test_feature_width_mismatch_names_kind_and_widths(self):
         widths = {**self.widths(), NodeKind.CLINICAL: CLIN + 1}
         params = init_embedding(widths, 4, np.random.default_rng(0))
         with pytest.raises(GraphConstructionError,
                            match=f"clinical features have width {CLIN}, .* expects {CLIN + 1}"):
-            embed_nodes(batch_graphs([make_graph()]), params)
+            embed_nodes(make_graph(), params)
 
     def test_embedding_is_differentiable(self):
         params = init_embedding(self.widths(), 5, np.random.default_rng(1))
-        g = make_graph(seed=2)
+        batch = make_graph(kinds=ANATOMICAL_KINDS[1:], seed=2)
         leaves = [leaf for _, leaf in params.named_leaves()]
-        batch = batch_graphs([g])
         err = ad.grad_check(lambda: ad.sum_all(ad.tanh(embed_nodes(batch, params))), leaves)
         assert err <= 1e-4
 
@@ -243,6 +284,9 @@ class TestEmbedding:
        st.integers(0, 2 ** 31 - 1))
 def test_any_built_graph_validates_clean(kinds, seed):
     g = make_graph(kinds=tuple(kinds), seed=seed)
-    assert validate_graph(g) == []
-    assert g.num_nodes == len(kinds) + 2
-    assert len(g.edges) == 2 * len(kinds)
+    assert g.slots.sum() == len(kinds) + 2
+    assert g.slots[0, 5:].all()
+    assert len(arc_list(g)) == 4 * len(kinds)
+    assert np.abs(g.offsets).max() <= 1.0
+    np.testing.assert_allclose(g.pool.blocks[0, 0], g.slots[0] / (len(kinds) + 2),
+                               rtol=0, atol=0)

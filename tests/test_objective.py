@@ -8,7 +8,7 @@ from trajsurv.heads import TimeBins, annual_bins
 from trajsurv.acceptance_support import toy_setup
 from trajsurv.objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
                                 adamw_step, clamp01, discrete_nll, early_stop,
-                                label_to_bin, plateau_schedule)
+                                label_bins, label_to_bin, plateau_schedule)
 from trajsurv.training import _mean_loss
 
 BINS = annual_bins(12)
@@ -72,6 +72,18 @@ class TestClamp:
         assert np.allclose(grads[h].data, 1.0)
 
 
+def test_label_bins_match_label_to_bin():
+    rng = np.random.default_rng(3)
+    bins = TimeBins(np.array([0.0, 0.5, 2.0, 2.5, 7.0]))
+    labels = [SurvivalLabel(float(t), int(e)) for t, e in
+              zip(np.concatenate([rng.uniform(0, 9, 40), bins.edges]),
+                  rng.integers(0, 2, 45))]
+    rows = label_bins(labels, bins)
+    assert rows.shape == (45, 2)
+    assert rows[:, 0].tolist() == [label_to_bin(lab.time, bins) for lab in labels]
+    assert rows[:, 1].tolist() == [lab.event for lab in labels]
+
+
 def numpy_nll(h, time, event, bins):
     """Direct-summation oracle for the discrete likelihood."""
     k = label_to_bin(time, bins)
@@ -88,15 +100,16 @@ class TestDiscreteNll:
         return ad.constant(h)
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), [SurvivalLabel(0.2, 1)], BINS)
+        loss = discrete_nll(self.hazards([0.5]), label_bins([SurvivalLabel(0.2, 1)], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), [SurvivalLabel(0.2, 0)], BINS)
+        loss = discrete_nll(self.hazards([0.5]), label_bins([SurvivalLabel(0.2, 0)], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.2, 0.5]), [SurvivalLabel(1.5, 1)], BINS)
+        loss = discrete_nll(self.hazards([0.2, 0.5]), label_bins([SurvivalLabel(1.5, 1)], BINS),
+                            BINS)
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
@@ -106,24 +119,25 @@ class TestDiscreteNll:
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
             loss = discrete_nll(ad.constant(h.reshape(1, -1)),
-                                [SurvivalLabel(time, event)], BINS)
+                                label_bins([SurvivalLabel(time, event)], BINS), BINS)
             assert loss.item() == pytest.approx(numpy_nll(h, time, event, BINS),
                                                 abs=1e-12)
 
     def test_boundary_hazards_stay_finite(self):
         h = np.zeros((1, BINS.count))
         h[0, 0] = 1.0
-        loss = discrete_nll(ad.constant(h), [SurvivalLabel(1.5, 0)], BINS)
+        loss = discrete_nll(ad.constant(h), label_bins([SurvivalLabel(1.5, 0)], BINS), BINS)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-np.log(1e-12), rel=1e-6)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            discrete_nll(ad.constant(np.zeros((1, 3))), [SurvivalLabel(1.0, 1)], BINS)
+            discrete_nll(ad.constant(np.zeros((1, 3))), label_bins([SurvivalLabel(1.0, 1)], BINS),
+                         BINS)
 
     def test_gradient_signs_push_toward_event_bin(self):
         h = ad.parameter(np.full((1, BINS.count), 0.4))
-        loss = discrete_nll(h, [SurvivalLabel(2.5, 1)], BINS)  # event in bin 2
+        loss = discrete_nll(h, label_bins([SurvivalLabel(2.5, 1)], BINS), BINS)  # event in bin 2
         g = ad.backward(loss, params=[h])[h].data[0]
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
@@ -132,7 +146,8 @@ class TestDiscreteNll:
     def test_gradient_matches_finite_differences(self):
         h = ad.parameter(np.random.default_rng(1).uniform(0.1, 0.9,
                                                           size=(1, BINS.count)))
-        err = ad.grad_check(lambda: discrete_nll(h, [SurvivalLabel(3.5, 1)], BINS), [h])
+        labels = label_bins([SurvivalLabel(3.5, 1)], BINS)
+        err = ad.grad_check(lambda: discrete_nll(h, labels, BINS), [h])
         assert err <= 1e-4
 
 
@@ -140,13 +155,13 @@ class TestCombinedLoss:
     """The training loss is alpha * OS NLL + beta * DFS NLL."""
 
     def parts(self, weights):
-        model, records, graphs = toy_setup()
+        model, _, data = toy_setup()
         bins = model.config.bins()
-        dfs, os_labels = [r.dfs for r in records], [r.os for r in records]
-        out = model.forward(graphs)
-        os_nll = discrete_nll(out.os_hazards, os_labels, bins).item()
-        dfs_nll = discrete_nll(out.dfs_hazards, dfs, bins).item()
-        return _mean_loss(model, graphs, dfs, os_labels, bins, weights).item(), os_nll, dfs_nll
+        batch = data.batch()
+        out = model.forward(batch)
+        os_nll = discrete_nll(out.os_hazards, data.labels["os"], bins).item()
+        dfs_nll = discrete_nll(out.dfs_hazards, data.labels["dfs"], bins).item()
+        return _mean_loss(model, batch, data.labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
         loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))
@@ -168,7 +183,7 @@ class TestBatchMean:
         h = np.full((3, BINS.count), 0.5)
         h[2, 0] = 0.2
         labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
-        loss = discrete_nll(ad.constant(h), labels, BINS)
+        loss = discrete_nll(ad.constant(h), label_bins(labels, BINS), BINS)
         expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -177,14 +192,14 @@ class TestBatchMean:
         h = rng.uniform(0.01, 0.99, size=(16, BINS.count))
         labels = [SurvivalLabel(rng.uniform(0, 14), int(rng.integers(0, 2)))
                   for _ in range(16)]
-        out = discrete_nll(ad.constant(h), labels, BINS)
-        per = [discrete_nll(ad.constant(row[None, :]), [lab], BINS).item()
+        out = discrete_nll(ad.constant(h), label_bins(labels, BINS), BINS)
+        per = [discrete_nll(ad.constant(row[None, :]), label_bins([lab], BINS), BINS).item()
                for row, lab in zip(h, labels)]
         assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            discrete_nll(ad.constant(np.zeros((0, BINS.count))), [], BINS)
+            discrete_nll(ad.constant(np.zeros((0, BINS.count))), label_bins([], BINS), BINS)
 
 
 class TestAdamW:

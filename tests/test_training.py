@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.cohort import RegionData, Scenario, record_to_graph, simulate_cohort
+from trajsurv.cohort import (RegionData, Scenario, cohort_arrays, record_to_graph,
+                             simulate_cohort)
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, snapshot_parameters
@@ -31,7 +32,7 @@ def small_items(n=6, seed=0, drop_region=True):
     records, _ = simulate_cohort(max(n, 10), seed=seed, scenario=SCENARIO)
     records = list(records[:n])
     if drop_region:
-        # One smaller graph exercises variable graph sizes in the batch.
+        # One patient with a missing region exercises padding rows in the batch.
         trimmed = dict(records[0].regions)
         trimmed[NodeKind.METASTATIC_TUMORS] = RegionData(False)
         records[0] = dataclasses.replace(records[0], regions=trimmed)
@@ -46,9 +47,9 @@ VARIANTS = {
 }
 
 
-def batch_loss(model, items, bins, weights):
-    graphs, dfs, os_labels = zip(*items)
-    return _mean_loss(model, graphs, dfs, os_labels, bins, weights)
+def batch_loss(model, records, bins, weights):
+    data = cohort_arrays(records, bins)
+    return _mean_loss(model, data.batch(), data.labels, bins, weights)
 
 
 class TestBatchedAgreement:
@@ -58,13 +59,13 @@ class TestBatchedAgreement:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_loss_and_gradients_match_per_patient_route(self, backbone, variant):
         config, model = small_model(backbone, **VARIANTS[variant])
-        _, items = small_items()
+        records, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
         params = model.named_parameters()
         leaves = [p for _, p in params]
 
-        stacked = batch_loss(model, items, bins, weights)
+        stacked = batch_loss(model, records, bins, weights)
         gs = ad.backward(stacked, params=leaves)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
@@ -77,23 +78,58 @@ class TestBatchedAgreement:
 
     def test_unequal_task_weights_also_match(self):
         config, model = small_model("gcn")
-        _, items = small_items(n=4, seed=2)
+        records, items = small_items(n=4, seed=2)
         bins = config.bins()
         weights = LossWeights(0.3, 1.7)
-        stacked = batch_loss(model, items, bins, weights)
+        stacked = batch_loss(model, records, bins, weights)
         looped = np.mean([patient_loss(model, g, d, o, bins, weights).item()
                           for g, d, o in items])
         assert stacked.item() == pytest.approx(looped, abs=1e-12)
 
     def test_single_patient_batch(self):
         config, model = small_model()
-        _, items = small_items(n=1, drop_region=False)
+        records, items = small_items(n=1, drop_region=False)
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = batch_loss(model, items, bins, weights)
+        stacked = batch_loss(model, records, bins, weights)
         g, dfs, os_label = items[0]
         looped = patient_loss(model, g, dfs, os_label, bins, weights)
         assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
+    # Values in a missing region's slots, written into the record and into the
+    # arrays, change nothing: its row is zero in every operator and the readout.
+    config, model = small_model(backbone)
+    records, _ = small_items(n=4)
+    rng = np.random.default_rng(5)
+    noisy = list(records)
+    for i, kinds in ((0, ()), (2, (NodeKind.LIVER_PARENCHYMA, NodeKind.PORTAL_VEINS))):
+        regions = dict(records[i].regions)
+        regions.update({k: RegionData(False) for k in kinds})
+        records[i] = dataclasses.replace(records[i], regions=regions)
+        noisy[i] = dataclasses.replace(records[i], regions={
+            k: r if r.present else RegionData(False, rng.normal(size=4), rng.normal(size=3) * 1e3)
+            for k, r in regions.items()})
+    bins = config.bins()
+    dirty = cohort_arrays(noisy, bins)
+    missing = ~dirty.present
+    assert missing.sum() == 3
+    dirty.regions[missing] = rng.normal(size=(3, 4))
+    dirty.offsets[missing] = rng.uniform(-1.0, 1.0, size=(3, 3))
+    leaves = [p for _, p in model.named_parameters()]
+
+    def run(data):
+        batch = data.batch()
+        loss = _mean_loss(model, batch, data.labels, bins, LossWeights(1.0, 1.0))
+        grads = ad.backward(loss, params=leaves)
+        curves = model.predict_curves(batch)
+        return ([loss.data] + [grads[p].data for p in leaves]
+                + [c[task][0].h for c in curves for task in ("dfs", "os")])
+
+    for got, want in zip(run(dirty), run(cohort_arrays(records, bins))):
+        assert np.array_equal(got, want)
 
 
 def quick_settings(**overrides):
@@ -121,8 +157,7 @@ class TestTrainModel:
         train, val = self.cohort()
         config, model = small_model(seed=4)
         result = train_model(model, train, val, quick_settings())
-        items = [(record_to_graph(r), r.dfs, r.os) for r in val]
-        recomputed = batch_loss(model, items, config.bins(), LossWeights(1.0, 1.0)).item()
+        recomputed = batch_loss(model, val, config.bins(), LossWeights(1.0, 1.0)).item()
         assert recomputed == pytest.approx(result.best_val, abs=1e-9)
         assert result.best_epoch <= result.epochs_run
 
