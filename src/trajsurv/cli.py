@@ -200,8 +200,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CohortError, GraphConstructionError, ModelFileError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (CohortError, GraphConstructionError, ModelFileError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ad.NonFiniteError, ad.DomainError) as exc:

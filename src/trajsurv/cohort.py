@@ -1,14 +1,16 @@
 """Cohort I/O, synthetic-cohort simulation, augmentation, and CV splitting.
 
-The cohort file is a single JSON document; simulation draws two latent risk
-groups with geometric discrete event-time distributions on annual bins and
-calibrated uniform censoring, so recovery experiments have a known oracle.
+The cohort file is a single JSON document with one patient per line;
+simulation draws two latent risk groups with geometric discrete event-time
+distributions on annual bins and calibrated uniform censoring, so recovery
+experiments have a known oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +31,9 @@ REGION_KEYS: dict[str, NodeKind] = {
     "tumors": NodeKind.METASTATIC_TUMORS,
 }
 KIND_TO_KEY = {v: k for k, v in REGION_KEYS.items()}
+_PATIENT_KEYS = {"id", "regions", "clinical", "dfs", "os"}
+_LABEL_KEYS = {"time_years", "event"}
+_TASKS = ("dfs", "os")
 
 
 class CohortError(ValueError):
@@ -55,7 +60,8 @@ class PatientRecord:
             raise CohortError(f"patient {self.patient_id}: no region is present")
         if self.dfs.time > self.os.time:
             raise CohortError(f"patient {self.patient_id}: DFS time exceeds OS time")
-        if self.clinical.size and (self.clinical.min() < -1e-9 or self.clinical.max() > 1 + 1e-9):
+        values = self.clinical.tolist()
+        if values and (min(values) < -1e-9 or max(values) > 1 + 1e-9):
             raise CohortError(f"patient {self.patient_id}: clinical features outside [0, 1]")
 
 
@@ -122,91 +128,187 @@ def _require(cond: bool, msg: str):
         raise CohortError(msg)
 
 
-def _parse_label(obj, pid: str, field_name: str) -> SurvivalLabel:
-    _require(isinstance(obj, dict) and set(obj) == {"time_years", "event"},
-             f"patient {pid}: {field_name} must have exactly time_years and event")
+def _fault(value, tail: tuple) -> str | None:
+    """Why `value` is not a finite number (tail ()) or a list of tail[0] of them."""
+    if tail and not (isinstance(value, list) and len(value) == tail[0]):
+        return f"must have length {tail[0]}"
+    items = value if tail else [value]
+    if not all(type(v) in (int, float) for v in items):
+        return "must hold only numbers" if tail else "must be a number"
     try:
-        return SurvivalLabel(float(obj["time_years"]), int(obj["event"]))
-    except ValueError as exc:
-        raise CohortError(f"patient {pid}: {field_name}: {exc}") from exc
+        finite = np.isfinite(np.array(items, dtype=np.float64)).all()
+    except OverflowError:
+        finite = False
+    return None if finite else "must be finite"
+
+
+def _block(values: list, tail: tuple, where) -> np.ndarray:
+    """`values` as one float64 array of shape (len(values),) + tail.
+
+    The whole block is converted and checked at once. Only when a check
+    fails are the values searched for the first bad one, so that the error
+    names its patient and field (`where(i)` for value i).
+    """
+    try:
+        block = np.array(values, dtype=np.float64)
+        if (block.shape == (len(values),) + tail
+                and {*map(type, chain.from_iterable(values) if tail else values)} <= {int, float}
+                and np.isfinite(block).all()):
+            return block
+    except (ValueError, TypeError, OverflowError):
+        pass
+    for i, value in enumerate(values):
+        fault = _fault(value, tail)
+        if fault:
+            raise CohortError(f"{where(i)} {fault}")
+    return np.zeros((0,) + tail)  # no values, so none of them is bad
+
+
+def _require_all(ok: np.ndarray, message) -> None:
+    """Raise `message(i)` for the first i where `ok` is false."""
+    if not ok.all():
+        raise CohortError(message(int(np.argmin(ok))))
+
+
+def _region_fault(where: str, robj) -> str:
+    """Why a region entry is malformed; only called once it is known to be."""
+    if not (isinstance(robj, dict) and "present" in robj):
+        return f"{where} missing present flag"
+    if robj["present"] is True:
+        return f"{where} must have present, features, centroid"
+    if robj["present"] is False:
+        return f"{where} is absent but has {', '.join(sorted(set(robj) - {'present'}))}"
+    return f"{where} present must be true or false, got {robj['present']!r}"
+
+
+def _read_json(path):
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise CohortError(f"{path}: not a readable JSON document ({exc})") from exc
 
 
 def load_cohort(path) -> list[PatientRecord]:
-    """Parse and validate a cohort file; record order is preserved."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require(isinstance(doc, dict) and set(doc) == {"schema_version", "feature_schema", "patients"},
+    """Parse and validate a cohort file; record order is preserved.
+
+    One pass over the parsed document checks its structure and collects
+    the numeric fields; each field is then converted and checked as one
+    array (`_block`), and the records hold row views of those arrays.
+    """
+    doc = _read_json(path)
+    _require(isinstance(doc, dict) and doc.keys() == {"schema_version", "feature_schema",
+                                                      "patients"},
              "top level must have schema_version, feature_schema, patients")
-    _require(doc["schema_version"] == SCHEMA_VERSION,
-             f"unsupported schema_version {doc['schema_version']}")
+    version = doc["schema_version"]
+    _require(type(version) is int and version == SCHEMA_VERSION,
+             f"unsupported schema_version {version!r}")
     schema = doc["feature_schema"]
-    _require(isinstance(schema, dict) and set(schema) == {"region_len", "clinical_len"},
+    _require(isinstance(schema, dict) and schema.keys() == {"region_len", "clinical_len"},
              "feature_schema must have region_len and clinical_len")
-    region_len = int(schema["region_len"])
-    clinical_len = int(schema["clinical_len"])
+    for name, width in schema.items():
+        _require(type(width) is int and width > 0,
+                 f"feature_schema {name} must be a positive integer, got {width!r}")
+    patients = doc["patients"]
+    _require(isinstance(patients, list) and patients, "patients must be a non-empty list")
+
+    ids: list[str] = []
+    layouts: list[list[int | None]] = []  # row of each region in REGION_KEYS order
+    owners: list[tuple[str, str]] = []    # (patient, region) of each row
+    features, centroids, clinical, times, events = [], [], [], [], []
+    for i, entry in enumerate(patients):
+        if not (isinstance(entry, dict) and entry.keys() == _PATIENT_KEYS):
+            raise CohortError(f"patients[{i}] must have exactly id, regions, clinical, dfs, os")
+        pid, regions = entry["id"], entry["regions"]
+        if not (type(pid) is str and pid):
+            raise CohortError(f"patients[{i}]: id must be a non-empty string")
+        if not (isinstance(regions, dict) and regions.keys() == REGION_KEYS.keys()):
+            raise CohortError(f"patient {pid}: regions must have exactly keys "
+                              f"{sorted(REGION_KEYS)}")
+        layout = []
+        for key in REGION_KEYS:
+            robj = regions[key]
+            flag = robj.get("present") if isinstance(robj, dict) else None
+            if flag is True and len(robj) == 3 and "features" in robj and "centroid" in robj:
+                layout.append(len(owners))
+                owners.append((pid, key))
+                features.append(robj["features"])
+                centroids.append(robj["centroid"])
+            elif flag is False and len(robj) == 1:
+                layout.append(None)
+            else:
+                raise CohortError(_region_fault(f"patient {pid}: region {key}", robj))
+        for task in _TASKS:
+            label = entry[task]
+            if not (isinstance(label, dict) and label.keys() == _LABEL_KEYS):
+                raise CohortError(f"patient {pid}: {task} must have exactly time_years and event")
+            times.append(label["time_years"])
+            events.append(label["event"])
+        ids.append(pid)
+        layouts.append(layout)
+        clinical.append(entry["clinical"])
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for pid in ids:
+            _require(pid not in seen, f"patient {pid}: duplicate id")
+            seen.add(pid)
+
+    def region(r):
+        return f"patient {owners[r][0]}: region {owners[r][1]}"
+
+    def label(j):
+        return f"patient {ids[j // 2]}: {_TASKS[j % 2]}"
+
+    features = _block(features, (schema["region_len"],), lambda r: f"{region(r)} features")
+    centroids = _block(centroids, (EDGE_ATTR_DIM,), lambda r: f"{region(r)} centroid")
+    clinical = _block(clinical, (schema["clinical_len"],),
+                      lambda i: f"patient {ids[i]}: clinical features")
+    times = _block(times, (), lambda j: f"{label(j)} time_years")
+    events = _block(events, (), lambda j: f"{label(j)} event")
+    _require_all(times >= 0, lambda j: f"{label(j)} time_years must be >= 0")
+    _require_all((events == 0) | (events == 1), lambda j: f"{label(j)} event must be 0 or 1")
+    times, events = times.tolist(), events.astype(np.int64).tolist()
 
     records: list[PatientRecord] = []
-    for entry in doc["patients"]:
-        _require(isinstance(entry, dict) and set(entry) == {"id", "regions", "clinical", "dfs", "os"},
-                 "patient entries must have id, regions, clinical, dfs, os")
-        pid = str(entry["id"])
-        _require(set(entry["regions"]) == set(REGION_KEYS),
-                 f"patient {pid}: regions must have exactly keys {sorted(REGION_KEYS)}")
-        regions: dict[NodeKind, RegionData] = {}
-        for key, kind in REGION_KEYS.items():
-            robj = entry["regions"][key]
-            _require(isinstance(robj, dict) and "present" in robj,
-                     f"patient {pid}: region {key} missing present flag")
-            if not robj["present"]:
-                regions[kind] = RegionData(False)
-                continue
-            _require(set(robj) == {"present", "features", "centroid"},
-                     f"patient {pid}: region {key} must have present, features, centroid")
-            feats = np.asarray(robj["features"], dtype=np.float64)
-            cent = np.asarray(robj["centroid"], dtype=np.float64)
-            _require(feats.shape == (region_len,),
-                     f"patient {pid}: region {key} features must have length {region_len}")
-            _require(cent.shape == (EDGE_ATTR_DIM,),
-                     f"patient {pid}: region {key} centroid must have length {EDGE_ATTR_DIM}")
-            for name, values in (("features", feats), ("centroid", cent)):
-                _require(np.isfinite(values).all(),
-                         f"patient {pid}: region {key} {name} must be finite")
-            regions[kind] = RegionData(True, feats, cent)
-        clinical = np.asarray(entry["clinical"], dtype=np.float64)
-        _require(clinical.shape == (clinical_len,),
-                 f"patient {pid}: clinical features must have length {clinical_len}")
-        _require(np.isfinite(clinical).all(), f"patient {pid}: clinical features must be finite")
-        record = PatientRecord(pid, regions, clinical,
-                               _parse_label(entry["dfs"], pid, "dfs"),
-                               _parse_label(entry["os"], pid, "os"))
-        records.append(record)
+    for i, (pid, layout) in enumerate(zip(ids, layouts)):
+        regions = {kind: RegionData(False) if row is None
+                   else RegionData(True, features[row], centroids[row])
+                   for kind, row in zip(REGION_KEYS.values(), layout)}
+        records.append(PatientRecord(pid, regions, clinical[i],
+                                     SurvivalLabel(times[2 * i], events[2 * i]),
+                                     SurvivalLabel(times[2 * i + 1], events[2 * i + 1])))
     return records
 
 
-def save_cohort(records: list[PatientRecord], path, region_len: int, clinical_len: int) -> None:
-    patients = []
-    for rec in records:
-        regions = {}
-        for key, kind in REGION_KEYS.items():
-            r = rec.regions[kind]
-            if r.present:
-                regions[key] = {"present": True, "features": r.features.tolist(),
-                                "centroid": r.centroid.tolist()}
-            else:
-                regions[key] = {"present": False}
-        patients.append({
-            "id": rec.patient_id,
-            "regions": regions,
-            "clinical": rec.clinical.tolist(),
+def _patient_doc(rec: PatientRecord) -> dict:
+    regions = {}
+    for key, kind in REGION_KEYS.items():
+        r = rec.regions[kind]
+        regions[key] = ({"present": True, "features": r.features.tolist(),
+                         "centroid": r.centroid.tolist()} if r.present else {"present": False})
+    return {"id": rec.patient_id, "regions": regions, "clinical": rec.clinical.tolist(),
             "dfs": {"time_years": rec.dfs.time, "event": rec.dfs.event},
-            "os": {"time_years": rec.os.time, "event": rec.os.event},
-        })
-    doc = {"schema_version": SCHEMA_VERSION,
-           "feature_schema": {"region_len": region_len, "clinical_len": clinical_len},
-           "patients": patients}
+            "os": {"time_years": rec.os.time, "event": rec.os.event}}
+
+
+def save_cohort(records: list[PatientRecord], path, region_len: int, clinical_len: int) -> None:
+    """Write `records` as one JSON document with one patient per line.
+
+    Each line is encoded on its own with default separators, which json's C
+    encoder handles (with `indent` it falls back to pure Python), and is
+    written as soon as it is encoded, so the whole text is never in memory.
+    """
+    head = json.dumps({"schema_version": SCHEMA_VERSION,
+                       "feature_schema": {"region_len": region_len,
+                                          "clinical_len": clinical_len},
+                       "patients": []})
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-2])  # the document up to the patient list's "["
+        sep = "\n"
+        for rec in records:
+            fh.write(sep + json.dumps(_patient_doc(rec)))
+            sep = ",\n"
+        fh.write("\n]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ learning-rate schedule, and early stopping with best-snapshot retention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +32,7 @@ class SurvivalLabel:
     event: int
 
     def __post_init__(self):
-        if not np.isfinite(self.time) or self.time < 0:
+        if not math.isfinite(self.time) or self.time < 0:
             raise ValueError(f"survival time must be finite and >= 0, got {self.time}")
         if self.event not in (0, 1):
             raise ValueError(f"event flag must be 0 or 1, got {self.event}")

@@ -1,9 +1,13 @@
 """Cohort file round-trips, the synthetic simulator, splits, and augmentation."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from trajsurv.cohort import (CohortError, PatientRecord, RegionData, Scenario,
+from trajsurv.cohort import (REGION_KEYS, CohortError, PatientRecord, RegionData, Scenario,
                              augment, cohort_arrays, load_cohort, oracle_cindex,
                              record_to_graph, save_cohort, simulate_cohort,
                              stratified_repeated_kfold)
@@ -42,24 +46,115 @@ class TestRecordValidation:
         assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
 
 
+def assert_same_records(expected, got):
+    """Equal ids, presence flags and labels, and the same float64 bytes in every array."""
+    assert [r.patient_id for r in got] == [r.patient_id for r in expected]
+    for a, b in zip(expected, got):
+        assert (a.dfs, a.os) == (b.dfs, b.os)
+        assert all(type(lab.time) is float and type(lab.event) is int for lab in (b.dfs, b.os))
+        assert [float(lab.time).hex() for lab in (a.dfs, a.os)] == \
+            [lab.time.hex() for lab in (b.dfs, b.os)]
+        assert [a.regions[k].present for k in ANATOMICAL_KINDS] == \
+            [b.regions[k].present for k in ANATOMICAL_KINDS]
+        pairs = [(a.clinical, b.clinical)]
+        for k in ANATOMICAL_KINDS:
+            if a.regions[k].present:
+                pairs += [(a.regions[k].features, b.regions[k].features),
+                          (a.regions[k].centroid, b.regions[k].centroid)]
+        for x, y in pairs:
+            assert y.dtype == np.float64 and y.shape == x.shape
+            assert y.tobytes() == np.asarray(x, dtype=np.float64).tobytes()
+
+
+def with_absent_region(record, kind=NodeKind.METASTATIC_TUMORS):
+    regions = {**record.regions, kind: RegionData(False)}
+    return PatientRecord(record.patient_id, regions, record.clinical, record.dfs, record.os)
+
+
+def saved_doc(tmp_path, n=10):
+    """A saved simulated cohort (regions 8, clinical 6), its path and its parsed JSON."""
+    records, _ = simulate_cohort(n, seed=0)
+    path = tmp_path / "c.json"
+    save_cohort(records, path, region_len=8, clinical_len=6)
+    return path, json.loads(path.read_text())
+
+
+def _replace(doc, path, value):
+    """Set the node at `path` (a sequence of keys and indices) of a parsed document."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+
+
+def _patient3(*keys, value):
+    """A change setting the field at `keys` of patient 3 (id sim0003) to `value`."""
+    return lambda doc: _replace(doc, ("patients", 3) + keys, value)
+
+
+# case -> (change to a parsed 10-patient cohort, expected message)
+MALFORMED = {
+    "time_null": (_patient3("dfs", "time_years", value=None),
+                  "patient sim0003: dfs time_years must be a number"),
+    "time_negative": (_patient3("os", "time_years", value=-1.0),
+                      "patient sim0003: os time_years must be >= 0"),
+    "event_half": (_patient3("os", "event", value=0.5),
+                   "patient sim0003: os event must be 0 or 1"),
+    "event_bool": (_patient3("os", "event", value=True),
+                   "patient sim0003: os event must be a number"),
+    "patients_null": (lambda d: d.update(patients=None), "patients must be a non-empty list"),
+    "patients_empty": (lambda d: d.update(patients=[]), "patients must be a non-empty list"),
+    "feature_string": (_patient3("regions", "liver", "features", 0, value="a"),
+                       "patient sim0003: region liver features must hold only numbers"),
+    "clinical_numeric_string": (_patient3("clinical", 2, value="0.5"),
+                                "patient sim0003: clinical features must hold only numbers"),
+    "region_len_string": (lambda d: d["feature_schema"].update(region_len="x"),
+                          "feature_schema region_len must be a positive integer, got 'x'"),
+    "schema_version_bool": (lambda d: d.update(schema_version=True),
+                            "unsupported schema_version True"),
+    "present_string": (_patient3("regions", "liver", "present", value="no"),
+                       "patient sim0003: region liver present must be true or false, got 'no'"),
+    "absent_with_data": (_patient3("regions", "tumors", "present", value=False),
+                         "patient sim0003: region tumors is absent but has centroid, features"),
+    "duplicate_id": (_patient3("id", value="sim0001"), "patient sim0001: duplicate id"),
+    "id_int": (_patient3("id", value=3), r"patients\[3\]: id must be a non-empty string"),
+    "patient_null": (lambda d: _replace(d, ("patients", 3), None),
+                     r"patients\[3\] must have exactly id, regions, clinical, dfs, os"),
+    "regions_list": (_patient3("regions", value=list(REGION_KEYS)),
+                     "patient sim0003: regions must have exactly keys"),
+}
+
+
 class TestCohortFile:
     def test_round_trip_preserves_everything(self, tmp_path):
         records, _ = simulate_cohort(12, seed=3, scenario=Scenario(region_len=5,
                                                                    clinical_len=4))
+        records[1] = with_absent_region(records[1])
+        records[2].regions[NodeKind.HEPATIC_VEINS].features[0] = -0.0
         path = tmp_path / "cohort.json"
         save_cohort(records, path, region_len=5, clinical_len=4)
-        loaded = load_cohort(path)
-        assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert a.patient_id == b.patient_id
-            assert a.dfs == b.dfs and a.os == b.os
-            assert np.array_equal(a.clinical, b.clinical)
-            for kind in ANATOMICAL_KINDS:
-                ra, rb = a.regions[kind], b.regions[kind]
-                assert ra.present == rb.present
-                if ra.present:
-                    assert np.array_equal(ra.features, rb.features)
-                    assert np.array_equal(ra.centroid, rb.centroid)
+        assert_same_records(records, load_cohort(path))
+
+    def test_one_patient_per_line(self, tmp_path):
+        records, _ = simulate_cohort(12, seed=3)
+        path = tmp_path / "cohort.json"
+        save_cohort(records, path, region_len=8, clinical_len=6)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(records) + 2
+        for rec, line in zip(records, lines[1:-1]):
+            assert json.loads(line.rstrip(","))["id"] == rec.patient_id
+
+    def test_indented_layout_loads_the_same_records(self, tmp_path):
+        # Files written with json.dump(doc, fh, indent=1), one value per line.
+        records, _ = simulate_cohort(12, seed=4)
+        records[5] = with_absent_region(records[5], NodeKind.PORTAL_VEINS)
+        path, old = tmp_path / "new.json", tmp_path / "old.json"
+        save_cohort(records, path, region_len=8, clinical_len=6)
+        with open(old, "w") as fh:
+            json.dump(json.loads(path.read_text()), fh, indent=1)
+            fh.write("\n")
+        assert_same_records(load_cohort(path), load_cohort(old))
+        assert_same_records(records, load_cohort(old))
 
     def test_absent_region_round_trips(self, tmp_path):
         rec = tiny_record("only-liver", 2.0, 1)
@@ -123,6 +218,26 @@ class TestCohortFile:
         path.write_text('{"schema_version": 1, "patients": [], "extra": 1, '
                         '"feature_schema": {"region_len": 4, "clinical_len": 3}}')
         with pytest.raises(CohortError, match="top level"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+    def test_malformed_field_names_patient_and_field(self, tmp_path, case):
+        change, message = MALFORMED[case]
+        path, doc = saved_doc(tmp_path)
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CohortError, match=message):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("text", ("", "{", '{"schema_version": 1, "patients": [',
+                                      b"\x80", None))
+    def test_unreadable_file_is_named(self, tmp_path, text):
+        path = tmp_path / "truncated.json"
+        if text is None:
+            path.mkdir()
+        else:
+            (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        with pytest.raises(CohortError, match=f"{path}: not a readable JSON document"):
             load_cohort(path)
 
 
@@ -331,3 +446,90 @@ class TestAugment:
         out = augment(data, seeds=[0, 1, 2])
         for task in ("os", "dfs"):
             assert np.array_equal(out.labels[task], np.repeat(data.labels[task], 5, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzz: a mutated cohort file loads unchanged or is a data error.
+# ---------------------------------------------------------------------------
+
+
+def _json_kind(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a parsed JSON document, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A saved 12-patient cohort with one absent region, a model for its widths, a config."""
+    from trajsurv.model import ModelConfig, init_model, save_model
+    root = tmp_path_factory.mktemp("fuzz")
+    records, _ = simulate_cohort(12, seed=5, scenario=Scenario(region_len=4, clinical_len=3))
+    records[2] = with_absent_region(records[2])
+    save_cohort(records, root / "base.json", region_len=4, clinical_len=3)
+    widths = {**{k: 4 for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 4, NodeKind.CLINICAL: 3}
+    config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
+                         num_bins=4, message_dim=8)
+    save_model(init_model(config, widths, np.random.default_rng(0)), root / "model.npz")
+    (root / "run.json").write_text(json.dumps(
+        {"eval": {"bootstrap_b": 100}, "paths": {"cohort": str(root / "mutated.json")}}))
+    return root, (root / "base.json").read_text(), load_cohort(root / "base.json")
+
+
+MUTATIONS = ("truncate", "drop_key", "wrong_type", "nonfinite", "empty_list", "wrong_length")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(MUTATIONS), st.data())
+def test_mutated_cohort_loads_unchanged_or_exits_2(fuzz_base, mutation, data):
+    from trajsurv.cli import EXIT_DATA, EXIT_OK, main
+    root, text, records = fuzz_base
+    doc = json.loads(text)
+    nodes = list(_nodes(doc))
+    if mutation == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        if mutation == "drop_key":
+            path, node = data.draw(st.sampled_from([(p, v) for p, v in nodes
+                                                    if isinstance(v, dict) and v]))
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif mutation == "wrong_type":
+            path, node = data.draw(st.sampled_from(nodes[1:]))
+            _replace(doc, path, data.draw(st.sampled_from(
+                [v for v in (None, "x", True, 0, [], {}) if _json_kind(v) != _json_kind(node)])))
+        elif mutation == "nonfinite":
+            path, _ = data.draw(st.sampled_from([(p, v) for p, v in nodes
+                                                 if _json_kind(v) == "number"]))
+            _replace(doc, path, data.draw(st.sampled_from((np.nan, np.inf, -np.inf))))
+        elif mutation == "empty_list":
+            path, _ = data.draw(st.sampled_from([(p, v) for p, v in nodes
+                                                 if isinstance(v, list) and v]))
+            _replace(doc, path, [])
+        else:  # a numeric list one value longer or shorter
+            path, node = data.draw(st.sampled_from(
+                [(p, v) for p, v in nodes if isinstance(v, list) and v
+                 and all(_json_kind(x) == "number" for x in v)]))
+            _replace(doc, path, node + [0.5] if data.draw(st.booleans()) else node[:-1])
+        text = json.dumps(doc)
+    (root / "mutated.json").write_text(text)
+    try:
+        loaded = load_cohort(root / "mutated.json")
+    except CohortError:
+        expected = EXIT_DATA
+    else:
+        assert_same_records(records, loaded)
+        expected = EXIT_OK
+    assert main(["evaluate", "--config", str(root / "run.json"), "--out", str(root / "out"),
+                 "--model", str(root / "model.npz")]) == expected
