@@ -67,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
     if args.out is not None:

@@ -7,11 +7,12 @@ hyperparameter name is the costliest failure mode a config system can have.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 from .cohort import Scenario
 from .evolution import BACKBONES
-from .model import INTEGRATORS, ModelConfig
+from .model import INTEGRATORS, ModelConfig, typed_value
 from .training import TrainSettings
 
 
@@ -88,18 +89,17 @@ _MODEL_KEYS = {
 def _build_section(name: str, cls, data: dict, key_map: dict[str, str] | None = None):
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    allowed = {f.name for f in fields(cls)}
+    hints = get_type_hints(cls)
     rename = key_map or {}
     kwargs = {}
     for key, value in data.items():
         target = rename.get(key, key)
-        if target not in allowed or (key_map is not None and key not in key_map):
+        if target not in hints or (key_map is not None and key not in key_map):
             raise ConfigError(f"unknown key {name}.{key}")
-        if target == "bin_edges" and value is not None:
-            value = tuple(float(v) for v in value)
-        if target == "horizons":
-            value = tuple(float(v) for v in value)
-        kwargs[target] = value
+        try:
+            kwargs[target] = typed_value(f"{name}.{key}", value, hints[target])
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -146,6 +146,10 @@ def _validate(cfg: RunConfig) -> None:
         (e.bootstrap_b >= 100, "eval.bootstrap_b must be >= 100"),
         (0 < e.level < 1, "eval.level must be in (0,1)"),
         (cv.k >= 2 and cv.repeats >= 1, "cv.k must be >= 2 and cv.repeats >= 1"),
+        (t.seed >= 0 and (cfg.simulate.seed or 0) >= 0,
+         "train.seed and simulate.seed must be >= 0"),
+        (m.bin_edges is None or len(m.bin_edges) == m.num_bins + 1,
+         "model.bin_edges must hold model.K + 1 edges"),
     ]
     for ok, msg in checks:
         if not ok:
@@ -166,10 +170,10 @@ def _validate(cfg: RunConfig) -> None:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 

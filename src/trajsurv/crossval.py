@@ -16,8 +16,9 @@ from .cohort import PatientRecord, cohort_arrays, load_cohort, stratified_repeat
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import TimeBins, point_estimate_time
-from .metrics import (IpcwCapWarning, bootstrap_ci, format_ci, harrell_cindex,
-                      integrated_brier, mae_uncensored, time_dependent_auc)
+from .metrics import (IpcwCapWarning, bootstrap_ci, cindex_arrays, format_ci,
+                      harrell_cindex, integrated_brier, label_arrays, mae_uncensored,
+                      time_dependent_auc)
 from .model import FullModel, init_model
 from .objective import discrete_nll
 from .training import train_model
@@ -91,73 +92,69 @@ class CvReport:
 
 
 def _feature_widths(records: list[PatientRecord]) -> dict[NodeKind, int]:
-    region_width = None
-    for rec in records:
-        for kind in ANATOMICAL_KINDS:
-            r = rec.regions[kind]
-            if r.present:
-                region_width = r.features.shape[0]
-                break
-        if region_width is not None:
-            break
-    if region_width is None:
+    width = next((rec.regions[k].features.shape[0] for rec in records
+                  for k in ANATOMICAL_KINDS if rec.regions[k].present), None)
+    if width is None:
         raise ValueError("no present regions anywhere in the cohort")
-    widths = {k: region_width for k in ANATOMICAL_KINDS}
-    widths[NodeKind.GLOBAL_CT] = region_width
-    widths[NodeKind.CLINICAL] = records[0].clinical.shape[0]
-    return widths
+    return {**{k: width for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: width,
+            NodeKind.CLINICAL: records[0].clinical.shape[0]}
+
+
+@dataclass
+class _TaskPrediction:
+    hazard: np.ndarray        # (n, K)
+    survival: np.ndarray      # (n, K)
+    pred_time: np.ndarray     # (n,) point estimate; the risk is its negation
+    scores: np.ndarray        # (n, horizons): P(event <= t) = 1 - S(t)
 
 
 @dataclass
 class _FoldPrediction:
-    record: PatientRecord
-    risks: dict[str, float]
-    scores: dict[str, dict[float, float]]   # task -> horizon -> P(event <= t)
-    curves: dict[str, tuple[np.ndarray, np.ndarray]]  # task -> (hazard, survival)
-    pred_times: dict[str, float]
+    records: list[PatientRecord]
+    tasks: dict[str, _TaskPrediction]
+
+    def curve_rows(self) -> list[CurveRow]:
+        """Rows patient by patient, task by task, bin by bin."""
+        per_task = [(task, self.tasks[task].hazard.tolist(), self.tasks[task].survival.tolist())
+                    for task in TASKS]
+        return [CurveRow(rec.patient_id, task, k, h, s)
+                for i, rec in enumerate(self.records) for task, hz, sv in per_task
+                for k, (h, s) in enumerate(zip(hz[i], sv[i]))]
 
 
 def _predict_fold(model: FullModel, records: list[PatientRecord], bins: TimeBins,
-                  horizons, chunk: int) -> list[_FoldPrediction]:
-    """Score `records` in batches of `chunk`, so memory is bounded by one chunk."""
+                  horizons, chunk: int) -> _FoldPrediction:
+    """Score `records` in forward passes of `chunk` patients, then as arrays."""
     data = cohort_arrays(records)
-    preds = []
-    for start in range(0, len(records), chunk):
-        part = records[start:start + chunk]
-        curves_of = model.predict_curves(data.take(slice(start, start + chunk)).batch())
-        for rec, curves in zip(part, curves_of):
-            risks, scores, arrs, times = {}, {}, {}, {}
-            for task, (hc, sc) in curves.items():
-                est = point_estimate_time(sc, bins)
-                risks[task] = -est
-                times[task] = est
-                scores[task] = {t: 1.0 - sc.at_time(t, bins) for t in horizons}
-                arrs[task] = (hc.h, sc.s)
-            preds.append(_FoldPrediction(rec, risks, scores, arrs, times))
-    return preds
+    parts = [model.predict_curves(data.take(slice(start, start + chunk)).batch())
+             for start in range(0, len(records), chunk)]
+    cols = bins.index(horizons)   # step interpolation: the bin containing each horizon
+    tasks = {}
+    for task in TASKS:
+        hazard = np.concatenate([part[task][0] for part in parts])
+        survival = np.concatenate([part[task][1] for part in parts])
+        tasks[task] = _TaskPrediction(hazard, survival, point_estimate_time(survival, bins),
+                                      1.0 - survival[:, cols])
+    return _FoldPrediction(records, tasks)
 
 
-def _fold_metrics(preds: list[_FoldPrediction], bins: TimeBins, tau: float,
+def _fold_metrics(pred: _FoldPrediction, bins: TimeBins, tau: float,
                   horizons) -> tuple[dict[str, dict], int]:
-    from .heads import SurvivalCurve
-
     capped = 0
     out: dict[str, dict] = {}
     for task in TASKS:
-        labels = [getattr(p.record, task) for p in preds]
-        risks = [p.risks[task] for p in preds]
+        p = pred.tasks[task]
+        labels = [getattr(rec, task) for rec in pred.records]
         try:
-            cindex = harrell_cindex(risks, labels)
+            cindex = harrell_cindex(-p.pred_time, labels)
         except ValueError:
             cindex = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IpcwCapWarning)
-            ibs = integrated_brier([SurvivalCurve(p.curves[task][1]) for p in preds],
-                                   labels, bins, tau)
+            ibs = integrated_brier(p.survival, labels, bins, tau)
             capped += sum(1 for w in caught if issubclass(w.category, IpcwCapWarning))
-        aucs = [time_dependent_auc([p.scores[task][t] for p in preds], labels, t)
-                for t in horizons]
-        mae = mae_uncensored([p.pred_times[task] for p in preds], labels)
+        aucs = [time_dependent_auc(p.scores[:, j], labels, t) for j, t in enumerate(horizons)]
+        mae = mae_uncensored(p.pred_time, labels)
         out[task] = {"cindex": cindex, "ibs": ibs, "auc1": aucs[0], "auc3": aucs[1],
                      "auc5": aucs[2], "mae": mae}
     return out, capped
@@ -247,33 +244,30 @@ def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
         for task in TASKS:
             report.rows.append(FoldRow(repeat=spec.repeat, fold=spec.fold, task=task,
                                        **per_task[task]))
-        for p, i in zip(preds, spec.test):
-            for task in TASKS:
-                pooled[task].setdefault(i, []).append(p.risks[task])
-                if spec.repeat == 0:
-                    hz, sv = p.curves[task]
-                    for k in range(bins.count):
-                        report.curves.append(CurveRow(p.record.patient_id, task, k,
-                                                      float(hz[k]), float(sv[k])))
+            for i, risk in zip(spec.test, (-preds.tasks[task].pred_time).tolist()):
+                pooled[task].setdefault(i, []).append(risk)
+        if spec.repeat == 0:
+            report.curves.extend(preds.curve_rows())
         if variant == "no_cascade" and "os_context_grad_zero" not in report.checks:
             report.checks["os_context_grad_zero"] = _cascade_grad_check(
                 model, [records[i] for i in spec.test], bins)
 
     report.aggregate = _aggregate(report.rows)
     for task in TASKS:
-        items = [(float(np.mean(v)), getattr(records[i], task))
-                 for i, v in sorted(pooled[task].items())]
-        if len(items) < 2:
+        ids = sorted(pooled[task])
+        if len(ids) < 2:
             report.ci[task] = None
             continue
+        # arrays built once; each resample indexes them
+        risk = np.array([np.mean(pooled[task][i]) for i in ids])
+        t, e = label_arrays([getattr(records[i], task) for i in ids])
         try:
-            point = harrell_cindex([r for r, _ in items], [lab for _, lab in items])
+            point = cindex_arrays(risk, t, e)
             boot_seed = int(np.random.SeedSequence([seed, 5, TASKS.index(task)])
                             .generate_state(1)[0])
-            lo, hi = bootstrap_ci(
-                lambda sample: harrell_cindex([r for r, _ in sample],
-                                              [lab for _, lab in sample]),
-                items, config.eval.bootstrap_b, config.eval.level, boot_seed)
+            lo, hi = bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
+                                  np.arange(len(ids)), config.eval.bootstrap_b,
+                                  config.eval.level, boot_seed)
             report.ci[task] = {"metric": "cindex", "point": point, "lo": lo, "hi": hi,
                                "formatted": f"{point:.3f} with a "
                                             f"{format_ci(config.eval.level, lo, hi)}"}
@@ -327,11 +321,6 @@ def evaluate_model(model: FullModel, records: list[PatientRecord], config: RunCo
     report.ipcw_capped_folds = 1 if capped else 0
     for task in TASKS:
         report.rows.append(FoldRow(repeat=0, fold=0, task=task, **per_task[task]))
-    for p in preds:
-        for task in TASKS:
-            hz, sv = p.curves[task]
-            for k in range(bins.count):
-                report.curves.append(CurveRow(p.record.patient_id, task, k,
-                                              float(hz[k]), float(sv[k])))
+    report.curves = preds.curve_rows()
     report.aggregate = _aggregate(report.rows)
     return report

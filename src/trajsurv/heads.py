@@ -41,6 +41,10 @@ class TimeBins:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
+    def index(self, times) -> np.ndarray:
+        """Largest k with edges[k] <= t, per time; at or past the horizon, K-1."""
+        return np.minimum(np.searchsorted(self.edges, times, side="right") - 1, self.count - 1)
+
 
 def annual_bins(count: int = 12) -> TimeBins:
     return TimeBins(np.arange(count + 1, dtype=np.float64))
@@ -104,59 +108,31 @@ def os_head(h_star: Tensor, dfs_context: Tensor, params: HeadParams,
     return ad.add(ad.matmul(joint, params.w_os), params.b_os)
 
 
-@dataclass(frozen=True)
-class HazardCurve:
-    """Per-bin conditional event probabilities, each in (0, 1)."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.h, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "h", v)
-        if v.size == 0 or not np.isfinite(v).all() or (v <= 0).any() or (v >= 1).any():
-            raise ValueError("hazards must be finite and strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """S(k) = probability of surviving beyond bin k; positive, nonincreasing."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.s, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "s", v)
-        if v.size == 0 or not np.isfinite(v).all():
-            raise ValueError("survival values must be finite")
-        if v[0] > 1.0 or v[-1] <= 0.0 or (np.diff(v) > 0).any():
-            raise ValueError("survival curve must be nonincreasing within (0, 1]")
-
-    def at_time(self, t: float, bins: TimeBins) -> float:
-        """Step interpolation: the value of the bin containing t."""
-        from .objective import label_to_bin
-        return float(self.s[label_to_bin(t, bins)])
-
-
-def hazards_from_logits(logits: np.ndarray | Tensor) -> HazardCurve:
-    if isinstance(logits, Tensor):
-        logits = logits.data
-    x = np.asarray(logits, dtype=np.float64).reshape(-1)
+def hazards_from_logits(logits: np.ndarray | Tensor) -> np.ndarray:
+    """(n, K) hazards; the clamp keeps them inside (0, 1) at extreme logits."""
+    x = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("logits must be finite")
-    # Clamp keeps the open-interval invariant at extreme logits.
-    h = np.clip(ad.sigmoid(ad.constant(x)).data[0], 1e-300, 1.0 - 1e-16)
-    return HazardCurve(h)
+    return np.clip(ad.sigmoid(ad.constant(x)).data, 1e-300, 1.0 - 1e-16)
 
 
-def survival_from_hazards(hc: HazardCurve) -> SurvivalCurve:
-    return SurvivalCurve(np.cumprod(1.0 - hc.h))
+def survival_from_hazards(h: np.ndarray) -> np.ndarray:
+    """(n, K) survival S[:, k] beyond bin k. Hazards inside (0, 1) keep each row
+    nonincreasing and at most 1; only an underflow to 0 is left to check."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2 or h.size == 0 or not np.isfinite(h).all() or (h <= 0).any() or (h >= 1).any():
+        raise ValueError("hazards must be finite and strictly inside (0, 1)")
+    s = np.cumprod(1.0 - h, axis=1)
+    if (s[:, -1] <= 0.0).any():
+        raise ValueError("survival curve must be nonincreasing within (0, 1]")
+    return s
 
 
-def point_estimate_time(curve: SurvivalCurve, bins: TimeBins) -> float:
-    """Expected event time with the tail mass placed at the final edge."""
-    s = curve.s
-    if s.shape[0] != bins.count:
-        raise ValueError(f"curve has {s.shape[0]} bins, grid has {bins.count}")
-    prev = np.concatenate(([1.0], s[:-1]))
-    mass = prev - s
-    return float(mass @ bins.midpoints() + s[-1] * bins.edges[-1])
+def point_estimate_time(s: np.ndarray, bins: TimeBins) -> np.ndarray:
+    """Per row, the expected event time with the tail mass at the final edge.
+    Rows are dotted one by one: a matrix product sums in another order."""
+    if s.shape[1] != bins.count:
+        raise ValueError(f"curve has {s.shape[1]} bins, grid has {bins.count}")
+    mass = np.hstack([np.ones((s.shape[0], 1)), s[:, :-1]]) - s
+    mid = bins.midpoints()
+    return np.fromiter((m @ mid for m in mass), np.float64, s.shape[0]) + s[:, -1] * bins.edges[-1]

@@ -6,8 +6,10 @@ indicators; IPCW terms use G with a left limit at event times; undefined
 metrics propagate as None (missing), never as zeros.
 
 Cost for n patients, none of it an n x n matrix:
-- `harrell_cindex`: O(n) memory; ceil(log2 n) merge levels, each one sort
-  and two binary searches over at most n/2 keys, so O(n log^2 n) time.
+- `harrell_cindex`: O(n) memory; one dense comparison inside aligned
+  blocks of 32 patients (32 booleans per event), then ceil(log2 n) - 5
+  merge levels, each one stable argsort of rows made of two sorted runs
+  (merged in linear time), so O(n log n) time.
 - `time_dependent_auc`: O(n) memory; one sort of the controls and two
   binary searches per case, O(n log n) time.
 - `km_censoring_survival`: O(n) memory; one sorted pass, O(n log n) time.
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .heads import SurvivalCurve, TimeBins
+from .heads import TimeBins
 from .objective import SurvivalLabel
 
 
@@ -31,34 +33,44 @@ class IpcwCapWarning(UserWarning):
     """An IPCW weight hit the configured cap (censoring survival near 0)."""
 
 
-def _arrays(labels: Sequence[SurvivalLabel]) -> tuple[np.ndarray, np.ndarray]:
+def label_arrays(labels: Sequence[SurvivalLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Observed times and event flags as float64 and int64 arrays."""
     times = np.array([lab.time for lab in labels], dtype=np.float64)
     events = np.array([lab.event for lab in labels], dtype=np.int64)
     return times, events
 
 
+_BASE = 32
+_LATER = np.triu(np.ones((_BASE, _BASE), dtype=bool), 1)   # [p, j]: j > p
+
+
 def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     """Sum over positions p in `query` of #{j > p : ranks[j] < ranks[p]}.
 
-    Bottom-up merge levels: at the level of width w, a pair p < j is counted
-    once, when p lies in the left and j in the right half of the same
-    2w-aligned block. Each level sorts the right halves by (block, rank) as
-    one integer key and counts with two binary searches, so a call makes
-    ceil(log2 n) sorts and no Python step per patient.
+    Ranks become codes 2r (queried) or 2r + 1, padded to a power of two with
+    a code above all. Pairs within a 32-aligned block: one dense comparison
+    of each queried position with its block. Then merge levels: at width w,
+    the pairs with p in the left and j in the right half of a 2w-aligned
+    block. Both halves are held sorted and one stable argsort merges them;
+    a left code moved from index i to k has k - i smaller right codes ahead.
     """
     n = ranks.size
-    pos = np.arange(n)
-    total = 0
-    level = 0
-    while (1 << level) < n:
-        block = pos >> (level + 1)
-        right = ((pos >> level) & 1).astype(bool)
-        keys = np.sort(block[right] * (n + 1) + ranks[right])
-        left = query[~right[query]]
-        base = block[left] * (n + 1)
-        total += int((np.searchsorted(keys, base + ranks[left])
-                      - np.searchsorted(keys, base)).sum())
-        level += 1
+    size = 1 << max(_BASE.bit_length() - 1, (n - 1).bit_length())
+    code = np.full(size, 2 * n + 1, dtype=np.int64)
+    code[:n] = 2 * ranks + 1
+    code[query] -= 1
+    rows = code.reshape(-1, _BASE)
+    total = int(np.count_nonzero((rows[query // _BASE] < code[query][:, None])
+                                 & _LATER[query % _BASE]))
+    merged = np.sort(rows, axis=1)
+    w = _BASE
+    while w < size:
+        merged = merged.reshape(-1, 2 * w)
+        order = np.argsort(merged, axis=1, kind="stable")
+        merged = np.take_along_axis(merged, order, axis=1)
+        ahead = np.arange(2 * w) - order
+        total += int(ahead[(order < w) & (merged % 2 == 0)].sum())
+        w *= 2
     return total
 
 
@@ -69,12 +81,15 @@ def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> f
     event; pairs with equal observed times are never comparable (whether the
     tie involves a censoring or two events).
     """
-    if len(risks) != len(labels) or len(labels) < 2:
+    return cindex_arrays(np.asarray(risks, dtype=np.float64), *label_arrays(labels))
+
+
+def cindex_arrays(r: np.ndarray, t: np.ndarray, e: np.ndarray) -> float:
+    """`harrell_cindex` on risk, time and event arrays of equal length."""
+    if not r.shape == t.shape == e.shape or t.size < 2:
         raise ValueError("need matching risks and at least two patients")
-    r = np.asarray(risks, dtype=np.float64)
     if not np.isfinite(r).all():
         raise ValueError("risk scores must be finite")
-    t, e = _arrays(labels)
     _, t_rank, t_counts = np.unique(t, return_inverse=True, return_counts=True)
     r_rank = np.unique(r, return_inverse=True)[1]
     events = np.flatnonzero(e == 1)
@@ -82,11 +97,12 @@ def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> f
     n_comp = int((t.size - np.cumsum(t_counts)[t_rank[events]]).sum())
     if n_comp == 0:
         raise ValueError("no comparable pairs")
-    # tied: among those, the ones with the same risk rank
-    key = r_rank * t_counts.size + t_rank
-    tie_keys = np.sort(key)
-    tied = int((np.searchsorted(tie_keys, (r_rank[events] + 1) * t_counts.size)
-                - np.searchsorted(tie_keys, key[events], side="right")).sum())
+    # tied: among those, the ones with the same risk rank (sorted queries)
+    m = t_counts.size
+    key = r_rank * m + t_rank
+    tie_keys, asked = np.sort(key), np.sort(key[events])
+    tied = int((np.searchsorted(tie_keys, (asked // m + 1) * m)
+                - np.searchsorted(tie_keys, asked, side="right")).sum())
     # concordant: in (time, rank) order an event outranks exactly the later
     # patients with a smaller rank, because equal times sort by rank
     order = np.argsort(t_rank * t.size + r_rank)
@@ -109,7 +125,7 @@ def time_dependent_auc(scores: Sequence[float], labels: Sequence[SurvivalLabel],
     s = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    t, e = _arrays(labels)
+    t, e = label_arrays(labels)
     cases = s[(e == 1) & (t <= horizon)]
     controls = np.sort(s[t > horizon])
     if cases.size == 0 or controls.size == 0:
@@ -127,14 +143,17 @@ class CensoringSurvival:
     drop_times: np.ndarray
     values: np.ndarray  # G immediately after each drop time
 
-    def at(self, t: float) -> float:
-        i = int(np.searchsorted(self.drop_times, t, side="right"))
-        return 1.0 if i == 0 else float(self.values[i - 1])
+    def at(self, t):
+        """G(t), for a time (a float back) or an array of times."""
+        return self._step(t, "right")
 
-    def at_left(self, t: float) -> float:
+    def at_left(self, t):
         """Left limit G(t-)."""
-        i = int(np.searchsorted(self.drop_times, t, side="left"))
-        return 1.0 if i == 0 else float(self.values[i - 1])
+        return self._step(t, "left")
+
+    def _step(self, t, side: str):
+        g = np.concatenate(([1.0], self.values))[np.searchsorted(self.drop_times, t, side=side)]
+        return float(g) if np.ndim(g) == 0 else g
 
 
 def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
@@ -145,7 +164,7 @@ def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
     """
     if len(labels) == 0:
         raise ValueError("need at least one patient")
-    t, e = _arrays(labels)
+    t, e = label_arrays(labels)
     u, inverse, counts = np.unique(t, return_inverse=True, return_counts=True)
     at_risk = t.size - np.cumsum(counts) + counts
     d = np.bincount(inverse[e == 0], minlength=u.size)
@@ -155,11 +174,12 @@ def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
     return CensoringSurvival(u[drop], values)
 
 
-def integrated_brier(curves: Sequence[SurvivalCurve], labels: Sequence[SurvivalLabel],
+def integrated_brier(survival: np.ndarray, labels: Sequence[SurvivalLabel],
                      bins: TimeBins, tau: float, weight_cap: float = 100.0) -> float:
     """IPCW Brier score averaged over [0, tau] by the trapezoid rule.
 
-    BS(t) sums, per patient, S(t)^2 / G(time-) for events at or before t and
+    `survival` holds one patient's curve per row (n x K). BS(t) sums, per
+    patient, S(t)^2 / G(time-) for events at or before t and
     (1 - S(t))^2 / G(t) for patients still at risk; censored patients with
     time <= t contribute nothing. The time grid is 100 uniform points.
     Weights where G reaches 0 (or exceeds the cap) are clamped to
@@ -167,33 +187,24 @@ def integrated_brier(curves: Sequence[SurvivalCurve], labels: Sequence[SurvivalL
     """
     if tau <= 0 or tau > bins.horizon:
         raise ValueError(f"tau must lie in (0, {bins.horizon}]")
-    if len(curves) != len(labels) or not labels:
+    if survival.shape != (len(labels), bins.count) or not labels:
         raise ValueError("need matching curves and labels")
-    t_obs, e_obs = _arrays(labels)
+    t_obs, e_obs = label_arrays(labels)
     G = km_censoring_survival(labels)
     n = len(labels)
     grid = np.linspace(0.0, tau, 100)
-    # survival value per patient per grid point (step interpolation)
-    bin_of = np.minimum(np.searchsorted(bins.edges, grid, side="right") - 1,
-                        bins.count - 1)
-    s_mat = np.stack([c.s[bin_of] for c in curves])  # n x 100
-
-    capped = 0
-
-    def weight(g: float) -> float:
-        nonlocal capped
-        w = 1.0 / g if g > 0.0 else np.inf
-        if w > weight_cap:
-            capped += 1
-            return weight_cap
-        return w
-
-    w_event = np.array([weight(G.at_left(ti)) if ei == 1 else 0.0
-                        for ti, ei in zip(t_obs, e_obs)])
+    s_mat = survival[:, bins.index(grid)]  # n x 100, step interpolation
+    # 1/G at each event time (left limit) and at each grid point, capped
+    event = e_obs == 1
+    g = np.concatenate([G.at_left(t_obs[event]), G.at(grid)])
+    w = np.divide(1.0, g, out=np.full(g.size, np.inf), where=g > 0.0)
+    capped = int(np.count_nonzero(w > weight_cap))
+    w = np.minimum(w, weight_cap)
+    w_event = np.zeros(n)
+    w_event[event] = w[:-grid.size]
     bs = np.zeros_like(grid)
-    for j, t in enumerate(grid):
-        w_alive = weight(G.at(t))
-        had_event = (t_obs <= t) & (e_obs == 1)
+    for j, (t, w_alive) in enumerate(zip(grid, w[-grid.size:])):
+        had_event = (t_obs <= t) & event
         alive = t_obs > t
         terms = np.where(had_event, s_mat[:, j] ** 2 * w_event, 0.0)
         terms = np.where(alive, (1.0 - s_mat[:, j]) ** 2 * w_alive, terms)
@@ -208,19 +219,20 @@ def mae_uncensored(pred_times: Sequence[float], labels: Sequence[SurvivalLabel])
     if len(pred_times) != len(labels):
         raise ValueError("need matching predictions and labels")
     p = np.asarray(pred_times, dtype=np.float64)
-    t, e = _arrays(labels)
+    t, e = label_arrays(labels)
     mask = e == 1
     if not mask.any():
         return None
     return float(np.abs(p[mask] - t[mask]).mean())
 
 
-def bootstrap_ci(metric: Callable[[list], float | None], patients: Sequence, b: int,
+def bootstrap_ci(metric: Callable[[Sequence], float | None], patients: Sequence, b: int,
                  level: float, seed: int) -> tuple[float, float]:
     """Patient-level percentile bootstrap interval.
 
     Each resample draws n patients with replacement using a seed derived
-    from (seed, resample index). Resamples where the metric is undefined
+    from (seed, resample index); an array of patients is resampled as one
+    array, anything else as a list. Resamples where the metric is undefined
     (returns None or raises ValueError) are discarded; more than half
     undefined is an error.
     """
@@ -231,21 +243,17 @@ def bootstrap_ci(metric: Callable[[list], float | None], patients: Sequence, b: 
     n = len(patients)
     if n == 0:
         raise ValueError("no patients to resample")
-    children = np.random.SeedSequence(seed).spawn(b)
     values = []
-    undefined = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        sample = [patients[i] for i in idx.tolist()]
+    for child in np.random.SeedSequence(seed).spawn(b):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
         try:
-            v = metric(sample)
+            v = metric(patients[idx] if isinstance(patients, np.ndarray)
+                       else [patients[i] for i in idx.tolist()])
         except ValueError:
             v = None
-        if v is None:
-            undefined += 1
-        else:
+        if v is not None:
             values.append(v)
+    undefined = b - len(values)
     if undefined > b // 2:
         raise ValueError(f"{undefined}/{b} bootstrap resamples undefined")
     alpha = (1.0 - level) / 2.0

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import zipfile
 from dataclasses import dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -18,9 +21,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .evolution import EvolutionParams, TrajectorySnapshots, evolve, init_evolution
 from .graph import EmbeddingParams, GraphBatch, NodeKind, embed_nodes, init_embedding
-from .heads import (HazardCurve, HeadParams, SurvivalCurve, TimeBins, annual_bins,
-                    dfs_head, hazards_from_logits, init_heads, os_head,
-                    survival_from_hazards)
+from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
+                    init_heads, os_head, survival_from_hazards)
 from .trajectory import LstmParams, init_lstm, integrate, integrate_mean
 
 INTEGRATORS = ("lstm", "mean")
@@ -45,6 +47,26 @@ class ModelConfig:
         if self.bin_edges is not None:
             return TimeBins(np.array(self.bin_edges))
         return annual_bins(self.num_bins)
+
+
+def typed_value(key: str, value, hint):
+    """`value` as a field annotated `hint`, or a TypeError naming `key`: int and
+    bool take exactly that type, float also takes int but nothing non-finite,
+    and a float tuple is a list, returned as a tuple of floats."""
+    options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    if value is None and type(None) in options:
+        return None
+    hint = next(h for h in options if h is not type(None))
+    if get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise TypeError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(float(typed_value(key, v, float)) for v in value)
+    ok = (abs(value) <= sys.float_info.max if hint is float and type(value) in (int, float)
+          else type(value) is hint)
+    if not ok:
+        raise TypeError(f"{key} must be {'a finite number' if hint is float else hint.__name__}"
+                        f", got {value!r}")
+    return value
 
 
 @dataclass
@@ -90,19 +112,15 @@ class FullModel:
             os_hazards=ad.sigmoid(os_logits),
         )
 
-    def predict_curves(self, batch: GraphBatch
-                       ) -> list[dict[str, tuple[HazardCurve, SurvivalCurve]]]:
-        """Per patient, hazard and survival curves per task (monotonicity asserted)."""
+    def predict_curves(self, batch: GraphBatch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per task, the batch's (B, K) hazards and survival, checked once."""
         with ad.no_grad(p for _, p in self.named_parameters()):
             out = self.forward(batch)
-        result = []
-        for dfs, os_ in zip(out.dfs_logits.data, out.os_logits.data):
-            curves = {}
-            for task, logits in (("dfs", dfs), ("os", os_)):
-                hc = hazards_from_logits(logits)
-                curves[task] = (hc, survival_from_hazards(hc))
-            result.append(curves)
-        return result
+        curves = {}
+        for task, logits in (("dfs", out.dfs_logits), ("os", out.os_logits)):
+            h = hazards_from_logits(logits)
+            curves[task] = (h, survival_from_hazards(h))
+        return curves
 
 
 def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
@@ -158,14 +176,15 @@ def load_model(path) -> FullModel:
     1; any other version is rejected. A field this version does not know is
     accepted only when it is false: a switch removed at its off default, as
     older files carry. Any other value would describe a model this version
-    cannot build, so it is rejected. The parameter arrays must match the
-    model's names and shapes exactly.
+    cannot build, so it is rejected. Every field must have its annotated
+    type, and the parameter arrays must match the model's names and shapes
+    exactly and hold finite numbers.
     """
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode())
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise ModelFileError(f"{path}: not a readable model file ({exc})") from exc
     if not isinstance(meta, dict):
         raise ModelFileError(f"{path}: not a readable model file (metadata is not an object)")
@@ -179,10 +198,12 @@ def load_model(path) -> FullModel:
     if unsupported:
         raise ModelFileError(f"{path}: unsupported model fields {unsupported}")
     try:
-        cfg = ModelConfig(**{k: meta[k] for k in names})
-        if cfg.bin_edges is not None:
-            cfg = dataclasses.replace(cfg, bin_edges=tuple(cfg.bin_edges))
-        widths = {NodeKind(k): v for k, v in meta["feature_widths"].items()}
+        hints = get_type_hints(ModelConfig)
+        cfg = ModelConfig(**{k: typed_value(k, meta[k], hints[k]) for k in names})
+        if cfg.bins().count != cfg.num_bins:
+            raise ValueError(f"bin_edges {cfg.bin_edges} do not give num_bins {cfg.num_bins}")
+        widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int)
+                  for k, v in dict(meta["feature_widths"]).items()}
         model = init_model(cfg, widths, np.random.default_rng(0))
         shapes = {name: leaf.shape for name, leaf in model.named_parameters()}
         found = {k: a.shape for k, a in arrays.items()}
@@ -191,6 +212,8 @@ def load_model(path) -> FullModel:
             raise ValueError("parameter arrays do not match the model: " + ", ".join(
                 f"{k} {found.get(k, 'missing')} (expects {shapes.get(k, 'none')})" for k in wrong))
         for name, leaf in model.named_parameters():
+            if arrays[name].dtype.kind not in "fiu" or not np.isfinite(arrays[name]).all():
+                raise ValueError(f"parameter {name} must hold finite numbers")
             leaf.data[:] = arrays[name]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: not a readable model file "

@@ -24,7 +24,7 @@ CLAMP_EPS = 1e-12
 IMPROVE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurvivalLabel:
     """Observed follow-up in years and event flag (1 = event, 0 = censored)."""
 
@@ -52,14 +52,12 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
     """Largest k with edges[k] <= time; times at or past the horizon clamp to K-1."""
     if time < 0:
         raise ValueError(f"negative time {time}")
-    k = int(np.searchsorted(bins.edges, time, side="right")) - 1
-    return min(k, bins.count - 1)
+    return int(bins.index(time))
 
 
 def label_bins(labels: Sequence[SurvivalLabel], bins: TimeBins) -> np.ndarray:
     """(n, 2) integer rows of each label's bin (as `label_to_bin`) and event flag."""
-    times = np.array([lab.time for lab in labels], dtype=np.float64)
-    k = np.minimum(np.searchsorted(bins.edges, times, side="right") - 1, bins.count - 1)
+    k = bins.index(np.array([lab.time for lab in labels], dtype=np.float64))
     return np.stack([k, [lab.event for lab in labels]], axis=1).astype(np.intp)
 
 

@@ -4,12 +4,78 @@ Everything here is written as plain per-patient loops, deliberately sharing
 no code with the library: pair enumeration for the rank metrics, an explicit
 product recursion for Kaplan-Meier, and direct summation for the weighted
 Brier integral. Used to pin the vectorized implementations to 1e-12.
+The curve classes and functions below are the per-patient scalar forms of
+the (n, K) curve transforms, the reference the arrays are held to with ==.
 `concat_step` is the evolution step in its first form, dense and per node.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from trajsurv.objective import label_to_bin
+
+
+@dataclass(frozen=True)
+class HazardCurve:
+    """One patient's per-bin conditional event probabilities, each in (0, 1)."""
+
+    h: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.h, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "h", v)
+        if v.size == 0 or not np.isfinite(v).all() or (v <= 0).any() or (v >= 1).any():
+            raise ValueError("hazards must be finite and strictly inside (0, 1)")
+
+
+@dataclass(frozen=True)
+class SurvivalCurve:
+    """S(k) = probability of surviving beyond bin k; positive, nonincreasing."""
+
+    s: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.s, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "s", v)
+        if v.size == 0 or not np.isfinite(v).all():
+            raise ValueError("survival values must be finite")
+        if v[0] > 1.0 or v[-1] <= 0.0 or (np.diff(v) > 0).any():
+            raise ValueError("survival curve must be nonincreasing within (0, 1]")
+
+    def at_time(self, t, bins):
+        """Step interpolation: the value of the bin containing t."""
+        return float(self.s[label_to_bin(t, bins)])
+
+
+def scalar_hazards(logits):
+    """One row of logits to its clamped sigmoid hazards, element by element."""
+    x = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if not np.isfinite(x).all():
+        raise ValueError("logits must be finite")
+    h = []
+    for v in x:
+        e = np.exp(-abs(v))
+        h.append(min(max(1.0 / (1.0 + e) if v >= 0 else e / (1.0 + e), 1e-300),
+                     1.0 - 1e-16))
+    return HazardCurve(np.array(h))
+
+
+def scalar_survival(hc):
+    s, out = 1.0, []
+    for h in hc.h:
+        s *= 1.0 - h
+        out.append(s)
+    return SurvivalCurve(np.array(out))
+
+
+def scalar_point_estimate(curve, bins):
+    """Expected event time with the tail mass placed at the final edge."""
+    s = curve.s
+    if s.shape[0] != bins.count:
+        raise ValueError(f"curve has {s.shape[0]} bins, grid has {bins.count}")
+    mass = np.concatenate(([1.0], s[:-1])) - s
+    return float(mass @ bins.midpoints() + s[-1] * bins.edges[-1])
 
 
 def pair_cindex(risks, labels):
@@ -71,7 +137,7 @@ def direct_ibs(curves, labels, bins, tau, cap=100.0):
     for t in grid:
         total = 0.0
         for curve, lab in zip(curves, labels):
-            s = float(curve.s[label_to_bin(t, bins)])
+            s = float(curve[label_to_bin(t, bins)])
             if lab.event == 1 and lab.time <= t:
                 total += s * s * capped(km_censor_at(labels, lab.time, left=True))
             elif lab.time > t:
@@ -87,7 +153,7 @@ def unweighted_ibs(curves, labels, bins, tau):
     for t in grid:
         total = 0.0
         for curve, lab in zip(curves, labels):
-            s = float(curve.s[label_to_bin(t, bins)])
+            s = float(curve[label_to_bin(t, bins)])
             target = 0.0 if lab.time <= t else 1.0
             if lab.time <= t and lab.event == 0:
                 continue
@@ -97,8 +163,9 @@ def unweighted_ibs(curves, labels, bins, tau):
 
 
 def random_survival_instance(rng, max_n=20):
-    """A small cohort with deliberate time and risk ties plus random curves."""
-    from trajsurv.heads import HazardCurve, annual_bins, survival_from_hazards
+    """A small cohort with deliberate time and risk ties plus random curves,
+    one survival row per patient."""
+    from trajsurv.heads import annual_bins
     from trajsurv.objective import SurvivalLabel
 
     bins = annual_bins(6)
@@ -110,8 +177,8 @@ def random_survival_instance(rng, max_n=20):
     labels = [SurvivalLabel(float(t), int(e)) for t, e in zip(times, events)]
     risks = rng.integers(0, 5, size=n).astype(np.float64)
     scores = np.round(rng.random(size=n), 1)
-    curves = [survival_from_hazards(HazardCurve(rng.uniform(0.05, 0.6, size=bins.count)))
-              for _ in range(n)]
+    curves = np.stack([scalar_survival(HazardCurve(rng.uniform(0.05, 0.6, size=bins.count))).s
+                       for _ in range(n)])
     return bins, labels, risks, scores, curves
 
 

@@ -92,12 +92,11 @@ def test_03_curve_validity():
         bins = annual_bins(int(rng.integers(1, 13)))
         scale = rng.uniform(0.5, 40.0)
         logits = rng.normal(scale=scale, size=bins.count)
-        sc = survival_from_hazards(hazards_from_logits(logits))
-        s = sc.s
+        s = survival_from_hazards(hazards_from_logits(logits[None, :]))[0]
         if not (np.all(np.diff(s) <= 0.0) and np.all(s > 0.0) and np.all(s <= 1.0)):
             violations += 1
             continue
-        est = point_estimate_time(sc, bins)
+        est = point_estimate_time(s[None, :], bins)[0]
         if not (0.0 <= est <= bins.edges[-1]):
             violations += 1
     verdict(3, "survival-curve validity over 1000 random draws", violations == 0,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
@@ -135,7 +137,9 @@ class TestTrainEvaluate:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array",
-                                      "row_for_matrix", "unknown_array", "meta_not_object"))
+                                      "row_for_matrix", "unknown_array", "meta_not_object",
+                                      "nan_weight", "text_weight", "meta_wrong_type",
+                                      "edges_not_k"))
     def test_evaluate_corrupt_model_file_is_data_error(self, tmp_path, capsys, kind):
         bad = tmp_path / "model.npz"
         if kind == "text":
@@ -185,8 +189,19 @@ def rewrite_arrays(path, change):
     return path
 
 
+def _meta_update(change):
+    def apply(arrays):
+        meta = {**json.loads(bytes(arrays["__meta__"]).decode()), **change}
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return apply
+
+
 CORRUPTIONS = {
     "missing_array": lambda a: a.pop("lstm.w_i"),
+    "nan_weight": lambda a: a["heads.b_os"].__setitem__((0, 1), np.nan),
+    "text_weight": lambda a: a.update({"heads.b_os": a["heads.b_os"].astype(str)}),
+    "meta_wrong_type": _meta_update({"cascade": "no"}),
+    "edges_not_k": _meta_update({"bin_edges": [0.0, 1.0]}),
     # One row of an 8 x 8 matrix would broadcast over all of its rows.
     "row_for_matrix": lambda a: a.update({"op.w_out": a["op.w_out"][:1]}),
     "unknown_array": lambda a: a.update({"op.w_extra": np.zeros((8, 8))}),
@@ -199,6 +214,17 @@ CORRUPTIONS = {
     ("row_for_matrix", r"op\.w_out \(1, 8\) \(expects \(8, 8\)\)"),
     ("unknown_array", r"op\.w_extra \(8, 8\) \(expects none\)")))
 def test_parameter_names_and_shapes_must_match(tmp_path, kind, message):
+    path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind,message", (
+    ("nan_weight", r"parameter heads\.b_os must hold finite numbers"),
+    ("text_weight", r"parameter heads\.b_os must hold finite numbers"),
+    ("meta_wrong_type", r"cascade must be bool, got 'no'"),
+    ("edges_not_k", r"bin_edges \(0\.0, 1\.0\) do not give num_bins 4")))
+def test_parameter_values_and_field_types_are_checked(tmp_path, kind, message):
     path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
     with pytest.raises(ModelFileError, match=message):
         load_model(path)
@@ -356,3 +382,78 @@ def test_console_script_installed(tmp_path):
         proc = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=run_env)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "crossval" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzz: a mutated model file loads equal or is a data error.
+# ---------------------------------------------------------------------------
+
+MODEL_MUTATIONS = ("truncate", "meta_drop_key", "meta_wrong_type", "array_nonfinite",
+                   "array_dtype", "array_shape", "array_drop", "array_extra")
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def model_fuzz_base(tmp_path_factory):
+    """A directory with a saved model (untrained.npz), a cohort and run.json."""
+    root = tmp_path_factory.mktemp("model_fuzz")
+    save_untrained_model(root)
+    write_config(root, name="run.json", cohort=simulate_into(root))
+    return root
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(MODEL_MUTATIONS), st.data())
+def test_mutated_model_loads_equal_or_exits_2(model_fuzz_base, mutation, data):
+    root = model_fuzz_base
+    bad, raw = root / "mutated.npz", (root / "untrained.npz").read_bytes()
+    model = load_model(root / "untrained.npz")
+    with np.load(root / "untrained.npz") as base:
+        arrays = {k: base[k] for k in base.files}
+    names = sorted(k for k in arrays if k != "__meta__")
+    if mutation == "truncate":
+        bad.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    else:
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        name = data.draw(st.sampled_from(names))
+        if mutation == "meta_drop_key":
+            del meta[data.draw(st.sampled_from(sorted(meta)))]
+        elif mutation == "meta_wrong_type":
+            fields = [(meta, k) for k in meta] + [(meta["feature_widths"], k)
+                                                  for k in meta["feature_widths"]]
+            node, key = data.draw(st.sampled_from(fields))
+            node[key] = data.draw(st.sampled_from(
+                [v for v in (None, "x", True, 2.5, [], {}) if _kind(v) != _kind(node[key])]))
+        elif mutation == "array_nonfinite":
+            flat = arrays[name].reshape(-1)
+            flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(
+                st.sampled_from((np.nan, np.inf, -np.inf)))
+        elif mutation == "array_dtype":
+            arrays[name] = arrays[name].astype(data.draw(st.sampled_from((str, bool, complex))))
+        elif mutation == "array_shape":
+            a = arrays[name]   # a square transpose is a valid model, so never drawn
+            arrays[name] = data.draw(st.sampled_from([b for b in (
+                a.T, a.reshape(-1), a[:-1], np.vstack([a, a[:1]]), a[:, :1])
+                if b.shape != a.shape]))
+        elif mutation == "array_drop":
+            del arrays[name]
+        else:
+            arrays["heads.extra"] = np.zeros((2, 2))
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(bad, "wb") as fh:
+            np.savez(fh, **arrays)
+    try:
+        loaded = load_model(bad)
+    except ModelFileError:
+        expected = EXIT_DATA
+    else:
+        assert loaded.config == model.config
+        for (name, got), (_, want) in zip(loaded.named_parameters(), model.named_parameters()):
+            assert got.data.tobytes() == want.data.tobytes(), name
+        expected = EXIT_OK
+    assert main(["evaluate", "--config", str(root / "run.json"), "--out", str(root / "out"),
+                 "--model", str(bad)]) == expected

@@ -1,8 +1,14 @@
 """Strict config parsing: unknown keys rejected, ranges enforced, round-trip."""
 
 import json
+import math
+from dataclasses import fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trajsurv.config import (ConfigError, EvalSettings, RunConfig, config_from_dict,
                              config_to_dict, load_config)
@@ -105,6 +111,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cv.k"):
             config_from_dict({"cv": {"k": 1}})
 
+    @pytest.mark.parametrize("doc", [{"train": {"seed": -1}}, {"simulate": {"seed": -3}}])
+    def test_negative_seed_rejected(self, doc):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from_dict(doc)
+
+    def test_bin_edges_must_match_k(self):
+        with pytest.raises(ConfigError, match="model.K"):
+            config_from_dict({"model": {"K": 3, "bin_edges": [0, 1, 2, 3, 4]}})
+        cfg = config_from_dict({"model": {"K": 4, "bin_edges": [0, 1, 2, 3, 4]}})
+        assert cfg.model.bins().count == 4
+
     def test_simulate_scenario_errors_surface(self):
         with pytest.raises(ConfigError, match="simulate"):
             config_from_dict({"simulate": {"censoring_rate": 1.5}})
@@ -160,3 +177,122 @@ def test_eval_settings_defaults():
     assert e.tau is None
     assert e.bootstrap_b == 1000
     assert e.level == 0.95
+
+
+def _main_exit(tmp_path, doc_text):
+    from trajsurv.cli import main
+
+    path = tmp_path / "fuzz.json"
+    path.write_text(doc_text)
+    return main(["crossval", "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("doc, key", [
+        ({"model": {"d": "x"}}, "model.d"),
+        ({"train": {"lr": "0.1"}}, "train.lr"),
+        ({"eval": {"horizons": 3}}, "eval.horizons"),
+        ({"eval": {"horizons": ["a", 1, 2]}}, "eval.horizons"),
+        ({"model": {"bin_edges": 5}}, "model.bin_edges"),
+        ({"cv": {"k": 2.5}}, "cv.k"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"model": {"T": 2.5}}, "model.T"),
+        ({"model": {"T": True}}, "model.T"),
+        ({"model": {"cascade": "no"}}, "model.cascade"),
+        ({"model": {"cascade": 0}}, "model.cascade"),
+        ({"train": {"augment": 1}}, "train.augment"),
+        ({"paths": {"cohort": 3}}, "paths.cohort"),
+        ({"simulate": {"seed": 1.0}}, "simulate.seed"),
+        ({"train": {"lr": 10 ** 400}}, "train.lr"),
+        ({"eval": {"tau": float("inf")}}, "eval.tau"),
+        ({"eval": {"level": True}}, "eval.level"),
+    ])
+    def test_wrong_type_names_key_and_exits_one(self, doc, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            config_from_dict(doc)
+        assert _main_exit(tmp_path, json.dumps(doc)) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+    def test_float_fields_take_integers(self):
+        cfg = config_from_dict({"train": {"lr": 1}, "eval": {"tau": 2, "horizons": [1, 2, 3]}})
+        assert cfg.train.lr == 1 and cfg.eval.tau == 2
+        assert cfg.eval.horizons == (1.0, 2.0, 3.0)
+
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        from trajsurv.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+        assert main(["simulate", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path)]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        from trajsurv.cli import main
+
+        for path in (tmp_path, tmp_path / "missing.json"):
+            assert main(["crossval", "--config", str(path)]) == 1
+            assert "config error" in capsys.readouterr().err
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"paths": {"cohort": "\xe9"}}')
+        assert main(["crossval", "--config", str(latin)]) == 1
+
+
+def _well_typed(value, hint) -> bool:
+    options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    if value is None:
+        return type(None) in options
+    hint = next(h for h in options if h is not type(None))
+    if get_origin(hint) is tuple:
+        return type(value) is tuple and all(type(v) is float for v in value)
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
+
+
+_SECTION_KEYS = {
+    "model": ["backbone", "d", "d_t", "d_h", "d_c", "T", "K", "bin_edges", "message_dim",
+              "attention_dim", "cascade", "integrator"],
+    "train": ["lr", "batch_size", "alpha", "beta", "max_epochs", "patience", "seed",
+              "scheduler_factor", "augment"],
+    "eval": ["horizons", "tau", "bootstrap_b", "level"],
+    "paths": ["cohort", "output_dir", "model"],
+    "simulate": ["n", "seed", "censoring_rate", "region_len"],
+    "cv": ["k", "repeats"],
+}
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.integers(10 ** 300, 10 ** 400)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+                [0.5, 1.0, 2.5, 3.0, 12.0, "gcn", "lstm", "mean", "x", "0.1", ""]))
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=5) | st.dictionaries(st.text(max_size=3),
+                                                                        _SCALARS, max_size=2)
+
+
+@st.composite
+def config_docs(draw):
+    doc = {}
+    for section in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS)), unique=True)):
+        keys = draw(st.lists(st.sampled_from(_SECTION_KEYS[section] + ["junk"]),
+                             unique=True, max_size=4))
+        doc[section] = {k: draw(_VALUES) for k in keys}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(_SECTION_KEYS)))] = draw(_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config_docs())
+def test_fuzzed_config_is_well_typed_or_exits_one(tmp_path, doc):
+    """A document either loads into a well-typed `RunConfig` or raises
+    `ConfigError`, and `main` then exits 1. An accepted document is never
+    run: its sizes could start real work."""
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        assert _main_exit(tmp_path, json.dumps(doc)) == 1
+        return
+    for section in fields(cfg):
+        part = getattr(cfg, section.name)
+        hints = get_type_hints(type(part))
+        for f in fields(part):
+            assert _well_typed(getattr(part, f.name), hints[f.name]), (section.name, f.name)

@@ -9,9 +9,11 @@ import pytest
 from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
-from trajsurv.cohort import simulate_cohort
+from oracles import pair_cindex, scalar_hazards, scalar_point_estimate, scalar_survival
+from trajsurv.cohort import cohort_arrays, simulate_cohort
 from trajsurv.crossval import (CurveRow, CvReport, FoldRow, _aggregate, apply_variant,
                                emit_report, evaluate_model, run_ablation, run_crossval)
+from trajsurv.metrics import bootstrap_ci, harrell_cindex
 from trajsurv.model import init_model
 
 SMALL_DOC = {
@@ -204,6 +206,33 @@ class TestAggregate:
         assert agg["os"]["cindex"]["n"] == 1
 
 
+def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
+    """The pooled interval equals, bit for bit, the pair-count C-index of each
+    patient's mean risk over the repeats and the bootstrap of (risk, label)
+    items, with the risks read from every fold's predictions."""
+    config = small_config()
+    records, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
+    folds = []
+    predict = cv._predict_fold
+    monkeypatch.setattr(cv, "_predict_fold", lambda *args: folds.append(predict(*args))
+                        or folds[-1])
+    report = run_crossval(config, records)
+    for task in cv.TASKS:
+        risks = {rec.patient_id: [] for rec in records}
+        for pred in folds:
+            for rec, t in zip(pred.records, pred.tasks[task].pred_time.tolist()):
+                risks[rec.patient_id].append(-t)
+        assert {len(v) for v in risks.values()} == {config.cv.repeats}
+        items = [(float(np.mean(risks[rec.patient_id])), getattr(rec, task)) for rec in records]
+        point = pair_cindex([r for r, _ in items], [lab for _, lab in items])
+        seed = int(np.random.SeedSequence([0, 5, cv.TASKS.index(task)]).generate_state(1)[0])
+        lo, hi = bootstrap_ci(
+            lambda sample: harrell_cindex([r for r, _ in sample], [lab for _, lab in sample]),
+            items, config.eval.bootstrap_b, config.eval.level, seed)
+        assert (report.ci[task]["point"], report.ci[task]["lo"], report.ci[task]["hi"]) == \
+            (point, lo, hi)
+
+
 class TestEvaluateModel:
     def test_single_pseudo_fold(self, small_run):
         config, records, _ = small_run
@@ -224,9 +253,44 @@ class TestEvaluateModel:
         bins = config.model.bins()
         chunked = cv._predict_fold(model, records, bins, config.eval.horizons, 64)
         alone = cv._predict_fold(model, records, bins, config.eval.horizons, 1)
-        assert [p.record for p in chunked] == records
-        for a, b in zip(chunked, alone):
-            for task in cv.TASKS:
-                for got, want in zip(a.curves[task], b.curves[task]):
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                assert a.risks[task] == pytest.approx(b.risks[task], abs=1e-12)
+        assert chunked.records == records
+        for task in cv.TASKS:
+            a, b = chunked.tasks[task], alone.tasks[task]
+            for got, want in ((a.hazard, b.hazard), (a.survival, b.survival)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(-a.pred_time, -b.pred_time, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_predict_fold_equals_scalar_oracles(chunk, saturated):
+    """Every array `_predict_fold` returns is == the per-patient scalar forms
+    applied to the logits of the same chunk, and the curve rows carry them."""
+    config = small_config()
+    records, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
+    model = init_model(config.model, cv._feature_widths(records), np.random.default_rng(2))
+    if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
+        model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
+        model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]
+    bins, horizons = config.model.bins(), config.eval.horizons
+    pred = cv._predict_fold(model, records, bins, horizons, chunk)
+    data = cohort_arrays(records)
+    logits = {"dfs": [], "os": []}
+    for start in range(0, len(records), chunk):
+        with ad.no_grad(p for _, p in model.named_parameters()):
+            out = model.forward(data.take(slice(start, start + chunk)).batch())
+        logits["dfs"].extend(out.dfs_logits.data)
+        logits["os"].extend(out.os_logits.data)
+    rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival) for c in pred.curve_rows()}
+    assert len(rows) == len(records) * 2 * bins.count
+    for task in cv.TASKS:
+        p = pred.tasks[task]
+        for i, rec in enumerate(records):
+            hc = scalar_hazards(logits[task][i])
+            sc = scalar_survival(hc)
+            assert p.hazard[i].tolist() == hc.h.tolist()
+            assert p.survival[i].tolist() == sc.s.tolist()
+            assert p.pred_time[i] == scalar_point_estimate(sc, bins)
+            assert p.scores[i].tolist() == [1.0 - sc.at_time(t, bins) for t in horizons]
+            assert [rows[(rec.patient_id, task, k)] for k in range(bins.count)] == \
+                list(zip(hc.h.tolist(), sc.s.tolist()))

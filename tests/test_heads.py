@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import scalar_hazards, scalar_point_estimate, scalar_survival
 from trajsurv import autodiff as ad
-from trajsurv.heads import (HazardCurve, SurvivalCurve, TimeBins, annual_bins,
-                            dfs_head, hazards_from_logits, init_heads, os_head,
-                            point_estimate_time, survival_from_hazards)
+from trajsurv.heads import (TimeBins, annual_bins, dfs_head, hazards_from_logits, init_heads,
+                            os_head, point_estimate_time, survival_from_hazards)
 
 
 class TestTimeBins:
@@ -114,93 +114,113 @@ class TestHeads:
 
 class TestHazardTransforms:
     def test_zero_logits_half_hazard(self):
-        hc = hazards_from_logits(np.zeros(4))
-        assert np.allclose(hc.h, 0.5)
+        h = hazards_from_logits(np.zeros((2, 4)))
+        assert h.shape == (2, 4)
+        assert np.allclose(h, 0.5)
 
     def test_saturated_low_logit(self):
-        hc = hazards_from_logits(np.array([-100.0]))
-        assert hc.h[0] < 1e-40
-        assert hc.h[0] > 0.0
+        h = hazards_from_logits(np.array([[-100.0]]))
+        assert h[0, 0] < 1e-40
+        assert h[0, 0] > 0.0
 
     def test_log_three_gives_three_quarters(self):
-        hc = hazards_from_logits(np.array([np.log(3.0)]))
-        assert hc.h[0] == pytest.approx(0.75)
+        h = hazards_from_logits(np.array([[np.log(3.0)]]))
+        assert h[0, 0] == pytest.approx(0.75)
 
     def test_accepts_tensor_input(self):
-        hc = hazards_from_logits(ad.constant([[0.0, 0.0]]))
-        assert np.allclose(hc.h, 0.5)
+        h = hazards_from_logits(ad.constant([[0.0, 0.0]]))
+        assert np.allclose(h, 0.5)
 
     def test_nonfinite_logits_rejected(self):
-        with pytest.raises(ValueError):
-            hazards_from_logits(np.array([np.nan]))
+        with pytest.raises(ValueError, match="logits must be finite"):
+            hazards_from_logits(np.array([[0.0], [np.nan]]))
 
     def test_hazard_curve_open_interval(self):
-        with pytest.raises(ValueError):
-            HazardCurve(np.array([0.0]))
-        with pytest.raises(ValueError):
-            HazardCurve(np.array([1.0]))
+        for bad in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="strictly inside"):
+                survival_from_hazards(np.array([[0.5], [bad]]))
 
 
 class TestSurvival:
     def test_half_hazard(self):
-        sc = survival_from_hazards(HazardCurve(np.array([0.5])))
-        assert np.allclose(sc.s, [0.5])
+        assert np.allclose(survival_from_hazards(np.array([[0.5]])), [[0.5]])
 
     def test_hand_cumprod(self):
-        sc = survival_from_hazards(HazardCurve(np.array([0.1, 0.2])))
-        assert np.allclose(sc.s, [0.9, 0.72])
+        s = survival_from_hazards(np.array([[0.1, 0.2], [0.5, 0.5]]))
+        assert np.allclose(s, [[0.9, 0.72], [0.5, 0.25]])
 
     def test_vanishing_hazard_limit(self):
-        sc = survival_from_hazards(HazardCurve(np.full(3, 1e-300)))
-        assert np.allclose(sc.s, 1.0, atol=1e-12)
+        s = survival_from_hazards(np.full((1, 3), 1e-300))
+        assert np.allclose(s, 1.0, atol=1e-12)
 
     def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            SurvivalCurve(np.array([0.5, 0.6]))   # increasing
-        with pytest.raises(ValueError):
-            SurvivalCurve(np.array([0.5, 0.0]))   # hits zero
-        with pytest.raises(ValueError):
-            SurvivalCurve(np.array([1.2, 0.5]))   # above one
+        # a negative hazard would make S increase or exceed one
+        with pytest.raises(ValueError, match="strictly inside"):
+            survival_from_hazards(np.array([[0.5, -0.2]]))
+        with pytest.raises(ValueError, match="strictly inside"):
+            survival_from_hazards(np.array([[-0.2, 0.5]]))
+        # valid hazards whose product underflows to zero
+        with pytest.raises(ValueError, match="nonincreasing within"):
+            survival_from_hazards(np.full((1, 30), 1.0 - 1e-16))
 
     def test_at_time_step_interpolation(self):
         bins = TimeBins(np.array([0.0, 1.0, 2.0, 3.0]))
-        sc = SurvivalCurve(np.array([0.9, 0.5, 0.2]))
-        assert sc.at_time(0.0, bins) == 0.9
-        assert sc.at_time(0.99, bins) == 0.9
-        assert sc.at_time(1.0, bins) == 0.5
-        assert sc.at_time(7.0, bins) == 0.2
+        s = np.array([[0.9, 0.5, 0.2]])
+        assert s[0, bins.index([0.0, 0.99, 1.0, 7.0])].tolist() == [0.9, 0.9, 0.5, 0.2]
 
 
 class TestPointEstimate:
     def test_hand_expectation(self):
         bins = TimeBins(np.array([0.0, 1.0, 2.0]))
-        est = point_estimate_time(SurvivalCurve(np.array([0.5, 0.25])), bins)
-        assert est == pytest.approx(1.125)
+        est = point_estimate_time(np.array([[0.5, 0.25]]), bins)
+        assert est.shape == (1,)
+        assert est[0] == pytest.approx(1.125)
 
     def test_all_mass_in_tail(self):
         bins = TimeBins(np.array([0.0, 1.0, 2.0]))
-        est = point_estimate_time(SurvivalCurve(np.array([1.0 - 1e-12, 1.0 - 1e-12])),
-                                  bins)
-        assert est == pytest.approx(2.0, abs=1e-9)
+        est = point_estimate_time(np.array([[1.0 - 1e-12, 1.0 - 1e-12]]), bins)
+        assert est[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_immediate_event_limit(self):
         bins = TimeBins(np.array([0.0, 1.0, 2.0]))
-        est = point_estimate_time(SurvivalCurve(np.array([1e-12, 1e-13])), bins)
-        assert est == pytest.approx(0.5, abs=1e-9)
+        est = point_estimate_time(np.array([[1e-12, 1e-13]]), bins)
+        assert est[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_bin_count_mismatch_rejected(self):
         bins = annual_bins(3)
-        with pytest.raises(ValueError):
-            point_estimate_time(SurvivalCurve(np.array([0.5])), bins)
+        with pytest.raises(ValueError, match="grid has 3"):
+            point_estimate_time(np.array([[0.5]]), bins)
 
 
 def test_random_draws_always_yield_valid_curves():
     # Smaller-scale version of the acceptance sweep, kept here for fast signal.
     bins = annual_bins(6)
     rng = np.random.default_rng(100)
-    for _ in range(100):
-        hc = hazards_from_logits(rng.normal(scale=30.0, size=6))
-        sc = survival_from_hazards(hc)
-        assert np.all(np.diff(sc.s) <= 0)
-        assert 0.0 < sc.s[-1] and sc.s[0] <= 1.0
-        assert 0.0 <= point_estimate_time(sc, bins) <= bins.horizon
+    s = survival_from_hazards(hazards_from_logits(rng.normal(scale=30.0, size=(100, 6))))
+    assert np.all(np.diff(s, axis=1) <= 0)
+    assert np.all(0.0 < s[:, -1]) and np.all(s[:, 0] <= 1.0)
+    est = point_estimate_time(s, bins)
+    assert np.all((0.0 <= est) & (est <= bins.horizon))
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+@pytest.mark.parametrize("scale", [3.0, 60.0])
+def test_array_curves_equal_the_scalar_forms(rows, scale):
+    """Row by row, == the per-patient scalar forms; scale 60 saturates most
+    logits, so both clamps and the underflowing tail are exercised."""
+    bins = annual_bins(12)
+    rng = np.random.default_rng(rows)
+    logits = rng.normal(scale=scale, size=(rows, bins.count))
+    logits[0, :3] = [40.0, -40.0, 745.0]
+    h = hazards_from_logits(logits)
+    s = survival_from_hazards(h)
+    est = point_estimate_time(s, bins)
+    for i in range(rows):
+        hc = scalar_hazards(logits[i])
+        sc = scalar_survival(hc)
+        assert h[i].tolist() == hc.h.tolist()
+        assert s[i].tolist() == sc.s.tolist()
+        assert est[i] == scalar_point_estimate(sc, bins)
+        for t in (0.0, 0.5, 1.0, 4.99, 12.0, 30.0):
+            assert s[i, bins.index(t)] == sc.at_time(t, bins)
+

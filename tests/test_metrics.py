@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import (direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance, unweighted_ibs)
-from trajsurv.heads import SurvivalCurve, annual_bins
-from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
-                              harrell_cindex, integrated_brier, km_censoring_survival,
-                              mae_uncensored, time_dependent_auc)
+from trajsurv.heads import annual_bins
+from trajsurv.metrics import (IpcwCapWarning, _later_smaller_counts, bootstrap_ci,
+                              cindex_arrays, format_ci, harrell_cindex, integrated_brier,
+                              km_censoring_survival, label_arrays, mae_uncensored,
+                              time_dependent_auc)
 from trajsurv.objective import SurvivalLabel
 
 
@@ -127,12 +128,13 @@ class TestTimeDependentAuc:
 
 @st.composite
 def tied_cohorts(draw):
-    """2-60 patients with small integer times and risks, so ties are common.
+    """2-150 patients with small integer times and risks, so ties are common;
+    past 32 patients the dense base block and merge levels both count.
 
     The event pattern is drawn as a whole cohort as often as patient by
     patient, so all-censored cohorts and cohorts with one event turn up.
     """
-    n = draw(st.integers(2, 60))
+    n = draw(st.integers(2, 150))
     times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     pattern = draw(st.sampled_from(["each", "none", "one", "all"]))
     if pattern == "each":
@@ -176,6 +178,17 @@ class TestRankMetricsEqualPairEnumeration:
         for t in (0.5, 1.0, 2.0, 3.5, 6.0, 7.0):
             assert G.at(t) == km_censor_at(labels, t)
             assert G.at_left(t) == km_censor_at(labels, t, left=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 511, 512, 513, 1025])
+def test_later_smaller_counts_match_direct_count(n):
+    """Sizes around the 32-wide base block and the power-of-two padding."""
+    rng = np.random.default_rng(n)
+    for distinct in (2, n):
+        ranks = rng.integers(0, distinct, n)
+        query = np.flatnonzero(rng.random(n) < 0.6)
+        want = sum(int((ranks[p + 1:] < ranks[p]).sum()) for p in query)
+        assert _later_smaller_counts(ranks, query) == want
 
 
 class TestRankMetricMemory:
@@ -254,17 +267,17 @@ class TestIntegratedBrier:
     def step_curve(self, event_bin):
         s = np.ones(self.BINS.count)
         s[event_bin:] = 1e-12
-        return SurvivalCurve(s)
+        return s
 
     def test_perfect_oracle_scores_zero(self):
         labels = [lab(1, 1), lab(3, 1), lab(5, 1)]
-        curves = [self.step_curve(1), self.step_curve(3), self.step_curve(5)]
+        curves = np.stack([self.step_curve(1), self.step_curve(3), self.step_curve(5)])
         ibs = integrated_brier(curves, labels, self.BINS, tau=6.0)
         assert ibs == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_half_single_event(self):
         labels = [lab(2.0, 1)]
-        curves = [SurvivalCurve(np.full(self.BINS.count, 0.5))]
+        curves = np.full((1, self.BINS.count), 0.5)
         ibs = integrated_brier(curves, labels, self.BINS, tau=4.0)
         assert ibs == pytest.approx(0.25, abs=1e-12)
 
@@ -291,14 +304,14 @@ class TestIntegratedBrier:
 
     def test_cap_warning_when_censoring_survival_hits_zero(self):
         labels = [lab(1, 1), lab(2, 0)]
-        curves = [SurvivalCurve(np.full(self.BINS.count, 0.5)) for _ in labels]
+        curves = np.full((len(labels), self.BINS.count), 0.5)
         with pytest.warns(IpcwCapWarning):
             val = integrated_brier(curves, labels, self.BINS, tau=4.0)
         assert np.isfinite(val)
 
     def test_tau_validation(self):
         labels = [lab(1, 1)]
-        curves = [SurvivalCurve(np.full(self.BINS.count, 0.5))]
+        curves = np.full((1, self.BINS.count), 0.5)
         with pytest.raises(ValueError):
             integrated_brier(curves, labels, self.BINS, tau=0.0)
         with pytest.raises(ValueError):
@@ -349,6 +362,27 @@ class TestBootstrap:
 
         lo, hi = bootstrap_ci(metric, data, b=400, level=0.95, seed=13)
         assert 0.0 < lo <= hi
+
+    def test_draws_are_pinned_for_lists_and_arrays(self):
+        # An order-sensitive metric, so the draws themselves are pinned.
+        data = np.random.default_rng(6).normal(size=50)
+        metric = lambda s: float(s[0] - s[-1] + np.mean(s))
+        for patients in (list(data), data):
+            assert bootstrap_ci(metric, patients, b=200, level=0.9, seed=11) == \
+                (-2.3406112353186437, 2.2629814677820996)
+
+    def test_index_array_resamples_equal_the_list_form(self):
+        """Resampling indices into arrays built once draws the same patients
+        as resampling (risk, label) items, so the interval is bit-identical."""
+        _, labels, risks, _, _ = random_survival_instance(np.random.default_rng(9), 40)
+        items = list(zip(risks.tolist(), labels))
+        t, e = label_arrays(labels)
+        by_items = bootstrap_ci(
+            lambda sample: harrell_cindex([r for r, _ in sample], [l for _, l in sample]),
+            items, b=200, level=0.9, seed=21)
+        by_index = bootstrap_ci(lambda idx: cindex_arrays(risks[idx], t[idx], e[idx]),
+                                np.arange(len(items)), b=200, level=0.9, seed=21)
+        assert by_index == by_items
 
     def test_mostly_undefined_is_error(self):
         with pytest.raises(ValueError, match="undefined"):
