@@ -266,7 +266,7 @@ def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
             boot_seed = int(np.random.SeedSequence([seed, 5, TASKS.index(task)])
                             .generate_state(1)[0])
             lo, hi = bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
-                                  np.arange(len(ids)), config.eval.bootstrap_b,
+                                  range(len(ids)), config.eval.bootstrap_b,
                                   config.eval.level, boot_seed)
             report.ci[task] = {"metric": "cindex", "point": point, "lo": lo, "hi": hi,
                                "formatted": f"{point:.3f} with a "

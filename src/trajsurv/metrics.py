@@ -7,7 +7,7 @@ metrics propagate as None (missing), never as zeros.
 
 Cost for n patients, none of it an n x n matrix:
 - `harrell_cindex`: O(n) memory; one dense comparison inside aligned
-  blocks of 32 patients (32 booleans per event), then ceil(log2 n) - 5
+  blocks of 32 patients (32 booleans per patient), then ceil(log2 n) - 5
   merge levels, each one stable argsort of rows made of two sorted runs
   (merged in linear time), so O(n log n) time.
 - `time_dependent_auc`: O(n) memory; one sort of the controls and two
@@ -48,29 +48,30 @@ def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     """Sum over positions p in `query` of #{j > p : ranks[j] < ranks[p]}.
 
     Ranks become codes 2r (queried) or 2r + 1, padded to a power of two with
-    a code above all. Pairs within a 32-aligned block: one dense comparison
-    of each queried position with its block. Then merge levels: at width w,
-    the pairs with p in the left and j in the right half of a 2w-aligned
-    block. Both halves are held sorted and one stable argsort merges them;
-    a left code moved from index i to k has k - i smaller right codes ahead.
+    a code above all. Pairs within a 32-aligned block: one dense (blocks, 32,
+    32) comparison kept where p is queried. Then merge levels: at width w, the
+    pairs with p in the left and j in the right half of a 2w-aligned block.
+    Both halves are held sorted and one stable argsort merges them; a left
+    code moved from index i to k has k - i smaller right codes ahead.
     """
     n = ranks.size
     size = 1 << max(_BASE.bit_length() - 1, (n - 1).bit_length())
-    code = np.full(size, 2 * n + 1, dtype=np.int64)
+    code = np.full(size, 2 * n + 1, dtype=np.int32)
     code[:n] = 2 * ranks + 1
     code[query] -= 1
     rows = code.reshape(-1, _BASE)
-    total = int(np.count_nonzero((rows[query // _BASE] < code[query][:, None])
-                                 & _LATER[query % _BASE]))
+    pairs = rows[:, :, None] > rows[:, None, :]    # [block, p, j]
+    pairs &= _LATER
+    pairs &= (rows % 2 == 0)[:, :, None]
+    total = int(np.count_nonzero(pairs))
+    del pairs
     merged = np.sort(rows, axis=1)
-    w = _BASE
-    while w < size:
+    for w in (_BASE << np.arange((size // _BASE).bit_length() - 1)).tolist():
         merged = merged.reshape(-1, 2 * w)
         order = np.argsort(merged, axis=1, kind="stable")
         merged = np.take_along_axis(merged, order, axis=1)
         ahead = np.arange(2 * w) - order
         total += int(ahead[(order < w) & (merged % 2 == 0)].sum())
-        w *= 2
     return total
 
 
@@ -231,8 +232,7 @@ def bootstrap_ci(metric: Callable[[Sequence], float | None], patients: Sequence,
     """Patient-level percentile bootstrap interval.
 
     Each resample draws n patients with replacement using a seed derived
-    from (seed, resample index); an array of patients is resampled as one
-    array, anything else as a list. Resamples where the metric is undefined
+    from (seed, resample index). Resamples where the metric is undefined
     (returns None or raises ValueError) are discarded; more than half
     undefined is an error.
     """
@@ -247,8 +247,7 @@ def bootstrap_ci(metric: Callable[[Sequence], float | None], patients: Sequence,
     for child in np.random.SeedSequence(seed).spawn(b):
         idx = np.random.default_rng(child).integers(0, n, size=n)
         try:
-            v = metric(patients[idx] if isinstance(patients, np.ndarray)
-                       else [patients[i] for i in idx.tolist()])
+            v = metric([patients[i] for i in idx.tolist()])
         except ValueError:
             v = None
         if v is not None:

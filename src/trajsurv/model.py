@@ -202,8 +202,8 @@ def load_model(path) -> FullModel:
         cfg = ModelConfig(**{k: typed_value(k, meta[k], hints[k]) for k in names})
         if cfg.bins().count != cfg.num_bins:
             raise ValueError(f"bin_edges {cfg.bin_edges} do not give num_bins {cfg.num_bins}")
-        widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int)
-                  for k, v in dict(meta["feature_widths"]).items()}
+        widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int) for k, v
+                  in typed_value("feature_widths", meta["feature_widths"], dict).items()}
         model = init_model(cfg, widths, np.random.default_rng(0))
         shapes = {name: leaf.shape for name, leaf in model.named_parameters()}
         found = {k: a.shape for k, a in arrays.items()}

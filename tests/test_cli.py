@@ -196,12 +196,18 @@ def _meta_update(change):
     return apply
 
 
+def _widths_as_pairs(arrays):
+    widths = json.loads(bytes(arrays["__meta__"]).decode())["feature_widths"]
+    _meta_update({"feature_widths": [[k, w] for k, w in widths.items()]})(arrays)
+
+
 CORRUPTIONS = {
     "missing_array": lambda a: a.pop("lstm.w_i"),
     "nan_weight": lambda a: a["heads.b_os"].__setitem__((0, 1), np.nan),
     "text_weight": lambda a: a.update({"heads.b_os": a["heads.b_os"].astype(str)}),
     "meta_wrong_type": _meta_update({"cascade": "no"}),
     "edges_not_k": _meta_update({"bin_edges": [0.0, 1.0]}),
+    "widths_as_pairs": _widths_as_pairs,
     # One row of an 8 x 8 matrix would broadcast over all of its rows.
     "row_for_matrix": lambda a: a.update({"op.w_out": a["op.w_out"][:1]}),
     "unknown_array": lambda a: a.update({"op.w_extra": np.zeros((8, 8))}),
@@ -223,7 +229,8 @@ def test_parameter_names_and_shapes_must_match(tmp_path, kind, message):
     ("nan_weight", r"parameter heads\.b_os must hold finite numbers"),
     ("text_weight", r"parameter heads\.b_os must hold finite numbers"),
     ("meta_wrong_type", r"cascade must be bool, got 'no'"),
-    ("edges_not_k", r"bin_edges \(0\.0, 1\.0\) do not give num_bins 4")))
+    ("edges_not_k", r"bin_edges \(0\.0, 1\.0\) do not give num_bins 4"),
+    ("widths_as_pairs", r"feature_widths must be dict, got \[\[")))
 def test_parameter_values_and_field_types_are_checked(tmp_path, kind, message):
     path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
     with pytest.raises(ModelFileError, match=message):
@@ -426,8 +433,9 @@ def test_mutated_model_loads_equal_or_exits_2(model_fuzz_base, mutation, data):
             fields = [(meta, k) for k in meta] + [(meta["feature_widths"], k)
                                                   for k in meta["feature_widths"]]
             node, key = data.draw(st.sampled_from(fields))
+            pairs = [[k, v] for k, v in node[key].items()] if type(node[key]) is dict else []
             node[key] = data.draw(st.sampled_from(
-                [v for v in (None, "x", True, 2.5, [], {}) if _kind(v) != _kind(node[key])]))
+                [v for v in (None, "x", True, 2.5, [], {}, pairs) if _kind(v) != _kind(node[key])]))
         elif mutation == "array_nonfinite":
             flat = arrays[name].reshape(-1)
             flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(

@@ -381,7 +381,7 @@ class TestBootstrap:
             lambda sample: harrell_cindex([r for r, _ in sample], [l for _, l in sample]),
             items, b=200, level=0.9, seed=21)
         by_index = bootstrap_ci(lambda idx: cindex_arrays(risks[idx], t[idx], e[idx]),
-                                np.arange(len(items)), b=200, level=0.9, seed=21)
+                                range(len(items)), b=200, level=0.9, seed=21)
         assert by_index == by_items
 
     def test_mostly_undefined_is_error(self):
