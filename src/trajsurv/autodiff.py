@@ -182,6 +182,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._node(np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), "sigmoid", (a,))
 
 
+def log_sigmoid(a: Tensor) -> Tensor:
+    # log σ(x) = min(x, 0) - log(1 + e^-|x|): finite and exact at any logit.
+    x = a.data
+    return Tensor._node(np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x))), "log-sigmoid", (a,))
+
+
 def tanh(a: Tensor) -> Tensor:
     return Tensor._node(np.tanh(a.data), "tanh", (a,))
 
@@ -252,6 +258,7 @@ _FORWARD: dict[str, Callable] = {
     "elementwise-mul": mul,
     "concat-cols": concat_cols,
     "sigmoid": sigmoid,
+    "log-sigmoid": log_sigmoid,
     "tanh": tanh,
     "relu": relu,
     "exp": exp,
@@ -324,6 +331,11 @@ def _bw_sigmoid(node, g):
     return (g * y * (1.0 - y),)
 
 
+def _bw_log_sigmoid(node, g):
+    # d/dx log σ(x) = σ(-x) = exp(log σ(x) - x), which cannot overflow.
+    return (g * np.exp(node.data - node.parents[0].data),)
+
+
 def _bw_tanh(node, g):
     y = node.data
     return (g * (1.0 - y * y),)
@@ -359,6 +371,7 @@ _BACKWARD: dict[str, Callable] = {
     "negate": _bw_negate,
     "concat-cols": _bw_concat_cols,
     "sigmoid": _bw_sigmoid,
+    "log-sigmoid": _bw_log_sigmoid,
     "tanh": _bw_tanh,
     "relu": _bw_relu,
     "exp": _bw_exp,

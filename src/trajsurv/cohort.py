@@ -521,10 +521,9 @@ def _deal(strata: list[list[int]], k: int, rng: np.random.Generator) -> list[lis
 
 def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats: int = 3,
                               seed: int = 0) -> SplitPlan:
-    """Repeated stratified k-fold plan with stratified 0.8/0.2 inner splits."""
+    """Repeated stratified k-fold plan with stratified 0.8/0.2 inner splits; a
+    cohort too small to fill every fold's three sets is a `CohortError`."""
     n = len(records)
-    if n < k:
-        raise ValueError(f"cohort of {n} patients cannot form {k} folds")
     all_idx = list(range(n))
     folds: list[FoldSpec] = []
     for rep in range(repeats):
@@ -538,6 +537,9 @@ def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats:
             buckets = _deal(_strata(rest, records, 5), 5, inner_rng)
             val = sorted(buckets[0])
             train = sorted(set(rest) - set(val))
+            if not (test and train and val):
+                raise CohortError(f"cohort of {n} patients cannot form {k} folds with "
+                                  "nonempty test, inner training and validation sets")
             folds.append(FoldSpec(rep, f, test, train, val))
     return SplitPlan(k=k, repeats=repeats, folds=folds)
 

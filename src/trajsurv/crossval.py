@@ -181,7 +181,7 @@ def _cascade_grad_check(model: FullModel, records: list[PatientRecord],
     """True iff the OS loss sends exactly zero gradient to the context weights."""
     data = cohort_arrays(records[:1], bins)
     out = model.forward(data.batch())
-    os_loss = discrete_nll(out.os_hazards, data.labels["os"], bins)
+    os_loss = discrete_nll(out.os_logits, data.labels["os"], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     ctx = grads[model.heads.w_ctx].data
     ctx_b = grads[model.heads.b_ctx].data

@@ -108,9 +108,9 @@ def os_head(h_star: Tensor, dfs_context: Tensor, params: HeadParams,
     return ad.add(ad.matmul(joint, params.w_os), params.b_os)
 
 
-def hazards_from_logits(logits: np.ndarray | Tensor) -> np.ndarray:
-    """(n, K) hazards; the clamp keeps them inside (0, 1) at extreme logits."""
-    x = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+def hazards_from_logits(logits: np.ndarray) -> np.ndarray:
+    """(n, K) hazards; the clip keeps them inside (0, 1) at extreme logits."""
+    x = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("logits must be finite")
     return np.clip(ad.sigmoid(ad.constant(x)).data, 1e-300, 1.0 - 1e-16)

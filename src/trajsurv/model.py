@@ -76,8 +76,6 @@ class ForwardResult:
     dfs_logits: Tensor
     dfs_context: Tensor
     os_logits: Tensor
-    dfs_hazards: Tensor
-    os_hazards: Tensor
 
 
 @dataclass
@@ -108,8 +106,6 @@ class FullModel:
             dfs_logits=dfs_logits,
             dfs_context=context,
             os_logits=os_logits,
-            dfs_hazards=ad.sigmoid(dfs_logits),
-            os_hazards=ad.sigmoid(os_logits),
         )
 
     def predict_curves(self, batch: GraphBatch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -118,7 +114,7 @@ class FullModel:
             out = self.forward(batch)
         curves = {}
         for task, logits in (("dfs", out.dfs_logits), ("os", out.os_logits)):
-            h = hazards_from_logits(logits)
+            h = hazards_from_logits(logits.data)
             curves[task] = (h, survival_from_hazards(h))
         return curves
 

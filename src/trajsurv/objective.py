@@ -3,7 +3,9 @@
 The per-patient loss is the standard discrete-time survival likelihood: an
 event in bin k contributes -[ln h_k + sum_{j<k} ln(1-h_j)]; a censoring in
 bin k contributes survival through bin k inclusive, -sum_{j<=k} ln(1-h_j).
-A batch's loss is the mean over its patients.
+It is computed from the logits x of h = sigmoid(x), as ln h = ln sigmoid(x) and
+ln(1-h) = ln sigmoid(-x): exact at any logit, with no clamp. A batch's loss
+is the mean over its patients.
 Optimization is AdamW with decoupled weight decay, a reduce-on-plateau
 learning-rate schedule, and early stopping with best-snapshot retention.
 """
@@ -20,7 +22,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .heads import TimeBins
 
-CLAMP_EPS = 1e-12
 IMPROVE_TOL = 1e-8
 
 
@@ -61,28 +62,18 @@ def label_bins(labels: Sequence[SurvivalLabel], bins: TimeBins) -> np.ndarray:
     return np.stack([k, [lab.event for lab in labels]], axis=1).astype(np.intp)
 
 
-def clamp01(h: Tensor, eps: float = CLAMP_EPS) -> Tensor:
-    """On-tape clamp of every entry into [eps, 1-eps] via relu composition."""
-    lo = ad.constant(np.full(h.shape, eps))
-    hi = ad.constant(np.full(h.shape, 1.0 - eps))
-    return ad.sub(ad.add(lo, ad.relu(ad.sub(h, lo))), ad.relu(ad.sub(h, hi)))
-
-
-def discrete_nll(hazards: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:
-    """Mean negative log-likelihood of a batch given its B x K hazard rows and
+def discrete_nll(logits: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:
+    """Mean negative log-likelihood of a batch given its B x K hazard logits and
     the (B, 2) bin and event rows of its labels (`label_bins`)."""
     K = bins.count
-    if hazards.shape != (len(labels), K) or not len(labels):
-        raise ad.ShapeMismatchError("discrete-nll", hazards.shape, (len(labels), K))
+    if logits.shape != (len(labels), K) or not len(labels):
+        raise ad.ShapeMismatchError("discrete-nll", logits.shape, (len(labels), K))
     k, event = labels[:, :1], labels[:, 1:]
     cols = np.arange(K)[None, :]
     event_mask = ((cols == k) & (event == 1)).astype(np.float64)
     surv_mask = (cols < k + 1 - event).astype(np.float64)
-    h = clamp01(hazards)
-    log_h = ad.log(h)
-    log_s = ad.log(ad.sub(ad.constant(np.ones(h.shape)), h))
-    ll = ad.sum_all(ad.add(ad.mul(ad.constant(event_mask), log_h),
-                           ad.mul(ad.constant(surv_mask), log_s)))
+    ll = ad.sum_all(ad.add(ad.mul(ad.constant(event_mask), ad.log_sigmoid(logits)),
+                           ad.mul(ad.constant(surv_mask), ad.log_sigmoid(ad.negate(logits)))))
     return ad.mul(ad.negate(ll), ad.constant([[1.0 / len(labels)]]))
 
 

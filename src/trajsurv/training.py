@@ -46,8 +46,8 @@ def _mean_loss(model: FullModel, batch: GraphBatch, labels: dict[str, np.ndarray
     """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape; `labels`
     maps each task to the batch's bin and event rows (`label_bins`)."""
     out = model.forward(batch)
-    os_nll = discrete_nll(out.os_hazards, labels["os"], bins)
-    dfs_nll = discrete_nll(out.dfs_hazards, labels["dfs"], bins)
+    os_nll = discrete_nll(out.os_logits, labels["os"], bins)
+    dfs_nll = discrete_nll(out.dfs_logits, labels["dfs"], bins)
     return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
                   ad.mul(ad.constant([[weights.beta]]), dfs_nll))
 
@@ -85,8 +85,6 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
-    best_val = np.inf
-    best_epoch = 0
     result = TrainResult(best_val=np.inf, best_epoch=0, epochs_run=0)
     log_lines: list[str] = []
 
@@ -113,8 +111,8 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
 
         if state.would_improve(val_loss):
             best = snapshot_parameters(model)
-            best_val = val_loss
-            best_epoch = epoch
+            result.best_val = val_loss
+            result.best_epoch = epoch
         plateau_schedule(state, val_loss, settings.scheduler_factor,
                          settings.scheduler_patience)
         stop = early_stop(state, val_loss, settings.patience)
@@ -123,8 +121,6 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
             break
 
     restore_parameters(model, best)
-    result.best_val = best_val
-    result.best_epoch = best_epoch
     if log_path is not None:
         with open(log_path, "a") as fh:
             fh.write("\n".join(log_lines) + "\n")

@@ -159,17 +159,17 @@ def test_04_metric_oracles():
 def test_05_nll_closed_forms():
     bins = annual_bins(4)
 
-    def hz(values):
-        h = np.full((1, bins.count), 0.5)
-        h[0, :len(values)] = values
-        return ad.constant(h)
+    def logits(values):      # logit(0.5) = 0, logit(0.2) = -ln 4
+        x = np.zeros((1, bins.count))
+        x[0, :len(values)] = values
+        return ad.constant(x)
 
     labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
-    rows = [hz([0.5]), hz([0.5]), hz([0.2, 0.5])]
-    per = [discrete_nll(h, label_bins([lab], bins), bins).item()
-           for h, lab in zip(rows, labels)]
+    rows = [logits([0.0]), logits([0.0]), logits([-np.log(4.0), 0.0])]
+    per = [discrete_nll(x, label_bins([lab], bins), bins).item()
+           for x, lab in zip(rows, labels)]
     errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
-    together = discrete_nll(ad.constant(np.vstack([h.data for h in rows])),
+    together = discrete_nll(ad.constant(np.vstack([x.data for x in rows])),
                             label_bins(labels, bins), bins).item()
     mean_gap = abs(together - float(np.mean(per)))
 

@@ -196,6 +196,11 @@ def _fd_builders():
     cases["concat-cols"] = ([x, y], lambda: ad.sum_all(ad.mul(
         ad.concat_cols(x, y), ad.constant(np.arange(24.0).reshape(3, 8)))))
     cases["sigmoid"] = ([x], lambda: ad.sum_all(ad.sigmoid(x)))
+    # Saturated logits included: log-sigmoid stays exact and differentiable there.
+    sat = a.copy()
+    sat[0] = [40.0, -40.0, 700.0, -700.0]
+    sl = leafy(sat)
+    cases["log-sigmoid"] = ([sl], lambda: ad.sum_all(ad.log_sigmoid(sl)))
     cases["tanh"] = ([x], lambda: ad.sum_all(ad.tanh(x)))
     cases["relu"] = ([x], lambda: ad.sum_all(ad.relu(x)))
     cases["exp"] = ([x], lambda: ad.sum_all(ad.exp(x)))

@@ -296,6 +296,23 @@ def test_nonfinite_cohort_value_is_data_error(tmp_path, capsys, field, value):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,patients,k", (("crossval", 3, 5), ("train", 3, 5),
+                                                ("crossval", 2, 2)))
+def test_cohort_too_small_for_the_folds_is_data_error(tmp_path, capsys, command, patients, k):
+    # `train` always holds out the first of 5 folds; with 2 patients in 2
+    # folds, each fold's one remaining patient leaves its inner split empty.
+    cohort = simulate_into(tmp_path)
+    doc = json.loads(cohort.read_text())
+    doc["patients"] = doc["patients"][:patients]
+    cohort.write_text(json.dumps(doc))
+    config = write_config(tmp_path, name="tiny.json", cohort=cohort, cv={"k": k})
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "tiny")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"data error: cohort of {patients} patients cannot form {k} folds" in err
+    assert "Traceback" not in err
+
+
 class TestAblate:
     def test_variant_recorded_and_check_passes(self, tmp_path):
         cohort = simulate_into(tmp_path)

@@ -127,10 +127,6 @@ class TestHazardTransforms:
         h = hazards_from_logits(np.array([[np.log(3.0)]]))
         assert h[0, 0] == pytest.approx(0.75)
 
-    def test_accepts_tensor_input(self):
-        h = hazards_from_logits(ad.constant([[0.0, 0.0]]))
-        assert np.allclose(h, 0.5)
-
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError, match="logits must be finite"):
             hazards_from_logits(np.array([[0.0], [np.nan]]))

@@ -7,7 +7,7 @@ from trajsurv import autodiff as ad
 from trajsurv.heads import TimeBins, annual_bins
 from trajsurv.acceptance_support import toy_setup
 from trajsurv.objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                                adamw_step, clamp01, discrete_nll, early_stop,
+                                adamw_step, discrete_nll, early_stop,
                                 label_bins, label_to_bin, plateau_schedule)
 from trajsurv.training import _mean_loss
 
@@ -58,20 +58,6 @@ class TestLabelToBin:
         assert label_to_bin(2.0, bins) == 2
 
 
-class TestClamp:
-    def test_values_pulled_inside(self):
-        h = ad.constant([[0.0, 0.5, 1.0]])
-        out = clamp01(h, eps=0.1)
-        assert np.allclose(out.data, [[0.1, 0.5, 0.9]])
-
-    def test_interior_untouched_and_differentiable(self):
-        h = ad.parameter([[0.3, 0.7]])
-        out = clamp01(h)
-        assert np.allclose(out.data, h.data)
-        grads = ad.backward(ad.sum_all(out), params=[h])
-        assert np.allclose(grads[h].data, 1.0)
-
-
 def test_label_bins_match_label_to_bin():
     rng = np.random.default_rng(3)
     bins = TimeBins(np.array([0.0, 0.5, 2.0, 2.5, 7.0]))
@@ -84,51 +70,78 @@ def test_label_bins_match_label_to_bin():
     assert rows[:, 1].tolist() == [lab.event for lab in labels]
 
 
-def numpy_nll(h, time, event, bins):
-    """Direct-summation oracle for the discrete likelihood."""
+def numpy_nll(x, time, event, bins):
+    """Direct-summation oracle for the discrete likelihood of hazard logits x:
+    ln h = -ln(1 + e^-x) and ln(1 - h) = -ln(1 + e^x)."""
     k = label_to_bin(time, bins)
-    h = np.clip(h, 1e-12, 1 - 1e-12)
     if event == 1:
-        return -(np.log(h[k]) + np.log(1 - h[:k]).sum())
-    return -np.log(1 - h[:k + 1]).sum()
+        return np.logaddexp(0.0, -x[k]) + np.logaddexp(0.0, x[:k]).sum()
+    return np.logaddexp(0.0, x[:k + 1]).sum()
+
+
+LOGIT_FIFTH = -np.log(4.0)     # the logit of a hazard of 0.2; a hazard of 0.5 has logit 0
 
 
 class TestDiscreteNll:
-    def hazards(self, values):
-        h = np.full((1, BINS.count), 0.5)
-        h[0, :len(values)] = values
-        return ad.constant(h)
+    def logits(self, values):
+        x = np.zeros((1, BINS.count))
+        x[0, :len(values)] = values
+        return ad.constant(x)
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), label_bins([SurvivalLabel(0.2, 1)], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), label_bins([SurvivalLabel(0.2, 1)], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.5]), label_bins([SurvivalLabel(0.2, 0)], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), label_bins([SurvivalLabel(0.2, 0)], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
-        loss = discrete_nll(self.hazards([0.2, 0.5]), label_bins([SurvivalLabel(1.5, 1)], BINS),
-                            BINS)
+        loss = discrete_nll(self.logits([LOGIT_FIFTH, 0.0]),
+                            label_bins([SurvivalLabel(1.5, 1)], BINS), BINS)
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            h = rng.uniform(0.01, 0.99, size=BINS.count)
+            x = rng.uniform(-5.0, 5.0, size=BINS.count)
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
-            loss = discrete_nll(ad.constant(h.reshape(1, -1)),
+            loss = discrete_nll(ad.constant(x.reshape(1, -1)),
                                 label_bins([SurvivalLabel(time, event)], BINS), BINS)
-            assert loss.item() == pytest.approx(numpy_nll(h, time, event, BINS),
+            assert loss.item() == pytest.approx(numpy_nll(x, time, event, BINS),
                                                 abs=1e-12)
 
     def test_boundary_hazards_stay_finite(self):
-        h = np.zeros((1, BINS.count))
-        h[0, 0] = 1.0
-        loss = discrete_nll(ad.constant(h), label_bins([SurvivalLabel(1.5, 0)], BINS), BINS)
+        # Hazards of 1 and 0 in floating point: survival through a certain
+        # event in bin 0 costs its whole logit.
+        x = np.full((1, BINS.count), -700.0)
+        x[0, 0] = 700.0
+        loss = discrete_nll(ad.constant(x), label_bins([SurvivalLabel(1.5, 0)], BINS), BINS)
         assert np.isfinite(loss.item())
-        assert loss.item() == pytest.approx(-np.log(1e-12), rel=1e-6)
+        assert loss.item() == pytest.approx(700.0, rel=1e-12)
+
+    @pytest.mark.parametrize("size", (40.0, 700.0))
+    def test_saturated_logits_exact_loss_and_gradient(self, size):
+        # Logits of alternating sign at +-size; an event in bin 5 reaches bins
+        # 0-5, a censoring in bin 4 reaches bins 0-4. Each reached term is
+        # ln(1 + e^(+-size)): size + ln(1 + e^-size) when the hazard it asks
+        # for is saturated the wrong way, ln(1 + e^-size) otherwise.
+        signs = np.where(np.arange(BINS.count) % 2 == 0, 1.0, -1.0)
+        x = ad.parameter(size * signs[None, :])
+        labels = [SurvivalLabel(5.5, 1), SurvivalLabel(4.5, 0)]
+        wrong_way = (4, 3)     # bins 0, 2, 4 survived at +size; the event adds bin 5 at -size
+        for label, wrong in zip(labels, wrong_way):
+            rows = label_bins([label], BINS)
+            loss = discrete_nll(x, rows, BINS)
+            reached = rows[0, 0] + 1
+            expected = wrong * size + reached * np.log1p(np.exp(-size))
+            assert np.isfinite(loss.item())
+            assert loss.item() == pytest.approx(expected, rel=1e-12)
+            g = ad.backward(loss, params=[x])[x].data[0]
+            assert np.all(g[:reached] != 0.0)
+            assert np.all(g[reached:] == 0.0)
+            assert ad.grad_check(lambda: discrete_nll(x, rows, BINS), [x]) <= 1e-6
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
@@ -136,18 +149,17 @@ class TestDiscreteNll:
                          BINS)
 
     def test_gradient_signs_push_toward_event_bin(self):
-        h = ad.parameter(np.full((1, BINS.count), 0.4))
-        loss = discrete_nll(h, label_bins([SurvivalLabel(2.5, 1)], BINS), BINS)  # event in bin 2
-        g = ad.backward(loss, params=[h])[h].data[0]
+        x = ad.parameter(np.full((1, BINS.count), np.log(0.4 / 0.6)))
+        loss = discrete_nll(x, label_bins([SurvivalLabel(2.5, 1)], BINS), BINS)  # event in bin 2
+        g = ad.backward(loss, params=[x])[x].data[0]
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
         assert np.allclose(g[3:], 0.0)  # later bins never enter the likelihood
 
     def test_gradient_matches_finite_differences(self):
-        h = ad.parameter(np.random.default_rng(1).uniform(0.1, 0.9,
-                                                          size=(1, BINS.count)))
+        x = ad.parameter(np.random.default_rng(1).uniform(-2.0, 2.0, size=(1, BINS.count)))
         labels = label_bins([SurvivalLabel(3.5, 1)], BINS)
-        err = ad.grad_check(lambda: discrete_nll(h, labels, BINS), [h])
+        err = ad.grad_check(lambda: discrete_nll(x, labels, BINS), [x])
         assert err <= 1e-4
 
 
@@ -159,8 +171,8 @@ class TestCombinedLoss:
         bins = model.config.bins()
         batch = data.batch()
         out = model.forward(batch)
-        os_nll = discrete_nll(out.os_hazards, data.labels["os"], bins).item()
-        dfs_nll = discrete_nll(out.dfs_hazards, data.labels["dfs"], bins).item()
+        os_nll = discrete_nll(out.os_logits, data.labels["os"], bins).item()
+        dfs_nll = discrete_nll(out.dfs_logits, data.labels["dfs"], bins).item()
         return _mean_loss(model, batch, data.labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
@@ -177,24 +189,24 @@ class TestCombinedLoss:
 
 
 class TestBatchMean:
-    """discrete_nll of B hazard rows is the mean of the B per-patient values."""
+    """discrete_nll of B logit rows is the mean of the B per-patient values."""
 
     def test_mean_of_scalars(self):
-        h = np.full((3, BINS.count), 0.5)
-        h[2, 0] = 0.2
+        x = np.zeros((3, BINS.count))
+        x[2, 0] = LOGIT_FIFTH
         labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
-        loss = discrete_nll(ad.constant(h), label_bins(labels, BINS), BINS)
+        loss = discrete_nll(ad.constant(x), label_bins(labels, BINS), BINS)
         expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_equals_mean_of_per_patient_losses(self):
         rng = np.random.default_rng(2)
-        h = rng.uniform(0.01, 0.99, size=(16, BINS.count))
+        x = rng.uniform(-5.0, 5.0, size=(16, BINS.count))
         labels = [SurvivalLabel(rng.uniform(0, 14), int(rng.integers(0, 2)))
                   for _ in range(16)]
-        out = discrete_nll(ad.constant(h), label_bins(labels, BINS), BINS)
+        out = discrete_nll(ad.constant(x), label_bins(labels, BINS), BINS)
         per = [discrete_nll(ad.constant(row[None, :]), label_bins([lab], BINS), BINS).item()
-               for row, lab in zip(h, labels)]
+               for row, lab in zip(x, labels)]
         assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
