@@ -10,7 +10,7 @@ parameters are ever updated, and only between tapes (by the optimizer).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -251,33 +251,6 @@ def spmm(s: Blocks, x: Tensor) -> Tensor:
     return Tensor._node(s.apply(x.data), "spmm", (x,), s)
 
 
-_FORWARD: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "elementwise-mul": mul,
-    "concat-cols": concat_cols,
-    "sigmoid": sigmoid,
-    "log-sigmoid": log_sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "negate": negate,
-    "sum-all": sum_all,
-    "spmm": spmm,
-}
-
-PRIMITIVE_OPS = tuple(_FORWARD)
-
-
-def primitive_forward(op: str, inputs: Sequence, *args):
-    """Apply a primitive by name. Mostly useful for generic op-sweep tests."""
-    if op not in _FORWARD:
-        raise ValueError(f"unknown primitive op {op!r}")
-    return _FORWARD[op](*inputs, *args)
-
-
 # ---------------------------------------------------------------------------
 # Backward rules: (node, upstream grad) -> per-parent gradients.
 # ---------------------------------------------------------------------------
@@ -363,6 +336,7 @@ def _bw_spmm(node, g):
     return (node.ctx.T.apply(g),)
 
 
+# Keyed by the op name a tape node carries: these keys are the primitives.
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bw_matmul,
     "add": _bw_add,

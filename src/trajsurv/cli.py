@@ -103,8 +103,7 @@ def cmd_train(cfg: RunConfig) -> int:
     from .crossval import _feature_widths
 
     records = _cohort(cfg)
-    plan = stratified_repeated_kfold(records, k=5, repeats=1, seed=cfg.train.seed)
-    fold = plan.folds[0]
+    fold = stratified_repeated_kfold(records, k=5, repeats=1, seed=cfg.train.seed)[0]
     # Single fit: the first fold's held-out fifth becomes the validation set.
     train_recs = [records[i] for i in fold.train] + [records[i] for i in fold.val]
     val_recs = [records[i] for i in fold.test]

@@ -30,7 +30,6 @@ REGION_KEYS: dict[str, NodeKind] = {
     "portal_veins": NodeKind.PORTAL_VEINS,
     "tumors": NodeKind.METASTATIC_TUMORS,
 }
-KIND_TO_KEY = {v: k for k, v in REGION_KEYS.items()}
 _PATIENT_KEYS = {"id", "regions", "clinical", "dfs", "os"}
 _LABEL_KEYS = {"time_years", "event"}
 _TASKS = ("dfs", "os")
@@ -478,13 +477,6 @@ class FoldSpec:
     val: list[int]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    k: int
-    repeats: int
-    folds: list[FoldSpec]
-
-
 def _strata(indices: list[int], records: list[PatientRecord], k: int) -> list[list[int]]:
     """Joint event-indicator cells; sparse cells collapse to the OS margin."""
     cells: dict[tuple[int, int], list[int]] = {}
@@ -520,10 +512,15 @@ def _deal(strata: list[list[int]], k: int, rng: np.random.Generator) -> list[lis
 
 
 def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats: int = 3,
-                              seed: int = 0) -> SplitPlan:
-    """Repeated stratified k-fold plan with stratified 0.8/0.2 inner splits; a
-    cohort too small to fill every fold's three sets is a `CohortError`."""
+                              seed: int = 0) -> list[FoldSpec]:
+    """The folds of a repeated stratified k-fold plan, each with a stratified
+    0.8/0.2 inner split; a cohort too small to fill every fold's three sets
+    is a `CohortError`."""
     n = len(records)
+    too_small = (f"cohort of {n} patients cannot form {k} folds with "
+                 "nonempty test, inner training and validation sets")
+    if k > n:   # checked before `_deal` builds one list per fold
+        raise CohortError(too_small)
     all_idx = list(range(n))
     folds: list[FoldSpec] = []
     for rep in range(repeats):
@@ -538,10 +535,9 @@ def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats:
             val = sorted(buckets[0])
             train = sorted(set(rest) - set(val))
             if not (test and train and val):
-                raise CohortError(f"cohort of {n} patients cannot form {k} folds with "
-                                  "nonempty test, inner training and validation sets")
+                raise CohortError(too_small)
             folds.append(FoldSpec(rep, f, test, train, val))
-    return SplitPlan(k=k, repeats=repeats, folds=folds)
+    return folds
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,7 @@ def _cascade_grad_check(model: FullModel, records: list[PatientRecord],
                         bins: TimeBins) -> bool:
     """True iff the OS loss sends exactly zero gradient to the context weights."""
     data = cohort_arrays(records[:1], bins)
-    out = model.forward(data.batch())
-    os_loss = discrete_nll(out.os_logits, data.labels["os"], bins)
+    os_loss = discrete_nll(model.forward(data.batch())["os"], data.labels["os"], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     ctx = grads[model.heads.w_ctx].data
     ctx_b = grads[model.heads.b_ctx].data
@@ -218,13 +217,13 @@ def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
     tau = config.eval.resolve_tau(bins)
     horizons = config.eval.horizons
     seed = config.train.seed
-    plan = stratified_repeated_kfold(records, config.cv.k, config.cv.repeats, seed)
+    folds = stratified_repeated_kfold(records, config.cv.k, config.cv.repeats, seed)
     widths = _feature_widths(records)
 
     report = CvReport(variant=variant, config=config_to_dict(config), seed=seed)
     pooled: dict[str, dict[int, list[float]]] = {task: {} for task in TASKS}
 
-    for spec in plan.folds:
+    for spec in folds:
         fold_seed = int(np.random.SeedSequence(
             [seed, 3, spec.repeat, spec.fold]).generate_state(1)[0])
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4, spec.repeat, spec.fold]))
@@ -288,23 +287,36 @@ def _fmt(value: float | None) -> str:
 
 
 def emit_report(report: CvReport, out_dir) -> dict[str, str]:
-    """Write report.json, metrics.csv, and curves.csv; returns the paths."""
+    """Write report.json, metrics.csv, and curves.csv; returns the paths.
+
+    Each file is written in full to a temporary file in `out_dir`, and the
+    three replace their targets only once all are written, so a failure
+    midway leaves the previous report whole and no temporary file behind.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name)
              for name in ("report.json", "metrics.csv", "curves.csv")}
-    with open(paths["report.json"], "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1)
-        fh.write("\n")
-    with open(paths["metrics.csv"], "w") as fh:
-        fh.write("repeat,fold,task," + ",".join(METRIC_COLUMNS) + "\n")
-        for r in report.rows:
-            cells = [str(r.repeat), str(r.fold), r.task]
-            cells += [_fmt(r.metric(name)) for name in METRIC_COLUMNS]
-            fh.write(",".join(cells) + "\n")
-    with open(paths["curves.csv"], "w") as fh:
-        fh.write("patient_id,task,bin,hazard,survival\n")
-        for c in report.curves:
-            fh.write(f"{c.patient_id},{c.task},{c.bin},{c.hazard:.6g},{c.survival:.6g}\n")
+    temps = {name: os.path.join(out_dir, f".{name}.tmp") for name in paths}
+    try:
+        with open(temps["report.json"], "w") as fh:
+            json.dump(report.to_json_dict(), fh, indent=1)
+            fh.write("\n")
+        with open(temps["metrics.csv"], "w") as fh:
+            fh.write("repeat,fold,task," + ",".join(METRIC_COLUMNS) + "\n")
+            for r in report.rows:
+                cells = [str(r.repeat), str(r.fold), r.task]
+                cells += [_fmt(r.metric(name)) for name in METRIC_COLUMNS]
+                fh.write(",".join(cells) + "\n")
+        with open(temps["curves.csv"], "w") as fh:
+            fh.write("patient_id,task,bin,hazard,survival\n")
+            for c in report.curves:
+                fh.write(f"{c.patient_id},{c.task},{c.bin},{c.hazard:.6g},{c.survival:.6g}\n")
+        for name, tmp in temps.items():
+            os.replace(tmp, paths[name])
+    finally:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return paths
 
 

@@ -12,7 +12,8 @@ Everything runs on a `GraphBatch` of B patients in the 7-slot star layout
 every neighbour mean, normalised adjacency, per-arc gather and per-target
 sum is a stack of B per-patient dense blocks applied with `spmm`, one
 batched matmul. This module builds each backbone's blocks from the slots in
-use and one star template; snapshots have one row per patient.
+use and one star template. `evolve` returns the snapshots as a plain list of
+T tensors, each with one row per patient.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -64,21 +65,6 @@ def _bias(fan_out: int, name: str) -> Tensor:
     return ad.parameter(np.zeros((1, fan_out)), name=name)
 
 
-@dataclass
-class TimeEmbeddingTable:
-    """Trainable T x d_t table; row t conditions evolution step t."""
-
-    table: Tensor
-
-    @property
-    def steps(self) -> int:
-        return self.table.rows
-
-
-def init_time_table(steps: int, time_dim: int, rng: np.random.Generator) -> TimeEmbeddingTable:
-    return TimeEmbeddingTable(uniform_weight(rng, steps, time_dim, "time_table"))
-
-
 @lru_cache(maxsize=None)
 def _row_selector(start: int, stop: int, total: int) -> Blocks:
     # A selector is an immutable constant, so one per shape serves every model.
@@ -94,7 +80,8 @@ def rows_of(x: Tensor, start: int, stop: int) -> Tensor:
 
 @dataclass
 class EvolutionParams:
-    """Residual operator weights plus the time-embedding table.
+    """Residual operator weights plus the trainable T x d_t time-embedding
+    table, whose row t conditions evolution step t.
 
     The operator is one message layer (ReLU) followed by a linear output
     projection back to width d. graphsage/gat consume [x_j ; a_ij] neighbor
@@ -109,14 +96,14 @@ class EvolutionParams:
     b_msg: Tensor
     w_out: Tensor
     b_out: Tensor
-    time_table: TimeEmbeddingTable
+    time_table: Tensor
     attn_u: Tensor | None = None
     attn_b: Tensor | None = None
     attn_v: Tensor | None = None
 
     def blocks(self, name: str) -> list[Tensor]:
         """Weight `name` split by rows into its H, e_t (and A) blocks, on the tape."""
-        d, d_t = self.w_out.cols, self.time_table.table.cols
+        d, d_t = self.w_out.cols, self.time_table.cols
         heights = {"w_self": (d, d_t), "w_neigh": (d, d_t, EDGE_ATTR_DIM),
                    "attn_u": (d, d_t, d, d_t, EDGE_ATTR_DIM)}[name]
         stops = np.cumsum(heights).tolist()
@@ -125,17 +112,12 @@ class EvolutionParams:
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         pairs = [("op.w_self", self.w_self), ("op.b_msg", self.b_msg),
                  ("op.w_out", self.w_out), ("op.b_out", self.b_out),
-                 ("op.time_table", self.time_table.table)]
+                 ("op.time_table", self.time_table)]
         for label, t in (("op.w_neigh", self.w_neigh), ("op.attn_u", self.attn_u),
                          ("op.attn_b", self.attn_b), ("op.attn_v", self.attn_v)):
             if t is not None:
                 pairs.append((label, t))
         return pairs
-
-    def zero_weights(self) -> None:
-        """Zero every leaf in place (identity-trajectory configuration)."""
-        for _, leaf in self.named_leaves():
-            leaf.data[:] = 0.0
 
 
 def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
@@ -159,7 +141,7 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
         b_msg=_bias(message_dim, "op.b_msg"),
         w_out=uniform_weight(rng, message_dim, hidden_dim, "op.w_out"),
         b_out=_bias(hidden_dim, "op.b_out"),
-        time_table=init_time_table(steps, time_dim, rng),
+        time_table=uniform_weight(rng, steps, time_dim, "time_table"),
         attn_u=attn_u,
         attn_b=attn_b,
         attn_v=attn_v,
@@ -244,7 +226,7 @@ def _attention(batch: GraphBatch, params: EvolutionParams, w_na: Tensor) -> Call
     """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
     ops = adjacency(batch, "gat")
     u_dh, u_dt, u_sh, u_st, u_a = params.blocks("attn_u")
-    score_rows = ad.matmul(params.time_table.table, ad.add(u_dt, u_st))
+    score_rows = ad.matmul(params.time_table, ad.add(u_dt, u_st))
     score_arcs = ad.add(ad.matmul(ops["attr"], u_a), params.attn_b)
     msg_arcs = ad.matmul(ops["attr"], w_na)
     spread = ad.constant(np.ones((1, w_na.cols)))
@@ -263,7 +245,7 @@ def _attention(batch: GraphBatch, params: EvolutionParams, w_na: Tensor) -> Call
 def residual_update(batch: GraphBatch, params: EvolutionParams,
                     ) -> Callable[[Tensor, int], Tensor]:
     """dH of step t as a function of (H, t); terms without H are built here, once."""
-    e = params.time_table.table
+    e = params.time_table
     w_sh, w_st = params.blocks("w_self")
     self_rows = ad.matmul(e, w_st)
     if params.backbone == "gcn":
@@ -303,35 +285,21 @@ def readout(h: Tensor, pool: Blocks) -> Tensor:
     return ad.spmm(pool, h)
 
 
-@dataclass
-class TrajectorySnapshots:
-    """z_0..z_{T-1}, each the readout taken after one residual update."""
-
-    z: list[Tensor]
-    h_seq: list[Tensor] | None = None
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-
-def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams, horizon: int,
-           collect_states: bool = False) -> TrajectorySnapshots:
-    """Roll the residual operator forward `horizon` steps from H0."""
+def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams,
+           horizon: int) -> list[Tensor]:
+    """Roll the residual operator forward `horizon` steps from H0; the
+    snapshots z_0..z_{T-1}, each the readout taken after one update."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > params.time_table.steps:
+    if horizon > params.time_table.rows:
         raise IndexError(f"horizon {horizon} exceeds time table with "
-                         f"{params.time_table.steps} rows")
+                         f"{params.time_table.rows} rows")
     update = residual_update(batch, params)
     h = h0
     snapshots: list[Tensor] = []
-    states: list[Tensor] | None = [h0] if collect_states else None
     for t in range(horizon):
         h = ad.add(h, update(h, t))
         if not np.isfinite(h.data).all():
             raise ad.NonFiniteError(f"node states diverged at evolution step {t}")
         snapshots.append(readout(h, batch.pool))
-        if states is not None:
-            states.append(h)
-    return TrajectorySnapshots(z=snapshots, h_seq=states)
-
+    return snapshots

@@ -68,10 +68,6 @@ class EmbeddingParams:
     weights: dict[NodeKind, Tensor]
     biases: dict[NodeKind, Tensor]
 
-    @property
-    def hidden_dim(self) -> int:
-        return next(iter(self.weights.values())).cols
-
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         out = []
         for k in self.weights:
@@ -113,10 +109,6 @@ class GraphBatch:
     @property
     def size(self) -> int:
         return self.slots.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return SLOTS * self.size
 
 
 def star_batch(regions: np.ndarray, present: np.ndarray, offsets: np.ndarray,

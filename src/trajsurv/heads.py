@@ -66,10 +66,6 @@ class HeadParams:
     def context_dim(self) -> int:
         return self.w_ctx.cols
 
-    @property
-    def num_bins(self) -> int:
-        return self.w_dfs.cols
-
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         return [("heads.w_ctx", self.w_ctx), ("heads.b_ctx", self.b_ctx),
                 ("heads.w_dfs", self.w_dfs), ("heads.b_dfs", self.b_dfs),

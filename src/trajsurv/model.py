@@ -1,8 +1,9 @@
 """Full prognostic model: embedding -> evolution -> integrator -> heads.
 
 The forward pass runs a `GraphBatch` of patients in the 7-slot layout on
-one tape; every output has one row per patient, and one patient is simply a
-batch of one.
+one tape and hands each stage a plain value: the node states H0, the list of
+T snapshot tensors, the summary h*, and the logits keyed by task. Every
+output has one row per patient, and one patient is simply a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evolution import EvolutionParams, TrajectorySnapshots, evolve, init_evolution
+from .evolution import EvolutionParams, evolve, init_evolution
 from .graph import EmbeddingParams, GraphBatch, NodeKind, embed_nodes, init_embedding
 from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
                     init_heads, os_head, survival_from_hazards)
@@ -70,15 +71,6 @@ def typed_value(key: str, value, hint):
 
 
 @dataclass
-class ForwardResult:
-    snapshots: TrajectorySnapshots
-    h_star: Tensor
-    dfs_logits: Tensor
-    dfs_context: Tensor
-    os_logits: Tensor
-
-
-@dataclass
 class FullModel:
     config: ModelConfig
     embedding: EmbeddingParams
@@ -90,7 +82,8 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, batch: GraphBatch) -> ForwardResult:
+    def forward(self, batch: GraphBatch) -> dict[str, Tensor]:
+        """The batch's (B, K) logits per task, keyed like `labels`."""
         cfg = self.config
         h0 = embed_nodes(batch, self.embedding)
         snapshots = evolve(h0, batch, self.evolution, cfg.horizon)
@@ -100,20 +93,14 @@ class FullModel:
             h_star = integrate_mean(snapshots)
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
-        return ForwardResult(
-            snapshots=snapshots,
-            h_star=h_star,
-            dfs_logits=dfs_logits,
-            dfs_context=context,
-            os_logits=os_logits,
-        )
+        return {"dfs": dfs_logits, "os": os_logits}
 
     def predict_curves(self, batch: GraphBatch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per task, the batch's (B, K) hazards and survival, checked once."""
         with ad.no_grad(p for _, p in self.named_parameters()):
             out = self.forward(batch)
         curves = {}
-        for task, logits in (("dfs", out.dfs_logits), ("os", out.os_logits)):
+        for task, logits in out.items():
             h = hazards_from_logits(logits.data)
             curves[task] = (h, survival_from_hazards(h))
         return curves

@@ -103,10 +103,6 @@ class OptimizerState:
     stop_best: float = np.inf
     stop_counter: int = 0
 
-    @property
-    def best_val(self) -> float:
-        return self.stop_best
-
     def would_improve(self, val_loss: float) -> bool:
         return val_loss < self.stop_best - IMPROVE_TOL
 

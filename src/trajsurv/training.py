@@ -45,9 +45,9 @@ def _mean_loss(model: FullModel, batch: GraphBatch, labels: dict[str, np.ndarray
                bins: TimeBins, weights: LossWeights):
     """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape; `labels`
     maps each task to the batch's bin and event rows (`label_bins`)."""
-    out = model.forward(batch)
-    os_nll = discrete_nll(out.os_logits, labels["os"], bins)
-    dfs_nll = discrete_nll(out.dfs_logits, labels["dfs"], bins)
+    logits = model.forward(batch)
+    os_nll = discrete_nll(logits["os"], labels["os"], bins)
+    dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins)
     return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
                   ad.mul(ad.constant([[weights.beta]]), dfs_nll))
 

@@ -1,9 +1,10 @@
 """LSTM trajectory integrator: snapshot sequence -> summary vector h*.
 
-The snapshots z_0..z_{T-1} (one row per graph of the batch) are consumed by
-a single-layer LSTM from a zero initial state; h* is the elementwise mean of
-all hidden states so no single step dominates. The integrator-ablation
-mode bypasses the LSTM and averages the raw snapshots instead.
+The snapshots z_0..z_{T-1}, a plain list of tensors with one row per graph
+of the batch, are consumed by a single-layer LSTM from a zero initial state;
+h* is the elementwise mean of all hidden states so no single step dominates.
+The integrator-ablation mode bypasses the LSTM and averages the raw
+snapshots instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evolution import TrajectorySnapshots, uniform_weight
+from .evolution import uniform_weight
 
 
 @dataclass
@@ -81,22 +82,22 @@ def _mean_of(rows: list[Tensor]) -> Tensor:
     return ad.mul(acc, scale)
 
 
-def integrate(snapshots: TrajectorySnapshots, params: LstmParams) -> Tensor:
+def integrate(snapshots: list[Tensor], params: LstmParams) -> Tensor:
     """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T."""
-    if len(snapshots) == 0:
+    if not snapshots:
         raise ValueError("cannot integrate an empty snapshot sequence")
-    zeros = np.zeros((snapshots.z[0].rows, params.hidden_dim))
+    zeros = np.zeros((snapshots[0].rows, params.hidden_dim))
     h = ad.constant(zeros)
     c = ad.constant(zeros)
     hidden: list[Tensor] = []
-    for z in snapshots.z:
+    for z in snapshots:
         h, c = lstm_step(z, h, c, params)
         hidden.append(h)
     return _mean_of(hidden)
 
 
-def integrate_mean(snapshots: TrajectorySnapshots) -> Tensor:
+def integrate_mean(snapshots: list[Tensor]) -> Tensor:
     """Integrator ablation: elementwise mean of the raw snapshots."""
-    if len(snapshots) == 0:
+    if not snapshots:
         raise ValueError("cannot integrate an empty snapshot sequence")
-    return _mean_of(snapshots.z)
+    return _mean_of(snapshots)

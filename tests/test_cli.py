@@ -408,6 +408,31 @@ def test_console_script_installed(tmp_path):
         assert "simulate" in proc.stdout and "crossval" in proc.stdout
 
 
+def test_crossval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each child runs in its own directory with the same relative --out, so
+    # even the output_dir echoed in report.json is the same.
+    cohort = simulate_into(tmp_path, simulate={"n": 120, "region_len": 8, "clinical_len": 6})
+    doc = {"paths": {"cohort": str(cohort)}, "cv": {"k": 2, "repeats": 1},
+           "train": {"max_epochs": 3, "batch_size": 120}, "eval": {"bootstrap_b": 100}}
+    config = tmp_path / "blas.json"
+    config.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        subprocess.run([sys.executable, "-m", "trajsurv.cli", "crossval", "--config",
+                        str(config), "--out", "out"], cwd=run_dir, env=env, check=True,
+                       capture_output=True, timeout=300)
+        report = json.loads((run_dir / "out" / "report.json").read_text())
+        del report["runtime_seconds"]
+        outputs.append([(run_dir / "out" / name).read_bytes()
+                        for name in ("metrics.csv", "curves.csv")] + [report])
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # Loader fuzz: a mutated model file loads equal or is a data error.
 # ---------------------------------------------------------------------------

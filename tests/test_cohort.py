@@ -1,6 +1,7 @@
 """Cohort file round-trips, the synthetic simulator, splits, and augmentation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestRecordValidation:
 
     def test_record_to_graph_skips_absent_regions(self):
         g = record_to_graph(tiny_record("p3", 2.0, 1))
-        assert g.size == 1 and g.n_nodes == 7
+        assert g.size == 1 and g.slots.size == 7
         assert g.slots[0].tolist() == [True, False, False, False, False, True, True]
         assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
 
@@ -326,34 +327,34 @@ class TestSplits:
 
     def test_fold_sizes_and_event_balance(self):
         records = self.ten_patient_records()
-        plan = stratified_repeated_kfold(records, k=5, repeats=1, seed=0)
-        assert len(plan.folds) == 5
+        folds = stratified_repeated_kfold(records, k=5, repeats=1, seed=0)
+        assert len(folds) == 5
         event_counts = []
-        for spec in plan.folds:
+        for spec in folds:
             assert len(spec.test) == 2
             event_counts.append(sum(records[i].os.event for i in spec.test))
         assert max(event_counts) - min(event_counts) <= 1
 
     def test_each_repeat_partitions_the_cohort(self):
         records, _ = simulate_cohort(60, seed=8)
-        plan = stratified_repeated_kfold(records, k=5, repeats=3, seed=1)
-        assert len(plan.folds) == 15
+        folds = stratified_repeated_kfold(records, k=5, repeats=3, seed=1)
+        assert len(folds) == 15
         for rep in range(3):
-            tests = [set(s.test) for s in plan.folds if s.repeat == rep]
+            tests = [set(s.test) for s in folds if s.repeat == rep]
             assert sum(len(t) for t in tests) == 60
             assert set().union(*tests) == set(range(60))
 
     def test_repeats_reshuffle(self):
         records, _ = simulate_cohort(60, seed=8)
-        plan = stratified_repeated_kfold(records, k=5, repeats=2, seed=1)
-        first = [s for s in plan.folds if s.repeat == 0]
-        second = [s for s in plan.folds if s.repeat == 1]
+        folds = stratified_repeated_kfold(records, k=5, repeats=2, seed=1)
+        first = [s for s in folds if s.repeat == 0]
+        second = [s for s in folds if s.repeat == 1]
         assert any(a.test != b.test for a, b in zip(first, second))
 
     def test_inner_split_is_disjoint_and_sized(self):
         records, _ = simulate_cohort(50, seed=9)
-        plan = stratified_repeated_kfold(records, k=5, repeats=1, seed=2)
-        for spec in plan.folds:
+        folds = stratified_repeated_kfold(records, k=5, repeats=1, seed=2)
+        for spec in folds:
             test, train, val = set(spec.test), set(spec.train), set(spec.val)
             assert not (train & val) and not (train & test) and not (val & test)
             assert train | val == set(range(50)) - test
@@ -368,6 +369,18 @@ class TestSplits:
     def test_cohort_smaller_than_k_rejected(self):
         with pytest.raises(ValueError, match="cannot form"):
             stratified_repeated_kfold([tiny_record("p", 1.0, 1)] * 3, k=5)
+
+    def test_huge_k_rejected_before_any_fold_is_built(self):
+        # Dealing first would build one list per fold: about 64 MB at k = 10**6.
+        records, _ = simulate_cohort(40, seed=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CohortError, match="40 patients cannot form 1000000 folds"):
+                stratified_repeated_kfold(records, k=10**6, repeats=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAugment:

@@ -174,6 +174,18 @@ class TestEmitReport:
         assert doc["seed"] == 7
         assert doc["warnings"] == {"ipcw_capped_folds": 0}
 
+    def test_failed_emit_leaves_the_previous_report_whole(self, tmp_path):
+        emit_report(synthetic_report(), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        report = synthetic_report()
+        report.seed = 8
+        report.rows = report.rows[:1]
+        # A hazard that cannot be formatted makes the write of curves.csv raise.
+        report.curves.append(CurveRow("p1", "os", 0, "not a number", 0.5))
+        with pytest.raises(ValueError):
+            emit_report(report, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_json_aggregate_recomputable_from_folds(self, small_run, tmp_path):
         _, _, report = small_run
         paths = emit_report(report, tmp_path)
@@ -279,8 +291,8 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated):
     for start in range(0, len(records), chunk):
         with ad.no_grad(p for _, p in model.named_parameters()):
             out = model.forward(data.take(slice(start, start + chunk)).batch())
-        logits["dfs"].extend(out.dfs_logits.data)
-        logits["os"].extend(out.os_logits.data)
+        logits["dfs"].extend(out["dfs"].data)
+        logits["os"].extend(out["os"].data)
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival) for c in pred.curve_rows()}
     assert len(rows) == len(records) * 2 * bins.count
     for task in cv.TASKS:

@@ -7,9 +7,8 @@ from trajsurv import autodiff as ad
 from trajsurv.cohort import cohort_arrays, record_to_graph, simulate_cohort
 from trajsurv.crossval import _feature_widths
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
-                                init_evolution, init_time_table, readout,
-                                residual_update, rows_of, segment_softmax,
-                                uniform_weight)
+                                init_evolution, readout, residual_update, rows_of,
+                                segment_softmax, uniform_weight)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
@@ -36,8 +35,27 @@ def full_graph(seed=0):
 def residual_step(h, e_t, batch, params):
     """dH of one step whose time embedding is e_t: e_t is written into row 0
     of the time table and step 0 is taken."""
-    params.time_table.table.data[0] = e_t.data[0]
+    params.time_table.data[0] = e_t.data[0]
     return residual_update(batch, params)(h, 0)
+
+
+def time_table(steps, width, seed):
+    return uniform_weight(np.random.default_rng(seed), steps, width, "time_table")
+
+
+def zero_weights(params):
+    """The identity-trajectory configuration: every leaf zero."""
+    for _, leaf in params.named_leaves():
+        leaf.data[:] = 0.0
+
+
+def rolled_states(h0, batch, params, horizon):
+    """H_0..H_T: the node states `evolve` passes through, H_0 included."""
+    update = residual_update(batch, params)
+    states = [h0]
+    for t in range(horizon):
+        states.append(ad.add(states[-1], update(states[-1], t)))
+    return states
 
 
 def identity_params(backbone):
@@ -55,38 +73,37 @@ def identity_params(backbone):
         b_msg=ad.parameter(np.zeros((1, msg))),
         w_out=ad.parameter(w_out),
         b_out=ad.parameter(np.zeros((1, D))),
-        time_table=init_time_table(4, DT, np.random.default_rng(0)),
+        time_table=time_table(4, DT, 0),
     )
 
 
 def time_embedding(t, table):
     """e_t: row t of the time table, picked as the evolution step picks it."""
-    return rows_of(table.table, t, t + 1)
+    return rows_of(table, t, t + 1)
 
 
 class TestTimeEmbedding:
     def test_zero_table_gives_zero_vector(self):
-        table = init_time_table(3, DT, np.random.default_rng(0))
-        table.table.data[:] = 0.0
+        table = time_table(3, DT, 0)
+        table.data[:] = 0.0
         assert np.array_equal(time_embedding(1, table).data, np.zeros((1, DT)))
 
     def test_one_hot_row_lookup(self):
-        table = init_time_table(3, 3, np.random.default_rng(0))
-        table.table.data[:] = np.eye(3)
+        table = time_table(3, 3, 0)
+        table.data[:] = np.eye(3)
         assert np.array_equal(time_embedding(2, table).data, [[0.0, 0.0, 1.0]])
 
     def test_out_of_range_step_rejected(self):
-        table = init_time_table(3, DT, np.random.default_rng(0))
+        table = time_table(3, DT, 0)
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(3, table)
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(-1, table)
 
     def test_rows_are_trainable(self):
-        table = init_time_table(4, DT, np.random.default_rng(1))
-        grads = ad.backward(ad.sum_all(time_embedding(2, table)),
-                            params=[table.table])
-        g = grads[table.table].data
+        table = time_table(4, DT, 1)
+        grads = ad.backward(ad.sum_all(time_embedding(2, table)), params=[table])
+        g = grads[table].data
         assert np.allclose(g[2], 1.0)
         assert np.allclose(np.delete(g, 2, axis=0), 0.0)
 
@@ -95,11 +112,11 @@ class TestResidualStep:
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_zero_weights_give_zero_delta(self, backbone):
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0))
-        params.zero_weights()
+        zero_weights(params)
         g = full_graph()
-        h = ad.constant(np.random.default_rng(1).normal(size=(g.n_nodes, D)))
+        h = ad.constant(np.random.default_rng(1).normal(size=(g.slots.size, D)))
         delta = residual_step(h, time_embedding(0, params.time_table), g, params)
-        assert np.array_equal(delta.data, np.zeros((g.n_nodes, D)))
+        assert np.array_equal(delta.data, np.zeros((g.slots.size, D)))
 
     def test_graphsage_single_neighbor_hand_case(self):
         g = one_region_graph()
@@ -124,7 +141,7 @@ class TestResidualStep:
             b_msg=ad.parameter(np.zeros((1, DIN))),
             w_out=ad.parameter(np.vstack([np.eye(D), np.zeros((DIN - D, D))])),
             b_out=ad.parameter(np.zeros((1, D))),
-            time_table=init_time_table(4, DT, np.random.default_rng(0)),
+            time_table=time_table(4, DT, 0),
         )
         rng = np.random.default_rng(4)
         h = rng.normal(size=(7, D))
@@ -173,7 +190,7 @@ class TestResidualStep:
     def test_gradients_through_one_step(self, backbone):
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7))
         g = full_graph(seed=1)
-        h = ad.constant(np.random.default_rng(8).normal(size=(g.n_nodes, D)))
+        h = ad.constant(np.random.default_rng(8).normal(size=(g.slots.size, D)))
 
         def f():
             delta = residual_update(g, params)(h, 1)
@@ -211,37 +228,37 @@ class TestEvolve:
     @pytest.mark.parametrize("horizon", (1, 12))
     def test_zero_weights_identity_trajectory(self, backbone, horizon):
         params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0))
-        params.zero_weights()
+        zero_weights(params)
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(9).normal(size=(g.n_nodes, D)))
+        h0 = ad.constant(np.random.default_rng(9).normal(size=(g.slots.size, D)))
         snaps = evolve(h0, g, params, horizon)
         base = readout(h0, g.pool).data
         assert len(snaps) == horizon
-        for z in snaps.z:
+        for z in snaps:
             assert np.array_equal(z.data, base)
 
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.n_nodes, D)))
+        h0 = ad.constant(np.zeros((g.slots.size, D)))
         snaps = evolve(h0, g, params, 12)
         assert len(snaps) == 12
-        assert all(z.shape == (1, D) for z in snaps.z)
+        assert all(z.shape == (1, D) for z in snaps)
 
     def test_time_embedding_conditions_each_step(self):
         # With distinct time rows, consecutive increments differ.
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(3).normal(size=(g.n_nodes, D)))
-        snaps = evolve(h0, g, params, 3, collect_states=True)
-        d1 = snaps.h_seq[1].data - snaps.h_seq[0].data
-        d2 = snaps.h_seq[2].data - snaps.h_seq[1].data
+        h0 = ad.constant(np.random.default_rng(3).normal(size=(g.slots.size, D)))
+        states = rolled_states(h0, g, params, 3)
+        d1 = states[1].data - states[0].data
+        d2 = states[2].data - states[1].data
         assert not np.allclose(d1, d2)
 
     def test_horizon_bounds(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.n_nodes, D)))
+        h0 = ad.constant(np.zeros((g.slots.size, D)))
         with pytest.raises(ValueError):
             evolve(h0, g, params, 0)
         with pytest.raises(IndexError):
@@ -253,17 +270,20 @@ class TestEvolve:
         params.w_out.data[:] = 1e300
         params.b_msg.data[:] = 1.0
         g = full_graph()
-        h0 = ad.constant(np.full((g.n_nodes, D), 1e10))
+        h0 = ad.constant(np.full((g.slots.size, D), 1e10))
         with pytest.raises(ad.NonFiniteError, match="step 0"):
             evolve(h0, g, params, 4)
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(5).normal(size=(g.n_nodes, D)))
-        snaps = evolve(h0, g, params, 2, collect_states=True)
-        assert len(snaps.h_seq) == 3
-        assert snaps.h_seq[0] is h0
+        h0 = ad.constant(np.random.default_rng(5).normal(size=(g.slots.size, D)))
+        states = rolled_states(h0, g, params, 2)
+        assert len(states) == 3
+        assert states[0] is h0
+        # The rolled states are the ones `evolve` reads its snapshots from.
+        for z, h in zip(evolve(h0, g, params, 2), states[1:]):
+            assert np.array_equal(z.data, readout(h, g.pool).data)
 
 
 def test_uniform_weight_bound_and_determinism():
@@ -277,7 +297,7 @@ def test_uniform_weight_bound_and_determinism():
 def test_batch_operators_built_once_match_fresh_batch():
     g = full_graph(seed=2)
     params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(3))
-    h = ad.constant(np.random.default_rng(4).normal(size=(g.n_nodes, D)))
+    h = ad.constant(np.random.default_rng(4).normal(size=(g.slots.size, D)))
     e_t = time_embedding(0, params.time_table)
     first = residual_step(h, e_t, g, params)
     ops = g.operators["graphsage"]
@@ -333,7 +353,7 @@ class TestSegmentSoftmax:
         arcs = ops["at_dst"].shape[0]
         alpha = segment_softmax(ad.constant(np.full((arcs, 1), 1000.0)), batch).data
         deg = ops["sum_dst"].apply(np.ones((arcs, 1)))
-        used = ops["at_dst"].apply(np.ones((batch.n_nodes, 1)))[:, 0] > 0
+        used = ops["at_dst"].apply(np.ones((batch.slots.size, 1)))[:, 0] > 0
         np.testing.assert_allclose(alpha[used, 0], 1.0 / ops["at_dst"].apply(deg)[used, 0],
                                    rtol=0, atol=1e-15)
 
@@ -346,13 +366,13 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
     params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
     for _, leaf in params.named_leaves():
         leaf.data[:] = rng.normal(size=leaf.shape)
-    h = rng.normal(size=(batch.n_nodes, D))
+    h = rng.normal(size=(batch.slots.size, D))
     delta = residual_update(batch, params)(ad.constant(h), 2)
     weights = {name[3:]: leaf.data for name, leaf in params.named_leaves()}
     for b, rec in enumerate(records):
         src, dst, attr = zip(*oracles.star_operators(rec)["arcs"])
         expected = oracles.concat_step(backbone, h[7 * b:7 * b + 7],
-                                       params.time_table.table.data[2:3],
+                                       params.time_table.data[2:3],
                                        src, dst, np.array(attr), weights)
         used = batch.slots[b]
         np.testing.assert_allclose(delta.data[7 * b:7 * b + 7][used], expected[used],

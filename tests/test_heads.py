@@ -109,7 +109,6 @@ class TestHeads:
         assert p.w_dfs.shape == (5, 7)
         assert p.w_os.shape == (8, 7)
         assert p.context_dim == 3
-        assert p.num_bins == 7
 
 
 class TestHazardTransforms:

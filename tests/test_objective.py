@@ -170,9 +170,9 @@ class TestCombinedLoss:
         model, _, data = toy_setup()
         bins = model.config.bins()
         batch = data.batch()
-        out = model.forward(batch)
-        os_nll = discrete_nll(out.os_logits, data.labels["os"], bins).item()
-        dfs_nll = discrete_nll(out.dfs_logits, data.labels["dfs"], bins).item()
+        logits = model.forward(batch)
+        os_nll = discrete_nll(logits["os"], data.labels["os"], bins).item()
+        dfs_nll = discrete_nll(logits["dfs"], data.labels["dfs"], bins).item()
         return _mean_loss(model, batch, data.labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
@@ -326,7 +326,7 @@ class TestEarlyStop:
         state = OptimizerState(lr=1.0)
         for loss in (1.0, 0.4, 0.7, 0.6):
             early_stop(state, loss, patience=10)
-        assert state.best_val == 0.4
+        assert state.stop_best == 0.4
         assert state.would_improve(0.3)
         assert not state.would_improve(0.4)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.evolution import TrajectorySnapshots
 from trajsurv.trajectory import (init_lstm, integrate, integrate_mean,
                                  lstm_step)
 
@@ -91,7 +90,7 @@ class TestLstmStep:
 
 class TestIntegrate:
     def snaps(self, arrays):
-        return TrajectorySnapshots(z=[ad.constant(a) for a in arrays])
+        return [ad.constant(a) for a in arrays]
 
     def test_zero_params_zero_summary(self):
         p = zero_params()
@@ -124,7 +123,7 @@ class TestIntegrate:
     def test_empty_sequence_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate(TrajectorySnapshots(z=[]), p)
+            integrate([], p)
 
     def test_gradients_through_recurrence(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
@@ -132,25 +131,24 @@ class TestIntegrate:
         seq = [ad.constant(rng.normal(size=(1, DIM))) for _ in range(3)]
 
         def f():
-            return ad.sum_all(integrate(TrajectorySnapshots(z=list(seq)), p))
+            return ad.sum_all(integrate(list(seq), p))
 
         assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
 
 
 class TestIntegrateMean:
     def test_mean_of_snapshots(self):
-        snaps = TrajectorySnapshots(z=[ad.constant([[1.0, 2.0]]),
-                                       ad.constant([[3.0, 6.0]])])
+        snaps = [ad.constant([[1.0, 2.0]]), ad.constant([[3.0, 6.0]])]
         assert np.allclose(integrate_mean(snaps).data, [[2.0, 4.0]])
 
     def test_single_is_identity_value(self):
         z = np.array([[1.5, -2.0]])
-        out = integrate_mean(TrajectorySnapshots(z=[ad.constant(z)]))
+        out = integrate_mean([ad.constant(z)])
         assert np.array_equal(out.data, z)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            integrate_mean(TrajectorySnapshots(z=[]))
+            integrate_mean([])
 
 
 def test_init_lstm_zero_biases_and_fan_in_bound():
