@@ -13,15 +13,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import autodiff as ad
-from .cohort import CohortError, load_cohort, save_cohort, simulate_cohort
+from .cohort import (CohortError, load_cohort, save_cohort, simulate_cohort,
+                     stratified_repeated_kfold)
 from .config import ConfigError, RunConfig, load_config
-from .crossval import VARIANTS, emit_report, evaluate_model, run_ablation, run_crossval
+from .crossval import (VARIANTS, emit_report, evaluate_model, feature_widths, fold_model,
+                       run_ablation)
 from .evolution import BACKBONES
 from .graph import GraphConstructionError
-from .model import ModelFileError, init_model, load_model, save_model
+from .model import ModelFileError, load_model, save_model
 from .training import train_model
 
 EXIT_OK = 0
@@ -98,21 +98,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    from .cohort import stratified_repeated_kfold
-    from .crossval import _feature_widths
+def write_training_log(path, history) -> None:
+    """One tab-separated line per epoch: epoch, train loss, val loss, lr."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{e}\t{tr:.6f}\t{va:.6f}\t{lr:.3e}\n" for e, tr, va, lr in history)
 
+
+def cmd_train(cfg: RunConfig) -> int:
     records = _cohort(cfg)
     fold = stratified_repeated_kfold(records, k=5, repeats=1, seed=cfg.train.seed)[0]
     # Single fit: the first fold's held-out fifth becomes the validation set.
     train_recs = [records[i] for i in fold.train] + [records[i] for i in fold.val]
     val_recs = [records[i] for i in fold.test]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.train.seed, 4, 0, 0]))
-    model = init_model(cfg.model, _feature_widths(records), rng)
+    model = fold_model(cfg, feature_widths(records), 0, 0)
     out = cfg.paths.output_dir
     os.makedirs(out, exist_ok=True)
-    result = train_model(model, train_recs, val_recs, cfg.train,
-                         log_path=os.path.join(out, "training_log.txt"))
+    result = train_model(model, train_recs, val_recs, cfg.train)
+    write_training_log(os.path.join(out, "training_log.txt"), result.history)
     save_model(model, os.path.join(out, "model.npz"))
     with open(os.path.join(out, "train_summary.json"), "w") as fh:
         json.dump({"best_val": result.best_val, "best_epoch": result.best_epoch,
@@ -123,7 +125,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _finish_cv(report, cfg: RunConfig) -> int:
+def cmd_ablate(cfg: RunConfig, variant: str) -> int:
+    report = run_ablation(cfg, variant, _cohort(cfg))
     paths = emit_report(report, cfg.paths.output_dir)
     for task in ("os", "dfs"):
         mean = report.mean_metric(task, "cindex")
@@ -139,22 +142,12 @@ def _finish_cv(report, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(cfg: RunConfig) -> int:
-    return _finish_cv(run_crossval(cfg, _cohort(cfg)), cfg)
-
-
-def cmd_ablate(cfg: RunConfig, variant: str) -> int:
-    return _finish_cv(run_ablation(cfg, variant, _cohort(cfg)), cfg)
-
-
 def cmd_evaluate(cfg: RunConfig, model_path: str | None) -> int:
     path = model_path or cfg.paths.model
     if path is None:
         raise UsageError("evaluate needs --model or paths.model")
     records = _cohort(cfg)
-    model = load_model(path)
-    report = evaluate_model(model, records, cfg)
-    paths = emit_report(report, cfg.paths.output_dir)
+    paths = emit_report(evaluate_model(load_model(path), records, cfg), cfg.paths.output_dir)
     print(f"report written to {paths['report.json']}")
     return EXIT_OK
 
@@ -191,10 +184,8 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "train":
             return cmd_train(cfg)
-        if args.command == "crossval":
-            return cmd_crossval(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.variant)
+        if args.command in ("crossval", "ablate"):
+            return cmd_ablate(cfg, getattr(args, "variant", "full"))
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.model)
         raise UsageError(f"unknown command {args.command}")

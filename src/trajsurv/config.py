@@ -7,7 +7,7 @@ hyperparameter name is the costliest failure mode a config system can have.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .cohort import Scenario
@@ -44,22 +44,16 @@ class Paths:
 class SimulateSettings:
     n: int = 400
     seed: int | None = None           # None: fall back to train.seed
-    signal_strength: float = 1.5
-    censoring_rate: float = 0.3
-    hazard_ratio: float = 3.0
-    base_os_hazard: float = 0.24
-    base_dfs_hazard: float = 0.32
-    region_len: int = 8
-    clinical_len: int = 6
+    signal_strength: float = Scenario.signal_strength
+    censoring_rate: float = Scenario.censoring_rate
+    hazard_ratio: float = Scenario.hazard_ratio
+    base_os_hazard: float = Scenario.base_os_hazard
+    base_dfs_hazard: float = Scenario.base_dfs_hazard
+    region_len: int = Scenario.region_len
+    clinical_len: int = Scenario.clinical_len
 
     def scenario(self) -> Scenario:
-        return Scenario(signal_strength=self.signal_strength,
-                        censoring_rate=self.censoring_rate,
-                        hazard_ratio=self.hazard_ratio,
-                        base_os_hazard=self.base_os_hazard,
-                        base_dfs_hazard=self.base_dfs_hazard,
-                        region_len=self.region_len,
-                        clinical_len=self.clinical_len)
+        return Scenario(**{f.name: getattr(self, f.name) for f in fields(Scenario)})
 
 
 @dataclass(frozen=True)

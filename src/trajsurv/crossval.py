@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cohort import PatientRecord, cohort_arrays, load_cohort, stratified_repeated_kfold
+from .cohort import (FoldSpec, PatientRecord, cohort_arrays, load_cohort,
+                     stratified_repeated_kfold)
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import TimeBins, point_estimate_time
@@ -23,7 +24,10 @@ from .model import FullModel, init_model
 from .objective import discrete_nll
 from .training import train_model
 
-VARIANTS = ("full", "static", "mean_integrator", "no_cascade")
+# Ablation variant -> its ModelConfig overrides; everything not named stays as in full.
+_OVERRIDES = {"full": {}, "static": {"horizon": 1}, "mean_integrator": {"integrator": "mean"},
+              "no_cascade": {"cascade": False}}
+VARIANTS = tuple(_OVERRIDES)
 
 METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
 TASKS = ("os", "dfs")
@@ -91,13 +95,35 @@ class CvReport:
         }
 
 
-def _feature_widths(records: list[PatientRecord]) -> dict[NodeKind, int]:
+def feature_widths(records: list[PatientRecord]) -> dict[NodeKind, int]:
     width = next((rec.regions[k].features.shape[0] for rec in records
                   for k in ANATOMICAL_KINDS if rec.regions[k].present), None)
     if width is None:
         raise ValueError("no present regions anywhere in the cohort")
     return {**{k: width for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: width,
             NodeKind.CLINICAL: records[0].clinical.shape[0]}
+
+
+def fold_model(config: RunConfig, widths: dict[NodeKind, int], repeat: int,
+               fold: int) -> FullModel:
+    """The untrained model of fold (repeat, fold); `train` fits fold (0, 0)'s."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.train.seed, 4, repeat, fold]))
+    return init_model(config.model, widths, rng)
+
+
+@dataclass
+class FoldOutcome:
+    """What one fold gives the report: a plain, picklable value. A fold that
+    failed to train holds only its `failure` reason."""
+    repeat: int
+    fold: int
+    rows: list[FoldRow] = field(default_factory=list)
+    test: list[int] = field(default_factory=list)                # cohort indices scored
+    risks: dict[str, list[float]] = field(default_factory=dict)  # per task, in `test` order
+    curves: list[CurveRow] = field(default_factory=list)         # repeat 0 only
+    capped: bool = False                                         # an IPCW weight was capped
+    cascade_grad_zero: bool | None = None                        # no_cascade variant only
+    failure: str | None = None
 
 
 @dataclass
@@ -165,114 +191,126 @@ def _aggregate(rows: list[FoldRow]) -> dict:
     for task in TASKS:
         agg[task] = {}
         for name in METRIC_COLUMNS:
-            vals = [r.metric(name) for r in rows
-                    if r.task == task and r.metric(name) is not None]
-            if not vals:
-                agg[task][name] = None
-                continue
-            arr = np.array(vals, dtype=np.float64)
+            arr = np.array([r.metric(name) for r in rows
+                            if r.task == task and r.metric(name) is not None], dtype=np.float64)
             std = float(arr.std(ddof=1)) if arr.size >= 2 else None
-            agg[task][name] = {"mean": float(arr.mean()), "std": std, "n": int(arr.size)}
+            agg[task][name] = (None if arr.size == 0 else
+                               {"mean": float(arr.mean()), "std": std, "n": int(arr.size)})
     return agg
 
 
-def _cascade_grad_check(model: FullModel, records: list[PatientRecord],
-                        bins: TimeBins) -> bool:
+def _cascade_grad_check(model: FullModel, records: list[PatientRecord], bins: TimeBins) -> bool:
     """True iff the OS loss sends exactly zero gradient to the context weights."""
     data = cohort_arrays(records[:1], bins)
     os_loss = discrete_nll(model.forward(data.batch())["os"], data.labels["os"], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
-    ctx = grads[model.heads.w_ctx].data
-    ctx_b = grads[model.heads.b_ctx].data
-    return bool(np.all(ctx == 0.0) and np.all(ctx_b == 0.0))
+    return all(np.all(grads[p].data == 0.0) for p in (model.heads.w_ctx, model.heads.b_ctx))
 
 
 def apply_variant(config: RunConfig, variant: str) -> RunConfig:
-    """Ablation overrides; everything not named stays identical to full."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}; expected one of {VARIANTS}")
-    model = config.model
-    if variant == "static":
-        model = dataclasses.replace(model, horizon=1)
-    elif variant == "mean_integrator":
-        model = dataclasses.replace(model, integrator="mean")
-    elif variant == "no_cascade":
-        model = dataclasses.replace(model, cascade=False)
-    return dataclasses.replace(config, model=model)
+    return dataclasses.replace(config, model=dataclasses.replace(config.model,
+                                                                 **_OVERRIDES[variant]))
+
+
+def _score(model: FullModel, records: list[PatientRecord], test: list[int],
+           config: RunConfig, repeat: int, fold: int) -> FoldOutcome:
+    """Score the patients `test` of `records` as fold (repeat, fold), with the
+    model's own bins; the one path from a trained model to report rows."""
+    bins = model.config.bins()
+    horizons = config.eval.horizons
+    preds = _predict_fold(model, [records[i] for i in test], bins, horizons,
+                          config.train.batch_size)
+    per_task, capped = _fold_metrics(preds, bins, config.eval.resolve_tau(bins), horizons)
+    return FoldOutcome(repeat, fold, rows=[FoldRow(repeat, fold, task, **per_task[task])
+                                           for task in TASKS],
+                       test=test,
+                       risks={task: (-preds.tasks[task].pred_time).tolist() for task in TASKS},
+                       curves=preds.curve_rows() if repeat == 0 else [], capped=capped > 0)
+
+
+def run_fold(config: RunConfig, records: list[PatientRecord], spec: FoldSpec,
+             widths: dict[NodeKind, int], variant: str) -> FoldOutcome:
+    """Train the model of fold `spec` and score its test patients.
+
+    A fold that fails to train (non-finite states, gradients, or losses)
+    gives an outcome holding only the reason.
+    """
+    model = fold_model(config, widths, spec.repeat, spec.fold)
+    fold_seed = int(np.random.SeedSequence(
+        [config.train.seed, 3, spec.repeat, spec.fold]).generate_state(1)[0])
+    try:
+        train_model(model, [records[i] for i in spec.train], [records[i] for i in spec.val],
+                    dataclasses.replace(config.train, seed=fold_seed))
+        outcome = _score(model, records, spec.test, config, spec.repeat, spec.fold)
+        if variant == "no_cascade":
+            outcome.cascade_grad_zero = _cascade_grad_check(
+                model, [records[i] for i in spec.test], model.config.bins())
+    except (ad.NonFiniteError, ad.DomainError) as exc:
+        return FoldOutcome(spec.repeat, spec.fold, failure=str(exc))
+    return outcome
+
+
+def _pooled_ci(config: RunConfig, records: list[PatientRecord], outcomes: list[FoldOutcome],
+               task: str) -> dict | None:
+    """Bootstrap interval of the C-index of each patient's mean risk over its folds."""
+    pooled: dict[int, list[float]] = {}
+    for o in outcomes:
+        for i, risk in zip(o.test, o.risks[task]):
+            pooled.setdefault(i, []).append(risk)
+    ids = sorted(pooled)
+    if len(ids) < 2:
+        return None
+    # arrays built once; each resample indexes them
+    risk = np.array([np.mean(pooled[i]) for i in ids])
+    t, e = label_arrays([getattr(records[i], task) for i in ids])
+    try:
+        point = cindex_arrays(risk, t, e)
+        boot_seed = int(np.random.SeedSequence([config.train.seed, 5, TASKS.index(task)])
+                        .generate_state(1)[0])
+        lo, hi = bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
+                              range(len(ids)), config.eval.bootstrap_b, config.eval.level,
+                              boot_seed)
+    except ValueError as exc:
+        return {"metric": "cindex", "error": str(exc)}
+    return {"metric": "cindex", "point": point, "lo": lo, "hi": hi,
+            "formatted": f"{point:.3f} with a {format_ci(config.eval.level, lo, hi)}"}
+
+
+def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
+             records: list[PatientRecord] | None = None) -> CvReport:
+    """The report of `outcomes`, in their order. Given the cohort `records`,
+    it also holds the pooled C-index interval of each task."""
+    done = [o for o in outcomes if o.failure is None]
+    rows = [row for o in done for row in o.rows]
+    flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
+    return CvReport(
+        variant=variant, config=config_to_dict(config), seed=config.train.seed, rows=rows,
+        curves=[c for o in done for c in o.curves],
+        failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
+                      for o in outcomes if o.failure is not None],
+        aggregate=_aggregate(rows),
+        ci={} if records is None else {task: _pooled_ci(config, records, done, task)
+                                       for task in TASKS},
+        checks={"os_context_grad_zero": flags[0]} if flags else {},
+        ipcw_capped_folds=sum(1 for o in done if o.capped))
 
 
 def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
                  variant: str = "full") -> CvReport:
-    """Train and evaluate one model per (repeat, fold); aggregate and CI.
-
-    Folds that fail to train (non-finite states, gradients, or losses) are
-    recorded and skipped; the caller decides whether too many failed.
-    """
+    """Train and score one model per (repeat, fold) of the plan, then assemble
+    the report; the caller decides whether too many folds failed."""
     start = time.perf_counter()
     if records is None:
         if config.paths.cohort is None:
             raise ValueError("config.paths.cohort is not set")
         records = load_cohort(config.paths.cohort)
-    bins = config.model.bins()
-    tau = config.eval.resolve_tau(bins)
-    horizons = config.eval.horizons
-    seed = config.train.seed
-    folds = stratified_repeated_kfold(records, config.cv.k, config.cv.repeats, seed)
-    widths = _feature_widths(records)
-
-    report = CvReport(variant=variant, config=config_to_dict(config), seed=seed)
-    pooled: dict[str, dict[int, list[float]]] = {task: {} for task in TASKS}
-
-    for spec in folds:
-        fold_seed = int(np.random.SeedSequence(
-            [seed, 3, spec.repeat, spec.fold]).generate_state(1)[0])
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4, spec.repeat, spec.fold]))
-        model = init_model(config.model, widths, rng)
-        settings = dataclasses.replace(config.train, seed=fold_seed)
-        try:
-            train_model(model, [records[i] for i in spec.train],
-                        [records[i] for i in spec.val], settings)
-            preds = _predict_fold(model, [records[i] for i in spec.test], bins, horizons,
-                                  config.train.batch_size)
-            per_task, capped = _fold_metrics(preds, bins, tau, horizons)
-        except (ad.NonFiniteError, ad.DomainError) as exc:
-            report.failed_folds.append({"repeat": spec.repeat, "fold": spec.fold,
-                                        "reason": str(exc)})
-            continue
-        report.ipcw_capped_folds += 1 if capped else 0
-        for task in TASKS:
-            report.rows.append(FoldRow(repeat=spec.repeat, fold=spec.fold, task=task,
-                                       **per_task[task]))
-            for i, risk in zip(spec.test, (-preds.tasks[task].pred_time).tolist()):
-                pooled[task].setdefault(i, []).append(risk)
-        if spec.repeat == 0:
-            report.curves.extend(preds.curve_rows())
-        if variant == "no_cascade" and "os_context_grad_zero" not in report.checks:
-            report.checks["os_context_grad_zero"] = _cascade_grad_check(
-                model, [records[i] for i in spec.test], bins)
-
-    report.aggregate = _aggregate(report.rows)
-    for task in TASKS:
-        ids = sorted(pooled[task])
-        if len(ids) < 2:
-            report.ci[task] = None
-            continue
-        # arrays built once; each resample indexes them
-        risk = np.array([np.mean(pooled[task][i]) for i in ids])
-        t, e = label_arrays([getattr(records[i], task) for i in ids])
-        try:
-            point = cindex_arrays(risk, t, e)
-            boot_seed = int(np.random.SeedSequence([seed, 5, TASKS.index(task)])
-                            .generate_state(1)[0])
-            lo, hi = bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
-                                  range(len(ids)), config.eval.bootstrap_b,
-                                  config.eval.level, boot_seed)
-            report.ci[task] = {"metric": "cindex", "point": point, "lo": lo, "hi": hi,
-                               "formatted": f"{point:.3f} with a "
-                                            f"{format_ci(config.eval.level, lo, hi)}"}
-        except ValueError as exc:
-            report.ci[task] = {"metric": "cindex", "error": str(exc)}
-
+    widths = feature_widths(records)
+    outcomes = [run_fold(config, records, spec, widths, variant)
+                for spec in stratified_repeated_kfold(records, config.cv.k, config.cv.repeats,
+                                                      config.train.seed)]
+    report = assemble(config, variant, outcomes, records)
     report.runtime_seconds = time.perf_counter() - start
     return report
 
@@ -280,10 +318,6 @@ def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
 def run_ablation(config: RunConfig, variant: str,
                  records: list[PatientRecord] | None = None) -> CvReport:
     return run_crossval(apply_variant(config, variant), records=records, variant=variant)
-
-
-def _fmt(value: float | None) -> str:
-    return "NA" if value is None else f"{value:.6g}"
 
 
 def emit_report(report: CvReport, out_dir) -> dict[str, str]:
@@ -304,9 +338,8 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
         with open(temps["metrics.csv"], "w") as fh:
             fh.write("repeat,fold,task," + ",".join(METRIC_COLUMNS) + "\n")
             for r in report.rows:
-                cells = [str(r.repeat), str(r.fold), r.task]
-                cells += [_fmt(r.metric(name)) for name in METRIC_COLUMNS]
-                fh.write(",".join(cells) + "\n")
+                cells = ["NA" if v is None else f"{v:.6g}" for v in map(r.metric, METRIC_COLUMNS)]
+                fh.write(",".join([str(r.repeat), str(r.fold), r.task] + cells) + "\n")
         with open(temps["curves.csv"], "w") as fh:
             fh.write("patient_id,task,bin,hazard,survival\n")
             for c in report.curves:
@@ -323,16 +356,5 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
 def evaluate_model(model: FullModel, records: list[PatientRecord], config: RunConfig,
                    variant: str = "evaluate") -> CvReport:
     """Single-model evaluation presented as one pseudo-fold."""
-    bins = model.config.bins()
-    tau = config.eval.resolve_tau(bins)
-    preds = _predict_fold(model, records, bins, config.eval.horizons,
-                          config.train.batch_size)
-    per_task, capped = _fold_metrics(preds, bins, tau, config.eval.horizons)
-    report = CvReport(variant=variant, config=config_to_dict(config),
-                      seed=config.train.seed)
-    report.ipcw_capped_folds = 1 if capped else 0
-    for task in TASKS:
-        report.rows.append(FoldRow(repeat=0, fold=0, task=task, **per_task[task]))
-    report.curves = preds.curve_rows()
-    report.aggregate = _aggregate(report.rows)
-    return report
+    outcome = _score(model, records, list(range(len(records))), config, 0, 0)
+    return assemble(config, variant, [outcome])

@@ -60,8 +60,7 @@ def patient_loss(model: FullModel, graph: GraphBatch, dfs: SurvivalLabel,
 
 
 def train_model(model: FullModel, train_records: list[PatientRecord],
-                val_records: list[PatientRecord], settings: TrainSettings,
-                log_path=None) -> TrainResult:
+                val_records: list[PatientRecord], settings: TrainSettings) -> TrainResult:
     """Fit the model in place; the best-validation snapshot is restored.
 
     Validation is evaluated once per epoch on the combined loss; the plateau
@@ -86,7 +85,6 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
 
     best = snapshot_parameters(model)
     result = TrainResult(best_val=np.inf, best_epoch=0, epochs_run=0)
-    log_lines: list[str] = []
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(len(train_records))
@@ -105,9 +103,7 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
 
         with ad.no_grad(p for _, p in params):
             val_loss = _mean_loss(model, val_batch, val.labels, bins, weights).item()
-        train_loss = float(np.mean(train_losses))
-        log_lines.append(f"{epoch}\t{train_loss:.6f}\t{val_loss:.6f}\t{state.lr:.3e}")
-        result.history.append((epoch, train_loss, val_loss, state.lr))
+        result.history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
         if state.would_improve(val_loss):
             best = snapshot_parameters(model)
@@ -115,13 +111,9 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
             result.best_epoch = epoch
         plateau_schedule(state, val_loss, settings.scheduler_factor,
                          settings.scheduler_patience)
-        stop = early_stop(state, val_loss, settings.patience)
         result.epochs_run = epoch
-        if stop:
+        if early_stop(state, val_loss, settings.patience):
             break
 
     restore_parameters(model, best)
-    if log_path is not None:
-        with open(log_path, "a") as fh:
-            fh.write("\n".join(log_lines) + "\n")
     return result

@@ -96,7 +96,7 @@ class TestCrossval:
         cohort = simulate_into(tmp_path)
         config = write_config(tmp_path, name="cv.json", cohort=cohort)
 
-        def exploding(model, train_recs, val_recs, settings, log_path=None):
+        def exploding(model, train_recs, val_recs, settings):
             raise ad.NonFiniteError("synthetic blow-up")
 
         monkeypatch.setattr(cv, "train_model", exploding)
@@ -125,6 +125,18 @@ class TestTrainEvaluate:
         report = json.load(open(eval_out / "report.json"))
         assert report["variant"] == "evaluate"
         assert len(report["folds"]) == 2
+
+    def test_training_log_holds_only_the_last_run(self, tmp_path):
+        cohort = simulate_into(tmp_path)
+        out = tmp_path / "fit"
+        for epochs in (3, 2):
+            config = write_config(tmp_path, name="fit.json", cohort=cohort,
+                                  train={"max_epochs": epochs})
+            assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        summary = json.load(open(out / "train_summary.json"))
+        assert summary["epochs_run"] == 2
+        lines = (out / "training_log.txt").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["1", "2"]
 
     def test_evaluate_feature_width_mismatch_is_data_error(self, tmp_path, capsys):
         model_path = save_untrained_model(tmp_path)

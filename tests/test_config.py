@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trajsurv.config import (ConfigError, EvalSettings, RunConfig, config_from_dict,
-                             config_to_dict, load_config)
+from trajsurv.cohort import Scenario
+from trajsurv.config import (ConfigError, EvalSettings, RunConfig, SimulateSettings,
+                             config_from_dict, config_to_dict, load_config)
 
 
 class TestDefaults:
@@ -38,6 +39,11 @@ class TestDefaults:
         assert cfg.model.context_dim == 4
         assert cfg.model.horizon == 3
         assert cfg.model.num_bins == 6
+
+    def test_simulate_defaults_are_the_scenario_defaults(self):
+        assert SimulateSettings().scenario() == Scenario()
+        fields_of = [f.name for f in fields(SimulateSettings)]
+        assert fields_of == ["n", "seed"] + [f.name for f in fields(Scenario)]
 
     def test_long_model_spellings_rejected(self):
         with pytest.raises(ConfigError, match="unknown key model.hidden_dim"):

@@ -1,6 +1,7 @@
 """Cross-validation engine, ablation overrides, and report emission."""
 
 import json
+import pickle
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
 from oracles import pair_cindex, scalar_hazards, scalar_point_estimate, scalar_survival
-from trajsurv.cohort import cohort_arrays, simulate_cohort
+from trajsurv.cohort import cohort_arrays, simulate_cohort, stratified_repeated_kfold
 from trajsurv.crossval import (CurveRow, CvReport, FoldRow, _aggregate, apply_variant,
                                emit_report, evaluate_model, run_ablation, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
@@ -95,11 +96,11 @@ class TestRunCrossval:
         real = cv.train_model
         calls = []
 
-        def flaky(model, train_recs, val_recs, settings, log_path=None):
+        def flaky(model, train_recs, val_recs, settings):
             calls.append(1)
             if len(calls) == 2:
                 raise ad.NonFiniteError("synthetic blow-up")
-            return real(model, train_recs, val_recs, settings, log_path)
+            return real(model, train_recs, val_recs, settings)
 
         monkeypatch.setattr(cv, "train_model", flaky)
         report = run_crossval(config, records)
@@ -111,6 +112,36 @@ class TestRunCrossval:
     def test_missing_cohort_path_rejected(self):
         with pytest.raises(ValueError, match="paths.cohort"):
             run_crossval(small_config())
+
+
+def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch):
+    """`run_fold` over the plan gives plain values that survive pickling, and
+    `assemble` of them is `run_crossval`'s report, with one fold failing."""
+    config = apply_variant(small_config(), "no_cascade")
+    records, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
+    real, calls = cv.train_model, []
+
+    def flaky(model, train_recs, val_recs, settings):
+        calls.append(1)
+        if len(calls) % 6 == 2:   # the second fold of each run
+            raise ad.NonFiniteError("synthetic blow-up")
+        return real(model, train_recs, val_recs, settings)
+
+    monkeypatch.setattr(cv, "train_model", flaky)
+    report = run_crossval(config, records, variant="no_cascade")
+    plan = stratified_repeated_kfold(records, config.cv.k, config.cv.repeats, config.train.seed)
+    widths = cv.feature_widths(records)
+    outcomes = [cv.run_fold(config, records, spec, widths, "no_cascade") for spec in plan]
+    restored = pickle.loads(pickle.dumps(outcomes))
+    assert restored == outcomes
+    assert [o.failure for o in restored] == [None, "synthetic blow-up"] + [None] * 4
+    assert [bool(o.curves) for o in restored] == [True, False, True, False, False, False]
+    again = cv.assemble(config, "no_cascade", restored, records)
+    assert report.failed_folds == [{"repeat": 0, "fold": 1, "reason": "synthetic blow-up"}]
+    assert report.checks == {"os_context_grad_zero": True}
+    for name in ("rows", "curves", "ci", "checks", "failed_folds", "aggregate",
+                 "ipcw_capped_folds", "config"):
+        assert getattr(again, name) == getattr(report, name), name
 
 
 class TestAblation:
@@ -248,7 +279,7 @@ def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
 class TestEvaluateModel:
     def test_single_pseudo_fold(self, small_run):
         config, records, _ = small_run
-        widths = cv._feature_widths(records)
+        widths = cv.feature_widths(records)
         model = init_model(config.model, widths, np.random.default_rng(0))
         report = evaluate_model(model, records, config)
         assert report.variant == "evaluate"
@@ -260,7 +291,7 @@ class TestEvaluateModel:
     def test_chunked_scoring_matches_scoring_each_patient_alone(self):
         config = small_config()
         records, _ = simulate_cohort(70, seed=3, scenario=config.simulate.scenario())
-        model = init_model(config.model, cv._feature_widths(records),
+        model = init_model(config.model, cv.feature_widths(records),
                            np.random.default_rng(1))
         bins = config.model.bins()
         chunked = cv._predict_fold(model, records, bins, config.eval.horizons, 64)
@@ -280,7 +311,7 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated):
     applied to the logits of the same chunk, and the curve rows carry them."""
     config = small_config()
     records, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
-    model = init_model(config.model, cv._feature_widths(records), np.random.default_rng(2))
+    model = init_model(config.model, cv.feature_widths(records), np.random.default_rng(2))
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
         model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
         model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]

@@ -5,7 +5,7 @@ import pytest
 
 from trajsurv import autodiff as ad
 from trajsurv.cohort import cohort_arrays, record_to_graph, simulate_cohort
-from trajsurv.crossval import _feature_widths
+from trajsurv.crossval import feature_widths
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
                                 init_evolution, readout, residual_update, rows_of,
                                 segment_softmax, uniform_weight)
@@ -382,7 +382,7 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
 def one_batch_loss(backbone, n=64):
     records, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
-    model = init_model(config, _feature_widths(records), np.random.default_rng(0))
+    model = init_model(config, feature_widths(records), np.random.default_rng(0))
     data = cohort_arrays(records, config.bins())
     batch = data.batch()
     return model, batch, lambda: _mean_loss(model, batch, data.labels, config.bins(),

@@ -13,6 +13,7 @@ from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, snapshot_parameters
 from trajsurv.objective import LossWeights
+from trajsurv.cli import write_training_log
 from trajsurv.training import TrainSettings, _mean_loss, patient_loss, train_model
 
 SCENARIO = Scenario(region_len=4, clinical_len=3)
@@ -184,8 +185,8 @@ class TestTrainModel:
         train, val = self.cohort()
         _, model = small_model(seed=7)
         log = tmp_path / "train.log"
-        result = train_model(model, train, val, quick_settings(max_epochs=3),
-                             log_path=log)
+        result = train_model(model, train, val, quick_settings(max_epochs=3))
+        write_training_log(log, result.history)
         lines = log.read_text().splitlines()
         assert len(lines) == result.epochs_run
         pattern = re.compile(r"^\d+\t\d+\.\d{6}\t\d+\.\d{6}\t\d\.\d{3}e[+-]\d{2}$")
