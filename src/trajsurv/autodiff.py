@@ -251,6 +251,66 @@ def spmm(s: Blocks, x: Tensor) -> Tensor:
     return Tensor._node(s.apply(x.data), "spmm", (x,), s)
 
 
+def lstm(snapshots: list[Tensor], w_i: Tensor, b_i: Tensor, w_f: Tensor, b_f: Tensor,
+         w_g: Tensor, b_g: Tensor, w_o: Tensor, b_o: Tensor) -> Tensor:
+    """Mean hidden state of a single-layer LSTM over T snapshots, as one node.
+
+    The cell is c' = f*c + i*g, h' = o*tanh(c') from h = c = 0, each gate
+    acting on [z_t ; h_{t-1}] through its (d + d_h) x d_h weight and 1 x d_h
+    bias. The gates are held as (T, 4, B, d_h) in the order i f o g, so a
+    step's gates are one contiguous block and its three sigmoids one
+    contiguous part of it. The input projection of all T snapshots is one
+    batched matmul outside the recurrence, and each step adds one
+    (B x d_h) @ (4, d_h, d_h) product. Gates and cells are kept for backward
+    only when some parent requires grad.
+    """
+    weights = (w_i, w_f, w_o, w_g)
+    biases = (b_i, b_f, b_o, b_g)
+    d_h = w_i.cols
+    d = w_i.rows - d_h
+    for w, b in zip(weights, biases):
+        if w.shape != (d + d_h, d_h) or b.shape != (1, d_h):
+            raise ShapeMismatchError("lstm", w_i.shape, w.shape, b.shape)
+    if not snapshots:
+        raise ShapeMismatchError("lstm", ())
+    rows = snapshots[0].rows
+    for z in snapshots:
+        if z.shape != (rows, d):
+            raise ShapeMismatchError("lstm", snapshots[0].shape, z.shape, (rows, d))
+    steps = len(snapshots)
+    w = np.stack([p.data for p in weights])           # (4, d + d_h, d_h)
+    z = np.stack([s.data for s in snapshots])         # (T, B, d)
+    gates = np.matmul(z[:, None], w[:, :d])
+    gates += np.stack([p.data for p in biases])
+    w_h = w[:, d:]
+    cells = np.zeros((steps + 1, rows, d_h))      # c_0 .. c_T
+    hidden = np.zeros((steps + 1, rows, d_h))     # h_0 .. h_T
+    tanh_c = np.empty((steps, rows, d_h))
+    # 1 / (1 + e^-x) overflows only to 1 / inf = 0, the correctly rounded value.
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            a = gates[t]
+            if t:
+                a += np.matmul(hidden[t], w_h)
+            s = a[:3]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            np.tanh(a[3], out=a[3])
+            c = cells[t + 1]
+            np.multiply(a[1], cells[t], out=c)
+            c += a[0] * a[3]
+            np.tanh(c, out=tanh_c[t])
+            np.multiply(a[2], tanh_c[t], out=hidden[t + 1])
+    out = hidden[1:].sum(axis=0) * (1.0 / steps)
+    parents = (*snapshots, w_i, b_i, w_f, b_f, w_g, b_g, w_o, b_o)
+    node = Tensor._node(out, "lstm", parents)
+    if node.requires_grad:
+        node.ctx = (z, w, gates, cells, hidden, tanh_c)
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Backward rules: (node, upstream grad) -> per-parent gradients.
 # ---------------------------------------------------------------------------
@@ -336,6 +396,42 @@ def _bw_spmm(node, g):
     return (node.ctx.T.apply(g),)
 
 
+def _bw_lstm(node, g):
+    # Backpropagation through time over the cached [i f o g] gate blocks.
+    z, w, gates, cells, hidden, tanh_c = node.ctx
+    steps, _, rows, d_h = gates.shape
+    d = z.shape[2]
+    w_h_t = w[:, d:].transpose(0, 2, 1)
+    dh_out = g * (1.0 / steps)          # every h_t enters the mean once
+    da = np.empty_like(gates)
+    dh = dh_out
+    dc_next = 0.0
+    for t in range(steps - 1, -1, -1):
+        a, dat = gates[t], da[t]
+        tc = tanh_c[t]
+        dc = dh * a[2] * (1.0 - tc * tc) + dc_next
+        np.multiply(dc, a[3], out=dat[0])
+        np.multiply(dc, cells[t], out=dat[1])
+        np.multiply(dh, tc, out=dat[2])
+        dat[:3] *= a[:3] * (1.0 - a[:3])
+        np.multiply(dc * a[0], 1.0 - a[3] * a[3], out=dat[3])
+        dc_next = dc * a[1]
+        if t:
+            dh = dh_out + np.matmul(dat, w_h_t).sum(axis=0)
+    dw_x = np.matmul(z.transpose(0, 2, 1)[:, None], da).sum(axis=0)
+    dw_h = np.matmul(hidden[:-1].transpose(0, 2, 1)[:, None], da).sum(axis=0)
+    db = da.sum(axis=(0, 2))
+    snapshots = node.parents[:steps]
+    if any(s.requires_grad for s in snapshots):
+        grads = list(np.matmul(da, w[:, :d].transpose(0, 2, 1)).sum(axis=1))
+    else:
+        grads = [None] * steps
+    # Gate order i f o g back to the parents' order i, f, g, o.
+    for k in (0, 1, 3, 2):
+        grads += [np.concatenate([dw_x[k], dw_h[k]]), db[k:k + 1]]
+    return tuple(grads)
+
+
 # Keyed by the op name a tape node carries: these keys are the primitives.
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bw_matmul,
@@ -352,6 +448,7 @@ _BACKWARD: dict[str, Callable] = {
     "log": _bw_log,
     "sum-all": _bw_sum_all,
     "spmm": _bw_spmm,
+    "lstm": _bw_lstm,
 }
 
 

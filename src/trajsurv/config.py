@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     """Invalid, unknown, or out-of-range configuration entry."""
 
 
+# Upper bounds on sizes, so that a mistyped 10^9 is a config error rather
+# than hours of allocation: each model width, the step and bin counts, the
+# simulated cohort size and the number of cross-validation repeats.
+MAX_WIDTH = 1024
+MAX_STEPS = 256
+MAX_PATIENTS = 100_000
+MAX_REPEATS = 100
+
+
 @dataclass(frozen=True)
 class EvalSettings:
     horizons: tuple[float, ...] = (1.0, 3.0, 5.0)
@@ -126,8 +135,11 @@ def _validate(cfg: RunConfig) -> None:
         (m.integrator in INTEGRATORS, f"model.integrator must be one of {INTEGRATORS}"),
         (m.hidden_dim >= 1 and m.time_dim >= 1 and m.summary_dim >= 1
          and m.context_dim >= 1 and m.message_dim >= 1, "model dims must be >= 1"),
-        (m.horizon >= 1, "model.T must be >= 1"),
-        (m.num_bins >= 1, "model.K must be >= 1"),
+        (max(m.hidden_dim, m.time_dim, m.summary_dim, m.context_dim, m.message_dim,
+             m.attention_dim) <= MAX_WIDTH,
+         f"model.d, d_t, d_h, d_c, message_dim and attention_dim must be <= {MAX_WIDTH}"),
+        (1 <= m.horizon <= MAX_STEPS, f"model.T must be in [1, {MAX_STEPS}]"),
+        (1 <= m.num_bins <= MAX_STEPS, f"model.K must be in [1, {MAX_STEPS}]"),
         (t.lr > 0, "train.lr must be positive"),
         (t.batch_size >= 1, "train.batch_size must be >= 1"),
         (t.alpha >= 0 and t.beta >= 0 and t.alpha + t.beta > 0,
@@ -140,6 +152,7 @@ def _validate(cfg: RunConfig) -> None:
         (e.bootstrap_b >= 100, "eval.bootstrap_b must be >= 100"),
         (0 < e.level < 1, "eval.level must be in (0,1)"),
         (cv.k >= 2 and cv.repeats >= 1, "cv.k must be >= 2 and cv.repeats >= 1"),
+        (cv.repeats <= MAX_REPEATS, f"cv.repeats must be <= {MAX_REPEATS}"),
         (t.seed >= 0 and (cfg.simulate.seed or 0) >= 0,
          "train.seed and simulate.seed must be >= 0"),
         (m.bin_edges is None or len(m.bin_edges) == m.num_bins + 1,
@@ -154,8 +167,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"model.bin_edges: {exc}") from exc
     if e.tau is not None and not (0 < e.tau <= bins.horizon):
         raise ConfigError("eval.tau must lie in (0, last bin edge]")
-    if cfg.simulate.n < 10:
-        raise ConfigError("simulate.n must be >= 10")
+    if not 10 <= cfg.simulate.n <= MAX_PATIENTS:
+        raise ConfigError(f"simulate.n must be in [10, {MAX_PATIENTS}]")
     try:
         cfg.simulate.scenario()
     except ValueError as exc:

@@ -13,7 +13,7 @@ learning-rate schedule, and early stopping with best-snapshot retention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -90,13 +90,14 @@ class AdamHyper:
 class OptimizerState:
     """Moment accumulators plus scheduler and early-stop bookkeeping.
 
-    The plateau schedule and the early stop each track their own best-seen
-    validation loss so the two ops stay independent and order-insensitive;
-    both use the same strict-improvement tolerance.
+    The moments are one flat (m, v) pair over all leaves, in the order the
+    parameter list gives them. The plateau schedule and the early stop each
+    track their own best-seen validation loss so the two ops stay independent
+    and order-insensitive; both use the same strict-improvement tolerance.
     """
 
     lr: float
-    moments: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    moments: tuple[np.ndarray, np.ndarray] | None = None
     step_count: int = 0
     plateau_best: float = np.inf
     plateau_counter: int = 0
@@ -109,21 +110,37 @@ class OptimizerState:
 
 def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
                state: OptimizerState, hyper: AdamHyper) -> None:
-    """Decoupled-weight-decay Adam update, applied to the leaves in place."""
+    """Decoupled-weight-decay Adam update, applied to the leaves in place.
+
+    All leaves are updated as one concatenated vector; every element sees the
+    same operations as in a leaf-by-leaf update, so the result is the same
+    bit for bit. A non-finite gradient stops the step before any leaf moves.
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - hyper.beta1 ** t
     bc2 = 1.0 - hyper.beta2 ** t
-    for name, p in params:
-        g = grads[p].data
-        if not np.isfinite(g).all():
-            raise ad.NonFiniteError(f"non-finite gradient for parameter {name}")
-        m, v = state.moments.get(id(p), (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
-        state.moments[id(p)] = (m, v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
-        p.data -= state.lr * (update + hyper.weight_decay * p.data)
+    g = np.concatenate([grads[p].data.ravel() for _, p in params])
+    if not np.isfinite(g).all():
+        name = next(name for name, p in params if not np.isfinite(grads[p].data).all())
+        raise ad.NonFiniteError(f"non-finite gradient for parameter {name}")
+    if state.moments is None:
+        state.moments = (np.zeros_like(g), np.zeros_like(g))
+    m, v = state.moments
+    if m.size != g.size:
+        raise ValueError(f"parameters hold {g.size} values, the moments {m.size}")
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+    flat = np.concatenate([p.data.ravel() for _, p in params])
+    flat -= state.lr * (update + hyper.weight_decay * flat)
+    start = 0
+    for _, p in params:
+        stop = start + p.data.size
+        p.data[...] = flat[start:stop].reshape(p.shape)
+        start = stop
 
 
 def plateau_schedule(state: OptimizerState, val_loss: float, factor: float,

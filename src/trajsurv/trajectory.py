@@ -3,8 +3,11 @@
 The snapshots z_0..z_{T-1}, a plain list of tensors with one row per graph
 of the batch, are consumed by a single-layer LSTM from a zero initial state;
 h* is the elementwise mean of all hidden states so no single step dominates.
-The integrator-ablation mode bypasses the LSTM and averages the raw
-snapshots instead.
+The whole recurrence is one tape node, the `lstm` primitive of `autodiff`,
+whose backward rule runs backpropagation through time; the parameters stay
+the eight `lstm.*` leaves, one weight and one bias per gate. The
+integrator-ablation mode bypasses the LSTM and averages the raw snapshots
+instead.
 """
 
 from __future__ import annotations
@@ -59,45 +62,17 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
                       w("lstm.w_g"), b("lstm.b_g"), w("lstm.w_o"), b("lstm.b_o"))
 
 
-def lstm_step(z: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """Standard cell: c' = f*c + i*g, h' = o*tanh(c')."""
-    if z.cols != params.input_dim or h.cols != params.hidden_dim:
-        raise ad.ShapeMismatchError("lstm-step", z.shape, h.shape,
-                                    (params.input_dim, params.hidden_dim))
-    zh = ad.concat_cols(z, h)
-    i = ad.sigmoid(ad.add(ad.matmul(zh, params.w_i), params.b_i))
-    f = ad.sigmoid(ad.add(ad.matmul(zh, params.w_f), params.b_f))
-    g = ad.tanh(ad.add(ad.matmul(zh, params.w_g), params.b_g))
-    o = ad.sigmoid(ad.add(ad.matmul(zh, params.w_o), params.b_o))
-    c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h2 = ad.mul(o, ad.tanh(c2))
-    return h2, c2
-
-
-def _mean_of(rows: list[Tensor]) -> Tensor:
-    acc = rows[0]
-    for r in rows[1:]:
-        acc = ad.add(acc, r)
-    scale = ad.constant(np.full(acc.shape, 1.0 / len(rows)))
-    return ad.mul(acc, scale)
-
-
 def integrate(snapshots: list[Tensor], params: LstmParams) -> Tensor:
     """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T."""
-    if not snapshots:
-        raise ValueError("cannot integrate an empty snapshot sequence")
-    zeros = np.zeros((snapshots[0].rows, params.hidden_dim))
-    h = ad.constant(zeros)
-    c = ad.constant(zeros)
-    hidden: list[Tensor] = []
-    for z in snapshots:
-        h, c = lstm_step(z, h, c, params)
-        hidden.append(h)
-    return _mean_of(hidden)
+    return ad.lstm(snapshots, params.w_i, params.b_i, params.w_f, params.b_f,
+                   params.w_g, params.b_g, params.w_o, params.b_o)
 
 
 def integrate_mean(snapshots: list[Tensor]) -> Tensor:
     """Integrator ablation: elementwise mean of the raw snapshots."""
     if not snapshots:
         raise ValueError("cannot integrate an empty snapshot sequence")
-    return _mean_of(snapshots)
+    acc = snapshots[0]
+    for r in snapshots[1:]:
+        acc = ad.add(acc, r)
+    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / len(snapshots))))

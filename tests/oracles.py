@@ -7,12 +7,15 @@ Brier integral. Used to pin the vectorized implementations to 1e-12.
 The curve classes and functions below are the per-patient scalar forms of
 the (n, K) curve transforms, the reference the arrays are held to with ==.
 `concat_step` is the evolution step in its first form, dense and per node.
+`lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
+nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from trajsurv import autodiff as ad
 from trajsurv.objective import label_to_bin
 
 
@@ -256,3 +259,50 @@ def star_operators(record, offset_scale=100.0):
         for j in used:
             norm[i, j] = adj[i, j] / np.sqrt(deg[i] * deg[j])
     return {"mean": mean, "attr_mean": attr_mean, "norm": norm, "arcs": arcs}
+
+
+def lstm_step(z, h, c, params):
+    """One LSTM cell on the tape, op by op, as the integrator was first
+    written: c' = f*c + i*g, h' = o*tanh(c'), each gate its own matmul on
+    [z | h]."""
+    if z.cols != params.input_dim or h.cols != params.hidden_dim:
+        raise ad.ShapeMismatchError("lstm-step", z.shape, h.shape,
+                                    (params.input_dim, params.hidden_dim))
+    zh = ad.concat_cols(z, h)
+    i = ad.sigmoid(ad.add(ad.matmul(zh, params.w_i), params.b_i))
+    f = ad.sigmoid(ad.add(ad.matmul(zh, params.w_f), params.b_f))
+    g = ad.tanh(ad.add(ad.matmul(zh, params.w_g), params.b_g))
+    o = ad.sigmoid(ad.add(ad.matmul(zh, params.w_o), params.b_o))
+    c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h2 = ad.mul(o, ad.tanh(c2))
+    return h2, c2
+
+
+def tape_integrate(snapshots, params):
+    """The per-op tape form of `trajectory.integrate`: `lstm_step` from a
+    zero state, then the mean of h_1..h_T as a chain of adds and one scale."""
+    zeros = np.zeros((snapshots[0].rows, params.hidden_dim))
+    h, c = ad.constant(zeros), ad.constant(zeros)
+    acc = None
+    for z in snapshots:
+        h, c = lstm_step(z, h, c, params)
+        acc = h if acc is None else ad.add(acc, h)
+    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / len(snapshots))))
+
+
+def leafwise_adamw_step(params, grads, state, hyper):
+    """AdamW one leaf at a time, with moments keyed by leaf: the form the
+    flat-vector `objective.adamw_step` must match bit for bit. `state` is a
+    dict holding the learning rate "lr", the step count "t" and the moments
+    by leaf name."""
+    state["t"] = t = state.get("t", 0) + 1
+    bc1 = 1.0 - hyper.beta1 ** t
+    bc2 = 1.0 - hyper.beta2 ** t
+    for name, p in params:
+        g = grads[p].data
+        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
+        v = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
+        state[name] = (m, v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        p.data -= state["lr"] * (update + hyper.weight_decay * p.data)

@@ -208,6 +208,15 @@ def _fd_builders():
     cases["sum-all"] = ([x], lambda: ad.sum_all(x))
     cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
         ad.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
+    # Three snapshots of two rows, d = 2, d_h = 3: every gate weight and bias
+    # and every snapshot is a leaf.
+    snaps = [leafy(rng.normal(size=(2, 2))) for _ in range(3)]
+    gate_leaves = []
+    for _ in range(4):
+        gate_leaves += [leafy(rng.normal(size=(5, 3))), leafy(rng.normal(size=(1, 3)))]
+    mix = ad.constant(rng.normal(size=(2, 3)))
+    cases["lstm"] = (snaps + gate_leaves,
+                     lambda: ad.sum_all(ad.mul(ad.lstm(snaps, *gate_leaves), mix)))
     return cases
 
 

@@ -244,6 +244,40 @@ class TestFieldTypes:
         assert main(["crossval", "--config", str(latin)]) == 1
 
 
+class TestSizeBounds:
+    @pytest.mark.parametrize("doc, key", [
+        ({"cv": {"repeats": 10 ** 9}}, "cv.repeats"),
+        ({"simulate": {"n": 10 ** 9}}, "simulate.n"),
+        ({"model": {"T": 10 ** 9}}, "model.T"),
+        ({"model": {"K": 10 ** 9}}, "model.K"),
+        *(({"model": {k: 10 ** 9}}, "model.d, d_t")
+          for k in ("d", "d_t", "d_h", "d_c", "message_dim", "attention_dim")),
+    ])
+    def test_oversized_field_exits_one_and_allocates_nothing(self, doc, key, tmp_path,
+                                                             capsys):
+        import tracemalloc
+
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            config_from_dict(doc)
+        tracemalloc.start()
+        try:
+            assert _main_exit(tmp_path, json.dumps(doc)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert f"config error: {key}" in capsys.readouterr().err
+
+    def test_sizes_at_their_bounds_are_accepted(self):
+        from trajsurv.config import MAX_PATIENTS, MAX_REPEATS, MAX_STEPS, MAX_WIDTH
+
+        cfg = config_from_dict({"cv": {"repeats": MAX_REPEATS},
+                                "simulate": {"n": MAX_PATIENTS},
+                                "model": {"T": MAX_STEPS, "K": MAX_STEPS, "d": MAX_WIDTH,
+                                          "attention_dim": MAX_WIDTH}})
+        assert cfg.cv.repeats == MAX_REPEATS and cfg.model.horizon == MAX_STEPS
+
+
 def _well_typed(value, hint) -> bool:
     options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
     if value is None:

@@ -389,18 +389,23 @@ def one_batch_loss(backbone, n=64):
                                             LossWeights())
 
 
-@pytest.mark.parametrize("backbone,nodes", (("graphsage", 514), ("gcn", 458), ("gat", 803)))
-def test_tape_node_count_of_one_batch_loss(backbone, nodes):
-    # Every distinct tensor reachable from the loss, leaves included. A change
-    # that adds per-step work to the rollout moves this count.
+@pytest.mark.parametrize("backbone,nodes,differentiable",
+                         (("graphsage", 284, 268), ("gcn", 228, 213), ("gat", 573, 543)),
+                         ids=("graphsage", "gcn", "gat"))
+def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
+    # Every distinct tensor reachable from the loss, leaves included, and the
+    # nodes backward visits (`_topo_order`). A change that adds per-step work
+    # to the rollout or the LSTM moves these counts.
     _, _, loss = one_batch_loss(backbone)
-    seen, stack = set(), [loss()]
+    out = loss()
+    seen, stack = set(), [out]
     while stack:
         node = stack.pop()
         if node not in seen:
             seen.add(node)
             stack.extend(node.parents)
     assert len(seen) == nodes
+    assert len(ad._topo_order(out)) == differentiable
 
 
 def test_forwards_reuse_selectors_and_operators(monkeypatch):

@@ -11,6 +11,8 @@ from trajsurv.objective import (AdamHyper, LossWeights, OptimizerState, Survival
                                 label_bins, label_to_bin, plateau_schedule)
 from trajsurv.training import _mean_loss
 
+import oracles
+
 BINS = annual_bins(12)
 
 
@@ -262,6 +264,41 @@ class TestAdamW:
             return np.concatenate([p.data.ravel() for _, p in params])
 
         assert np.array_equal(run(), run())
+
+    def test_flat_update_equals_the_leafwise_form_bitwise(self):
+        # Leaves of several shapes, as in a model, and a scheduled lr.
+        rng = np.random.default_rng(4)
+        shapes = [(3, 4), (1, 4), (5, 1), (2, 2)]
+        flat = [(f"p{i}", ad.parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
+        leafwise = [(name, ad.parameter(p.data.copy())) for name, p in flat]
+        hyper = AdamHyper(lr=0.05, weight_decay=0.1)
+        state, ref = OptimizerState(lr=0.05), {"lr": 0.05}
+        for step in range(5):
+            values = [rng.normal(size=s) * 10.0 ** -step for s in shapes]
+            adamw_step(flat, {p: ad.Tensor(v) for (_, p), v in zip(flat, values)},
+                       state, hyper)
+            oracles.leafwise_adamw_step(
+                leafwise, {p: ad.Tensor(v) for (_, p), v in zip(leafwise, values)},
+                ref, hyper)
+            state.lr = ref["lr"] = state.lr * 0.5
+        for (_, p), (_, q) in zip(flat, leafwise):
+            assert np.array_equal(p.data, q.data)
+
+    def test_parameters_of_another_size_than_the_moments_raise(self):
+        params = [("p", ad.parameter(np.ones((2, 2))))]
+        state = OptimizerState(lr=0.1)
+        adamw_step(params, self.grads_for(params, 1.0), state, AdamHyper())
+        grown = params + [("q", ad.parameter(np.ones((1, 3))))]
+        with pytest.raises(ValueError, match="moments"):
+            adamw_step(grown, self.grads_for(grown, 1.0), state, AdamHyper())
+
+    def test_nonfinite_gradient_moves_no_leaf(self):
+        params = [("a", ad.parameter([[1.0]])), ("b", ad.parameter([[2.0]]))]
+        state = OptimizerState(lr=0.1)
+        grads = {params[0][1]: ad.Tensor([[1.0]]), params[1][1]: ad.Tensor([[np.inf]])}
+        with pytest.raises(ad.NonFiniteError, match="parameter b"):
+            adamw_step(params, grads, state, AdamHyper())
+        assert params[0][1].item() == 1.0 and params[1][1].item() == 2.0
 
     def test_moments_accumulate_across_steps(self):
         params = self.leaf(0.0)

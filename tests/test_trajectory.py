@@ -1,11 +1,13 @@
-"""LSTM integrator: cell equations, summary mean, and the mean ablation."""
+"""LSTM integrator: cell equations, the lstm primitive against its per-op
+tape form, summary mean, and the mean ablation."""
 
 import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.trajectory import (init_lstm, integrate, integrate_mean,
-                                 lstm_step)
+from trajsurv.trajectory import init_lstm, integrate, integrate_mean
+
+from oracles import lstm_step, tape_integrate
 
 DIM = 3
 
@@ -38,15 +40,14 @@ def numpy_lstm(z_seq, params):
 
 
 class TestLstmStep:
+    """The cell equations, on the per-op tape form the primitive is held to
+    and, where a zero initial state allows, on `integrate` itself."""
+
     def test_zero_params_zero_cell(self):
         p = zero_params()
-        z = ad.constant(np.ones((1, DIM)))
-        h = ad.constant(np.zeros((1, DIM)))
-        c = ad.constant(np.zeros((1, DIM)))
-        h2, c2 = lstm_step(z, h, c, p)
         # All gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0.
-        assert np.array_equal(c2.data, np.zeros((1, DIM)))
-        assert np.array_equal(h2.data, np.zeros((1, DIM)))
+        out = integrate([ad.constant(np.ones((1, DIM)))], p)
+        assert np.array_equal(out.data, np.zeros((1, DIM)))
 
     def test_zero_params_unit_cell_memory(self):
         p = zero_params()
@@ -69,23 +70,59 @@ class TestLstmStep:
 
     def test_width_mismatch_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
-        with pytest.raises(ad.ShapeMismatchError):
-            lstm_step(ad.constant(np.zeros((1, DIM + 1))),
-                      ad.constant(np.zeros((1, DIM))),
-                      ad.constant(np.zeros((1, DIM))), p)
+        with pytest.raises(ad.ShapeMismatchError, match="lstm"):
+            integrate([ad.constant(np.zeros((1, DIM + 1)))], p)
 
     def test_multi_row_step_matches_per_row(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(4, DIM))
-        h = rng.normal(size=(4, DIM))
-        c = rng.normal(size=(4, DIM))
-        h2, c2 = lstm_step(ad.constant(z), ad.constant(h), ad.constant(c), p)
+        seq = [rng.normal(size=(4, DIM)) for _ in range(3)]
+        out = integrate([ad.constant(z) for z in seq], p)
         for r in range(4):
-            hr, cr = lstm_step(ad.constant(z[r:r + 1]), ad.constant(h[r:r + 1]),
-                               ad.constant(c[r:r + 1]), p)
-            assert np.allclose(h2.data[r], hr.data[0])
-            assert np.allclose(c2.data[r], cr.data[0])
+            row = integrate([ad.constant(z[r:r + 1]) for z in seq], p)
+            np.testing.assert_allclose(out.data[r], row.data[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows,steps,bias,constant", [
+    (1, 1, None, False), (1, 12, None, False), (64, 1, None, False),
+    (64, 12, None, False), (64, 12, 100.0, False), (64, 12, None, True)],
+    ids=["B1-T1", "B1-T12", "B64-T1", "B64-T12", "saturated", "constant"])
+def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
+    # Loss sum(h* . W) and the gradients of every snapshot and lstm.* leaf.
+    rng = np.random.default_rng(5)
+    p = init_lstm(32, 32, rng)
+    if bias is not None:
+        for name, leaf in p.named_leaves():
+            if ".b_" in name:
+                leaf.data[:] = bias * rng.choice([-1.0, 1.0], size=leaf.shape)
+    first = rng.normal(size=(rows, 32))
+    snaps = [ad.parameter(first if constant else rng.normal(size=(rows, 32)))
+             for _ in range(steps)]
+    weight = ad.constant(rng.normal(size=(rows, 32)))
+    leaves = snaps + [leaf for _, leaf in p.named_leaves()]
+    loss, ref = (ad.sum_all(ad.mul(f(snaps, p), weight)) for f in (integrate, tape_integrate))
+    assert abs(loss.item() - ref.item()) <= 1e-12
+    grads, ref_grads = ad.backward(loss, leaves), ad.backward(ref, leaves)
+    for leaf in leaves:
+        np.testing.assert_allclose(grads[leaf].data, ref_grads[leaf].data, rtol=0, atol=1e-12)
+
+
+def test_lstm_rejects_ragged_snapshots():
+    p = init_lstm(DIM, DIM, np.random.default_rng(0))
+    ragged = [ad.constant(np.zeros((2, DIM))), ad.constant(np.zeros((3, DIM)))]
+    with pytest.raises(ad.ShapeMismatchError, match="lstm"):
+        integrate(ragged, p)
+
+
+def test_lstm_without_grad_keeps_no_cache():
+    p = init_lstm(DIM, DIM, np.random.default_rng(0))
+    snaps = [ad.constant(np.ones((2, DIM))) for _ in range(4)]
+    taped = integrate(snaps, p)
+    with ad.no_grad(leaf for _, leaf in p.named_leaves()):
+        free = integrate(snaps, p)
+    assert taped.ctx is not None
+    assert free.ctx is None and free.parents == ()
+    assert np.array_equal(free.data, taped.data)
 
 
 class TestIntegrate:
