@@ -16,8 +16,8 @@ from .heads import TimeBins, annual_bins
 from .metrics import (bootstrap_ci, harrell_cindex, integrated_brier,
                       km_censoring_survival, mae_uncensored, time_dependent_auc)
 from .model import FullModel, ModelConfig, init_model
-from .objective import SurvivalLabel, discrete_nll, label_to_bin
-from .training import TrainSettings, train_model
+from .objective import SurvivalLabel, TrainSettings, discrete_nll, label_to_bin
+from .training import train_model
 
 __version__ = "0.1.0"
 

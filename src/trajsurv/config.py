@@ -11,9 +11,8 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .cohort import Scenario
-from .evolution import BACKBONES
-from .model import INTEGRATORS, ModelConfig, typed_value
-from .training import TrainSettings
+from .model import ModelConfig, check, typed_value
+from .objective import TrainSettings
 
 
 class ConfigError(ValueError):
@@ -21,12 +20,10 @@ class ConfigError(ValueError):
 
 
 # Upper bounds on sizes, so that a mistyped 10^9 is a config error rather
-# than hours of allocation: each model width, the step and bin counts, the
-# simulated cohort size and the number of cross-validation repeats.
-MAX_WIDTH = 1024
-MAX_STEPS = 256
+# than hours of allocation (`ModelConfig` bounds the model's own sizes).
 MAX_PATIENTS = 100_000
 MAX_REPEATS = 100
+MAX_BOOTSTRAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -35,6 +32,16 @@ class EvalSettings:
     tau: float | None = None          # None: min(5, last bin edge)
     bootstrap_b: int = 1000
     level: float = 0.95
+
+    def __post_init__(self):
+        check([
+            (len(self.horizons) == 3 and all(h > 0 for h in self.horizons),
+             "eval.horizons must be three positive values"),
+            (self.tau is None or self.tau > 0, "eval.tau must be positive"),
+            (100 <= self.bootstrap_b <= MAX_BOOTSTRAP,
+             f"eval.bootstrap_b must be in [100, {MAX_BOOTSTRAP}]"),
+            (0 < self.level < 1, "eval.level must be in (0,1)"),
+        ])
 
     def resolve_tau(self, bins) -> float:
         if self.tau is not None:
@@ -61,6 +68,16 @@ class SimulateSettings:
     region_len: int = Scenario.region_len
     clinical_len: int = Scenario.clinical_len
 
+    def __post_init__(self):
+        check([
+            (10 <= self.n <= MAX_PATIENTS, f"simulate.n must be in [10, {MAX_PATIENTS}]"),
+            (self.seed is None or self.seed >= 0, "simulate.seed must be >= 0"),
+        ])
+        try:
+            self.scenario()
+        except ValueError as exc:
+            raise ValueError(f"simulate: {exc}") from exc
+
     def scenario(self) -> Scenario:
         return Scenario(**{f.name: getattr(self, f.name) for f in fields(Scenario)})
 
@@ -69,6 +86,12 @@ class SimulateSettings:
 class CvSettings:
     k: int = 5
     repeats: int = 3
+
+    def __post_init__(self):
+        check([
+            (self.k >= 2, "cv.k must be >= 2"),
+            (1 <= self.repeats <= MAX_REPEATS, f"cv.repeats must be in [1, {MAX_REPEATS}]"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -80,6 +103,10 @@ class RunConfig:
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
     cv: CvSettings = field(default_factory=CvSettings)
 
+    def __post_init__(self):
+        if self.eval.tau is not None and self.eval.tau > self.model.bins().horizon:
+            raise ValueError("eval.tau must be at most the last bin edge")
+
 
 _MODEL_KEYS = {
     "backbone": "backbone", "d": "hidden_dim", "d_t": "time_dim", "d_h": "summary_dim",
@@ -90,6 +117,7 @@ _MODEL_KEYS = {
 
 
 def _build_section(name: str, cls, data: dict, key_map: dict[str, str] | None = None):
+    """`cls` from the section; a wrong type or a value `cls` rejects is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be an object")
     hints = get_type_hints(cls)
@@ -105,74 +133,24 @@ def _build_section(name: str, cls, data: dict, key_map: dict[str, str] | None = 
             raise ConfigError(str(exc)) from exc
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"model", "train", "eval", "paths", "simulate", "cv"}
-    unknown = set(doc) - known
+    classes = get_type_hints(RunConfig)
+    unknown = set(doc) - set(classes)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    cfg = RunConfig(
-        model=_build_section("model", ModelConfig, doc.get("model", {}), _MODEL_KEYS),
-        train=_build_section("train", TrainSettings, doc.get("train", {})),
-        eval=_build_section("eval", EvalSettings, doc.get("eval", {})),
-        paths=_build_section("paths", Paths, doc.get("paths", {})),
-        simulate=_build_section("simulate", SimulateSettings, doc.get("simulate", {})),
-        cv=_build_section("cv", CvSettings, doc.get("cv", {})),
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    m, t, e, cv = cfg.model, cfg.train, cfg.eval, cfg.cv
-    checks = [
-        (m.backbone in BACKBONES, f"model.backbone must be one of {BACKBONES}"),
-        (m.integrator in INTEGRATORS, f"model.integrator must be one of {INTEGRATORS}"),
-        (m.hidden_dim >= 1 and m.time_dim >= 1 and m.summary_dim >= 1
-         and m.context_dim >= 1 and m.message_dim >= 1, "model dims must be >= 1"),
-        (max(m.hidden_dim, m.time_dim, m.summary_dim, m.context_dim, m.message_dim,
-             m.attention_dim) <= MAX_WIDTH,
-         f"model.d, d_t, d_h, d_c, message_dim and attention_dim must be <= {MAX_WIDTH}"),
-        (1 <= m.horizon <= MAX_STEPS, f"model.T must be in [1, {MAX_STEPS}]"),
-        (1 <= m.num_bins <= MAX_STEPS, f"model.K must be in [1, {MAX_STEPS}]"),
-        (t.lr > 0, "train.lr must be positive"),
-        (t.batch_size >= 1, "train.batch_size must be >= 1"),
-        (t.alpha >= 0 and t.beta >= 0 and t.alpha + t.beta > 0,
-         "train.alpha/beta must be nonnegative, not both zero"),
-        (t.max_epochs >= 1 and t.patience >= 1, "train epochs/patience must be >= 1"),
-        (0 < t.scheduler_factor < 1, "train.scheduler_factor must be in (0,1)"),
-        (t.scheduler_patience >= 1, "train.scheduler_patience must be >= 1"),
-        (len(e.horizons) == 3 and all(h > 0 for h in e.horizons),
-         "eval.horizons must be three positive values"),
-        (e.bootstrap_b >= 100, "eval.bootstrap_b must be >= 100"),
-        (0 < e.level < 1, "eval.level must be in (0,1)"),
-        (cv.k >= 2 and cv.repeats >= 1, "cv.k must be >= 2 and cv.repeats >= 1"),
-        (cv.repeats <= MAX_REPEATS, f"cv.repeats must be <= {MAX_REPEATS}"),
-        (t.seed >= 0 and (cfg.simulate.seed or 0) >= 0,
-         "train.seed and simulate.seed must be >= 0"),
-        (m.bin_edges is None or len(m.bin_edges) == m.num_bins + 1,
-         "model.bin_edges must hold model.K + 1 edges"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ConfigError(msg)
+    sections = {name: _build_section(name, cls, doc.get(name, {}),
+                                     _MODEL_KEYS if name == "model" else None)
+                for name, cls in classes.items()}
     try:
-        bins = m.bins()
+        return RunConfig(**sections)
     except ValueError as exc:
-        raise ConfigError(f"model.bin_edges: {exc}") from exc
-    if e.tau is not None and not (0 < e.tau <= bins.horizon):
-        raise ConfigError("eval.tau must lie in (0, last bin edge]")
-    if not 10 <= cfg.simulate.n <= MAX_PATIENTS:
-        raise ConfigError(f"simulate.n must be in [10, {MAX_PATIENTS}]")
-    try:
-        cfg.simulate.scenario()
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:

@@ -123,8 +123,6 @@ class EvolutionParams:
 def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
                    message_dim: int, rng: np.random.Generator,
                    attention_dim: int = 16) -> EvolutionParams:
-    if backbone not in BACKBONES:
-        raise ValueError(f"unknown backbone {backbone!r}; expected one of {BACKBONES}")
     d_in = hidden_dim + time_dim
     w_neigh = None
     attn_u = attn_b = attn_v = None
@@ -193,14 +191,12 @@ def adjacency(batch: GraphBatch, backbone: str) -> dict:
         adj = (_STAR + np.eye(SLOTS)) * used
         inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
         ops = {"norm": Blocks(inv_sqrt[:, :, None] * adj * inv_sqrt[:, None, :])}
-    elif backbone == "gat":
+    else:
         at_dst, at_src, attr = _arcs(batch)
         gather = Blocks(at_dst)
         ops = {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
                "attr": ad.constant(attr.reshape(-1, EDGE_ATTR_DIM)),
                "no_arcs": ad.constant((~batch.slots).astype(np.float64).reshape(-1, 1))}
-    else:
-        raise ValueError(f"unknown backbone {backbone!r}")
     batch.operators[backbone] = ops
     return ops
 

@@ -20,13 +20,25 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evolution import EvolutionParams, evolve, init_evolution
+from .evolution import BACKBONES, EvolutionParams, evolve, init_evolution
 from .graph import EmbeddingParams, GraphBatch, NodeKind, embed_nodes, init_embedding
 from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
                     init_heads, os_head, survival_from_hazards)
 from .trajectory import LstmParams, init_lstm, integrate, integrate_mean
 
 INTEGRATORS = ("lstm", "mean")
+
+# Upper bounds on sizes, so that a mistyped 10^9 is rejected before anything
+# is allocated: each model width, and the step and bin counts.
+MAX_WIDTH = 1024
+MAX_STEPS = 256
+
+
+def check(rules) -> None:
+    """Raise ValueError with the message of the first (ok, message) rule that fails."""
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,25 @@ class ModelConfig:
     attention_dim: int = 16
     cascade: bool = True
     integrator: str = "lstm"
+
+    def __post_init__(self):
+        # Messages name the config-file keys; a model file reports the same.
+        widths = (self.hidden_dim, self.time_dim, self.summary_dim, self.context_dim,
+                  self.message_dim, self.attention_dim)
+        check([
+            (self.backbone in BACKBONES, f"model.backbone must be one of {BACKBONES}"),
+            (self.integrator in INTEGRATORS, f"model.integrator must be one of {INTEGRATORS}"),
+            (all(1 <= w <= MAX_WIDTH for w in widths),
+             f"model.d, d_t, d_h, d_c, message_dim and attention_dim must be in [1, {MAX_WIDTH}]"),
+            (1 <= self.horizon <= MAX_STEPS, f"model.T must be in [1, {MAX_STEPS}]"),
+            (1 <= self.num_bins <= MAX_STEPS, f"model.K must be in [1, {MAX_STEPS}]"),
+            (self.bin_edges is None or len(self.bin_edges) == self.num_bins + 1,
+             "model.bin_edges must hold model.K + 1 edges"),
+        ])
+        try:
+            self.bins()
+        except ValueError as exc:
+            raise ValueError(f"model.bin_edges: {exc}") from exc
 
     def bins(self) -> TimeBins:
         if self.bin_edges is not None:
@@ -114,11 +145,9 @@ def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
     snapshots to summary_dim, while the mean integrator keeps the snapshot
     width (hidden_dim).
     """
-    if config.integrator not in INTEGRATORS:
-        raise ValueError(f"unknown integrator {config.integrator!r}")
     embedding = init_embedding(feature_widths, config.hidden_dim, rng)
     evolution = init_evolution(config.backbone, config.hidden_dim, config.time_dim,
-                               max(config.horizon, 1), config.message_dim, rng,
+                               config.horizon, config.message_dim, rng,
                                attention_dim=config.attention_dim)
     lstm = init_lstm(config.hidden_dim, config.summary_dim, rng)
     head_input = config.summary_dim if config.integrator == "lstm" else config.hidden_dim
@@ -160,8 +189,10 @@ def load_model(path) -> FullModel:
     accepted only when it is false: a switch removed at its off default, as
     older files carry. Any other value would describe a model this version
     cannot build, so it is rejected. Every field must have its annotated
-    type, and the parameter arrays must match the model's names and shapes
-    exactly and hold finite numbers.
+    type and pass `ModelConfig`'s checks, and each feature width must match
+    the shape of its embedding array, before anything is built. The
+    parameter arrays must then match the model's names and shapes exactly
+    and hold finite numbers.
     """
     try:
         with np.load(path) as data:
@@ -183,10 +214,14 @@ def load_model(path) -> FullModel:
     try:
         hints = get_type_hints(ModelConfig)
         cfg = ModelConfig(**{k: typed_value(k, meta[k], hints[k]) for k in names})
-        if cfg.bins().count != cfg.num_bins:
-            raise ValueError(f"bin_edges {cfg.bin_edges} do not give num_bins {cfg.num_bins}")
         widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int) for k, v
                   in typed_value("feature_widths", meta["feature_widths"], dict).items()}
+        for kind, width in widths.items():
+            name = f"embed.{kind.value}.w"
+            found = arrays[name].shape if name in arrays else "none"
+            if found != (width, cfg.hidden_dim):
+                raise ValueError(f"feature_widths.{kind.value} is {width}, so {name} must be "
+                                 f"{(width, cfg.hidden_dim)}; the file has {found}")
         model = init_model(cfg, widths, np.random.default_rng(0))
         shapes = {name: leaf.shape for name, leaf in model.named_parameters()}
         found = {k: a.shape for k, a in arrays.items()}

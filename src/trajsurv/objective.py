@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .heads import TimeBins
+from .model import check
 
 IMPROVE_TOL = 1e-8
 
@@ -47,6 +48,39 @@ class LossWeights:
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or (self.alpha == 0 and self.beta == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    lr: float = 1e-3
+    batch_size: int = 64
+    alpha: float = 1.0
+    beta: float = 1.0
+    max_epochs: int = 500
+    patience: int = 20
+    scheduler_factor: float = 0.5
+    scheduler_patience: int = 5
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    augment: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        check([
+            (self.lr > 0, "train.lr must be positive"),
+            (self.batch_size >= 1, "train.batch_size must be >= 1"),
+            (self.max_epochs >= 1 and self.patience >= 1,
+             "train.max_epochs and patience must be >= 1"),
+            (0 < self.scheduler_factor < 1, "train.scheduler_factor must be in (0,1)"),
+            (self.scheduler_patience >= 1, "train.scheduler_patience must be >= 1"),
+            (self.seed >= 0, "train.seed must be >= 0"),
+        ])
+        try:
+            LossWeights(self.alpha, self.beta)
+        except ValueError as exc:
+            raise ValueError(f"train.alpha/beta: {exc}") from exc
 
 
 def label_to_bin(time: float, bins: TimeBins) -> int:
@@ -78,38 +112,21 @@ def discrete_nll(logits: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:
 
 
 @dataclass
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-
-@dataclass
 class OptimizerState:
-    """Moment accumulators plus scheduler and early-stop bookkeeping.
-
-    The moments are one flat (m, v) pair over all leaves, in the order the
-    parameter list gives them. The plateau schedule and the early stop each
-    track their own best-seen validation loss so the two ops stay independent
-    and order-insensitive; both use the same strict-improvement tolerance.
-    """
+    """One flat AdamW (m, v) pair over all leaves, in parameter-list order;
+    the scheduled learning rate; and the best validation loss with the
+    evaluations since it, counted once for the schedule and once to stop."""
 
     lr: float
     moments: tuple[np.ndarray, np.ndarray] | None = None
     step_count: int = 0
-    plateau_best: float = np.inf
-    plateau_counter: int = 0
-    stop_best: float = np.inf
-    stop_counter: int = 0
-
-    def would_improve(self, val_loss: float) -> bool:
-        return val_loss < self.stop_best - IMPROVE_TOL
+    best: float = np.inf
+    plateau_stall: int = 0
+    stop_stall: int = 0
 
 
 def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
-               state: OptimizerState, hyper: AdamHyper) -> None:
+               state: OptimizerState, settings: TrainSettings) -> None:
     """Decoupled-weight-decay Adam update, applied to the leaves in place.
 
     All leaves are updated as one concatenated vector; every element sees the
@@ -118,8 +135,8 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - hyper.beta1 ** t
-    bc2 = 1.0 - hyper.beta2 ** t
+    bc1 = 1.0 - settings.beta1 ** t
+    bc2 = 1.0 - settings.beta2 ** t
     g = np.concatenate([grads[p].data.ravel() for _, p in params])
     if not np.isfinite(g).all():
         name = next(name for name, p in params if not np.isfinite(grads[p].data).all())
@@ -129,13 +146,13 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
     m, v = state.moments
     if m.size != g.size:
         raise ValueError(f"parameters hold {g.size} values, the moments {m.size}")
-    m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * g
-    v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * (g * g)
-    update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+    m *= settings.beta1
+    m += (1.0 - settings.beta1) * g
+    v *= settings.beta2
+    v += (1.0 - settings.beta2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + settings.eps)
     flat = np.concatenate([p.data.ravel() for _, p in params])
-    flat -= state.lr * (update + hyper.weight_decay * flat)
+    flat -= state.lr * (update + settings.weight_decay * flat)
     start = 0
     for _, p in params:
         stop = start + p.data.size
@@ -143,28 +160,19 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
         start = stop
 
 
-def plateau_schedule(state: OptimizerState, val_loss: float, factor: float,
-                     patience: int) -> None:
-    """Multiply lr by `factor` once the stall counter exceeds `patience`."""
-    if not (0.0 < factor < 1.0) or patience < 1:
-        raise ValueError("factor must be in (0,1) and patience >= 1")
-    if val_loss < state.plateau_best - IMPROVE_TOL:
-        state.plateau_best = val_loss
-        state.plateau_counter = 0
-        return
-    state.plateau_counter += 1
-    if state.plateau_counter > patience:
-        state.lr *= factor
-        state.plateau_counter = 0
-
-
-def early_stop(state: OptimizerState, val_loss: float, patience: int) -> bool:
-    """True once validation has not improved for `patience` evaluations."""
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    if val_loss < state.stop_best - IMPROVE_TOL:
-        state.stop_best = val_loss
-        state.stop_counter = 0
-        return False
-    state.stop_counter += 1
-    return state.stop_counter >= patience
+def end_epoch(state: OptimizerState, val_loss: float,
+              settings: TrainSettings) -> tuple[bool, bool]:
+    """(improved, stop) after one epoch's validation loss. Improving on the
+    best by more than `IMPROVE_TOL` resets both counters; otherwise the lr
+    is cut by `scheduler_factor` once the plateau counter exceeds
+    `scheduler_patience` (restarting it), and stop is due at `patience`."""
+    if val_loss < state.best - IMPROVE_TOL:
+        state.best = val_loss
+        state.plateau_stall = state.stop_stall = 0
+        return True, False
+    state.plateau_stall += 1
+    state.stop_stall += 1
+    if state.plateau_stall > settings.scheduler_patience:
+        state.lr *= settings.scheduler_factor
+        state.plateau_stall = 0
+    return False, state.stop_stall >= settings.patience

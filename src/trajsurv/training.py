@@ -11,26 +11,8 @@ from .cohort import PatientRecord, augment, cohort_arrays
 from .graph import GraphBatch
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
-from .objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                        adamw_step, discrete_nll, early_stop, label_bins, plateau_schedule)
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    lr: float = 1e-3
-    batch_size: int = 64
-    alpha: float = 1.0
-    beta: float = 1.0
-    max_epochs: int = 500
-    patience: int = 20
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 5
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    augment: bool = False
-    seed: int = 0
+from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
+                        adamw_step, discrete_nll, end_epoch, label_bins)
 
 
 @dataclass
@@ -73,8 +55,6 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
         raise ValueError("need nonempty train and validation sets")
     bins = model.config.bins()
     weights = LossWeights(settings.alpha, settings.beta)
-    hyper = AdamHyper(lr=settings.lr, beta1=settings.beta1, beta2=settings.beta2,
-                      eps=settings.eps, weight_decay=settings.weight_decay)
     params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
 
@@ -84,7 +64,8 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
-    result = TrainResult(best_val=np.inf, best_epoch=0, epochs_run=0)
+    best_epoch = 0
+    history = []
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(len(train_records))
@@ -98,22 +79,19 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
             part = items.take(slice(start, start + settings.batch_size))
             loss = _mean_loss(model, part.batch(), part.labels, bins, weights)
             grads = ad.backward(loss, params=[p for _, p in params])
-            adamw_step(params, grads, state, hyper)
+            adamw_step(params, grads, state, settings)
             train_losses.append(loss.item())
 
         with ad.no_grad(p for _, p in params):
             val_loss = _mean_loss(model, val_batch, val.labels, bins, weights).item()
-        result.history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
+        history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
-        if state.would_improve(val_loss):
+        improved, stop = end_epoch(state, val_loss, settings)
+        if improved:
             best = snapshot_parameters(model)
-            result.best_val = val_loss
-            result.best_epoch = epoch
-        plateau_schedule(state, val_loss, settings.scheduler_factor,
-                         settings.scheduler_patience)
-        result.epochs_run = epoch
-        if early_stop(state, val_loss, settings.patience):
+            best_epoch = epoch
+        if stop:
             break
 
     restore_parameters(model, best)
-    return result
+    return TrainResult(state.best, best_epoch, epochs_run=epoch, history=history)

@@ -290,19 +290,19 @@ def tape_integrate(snapshots, params):
     return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / len(snapshots))))
 
 
-def leafwise_adamw_step(params, grads, state, hyper):
+def leafwise_adamw_step(params, grads, state, settings):
     """AdamW one leaf at a time, with moments keyed by leaf: the form the
     flat-vector `objective.adamw_step` must match bit for bit. `state` is a
     dict holding the learning rate "lr", the step count "t" and the moments
     by leaf name."""
     state["t"] = t = state.get("t", 0) + 1
-    bc1 = 1.0 - hyper.beta1 ** t
-    bc2 = 1.0 - hyper.beta2 ** t
+    bc1 = 1.0 - settings.beta1 ** t
+    bc2 = 1.0 - settings.beta2 ** t
     for name, p in params:
         g = grads[p].data
         m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
+        m = settings.beta1 * m + (1.0 - settings.beta1) * g
+        v = settings.beta2 * v + (1.0 - settings.beta2) * (g * g)
         state[name] = (m, v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
-        p.data -= state["lr"] * (update + hyper.weight_decay * p.data)
+        update = (m / bc1) / (np.sqrt(v / bc2) + settings.eps)
+        p.data -= state["lr"] * (update + settings.weight_decay * p.data)

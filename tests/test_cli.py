@@ -213,6 +213,11 @@ def _widths_as_pairs(arrays):
     _meta_update({"feature_widths": [[k, w] for k, w in widths.items()]})(arrays)
 
 
+def _forged_clinical_width(arrays):
+    widths = json.loads(bytes(arrays["__meta__"]).decode())["feature_widths"]
+    _meta_update({"feature_widths": {**widths, "clinical": 10 ** 9}})(arrays)
+
+
 CORRUPTIONS = {
     "missing_array": lambda a: a.pop("lstm.w_i"),
     "nan_weight": lambda a: a["heads.b_os"].__setitem__((0, 1), np.nan),
@@ -220,6 +225,9 @@ CORRUPTIONS = {
     "meta_wrong_type": _meta_update({"cascade": "no"}),
     "edges_not_k": _meta_update({"bin_edges": [0.0, 1.0]}),
     "widths_as_pairs": _widths_as_pairs,
+    # Sizes no allocator grants: building either model would fail at once.
+    "huge_message_dim": _meta_update({"message_dim": 10 ** 9}),
+    "huge_clinical_width": _forged_clinical_width,
     # One row of an 8 x 8 matrix would broadcast over all of its rows.
     "row_for_matrix": lambda a: a.update({"op.w_out": a["op.w_out"][:1]}),
     "unknown_array": lambda a: a.update({"op.w_extra": np.zeros((8, 8))}),
@@ -241,12 +249,39 @@ def test_parameter_names_and_shapes_must_match(tmp_path, kind, message):
     ("nan_weight", r"parameter heads\.b_os must hold finite numbers"),
     ("text_weight", r"parameter heads\.b_os must hold finite numbers"),
     ("meta_wrong_type", r"cascade must be bool, got 'no'"),
-    ("edges_not_k", r"bin_edges \(0\.0, 1\.0\) do not give num_bins 4"),
+    ("edges_not_k", r"model\.bin_edges must hold model\.K \+ 1 edges"),
     ("widths_as_pairs", r"feature_widths must be dict, got \[\[")))
 def test_parameter_values_and_field_types_are_checked(tmp_path, kind, message):
     path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
     with pytest.raises(ModelFileError, match=message):
         load_model(path)
+
+
+FORGED_SIZE_MESSAGES = {
+    "huge_message_dim": r"model\.d, d_t, d_h, d_c, message_dim and attention_dim must be in",
+    "huge_clinical_width": r"feature_widths\.clinical is 1000000000, so embed\.clinical\.w "
+                           r"must be \(1000000000, 8\); the file has \(3, 8\)"}
+
+
+@pytest.mark.parametrize("kind", sorted(FORGED_SIZE_MESSAGES))
+def test_forged_model_size_exits_2_and_allocates_nothing(tmp_path, capsys, kind):
+    import tracemalloc
+
+    path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
+    with pytest.raises(ModelFileError, match=FORGED_SIZE_MESSAGES[kind]):
+        load_model(path)
+    config = write_config(tmp_path, name="f.json", cohort=simulate_into(tmp_path))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "f"),
+                     "--model", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DATA and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
 
 
 def test_removed_switch_loads_only_when_false(tmp_path):

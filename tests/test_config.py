@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajsurv.cohort import Scenario
-from trajsurv.config import (ConfigError, EvalSettings, RunConfig, SimulateSettings,
-                             config_from_dict, config_to_dict, load_config)
+from trajsurv.config import (ConfigError, CvSettings, EvalSettings, RunConfig,
+                             SimulateSettings, config_from_dict, config_to_dict, load_config)
+from trajsurv.model import ModelConfig
+from trajsurv.training import TrainSettings
 
 
 class TestDefaults:
@@ -131,6 +133,39 @@ class TestValidation:
     def test_simulate_scenario_errors_surface(self):
         with pytest.raises(ConfigError, match="simulate"):
             config_from_dict({"simulate": {"censoring_rate": 1.5}})
+
+    @pytest.mark.parametrize("attention_dim", [0, -1])
+    def test_gat_attention_dim_below_one_exits_one(self, attention_dim, tmp_path, capsys):
+        doc = {"model": {"backbone": "gat", "attention_dim": attention_dim}}
+        with pytest.raises(ConfigError, match="^model.d, d_t"):
+            config_from_dict(doc)
+        assert _main_exit(tmp_path, json.dumps(doc)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.d, d_t") and err.count("\n") == 1
+
+    # The cases above, built in Python: each settings class checks its own
+    # fields, and RunConfig the one rule across sections.
+    @pytest.mark.parametrize("cls, kwargs, match", [
+        (ModelConfig, {"backbone": "transformer"}, "^model.backbone"),
+        (ModelConfig, {"integrator": "gru"}, "^model.integrator"),
+        (ModelConfig, {"backbone": "gat", "attention_dim": 0}, "^model.d, d_t"),
+        (ModelConfig, {"message_dim": 10 ** 9}, "^model.d, d_t"),
+        (ModelConfig, {"bin_edges": (2.0, 1.0)}, "^model.bin_edges"),
+        (ModelConfig, {"num_bins": 3, "bin_edges": (0.0, 1.0, 2.0, 3.0, 4.0)}, "model.K"),
+        (TrainSettings, {"lr": 0.0}, "^train.lr"),
+        (TrainSettings, {"alpha": 0.0, "beta": 0.0}, "^train.alpha/beta"),
+        (TrainSettings, {"scheduler_factor": 1.0}, "^train.scheduler_factor"),
+        (TrainSettings, {"seed": -1}, "^train.seed must be >= 0"),
+        (EvalSettings, {"horizons": (1.0, 3.0)}, "^eval.horizons"),
+        (EvalSettings, {"bootstrap_b": 50}, "^eval.bootstrap_b"),
+        (CvSettings, {"k": 1}, "^cv.k"),
+        (SimulateSettings, {"seed": -3}, "^simulate.seed must be >= 0"),
+        (SimulateSettings, {"censoring_rate": 1.5}, "^simulate"),
+        (RunConfig, {"eval": EvalSettings(tau=13.0)}, "^eval.tau"),
+    ])
+    def test_bad_value_built_in_python_raises(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
 
 
 class TestTauResolution:
@@ -252,6 +287,7 @@ class TestSizeBounds:
         ({"model": {"K": 10 ** 9}}, "model.K"),
         *(({"model": {k: 10 ** 9}}, "model.d, d_t")
           for k in ("d", "d_t", "d_h", "d_c", "message_dim", "attention_dim")),
+        ({"eval": {"bootstrap_b": 10 ** 9}}, "eval.bootstrap_b"),
     ])
     def test_oversized_field_exits_one_and_allocates_nothing(self, doc, key, tmp_path,
                                                              capsys):
@@ -269,13 +305,16 @@ class TestSizeBounds:
         assert f"config error: {key}" in capsys.readouterr().err
 
     def test_sizes_at_their_bounds_are_accepted(self):
-        from trajsurv.config import MAX_PATIENTS, MAX_REPEATS, MAX_STEPS, MAX_WIDTH
+        from trajsurv.config import MAX_BOOTSTRAP, MAX_PATIENTS, MAX_REPEATS
+        from trajsurv.model import MAX_STEPS, MAX_WIDTH
 
         cfg = config_from_dict({"cv": {"repeats": MAX_REPEATS},
                                 "simulate": {"n": MAX_PATIENTS},
+                                "eval": {"bootstrap_b": MAX_BOOTSTRAP},
                                 "model": {"T": MAX_STEPS, "K": MAX_STEPS, "d": MAX_WIDTH,
                                           "attention_dim": MAX_WIDTH}})
         assert cfg.cv.repeats == MAX_REPEATS and cfg.model.horizon == MAX_STEPS
+        assert cfg.eval.bootstrap_b == MAX_BOOTSTRAP
 
 
 def _well_typed(value, hint) -> bool:

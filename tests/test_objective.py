@@ -6,9 +6,8 @@ import pytest
 from trajsurv import autodiff as ad
 from trajsurv.heads import TimeBins, annual_bins
 from trajsurv.acceptance_support import toy_setup
-from trajsurv.objective import (AdamHyper, LossWeights, OptimizerState, SurvivalLabel,
-                                adamw_step, discrete_nll, early_stop,
-                                label_bins, label_to_bin, plateau_schedule)
+from trajsurv.objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
+                                adamw_step, discrete_nll, end_epoch, label_bins, label_to_bin)
 from trajsurv.training import _mean_loss
 
 import oracles
@@ -227,14 +226,14 @@ class TestAdamW:
         params = self.leaf(1.5)
         state = OptimizerState(lr=0.1)
         adamw_step(params, self.grads_for(params, 0.0), state,
-                   AdamHyper(lr=0.1, weight_decay=0.0))
+                   TrainSettings(lr=0.1, weight_decay=0.0))
         assert params[0][1].item() == pytest.approx(1.5)
 
     def test_first_step_hand_example(self):
         params = self.leaf(1.0)
         state = OptimizerState(lr=0.1)
         adamw_step(params, self.grads_for(params, 1.0), state,
-                   AdamHyper(lr=0.1, weight_decay=0.0))
+                   TrainSettings(lr=0.1, weight_decay=0.0))
         # Bias correction makes m-hat = v-hat = 1, so the step is the full lr.
         assert params[0][1].item() == pytest.approx(0.9, abs=1e-6)
 
@@ -242,7 +241,7 @@ class TestAdamW:
         params = self.leaf(4.0)
         state = OptimizerState(lr=0.1)
         adamw_step(params, self.grads_for(params, 0.0), state,
-                   AdamHyper(lr=0.1, weight_decay=0.1))
+                   TrainSettings(lr=0.1, weight_decay=0.1))
         assert params[0][1].item() == pytest.approx(4.0 * 0.99, abs=1e-12)
 
     def test_nonfinite_gradient_names_parameter(self):
@@ -250,7 +249,7 @@ class TestAdamW:
         state = OptimizerState(lr=0.1)
         bad = {params[0][1]: ad.Tensor([[np.nan]])}
         with pytest.raises(ad.NonFiniteError, match="op.w_out"):
-            adamw_step(params, bad, state, AdamHyper())
+            adamw_step(params, bad, state, TrainSettings())
 
     def test_steps_are_deterministic_bitwise(self):
         def run():
@@ -260,7 +259,7 @@ class TestAdamW:
             state = OptimizerState(lr=0.05)
             for step in range(5):
                 grads = {p: ad.Tensor(rng.normal(size=p.shape)) for _, p in params}
-                adamw_step(params, grads, state, AdamHyper(lr=0.05))
+                adamw_step(params, grads, state, TrainSettings(lr=0.05))
             return np.concatenate([p.data.ravel() for _, p in params])
 
         assert np.array_equal(run(), run())
@@ -271,15 +270,15 @@ class TestAdamW:
         shapes = [(3, 4), (1, 4), (5, 1), (2, 2)]
         flat = [(f"p{i}", ad.parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
         leafwise = [(name, ad.parameter(p.data.copy())) for name, p in flat]
-        hyper = AdamHyper(lr=0.05, weight_decay=0.1)
+        settings = TrainSettings(lr=0.05, weight_decay=0.1)
         state, ref = OptimizerState(lr=0.05), {"lr": 0.05}
         for step in range(5):
             values = [rng.normal(size=s) * 10.0 ** -step for s in shapes]
             adamw_step(flat, {p: ad.Tensor(v) for (_, p), v in zip(flat, values)},
-                       state, hyper)
+                       state, settings)
             oracles.leafwise_adamw_step(
                 leafwise, {p: ad.Tensor(v) for (_, p), v in zip(leafwise, values)},
-                ref, hyper)
+                ref, settings)
             state.lr = ref["lr"] = state.lr * 0.5
         for (_, p), (_, q) in zip(flat, leafwise):
             assert np.array_equal(p.data, q.data)
@@ -287,17 +286,17 @@ class TestAdamW:
     def test_parameters_of_another_size_than_the_moments_raise(self):
         params = [("p", ad.parameter(np.ones((2, 2))))]
         state = OptimizerState(lr=0.1)
-        adamw_step(params, self.grads_for(params, 1.0), state, AdamHyper())
+        adamw_step(params, self.grads_for(params, 1.0), state, TrainSettings())
         grown = params + [("q", ad.parameter(np.ones((1, 3))))]
         with pytest.raises(ValueError, match="moments"):
-            adamw_step(grown, self.grads_for(grown, 1.0), state, AdamHyper())
+            adamw_step(grown, self.grads_for(grown, 1.0), state, TrainSettings())
 
     def test_nonfinite_gradient_moves_no_leaf(self):
         params = [("a", ad.parameter([[1.0]])), ("b", ad.parameter([[2.0]]))]
         state = OptimizerState(lr=0.1)
         grads = {params[0][1]: ad.Tensor([[1.0]]), params[1][1]: ad.Tensor([[np.inf]])}
         with pytest.raises(ad.NonFiniteError, match="parameter b"):
-            adamw_step(params, grads, state, AdamHyper())
+            adamw_step(params, grads, state, TrainSettings())
         assert params[0][1].item() == 1.0 and params[1][1].item() == 2.0
 
     def test_moments_accumulate_across_steps(self):
@@ -305,75 +304,67 @@ class TestAdamW:
         state = OptimizerState(lr=0.1)
         for _ in range(3):
             adamw_step(params, self.grads_for(params, 1.0), state,
-                       AdamHyper(lr=0.1, weight_decay=0.0))
+                       TrainSettings(lr=0.1, weight_decay=0.0))
         assert state.step_count == 3
         assert params[0][1].item() < 0.0
 
 
+def tracker(scheduler_patience=5, patience=20):
+    return (OptimizerState(lr=1.0),
+            TrainSettings(scheduler_factor=0.5, scheduler_patience=scheduler_patience,
+                          patience=patience))
+
+
 class TestPlateauSchedule:
     def test_improving_losses_keep_lr(self):
-        state = OptimizerState(lr=1.0)
+        state, settings = tracker(scheduler_patience=2)
         for loss in (1.0, 0.9, 0.8, 0.7):
-            plateau_schedule(state, loss, 0.5, patience=2)
+            assert end_epoch(state, loss, settings) == (True, False)
         assert state.lr == 1.0
 
     def test_six_stalls_patience_five_halves_once(self):
-        state = OptimizerState(lr=1.0)
-        plateau_schedule(state, 1.0, 0.5, patience=5)
+        state, settings = tracker()
+        end_epoch(state, 1.0, settings)
         for _ in range(6):
-            plateau_schedule(state, 1.0, 0.5, patience=5)
+            end_epoch(state, 1.0, settings)
         assert state.lr == 0.5
-        assert state.plateau_counter == 0
+        assert state.plateau_stall == 0
+        assert state.stop_stall == 6
 
     def test_improvement_after_five_stalls_resets(self):
-        state = OptimizerState(lr=1.0)
-        plateau_schedule(state, 1.0, 0.5, patience=5)
+        state, settings = tracker()
+        end_epoch(state, 1.0, settings)
         for _ in range(5):
-            plateau_schedule(state, 1.0, 0.5, patience=5)
-        plateau_schedule(state, 0.5, 0.5, patience=5)
+            end_epoch(state, 1.0, settings)
+        assert end_epoch(state, 0.5, settings) == (True, False)
         assert state.lr == 1.0
-        assert state.plateau_counter == 0
+        assert state.plateau_stall == state.stop_stall == 0
 
     def test_parameter_validation(self):
-        state = OptimizerState(lr=1.0)
-        with pytest.raises(ValueError):
-            plateau_schedule(state, 1.0, 1.5, patience=5)
-        with pytest.raises(ValueError):
-            plateau_schedule(state, 1.0, 0.5, patience=0)
+        with pytest.raises(ValueError, match="train.scheduler_factor"):
+            TrainSettings(scheduler_factor=1.5)
+        with pytest.raises(ValueError, match="train.scheduler_patience"):
+            TrainSettings(scheduler_patience=0)
 
 
 class TestEarlyStop:
     def test_improving_never_stops(self):
-        state = OptimizerState(lr=1.0)
-        assert not any(early_stop(state, 1.0 - 0.01 * i, patience=3)
-                       for i in range(50))
+        state, settings = tracker(patience=3)
+        assert not any(end_epoch(state, 1.0 - 0.01 * i, settings)[1] for i in range(50))
 
     def test_flat_losses_stop_at_patience_plus_one(self):
-        state = OptimizerState(lr=1.0)
-        stops = [early_stop(state, 1.0, patience=10) for _ in range(11)]
+        state, settings = tracker(patience=10)
+        stops = [end_epoch(state, 1.0, settings)[1] for _ in range(11)]
         assert stops == [False] * 10 + [True]
 
     def test_tolerance_treats_tiny_gains_as_stalls(self):
-        state = OptimizerState(lr=1.0)
-        early_stop(state, 1.0, patience=2)
-        assert not early_stop(state, 1.0 - 1e-12, patience=2)
-        assert early_stop(state, 1.0 - 1e-12, patience=2)
+        state, settings = tracker(patience=2)
+        end_epoch(state, 1.0, settings)
+        assert end_epoch(state, 1.0 - 1e-12, settings) == (False, False)
+        assert end_epoch(state, 1.0 - 1e-12, settings) == (False, True)
 
     def test_best_val_tracks_minimum(self):
-        state = OptimizerState(lr=1.0)
-        for loss in (1.0, 0.4, 0.7, 0.6):
-            early_stop(state, loss, patience=10)
-        assert state.stop_best == 0.4
-        assert state.would_improve(0.3)
-        assert not state.would_improve(0.4)
-
-    def test_schedule_and_stop_counters_are_independent(self):
-        state = OptimizerState(lr=1.0)
-        plateau_schedule(state, 1.0, 0.5, patience=5)
-        plateau_schedule(state, 0.9, 0.5, patience=5)
-        assert state.plateau_counter == 0
-        assert state.stop_counter == 0
-        early_stop(state, 2.0, patience=5)   # first value the stop tracker sees
-        early_stop(state, 2.5, patience=5)
-        assert state.stop_counter == 1
-        assert state.plateau_counter == 0
+        state, settings = tracker()
+        improved = [end_epoch(state, loss, settings)[0] for loss in (1.0, 0.4, 0.7, 0.6)]
+        assert improved == [True, True, False, False]
+        assert state.best == 0.4

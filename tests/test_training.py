@@ -163,10 +163,11 @@ class TestTrainModel:
         assert result.best_epoch <= result.epochs_run
 
     def test_early_stop_fires_on_frozen_model(self):
-        # lr 0 leaves weights fixed, so validation never improves after epoch 1.
+        # Steps of 1e-300 move no weight by a representable amount (the zero
+        # biases move by about 1e-300), so validation never improves after epoch 1.
         train, val = self.cohort()
         _, model = small_model(seed=5)
-        settings = quick_settings(lr=0.0, max_epochs=100, patience=3)
+        settings = quick_settings(lr=1e-300, max_epochs=100, patience=3)
         result = train_model(model, train, val, settings)
         assert result.epochs_run == 1 + settings.patience
         assert result.best_epoch == 1
