@@ -7,7 +7,7 @@ and a repeated stratified cross-validation harness.
 """
 
 from .autodiff import Tensor, backward, grad_check
-from .cohort import (PatientRecord, Scenario, augment, load_cohort, oracle_cindex,
+from .cohort import (CohortArrays, Scenario, augment, load_cohort, oracle_cindex,
                      save_cohort, simulate_cohort, stratified_repeated_kfold)
 from .config import RunConfig, config_from_dict, load_config
 from .crossval import emit_report, run_ablation, run_crossval
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "grad_check",
-    "PatientRecord", "Scenario", "augment", "load_cohort", "oracle_cindex",
+    "CohortArrays", "Scenario", "augment", "load_cohort", "oracle_cindex",
     "save_cohort", "simulate_cohort", "stratified_repeated_kfold",
     "RunConfig", "config_from_dict", "load_config",
     "emit_report", "run_ablation", "run_crossval",

@@ -67,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None and args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
+        try:
+            cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
+        except ValueError as exc:  # the settings' own rule on the seed
+            raise ConfigError(str(exc)) from exc
     if args.out is not None:
         cfg = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths,
                                                                  output_dir=args.out))
@@ -86,10 +87,10 @@ def _cohort(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.simulate
     seed = sim.seed if sim.seed is not None else cfg.train.seed
-    records, groups = simulate_cohort(sim.n, seed, sim.scenario())
+    cohort, groups = simulate_cohort(sim.n, seed, sim.scenario())
     out = cfg.paths.output_dir
     os.makedirs(out, exist_ok=True)
-    save_cohort(records, os.path.join(out, "cohort.json"), sim.region_len, sim.clinical_len)
+    save_cohort(cohort, os.path.join(out, "cohort.json"), sim.region_len, sim.clinical_len)
     with open(os.path.join(out, "truth.json"), "w") as fh:
         json.dump({"seed": seed, "groups": groups.tolist(),
                    "scenario": dataclasses.asdict(sim.scenario())}, fh, indent=1)
@@ -105,15 +106,14 @@ def write_training_log(path, history) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    records = _cohort(cfg)
-    fold = stratified_repeated_kfold(records, k=5, repeats=1, seed=cfg.train.seed)[0]
+    cohort = _cohort(cfg)
+    fold = stratified_repeated_kfold(cohort, k=5, repeats=1, seed=cfg.train.seed)[0]
     # Single fit: the first fold's held-out fifth becomes the validation set.
-    train_recs = [records[i] for i in fold.train] + [records[i] for i in fold.val]
-    val_recs = [records[i] for i in fold.test]
-    model = fold_model(cfg, feature_widths(records), 0, 0)
+    model = fold_model(cfg, feature_widths(cohort), 0, 0)
     out = cfg.paths.output_dir
     os.makedirs(out, exist_ok=True)
-    result = train_model(model, train_recs, val_recs, cfg.train)
+    result = train_model(model, cohort.take(fold.train + fold.val), cohort.take(fold.test),
+                         cfg.train)
     write_training_log(os.path.join(out, "training_log.txt"), result.history)
     save_model(model, os.path.join(out, "model.npz"))
     with open(os.path.join(out, "train_summary.json"), "w") as fh:
@@ -146,8 +146,8 @@ def cmd_evaluate(cfg: RunConfig, model_path: str | None) -> int:
     path = model_path or cfg.paths.model
     if path is None:
         raise UsageError("evaluate needs --model or paths.model")
-    records = _cohort(cfg)
-    paths = emit_report(evaluate_model(load_model(path), records, cfg), cfg.paths.output_dir)
+    cohort = _cohort(cfg)
+    paths = emit_report(evaluate_model(load_model(path), cohort, cfg), cfg.paths.output_dir)
     print(f"report written to {paths['report.json']}")
     return EXIT_OK
 

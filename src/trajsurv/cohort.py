@@ -9,7 +9,7 @@ experiments have a known oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 from .graph import (ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, GraphBatch, NodeKind,
                     star_batch)
 from .heads import TimeBins
-from .metrics import harrell_cindex
+from .metrics import cindex_arrays
 from .objective import SurvivalLabel, label_bins
 
 SCHEMA_VERSION = 1
@@ -36,90 +36,98 @@ _TASKS = ("dfs", "os")
 
 
 class CohortError(ValueError):
-    """Schema or invariant violation in a cohort file or record."""
-
-
-@dataclass(frozen=True)
-class RegionData:
-    present: bool
-    features: np.ndarray | None = None
-    centroid: np.ndarray | None = None
+    """Schema or invariant violation in a cohort file."""
 
 
 @dataclass(frozen=True)
 class PatientRecord:
+    """One patient of a cohort: its id, its labels and `row`, the one-patient
+    cohort that views its rows of the arrays."""
+
     patient_id: str
-    regions: dict[NodeKind, RegionData]
-    clinical: np.ndarray
     dfs: SurvivalLabel
     os: SurvivalLabel
-
-    def __post_init__(self):
-        if not any(r.present for r in self.regions.values()):
-            raise CohortError(f"patient {self.patient_id}: no region is present")
-        if self.dfs.time > self.os.time:
-            raise CohortError(f"patient {self.patient_id}: DFS time exceeds OS time")
-        values = self.clinical.tolist()
-        if values and (min(values) < -1e-9 or max(values) > 1 + 1e-9):
-            raise CohortError(f"patient {self.patient_id}: clinical features outside [0, 1]")
+    row: CohortArrays = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class CohortArrays:
-    """A cohort as arrays with one row per patient; see `cohort_arrays`."""
+    """A cohort as arrays with one row per patient; see `make_cohort`.
 
+    Indexing with a slice or an index array gives `take`; an int, and
+    iteration, give `PatientRecord`s.
+    """
+
+    ids: np.ndarray                # (n,) patient ids, str objects
     regions: np.ndarray            # (n, 5, L); zero rows for missing regions
     present: np.ndarray            # (n, 5) bool
+    centroids: np.ndarray          # (n, 5, 3) millimetres; zero rows for missing regions
     offsets: np.ndarray            # (n, 5, 3); zero rows for missing regions
     global_features: np.ndarray    # (n, L)
     clinical: np.ndarray           # (n, C)
-    labels: dict[str, np.ndarray]  # task -> (n, 2) bin and event rows
+    time: dict[str, np.ndarray]    # task -> (n,) observed follow-up in years, float64
+    event: dict[str, np.ndarray]   # task -> (n,) event flags (1 = event), int64
 
     def __len__(self) -> int:
-        return self.present.shape[0]
+        return self.ids.shape[0]
 
-    def take(self, rows) -> "CohortArrays":
+    def take(self, rows) -> CohortArrays:
         """The patients at `rows`, an index array or a slice."""
-        return CohortArrays(self.regions[rows], self.present[rows], self.offsets[rows],
+        return CohortArrays(self.ids[rows], self.regions[rows], self.present[rows],
+                            self.centroids[rows], self.offsets[rows],
                             self.global_features[rows], self.clinical[rows],
-                            {task: lab[rows] for task, lab in self.labels.items()})
+                            {task: t[rows] for task, t in self.time.items()},
+                            {task: e[rows] for task, e in self.event.items()})
+
+    def __getitem__(self, key):
+        if not isinstance(key, (int, np.integer)):
+            return self.take(key)
+        i = range(len(self))[key]
+        dfs, os_label = (SurvivalLabel(float(self.time[task][i]), int(self.event[task][i]))
+                         for task in _TASKS)
+        return PatientRecord(self.ids[i], dfs, os_label, self.take(slice(i, i + 1)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     def batch(self) -> GraphBatch:
         """All these patients as one batch."""
         return star_batch(self.regions, self.present, self.offsets, self.global_features,
                           self.clinical)
 
+    def label_bins(self, bins: TimeBins) -> dict[str, np.ndarray]:
+        """Each task's (n, 2) bin and event rows (`objective.label_bins`)."""
+        return {task: label_bins(self.time[task], self.event[task], bins) for task in _TASKS}
 
-def cohort_arrays(records: Sequence[PatientRecord], bins: TimeBins | None = None
-                  ) -> CohortArrays:
-    """The arrays of `records`; with `bins`, also each task's binned labels.
+    def with_presence(self, present: np.ndarray) -> CohortArrays:
+        """These patients with only the regions `present` marks."""
+        return make_cohort(self.ids, self.regions, present, self.centroids, self.clinical,
+                           self.time, self.event)
 
-    The summary features and centroid are the means over the present
-    regions. A region's offset is (its centroid - the summary centroid)
-    divided by DEFAULT_OFFSET_SCALE and clamped to [-1, 1].
+
+def make_cohort(ids, regions: np.ndarray, present: np.ndarray, centroids: np.ndarray,
+                clinical: np.ndarray, time: dict[str, np.ndarray],
+                event: dict[str, np.ndarray]) -> CohortArrays:
+    """The cohort of these patients; every patient needs a present region.
+
+    The rows of missing regions are zeroed. The summary features and
+    centroid are the means over the present regions. A region's offset is
+    (its centroid - the summary centroid) divided by DEFAULT_OFFSET_SCALE
+    and clamped to [-1, 1].
     """
-    present = np.array([[rec.regions[k].present for k in ANATOMICAL_KINDS] for rec in records],
-                       dtype=bool).reshape(len(records), len(ANATOMICAL_KINDS))
-    rows, cols = np.nonzero(present)
-    found = [records[i].regions[ANATOMICAL_KINDS[j]] for i, j in zip(rows, cols)]
-    regions = np.zeros(present.shape + (found[0].features.shape[0] if found else 0,))
-    centroids = np.zeros(present.shape + (EDGE_ATTR_DIM,))
-    if found:
-        regions[rows, cols] = [r.features for r in found]
-        centroids[rows, cols] = [r.centroid for r in found]
+    mask = present[:, :, None]
+    regions, centroids = np.where(mask, regions, 0.0), np.where(mask, centroids, 0.0)
     count = present.sum(axis=1, keepdims=True)
     offsets = np.clip((centroids - (centroids.sum(axis=1) / count)[:, None])
                       / DEFAULT_OFFSET_SCALE, -1.0, 1.0)
-    labels = {} if bins is None else {task: label_bins([getattr(r, task) for r in records], bins)
-                                      for task in ("os", "dfs")}
-    return CohortArrays(regions, present, np.where(present[:, :, None], offsets, 0.0),
-                        regions.sum(axis=1) / count,
-                        np.array([r.clinical for r in records], dtype=np.float64), labels)
+    return CohortArrays(np.array(ids, dtype=object), regions, present, centroids,
+                        np.where(mask, offsets, 0.0), regions.sum(axis=1) / count, clinical,
+                        time, event)
 
 
 def record_to_graph(record: PatientRecord) -> GraphBatch:
     """The patient's graph: a batch of one."""
-    return cohort_arrays([record]).batch()
+    return record.row.batch()
 
 
 def _require(cond: bool, msg: str):
@@ -188,12 +196,13 @@ def _read_json(path):
         raise CohortError(f"{path}: not a readable JSON document ({exc})") from exc
 
 
-def load_cohort(path) -> list[PatientRecord]:
-    """Parse and validate a cohort file; record order is preserved.
+def load_cohort(path) -> CohortArrays:
+    """Parse and validate a cohort file; patient order is preserved.
 
     One pass over the parsed document checks its structure and collects
     the numeric fields; each field is then converted and checked as one
-    array (`_block`), and the records hold row views of those arrays.
+    array (`_block`), and the rules that join fields are checked on the
+    arrays. Every error names the first faulty patient in file order.
     """
     doc = _read_json(path)
     _require(isinstance(doc, dict) and doc.keys() == {"schema_version", "feature_schema",
@@ -212,8 +221,8 @@ def load_cohort(path) -> list[PatientRecord]:
     _require(isinstance(patients, list) and patients, "patients must be a non-empty list")
 
     ids: list[str] = []
-    layouts: list[list[int | None]] = []  # row of each region in REGION_KEYS order
-    owners: list[tuple[str, str]] = []    # (patient, region) of each row
+    present: list[bool] = []              # each patient's regions in REGION_KEYS order
+    owners: list[tuple[str, str]] = []    # (patient, region) of each present region
     features, centroids, clinical, times, events = [], [], [], [], []
     for i, entry in enumerate(patients):
         if not (isinstance(entry, dict) and entry.keys() == _PATIENT_KEYS):
@@ -224,19 +233,16 @@ def load_cohort(path) -> list[PatientRecord]:
         if not (isinstance(regions, dict) and regions.keys() == REGION_KEYS.keys()):
             raise CohortError(f"patient {pid}: regions must have exactly keys "
                               f"{sorted(REGION_KEYS)}")
-        layout = []
         for key in REGION_KEYS:
             robj = regions[key]
             flag = robj.get("present") if isinstance(robj, dict) else None
             if flag is True and len(robj) == 3 and "features" in robj and "centroid" in robj:
-                layout.append(len(owners))
                 owners.append((pid, key))
                 features.append(robj["features"])
                 centroids.append(robj["centroid"])
-            elif flag is False and len(robj) == 1:
-                layout.append(None)
-            else:
+            elif not (flag is False and len(robj) == 1):
                 raise CohortError(_region_fault(f"patient {pid}: region {key}", robj))
+            present.append(flag)
         for task in _TASKS:
             label = entry[task]
             if not (isinstance(label, dict) and label.keys() == _LABEL_KEYS):
@@ -244,7 +250,6 @@ def load_cohort(path) -> list[PatientRecord]:
             times.append(label["time_years"])
             events.append(label["event"])
         ids.append(pid)
-        layouts.append(layout)
         clinical.append(entry["clinical"])
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
@@ -266,32 +271,26 @@ def load_cohort(path) -> list[PatientRecord]:
     events = _block(events, (), lambda j: f"{label(j)} event")
     _require_all(times >= 0, lambda j: f"{label(j)} time_years must be >= 0")
     _require_all((events == 0) | (events == 1), lambda j: f"{label(j)} event must be 0 or 1")
-    times, events = times.tolist(), events.astype(np.int64).tolist()
+    time = dict(zip(_TASKS, times.reshape(-1, len(_TASKS)).T))
+    event = dict(zip(_TASKS, events.astype(np.int64).reshape(-1, len(_TASKS)).T))
 
-    records: list[PatientRecord] = []
-    for i, (pid, layout) in enumerate(zip(ids, layouts)):
-        regions = {kind: RegionData(False) if row is None
-                   else RegionData(True, features[row], centroids[row])
-                   for kind, row in zip(REGION_KEYS.values(), layout)}
-        records.append(PatientRecord(pid, regions, clinical[i],
-                                     SurvivalLabel(times[2 * i], events[2 * i]),
-                                     SurvivalLabel(times[2 * i + 1], events[2 * i + 1])))
-    return records
-
-
-def _patient_doc(rec: PatientRecord) -> dict:
-    regions = {}
-    for key, kind in REGION_KEYS.items():
-        r = rec.regions[kind]
-        regions[key] = ({"present": True, "features": r.features.tolist(),
-                         "centroid": r.centroid.tolist()} if r.present else {"present": False})
-    return {"id": rec.patient_id, "regions": regions, "clinical": rec.clinical.tolist(),
-            "dfs": {"time_years": rec.dfs.time, "event": rec.dfs.event},
-            "os": {"time_years": rec.os.time, "event": rec.os.event}}
+    # The rules joining a patient's fields, each patient's in this order.
+    present = np.array(present, dtype=bool).reshape(len(ids), len(REGION_KEYS))
+    rules = [(~present.any(axis=1), "no region is present"),
+             (time["dfs"] > time["os"], "DFS time exceeds OS time"),
+             (((clinical < -1e-9) | (clinical > 1 + 1e-9)).any(axis=1),
+              "clinical features outside [0, 1]")]
+    _require_all(~np.logical_or.reduce([broken for broken, _ in rules]),
+                 lambda i: f"patient {ids[i]}: {next(m for broken, m in rules if broken[i])}")
+    regions = np.zeros(present.shape + (schema["region_len"],))
+    regions[present] = features
+    region_centroids = np.zeros(present.shape + (EDGE_ATTR_DIM,))
+    region_centroids[present] = centroids
+    return make_cohort(ids, regions, present, region_centroids, clinical, time, event)
 
 
-def save_cohort(records: list[PatientRecord], path, region_len: int, clinical_len: int) -> None:
-    """Write `records` as one JSON document with one patient per line.
+def save_cohort(cohort: CohortArrays, path, region_len: int, clinical_len: int) -> None:
+    """Write `cohort` as one JSON document with one patient per line.
 
     Each line is encoded on its own with default separators, which json's C
     encoder handles (with `indent` it falls back to pure Python), and is
@@ -301,11 +300,22 @@ def save_cohort(records: list[PatientRecord], path, region_len: int, clinical_le
                        "feature_schema": {"region_len": region_len,
                                           "clinical_len": clinical_len},
                        "patients": []})
+    regions, centroids = cohort.regions.tolist(), cohort.centroids.tolist()
+    present, clinical = cohort.present.tolist(), cohort.clinical.tolist()
+    labels = {task: list(zip(cohort.time[task].tolist(), cohort.event[task].tolist()))
+              for task in _TASKS}
     with open(path, "w") as fh:
         fh.write(head[:-2])  # the document up to the patient list's "["
         sep = "\n"
-        for rec in records:
-            fh.write(sep + json.dumps(_patient_doc(rec)))
+        for i, pid in enumerate(cohort.ids.tolist()):
+            doc = {"id": pid,
+                   "regions": {key: {"present": True, "features": regions[i][j],
+                                     "centroid": centroids[i][j]} if present[i][j]
+                               else {"present": False} for j, key in enumerate(REGION_KEYS)},
+                   "clinical": clinical[i],
+                   **{task: {"time_years": labels[task][i][0], "event": labels[task][i][1]}
+                      for task in _TASKS}}
+            fh.write(sep + json.dumps(doc))
             sep = ",\n"
         fh.write("\n]}\n")
 
@@ -393,8 +403,8 @@ def _calibrate_censoring(scenario: Scenario) -> float:
 
 
 def simulate_cohort(n: int, seed: int, scenario: Scenario = Scenario()
-                    ) -> tuple[list[PatientRecord], np.ndarray]:
-    """Two-group synthetic cohort; returns records plus the latent groups.
+                    ) -> tuple[CohortArrays, np.ndarray]:
+    """Two-group synthetic cohort; returns the cohort plus the latent groups.
 
     Features are group-informative patterns scaled by signal strength plus
     unit Gaussian noise; clinical features are min-max normalized across the
@@ -441,26 +451,22 @@ def simulate_cohort(n: int, seed: int, scenario: Scenario = Scenario()
     else:
         censor = np.full(n, np.inf)
 
-    records: list[PatientRecord] = []
-    for i in range(n):
-        regions = {
-            kind: RegionData(True, region_feats[kind][i], centroids[kind][i])
-            for kind in ANATOMICAL_KINDS
-        }
-        os_lab = (SurvivalLabel(t_os[i], 1) if t_os[i] <= censor[i]
-                  else SurvivalLabel(censor[i], 0))
-        dfs_lab = (SurvivalLabel(t_dfs[i], 1) if t_dfs[i] <= censor[i]
-                   else SurvivalLabel(censor[i], 0))
-        records.append(PatientRecord(f"sim{i:04d}", regions, clinical[i], dfs_lab, os_lab))
-    return records, groups
+    observed = {"dfs": t_dfs <= censor, "os": t_os <= censor}
+    return make_cohort([f"sim{i:04d}" for i in range(n)],
+                       np.stack([region_feats[kind] for kind in ANATOMICAL_KINDS], axis=1),
+                       np.ones((n, len(ANATOMICAL_KINDS)), dtype=bool),
+                       np.stack([centroids[kind] for kind in ANATOMICAL_KINDS], axis=1),
+                       clinical,
+                       {"dfs": np.where(observed["dfs"], t_dfs, censor),
+                        "os": np.where(observed["os"], t_os, censor)},
+                       {task: flags.astype(np.int64) for task, flags in observed.items()}), groups
 
 
-def oracle_cindex(records: list[PatientRecord], groups: np.ndarray,
-                  scenario: Scenario, task: str) -> float:
+def oracle_cindex(cohort: CohortArrays, groups: np.ndarray, scenario: Scenario,
+                  task: str) -> float:
     """Concordance achieved by the true group hazard as the risk score."""
-    risks = scenario.group_hazards(task)[groups]
-    labels = [getattr(r, task) for r in records]
-    return harrell_cindex(risks, labels)
+    return cindex_arrays(scenario.group_hazards(task)[groups], cohort.time[task],
+                         cohort.event[task])
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +483,11 @@ class FoldSpec:
     val: list[int]
 
 
-def _strata(indices: list[int], records: list[PatientRecord], k: int) -> list[list[int]]:
-    """Joint event-indicator cells; sparse cells collapse to the OS margin."""
+def _strata(indices: list[int], keys: list[tuple[int, int]], k: int) -> list[list[int]]:
+    """Joint (OS, DFS) event-indicator cells; sparse cells collapse to the OS margin."""
     cells: dict[tuple[int, int], list[int]] = {}
     for i in indices:
-        key = (records[i].os.event, records[i].dfs.event)
-        cells.setdefault(key, []).append(i)
+        cells.setdefault(keys[i], []).append(i)
     strata: dict[tuple[int, int], list[int]] = {}
     for os_event in (0, 1):
         children = {key: v for key, v in cells.items() if key[0] == os_event}
@@ -511,27 +516,28 @@ def _deal(strata: list[list[int]], k: int, rng: np.random.Generator) -> list[lis
     return folds
 
 
-def stratified_repeated_kfold(records: list[PatientRecord], k: int = 5, repeats: int = 3,
+def stratified_repeated_kfold(cohort: CohortArrays, k: int = 5, repeats: int = 3,
                               seed: int = 0) -> list[FoldSpec]:
     """The folds of a repeated stratified k-fold plan, each with a stratified
     0.8/0.2 inner split; a cohort too small to fill every fold's three sets
     is a `CohortError`."""
-    n = len(records)
+    n = len(cohort)
     too_small = (f"cohort of {n} patients cannot form {k} folds with "
                  "nonempty test, inner training and validation sets")
     if k > n:   # checked before `_deal` builds one list per fold
         raise CohortError(too_small)
     all_idx = list(range(n))
+    keys = list(zip(cohort.event["os"].tolist(), cohort.event["dfs"].tolist()))
     folds: list[FoldSpec] = []
     for rep in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        outer = _deal(_strata(all_idx, records, k), k, rng)
+        outer = _deal(_strata(all_idx, keys, k), k, rng)
         for f in range(k):
             test = sorted(outer[f])
             in_test = set(test)
             rest = [i for i in all_idx if i not in in_test]
             inner_rng = np.random.default_rng(np.random.SeedSequence([seed, rep, f]))
-            buckets = _deal(_strata(rest, records, 5), 5, inner_rng)
+            buckets = _deal(_strata(rest, keys, 5), 5, inner_rng)
             val = sorted(buckets[0])
             train = sorted(set(rest) - set(val))
             if not (test and train and val):
@@ -568,6 +574,7 @@ def augment(data: CohortArrays, seeds: Sequence[int], variants: int = 5,
             dropped = np.setdiff1d(present, kept)
             out.present[row, dropped] = False
             out.regions[row, dropped] = 0.0
+            out.centroids[row, dropped] = 0.0
             out.offsets[row, dropped] = 0.0
             # One draw in the order regions, summary, clinical.
             cut = len(kept) * width

@@ -44,9 +44,13 @@ class EvalSettings:
         ])
 
     def resolve_tau(self, bins) -> float:
-        if self.tau is not None:
-            return self.tau
-        return min(5.0, bins.horizon)
+        """The IBS horizon on `bins`: tau, by default min(5, the last bin edge).
+        A tau past the last bin edge is a ConfigError."""
+        if self.tau is None:
+            return min(5.0, bins.horizon)
+        if self.tau > bins.horizon:
+            raise ConfigError(f"eval.tau must be at most the last bin edge, {bins.horizon:g}")
+        return self.tau
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,7 @@ class RunConfig:
     cv: CvSettings = field(default_factory=CvSettings)
 
     def __post_init__(self):
-        if self.eval.tau is not None and self.eval.tau > self.model.bins().horizon:
-            raise ValueError("eval.tau must be at most the last bin edge")
+        self.eval.resolve_tau(self.model.bins())
 
 
 _MODEL_KEYS = {

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cohort import (FoldSpec, PatientRecord, cohort_arrays, load_cohort,
-                     stratified_repeated_kfold)
+from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import TimeBins, point_estimate_time
 from .metrics import (IpcwCapWarning, bootstrap_ci, cindex_arrays, format_ci,
-                      harrell_cindex, integrated_brier, label_arrays, mae_uncensored,
-                      time_dependent_auc)
+                      integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
 from .objective import discrete_nll
 from .training import train_model
@@ -95,13 +93,10 @@ class CvReport:
         }
 
 
-def feature_widths(records: list[PatientRecord]) -> dict[NodeKind, int]:
-    width = next((rec.regions[k].features.shape[0] for rec in records
-                  for k in ANATOMICAL_KINDS if rec.regions[k].present), None)
-    if width is None:
-        raise ValueError("no present regions anywhere in the cohort")
+def feature_widths(cohort: CohortArrays) -> dict[NodeKind, int]:
+    width = cohort.regions.shape[2]
     return {**{k: width for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: width,
-            NodeKind.CLINICAL: records[0].clinical.shape[0]}
+            NodeKind.CLINICAL: cohort.clinical.shape[1]}
 
 
 def fold_model(config: RunConfig, widths: dict[NodeKind, int], repeat: int,
@@ -136,24 +131,23 @@ class _TaskPrediction:
 
 @dataclass
 class _FoldPrediction:
-    records: list[PatientRecord]
+    cohort: CohortArrays
     tasks: dict[str, _TaskPrediction]
 
     def curve_rows(self) -> list[CurveRow]:
         """Rows patient by patient, task by task, bin by bin."""
         per_task = [(task, self.tasks[task].hazard.tolist(), self.tasks[task].survival.tolist())
                     for task in TASKS]
-        return [CurveRow(rec.patient_id, task, k, h, s)
-                for i, rec in enumerate(self.records) for task, hz, sv in per_task
+        return [CurveRow(pid, task, k, h, s)
+                for i, pid in enumerate(self.cohort.ids.tolist()) for task, hz, sv in per_task
                 for k, (h, s) in enumerate(zip(hz[i], sv[i]))]
 
 
-def _predict_fold(model: FullModel, records: list[PatientRecord], bins: TimeBins,
+def _predict_fold(model: FullModel, cohort: CohortArrays, bins: TimeBins,
                   horizons, chunk: int) -> _FoldPrediction:
-    """Score `records` in forward passes of `chunk` patients, then as arrays."""
-    data = cohort_arrays(records)
-    parts = [model.predict_curves(data.take(slice(start, start + chunk)).batch())
-             for start in range(0, len(records), chunk)]
+    """Score `cohort` in forward passes of `chunk` patients, then as arrays."""
+    parts = [model.predict_curves(cohort.take(slice(start, start + chunk)).batch())
+             for start in range(0, len(cohort), chunk)]
     cols = bins.index(horizons)   # step interpolation: the bin containing each horizon
     tasks = {}
     for task in TASKS:
@@ -161,7 +155,7 @@ def _predict_fold(model: FullModel, records: list[PatientRecord], bins: TimeBins
         survival = np.concatenate([part[task][1] for part in parts])
         tasks[task] = _TaskPrediction(hazard, survival, point_estimate_time(survival, bins),
                                       1.0 - survival[:, cols])
-    return _FoldPrediction(records, tasks)
+    return _FoldPrediction(cohort, tasks)
 
 
 def _fold_metrics(pred: _FoldPrediction, bins: TimeBins, tau: float,
@@ -170,17 +164,17 @@ def _fold_metrics(pred: _FoldPrediction, bins: TimeBins, tau: float,
     out: dict[str, dict] = {}
     for task in TASKS:
         p = pred.tasks[task]
-        labels = [getattr(rec, task) for rec in pred.records]
+        t, e = pred.cohort.time[task], pred.cohort.event[task]
         try:
-            cindex = harrell_cindex(-p.pred_time, labels)
+            cindex = cindex_arrays(-p.pred_time, t, e)
         except ValueError:
             cindex = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IpcwCapWarning)
-            ibs = integrated_brier(p.survival, labels, bins, tau)
+            ibs = integrated_brier(p.survival, t, e, bins, tau)
             capped += sum(1 for w in caught if issubclass(w.category, IpcwCapWarning))
-        aucs = [time_dependent_auc(p.scores[:, j], labels, t) for j, t in enumerate(horizons)]
-        mae = mae_uncensored(p.pred_time, labels)
+        aucs = [time_dependent_auc(p.scores[:, j], t, e, h) for j, h in enumerate(horizons)]
+        mae = mae_uncensored(p.pred_time, t, e)
         out[task] = {"cindex": cindex, "ibs": ibs, "auc1": aucs[0], "auc3": aucs[1],
                      "auc5": aucs[2], "mae": mae}
     return out, capped
@@ -199,10 +193,11 @@ def _aggregate(rows: list[FoldRow]) -> dict:
     return agg
 
 
-def _cascade_grad_check(model: FullModel, records: list[PatientRecord], bins: TimeBins) -> bool:
-    """True iff the OS loss sends exactly zero gradient to the context weights."""
-    data = cohort_arrays(records[:1], bins)
-    os_loss = discrete_nll(model.forward(data.batch())["os"], data.labels["os"], bins)
+def _cascade_grad_check(model: FullModel, cohort: CohortArrays, bins: TimeBins) -> bool:
+    """True iff the OS loss of `cohort` sends exactly zero gradient to the
+    context weights."""
+    os_loss = discrete_nll(model.forward(cohort.batch())["os"], cohort.label_bins(bins)["os"],
+                           bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     return all(np.all(grads[p].data == 0.0) for p in (model.heads.w_ctx, model.heads.b_ctx))
 
@@ -214,15 +209,15 @@ def apply_variant(config: RunConfig, variant: str) -> RunConfig:
                                                                  **_OVERRIDES[variant]))
 
 
-def _score(model: FullModel, records: list[PatientRecord], test: list[int],
+def _score(model: FullModel, cohort: CohortArrays, test: list[int],
            config: RunConfig, repeat: int, fold: int) -> FoldOutcome:
-    """Score the patients `test` of `records` as fold (repeat, fold), with the
+    """Score the patients `test` of `cohort` as fold (repeat, fold), with the
     model's own bins; the one path from a trained model to report rows."""
     bins = model.config.bins()
     horizons = config.eval.horizons
-    preds = _predict_fold(model, [records[i] for i in test], bins, horizons,
-                          config.train.batch_size)
-    per_task, capped = _fold_metrics(preds, bins, config.eval.resolve_tau(bins), horizons)
+    tau = config.eval.resolve_tau(bins)
+    preds = _predict_fold(model, cohort.take(test), bins, horizons, config.train.batch_size)
+    per_task, capped = _fold_metrics(preds, bins, tau, horizons)
     return FoldOutcome(repeat, fold, rows=[FoldRow(repeat, fold, task, **per_task[task])
                                            for task in TASKS],
                        test=test,
@@ -230,7 +225,7 @@ def _score(model: FullModel, records: list[PatientRecord], test: list[int],
                        curves=preds.curve_rows() if repeat == 0 else [], capped=capped > 0)
 
 
-def run_fold(config: RunConfig, records: list[PatientRecord], spec: FoldSpec,
+def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
              widths: dict[NodeKind, int], variant: str) -> FoldOutcome:
     """Train the model of fold `spec` and score its test patients.
 
@@ -241,18 +236,18 @@ def run_fold(config: RunConfig, records: list[PatientRecord], spec: FoldSpec,
     fold_seed = int(np.random.SeedSequence(
         [config.train.seed, 3, spec.repeat, spec.fold]).generate_state(1)[0])
     try:
-        train_model(model, [records[i] for i in spec.train], [records[i] for i in spec.val],
+        train_model(model, cohort.take(spec.train), cohort.take(spec.val),
                     dataclasses.replace(config.train, seed=fold_seed))
-        outcome = _score(model, records, spec.test, config, spec.repeat, spec.fold)
+        outcome = _score(model, cohort, spec.test, config, spec.repeat, spec.fold)
         if variant == "no_cascade":
             outcome.cascade_grad_zero = _cascade_grad_check(
-                model, [records[i] for i in spec.test], model.config.bins())
+                model, cohort.take(spec.test[:1]), model.config.bins())
     except (ad.NonFiniteError, ad.DomainError) as exc:
         return FoldOutcome(spec.repeat, spec.fold, failure=str(exc))
     return outcome
 
 
-def _pooled_ci(config: RunConfig, records: list[PatientRecord], outcomes: list[FoldOutcome],
+def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutcome],
                task: str) -> dict | None:
     """Bootstrap interval of the C-index of each patient's mean risk over its folds."""
     pooled: dict[int, list[float]] = {}
@@ -264,7 +259,7 @@ def _pooled_ci(config: RunConfig, records: list[PatientRecord], outcomes: list[F
         return None
     # arrays built once; each resample indexes them
     risk = np.array([np.mean(pooled[i]) for i in ids])
-    t, e = label_arrays([getattr(records[i], task) for i in ids])
+    t, e = cohort.time[task][ids], cohort.event[task][ids]
     try:
         point = cindex_arrays(risk, t, e)
         boot_seed = int(np.random.SeedSequence([config.train.seed, 5, TASKS.index(task)])
@@ -279,9 +274,9 @@ def _pooled_ci(config: RunConfig, records: list[PatientRecord], outcomes: list[F
 
 
 def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
-             records: list[PatientRecord] | None = None) -> CvReport:
-    """The report of `outcomes`, in their order. Given the cohort `records`,
-    it also holds the pooled C-index interval of each task."""
+             cohort: CohortArrays | None = None) -> CvReport:
+    """The report of `outcomes`, in their order. Given the `cohort`, it also
+    holds the pooled C-index interval of each task."""
     done = [o for o in outcomes if o.failure is None]
     rows = [row for o in done for row in o.rows]
     flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
@@ -291,33 +286,27 @@ def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
         failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
                       for o in outcomes if o.failure is not None],
         aggregate=_aggregate(rows),
-        ci={} if records is None else {task: _pooled_ci(config, records, done, task)
-                                       for task in TASKS},
+        ci={} if cohort is None else {task: _pooled_ci(config, cohort, done, task)
+                                      for task in TASKS},
         checks={"os_context_grad_zero": flags[0]} if flags else {},
         ipcw_capped_folds=sum(1 for o in done if o.capped))
 
 
-def run_crossval(config: RunConfig, records: list[PatientRecord] | None = None,
-                 variant: str = "full") -> CvReport:
+def run_crossval(config: RunConfig, cohort: CohortArrays, variant: str = "full") -> CvReport:
     """Train and score one model per (repeat, fold) of the plan, then assemble
     the report; the caller decides whether too many folds failed."""
     start = time.perf_counter()
-    if records is None:
-        if config.paths.cohort is None:
-            raise ValueError("config.paths.cohort is not set")
-        records = load_cohort(config.paths.cohort)
-    widths = feature_widths(records)
-    outcomes = [run_fold(config, records, spec, widths, variant)
-                for spec in stratified_repeated_kfold(records, config.cv.k, config.cv.repeats,
+    widths = feature_widths(cohort)
+    outcomes = [run_fold(config, cohort, spec, widths, variant)
+                for spec in stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats,
                                                       config.train.seed)]
-    report = assemble(config, variant, outcomes, records)
+    report = assemble(config, variant, outcomes, cohort)
     report.runtime_seconds = time.perf_counter() - start
     return report
 
 
-def run_ablation(config: RunConfig, variant: str,
-                 records: list[PatientRecord] | None = None) -> CvReport:
-    return run_crossval(apply_variant(config, variant), records=records, variant=variant)
+def run_ablation(config: RunConfig, variant: str, cohort: CohortArrays) -> CvReport:
+    return run_crossval(apply_variant(config, variant), cohort, variant=variant)
 
 
 def emit_report(report: CvReport, out_dir) -> dict[str, str]:
@@ -353,8 +342,8 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
     return paths
 
 
-def evaluate_model(model: FullModel, records: list[PatientRecord], config: RunConfig,
+def evaluate_model(model: FullModel, cohort: CohortArrays, config: RunConfig,
                    variant: str = "evaluate") -> CvReport:
     """Single-model evaluation presented as one pseudo-fold."""
-    outcome = _score(model, records, list(range(len(records))), config, 0, 0)
+    outcome = _score(model, cohort, list(range(len(cohort))), config, 0, 0)
     return assemble(config, variant, [outcome])

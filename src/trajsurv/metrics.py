@@ -33,13 +33,6 @@ class IpcwCapWarning(UserWarning):
     """An IPCW weight hit the configured cap (censoring survival near 0)."""
 
 
-def label_arrays(labels: Sequence[SurvivalLabel]) -> tuple[np.ndarray, np.ndarray]:
-    """Observed times and event flags as float64 and int64 arrays."""
-    times = np.array([lab.time for lab in labels], dtype=np.float64)
-    events = np.array([lab.event for lab in labels], dtype=np.int64)
-    return times, events
-
-
 _BASE = 32
 _LATER = np.triu(np.ones((_BASE, _BASE), dtype=bool), 1)   # [p, j]: j > p
 
@@ -82,7 +75,9 @@ def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> f
     event; pairs with equal observed times are never comparable (whether the
     tie involves a censoring or two events).
     """
-    return cindex_arrays(np.asarray(risks, dtype=np.float64), *label_arrays(labels))
+    return cindex_arrays(np.asarray(risks, dtype=np.float64),
+                         np.array([lab.time for lab in labels], dtype=np.float64),
+                         np.array([lab.event for lab in labels], dtype=np.int64))
 
 
 def cindex_arrays(r: np.ndarray, t: np.ndarray, e: np.ndarray) -> float:
@@ -111,22 +106,22 @@ def cindex_arrays(r: np.ndarray, t: np.ndarray, e: np.ndarray) -> float:
     return float((concordant + 0.5 * tied) / n_comp)
 
 
-def time_dependent_auc(scores: Sequence[float], labels: Sequence[SurvivalLabel],
+def time_dependent_auc(scores: Sequence[float], t: np.ndarray, e: np.ndarray,
                        horizon: float) -> float | None:
     """AUC of event-before-horizon classification, censored-at-or-before-t excluded.
 
-    `scores` are the predicted event probabilities P(event <= t), e.g.
-    1 - S(t) read off the survival curve with step interpolation. Returns
-    None when either class is empty at the horizon.
+    `scores` are the predicted event probabilities P(event <= horizon), e.g.
+    1 - S(horizon) read off the survival curve with step interpolation, of
+    the patients with observed times `t` and event flags `e`. Returns None
+    when either class is empty at the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if len(scores) != len(labels):
+    if not len(scores) == len(t) == len(e):
         raise ValueError("need matching scores and labels")
     s = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    t, e = label_arrays(labels)
     cases = s[(e == 1) & (t <= horizon)]
     controls = np.sort(s[t > horizon])
     if cases.size == 0 or controls.size == 0:
@@ -157,15 +152,15 @@ class CensoringSurvival:
         return float(g) if np.ndim(g) == 0 else g
 
 
-def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
-    """Kaplan-Meier fit treating censorings as events and events as censored.
+def km_censoring_survival(t: np.ndarray, e: np.ndarray) -> CensoringSurvival:
+    """Kaplan-Meier fit of observed times `t` with event flags `e`, treating
+    censorings as events and events as censored.
 
     At tied times the censoring count uses the full at-risk set (everyone
     with an observed time at or beyond that time).
     """
-    if len(labels) == 0:
+    if len(t) == 0:
         raise ValueError("need at least one patient")
-    t, e = label_arrays(labels)
     u, inverse, counts = np.unique(t, return_inverse=True, return_counts=True)
     at_risk = t.size - np.cumsum(counts) + counts
     d = np.bincount(inverse[e == 0], minlength=u.size)
@@ -175,11 +170,12 @@ def km_censoring_survival(labels: Sequence[SurvivalLabel]) -> CensoringSurvival:
     return CensoringSurvival(u[drop], values)
 
 
-def integrated_brier(survival: np.ndarray, labels: Sequence[SurvivalLabel],
+def integrated_brier(survival: np.ndarray, t_obs: np.ndarray, e_obs: np.ndarray,
                      bins: TimeBins, tau: float, weight_cap: float = 100.0) -> float:
     """IPCW Brier score averaged over [0, tau] by the trapezoid rule.
 
-    `survival` holds one patient's curve per row (n x K). BS(t) sums, per
+    `survival` holds one patient's curve per row (n x K), for the patients
+    with observed times `t_obs` and event flags `e_obs`. BS(t) sums, per
     patient, S(t)^2 / G(time-) for events at or before t and
     (1 - S(t))^2 / G(t) for patients still at risk; censored patients with
     time <= t contribute nothing. The time grid is 100 uniform points.
@@ -188,11 +184,10 @@ def integrated_brier(survival: np.ndarray, labels: Sequence[SurvivalLabel],
     """
     if tau <= 0 or tau > bins.horizon:
         raise ValueError(f"tau must lie in (0, {bins.horizon}]")
-    if survival.shape != (len(labels), bins.count) or not labels:
+    n = len(t_obs)
+    if survival.shape != (n, bins.count) or len(e_obs) != n or not n:
         raise ValueError("need matching curves and labels")
-    t_obs, e_obs = label_arrays(labels)
-    G = km_censoring_survival(labels)
-    n = len(labels)
+    G = km_censoring_survival(t_obs, e_obs)
     grid = np.linspace(0.0, tau, 100)
     s_mat = survival[:, bins.index(grid)]  # n x 100, step interpolation
     # 1/G at each event time (left limit) and at each grid point, capped
@@ -215,12 +210,12 @@ def integrated_brier(survival: np.ndarray, labels: Sequence[SurvivalLabel],
     return float(np.trapezoid(bs, grid) / tau)
 
 
-def mae_uncensored(pred_times: Sequence[float], labels: Sequence[SurvivalLabel]) -> float | None:
-    """Mean absolute error in years over event patients; None if there are none."""
-    if len(pred_times) != len(labels):
+def mae_uncensored(pred_times: Sequence[float], t: np.ndarray, e: np.ndarray) -> float | None:
+    """Mean absolute error in years over the patients with an event (`e` 1)
+    at their observed time `t`; None if there are none."""
+    if not len(pred_times) == len(t) == len(e):
         raise ValueError("need matching predictions and labels")
     p = np.asarray(pred_times, dtype=np.float64)
-    t, e = label_arrays(labels)
     mask = e == 1
     if not mask.any():
         return None

@@ -90,10 +90,11 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
     return int(bins.index(time))
 
 
-def label_bins(labels: Sequence[SurvivalLabel], bins: TimeBins) -> np.ndarray:
-    """(n, 2) integer rows of each label's bin (as `label_to_bin`) and event flag."""
-    k = bins.index(np.array([lab.time for lab in labels], dtype=np.float64))
-    return np.stack([k, [lab.event for lab in labels]], axis=1).astype(np.intp)
+def label_bins(time: Sequence[float], event: Sequence[int], bins: TimeBins) -> np.ndarray:
+    """(n, 2) integer rows of each observed time's bin (as `label_to_bin`) and
+    its event flag."""
+    k = bins.index(np.asarray(time, dtype=np.float64))
+    return np.stack([k, event], axis=1).astype(np.intp)
 
 
 def discrete_nll(logits: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:

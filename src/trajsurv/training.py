@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cohort import PatientRecord, augment, cohort_arrays
+from .cohort import CohortArrays, augment
 from .graph import GraphBatch
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
@@ -37,30 +37,29 @@ def _mean_loss(model: FullModel, batch: GraphBatch, labels: dict[str, np.ndarray
 def patient_loss(model: FullModel, graph: GraphBatch, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
     """The loss of one patient, whose graph is a batch of one."""
-    labels = {"dfs": label_bins([dfs], bins), "os": label_bins([os_label], bins)}
+    labels = {"dfs": label_bins([dfs.time], [dfs.event], bins),
+              "os": label_bins([os_label.time], [os_label.event], bins)}
     return _mean_loss(model, graph, labels, bins, weights)
 
 
-def train_model(model: FullModel, train_records: list[PatientRecord],
-                val_records: list[PatientRecord], settings: TrainSettings) -> TrainResult:
+def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
+                settings: TrainSettings) -> TrainResult:
     """Fit the model in place; the best-validation snapshot is restored.
 
     Validation is evaluated once per epoch on the combined loss; the plateau
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
-    variants, re-drawn every epoch from epoch-derived seeds. Each set is
-    turned into arrays once; every batch is a slice of them.
+    variants, re-drawn every epoch from epoch-derived seeds. Every batch is
+    a slice of the shuffled training set.
     """
-    if not train_records or not val_records:
+    if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
     bins = model.config.bins()
     weights = LossWeights(settings.alpha, settings.beta)
     params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
 
-    train = cohort_arrays(train_records, bins)
-    val = cohort_arrays(val_records, bins)
-    val_batch = val.batch()
+    val_batch, val_labels = val.batch(), val.label_bins(bins)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
@@ -68,7 +67,7 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
     history = []
 
     for epoch in range(1, settings.max_epochs + 1):
-        order = rng.permutation(len(train_records))
+        order = rng.permutation(len(train))
         items = train.take(order)
         if settings.augment:
             items = augment(items, [int(np.random.SeedSequence(
@@ -77,13 +76,13 @@ def train_model(model: FullModel, train_records: list[PatientRecord],
         train_losses = []
         for start in range(0, len(items), settings.batch_size):
             part = items.take(slice(start, start + settings.batch_size))
-            loss = _mean_loss(model, part.batch(), part.labels, bins, weights)
+            loss = _mean_loss(model, part.batch(), part.label_bins(bins), bins, weights)
             grads = ad.backward(loss, params=[p for _, p in params])
             adamw_step(params, grads, state, settings)
             train_losses.append(loss.item())
 
         with ad.no_grad(p for _, p in params):
-            val_loss = _mean_loss(model, val_batch, val.labels, bins, weights).item()
+            val_loss = _mean_loss(model, val_batch, val_labels, bins, weights).item()
         history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
         improved, stop = end_epoch(state, val_loss, settings)

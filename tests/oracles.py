@@ -165,6 +165,12 @@ def unweighted_ibs(curves, labels, bins, tau):
     return float(np.trapezoid(bs, grid) / tau)
 
 
+def arrays(labels):
+    """The observed times and event flags of `labels` as float64 and int64 arrays."""
+    return (np.array([lab.time for lab in labels], dtype=np.float64),
+            np.array([lab.event for lab in labels], dtype=np.int64))
+
+
 def random_survival_instance(rng, max_n=20):
     """A small cohort with deliberate time and risk ties plus random curves,
     one survival row per patient."""
@@ -218,8 +224,8 @@ def concat_step(backbone, h, e_t, src, dst, attr, w):
     return np.maximum(pre, 0.0) @ w["w_out"] + w["b_out"]
 
 
-def star_operators(record, offset_scale=100.0):
-    """One patient's operators, written out from the edge rules with loops.
+def star_operators(cohort, offset_scale=100.0):
+    """The operators of a one-patient cohort, written out from the edge rules with loops.
 
     Slots follow `NodeKind` order: regions 0-4, the summary node 5 and the
     clinical node 6. Every present region k has a spatial edge 5 - k carrying
@@ -229,10 +235,8 @@ def star_operators(record, offset_scale=100.0):
     the 7 x 3 mean in-arc attribute, the 7 x 7 gcn normalisation over the
     slots in use, and the arcs as (source, target, attribute) triples.
     """
-    from trajsurv.graph import ANATOMICAL_KINDS
-
-    present = [k for k, kind in enumerate(ANATOMICAL_KINDS) if record.regions[kind].present]
-    centroids = {k: record.regions[ANATOMICAL_KINDS[k]].centroid for k in present}
+    present = [k for k in range(5) if cohort.present[0, k]]
+    centroids = {k: cohort.centroids[0, k] for k in present}
     centre = sum(centroids[k] for k in present) / len(present)
     arcs = []
     for k in present:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (direct_ibs, km_censor_at, pair_auc, pair_cindex,
+from oracles import (arrays, direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance)
 from trajsurv import autodiff as ad
 from trajsurv.acceptance_support import full_pipeline_gradcheck
@@ -26,7 +26,7 @@ from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_tim
 from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
                               harrell_cindex, integrated_brier, km_censoring_survival,
                               mae_uncensored, time_dependent_auc)
-from trajsurv.objective import SurvivalLabel, discrete_nll, label_bins
+from trajsurv.objective import discrete_nll, label_bins
 
 SEED = 0
 
@@ -40,15 +40,15 @@ def verdict(num, label, ok, detail):
 @pytest.fixture(scope="module")
 def synthetic():
     scenario = Scenario()   # hazard ratio 3, censoring 0.3
-    records, groups = simulate_cohort(400, seed=SEED, scenario=scenario)
-    return scenario, records, groups
+    cohort, groups = simulate_cohort(400, seed=SEED, scenario=scenario)
+    return scenario, cohort, groups
 
 
 @pytest.fixture(scope="module")
 def full_run(synthetic):
-    _, records, _ = synthetic
+    _, cohort, _ = synthetic
     config = RunConfig()
-    return config, run_crossval(config, records)
+    return config, run_crossval(config, cohort)
 
 
 def test_01_gradient_fidelity():
@@ -62,9 +62,9 @@ def test_01_gradient_fidelity():
 
 
 def test_02_residual_identity():
-    records, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
-                                                               clinical_len=3))
-    batch = record_to_graph(records[0])
+    cohort, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
+                                                              clinical_len=3))
+    batch = record_to_graph(cohort[0])
     h0 = ad.constant(np.random.default_rng(9).normal(size=(batch.slots.size, 8)))
     base = readout(h0, batch.pool).data.tobytes()
     mismatches = 0
@@ -123,13 +123,13 @@ def test_04_metric_oracles():
 
         for horizon in (1.0, 3.0, 5.0):
             e = pair_auc(scores, labels, horizon)
-            g = time_dependent_auc(scores, labels, horizon)
+            g = time_dependent_auc(scores, *arrays(labels), horizon)
             if (e is None) != (g is None):
                 disagreements += 1
             elif e is not None:
                 max_err = max(max_err, abs(g - e))
 
-        G = km_censoring_survival(labels)
+        G = km_censoring_survival(*arrays(labels))
         for t in list(np.linspace(0.0, 6.5, 14)) + [l.time for l in labels]:
             max_err = max(max_err, abs(G.at(t) - km_censor_at(labels, t)))
             max_err = max(max_err,
@@ -138,13 +138,13 @@ def test_04_metric_oracles():
         tau = float(min(5.0, bins.horizon))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IpcwCapWarning)
-            ibs = integrated_brier(curves, labels, bins, tau)
+            ibs = integrated_brier(curves, *arrays(labels), bins, tau)
         max_err = max(max_err, abs(ibs - direct_ibs(curves, labels, bins, tau)))
 
         events = [(p, l) for p, l in zip(risks, labels) if l.event == 1]
         e_mae = (sum(abs(p - l.time) for p, l in events) / len(events)
                  if events else None)
-        g_mae = mae_uncensored(list(risks), labels)
+        g_mae = mae_uncensored(list(risks), *arrays(labels))
         if (e_mae is None) != (g_mae is None):
             disagreements += 1
         elif e_mae is not None:
@@ -164,13 +164,13 @@ def test_05_nll_closed_forms():
         x[0, :len(values)] = values
         return ad.constant(x)
 
-    labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
+    time, event = [0.2, 0.2, 1.5], [1, 0, 1]
     rows = [logits([0.0]), logits([0.0]), logits([-np.log(4.0), 0.0])]
-    per = [discrete_nll(x, label_bins([lab], bins), bins).item()
-           for x, lab in zip(rows, labels)]
+    per = [discrete_nll(x, label_bins([t], [e], bins), bins).item()
+           for x, t, e in zip(rows, time, event)]
     errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
     together = discrete_nll(ad.constant(np.vstack([x.data for x in rows])),
-                            label_bins(labels, bins), bins).item()
+                            label_bins(time, event, bins), bins).item()
     mean_gap = abs(together - float(np.mean(per)))
 
     verdict(5, "closed-form likelihood values and batch-mean linearity",
@@ -180,12 +180,12 @@ def test_05_nll_closed_forms():
 
 
 def test_06_synthetic_recovery(synthetic, full_run):
-    scenario, records, groups = synthetic
+    scenario, cohort, groups = synthetic
     _, report = full_run
     c_os = report.mean_metric("os", "cindex")
     c_dfs = report.mean_metric("dfs", "cindex")
-    oracle_os = oracle_cindex(records, groups, scenario, "os")
-    oracle_dfs = oracle_cindex(records, groups, scenario, "dfs")
+    oracle_os = oracle_cindex(cohort, groups, scenario, "os")
+    oracle_dfs = oracle_cindex(cohort, groups, scenario, "dfs")
     ok = (c_os >= 0.65 and c_dfs >= 0.65
           and c_os >= 0.9 * oracle_os and c_dfs >= 0.9 * oracle_dfs
           and report.runtime_seconds < 900 and not report.failed_folds)
@@ -196,10 +196,10 @@ def test_06_synthetic_recovery(synthetic, full_run):
 
 
 def test_07_ablation_direction(synthetic, full_run):
-    _, records, _ = synthetic
+    _, cohort, _ = synthetic
     config, report = full_run
-    static = run_ablation(config, "static", records)
-    cascade = run_ablation(config, "no_cascade", records)
+    static = run_ablation(config, "static", cohort)
+    cascade = run_ablation(config, "no_cascade", cohort)
     full_c = report.mean_metric("os", "cindex")
     static_c = static.mean_metric("os", "cindex")
     cascade_c = cascade.mean_metric("os", "cindex")
@@ -212,8 +212,8 @@ def test_07_ablation_direction(synthetic, full_run):
 
 def test_08_null_control():
     scenario = Scenario(signal_strength=0.0)
-    records, _ = simulate_cohort(200, seed=SEED, scenario=scenario)
-    report = run_crossval(RunConfig(), records)
+    cohort, _ = simulate_cohort(200, seed=SEED, scenario=scenario)
+    report = run_crossval(RunConfig(), cohort)
     c_os = report.mean_metric("os", "cindex")
     c_dfs = report.mean_metric("dfs", "cindex")
     ok = 0.4 <= c_os <= 0.6 and 0.4 <= c_dfs <= 0.6

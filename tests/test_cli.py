@@ -418,6 +418,25 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
 
+    def test_crossval_without_cohort_path_is_data_error(self, tmp_path, capsys):
+        code = main(["crossval", "--config", str(write_config(tmp_path)),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: config.paths.cohort is not set\n"
+
+    def test_evaluate_tau_past_the_models_last_bin_edge_is_config_error(self, tmp_path,
+                                                                       capsys):
+        # The config's own bins (K=12) allow tau 10; the model's (K=4) end at 4.
+        cohort = simulate_into(tmp_path)
+        config = write_config(tmp_path, name="t.json", cohort=cohort,
+                              model={"K": 12}, eval={"tau": 10.0})
+        code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "t"),
+                     "--model", str(save_untrained_model(tmp_path))])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "config error: eval.tau must be at most the last bin edge, 4\n"
+        assert not (tmp_path / "t").exists()
+
 
 def test_gradcheck_subcommand(capsys):
     assert main(["gradcheck"]) == EXIT_OK

@@ -8,75 +8,99 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trajsurv.cohort import (REGION_KEYS, CohortError, PatientRecord, RegionData, Scenario,
-                             augment, cohort_arrays, load_cohort, oracle_cindex,
-                             record_to_graph, save_cohort, simulate_cohort,
-                             stratified_repeated_kfold)
+from trajsurv.cohort import (REGION_KEYS, CohortError, Scenario, augment, load_cohort,
+                             make_cohort, oracle_cindex, record_to_graph, save_cohort,
+                             simulate_cohort, stratified_repeated_kfold)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 
 
-def tiny_record(pid, os_t, os_e, dfs_t=None, dfs_e=None):
-    """One-region record with the minimum needed for label-driven tests."""
-    from trajsurv.objective import SurvivalLabel
-    regions = {kind: RegionData(False) for kind in ANATOMICAL_KINDS}
-    regions[NodeKind.LIVER_PARENCHYMA] = RegionData(True, np.zeros(4), np.zeros(3))
-    dfs_t = os_t if dfs_t is None else dfs_t
-    dfs_e = os_e if dfs_e is None else dfs_e
-    return PatientRecord(pid, regions, np.full(3, 0.5),
-                         SurvivalLabel(float(dfs_t), dfs_e),
-                         SurvivalLabel(float(os_t), os_e))
+def tiny_cohort(os_t, os_e):
+    """Patients p0, p1, ... with only a liver region (4 zero features) and
+    DFS equal to OS."""
+    n = len(os_t)
+    present = np.zeros((n, 5), dtype=bool)
+    present[:, 0] = True
+    time = np.array(os_t, dtype=np.float64)
+    event = np.array(os_e, dtype=np.int64)
+    return make_cohort([f"p{i}" for i in range(n)], np.zeros((n, 5, 4)), present,
+                       np.zeros((n, 5, 3)), np.full((n, 3), 0.5),
+                       {"dfs": time, "os": time}, {"dfs": event, "os": event})
+
+
+def saved_text(tmp_path, change, n=10):
+    """The saved simulated cohort of `saved_doc` with `change` applied to its
+    parsed JSON, written back; returns its path."""
+    path, doc = saved_doc(tmp_path, n)
+    change(doc)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestRecordValidation:
-    def test_dfs_after_os_rejected(self):
-        with pytest.raises(CohortError, match="p1.*DFS time exceeds OS"):
-            tiny_record("p1", os_t=3.0, os_e=1, dfs_t=5.0, dfs_e=1)
+    def test_dfs_after_os_rejected(self, tmp_path):
+        path = saved_text(tmp_path, _patient3("dfs", "time_years", value=99.0))
+        with pytest.raises(CohortError, match="^patient sim0003: DFS time exceeds OS time$"):
+            load_cohort(path)
 
-    def test_clinical_outside_unit_interval_rejected(self):
-        from trajsurv.objective import SurvivalLabel
-        regions = {kind: RegionData(False) for kind in ANATOMICAL_KINDS}
-        regions[NodeKind.LIVER_PARENCHYMA] = RegionData(True, np.zeros(4), np.zeros(3))
-        with pytest.raises(CohortError, match="p2.*clinical"):
-            PatientRecord("p2", regions, np.array([1.5]),
-                          SurvivalLabel(1.0, 1), SurvivalLabel(1.0, 1))
+    def test_clinical_outside_unit_interval_rejected(self, tmp_path):
+        path = saved_text(tmp_path, _patient3("clinical", 0, value=1.5))
+        with pytest.raises(CohortError,
+                           match=r"^patient sim0003: clinical features outside \[0, 1\]$"):
+            load_cohort(path)
 
     def test_record_to_graph_skips_absent_regions(self):
-        g = record_to_graph(tiny_record("p3", 2.0, 1))
+        g = record_to_graph(tiny_cohort([2.0], [1])[0])
         assert g.size == 1 and g.slots.size == 7
         assert g.slots[0].tolist() == [True, False, False, False, False, True, True]
         assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
 
+    def test_first_faulty_patient_in_file_order_is_named(self, tmp_path):
+        # Patient 2 breaks the last rule; patient 5, later, breaks the first.
+        def change(doc):
+            doc["patients"][2]["clinical"][0] = -0.5
+            doc["patients"][5]["regions"] = {key: {"present": False} for key in REGION_KEYS}
+        with pytest.raises(CohortError,
+                           match=r"^patient sim0002: clinical features outside \[0, 1\]$"):
+            load_cohort(saved_text(tmp_path, change))
 
-def assert_same_records(expected, got):
-    """Equal ids, presence flags and labels, and the same float64 bytes in every array."""
-    assert [r.patient_id for r in got] == [r.patient_id for r in expected]
-    for a, b in zip(expected, got):
-        assert (a.dfs, a.os) == (b.dfs, b.os)
-        assert all(type(lab.time) is float and type(lab.event) is int for lab in (b.dfs, b.os))
-        assert [float(lab.time).hex() for lab in (a.dfs, a.os)] == \
-            [lab.time.hex() for lab in (b.dfs, b.os)]
-        assert [a.regions[k].present for k in ANATOMICAL_KINDS] == \
-            [b.regions[k].present for k in ANATOMICAL_KINDS]
-        pairs = [(a.clinical, b.clinical)]
-        for k in ANATOMICAL_KINDS:
-            if a.regions[k].present:
-                pairs += [(a.regions[k].features, b.regions[k].features),
-                          (a.regions[k].centroid, b.regions[k].centroid)]
-        for x, y in pairs:
-            assert y.dtype == np.float64 and y.shape == x.shape
-            assert y.tobytes() == np.asarray(x, dtype=np.float64).tobytes()
+    @pytest.mark.parametrize("no_regions, message", ((True, "no region is present"),
+                                                     (False, "DFS time exceeds OS time")))
+    def test_one_patient_breaking_several_rules_names_the_first(self, tmp_path, no_regions,
+                                                                message):
+        def change(doc):
+            patient = doc["patients"][4]
+            if no_regions:
+                patient["regions"] = {key: {"present": False} for key in REGION_KEYS}
+            patient["dfs"]["time_years"] = 99.0
+            patient["clinical"][0] = 2.0
+        with pytest.raises(CohortError, match=f"^patient sim0004: {message}$"):
+            load_cohort(saved_text(tmp_path, change))
 
 
-def with_absent_region(record, kind=NodeKind.METASTATIC_TUMORS):
-    regions = {**record.regions, kind: RegionData(False)}
-    return PatientRecord(record.patient_id, regions, record.clinical, record.dfs, record.os)
+def assert_same_cohort(expected, got):
+    """Equal ids, and the same dtype, shape and bytes in every array."""
+    assert got.ids.tolist() == expected.ids.tolist()
+    for name in ("regions", "present", "centroids", "offsets", "global_features", "clinical"):
+        x, y = getattr(expected, name), getattr(got, name)
+        assert y.dtype == x.dtype and y.shape == x.shape and y.tobytes() == x.tobytes(), name
+    for task in ("dfs", "os"):
+        for x, y in ((expected.time[task], got.time[task]),
+                     (expected.event[task], got.event[task])):
+            assert y.dtype == x.dtype and y.tolist() == x.tolist()
+            assert y.tobytes() == x.tobytes(), task
+
+
+def with_absent_region(cohort, row, kind=NodeKind.METASTATIC_TUMORS):
+    present = cohort.present.copy()
+    present[row, ANATOMICAL_KINDS.index(kind)] = False
+    return cohort.with_presence(present)
 
 
 def saved_doc(tmp_path, n=10):
     """A saved simulated cohort (regions 8, clinical 6), its path and its parsed JSON."""
-    records, _ = simulate_cohort(n, seed=0)
+    cohort, _ = simulate_cohort(n, seed=0)
     path = tmp_path / "c.json"
-    save_cohort(records, path, region_len=8, clinical_len=6)
+    save_cohort(cohort, path, region_len=8, clinical_len=6)
     return path, json.loads(path.read_text())
 
 
@@ -128,63 +152,70 @@ MALFORMED = {
 
 class TestCohortFile:
     def test_round_trip_preserves_everything(self, tmp_path):
-        records, _ = simulate_cohort(12, seed=3, scenario=Scenario(region_len=5,
-                                                                   clinical_len=4))
-        records[1] = with_absent_region(records[1])
-        records[2].regions[NodeKind.HEPATIC_VEINS].features[0] = -0.0
+        cohort, _ = simulate_cohort(12, seed=3, scenario=Scenario(region_len=5,
+                                                                  clinical_len=4))
+        cohort.regions[2, ANATOMICAL_KINDS.index(NodeKind.HEPATIC_VEINS), 0] = -0.0
+        cohort = with_absent_region(cohort, 1)
         path = tmp_path / "cohort.json"
-        save_cohort(records, path, region_len=5, clinical_len=4)
-        assert_same_records(records, load_cohort(path))
+        save_cohort(cohort, path, region_len=5, clinical_len=4)
+        loaded = load_cohort(path)
+        assert_same_cohort(cohort, loaded)
+        assert [(r.patient_id, r.dfs, r.os) for r in loaded] == \
+            [(r.patient_id, r.dfs, r.os) for r in cohort]
 
     def test_one_patient_per_line(self, tmp_path):
-        records, _ = simulate_cohort(12, seed=3)
+        cohort, _ = simulate_cohort(12, seed=3)
         path = tmp_path / "cohort.json"
-        save_cohort(records, path, region_len=8, clinical_len=6)
+        save_cohort(cohort, path, region_len=8, clinical_len=6)
         lines = path.read_text().splitlines()
-        assert len(lines) == len(records) + 2
-        for rec, line in zip(records, lines[1:-1]):
-            assert json.loads(line.rstrip(","))["id"] == rec.patient_id
+        assert len(lines) == len(cohort) + 2
+        for pid, line in zip(cohort.ids, lines[1:-1]):
+            assert json.loads(line.rstrip(","))["id"] == pid
 
     def test_indented_layout_loads_the_same_records(self, tmp_path):
         # Files written with json.dump(doc, fh, indent=1), one value per line.
-        records, _ = simulate_cohort(12, seed=4)
-        records[5] = with_absent_region(records[5], NodeKind.PORTAL_VEINS)
+        cohort, _ = simulate_cohort(12, seed=4)
+        cohort = with_absent_region(cohort, 5, NodeKind.PORTAL_VEINS)
         path, old = tmp_path / "new.json", tmp_path / "old.json"
-        save_cohort(records, path, region_len=8, clinical_len=6)
+        save_cohort(cohort, path, region_len=8, clinical_len=6)
         with open(old, "w") as fh:
             json.dump(json.loads(path.read_text()), fh, indent=1)
             fh.write("\n")
-        assert_same_records(load_cohort(path), load_cohort(old))
-        assert_same_records(records, load_cohort(old))
+        assert_same_cohort(load_cohort(path), load_cohort(old))
+        assert_same_cohort(cohort, load_cohort(old))
 
     def test_absent_region_round_trips(self, tmp_path):
-        rec = tiny_record("only-liver", 2.0, 1)
         path = tmp_path / "c.json"
-        save_cohort([rec], path, region_len=4, clinical_len=3)
+        save_cohort(tiny_cohort([2.0], [1]), path, region_len=4, clinical_len=3)
         text = path.read_text()
         assert '"present": false' in text
         loaded = load_cohort(path)
-        assert not loaded[0].regions[NodeKind.METASTATIC_TUMORS].present
+        assert loaded.present[0].tolist() == [True, False, False, False, False]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(10, 30), st.integers(0, 2 ** 31 - 1), st.data())
+    def test_load_then_save_rewrites_the_file_byte_for_byte(self, tmp_path, n, seed, data):
+        cohort, _ = simulate_cohort(n, seed, Scenario(region_len=3, clinical_len=2))
+        present = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=5, max_size=5).filter(any),
+            min_size=n, max_size=n)))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_cohort(cohort.with_presence(present), first, region_len=3, clinical_len=2)
+        save_cohort(load_cohort(first), second, region_len=3, clinical_len=2)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_error_names_patient_and_field(self, tmp_path):
-        records, _ = simulate_cohort(10, seed=0)
-        path = tmp_path / "c.json"
-        save_cohort(records, path, region_len=8, clinical_len=6)
-        import json
-        doc = json.loads(path.read_text())
-        doc["patients"][4]["regions"]["tumors"]["features"] = [1.0, 2.0]
-        path.write_text(json.dumps(doc))
+        def change(doc):
+            doc["patients"][4]["regions"]["tumors"]["features"] = [1.0, 2.0]
+        path = saved_text(tmp_path, change)
         with pytest.raises(CohortError, match="sim0004.*tumors.*length 8"):
             load_cohort(path)
 
     @pytest.mark.parametrize("field", ("features", "centroid", "clinical"))
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
     def test_nonfinite_value_names_patient_and_field(self, tmp_path, field, value):
-        records, _ = simulate_cohort(10, seed=0)
-        path = tmp_path / "c.json"
-        save_cohort(records, path, region_len=8, clinical_len=6)
-        import json
-        doc = json.loads(path.read_text())
+        path, doc = saved_doc(tmp_path)
         patient = doc["patients"][3]
         if field == "clinical":
             patient["clinical"][1] = value
@@ -197,13 +228,9 @@ class TestCohortFile:
             load_cohort(path)
 
     def test_dfs_exceeding_os_rejected_on_load(self, tmp_path):
-        records, _ = simulate_cohort(10, seed=0)
-        path = tmp_path / "c.json"
-        save_cohort(records, path, region_len=8, clinical_len=6)
-        import json
-        doc = json.loads(path.read_text())
-        doc["patients"][0]["dfs"]["time_years"] = 1e9
-        path.write_text(json.dumps(doc))
+        def change(doc):
+            doc["patients"][0]["dfs"]["time_years"] = 1e9
+        path = saved_text(tmp_path, change)
         with pytest.raises(CohortError, match="DFS time exceeds OS"):
             load_cohort(path)
 
@@ -224,11 +251,8 @@ class TestCohortFile:
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
     def test_malformed_field_names_patient_and_field(self, tmp_path, case):
         change, message = MALFORMED[case]
-        path, doc = saved_doc(tmp_path)
-        change(doc)
-        path.write_text(json.dumps(doc))
         with pytest.raises(CohortError, match=message):
-            load_cohort(path)
+            load_cohort(saved_text(tmp_path, change))
 
     @pytest.mark.parametrize("text", ("", "{", '{"schema_version": 1, "patients": [',
                                       b"\x80", None))
@@ -251,57 +275,47 @@ class TestSimulator:
         a, ga = simulate_cohort(20, seed=42)
         b, gb = simulate_cohort(20, seed=42)
         assert np.array_equal(ga, gb)
-        for ra, rb in zip(a, b):
-            assert ra.os == rb.os and ra.dfs == rb.dfs
-            assert np.array_equal(ra.clinical, rb.clinical)
-            for kind in ANATOMICAL_KINDS:
-                assert np.array_equal(ra.regions[kind].features,
-                                      rb.regions[kind].features)
+        assert_same_cohort(a, b)
 
     def test_dfs_never_after_os(self):
-        records, _ = simulate_cohort(500, seed=1)
-        assert all(r.dfs.time <= r.os.time for r in records)
+        cohort, _ = simulate_cohort(500, seed=1)
+        assert (cohort.time["dfs"] <= cohort.time["os"]).all()
 
     def test_event_times_are_integer_years(self):
-        records, _ = simulate_cohort(300, seed=2)
-        for r in records:
-            if r.os.event:
-                assert r.os.time == int(r.os.time)
-            if r.dfs.event:
-                assert r.dfs.time == int(r.dfs.time)
+        cohort, _ = simulate_cohort(300, seed=2)
+        for task in ("os", "dfs"):
+            t = cohort.time[task][cohort.event[task] == 1]
+            assert np.array_equal(t, np.floor(t))
 
     def test_censoring_rate_calibrated(self):
-        records, _ = simulate_cohort(10000, seed=7,
-                                     scenario=Scenario(censoring_rate=0.3))
-        censored = sum(1 - r.os.event for r in records) / len(records)
+        cohort, _ = simulate_cohort(10000, seed=7, scenario=Scenario(censoring_rate=0.3))
+        censored = 1.0 - cohort.event["os"].mean()
         assert abs(censored - 0.3) < 0.03
 
     def test_zero_censoring_means_all_events(self):
-        records, _ = simulate_cohort(50, seed=3,
-                                     scenario=Scenario(censoring_rate=0.0))
-        assert all(r.os.event == 1 and r.dfs.event == 1 for r in records)
+        cohort, _ = simulate_cohort(50, seed=3, scenario=Scenario(censoring_rate=0.0))
+        assert (cohort.event["os"] == 1).all() and (cohort.event["dfs"] == 1).all()
 
     def test_unit_hazard_ratio_gives_chance_oracle(self):
         scenario = Scenario(hazard_ratio=1.0, censoring_rate=0.0)
-        records, groups = simulate_cohort(100, seed=4, scenario=scenario)
-        assert oracle_cindex(records, groups, scenario, "os") == 0.5
+        cohort, groups = simulate_cohort(100, seed=4, scenario=scenario)
+        assert oracle_cindex(cohort, groups, scenario, "os") == 0.5
 
     def test_default_scenario_oracle_is_informative(self):
         scenario = Scenario()
-        records, groups = simulate_cohort(400, seed=0, scenario=scenario)
-        assert oracle_cindex(records, groups, scenario, "os") > 0.7
-        assert oracle_cindex(records, groups, scenario, "dfs") > 0.7
+        cohort, groups = simulate_cohort(400, seed=0, scenario=scenario)
+        assert oracle_cindex(cohort, groups, scenario, "os") > 0.7
+        assert oracle_cindex(cohort, groups, scenario, "dfs") > 0.7
 
     def test_clinical_features_normalized(self):
-        records, _ = simulate_cohort(60, seed=5)
-        stacked = np.stack([r.clinical for r in records])
+        cohort, _ = simulate_cohort(60, seed=5)
+        stacked = cohort.clinical
         assert stacked.min() >= 0.0 and stacked.max() <= 1.0
         assert np.allclose(stacked.min(axis=0), 0.0)
         assert np.allclose(stacked.max(axis=0), 1.0)
 
     def test_every_record_builds_a_clean_graph(self):
-        records, _ = simulate_cohort(10, seed=6)
-        data = cohort_arrays(records)
+        data, _ = simulate_cohort(10, seed=6)
         assert data.present.all()
         assert np.isfinite(data.offsets).all() and np.abs(data.offsets).max() <= 1.0
         np.testing.assert_allclose(data.global_features, data.regions.mean(axis=1),
@@ -317,27 +331,20 @@ class TestSimulator:
 
 
 class TestSplits:
-    def ten_patient_records(self):
-        # 4 OS events among 10 patients, distinct times.
-        recs = []
-        for i in range(10):
-            event = 1 if i < 4 else 0
-            recs.append(tiny_record(f"p{i}", os_t=i + 1.0, os_e=event))
-        return recs
-
     def test_fold_sizes_and_event_balance(self):
-        records = self.ten_patient_records()
-        folds = stratified_repeated_kfold(records, k=5, repeats=1, seed=0)
+        # 4 OS events among 10 patients, distinct times.
+        cohort = tiny_cohort(np.arange(1.0, 11.0), [1] * 4 + [0] * 6)
+        folds = stratified_repeated_kfold(cohort, k=5, repeats=1, seed=0)
         assert len(folds) == 5
         event_counts = []
         for spec in folds:
             assert len(spec.test) == 2
-            event_counts.append(sum(records[i].os.event for i in spec.test))
+            event_counts.append(int(cohort.event["os"][spec.test].sum()))
         assert max(event_counts) - min(event_counts) <= 1
 
     def test_each_repeat_partitions_the_cohort(self):
-        records, _ = simulate_cohort(60, seed=8)
-        folds = stratified_repeated_kfold(records, k=5, repeats=3, seed=1)
+        cohort, _ = simulate_cohort(60, seed=8)
+        folds = stratified_repeated_kfold(cohort, k=5, repeats=3, seed=1)
         assert len(folds) == 15
         for rep in range(3):
             tests = [set(s.test) for s in folds if s.repeat == rep]
@@ -345,15 +352,15 @@ class TestSplits:
             assert set().union(*tests) == set(range(60))
 
     def test_repeats_reshuffle(self):
-        records, _ = simulate_cohort(60, seed=8)
-        folds = stratified_repeated_kfold(records, k=5, repeats=2, seed=1)
+        cohort, _ = simulate_cohort(60, seed=8)
+        folds = stratified_repeated_kfold(cohort, k=5, repeats=2, seed=1)
         first = [s for s in folds if s.repeat == 0]
         second = [s for s in folds if s.repeat == 1]
         assert any(a.test != b.test for a, b in zip(first, second))
 
     def test_inner_split_is_disjoint_and_sized(self):
-        records, _ = simulate_cohort(50, seed=9)
-        folds = stratified_repeated_kfold(records, k=5, repeats=1, seed=2)
+        cohort, _ = simulate_cohort(50, seed=9)
+        folds = stratified_repeated_kfold(cohort, k=5, repeats=1, seed=2)
         for spec in folds:
             test, train, val = set(spec.test), set(spec.train), set(spec.val)
             assert not (train & val) and not (train & test) and not (val & test)
@@ -361,22 +368,22 @@ class TestSplits:
             assert abs(len(val) - 0.2 * (50 - len(test))) <= 1
 
     def test_same_seed_same_plan(self):
-        records, _ = simulate_cohort(40, seed=10)
-        a = stratified_repeated_kfold(records, k=5, repeats=2, seed=3)
-        b = stratified_repeated_kfold(records, k=5, repeats=2, seed=3)
+        cohort, _ = simulate_cohort(40, seed=10)
+        a = stratified_repeated_kfold(cohort, k=5, repeats=2, seed=3)
+        b = stratified_repeated_kfold(cohort, k=5, repeats=2, seed=3)
         assert a == b
 
     def test_cohort_smaller_than_k_rejected(self):
         with pytest.raises(ValueError, match="cannot form"):
-            stratified_repeated_kfold([tiny_record("p", 1.0, 1)] * 3, k=5)
+            stratified_repeated_kfold(tiny_cohort([1.0] * 3, [1] * 3), k=5)
 
     def test_huge_k_rejected_before_any_fold_is_built(self):
         # Dealing first would build one list per fold: about 64 MB at k = 10**6.
-        records, _ = simulate_cohort(40, seed=10)
+        cohort, _ = simulate_cohort(40, seed=10)
         tracemalloc.start()
         try:
             with pytest.raises(CohortError, match="40 patients cannot form 1000000 folds"):
-                stratified_repeated_kfold(records, k=10**6, repeats=1)
+                stratified_repeated_kfold(cohort, k=10**6, repeats=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -385,8 +392,8 @@ class TestSplits:
 
 class TestAugment:
     def source(self, n=1):
-        records, _ = simulate_cohort(10, seed=11)
-        return cohort_arrays(records[:n])
+        cohort, _ = simulate_cohort(10, seed=11)
+        return cohort[:n]
 
     def test_original_comes_first_untouched(self):
         data = self.source(n=2)
@@ -402,7 +409,8 @@ class TestAugment:
     def test_zero_noise_zero_dropout_is_identity(self):
         data = self.source()
         out = augment(data, seeds=[0], dropout_p=0.0, sigma=0.0)
-        for name in ("regions", "present", "offsets", "global_features", "clinical"):
+        for name in ("ids", "regions", "present", "centroids", "offsets", "global_features",
+                     "clinical"):
             assert np.array_equal(getattr(out, name), np.repeat(getattr(data, name), 5, axis=0))
 
     def test_full_dropout_keeps_one_region(self):
@@ -410,6 +418,7 @@ class TestAugment:
         for row in range(1, 5):
             assert out.present[row].tolist() == [False] * 4 + [True]
             assert not out.regions[row, :4].any() and not out.offsets[row, :4].any()
+            assert not out.centroids[row, :4].any()
 
     def test_hubs_always_survive(self):
         out = augment(self.source(), seeds=[2], dropout_p=0.5)
@@ -453,12 +462,12 @@ class TestAugment:
             -0.2506696164506272, -0.24104581965265948, -0.3604585735634802]
 
     def test_labels_follow_their_patient(self):
-        records, _ = simulate_cohort(10, seed=11)
-        from trajsurv.heads import annual_bins
-        data = cohort_arrays(records[:3], annual_bins(12))
+        data = self.source(n=3)
         out = augment(data, seeds=[0, 1, 2])
+        assert out.ids.tolist() == np.repeat(data.ids, 5).tolist()
         for task in ("os", "dfs"):
-            assert np.array_equal(out.labels[task], np.repeat(data.labels[task], 5, axis=0))
+            assert np.array_equal(out.time[task], np.repeat(data.time[task], 5))
+            assert np.array_equal(out.event[task], np.repeat(data.event[task], 5))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +497,8 @@ def fuzz_base(tmp_path_factory):
     """A saved 12-patient cohort with one absent region, a model for its widths, a config."""
     from trajsurv.model import ModelConfig, init_model, save_model
     root = tmp_path_factory.mktemp("fuzz")
-    records, _ = simulate_cohort(12, seed=5, scenario=Scenario(region_len=4, clinical_len=3))
-    records[2] = with_absent_region(records[2])
-    save_cohort(records, root / "base.json", region_len=4, clinical_len=3)
+    cohort, _ = simulate_cohort(12, seed=5, scenario=Scenario(region_len=4, clinical_len=3))
+    save_cohort(with_absent_region(cohort, 2), root / "base.json", region_len=4, clinical_len=3)
     widths = {**{k: 4 for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 4, NodeKind.CLINICAL: 3}
     config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
                          num_bins=4, message_dim=8)
@@ -508,7 +516,7 @@ MUTATIONS = ("truncate", "drop_key", "wrong_type", "nonfinite", "empty_list", "w
 @given(st.sampled_from(MUTATIONS), st.data())
 def test_mutated_cohort_loads_unchanged_or_exits_2(fuzz_base, mutation, data):
     from trajsurv.cli import EXIT_DATA, EXIT_OK, main
-    root, text, records = fuzz_base
+    root, text, cohort = fuzz_base
     doc = json.loads(text)
     nodes = list(_nodes(doc))
     if mutation == "truncate":
@@ -542,7 +550,7 @@ def test_mutated_cohort_loads_unchanged_or_exits_2(fuzz_base, mutation, data):
     except CohortError:
         expected = EXIT_DATA
     else:
-        assert_same_records(records, loaded)
+        assert_same_cohort(cohort, loaded)
         expected = EXIT_OK
     assert main(["evaluate", "--config", str(root / "run.json"), "--out", str(root / "out"),
                  "--model", str(root / "model.npz")]) == expected

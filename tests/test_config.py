@@ -266,7 +266,7 @@ class TestFieldTypes:
         path.write_text("{}")
         assert main(["simulate", "--config", str(path), "--seed", "-1",
                      "--out", str(tmp_path)]) == 1
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: train.seed must be >= 0\n"
 
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         from trajsurv.cli import main

@@ -11,7 +11,7 @@ from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
 from oracles import pair_cindex, scalar_hazards, scalar_point_estimate, scalar_survival
-from trajsurv.cohort import cohort_arrays, simulate_cohort, stratified_repeated_kfold
+from trajsurv.cohort import simulate_cohort, stratified_repeated_kfold
 from trajsurv.crossval import (CurveRow, CvReport, FoldRow, _aggregate, apply_variant,
                                emit_report, evaluate_model, run_ablation, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
@@ -36,14 +36,14 @@ def small_config(**overrides):
 @pytest.fixture(scope="module")
 def small_run():
     config = small_config()
-    records, _ = simulate_cohort(config.simulate.n, seed=0,
+    cohort, _ = simulate_cohort(config.simulate.n, seed=0,
                                  scenario=config.simulate.scenario())
-    return config, records, run_crossval(config, records)
+    return config, cohort, run_crossval(config, cohort)
 
 
 class TestRunCrossval:
     def test_row_and_fold_accounting(self, small_run):
-        config, records, report = small_run
+        config, cohort, report = small_run
         assert report.total_folds == 6
         assert not report.failed_folds
         assert len(report.rows) == 6 * 2
@@ -52,11 +52,11 @@ class TestRunCrossval:
         assert {r.task for r in report.rows} == {"os", "dfs"}
 
     def test_curves_come_from_first_repeat_only(self, small_run):
-        config, records, report = small_run
+        config, cohort, report = small_run
         # Every patient is tested once per repeat; curves keep repeat 0 only.
-        assert len(report.curves) == len(records) * 2 * config.model.num_bins
+        assert len(report.curves) == len(cohort) * 2 * config.model.num_bins
         ids = {c.patient_id for c in report.curves}
-        assert ids == {r.patient_id for r in records}
+        assert ids == {r.patient_id for r in cohort}
         for c in report.curves:
             assert 0.0 < c.hazard < 1.0
             assert 0.0 < c.survival <= 1.0
@@ -86,13 +86,13 @@ class TestRunCrossval:
                             ci["formatted"])
 
     def test_same_seed_reproduces_rows(self, small_run):
-        config, records, report = small_run
-        again = run_crossval(config, records)
+        config, cohort, report = small_run
+        again = run_crossval(config, cohort)
         assert again.rows == report.rows
         assert again.ci == report.ci
 
     def test_failed_folds_are_recorded_and_skipped(self, small_run, monkeypatch):
-        config, records, _ = small_run
+        config, cohort, _ = small_run
         real = cv.train_model
         calls = []
 
@@ -103,22 +103,18 @@ class TestRunCrossval:
             return real(model, train_recs, val_recs, settings)
 
         monkeypatch.setattr(cv, "train_model", flaky)
-        report = run_crossval(config, records)
+        report = run_crossval(config, cohort)
         assert len(report.failed_folds) == 1
         assert report.failed_folds[0]["reason"] == "synthetic blow-up"
         assert report.total_folds == 6
         assert len(report.rows) == 5 * 2
-
-    def test_missing_cohort_path_rejected(self):
-        with pytest.raises(ValueError, match="paths.cohort"):
-            run_crossval(small_config())
 
 
 def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch):
     """`run_fold` over the plan gives plain values that survive pickling, and
     `assemble` of them is `run_crossval`'s report, with one fold failing."""
     config = apply_variant(small_config(), "no_cascade")
-    records, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
     real, calls = cv.train_model, []
 
     def flaky(model, train_recs, val_recs, settings):
@@ -128,15 +124,15 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
         return real(model, train_recs, val_recs, settings)
 
     monkeypatch.setattr(cv, "train_model", flaky)
-    report = run_crossval(config, records, variant="no_cascade")
-    plan = stratified_repeated_kfold(records, config.cv.k, config.cv.repeats, config.train.seed)
-    widths = cv.feature_widths(records)
-    outcomes = [cv.run_fold(config, records, spec, widths, "no_cascade") for spec in plan]
+    report = run_crossval(config, cohort, variant="no_cascade")
+    plan = stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats, config.train.seed)
+    widths = cv.feature_widths(cohort)
+    outcomes = [cv.run_fold(config, cohort, spec, widths, "no_cascade") for spec in plan]
     restored = pickle.loads(pickle.dumps(outcomes))
     assert restored == outcomes
     assert [o.failure for o in restored] == [None, "synthetic blow-up"] + [None] * 4
     assert [bool(o.curves) for o in restored] == [True, False, True, False, False, False]
-    again = cv.assemble(config, "no_cascade", restored, records)
+    again = cv.assemble(config, "no_cascade", restored, cohort)
     assert report.failed_folds == [{"repeat": 0, "fold": 1, "reason": "synthetic blow-up"}]
     assert report.checks == {"os_context_grad_zero": True}
     for name in ("rows", "curves", "ci", "checks", "failed_folds", "aggregate",
@@ -159,8 +155,8 @@ class TestAblation:
             apply_variant(small_config(), "dropout")
 
     def test_no_cascade_blocks_context_gradient(self, small_run):
-        config, records, _ = small_run
-        report = run_ablation(small_config(cv={"repeats": 1}), "no_cascade", records)
+        config, cohort, _ = small_run
+        report = run_ablation(small_config(cv={"repeats": 1}), "no_cascade", cohort)
         assert report.variant == "no_cascade"
         assert report.checks["os_context_grad_zero"] is True
 
@@ -254,19 +250,19 @@ def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
     patient's mean risk over the repeats and the bootstrap of (risk, label)
     items, with the risks read from every fold's predictions."""
     config = small_config()
-    records, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
     folds = []
     predict = cv._predict_fold
     monkeypatch.setattr(cv, "_predict_fold", lambda *args: folds.append(predict(*args))
                         or folds[-1])
-    report = run_crossval(config, records)
+    report = run_crossval(config, cohort)
     for task in cv.TASKS:
-        risks = {rec.patient_id: [] for rec in records}
+        risks = {rec.patient_id: [] for rec in cohort}
         for pred in folds:
-            for rec, t in zip(pred.records, pred.tasks[task].pred_time.tolist()):
+            for rec, t in zip(pred.cohort, pred.tasks[task].pred_time.tolist()):
                 risks[rec.patient_id].append(-t)
         assert {len(v) for v in risks.values()} == {config.cv.repeats}
-        items = [(float(np.mean(risks[rec.patient_id])), getattr(rec, task)) for rec in records]
+        items = [(float(np.mean(risks[rec.patient_id])), getattr(rec, task)) for rec in cohort]
         point = pair_cindex([r for r, _ in items], [lab for _, lab in items])
         seed = int(np.random.SeedSequence([0, 5, cv.TASKS.index(task)]).generate_state(1)[0])
         lo, hi = bootstrap_ci(
@@ -278,25 +274,25 @@ def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
 
 class TestEvaluateModel:
     def test_single_pseudo_fold(self, small_run):
-        config, records, _ = small_run
-        widths = cv.feature_widths(records)
+        config, cohort, _ = small_run
+        widths = cv.feature_widths(cohort)
         model = init_model(config.model, widths, np.random.default_rng(0))
-        report = evaluate_model(model, records, config)
+        report = evaluate_model(model, cohort, config)
         assert report.variant == "evaluate"
         assert [r.task for r in report.rows] == ["os", "dfs"]
         assert all(r.repeat == 0 and r.fold == 0 for r in report.rows)
-        assert len(report.curves) == len(records) * 2 * config.model.num_bins
+        assert len(report.curves) == len(cohort) * 2 * config.model.num_bins
         assert report.aggregate["os"]["cindex"]["n"] == 1
 
     def test_chunked_scoring_matches_scoring_each_patient_alone(self):
         config = small_config()
-        records, _ = simulate_cohort(70, seed=3, scenario=config.simulate.scenario())
-        model = init_model(config.model, cv.feature_widths(records),
+        cohort, _ = simulate_cohort(70, seed=3, scenario=config.simulate.scenario())
+        model = init_model(config.model, cv.feature_widths(cohort),
                            np.random.default_rng(1))
         bins = config.model.bins()
-        chunked = cv._predict_fold(model, records, bins, config.eval.horizons, 64)
-        alone = cv._predict_fold(model, records, bins, config.eval.horizons, 1)
-        assert chunked.records == records
+        chunked = cv._predict_fold(model, cohort, bins, config.eval.horizons, 64)
+        alone = cv._predict_fold(model, cohort, bins, config.eval.horizons, 1)
+        assert chunked.cohort.ids.tolist() == cohort.ids.tolist()
         for task in cv.TASKS:
             a, b = chunked.tasks[task], alone.tasks[task]
             for got, want in ((a.hazard, b.hazard), (a.survival, b.survival)):
@@ -310,25 +306,24 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated):
     """Every array `_predict_fold` returns is == the per-patient scalar forms
     applied to the logits of the same chunk, and the curve rows carry them."""
     config = small_config()
-    records, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
-    model = init_model(config.model, cv.feature_widths(records), np.random.default_rng(2))
+    cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
+    model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
         model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
         model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]
     bins, horizons = config.model.bins(), config.eval.horizons
-    pred = cv._predict_fold(model, records, bins, horizons, chunk)
-    data = cohort_arrays(records)
+    pred = cv._predict_fold(model, cohort, bins, horizons, chunk)
     logits = {"dfs": [], "os": []}
-    for start in range(0, len(records), chunk):
+    for start in range(0, len(cohort), chunk):
         with ad.no_grad(p for _, p in model.named_parameters()):
-            out = model.forward(data.take(slice(start, start + chunk)).batch())
+            out = model.forward(cohort.take(slice(start, start + chunk)).batch())
         logits["dfs"].extend(out["dfs"].data)
         logits["os"].extend(out["os"].data)
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival) for c in pred.curve_rows()}
-    assert len(rows) == len(records) * 2 * bins.count
+    assert len(rows) == len(cohort) * 2 * bins.count
     for task in cv.TASKS:
         p = pred.tasks[task]
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(cohort):
             hc = scalar_hazards(logits[task][i])
             sc = scalar_survival(hc)
             assert p.hazard[i].tolist() == hc.h.tolist()

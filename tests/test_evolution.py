@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.cohort import cohort_arrays, record_to_graph, simulate_cohort
+from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
                                 init_evolution, readout, residual_update, rows_of,
@@ -15,7 +15,7 @@ from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss
 
 import oracles
-from test_graph import make_graph, make_record
+from test_graph import join, make_graph, make_record
 
 D = 4
 DT = 2
@@ -323,8 +323,8 @@ def test_graphs_in_one_batch_match_graphs_alone():
         hs = [rng.normal(size=(7, D)) for _ in records]
         e_t = time_embedding(1, params.time_table)
         joint = residual_step(ad.constant(np.vstack(hs)), e_t,
-                              cohort_arrays(records).batch(), params)
-        alone = [residual_step(ad.constant(h), e_t, record_to_graph(r), params).data
+                              join(records).batch(), params)
+        alone = [residual_step(ad.constant(h), e_t, r.batch(), params).data
                  for h, r in zip(hs, records)]
         np.testing.assert_allclose(joint.data, np.vstack(alone), rtol=0, atol=1e-12)
 
@@ -332,7 +332,7 @@ def test_graphs_in_one_batch_match_graphs_alone():
 class TestSegmentSoftmax:
     def batch(self):
         # Rows without in-arcs: the missing regions' padding rows.
-        return cohort_arrays(mixed_records()[1:]).batch()
+        return join(mixed_records()[1:]).batch()
 
     @pytest.mark.parametrize("scale", (1.0, 1000.0, -1000.0))
     def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
@@ -362,7 +362,7 @@ class TestSegmentSoftmax:
 def test_step_matches_concat_then_propagate_oracle(backbone):
     rng = np.random.default_rng(15)
     records = mixed_records()
-    batch = cohort_arrays(records).batch()
+    batch = join(records).batch()
     params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
     for _, leaf in params.named_leaves():
         leaf.data[:] = rng.normal(size=leaf.shape)
@@ -380,13 +380,11 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
 
 
 def one_batch_loss(backbone, n=64):
-    records, _ = simulate_cohort(n, seed=0)
+    cohort, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
-    model = init_model(config, feature_widths(records), np.random.default_rng(0))
-    data = cohort_arrays(records, config.bins())
-    batch = data.batch()
-    return model, batch, lambda: _mean_loss(model, batch, data.labels, config.bins(),
-                                            LossWeights())
+    model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+    batch, labels = cohort.batch(), cohort.label_bins(config.bins())
+    return model, batch, lambda: _mean_loss(model, batch, labels, config.bins(), LossWeights())
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",

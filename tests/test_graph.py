@@ -9,30 +9,47 @@ from hypothesis import strategies as st
 
 import oracles
 from trajsurv import autodiff as ad
-from trajsurv.cohort import (CohortError, PatientRecord, RegionData, cohort_arrays,
-                             load_cohort, record_to_graph, save_cohort, simulate_cohort)
+from trajsurv.cohort import (REGION_KEYS, CohortError, load_cohort, make_cohort, save_cohort,
+                             simulate_cohort)
 from trajsurv.evolution import adjacency
 from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, SLOTS, EmbeddingParams,
                             GraphConstructionError, NodeKind, embed_nodes, init_embedding)
-from trajsurv.objective import SurvivalLabel
 
 F = 4
 CLIN = 3
 
 
-def make_record(kinds=ANATOMICAL_KINDS, seed=0, centroids=None, features=None):
+def one_patient(regions, present, centroids, clinical):
+    """The cohort of one patient, p0, from its (5, L) regions, (5,) presence,
+    (5, 3) centroids and clinical features."""
+    return make_cohort(["p0"], np.array([regions]), np.array([present]), np.array([centroids]),
+                       np.array([clinical]), {"dfs": np.array([1.0]), "os": np.array([2.0])},
+                       {"dfs": np.array([1]), "os": np.array([0])})
+
+
+def make_record(kinds=ANATOMICAL_KINDS, seed=0, centroids=None):
+    """Patient p0 with random features and centroids for the regions `kinds`."""
     rng = np.random.default_rng(seed)
-    feats = {k: rng.normal(size=F) for k in kinds} if features is None else features
+    feats = {k: rng.normal(size=F) for k in kinds}
     if centroids is None:
         centroids = {k: rng.uniform(-50, 50, size=3) for k in kinds}
-    regions = {k: RegionData(k in kinds, feats.get(k), centroids.get(k))
-               for k in ANATOMICAL_KINDS}
-    return PatientRecord("p0", regions, rng.uniform(0, 1, size=CLIN),
-                         SurvivalLabel(1.0, 1), SurvivalLabel(2.0, 0))
+    return one_patient([feats.get(k, np.zeros(F)) for k in ANATOMICAL_KINDS],
+                       [k in kinds for k in ANATOMICAL_KINDS],
+                       [centroids.get(k, np.zeros(3)) for k in ANATOMICAL_KINDS],
+                       rng.uniform(0, 1, size=CLIN))
+
+
+def join(cohorts):
+    """The patients of `cohorts`, in order, as one cohort."""
+    return make_cohort(range(sum(map(len, cohorts))),
+                       *(np.concatenate([getattr(c, name) for c in cohorts])
+                         for name in ("regions", "present", "centroids", "clinical")),
+                       *({task: np.concatenate([getattr(c, name)[task] for c in cohorts])
+                          for task in ("dfs", "os")} for name in ("time", "event")))
 
 
 def make_graph(kinds=ANATOMICAL_KINDS, seed=0, centroids=None):
-    return record_to_graph(make_record(kinds, seed, centroids))
+    return make_record(kinds, seed, centroids).batch()
 
 
 def arc_list(batch, patient=0):
@@ -46,9 +63,9 @@ def arc_list(batch, patient=0):
 
 def cohort_file(tmp_path, change):
     """A saved 10-patient simulated cohort with `change` applied to its JSON."""
-    records, _ = simulate_cohort(10, seed=0)
+    cohort, _ = simulate_cohort(10, seed=0)
     path = tmp_path / "c.json"
-    save_cohort(records, path, region_len=8, clinical_len=6)
+    save_cohort(cohort, path, region_len=8, clinical_len=6)
     doc = json.loads(path.read_text())
     change(doc["patients"][3])
     path.write_text(json.dumps(doc))
@@ -79,9 +96,8 @@ class TestBuild:
 
     def test_summary_node_averages_present_regions(self):
         kinds = ANATOMICAL_KINDS[:2] + ANATOMICAL_KINDS[3:]
-        rec = make_record(kinds=kinds)
-        data = cohort_arrays([rec])
-        stacked = np.stack([rec.regions[k].features for k in kinds])
+        data = make_record(kinds=kinds)
+        stacked = data.regions[0, [ANATOMICAL_KINDS.index(k) for k in kinds]]
         np.testing.assert_allclose(data.global_features[0], stacked.mean(axis=0),
                                    rtol=0, atol=1e-15)
         # The offsets are taken from the mean present centroid, so they sum to 0.
@@ -110,11 +126,11 @@ class TestBuild:
         for j, (place, _) in enumerate(g.kinds.values()):
             assert np.array_equal(place.blocks[0, :, 0], np.eye(SLOTS)[j])
 
-    def test_no_regions_rejected(self):
-        regions = {k: RegionData(False) for k in ANATOMICAL_KINDS}
-        with pytest.raises(CohortError, match="p9: no region is present"):
-            PatientRecord("p9", regions, np.zeros(CLIN), SurvivalLabel(1.0, 1),
-                          SurvivalLabel(1.0, 1))
+    def test_no_regions_rejected(self, tmp_path):
+        def clear(patient):
+            patient["regions"] = {key: {"present": False} for key in REGION_KEYS}
+        with pytest.raises(CohortError, match="sim0003: no region is present"):
+            load_cohort(cohort_file(tmp_path, clear))
 
     def test_wrong_region_length_rejected(self, tmp_path):
         def shorten(patient):
@@ -122,11 +138,11 @@ class TestBuild:
         with pytest.raises(CohortError, match="sim0003: region liver centroid must have length 3"):
             load_cohort(cohort_file(tmp_path, shorten))
 
-    def test_inconsistent_region_widths_rejected(self):
-        feats = {NodeKind.LIVER_PARENCHYMA: np.zeros(4), NodeKind.METASTATIC_TUMORS: np.zeros(5)}
-        rec = make_record(kinds=tuple(feats), features=feats)
-        with pytest.raises(ValueError):
-            cohort_arrays([rec])
+    def test_inconsistent_region_widths_rejected(self, tmp_path):
+        def widen(patient):
+            patient["regions"]["tumors"]["features"].append(0.0)
+        with pytest.raises(CohortError, match="sim0003: region tumors features must have length 8"):
+            load_cohort(cohort_file(tmp_path, widen))
 
     def test_missing_centroid_rejected(self, tmp_path):
         def drop(patient):
@@ -170,7 +186,7 @@ class TestArcs:
 class TestValidate:
     def test_well_formed_graph_is_clean(self):
         rec = make_record(seed=4)
-        g = record_to_graph(rec)
+        g = rec.batch()
         expected = oracles.star_operators(rec)
         np.testing.assert_allclose(adjacency(g, "graphsage")["mean"].blocks[0],
                                    expected["mean"], rtol=0, atol=1e-15)
@@ -193,7 +209,7 @@ def test_batch_blocks_match_star_oracle(patterns, seed):
     # Each patient of the batch has its own presence pattern.
     records = [make_record(tuple(k for k, on in zip(ANATOMICAL_KINDS, p) if on), seed + i)
                for i, p in enumerate(patterns)]
-    batch = cohort_arrays(records).batch()
+    batch = join(records).batch()
     mean = adjacency(batch, "graphsage")
     norm = adjacency(batch, "gcn")["norm"].blocks
     for b, rec in enumerate(records):
@@ -225,29 +241,27 @@ class TestEmbedding:
         assert np.array_equal(h0.data, np.zeros((7, 6)))
 
     def test_identity_projection_reproduces_features(self):
-        rec = make_record(kinds=(NodeKind.LIVER_PARENCHYMA,), seed=3)
+        data = make_record(kinds=(NodeKind.LIVER_PARENCHYMA,), seed=3)
         params = EmbeddingParams(
             weights={k: ad.parameter(np.eye(CLIN if k is NodeKind.CLINICAL else F, F))
                      for k in NodeKind},
             biases={k: ad.parameter(np.zeros((1, F))) for k in NodeKind})
-        data = cohort_arrays([rec])
+        liver = data.regions[0, 0].copy()
         data.regions[0, 1:] = 7.0
         h0 = embed_nodes(data.batch(), params)
-        assert np.allclose(h0.data[0], rec.regions[NodeKind.LIVER_PARENCHYMA].features)
+        assert np.allclose(h0.data[0], liver)
         # The missing regions' rows start at zero, whatever their feature slots hold.
         assert np.array_equal(h0.data[1:5], np.zeros((4, F)))
 
     def test_hand_projection_example(self):
-        regions = {k: RegionData(False) for k in ANATOMICAL_KINDS}
-        regions[NodeKind.LIVER_PARENCHYMA] = RegionData(True, np.array([3.0, 5.0]), np.zeros(3))
-        rec = PatientRecord("hand", regions, np.array([1.0]), SurvivalLabel(1.0, 1),
-                            SurvivalLabel(1.0, 1))
+        rec = one_patient([[3.0, 5.0]] + [[0.0, 0.0]] * 4, [True] + [False] * 4,
+                          np.zeros((5, 3)), [1.0])
         w = ad.parameter(np.array([[1.0, 0.0], [0.0, 2.0]]))
         params = EmbeddingParams(
             weights={**{k: w for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: w,
                      NodeKind.CLINICAL: ad.parameter(np.array([[1.0, 1.0]]))},
             biases={k: ad.parameter(np.zeros((1, 2))) for k in NodeKind})
-        h0 = embed_nodes(record_to_graph(rec), params)
+        h0 = embed_nodes(rec.batch(), params)
         assert np.allclose(h0.data[0], [3.0, 10.0])
         assert np.allclose(h0.data[6], [1.0, 1.0])
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (direct_ibs, km_censor_at, pair_auc, pair_cindex,
+from oracles import (arrays, direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance, unweighted_ibs)
 from trajsurv.heads import annual_bins
 from trajsurv.metrics import (IpcwCapWarning, _later_smaller_counts, bootstrap_ci,
                               cindex_arrays, format_ci, harrell_cindex, integrated_brier,
-                              km_censoring_survival, label_arrays, mae_uncensored,
+                              km_censoring_survival, mae_uncensored,
                               time_dependent_auc)
 from trajsurv.objective import SurvivalLabel
 
@@ -82,36 +82,36 @@ class TestHarrellCindex:
 
 class TestTimeDependentAuc:
     def test_separated_case_and_control(self):
-        auc = time_dependent_auc([0.9, 0.1], [lab(1, 1), lab(5, 0)], 2.0)
+        auc = time_dependent_auc([0.9, 0.1], *arrays([lab(1, 1), lab(5, 0)]), 2.0)
         assert auc == 1.0
 
     def test_tied_scores(self):
-        auc = time_dependent_auc([0.5, 0.5], [lab(1, 1), lab(5, 0)], 2.0)
+        auc = time_dependent_auc([0.5, 0.5], *arrays([lab(1, 1), lab(5, 0)]), 2.0)
         assert auc == 0.5
 
     def test_censored_before_horizon_excluded(self):
         auc = time_dependent_auc([0.8, 0.5, 0.3],
-                                 [lab(1, 1), lab(1.5, 0), lab(3, 1)], 2.0)
+                                 *arrays([lab(1, 1), lab(1.5, 0), lab(3, 1)]), 2.0)
         assert auc == 1.0
 
     def test_missing_when_no_cases(self):
-        assert time_dependent_auc([0.5, 0.6], [lab(4, 1), lab(5, 0)], 2.0) is None
+        assert time_dependent_auc([0.5, 0.6], *arrays([lab(4, 1), lab(5, 0)]), 2.0) is None
 
     def test_missing_when_no_controls(self):
-        assert time_dependent_auc([0.5, 0.6], [lab(1, 1), lab(2, 0)], 2.0) is None
+        assert time_dependent_auc([0.5, 0.6], *arrays([lab(1, 1), lab(2, 0)]), 2.0) is None
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
-            time_dependent_auc([0.5], [lab(1, 1)], 0.0)
+            time_dependent_auc([0.5], *arrays([lab(1, 1)]), 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matching"):
-            time_dependent_auc([0.5], [lab(1, 1), lab(5, 0)], 2.0)
+            time_dependent_auc([0.5], *arrays([lab(1, 1), lab(5, 0)]), 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_score_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            time_dependent_auc([bad, 0.1], [lab(1, 1), lab(5, 0)], 2.0)
+            time_dependent_auc([bad, 0.1], *arrays([lab(1, 1), lab(5, 0)]), 2.0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(13)
@@ -119,7 +119,7 @@ class TestTimeDependentAuc:
             _, labels, _, scores, _ = random_survival_instance(rng)
             for horizon in (1.0, 3.0, 5.0):
                 expected = pair_auc(scores, labels, horizon)
-                got = time_dependent_auc(scores, labels, horizon)
+                got = time_dependent_auc(scores, *arrays(labels), horizon)
                 if expected is None:
                     assert got is None
                 else:
@@ -167,14 +167,14 @@ class TestRankMetricsEqualPairEnumeration:
         else:
             assert harrell_cindex(risks, labels) == expected
         for horizon in (1.0, 2.5, 4.0, 6.0):
-            assert time_dependent_auc(scores, labels, horizon) == \
+            assert time_dependent_auc(scores, *arrays(labels), horizon) == \
                 pair_auc(scores, labels, horizon)
 
     @settings(max_examples=150, deadline=None)
     @given(tied_cohorts())
     def test_censoring_survival(self, cohort):
         labels = cohort[0]
-        G = km_censoring_survival(labels)
+        G = km_censoring_survival(*arrays(labels))
         for t in (0.5, 1.0, 2.0, 3.5, 6.0, 7.0):
             assert G.at(t) == km_censor_at(labels, t)
             assert G.at_left(t) == km_censor_at(labels, t, left=True)
@@ -219,42 +219,43 @@ class TestRankMetricMemory:
 
     def test_auc_peak_below_limit(self):
         labels, scores = self.cohort()
-        assert self.peak_bytes(lambda: time_dependent_auc(scores, labels, 3.0)) < self.LIMIT
+        t, e = arrays(labels)
+        assert self.peak_bytes(lambda: time_dependent_auc(scores, t, e, 3.0)) < self.LIMIT
 
 
 class TestKmCensoring:
     def test_no_censoring_is_identity(self):
-        G = km_censoring_survival([lab(1, 1), lab(2, 1), lab(3, 1)])
+        G = km_censoring_survival(*arrays([lab(1, 1), lab(2, 1), lab(3, 1)]))
         for t in (0.0, 1.0, 2.5, 10.0):
             assert G.at(t) == 1.0
 
     def test_hand_table_single_censoring(self):
-        G = km_censoring_survival([lab(1, 1), lab(2, 0), lab(3, 1)])
+        G = km_censoring_survival(*arrays([lab(1, 1), lab(2, 0), lab(3, 1)]))
         assert G.at(1.9) == 1.0
         assert G.at_left(2.0) == 1.0
         assert G.at(2.0) == 0.5
         assert G.at(5.0) == 0.5
 
     def test_hand_table_two_censorings(self):
-        G = km_censoring_survival([lab(1, 0), lab(2, 0)])
+        G = km_censoring_survival(*arrays([lab(1, 0), lab(2, 0)]))
         assert G.at(0.5) == 1.0
         assert G.at(1.0) == 0.5
         assert G.at(2.0) == 0.0
 
     def test_tie_uses_full_at_risk_set(self):
         # Event and censoring at the same instant: both still at risk there.
-        G = km_censoring_survival([lab(2, 1), lab(2, 0), lab(3, 1)])
+        G = km_censoring_survival(*arrays([lab(2, 1), lab(2, 0), lab(3, 1)]))
         assert G.at(2.0) == pytest.approx(2.0 / 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            km_censoring_survival([])
+            km_censoring_survival(*arrays([]))
 
     def test_matches_product_recursion_oracle(self):
         rng = np.random.default_rng(14)
         for _ in range(60):
             _, labels, _, _, _ = random_survival_instance(rng)
-            G = km_censoring_survival(labels)
+            G = km_censoring_survival(*arrays(labels))
             for t in (0.0, 0.5, 1.0, 2.5, 3.0, 6.0, 9.0):
                 assert G.at(t) == pytest.approx(km_censor_at(labels, t), abs=1e-12)
                 assert G.at_left(t) == pytest.approx(
@@ -272,13 +273,13 @@ class TestIntegratedBrier:
     def test_perfect_oracle_scores_zero(self):
         labels = [lab(1, 1), lab(3, 1), lab(5, 1)]
         curves = np.stack([self.step_curve(1), self.step_curve(3), self.step_curve(5)])
-        ibs = integrated_brier(curves, labels, self.BINS, tau=6.0)
+        ibs = integrated_brier(curves, *arrays(labels), self.BINS, tau=6.0)
         assert ibs == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_half_single_event(self):
         labels = [lab(2.0, 1)]
         curves = np.full((1, self.BINS.count), 0.5)
-        ibs = integrated_brier(curves, labels, self.BINS, tau=4.0)
+        ibs = integrated_brier(curves, *arrays(labels), self.BINS, tau=4.0)
         assert ibs == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
@@ -288,7 +289,7 @@ class TestIntegratedBrier:
             tau = float(min(5.0, bins.horizon))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IpcwCapWarning)
-                got = integrated_brier(curves, labels, bins, tau)
+                got = integrated_brier(curves, *arrays(labels), bins, tau)
             assert got == pytest.approx(direct_ibs(curves, labels, bins, tau),
                                         abs=1e-12)
 
@@ -298,7 +299,7 @@ class TestIntegratedBrier:
             bins, labels, _, _, curves = random_survival_instance(rng)
             labels = [lab(l.time, 1) for l in labels]
             tau = float(min(5.0, bins.horizon))
-            got = integrated_brier(curves, labels, bins, tau)
+            got = integrated_brier(curves, *arrays(labels), bins, tau)
             assert got == pytest.approx(unweighted_ibs(curves, labels, bins, tau),
                                         abs=1e-12)
 
@@ -306,31 +307,31 @@ class TestIntegratedBrier:
         labels = [lab(1, 1), lab(2, 0)]
         curves = np.full((len(labels), self.BINS.count), 0.5)
         with pytest.warns(IpcwCapWarning):
-            val = integrated_brier(curves, labels, self.BINS, tau=4.0)
+            val = integrated_brier(curves, *arrays(labels), self.BINS, tau=4.0)
         assert np.isfinite(val)
 
     def test_tau_validation(self):
         labels = [lab(1, 1)]
         curves = np.full((1, self.BINS.count), 0.5)
         with pytest.raises(ValueError):
-            integrated_brier(curves, labels, self.BINS, tau=0.0)
+            integrated_brier(curves, *arrays(labels), self.BINS, tau=0.0)
         with pytest.raises(ValueError):
-            integrated_brier(curves, labels, self.BINS, tau=7.0)
+            integrated_brier(curves, *arrays(labels), self.BINS, tau=7.0)
 
 
 class TestMae:
     def test_hand_example(self):
-        assert mae_uncensored([2.0, 3.0], [lab(1, 1), lab(3, 1)]) == 0.5
+        assert mae_uncensored([2.0, 3.0], *arrays([lab(1, 1), lab(3, 1)])) == 0.5
 
     def test_all_censored_is_missing(self):
-        assert mae_uncensored([2.0], [lab(1, 0)]) is None
+        assert mae_uncensored([2.0], *arrays([lab(1, 0)])) is None
 
     def test_censored_excluded(self):
-        assert mae_uncensored([2.0, 99.0], [lab(1, 1), lab(5, 0)]) == 1.0
+        assert mae_uncensored([2.0, 99.0], *arrays([lab(1, 1), lab(5, 0)])) == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mae_uncensored([1.0], [lab(1, 1), lab(2, 1)])
+            mae_uncensored([1.0], *arrays([lab(1, 1), lab(2, 1)]))
 
 
 class TestBootstrap:
@@ -375,7 +376,7 @@ class TestBootstrap:
         as resampling (risk, label) items, so the interval is bit-identical."""
         _, labels, risks, _, _ = random_survival_instance(np.random.default_rng(9), 40)
         items = list(zip(risks.tolist(), labels))
-        t, e = label_arrays(labels)
+        t, e = arrays(labels)
         by_items = bootstrap_ci(
             lambda sample: harrell_cindex([r for r, _ in sample], [l for _, l in sample]),
             items, b=200, level=0.9, seed=21)

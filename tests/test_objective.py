@@ -65,7 +65,7 @@ def test_label_bins_match_label_to_bin():
     labels = [SurvivalLabel(float(t), int(e)) for t, e in
               zip(np.concatenate([rng.uniform(0, 9, 40), bins.edges]),
                   rng.integers(0, 2, 45))]
-    rows = label_bins(labels, bins)
+    rows = label_bins([lab.time for lab in labels], [lab.event for lab in labels], bins)
     assert rows.shape == (45, 2)
     assert rows[:, 0].tolist() == [label_to_bin(lab.time, bins) for lab in labels]
     assert rows[:, 1].tolist() == [lab.event for lab in labels]
@@ -90,16 +90,16 @@ class TestDiscreteNll:
         return ad.constant(x)
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), label_bins([SurvivalLabel(0.2, 1)], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), label_bins([0.2], [1], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), label_bins([SurvivalLabel(0.2, 0)], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), label_bins([0.2], [0], BINS), BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
         loss = discrete_nll(self.logits([LOGIT_FIFTH, 0.0]),
-                            label_bins([SurvivalLabel(1.5, 1)], BINS), BINS)
+                            label_bins([1.5], [1], BINS), BINS)
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
@@ -109,7 +109,7 @@ class TestDiscreteNll:
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
             loss = discrete_nll(ad.constant(x.reshape(1, -1)),
-                                label_bins([SurvivalLabel(time, event)], BINS), BINS)
+                                label_bins([time], [event], BINS), BINS)
             assert loss.item() == pytest.approx(numpy_nll(x, time, event, BINS),
                                                 abs=1e-12)
 
@@ -118,7 +118,7 @@ class TestDiscreteNll:
         # event in bin 0 costs its whole logit.
         x = np.full((1, BINS.count), -700.0)
         x[0, 0] = 700.0
-        loss = discrete_nll(ad.constant(x), label_bins([SurvivalLabel(1.5, 0)], BINS), BINS)
+        loss = discrete_nll(ad.constant(x), label_bins([1.5], [0], BINS), BINS)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(700.0, rel=1e-12)
 
@@ -130,10 +130,10 @@ class TestDiscreteNll:
         # for is saturated the wrong way, ln(1 + e^-size) otherwise.
         signs = np.where(np.arange(BINS.count) % 2 == 0, 1.0, -1.0)
         x = ad.parameter(size * signs[None, :])
-        labels = [SurvivalLabel(5.5, 1), SurvivalLabel(4.5, 0)]
+        labels = [(5.5, 1), (4.5, 0)]
         wrong_way = (4, 3)     # bins 0, 2, 4 survived at +size; the event adds bin 5 at -size
-        for label, wrong in zip(labels, wrong_way):
-            rows = label_bins([label], BINS)
+        for (time, event), wrong in zip(labels, wrong_way):
+            rows = label_bins([time], [event], BINS)
             loss = discrete_nll(x, rows, BINS)
             reached = rows[0, 0] + 1
             expected = wrong * size + reached * np.log1p(np.exp(-size))
@@ -146,12 +146,12 @@ class TestDiscreteNll:
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            discrete_nll(ad.constant(np.zeros((1, 3))), label_bins([SurvivalLabel(1.0, 1)], BINS),
+            discrete_nll(ad.constant(np.zeros((1, 3))), label_bins([1.0], [1], BINS),
                          BINS)
 
     def test_gradient_signs_push_toward_event_bin(self):
         x = ad.parameter(np.full((1, BINS.count), np.log(0.4 / 0.6)))
-        loss = discrete_nll(x, label_bins([SurvivalLabel(2.5, 1)], BINS), BINS)  # event in bin 2
+        loss = discrete_nll(x, label_bins([2.5], [1], BINS), BINS)  # event in bin 2
         g = ad.backward(loss, params=[x])[x].data[0]
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
@@ -159,7 +159,7 @@ class TestDiscreteNll:
 
     def test_gradient_matches_finite_differences(self):
         x = ad.parameter(np.random.default_rng(1).uniform(-2.0, 2.0, size=(1, BINS.count)))
-        labels = label_bins([SurvivalLabel(3.5, 1)], BINS)
+        labels = label_bins([3.5], [1], BINS)
         err = ad.grad_check(lambda: discrete_nll(x, labels, BINS), [x])
         assert err <= 1e-4
 
@@ -168,13 +168,13 @@ class TestCombinedLoss:
     """The training loss is alpha * OS NLL + beta * DFS NLL."""
 
     def parts(self, weights):
-        model, _, data = toy_setup()
+        model, cohort = toy_setup()
         bins = model.config.bins()
-        batch = data.batch()
+        batch, labels = cohort.batch(), cohort.label_bins(bins)
         logits = model.forward(batch)
-        os_nll = discrete_nll(logits["os"], data.labels["os"], bins).item()
-        dfs_nll = discrete_nll(logits["dfs"], data.labels["dfs"], bins).item()
-        return _mean_loss(model, batch, data.labels, bins, weights).item(), os_nll, dfs_nll
+        os_nll = discrete_nll(logits["os"], labels["os"], bins).item()
+        dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins).item()
+        return _mean_loss(model, batch, labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
         loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))
@@ -195,24 +195,23 @@ class TestBatchMean:
     def test_mean_of_scalars(self):
         x = np.zeros((3, BINS.count))
         x[2, 0] = LOGIT_FIFTH
-        labels = [SurvivalLabel(0.2, 1), SurvivalLabel(0.2, 0), SurvivalLabel(1.5, 1)]
-        loss = discrete_nll(ad.constant(x), label_bins(labels, BINS), BINS)
+        loss = discrete_nll(ad.constant(x), label_bins([0.2, 0.2, 1.5], [1, 0, 1], BINS), BINS)
         expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
     def test_equals_mean_of_per_patient_losses(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-5.0, 5.0, size=(16, BINS.count))
-        labels = [SurvivalLabel(rng.uniform(0, 14), int(rng.integers(0, 2)))
-                  for _ in range(16)]
-        out = discrete_nll(ad.constant(x), label_bins(labels, BINS), BINS)
-        per = [discrete_nll(ad.constant(row[None, :]), label_bins([lab], BINS), BINS).item()
-               for row, lab in zip(x, labels)]
+        labels = [(rng.uniform(0, 14), int(rng.integers(0, 2))) for _ in range(16)]
+        time, event = zip(*labels)
+        out = discrete_nll(ad.constant(x), label_bins(time, event, BINS), BINS)
+        per = [discrete_nll(ad.constant(row[None, :]), label_bins([t], [e], BINS), BINS).item()
+               for row, (t, e) in zip(x, labels)]
         assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            discrete_nll(ad.constant(np.zeros((0, BINS.count))), label_bins([], BINS), BINS)
+            discrete_nll(ad.constant(np.zeros((0, BINS.count))), label_bins([], [], BINS), BINS)
 
 
 class TestAdamW:

@@ -1,14 +1,12 @@
 """Training loop behavior and the one-batch / per-patient loss agreement."""
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.cohort import (RegionData, Scenario, cohort_arrays, record_to_graph,
-                             simulate_cohort)
+from trajsurv.cohort import Scenario, make_cohort, record_to_graph, simulate_cohort
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, snapshot_parameters
@@ -30,14 +28,14 @@ def small_model(backbone="graphsage", seed=0, **overrides):
 
 
 def small_items(n=6, seed=0, drop_region=True):
-    records, _ = simulate_cohort(max(n, 10), seed=seed, scenario=SCENARIO)
-    records = list(records[:n])
+    cohort, _ = simulate_cohort(max(n, 10), seed=seed, scenario=SCENARIO)
+    cohort = cohort[:n]
     if drop_region:
-        # One patient with a missing region exercises padding rows in the batch.
-        trimmed = dict(records[0].regions)
-        trimmed[NodeKind.METASTATIC_TUMORS] = RegionData(False)
-        records[0] = dataclasses.replace(records[0], regions=trimmed)
-    return records, [(record_to_graph(r), r.dfs, r.os) for r in records]
+        # One patient without its tumour region exercises padding rows in the batch.
+        present = cohort.present.copy()
+        present[0, -1] = False
+        cohort = cohort.with_presence(present)
+    return cohort, [(record_to_graph(r), r.dfs, r.os) for r in cohort]
 
 
 VARIANTS = {
@@ -48,9 +46,8 @@ VARIANTS = {
 }
 
 
-def batch_loss(model, records, bins, weights):
-    data = cohort_arrays(records, bins)
-    return _mean_loss(model, data.batch(), data.labels, bins, weights)
+def batch_loss(model, cohort, bins, weights):
+    return _mean_loss(model, cohort.batch(), cohort.label_bins(bins), bins, weights)
 
 
 class TestBatchedAgreement:
@@ -60,13 +57,13 @@ class TestBatchedAgreement:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_loss_and_gradients_match_per_patient_route(self, backbone, variant):
         config, model = small_model(backbone, **VARIANTS[variant])
-        records, items = small_items()
+        cohort, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
         params = model.named_parameters()
         leaves = [p for _, p in params]
 
-        stacked = batch_loss(model, records, bins, weights)
+        stacked = batch_loss(model, cohort, bins, weights)
         gs = ad.backward(stacked, params=leaves)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
@@ -79,20 +76,20 @@ class TestBatchedAgreement:
 
     def test_unequal_task_weights_also_match(self):
         config, model = small_model("gcn")
-        records, items = small_items(n=4, seed=2)
+        cohort, items = small_items(n=4, seed=2)
         bins = config.bins()
         weights = LossWeights(0.3, 1.7)
-        stacked = batch_loss(model, records, bins, weights)
+        stacked = batch_loss(model, cohort, bins, weights)
         looped = np.mean([patient_loss(model, g, d, o, bins, weights).item()
                           for g, d, o in items])
         assert stacked.item() == pytest.approx(looped, abs=1e-12)
 
     def test_single_patient_batch(self):
         config, model = small_model()
-        records, items = small_items(n=1, drop_region=False)
+        cohort, items = small_items(n=1, drop_region=False)
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = batch_loss(model, records, bins, weights)
+        stacked = batch_loss(model, cohort, bins, weights)
         g, dfs, os_label = items[0]
         looped = patient_loss(model, g, dfs, os_label, bins, weights)
         assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
@@ -100,21 +97,20 @@ class TestBatchedAgreement:
 
 @pytest.mark.parametrize("backbone", BACKBONES)
 def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
-    # Values in a missing region's slots, written into the record and into the
-    # arrays, change nothing: its row is zero in every operator and the readout.
+    # Values in a missing region's slots, given to `make_cohort` and written
+    # into the arrays, change nothing: its row is zero in every operator and
+    # the readout.
     config, model = small_model(backbone)
-    records, _ = small_items(n=4)
+    cohort, _ = small_items(n=4)
     rng = np.random.default_rng(5)
-    noisy = list(records)
-    for i, kinds in ((0, ()), (2, (NodeKind.LIVER_PARENCHYMA, NodeKind.PORTAL_VEINS))):
-        regions = dict(records[i].regions)
-        regions.update({k: RegionData(False) for k in kinds})
-        records[i] = dataclasses.replace(records[i], regions=regions)
-        noisy[i] = dataclasses.replace(records[i], regions={
-            k: r if r.present else RegionData(False, rng.normal(size=4), rng.normal(size=3) * 1e3)
-            for k, r in regions.items()})
+    present = cohort.present.copy()
+    present[2, [0, 3]] = False    # the liver and the portal veins
+
+    def noisy(x, scale):
+        return np.where(present[:, :, None], x, rng.normal(size=x.shape) * scale)
     bins = config.bins()
-    dirty = cohort_arrays(noisy, bins)
+    dirty = make_cohort(cohort.ids, noisy(cohort.regions, 1.0), present,
+                        noisy(cohort.centroids, 1e3), cohort.clinical, cohort.time, cohort.event)
     missing = ~dirty.present
     assert missing.sum() == 3
     dirty.regions[missing] = rng.normal(size=(3, 4))
@@ -123,13 +119,13 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
 
     def run(data):
         batch = data.batch()
-        loss = _mean_loss(model, batch, data.labels, bins, LossWeights(1.0, 1.0))
+        loss = _mean_loss(model, batch, data.label_bins(bins), bins, LossWeights(1.0, 1.0))
         grads = ad.backward(loss, params=leaves)
         curves = model.predict_curves(batch)
         return ([loss.data] + [grads[p].data for p in leaves]
                 + [curves[task][0] for task in ("dfs", "os")])
 
-    for got, want in zip(run(dirty), run(cohort_arrays(records, bins))):
+    for got, want in zip(run(dirty), run(cohort.with_presence(present))):
         assert np.array_equal(got, want)
 
 
@@ -142,9 +138,9 @@ def quick_settings(**overrides):
 
 class TestTrainModel:
     def cohort(self, n=20, seed=1):
-        records, _ = simulate_cohort(n, seed=seed, scenario=SCENARIO)
+        cohort, _ = simulate_cohort(n, seed=seed, scenario=SCENARIO)
         cut = int(0.7 * n)
-        return list(records[:cut]), list(records[cut:])
+        return cohort[:cut], cohort[cut:]
 
     def test_loss_decreases_on_learnable_cohort(self):
         train, val = self.cohort()
@@ -208,9 +204,9 @@ class TestTrainModel:
         train, val = self.cohort()
         _, model = small_model()
         with pytest.raises(ValueError, match="nonempty"):
-            train_model(model, [], val, quick_settings())
+            train_model(model, train[:0], val, quick_settings())
         with pytest.raises(ValueError, match="nonempty"):
-            train_model(model, train, [], quick_settings())
+            train_model(model, train, val[:0], quick_settings())
 
     def test_same_seed_bitwise_reproducible(self):
         train, val = self.cohort()
