@@ -176,10 +176,11 @@ def concat_cols(*tensors: Tensor) -> Tensor:
                         "concat-cols", tuple(tensors), widths)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) never overflows; each branch is the stable form on its side.
-    e = np.exp(-np.abs(a.data))
-    return Tensor._node(np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), "sigmoid", (a,))
+def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
+    """The entries of `a` in row-major order as a rows x cols matrix."""
+    if rows * cols != a.data.size:
+        raise ShapeMismatchError("reshape", a.shape, (rows, cols))
+    return Tensor._node(a.data.reshape(rows, cols), "reshape", (a,))
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -359,9 +360,8 @@ def _bw_concat_cols(node, g):
     return tuple(out)
 
 
-def _bw_sigmoid(node, g):
-    y = node.data
-    return (g * y * (1.0 - y),)
+def _bw_reshape(node, g):
+    return (g.reshape(node.parents[0].shape),)
 
 
 def _bw_log_sigmoid(node, g):
@@ -418,8 +418,12 @@ def _bw_lstm(node, g):
         dc_next = dc * a[1]
         if t:
             dh = dh_out + np.matmul(dat, w_h_t).sum(axis=0)
-    dw_x = np.matmul(z.transpose(0, 2, 1)[:, None], da).sum(axis=0)
-    dw_h = np.matmul(hidden[:-1].transpose(0, 2, 1)[:, None], da).sum(axis=0)
+    # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
+    # products, which would hold T copies of the weights at once.
+    dw_x, dw_h = np.matmul(z[0].T, da[0]), np.matmul(hidden[0].T, da[0])
+    for t in range(1, steps):
+        dw_x += np.matmul(z[t].T, da[t])
+        dw_h += np.matmul(hidden[t].T, da[t])
     db = da.sum(axis=(0, 2))
     snapshots = node.parents[:steps]
     if any(s.requires_grad for s in snapshots):
@@ -440,7 +444,7 @@ _BACKWARD: dict[str, Callable] = {
     "mul": _bw_mul,
     "negate": _bw_negate,
     "concat-cols": _bw_concat_cols,
-    "sigmoid": _bw_sigmoid,
+    "reshape": _bw_reshape,
     "log-sigmoid": _bw_log_sigmoid,
     "tanh": _bw_tanh,
     "relu": _bw_relu,

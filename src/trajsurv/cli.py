@@ -90,7 +90,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cohort, groups = simulate_cohort(sim.n, seed, sim.scenario())
     out = cfg.paths.output_dir
     os.makedirs(out, exist_ok=True)
-    save_cohort(cohort, os.path.join(out, "cohort.json"), sim.region_len, sim.clinical_len)
+    save_cohort(cohort, os.path.join(out, "cohort.json"))
     with open(os.path.join(out, "truth.json"), "w") as fh:
         json.dump({"seed": seed, "groups": groups.tolist(),
                    "scenario": dataclasses.asdict(sim.scenario())}, fh, indent=1)

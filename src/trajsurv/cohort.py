@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, GraphBatch, NodeKind,
-                    star_batch)
+from .graph import ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, NodeKind
 from .heads import TimeBins
 from .metrics import cindex_arrays
 from .objective import SurvivalLabel, label_bins
@@ -90,11 +89,6 @@ class CohortArrays:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def batch(self) -> GraphBatch:
-        """All these patients as one batch."""
-        return star_batch(self.regions, self.present, self.offsets, self.global_features,
-                          self.clinical)
-
     def label_bins(self, bins: TimeBins) -> dict[str, np.ndarray]:
         """Each task's (n, 2) bin and event rows (`objective.label_bins`)."""
         return {task: label_bins(self.time[task], self.event[task], bins) for task in _TASKS}
@@ -125,9 +119,9 @@ def make_cohort(ids, regions: np.ndarray, present: np.ndarray, centroids: np.nda
                         time, event)
 
 
-def record_to_graph(record: PatientRecord) -> GraphBatch:
-    """The patient's graph: a batch of one."""
-    return record.row.batch()
+def record_to_graph(record: PatientRecord) -> CohortArrays:
+    """The patient's graph: its one-patient cohort, which the model reads."""
+    return record.row
 
 
 def _require(cond: bool, msg: str):
@@ -289,16 +283,23 @@ def load_cohort(path) -> CohortArrays:
     return make_cohort(ids, regions, present, region_centroids, clinical, time, event)
 
 
-def save_cohort(cohort: CohortArrays, path, region_len: int, clinical_len: int) -> None:
+def save_cohort(cohort: CohortArrays, path, region_len: int | None = None,
+                clinical_len: int | None = None) -> None:
     """Write `cohort` as one JSON document with one patient per line.
 
-    Each line is encoded on its own with default separators, which json's C
-    encoder handles (with `indent` it falls back to pure Python), and is
-    written as soon as it is encoded, so the whole text is never in memory.
+    The feature widths in the header are the arrays'; `region_len` or
+    `clinical_len`, if given, must equal them (ValueError otherwise, before
+    the file is opened). Each line is encoded on its own with default
+    separators, which json's C encoder handles (with `indent` it falls back
+    to pure Python), and is written as soon as it is encoded, so the whole
+    text is never in memory.
     """
-    head = json.dumps({"schema_version": SCHEMA_VERSION,
-                       "feature_schema": {"region_len": region_len,
-                                          "clinical_len": clinical_len},
+    schema = {"region_len": cohort.regions.shape[2], "clinical_len": cohort.clinical.shape[1]}
+    for name, width in (("region_len", region_len), ("clinical_len", clinical_len)):
+        if width is not None and width != schema[name]:
+            raise ValueError(f"{name} is {width}, but the cohort's features have width "
+                             f"{schema[name]}")
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "feature_schema": schema,
                        "patients": []})
     regions, centroids = cohort.regions.tolist(), cohort.centroids.tolist()
     present, clinical = cohort.present.tolist(), cohort.clinical.tolist()

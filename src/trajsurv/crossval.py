@@ -146,7 +146,7 @@ class _FoldPrediction:
 def _predict_fold(model: FullModel, cohort: CohortArrays, bins: TimeBins,
                   horizons, chunk: int) -> _FoldPrediction:
     """Score `cohort` in forward passes of `chunk` patients, then as arrays."""
-    parts = [model.predict_curves(cohort.take(slice(start, start + chunk)).batch())
+    parts = [model.predict_curves(cohort.take(slice(start, start + chunk)))
              for start in range(0, len(cohort), chunk)]
     cols = bins.index(horizons)   # step interpolation: the bin containing each horizon
     tasks = {}
@@ -196,8 +196,7 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 def _cascade_grad_check(model: FullModel, cohort: CohortArrays, bins: TimeBins) -> bool:
     """True iff the OS loss of `cohort` sends exactly zero gradient to the
     context weights."""
-    os_loss = discrete_nll(model.forward(cohort.batch())["os"], cohort.label_bins(bins)["os"],
-                           bins)
+    os_loss = discrete_nll(model.forward(cohort)["os"], cohort.label_bins(bins)["os"], bins)
     grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
     return all(np.all(grads[p].data == 0.0) for p in (model.heads.w_ctx, model.heads.b_ctx))
 

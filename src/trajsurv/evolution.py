@@ -7,13 +7,13 @@ linear output projection, and adds it residually (so zero weights leave the
 state untouched). The mean-pooled state after each update is one snapshot of
 the patient's latent trajectory.
 
-Everything runs on a `GraphBatch` of B patients in the 7-slot star layout
+Everything runs on a cohort slice of B patients in the 7-slot star layout
 (see `graph.py`): node states are one matrix with 7 rows per patient, and
 every neighbour mean, normalised adjacency, per-arc gather and per-target
 sum is a stack of B per-patient dense blocks applied with `spmm`, one
-batched matmul. This module builds each backbone's blocks from the slots in
-use and one star template. `evolve` returns the snapshots as a plain list of
-T tensors, each with one row per patient.
+batched matmul. `adjacency` builds each backbone's blocks from the slots in
+use and one star template, once per forward. `evolve` returns the snapshots
+as a plain list of T tensors, each with one row per patient.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -43,14 +43,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Blocks, Tensor
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
-                    GraphBatch)
+                    slots_in_use)
+
+if TYPE_CHECKING:
+    from .cohort import CohortArrays
 
 BACKBONES = ("graphsage", "gcn", "gat")
 
@@ -67,10 +70,11 @@ def _bias(fan_out: int, name: str) -> Tensor:
 
 @lru_cache(maxsize=None)
 def _row_selector(start: int, stop: int, total: int) -> Blocks:
-    # A selector is an immutable constant, so one per shape serves every model.
+    # One immutable selector per shape serves every model. It is built at its
+    # own size: a slice of np.eye(total) would keep all of np.eye cached.
     if not 0 <= start < stop <= total:
         raise ad.ShapeMismatchError("rows", (start, stop), total)
-    return Blocks(np.eye(total)[None, start:stop])
+    return Blocks(np.eye(stop - start, total, start)[None])
 
 
 def rows_of(x: Tensor, start: int, stop: int) -> Tensor:
@@ -157,16 +161,16 @@ _ARC_DST = np.array([(k, k, GLOBAL_SLOT, CLINICAL_SLOT) for k in range(_REGIONS)
 _STAR = np.eye(SLOTS)[_ARC_DST].T @ np.eye(SLOTS)[_ARC_SRC]
 
 
-def _arcs(batch: GraphBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arcs(cohort: CohortArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per patient, the (20, 7) target and source gathers of the arcs and
     their (20, 3) attributes; the arcs of a missing region are zero rows."""
-    used = batch.slots[:, _ARC_REGION].astype(np.float64)[:, :, None]
-    attr = used * _ARC_SIGN[:, None] * batch.offsets[:, _ARC_REGION]
+    used = cohort.present[:, _ARC_REGION].astype(np.float64)[:, :, None]
+    attr = used * _ARC_SIGN[:, None] * cohort.offsets[:, _ARC_REGION]
     return used * np.eye(SLOTS)[_ARC_DST], used * np.eye(SLOTS)[_ARC_SRC], attr
 
 
-def adjacency(batch: GraphBatch, backbone: str) -> dict:
-    """The backbone's constant blocks for this batch, built on first use.
+def adjacency(cohort: CohortArrays, backbone: str) -> dict:
+    """The backbone's constant blocks for a cohort slice.
 
     graphsage: `mean` (B, 7, 7) averages in-neighbours (1/in-degree per arc)
     and `attr_mean` is the matching mean of arc attributes. gcn: `norm`
@@ -176,40 +180,36 @@ def adjacency(batch: GraphBatch, backbone: str) -> dict:
     `no_arcs` is 1 on rows without in-arcs. Every block is zero in the rows
     and columns of a missing region, so its neighbour term is zero.
     """
-    ops = batch.operators.get(backbone)
-    if ops is not None:
-        return ops
-    used = batch.slots[:, :, None] & batch.slots[:, None, :]
+    slots = slots_in_use(cohort.present)
+    used = slots[:, :, None] & slots[:, None, :]
     if backbone == "graphsage":
-        at_dst, _, attr = _arcs(batch)
+        at_dst, _, attr = _arcs(cohort)
         adj = _STAR * used
         deg = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
         attr_sum = np.matmul(at_dst.transpose(0, 2, 1), attr)
-        ops = {"mean": Blocks(adj / deg),
-               "attr_mean": ad.constant((attr_sum / deg).reshape(-1, EDGE_ATTR_DIM))}
+        return {"mean": Blocks(adj / deg),
+                "attr_mean": ad.constant((attr_sum / deg).reshape(-1, EDGE_ATTR_DIM))}
     elif backbone == "gcn":
         adj = (_STAR + np.eye(SLOTS)) * used
         inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
-        ops = {"norm": Blocks(inv_sqrt[:, :, None] * adj * inv_sqrt[:, None, :])}
+        return {"norm": Blocks(inv_sqrt[:, :, None] * adj * inv_sqrt[:, None, :])}
     else:
-        at_dst, at_src, attr = _arcs(batch)
+        at_dst, at_src, attr = _arcs(cohort)
         gather = Blocks(at_dst)
-        ops = {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
-               "attr": ad.constant(attr.reshape(-1, EDGE_ATTR_DIM)),
-               "no_arcs": ad.constant((~batch.slots).astype(np.float64).reshape(-1, 1))}
-    batch.operators[backbone] = ops
-    return ops
+        return {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
+                "attr": ad.constant(attr.reshape(-1, EDGE_ATTR_DIM)),
+                "no_arcs": ad.constant((~slots).astype(np.float64).reshape(-1, 1))}
 
 
-def segment_softmax(scores: Tensor, batch: GraphBatch) -> Tensor:
+def segment_softmax(scores: Tensor, ops: dict) -> Tensor:
     """Softmax of per-arc scores (B 20 x 1) over the in-arcs of each target.
 
     The per-target maximum is subtracted as a constant, so exp never
     overflows; the weights are exp(shifted - log(per-target sum of exp)).
-    The arc slots of a missing region are shifted by their own score.
+    The arc slots of a missing region are shifted by their own score. `ops`
+    are gat's blocks from `adjacency`.
     """
-    ops = adjacency(batch, "gat")
-    per_arc = scores.data.reshape(batch.size, -1)
+    per_arc = scores.data.reshape(ops["at_dst"].blocks.shape[0], -1)
     in_arcs = ops["at_dst"].blocks > 0.0
     top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
     shift = np.where(in_arcs.any(axis=2), top[:, _ARC_DST], per_arc)
@@ -218,9 +218,8 @@ def segment_softmax(scores: Tensor, batch: GraphBatch) -> Tensor:
     return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
 
 
-def _attention(batch: GraphBatch, params: EvolutionParams, w_na: Tensor) -> Callable:
+def _attention(ops: dict, params: EvolutionParams, w_na: Tensor) -> Callable:
     """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
-    ops = adjacency(batch, "gat")
     u_dh, u_dt, u_sh, u_st, u_a = params.blocks("attn_u")
     score_rows = ad.matmul(params.time_table, ad.add(u_dt, u_st))
     score_arcs = ad.add(ad.matmul(ops["attr"], u_a), params.attn_b)
@@ -231,21 +230,23 @@ def _attention(batch: GraphBatch, params: EvolutionParams, w_na: Tensor) -> Call
         dst = ad.spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
         src = ad.spmm(ops["at_src"], ad.matmul(h, u_sh))
         hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
-        alpha = segment_softmax(ad.matmul(hidden, params.attn_v), batch)
+        alpha = segment_softmax(ad.matmul(hidden, params.attn_v), ops)
         msgs = ad.add(ad.spmm(ops["at_src"], x_n), msg_arcs)
         return ad.spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
 
     return neighbours
 
 
-def residual_update(batch: GraphBatch, params: EvolutionParams,
+def residual_update(cohort: CohortArrays, params: EvolutionParams,
                     ) -> Callable[[Tensor, int], Tensor]:
-    """dH of step t as a function of (H, t); terms without H are built here, once."""
+    """dH of step t as a function of (H, t); the blocks and the terms without
+    H are built here, once."""
     e = params.time_table
+    ops = adjacency(cohort, params.backbone)
     w_sh, w_st = params.blocks("w_self")
     self_rows = ad.matmul(e, w_st)
     if params.backbone == "gcn":
-        norm = adjacency(batch, "gcn")["norm"]
+        norm = ops["norm"]
 
         def pre(h: Tensor, t: int) -> Tensor:
             own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
@@ -254,14 +255,13 @@ def residual_update(batch: GraphBatch, params: EvolutionParams,
         w_nh, w_nt, w_na = params.blocks("w_neigh")
         neigh_rows = ad.matmul(e, w_nt)
         if params.backbone == "graphsage":
-            ops = adjacency(batch, "graphsage")
             fixed = ad.add(ad.matmul(ops["attr_mean"], w_na), params.b_msg)
 
             def neighbours(h: Tensor, x_n: Tensor, t: int) -> Tensor:
                 return ad.spmm(ops["mean"], x_n)
         else:
             fixed = params.b_msg
-            neighbours = _attention(batch, params, w_na)
+            neighbours = _attention(ops, params, w_na)
 
         def pre(h: Tensor, t: int) -> Tensor:
             x_n = ad.add(ad.matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
@@ -274,6 +274,12 @@ def residual_update(batch: GraphBatch, params: EvolutionParams,
     return update
 
 
+def mean_pool(present: np.ndarray) -> Blocks:
+    """Per patient, the (1, 7) block averaging its rows in use."""
+    slots = slots_in_use(present)
+    return Blocks((slots / slots.sum(axis=1, keepdims=True))[:, None, :])
+
+
 def readout(h: Tensor, pool: Blocks) -> Tensor:
     """Patient-level snapshots: per patient, the column-wise mean of its rows in use."""
     if h.rows == 0:
@@ -281,7 +287,7 @@ def readout(h: Tensor, pool: Blocks) -> Tensor:
     return ad.spmm(pool, h)
 
 
-def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams,
+def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
            horizon: int) -> list[Tensor]:
     """Roll the residual operator forward `horizon` steps from H0; the
     snapshots z_0..z_{T-1}, each the readout taken after one update."""
@@ -290,12 +296,13 @@ def evolve(h0: Tensor, batch: GraphBatch, params: EvolutionParams,
     if horizon > params.time_table.rows:
         raise IndexError(f"horizon {horizon} exceeds time table with "
                          f"{params.time_table.rows} rows")
-    update = residual_update(batch, params)
+    update = residual_update(cohort, params)
+    pool = mean_pool(cohort.present)
     h = h0
     snapshots: list[Tensor] = []
     for t in range(horizon):
         h = ad.add(h, update(h, t))
         if not np.isfinite(h.data).all():
             raise ad.NonFiniteError(f"node states diverged at evolution step {t}")
-        snapshots.append(readout(h, batch.pool))
+        snapshots.append(readout(h, pool))
     return snapshots

@@ -1,9 +1,10 @@
 """Full prognostic model: embedding -> evolution -> integrator -> heads.
 
-The forward pass runs a `GraphBatch` of patients in the 7-slot layout on
-one tape and hands each stage a plain value: the node states H0, the list of
-T snapshot tensors, the summary h*, and the logits keyed by task. Every
-output has one row per patient, and one patient is simply a batch of one.
+The forward pass reads a cohort slice (`cohort.CohortArrays`) as it is and
+runs it on one tape, handing each stage a plain value: the node states H0
+in the 7-slot layout, the list of T snapshot tensors, the summary h*, and
+the logits keyed by task. Every output has one row per patient, and one
+patient is simply a slice of one.
 """
 
 from __future__ import annotations
@@ -14,17 +15,20 @@ import sys
 import zipfile
 from dataclasses import dataclass
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evolution import BACKBONES, EvolutionParams, evolve, init_evolution
-from .graph import EmbeddingParams, GraphBatch, NodeKind, embed_nodes, init_embedding
+from .graph import EmbeddingParams, NodeKind, embed_nodes, init_embedding
 from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
                     init_heads, os_head, survival_from_hazards)
 from .trajectory import LstmParams, init_lstm, integrate, integrate_mean
+
+if TYPE_CHECKING:
+    from .cohort import CohortArrays
 
 INTEGRATORS = ("lstm", "mean")
 
@@ -113,11 +117,11 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, batch: GraphBatch) -> dict[str, Tensor]:
-        """The batch's (B, K) logits per task, keyed like `labels`."""
+    def forward(self, cohort: CohortArrays) -> dict[str, Tensor]:
+        """The slice's (B, K) logits per task, keyed like `labels`."""
         cfg = self.config
-        h0 = embed_nodes(batch, self.embedding)
-        snapshots = evolve(h0, batch, self.evolution, cfg.horizon)
+        h0 = embed_nodes(cohort, self.embedding)
+        snapshots = evolve(h0, cohort, self.evolution, cfg.horizon)
         if cfg.integrator == "lstm":
             h_star = integrate(snapshots, self.lstm)
         else:
@@ -126,10 +130,10 @@ class FullModel:
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
         return {"dfs": dfs_logits, "os": os_logits}
 
-    def predict_curves(self, batch: GraphBatch) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per task, the batch's (B, K) hazards and survival, checked once."""
+    def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per task, the slice's (B, K) hazards and survival, checked once."""
         with ad.no_grad(p for _, p in self.named_parameters()):
-            out = self.forward(batch)
+            out = self.forward(cohort)
         curves = {}
         for task, logits in out.items():
             h = hazards_from_logits(logits.data)
@@ -189,10 +193,10 @@ def load_model(path) -> FullModel:
     accepted only when it is false: a switch removed at its off default, as
     older files carry. Any other value would describe a model this version
     cannot build, so it is rejected. Every field must have its annotated
-    type and pass `ModelConfig`'s checks, and each feature width must match
-    the shape of its embedding array, before anything is built. The
-    parameter arrays must then match the model's names and shapes exactly
-    and hold finite numbers.
+    type and pass `ModelConfig`'s checks, and every node kind must have a
+    feature width that matches the shape of its embedding array, before
+    anything is built. The parameter arrays must then match the model's
+    names and shapes exactly and hold finite numbers.
     """
     try:
         with np.load(path) as data:
@@ -216,6 +220,8 @@ def load_model(path) -> FullModel:
         cfg = ModelConfig(**{k: typed_value(k, meta[k], hints[k]) for k in names})
         widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int) for k, v
                   in typed_value("feature_widths", meta["feature_widths"], dict).items()}
+        missing = ", ".join(k.value for k in NodeKind if k not in widths)
+        check([(not missing, f"feature_widths must name every node kind; it lacks {missing}")])
         for kind, width in widths.items():
             name = f"embed.{kind.value}.w"
             found = arrays[name].shape if name in arrays else "none"

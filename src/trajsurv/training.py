@@ -8,7 +8,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .cohort import CohortArrays, augment
-from .graph import GraphBatch
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
 from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
@@ -23,20 +22,20 @@ class TrainResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _mean_loss(model: FullModel, batch: GraphBatch, labels: dict[str, np.ndarray],
+def _mean_loss(model: FullModel, cohort: CohortArrays, labels: dict[str, np.ndarray],
                bins: TimeBins, weights: LossWeights):
-    """Batch mean of alpha * OS NLL + beta * DFS NLL, on one tape; `labels`
-    maps each task to the batch's bin and event rows (`label_bins`)."""
-    logits = model.forward(batch)
+    """Mean over the slice of alpha * OS NLL + beta * DFS NLL, on one tape;
+    `labels` maps each task to the slice's bin and event rows (`label_bins`)."""
+    logits = model.forward(cohort)
     os_nll = discrete_nll(logits["os"], labels["os"], bins)
     dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins)
     return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
                   ad.mul(ad.constant([[weights.beta]]), dfs_nll))
 
 
-def patient_loss(model: FullModel, graph: GraphBatch, dfs: SurvivalLabel,
+def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
-    """The loss of one patient, whose graph is a batch of one."""
+    """The loss of one patient, whose graph is a one-patient cohort."""
     labels = {"dfs": label_bins([dfs.time], [dfs.event], bins),
               "os": label_bins([os_label.time], [os_label.event], bins)}
     return _mean_loss(model, graph, labels, bins, weights)
@@ -59,7 +58,7 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
 
-    val_batch, val_labels = val.batch(), val.label_bins(bins)
+    val_labels = val.label_bins(bins)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
@@ -76,13 +75,13 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
         train_losses = []
         for start in range(0, len(items), settings.batch_size):
             part = items.take(slice(start, start + settings.batch_size))
-            loss = _mean_loss(model, part.batch(), part.label_bins(bins), bins, weights)
+            loss = _mean_loss(model, part, part.label_bins(bins), bins, weights)
             grads = ad.backward(loss, params=[p for _, p in params])
             adamw_step(params, grads, state, settings)
             train_losses.append(loss.item())
 
         with ad.no_grad(p for _, p in params):
-            val_loss = _mean_loss(model, val_batch, val_labels, bins, weights).item()
+            val_loss = _mean_loss(model, val, val_labels, bins, weights).item()
         history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
         improved, stop = end_epoch(state, val_loss, settings)

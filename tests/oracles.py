@@ -265,6 +265,11 @@ def star_operators(cohort, offset_scale=100.0):
     return {"mean": mean, "attr_mean": attr_mean, "norm": norm, "arcs": arcs}
 
 
+def _sigmoid(x):
+    """The gate nonlinearity on the tape, as exp(log sigmoid(x))."""
+    return ad.exp(ad.log_sigmoid(x))
+
+
 def lstm_step(z, h, c, params):
     """One LSTM cell on the tape, op by op, as the integrator was first
     written: c' = f*c + i*g, h' = o*tanh(c'), each gate its own matmul on
@@ -273,10 +278,10 @@ def lstm_step(z, h, c, params):
         raise ad.ShapeMismatchError("lstm-step", z.shape, h.shape,
                                     (params.input_dim, params.hidden_dim))
     zh = ad.concat_cols(z, h)
-    i = ad.sigmoid(ad.add(ad.matmul(zh, params.w_i), params.b_i))
-    f = ad.sigmoid(ad.add(ad.matmul(zh, params.w_f), params.b_f))
+    i = _sigmoid(ad.add(ad.matmul(zh, params.w_i), params.b_i))
+    f = _sigmoid(ad.add(ad.matmul(zh, params.w_f), params.b_f))
     g = ad.tanh(ad.add(ad.matmul(zh, params.w_g), params.b_g))
-    o = ad.sigmoid(ad.add(ad.matmul(zh, params.w_o), params.b_o))
+    o = _sigmoid(ad.add(ad.matmul(zh, params.w_o), params.b_o))
     c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
     h2 = ad.mul(o, ad.tanh(c2))
     return h2, c2

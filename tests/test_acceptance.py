@@ -20,7 +20,7 @@ from trajsurv.cohort import (Scenario, oracle_cindex, record_to_graph,
                              simulate_cohort)
 from trajsurv.config import RunConfig
 from trajsurv.crossval import run_ablation, run_crossval
-from trajsurv.evolution import BACKBONES, evolve, init_evolution, readout
+from trajsurv.evolution import BACKBONES, evolve, init_evolution, mean_pool, readout
 from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_time,
                             survival_from_hazards)
 from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
@@ -64,9 +64,9 @@ def test_01_gradient_fidelity():
 def test_02_residual_identity():
     cohort, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
                                                               clinical_len=3))
-    batch = record_to_graph(cohort[0])
-    h0 = ad.constant(np.random.default_rng(9).normal(size=(batch.slots.size, 8)))
-    base = readout(h0, batch.pool).data.tobytes()
+    graph = record_to_graph(cohort[0])
+    h0 = ad.constant(np.random.default_rng(9).normal(size=(7, 8)))
+    base = readout(h0, mean_pool(graph.present)).data.tobytes()
     mismatches = 0
     checked = 0
     for backbone in BACKBONES:
@@ -75,7 +75,7 @@ def test_02_residual_identity():
         for _, leaf in params.named_leaves():
             leaf.data[:] = 0.0
         for horizon in (1, 12):
-            for z in evolve(h0, batch, params, horizon):
+            for z in evolve(h0, graph, params, horizon):
                 checked += 1
                 if z.data.tobytes() != base:
                     mismatches += 1

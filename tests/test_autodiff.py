@@ -1,5 +1,7 @@
 """Tape engine: forward values, backward rules, and finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,22 +23,9 @@ class TestForwardValues:
         out = ad.matmul(ad.constant([[1.0, 2.0], [3.0, 4.0]]), ad.constant([[1.0], [1.0]]))
         assert np.array_equal(out.data, [[3.0], [7.0]])
 
-    def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(ad.constant([[0.0]])).item() == 0.5
-
     def test_sum_all(self):
         x = ad.constant([[1.0, 2.0], [3.0, 4.0]])
         assert ad.sum_all(x).item() == 10.0
-
-    def test_sigmoid_is_exact_and_finite_at_extremes(self):
-        x = np.array([[-1000.0, -30.0, -0.5, 0.0, 0.5, 30.0, 1000.0]])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = ad.sigmoid(ad.constant(x)).data
-        neg = x < 0
-        expected = np.where(neg, np.exp(np.minimum(x, 0)) / (1 + np.exp(np.minimum(x, 0))),
-                            1 / (1 + np.exp(-np.maximum(x, 0))))
-        assert np.array_equal(out, expected)
-        assert out[0, 0] == 0.0 and out[0, -1] == 1.0
 
     def test_elementwise_and_unary(self):
         a = ad.constant([[1.0, -2.0]])
@@ -54,6 +43,13 @@ class TestForwardValues:
         assert cat.shape == (2, 3)
         assert np.array_equal(cat.data[:, 0:2], a.data)
         assert np.array_equal(cat.data[:, 2:3], b.data)
+
+    def test_reshape_keeps_row_major_order(self):
+        a = ad.constant([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        assert np.array_equal(ad.reshape(a, 4, 2).data, [[1.0, 2.0], [3.0, 4.0],
+                                                         [5.0, 6.0], [7.0, 8.0]])
+        with pytest.raises(ad.ShapeMismatchError, match="reshape"):
+            ad.reshape(a, 3, 3)
 
     def test_add_broadcasts_single_row(self):
         a = ad.constant([[1.0, 1.0], [2.0, 2.0]])
@@ -103,11 +99,6 @@ class TestBackwardExamples:
         x = ad.parameter([[3.0]])
         grads = ad.backward(ad.sum_all(ad.mul(x, x)))
         assert grads[x].item() == pytest.approx(6.0)
-
-    def test_sigmoid_gradient_at_zero(self):
-        x = ad.parameter([[0.0]])
-        grads = ad.backward(ad.sum_all(ad.sigmoid(x)))
-        assert grads[x].item() == pytest.approx(0.25)
 
     def test_matmul_weight_gradient_rows(self):
         w = ad.parameter(np.zeros((2, 2)))
@@ -195,7 +186,8 @@ def _fd_builders():
     cases["negate"] = ([x], lambda: ad.sum_all(ad.negate(x)))
     cases["concat-cols"] = ([x, y], lambda: ad.sum_all(ad.mul(
         ad.concat_cols(x, y), ad.constant(np.arange(24.0).reshape(3, 8)))))
-    cases["sigmoid"] = ([x], lambda: ad.sum_all(ad.sigmoid(x)))
+    cases["reshape"] = ([x], lambda: ad.sum_all(ad.mul(
+        ad.reshape(x, 6, 2), ad.constant(np.arange(12.0).reshape(6, 2)))))
     # Saturated logits included: log-sigmoid stays exact and differentiable there.
     sat = a.copy()
     sat[0] = [40.0, -40.0, 700.0, -700.0]
@@ -224,6 +216,26 @@ def _fd_builders():
 def test_primitive_gradients_match_central_differences(op):
     leaves, f = _fd_builders()[op]
     assert ad.grad_check(f, leaves) <= 1e-4
+
+
+def test_lstm_backward_sums_weight_gradients_step_by_step():
+    # At T = 64 and d = d_h = 128, the per-step products of both weight
+    # gradients stacked at once would take 2 x 33.5 MB.
+    rng = np.random.default_rng(0)
+    steps, width = 64, 128
+    snaps = [ad.constant(rng.normal(size=(1, width))) for _ in range(steps)]
+    leaves = []
+    for _ in range(4):
+        leaves += [ad.parameter(rng.normal(scale=0.05, size=(2 * width, width))),
+                   ad.parameter(np.zeros((1, width)))]
+    out = ad.sum_all(ad.lstm(snaps, *leaves))
+    tracemalloc.start()
+    try:
+        ad.backward(out, params=leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_every_primitive_is_covered_by_fd_sweep():

@@ -5,17 +5,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_USAGE, main
-from trajsurv.cohort import load_cohort
+from trajsurv.cohort import load_cohort, save_cohort, simulate_cohort
+from trajsurv.config import config_from_dict
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, ModelFileError, init_model, load_model, save_model
@@ -151,7 +154,7 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("kind", ("text", "object_array", "missing_array",
                                       "row_for_matrix", "unknown_array", "meta_not_object",
                                       "nan_weight", "text_weight", "meta_wrong_type",
-                                      "edges_not_k"))
+                                      "edges_not_k", "missing_kind"))
     def test_evaluate_corrupt_model_file_is_data_error(self, tmp_path, capsys, kind):
         bad = tmp_path / "model.npz"
         if kind == "text":
@@ -213,6 +216,14 @@ def _widths_as_pairs(arrays):
     _meta_update({"feature_widths": [[k, w] for k, w in widths.items()]})(arrays)
 
 
+def _missing_kind(arrays):
+    # The clinical kind left out whole: its width and both embedding arrays.
+    widths = json.loads(bytes(arrays["__meta__"]).decode())["feature_widths"]
+    del widths["clinical"]
+    _meta_update({"feature_widths": widths})(arrays)
+    del arrays["embed.clinical.w"], arrays["embed.clinical.b"]
+
+
 def _forged_clinical_width(arrays):
     widths = json.loads(bytes(arrays["__meta__"]).decode())["feature_widths"]
     _meta_update({"feature_widths": {**widths, "clinical": 10 ** 9}})(arrays)
@@ -225,6 +236,7 @@ CORRUPTIONS = {
     "meta_wrong_type": _meta_update({"cascade": "no"}),
     "edges_not_k": _meta_update({"bin_edges": [0.0, 1.0]}),
     "widths_as_pairs": _widths_as_pairs,
+    "missing_kind": _missing_kind,
     # Sizes no allocator grants: building either model would fail at once.
     "huge_message_dim": _meta_update({"message_dim": 10 ** 9}),
     "huge_clinical_width": _forged_clinical_width,
@@ -250,7 +262,8 @@ def test_parameter_names_and_shapes_must_match(tmp_path, kind, message):
     ("text_weight", r"parameter heads\.b_os must hold finite numbers"),
     ("meta_wrong_type", r"cascade must be bool, got 'no'"),
     ("edges_not_k", r"model\.bin_edges must hold model\.K \+ 1 edges"),
-    ("widths_as_pairs", r"feature_widths must be dict, got \[\[")))
+    ("widths_as_pairs", r"feature_widths must be dict, got \[\["),
+    ("missing_kind", r"feature_widths must name every node kind; it lacks clinical\)$")))
 def test_parameter_values_and_field_types_are_checked(tmp_path, kind, message):
     path = rewrite_arrays(save_untrained_model(tmp_path), CORRUPTIONS[kind])
     with pytest.raises(ModelFileError, match=message):
@@ -573,3 +586,78 @@ def test_mutated_model_loads_equal_or_exits_2(model_fuzz_base, mutation, data):
         expected = EXIT_OK
     assert main(["evaluate", "--config", str(root / "run.json"), "--out", str(root / "out"),
                  "--model", str(bad)]) == expected
+
+
+# ---------------------------------------------------------------------------
+# Accepted configs run end to end: crossval on a tiny cohort exits cleanly.
+# ---------------------------------------------------------------------------
+
+WIDTH_KEYS = ("d", "d_t", "d_h", "d_c", "message_dim", "attention_dim")
+
+# tracemalloc peak allowed for one run; the bounds example below peaks near
+# 140 MB, the small draws at a few MB.
+CROSSVAL_PEAK_BOUND = 256 * 2 ** 20
+
+# 4 patients, the fewest a k = 2 split accepts (2 test, 1 training and 1
+# validation patient per fold), with T, K, d_t and d_c at their bounds of 256
+# and 1024 on the costliest backbone. d, d_h, message_dim and attention_dim
+# stay at 1: each of them multiplies the per-step work of all T steps, and
+# with them at 1024 as well one such run takes 8-33 s and 0.4-1.9 GB.
+BOUNDS_RUN = (4, {
+    "model": {"backbone": "gat", "T": 256, "K": 256, "d_t": 1024, "d_c": 1024,
+              "d": 1, "d_h": 1, "message_dim": 1, "attention_dim": 1},
+    "train": {"batch_size": 32, "max_epochs": 2, "augment": True, "seed": 0},
+    "eval": {"bootstrap_b": 100},
+    "cv": {"k": 2, "repeats": 1}})
+
+
+@st.composite
+def crossval_runs(draw):
+    """(patients, config document) of a tiny crossval inside every config rule."""
+    bins = draw(st.integers(1, 6))
+    model = {"backbone": draw(st.sampled_from(BACKBONES)), "T": draw(st.integers(1, 4)),
+             "K": bins, "cascade": draw(st.booleans()),
+             "integrator": draw(st.sampled_from(("lstm", "mean"))),
+             **{key: draw(st.integers(1, 6)) for key in WIDTH_KEYS}}
+    if draw(st.booleans()):
+        widths = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+                               min_size=bins, max_size=bins))
+        model["bin_edges"] = [0.0, *np.cumsum(widths).tolist()]
+    weights = draw(st.sampled_from(((1.0, 1.0), (0.0, 1.0), (2.0, 0.5))))
+    train = {"lr": draw(st.sampled_from((1e-3, 0.1, 1e300))),
+             "batch_size": draw(st.integers(1, 32)), "max_epochs": draw(st.integers(1, 2)),
+             "patience": draw(st.integers(1, 2)), "alpha": weights[0], "beta": weights[1],
+             "augment": draw(st.booleans()), "seed": draw(st.integers(0, 3))}
+    horizons = sorted(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, 3.0, 5.0, 8.0)),
+                                    min_size=3, max_size=3)))
+    return draw(st.integers(1, 30)), {
+        "model": model, "train": train, "eval": {"bootstrap_b": 100, "horizons": horizons},
+        "cv": {"k": 2, "repeats": 1}}
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(crossval_runs())
+@example(BOUNDS_RUN)
+def test_accepted_config_runs_crossval_to_a_clean_exit(tmp_path, capsys, run):
+    """An accepted config runs `crossval` to exit 0, 2 (a cohort the split
+    rejects) or 3 (training failed), with at most one line on stderr, only
+    on failure, no traceback, and a bounded tracemalloc peak."""
+    n, doc = run
+    config_from_dict(doc)
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    cohort = root / "cohort.json"
+    save_cohort(simulate_cohort(30, 0)[0].take(slice(0, n)), cohort)
+    (root / "run.json").write_text(json.dumps({**doc, "paths": {"cohort": str(cohort)}}))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["crossval", "--config", str(root / "run.json"), "--out", str(root / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_TRAINING)
+    assert len(err.splitlines()) == (code != EXIT_OK)
+    assert "Traceback" not in out + err
+    assert peak < CROSSVAL_PEAK_BOUND

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trajsurv.cohort import (REGION_KEYS, CohortError, Scenario, augment, load_cohort,
                              make_cohort, oracle_cindex, record_to_graph, save_cohort,
                              simulate_cohort, stratified_repeated_kfold)
-from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 
 
 def tiny_cohort(os_t, os_e):
@@ -50,8 +50,9 @@ class TestRecordValidation:
 
     def test_record_to_graph_skips_absent_regions(self):
         g = record_to_graph(tiny_cohort([2.0], [1])[0])
-        assert g.size == 1 and g.slots.size == 7
-        assert g.slots[0].tolist() == [True, False, False, False, False, True, True]
+        assert len(g) == 1 and g.ids.tolist() == ["p0"]
+        assert slots_in_use(g.present)[0].tolist() == [True, False, False, False, False,
+                                                       True, True]
         assert np.array_equal(g.offsets, np.zeros((1, 5, 3)))
 
     def test_first_faulty_patient_in_file_order_is_named(self, tmp_path):
@@ -100,7 +101,7 @@ def saved_doc(tmp_path, n=10):
     """A saved simulated cohort (regions 8, clinical 6), its path and its parsed JSON."""
     cohort, _ = simulate_cohort(n, seed=0)
     path = tmp_path / "c.json"
-    save_cohort(cohort, path, region_len=8, clinical_len=6)
+    save_cohort(cohort, path)
     return path, json.loads(path.read_text())
 
 
@@ -157,7 +158,7 @@ class TestCohortFile:
         cohort.regions[2, ANATOMICAL_KINDS.index(NodeKind.HEPATIC_VEINS), 0] = -0.0
         cohort = with_absent_region(cohort, 1)
         path = tmp_path / "cohort.json"
-        save_cohort(cohort, path, region_len=5, clinical_len=4)
+        save_cohort(cohort, path)
         loaded = load_cohort(path)
         assert_same_cohort(cohort, loaded)
         assert [(r.patient_id, r.dfs, r.os) for r in loaded] == \
@@ -166,7 +167,7 @@ class TestCohortFile:
     def test_one_patient_per_line(self, tmp_path):
         cohort, _ = simulate_cohort(12, seed=3)
         path = tmp_path / "cohort.json"
-        save_cohort(cohort, path, region_len=8, clinical_len=6)
+        save_cohort(cohort, path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(cohort) + 2
         for pid, line in zip(cohort.ids, lines[1:-1]):
@@ -177,7 +178,7 @@ class TestCohortFile:
         cohort, _ = simulate_cohort(12, seed=4)
         cohort = with_absent_region(cohort, 5, NodeKind.PORTAL_VEINS)
         path, old = tmp_path / "new.json", tmp_path / "old.json"
-        save_cohort(cohort, path, region_len=8, clinical_len=6)
+        save_cohort(cohort, path)
         with open(old, "w") as fh:
             json.dump(json.loads(path.read_text()), fh, indent=1)
             fh.write("\n")
@@ -186,11 +187,25 @@ class TestCohortFile:
 
     def test_absent_region_round_trips(self, tmp_path):
         path = tmp_path / "c.json"
-        save_cohort(tiny_cohort([2.0], [1]), path, region_len=4, clinical_len=3)
+        save_cohort(tiny_cohort([2.0], [1]), path)
         text = path.read_text()
         assert '"present": false' in text
         loaded = load_cohort(path)
         assert loaded.present[0].tolist() == [True, False, False, False, False]
+
+    def test_widths_come_from_the_arrays(self, tmp_path):
+        cohort = simulate_cohort(10, 0)[0]
+        path = tmp_path / "w.json"
+        with pytest.raises(ValueError, match="region_len is 5, but the cohort's features "
+                                             "have width 8"):
+            save_cohort(cohort, path, 5, 6)
+        with pytest.raises(ValueError, match="clinical_len is 5, .* width 6"):
+            save_cohort(cohort, path, clinical_len=5)
+        assert not path.exists()
+        save_cohort(cohort, path, 8, 6)
+        assert json.loads(path.read_text())["feature_schema"] == {"region_len": 8,
+                                                                  "clinical_len": 6}
+        assert_same_cohort(cohort, load_cohort(path))
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -201,8 +216,8 @@ class TestCohortFile:
             st.lists(st.booleans(), min_size=5, max_size=5).filter(any),
             min_size=n, max_size=n)))
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        save_cohort(cohort.with_presence(present), first, region_len=3, clinical_len=2)
-        save_cohort(load_cohort(first), second, region_len=3, clinical_len=2)
+        save_cohort(cohort.with_presence(present), first)
+        save_cohort(load_cohort(first), second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_error_names_patient_and_field(self, tmp_path):
@@ -422,8 +437,7 @@ class TestAugment:
 
     def test_hubs_always_survive(self):
         out = augment(self.source(), seeds=[2], dropout_p=0.5)
-        batch = out.batch()
-        assert batch.slots[:, 5:].all()
+        assert slots_in_use(out.present)[:, 5:].all()
         assert out.present.any(axis=1).all()
 
     def test_fixed_seed_reproducible(self):
@@ -498,7 +512,7 @@ def fuzz_base(tmp_path_factory):
     from trajsurv.model import ModelConfig, init_model, save_model
     root = tmp_path_factory.mktemp("fuzz")
     cohort, _ = simulate_cohort(12, seed=5, scenario=Scenario(region_len=4, clinical_len=3))
-    save_cohort(with_absent_region(cohort, 2), root / "base.json", region_len=4, clinical_len=3)
+    save_cohort(with_absent_region(cohort, 2), root / "base.json")
     widths = {**{k: 4 for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 4, NodeKind.CLINICAL: 3}
     config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
                          num_bins=4, message_dim=8)

@@ -316,7 +316,7 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated):
     logits = {"dfs": [], "os": []}
     for start in range(0, len(cohort), chunk):
         with ad.no_grad(p for _, p in model.named_parameters()):
-            out = model.forward(cohort.take(slice(start, start + chunk)).batch())
+            out = model.forward(cohort.take(slice(start, start + chunk)))
         logits["dfs"].extend(out["dfs"].data)
         logits["os"].extend(out["os"].data)
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival) for c in pred.curve_rows()}

@@ -6,10 +6,11 @@ import pytest
 from trajsurv import autodiff as ad
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
+from trajsurv import evolution
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
-                                init_evolution, readout, residual_update, rows_of,
+                                init_evolution, mean_pool, readout, residual_update, rows_of,
                                 segment_softmax, uniform_weight)
-from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss
@@ -32,11 +33,11 @@ def full_graph(seed=0):
     return make_graph(seed=seed)
 
 
-def residual_step(h, e_t, batch, params):
+def residual_step(h, e_t, cohort, params):
     """dH of one step whose time embedding is e_t: e_t is written into row 0
     of the time table and step 0 is taken."""
     params.time_table.data[0] = e_t.data[0]
-    return residual_update(batch, params)(h, 0)
+    return residual_update(cohort, params)(h, 0)
 
 
 def time_table(steps, width, seed):
@@ -49,9 +50,9 @@ def zero_weights(params):
         leaf.data[:] = 0.0
 
 
-def rolled_states(h0, batch, params, horizon):
+def rolled_states(h0, cohort, params, horizon):
     """H_0..H_T: the node states `evolve` passes through, H_0 included."""
-    update = residual_update(batch, params)
+    update = residual_update(cohort, params)
     states = [h0]
     for t in range(horizon):
         states.append(ad.add(states[-1], update(states[-1], t)))
@@ -100,6 +101,12 @@ class TestTimeEmbedding:
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(-1, table)
 
+    def test_cached_selector_holds_only_its_own_rows(self):
+        sel = evolution._row_selector(3, 5, 256)
+        assert np.array_equal(sel.blocks[0], np.eye(256)[3:5])
+        owner = sel.blocks if sel.blocks.base is None else sel.blocks.base
+        assert owner.nbytes == sel.blocks.nbytes == 2 * 256 * 8
+
     def test_rows_are_trainable(self):
         table = time_table(4, DT, 1)
         grads = ad.backward(ad.sum_all(time_embedding(2, table)), params=[table])
@@ -114,9 +121,9 @@ class TestResidualStep:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0))
         zero_weights(params)
         g = full_graph()
-        h = ad.constant(np.random.default_rng(1).normal(size=(g.slots.size, D)))
+        h = ad.constant(np.random.default_rng(1).normal(size=(7 * len(g), D)))
         delta = residual_step(h, time_embedding(0, params.time_table), g, params)
-        assert np.array_equal(delta.data, np.zeros((g.slots.size, D)))
+        assert np.array_equal(delta.data, np.zeros((7 * len(g), D)))
 
     def test_graphsage_single_neighbor_hand_case(self):
         g = one_region_graph()
@@ -190,7 +197,7 @@ class TestResidualStep:
     def test_gradients_through_one_step(self, backbone):
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7))
         g = full_graph(seed=1)
-        h = ad.constant(np.random.default_rng(8).normal(size=(g.slots.size, D)))
+        h = ad.constant(np.random.default_rng(8).normal(size=(7 * len(g), D)))
 
         def f():
             delta = residual_update(g, params)(h, 1)
@@ -204,14 +211,14 @@ class TestReadout:
     def test_identical_rows(self):
         r = np.array([[2.0, -1.0]])
         g = make_graph(kinds=ANATOMICAL_KINDS[1:3])
-        out = readout(ad.constant(np.repeat(r, 7, axis=0)), g.pool)
+        out = readout(ad.constant(np.repeat(r, 7, axis=0)), mean_pool(g.present))
         assert np.allclose(out.data, r)
 
     def test_hand_mean(self):
         # The liver and both hubs count; the padding rows do not.
         h = np.full((7, 2), 100.0)
         h[[LIVER, SUMMARY, CLINICAL]] = [[1.0, 3.0], [5.0, 7.0], [3.0, 2.0]]
-        out = readout(ad.constant(h), one_region_graph().pool)
+        out = readout(ad.constant(h), mean_pool(one_region_graph().present))
         np.testing.assert_allclose(out.data, [[3.0, 4.0]], rtol=0, atol=1e-15)
 
     def test_single_row_passthrough(self):
@@ -230,9 +237,9 @@ class TestEvolve:
         params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0))
         zero_weights(params)
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(9).normal(size=(g.slots.size, D)))
+        h0 = ad.constant(np.random.default_rng(9).normal(size=(7 * len(g), D)))
         snaps = evolve(h0, g, params, horizon)
-        base = readout(h0, g.pool).data
+        base = readout(h0, mean_pool(g.present)).data
         assert len(snaps) == horizon
         for z in snaps:
             assert np.array_equal(z.data, base)
@@ -240,7 +247,7 @@ class TestEvolve:
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.slots.size, D)))
+        h0 = ad.constant(np.zeros((7 * len(g), D)))
         snaps = evolve(h0, g, params, 12)
         assert len(snaps) == 12
         assert all(z.shape == (1, D) for z in snaps)
@@ -249,7 +256,7 @@ class TestEvolve:
         # With distinct time rows, consecutive increments differ.
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(3).normal(size=(g.slots.size, D)))
+        h0 = ad.constant(np.random.default_rng(3).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 3)
         d1 = states[1].data - states[0].data
         d2 = states[2].data - states[1].data
@@ -258,7 +265,7 @@ class TestEvolve:
     def test_horizon_bounds(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
         g = full_graph()
-        h0 = ad.constant(np.zeros((g.slots.size, D)))
+        h0 = ad.constant(np.zeros((7 * len(g), D)))
         with pytest.raises(ValueError):
             evolve(h0, g, params, 0)
         with pytest.raises(IndexError):
@@ -270,20 +277,20 @@ class TestEvolve:
         params.w_out.data[:] = 1e300
         params.b_msg.data[:] = 1.0
         g = full_graph()
-        h0 = ad.constant(np.full((g.slots.size, D), 1e10))
+        h0 = ad.constant(np.full((7 * len(g), D), 1e10))
         with pytest.raises(ad.NonFiniteError, match="step 0"):
             evolve(h0, g, params, 4)
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(5).normal(size=(g.slots.size, D)))
+        h0 = ad.constant(np.random.default_rng(5).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 2)
         assert len(states) == 3
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
         for z, h in zip(evolve(h0, g, params, 2), states[1:]):
-            assert np.array_equal(z.data, readout(h, g.pool).data)
+            assert np.array_equal(z.data, readout(h, mean_pool(g.present)).data)
 
 
 def test_uniform_weight_bound_and_determinism():
@@ -292,20 +299,6 @@ def test_uniform_weight_bound_and_determinism():
     assert np.array_equal(w1.data, w2.data)
     assert np.abs(w1.data).max() <= 1.0 / 4.0
     assert w1.requires_grad
-
-
-def test_batch_operators_built_once_match_fresh_batch():
-    g = full_graph(seed=2)
-    params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(3))
-    h = ad.constant(np.random.default_rng(4).normal(size=(g.slots.size, D)))
-    e_t = time_embedding(0, params.time_table)
-    first = residual_step(h, e_t, g, params)
-    ops = g.operators["graphsage"]
-    again = residual_step(h, e_t, g, params)
-    assert g.operators["graphsage"] is ops
-    fresh = residual_step(h, e_t, full_graph(seed=2), params)
-    assert np.array_equal(again.data, first.data)
-    assert np.array_equal(fresh.data, first.data)
 
 
 def mixed_records():
@@ -322,24 +315,22 @@ def test_graphs_in_one_batch_match_graphs_alone():
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
         hs = [rng.normal(size=(7, D)) for _ in records]
         e_t = time_embedding(1, params.time_table)
-        joint = residual_step(ad.constant(np.vstack(hs)), e_t,
-                              join(records).batch(), params)
-        alone = [residual_step(ad.constant(h), e_t, r.batch(), params).data
+        joint = residual_step(ad.constant(np.vstack(hs)), e_t, join(records), params)
+        alone = [residual_step(ad.constant(h), e_t, r, params).data
                  for h, r in zip(hs, records)]
         np.testing.assert_allclose(joint.data, np.vstack(alone), rtol=0, atol=1e-12)
 
 
 class TestSegmentSoftmax:
-    def batch(self):
+    def ops(self):
         # Rows without in-arcs: the missing regions' padding rows.
-        return join(mixed_records()[1:]).batch()
+        return adjacency(join(mixed_records()[1:]), "gat")
 
     @pytest.mark.parametrize("scale", (1.0, 1000.0, -1000.0))
     def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
-        batch = self.batch()
-        ops = adjacency(batch, "gat")
+        ops = self.ops()
         scores = np.random.default_rng(14).normal(size=(ops["at_dst"].shape[0], 1)) * scale
-        alpha = segment_softmax(ad.constant(scores), batch).data
+        alpha = segment_softmax(ad.constant(scores), ops).data
         assert np.isfinite(alpha).all() and (alpha >= 0).all()
         per_node = ops["sum_dst"].apply(alpha)[:, 0]
         has_arcs = ops["sum_dst"].apply(np.ones_like(alpha))[:, 0] > 0
@@ -348,12 +339,11 @@ class TestSegmentSoftmax:
         assert (per_node[~has_arcs] == 0.0).all()
 
     def test_equal_extreme_scores_split_evenly(self):
-        batch = self.batch()
-        ops = adjacency(batch, "gat")
+        ops = self.ops()
         arcs = ops["at_dst"].shape[0]
-        alpha = segment_softmax(ad.constant(np.full((arcs, 1), 1000.0)), batch).data
+        alpha = segment_softmax(ad.constant(np.full((arcs, 1), 1000.0)), ops).data
         deg = ops["sum_dst"].apply(np.ones((arcs, 1)))
-        used = ops["at_dst"].apply(np.ones((batch.slots.size, 1)))[:, 0] > 0
+        used = ops["at_dst"].apply(np.ones((ops["at_dst"].shape[1], 1)))[:, 0] > 0
         np.testing.assert_allclose(alpha[used, 0], 1.0 / ops["at_dst"].apply(deg)[used, 0],
                                    rtol=0, atol=1e-15)
 
@@ -362,11 +352,11 @@ class TestSegmentSoftmax:
 def test_step_matches_concat_then_propagate_oracle(backbone):
     rng = np.random.default_rng(15)
     records = mixed_records()
-    batch = join(records).batch()
+    batch = join(records)
     params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
     for _, leaf in params.named_leaves():
         leaf.data[:] = rng.normal(size=leaf.shape)
-    h = rng.normal(size=(batch.slots.size, D))
+    h = rng.normal(size=(7 * len(batch), D))
     delta = residual_update(batch, params)(ad.constant(h), 2)
     weights = {name[3:]: leaf.data for name, leaf in params.named_leaves()}
     for b, rec in enumerate(records):
@@ -374,7 +364,7 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
         expected = oracles.concat_step(backbone, h[7 * b:7 * b + 7],
                                        params.time_table.data[2:3],
                                        src, dst, np.array(attr), weights)
-        used = batch.slots[b]
+        used = slots_in_use(batch.present)[b]
         np.testing.assert_allclose(delta.data[7 * b:7 * b + 7][used], expected[used],
                                    rtol=0, atol=1e-12)
 
@@ -383,12 +373,12 @@ def one_batch_loss(backbone, n=64):
     cohort, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    batch, labels = cohort.batch(), cohort.label_bins(config.bins())
-    return model, batch, lambda: _mean_loss(model, batch, labels, config.bins(), LossWeights())
+    labels = cohort.label_bins(config.bins())
+    return model, cohort, lambda: _mean_loss(model, cohort, labels, config.bins(), LossWeights())
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",
-                         (("graphsage", 284, 268), ("gcn", 228, 213), ("gat", 573, 543)),
+                         (("graphsage", 275, 258), ("gcn", 219, 203), ("gat", 564, 533)),
                          ids=("graphsage", "gcn", "gat"))
 def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
     # Every distinct tensor reachable from the loss, leaves included, and the
@@ -407,14 +397,17 @@ def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
 
 
 def test_forwards_reuse_selectors_and_operators(monkeypatch):
-    # A second forward and backward on the same batch builds no block stack:
-    # time-row and weight-block selectors, adjacency and transposes are reused.
-    model, batch, loss = one_batch_loss("graphsage", n=12)
+    # A second forward and backward builds no selector: the time-row and
+    # weight-block selectors are built once per process. Each forward builds
+    # its slice's operators once, gat's included.
+    model, _, loss = one_batch_loss("gat", n=12)
     params = [p for _, p in model.named_parameters()]
     ad.backward(loss(), params=params)
-    built = []
-    init = ad.Blocks.__init__
-    monkeypatch.setattr(ad.Blocks, "__init__",
-                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    built = evolution._row_selector.cache_info().misses
+    calls = []
+    build = evolution.adjacency
+    monkeypatch.setattr(evolution, "adjacency",
+                        lambda cohort, backbone: calls.append(backbone) or build(cohort, backbone))
     ad.backward(loss(), params=params)
-    assert built == []
+    assert evolution._row_selector.cache_info().misses == built
+    assert calls == ["gat"]

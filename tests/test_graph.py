@@ -1,4 +1,4 @@
-"""The 7-slot star layout: cohort arrays, batch blocks, and node embedding."""
+"""The 7-slot star layout: cohort arrays, operator blocks, and node embedding."""
 
 import json
 
@@ -11,9 +11,10 @@ import oracles
 from trajsurv import autodiff as ad
 from trajsurv.cohort import (REGION_KEYS, CohortError, load_cohort, make_cohort, save_cohort,
                              simulate_cohort)
-from trajsurv.evolution import adjacency
+from trajsurv.evolution import adjacency, mean_pool
 from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, SLOTS, EmbeddingParams,
-                            GraphConstructionError, NodeKind, embed_nodes, init_embedding)
+                            GraphConstructionError, NodeKind, embed_nodes, init_embedding,
+                            slots_in_use)
 
 F = 4
 CLIN = 3
@@ -49,14 +50,15 @@ def join(cohorts):
 
 
 def make_graph(kinds=ANATOMICAL_KINDS, seed=0, centroids=None):
-    return make_record(kinds, seed, centroids).batch()
+    """Patient p0's graph: its one-patient cohort, which the model reads."""
+    return make_record(kinds, seed, centroids)
 
 
-def arc_list(batch, patient=0):
+def arc_list(cohort, patient=0):
     """(source slot, target slot, attribute) of every arc in use."""
-    ops = adjacency(batch, "gat")
+    ops = adjacency(cohort, "gat")
     at_dst, at_src = ops["at_dst"].blocks[patient], ops["at_src"].blocks[patient]
-    attr = ops["attr"].data.reshape(batch.size, -1, EDGE_ATTR_DIM)[patient]
+    attr = ops["attr"].data.reshape(len(cohort), -1, EDGE_ATTR_DIM)[patient]
     return [(int(at_src[a].argmax()), int(at_dst[a].argmax()), attr[a])
             for a in range(at_dst.shape[0]) if at_dst[a].any()]
 
@@ -65,7 +67,7 @@ def cohort_file(tmp_path, change):
     """A saved 10-patient simulated cohort with `change` applied to its JSON."""
     cohort, _ = simulate_cohort(10, seed=0)
     path = tmp_path / "c.json"
-    save_cohort(cohort, path, region_len=8, clinical_len=6)
+    save_cohort(cohort, path)
     doc = json.loads(path.read_text())
     change(doc["patients"][3])
     path.write_text(json.dumps(doc))
@@ -75,7 +77,7 @@ def cohort_file(tmp_path, change):
 class TestBuild:
     def test_full_graph_has_seven_nodes_ten_edges(self):
         g = make_graph()
-        assert g.slots.shape == (1, SLOTS) and g.slots.all()
+        assert slots_in_use(g.present).shape == (1, SLOTS) and slots_in_use(g.present).all()
         arcs = arc_list(g)
         assert len(arcs) == 2 * 10
         summary = list(NodeKind).index(NodeKind.GLOBAL_CT)
@@ -83,9 +85,10 @@ class TestBuild:
 
     def test_minimal_graph_three_nodes_two_edges(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,))
-        assert g.slots.sum() == 3
+        slots = slots_in_use(g.present)
+        assert slots.sum() == 3
         assert len(arc_list(g)) == 2 * 2
-        assert not g.slots[0, list(NodeKind).index(NodeKind.METASTATIC_TUMORS)]
+        assert not slots[0, list(NodeKind).index(NodeKind.METASTATIC_TUMORS)]
 
     def test_identical_centroids_give_zero_offset(self):
         c = np.array([10.0, 20.0, 30.0])
@@ -121,10 +124,16 @@ class TestBuild:
             assert np.array_equal(attr, np.zeros(EDGE_ATTR_DIM))
 
     def test_node_order_is_canonical(self):
-        g = make_graph()
-        assert list(g.kinds) == list(NodeKind)
-        for j, (place, _) in enumerate(g.kinds.values()):
-            assert np.array_equal(place.blocks[0, :, 0], np.eye(SLOTS)[j])
+        # Kind j of patient b lands on row 7b + j: with zero weights, each
+        # kind's row is its bias, here j + 1, and a padding row stays zero.
+        g = join([make_graph(), make_graph(kinds=ANATOMICAL_KINDS[1:], seed=1)])
+        params = EmbeddingParams(
+            weights={k: ad.parameter(np.zeros((CLIN if k is NodeKind.CLINICAL else F, 2)))
+                     for k in NodeKind},
+            biases={k: ad.parameter(np.full((1, 2), j + 1.0)) for j, k in enumerate(NodeKind)})
+        h0 = embed_nodes(g, params).data
+        assert np.array_equal(h0[:SLOTS, 0], np.arange(1.0, SLOTS + 1))
+        assert np.array_equal(h0[SLOTS:, 0], [0.0, *np.arange(2.0, SLOTS + 1)])
 
     def test_no_regions_rejected(self, tmp_path):
         def clear(patient):
@@ -176,7 +185,7 @@ class TestArcs:
     def test_in_neighbors_row_indices_valid(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS))
         ops = adjacency(g, "gat")
-        unused = ~g.slots[0]
+        unused = ~slots_in_use(g.present)[0]
         for name in ("at_dst", "at_src"):
             assert ops[name].blocks.shape == (1, 20, SLOTS)
             assert not ops[name].blocks[0][:, unused].any()
@@ -186,11 +195,10 @@ class TestArcs:
 class TestValidate:
     def test_well_formed_graph_is_clean(self):
         rec = make_record(seed=4)
-        g = rec.batch()
         expected = oracles.star_operators(rec)
-        np.testing.assert_allclose(adjacency(g, "graphsage")["mean"].blocks[0],
+        np.testing.assert_allclose(adjacency(rec, "graphsage")["mean"].blocks[0],
                                    expected["mean"], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(adjacency(g, "gcn")["norm"].blocks[0], expected["norm"],
+        np.testing.assert_allclose(adjacency(rec, "gcn")["norm"].blocks[0], expected["norm"],
                                    rtol=0, atol=1e-15)
 
     def test_absent_clinical_node_flagged(self, tmp_path):
@@ -206,10 +214,10 @@ class TestValidate:
                 min_size=1, max_size=4),
        st.integers(0, 2 ** 31 - 1))
 def test_batch_blocks_match_star_oracle(patterns, seed):
-    # Each patient of the batch has its own presence pattern.
+    # Each patient of the slice has its own presence pattern.
     records = [make_record(tuple(k for k, on in zip(ANATOMICAL_KINDS, p) if on), seed + i)
                for i, p in enumerate(patterns)]
-    batch = join(records).batch()
+    batch = join(records)
     mean = adjacency(batch, "graphsage")
     norm = adjacency(batch, "gcn")["norm"].blocks
     for b, rec in enumerate(records):
@@ -248,7 +256,7 @@ class TestEmbedding:
             biases={k: ad.parameter(np.zeros((1, F))) for k in NodeKind})
         liver = data.regions[0, 0].copy()
         data.regions[0, 1:] = 7.0
-        h0 = embed_nodes(data.batch(), params)
+        h0 = embed_nodes(data, params)
         assert np.allclose(h0.data[0], liver)
         # The missing regions' rows start at zero, whatever their feature slots hold.
         assert np.array_equal(h0.data[1:5], np.zeros((4, F)))
@@ -261,15 +269,15 @@ class TestEmbedding:
             weights={**{k: w for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: w,
                      NodeKind.CLINICAL: ad.parameter(np.array([[1.0, 1.0]]))},
             biases={k: ad.parameter(np.zeros((1, 2))) for k in NodeKind})
-        h0 = embed_nodes(rec.batch(), params)
+        h0 = embed_nodes(rec, params)
         assert np.allclose(h0.data[0], [3.0, 10.0])
         assert np.allclose(h0.data[6], [1.0, 1.0])
 
     def test_missing_projection_for_present_kind(self):
+        # Every patient has both hubs, so the embedding needs every kind's width.
         widths = {k: w for k, w in self.widths().items() if k is not NodeKind.GLOBAL_CT}
-        params = init_embedding(widths, 4, np.random.default_rng(0))
         with pytest.raises(KeyError, match="global_ct"):
-            embed_nodes(make_graph(kinds=(NodeKind.LIVER_PARENCHYMA,)), params)
+            init_embedding(widths, 4, np.random.default_rng(0))
 
     def test_feature_width_mismatch_names_kind_and_widths(self):
         widths = {**self.widths(), NodeKind.CLINICAL: CLIN + 1}
@@ -298,9 +306,10 @@ class TestEmbedding:
        st.integers(0, 2 ** 31 - 1))
 def test_any_built_graph_validates_clean(kinds, seed):
     g = make_graph(kinds=tuple(kinds), seed=seed)
-    assert g.slots.sum() == len(kinds) + 2
-    assert g.slots[0, 5:].all()
+    slots = slots_in_use(g.present)
+    assert slots.sum() == len(kinds) + 2
+    assert slots[0, 5:].all()
     assert len(arc_list(g)) == 4 * len(kinds)
     assert np.abs(g.offsets).max() <= 1.0
-    np.testing.assert_allclose(g.pool.blocks[0, 0], g.slots[0] / (len(kinds) + 2),
+    np.testing.assert_allclose(mean_pool(g.present).blocks[0, 0], slots[0] / (len(kinds) + 2),
                                rtol=0, atol=0)

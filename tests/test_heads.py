@@ -6,7 +6,7 @@ import pytest
 from oracles import scalar_hazards, scalar_point_estimate, scalar_survival
 from trajsurv import autodiff as ad
 from trajsurv.heads import (TimeBins, annual_bins, dfs_head, hazards_from_logits, init_heads,
-                            os_head, point_estimate_time, survival_from_hazards)
+                            os_head, point_estimate_time, sigmoid, survival_from_hazards)
 
 
 class TestTimeBins:
@@ -83,7 +83,7 @@ class TestHeads:
         def os_scalar(enabled):
             logits, context = dfs_head(h_star, p)
             out = os_head(h_star, context, p, cascade_enabled=enabled)
-            return ad.sum_all(ad.sigmoid(out))
+            return ad.sum_all(ad.tanh(out))
 
         leaves = [leaf for _, leaf in p.named_leaves()]
         g_off = ad.backward(os_scalar(False), params=leaves)
@@ -99,7 +99,7 @@ class TestHeads:
         def f():
             logits, context = dfs_head(h_star, p)
             os_logits = os_head(h_star, context, p)
-            return ad.sum_all(ad.sigmoid(ad.concat_cols(logits, os_logits)))
+            return ad.sum_all(ad.tanh(ad.concat_cols(logits, os_logits)))
 
         assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
 
@@ -112,6 +112,16 @@ class TestHeads:
 
 
 class TestHazardTransforms:
+    def test_sigmoid_is_exact_and_finite_at_extremes(self):
+        x = np.array([[-1000.0, -30.0, -0.5, 0.0, 0.5, 30.0, 1000.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = sigmoid(x)
+        neg = x < 0
+        expected = np.where(neg, np.exp(np.minimum(x, 0)) / (1 + np.exp(np.minimum(x, 0))),
+                            1 / (1 + np.exp(-np.maximum(x, 0))))
+        assert np.array_equal(out, expected)
+        assert out[0, 0] == 0.0 and out[0, -1] == 1.0
+
     def test_zero_logits_half_hazard(self):
         h = hazards_from_logits(np.zeros((2, 4)))
         assert h.shape == (2, 4)

@@ -170,11 +170,11 @@ class TestCombinedLoss:
     def parts(self, weights):
         model, cohort = toy_setup()
         bins = model.config.bins()
-        batch, labels = cohort.batch(), cohort.label_bins(bins)
-        logits = model.forward(batch)
+        labels = cohort.label_bins(bins)
+        logits = model.forward(cohort)
         os_nll = discrete_nll(logits["os"], labels["os"], bins).item()
         dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins).item()
-        return _mean_loss(model, batch, labels, bins, weights).item(), os_nll, dfs_nll
+        return _mean_loss(model, cohort, labels, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
         loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))

@@ -47,7 +47,7 @@ VARIANTS = {
 
 
 def batch_loss(model, cohort, bins, weights):
-    return _mean_loss(model, cohort.batch(), cohort.label_bins(bins), bins, weights)
+    return _mean_loss(model, cohort, cohort.label_bins(bins), bins, weights)
 
 
 class TestBatchedAgreement:
@@ -118,10 +118,9 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     leaves = [p for _, p in model.named_parameters()]
 
     def run(data):
-        batch = data.batch()
-        loss = _mean_loss(model, batch, data.label_bins(bins), bins, LossWeights(1.0, 1.0))
+        loss = _mean_loss(model, data, data.label_bins(bins), bins, LossWeights(1.0, 1.0))
         grads = ad.backward(loss, params=leaves)
-        curves = model.predict_curves(batch)
+        curves = model.predict_curves(data)
         return ([loss.data] + [grads[p].data for p in leaves]
                 + [curves[task][0] for task in ("dfs", "os")])
 
