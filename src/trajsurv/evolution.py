@@ -10,10 +10,12 @@ the patient's latent trajectory.
 Everything runs on a cohort slice of B patients in the 7-slot star layout
 (see `graph.py`): node states are one matrix with 7 rows per patient, and
 every neighbour mean, normalised adjacency, per-arc gather and per-target
-sum is a stack of B per-patient dense blocks applied with `spmm`, one
+sum is a stack of B per-patient dense blocks (`autodiff.Blocks`), one
 batched matmul. `adjacency` builds each backbone's blocks from the slots in
-use and one star template, once per forward. `evolve` returns the snapshots
-as a plain list of T tensors, each with one row per patient.
+use and one star template, once per forward. `evolve` runs all T steps and
+their readouts as one node of the `evolve` primitive of `autodiff`, whose
+backward rule runs backpropagation through time; it returns the T snapshots
+stacked step-major, (T B x d), rows tB..tB+B-1 holding step t.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -34,16 +36,15 @@ A node with no in-arcs, such as a missing region's padding row, has an empty
 row in M and in the gat sum, so r is 0 there and only the self path remains;
 no operator has a nonzero column for a padding row, and gcn gives it no
 self-loop. r (e_t W) is computed as M(1 (e_t W)) inside M's operand, and
-likewise s. The weight blocks, the arc terms and the T x m tables E W of
-all time rows are built once per forward; row t is picked by a selector
-built once per process.
+likewise s. The weight blocks are row slices of the weights, and the arc
+terms and the T x m tables E W of all time rows are built once per forward;
+step t reads row t of each table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,20 +69,6 @@ def _bias(fan_out: int, name: str) -> Tensor:
     return ad.parameter(np.zeros((1, fan_out)), name=name)
 
 
-@lru_cache(maxsize=None)
-def _row_selector(start: int, stop: int, total: int) -> Blocks:
-    # One immutable selector per shape serves every model. It is built at its
-    # own size: a slice of np.eye(total) would keep all of np.eye cached.
-    if not 0 <= start < stop <= total:
-        raise ad.ShapeMismatchError("rows", (start, stop), total)
-    return Blocks(np.eye(stop - start, total, start)[None])
-
-
-def rows_of(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start..stop-1 of x on the tape, through a selector built once."""
-    return ad.spmm(_row_selector(start, stop, x.rows), x)
-
-
 @dataclass
 class EvolutionParams:
     """Residual operator weights plus the trainable T x d_t time-embedding
@@ -104,14 +91,6 @@ class EvolutionParams:
     attn_u: Tensor | None = None
     attn_b: Tensor | None = None
     attn_v: Tensor | None = None
-
-    def blocks(self, name: str) -> list[Tensor]:
-        """Weight `name` split by rows into its H, e_t (and A) blocks, on the tape."""
-        d, d_t = self.w_out.cols, self.time_table.cols
-        heights = {"w_self": (d, d_t), "w_neigh": (d, d_t, EDGE_ATTR_DIM),
-                   "attn_u": (d, d_t, d, d_t, EDGE_ATTR_DIM)}[name]
-        stops = np.cumsum(heights).tolist()
-        return [rows_of(getattr(self, name), stop - h, stop) for h, stop in zip(heights, stops)]
 
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         pairs = [("op.w_self", self.w_self), ("op.b_msg", self.b_msg),
@@ -173,12 +152,15 @@ def adjacency(cohort: CohortArrays, backbone: str) -> dict:
     """The backbone's constant blocks for a cohort slice.
 
     graphsage: `mean` (B, 7, 7) averages in-neighbours (1/in-degree per arc)
-    and `attr_mean` is the matching mean of arc attributes. gcn: `norm`
-    (B, 7, 7) is the symmetric normalisation D^-1/2 (A + I) D^-1/2 over the
-    slots in use. gat: `at_dst`/`at_src` (B, 20, 7) gather each arc's
-    target/source row, `sum_dst` (B, 7, 20) sums arcs into their target, and
-    `no_arcs` is 1 on rows without in-arcs. Every block is zero in the rows
-    and columns of a missing region, so its neighbour term is zero.
+    and `attr_mean` (7B x 3) is the matching mean of arc attributes. gcn:
+    `norm` (B, 7, 7) is the symmetric normalisation D^-1/2 (A + I) D^-1/2
+    over the slots in use. gat: `at_dst`/`at_src` (B, 20, 7) gather each
+    arc's target/source row, `sum_dst` (B, 7, 20) sums arcs into their
+    target, `attr` (20B x 3) holds the arc attributes, `no_arcs` (7B x 1) is
+    1 on rows without in-arcs, `arc_used` (20B x 1) marks the arcs in use
+    and `arc_target` (20B) gives each arc's target row. Every block is zero
+    in the rows and columns of a missing region, so its neighbour term is
+    zero.
     """
     slots = slots_in_use(cohort.present)
     used = slots[:, :, None] & slots[:, None, :]
@@ -188,7 +170,7 @@ def adjacency(cohort: CohortArrays, backbone: str) -> dict:
         deg = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
         attr_sum = np.matmul(at_dst.transpose(0, 2, 1), attr)
         return {"mean": Blocks(adj / deg),
-                "attr_mean": ad.constant((attr_sum / deg).reshape(-1, EDGE_ATTR_DIM))}
+                "attr_mean": (attr_sum / deg).reshape(-1, EDGE_ATTR_DIM)}
     elif backbone == "gcn":
         adj = (_STAR + np.eye(SLOTS)) * used
         inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
@@ -196,82 +178,12 @@ def adjacency(cohort: CohortArrays, backbone: str) -> dict:
     else:
         at_dst, at_src, attr = _arcs(cohort)
         gather = Blocks(at_dst)
+        target = np.arange(len(cohort))[:, None] * SLOTS + _ARC_DST
         return {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
-                "attr": ad.constant(attr.reshape(-1, EDGE_ATTR_DIM)),
-                "no_arcs": ad.constant((~slots).astype(np.float64).reshape(-1, 1))}
-
-
-def segment_softmax(scores: Tensor, ops: dict) -> Tensor:
-    """Softmax of per-arc scores (B 20 x 1) over the in-arcs of each target.
-
-    The per-target maximum is subtracted as a constant, so exp never
-    overflows; the weights are exp(shifted - log(per-target sum of exp)).
-    The arc slots of a missing region are shifted by their own score. `ops`
-    are gat's blocks from `adjacency`.
-    """
-    per_arc = scores.data.reshape(ops["at_dst"].blocks.shape[0], -1)
-    in_arcs = ops["at_dst"].blocks > 0.0
-    top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
-    shift = np.where(in_arcs.any(axis=2), top[:, _ARC_DST], per_arc)
-    shifted = ad.sub(scores, ad.constant(shift.reshape(-1, 1)))
-    total = ad.add(ad.spmm(ops["sum_dst"], ad.exp(shifted)), ops["no_arcs"])
-    return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
-
-
-def _attention(ops: dict, params: EvolutionParams, w_na: Tensor) -> Callable:
-    """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
-    u_dh, u_dt, u_sh, u_st, u_a = params.blocks("attn_u")
-    score_rows = ad.matmul(params.time_table, ad.add(u_dt, u_st))
-    score_arcs = ad.add(ad.matmul(ops["attr"], u_a), params.attn_b)
-    msg_arcs = ad.matmul(ops["attr"], w_na)
-    spread = ad.constant(np.ones((1, w_na.cols)))
-
-    def neighbours(h: Tensor, x_n: Tensor, t: int) -> Tensor:
-        dst = ad.spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
-        src = ad.spmm(ops["at_src"], ad.matmul(h, u_sh))
-        hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
-        alpha = segment_softmax(ad.matmul(hidden, params.attn_v), ops)
-        msgs = ad.add(ad.spmm(ops["at_src"], x_n), msg_arcs)
-        return ad.spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
-
-    return neighbours
-
-
-def residual_update(cohort: CohortArrays, params: EvolutionParams,
-                    ) -> Callable[[Tensor, int], Tensor]:
-    """dH of step t as a function of (H, t); the blocks and the terms without
-    H are built here, once."""
-    e = params.time_table
-    ops = adjacency(cohort, params.backbone)
-    w_sh, w_st = params.blocks("w_self")
-    self_rows = ad.matmul(e, w_st)
-    if params.backbone == "gcn":
-        norm = ops["norm"]
-
-        def pre(h: Tensor, t: int) -> Tensor:
-            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
-            return ad.add(ad.spmm(norm, own), params.b_msg)
-    else:
-        w_nh, w_nt, w_na = params.blocks("w_neigh")
-        neigh_rows = ad.matmul(e, w_nt)
-        if params.backbone == "graphsage":
-            fixed = ad.add(ad.matmul(ops["attr_mean"], w_na), params.b_msg)
-
-            def neighbours(h: Tensor, x_n: Tensor, t: int) -> Tensor:
-                return ad.spmm(ops["mean"], x_n)
-        else:
-            fixed = params.b_msg
-            neighbours = _attention(ops, params, w_na)
-
-        def pre(h: Tensor, t: int) -> Tensor:
-            x_n = ad.add(ad.matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
-            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
-            return ad.add(ad.add(own, neighbours(h, x_n, t)), fixed)
-
-    def update(h: Tensor, t: int) -> Tensor:
-        return ad.add(ad.matmul(ad.relu(pre(h, t)), params.w_out), params.b_out)
-
-    return update
+                "attr": attr.reshape(-1, EDGE_ATTR_DIM),
+                "no_arcs": (~slots).astype(np.float64).reshape(-1, 1),
+                "arc_used": cohort.present[:, _ARC_REGION].reshape(-1, 1),
+                "arc_target": target.ravel()}
 
 
 def mean_pool(present: np.ndarray) -> Blocks:
@@ -280,29 +192,19 @@ def mean_pool(present: np.ndarray) -> Blocks:
     return Blocks((slots / slots.sum(axis=1, keepdims=True))[:, None, :])
 
 
-def readout(h: Tensor, pool: Blocks) -> Tensor:
-    """Patient-level snapshots: per patient, the column-wise mean of its rows in use."""
-    if h.rows == 0:
-        raise ValueError("readout of empty node-state matrix")
-    return ad.spmm(pool, h)
-
-
 def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
-           horizon: int) -> list[Tensor]:
+           horizon: int) -> Tensor:
     """Roll the residual operator forward `horizon` steps from H0; the
-    snapshots z_0..z_{T-1}, each the readout taken after one update."""
+    snapshots z_0..z_{T-1}, each the readout taken after one update, stacked
+    step-major as one (T B x d) node of the `evolve` primitive."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > params.time_table.rows:
         raise IndexError(f"horizon {horizon} exceeds time table with "
                          f"{params.time_table.rows} rows")
-    update = residual_update(cohort, params)
-    pool = mean_pool(cohort.present)
-    h = h0
-    snapshots: list[Tensor] = []
-    for t in range(horizon):
-        h = ad.add(h, update(h, t))
-        if not np.isfinite(h.data).all():
-            raise ad.NonFiniteError(f"node states diverged at evolution step {t}")
-        snapshots.append(readout(h, pool))
-    return snapshots
+    if h0.rows == 0:
+        raise ValueError("evolve of an empty node-state matrix")
+    return ad.evolve(h0, horizon, adjacency(cohort, params.backbone), mean_pool(cohort.present),
+                     params.w_self, params.b_msg, params.w_out, params.b_out,
+                     params.time_table, params.w_neigh, params.attn_u, params.attn_b,
+                     params.attn_v)

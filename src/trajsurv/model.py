@@ -2,9 +2,9 @@
 
 The forward pass reads a cohort slice (`cohort.CohortArrays`) as it is and
 runs it on one tape, handing each stage a plain value: the node states H0
-in the 7-slot layout, the list of T snapshot tensors, the summary h*, and
-the logits keyed by task. Every output has one row per patient, and one
-patient is simply a slice of one.
+in the 7-slot layout, the T snapshots stacked step-major in one tensor (B
+rows per step), the summary h*, and the logits keyed by task. h* and the
+logits have one row per patient, and one patient is simply a slice of one.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ class FullModel:
         h0 = embed_nodes(cohort, self.embedding)
         snapshots = evolve(h0, cohort, self.evolution, cfg.horizon)
         if cfg.integrator == "lstm":
-            h_star = integrate(snapshots, self.lstm)
+            h_star = integrate(snapshots, cfg.horizon, self.lstm)
         else:
-            h_star = integrate_mean(snapshots)
+            h_star = integrate_mean(snapshots, cfg.horizon)
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
         return {"dfs": dfs_logits, "os": os_logits}

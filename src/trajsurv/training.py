@@ -65,31 +65,35 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     best_epoch = 0
     history = []
 
-    for epoch in range(1, settings.max_epochs + 1):
-        order = rng.permutation(len(train))
-        items = train.take(order)
-        if settings.augment:
-            items = augment(items, [int(np.random.SeedSequence(
-                [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
+    # A diverging run is reported once, by the NonFiniteError of the
+    # evolution or AdamW check; numpy's overflow warnings on the way there
+    # would only repeat it on stderr.
+    with np.errstate(all="ignore"):
+        for epoch in range(1, settings.max_epochs + 1):
+            order = rng.permutation(len(train))
+            items = train.take(order)
+            if settings.augment:
+                items = augment(items, [int(np.random.SeedSequence(
+                    [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
 
-        train_losses = []
-        for start in range(0, len(items), settings.batch_size):
-            part = items.take(slice(start, start + settings.batch_size))
-            loss = _mean_loss(model, part, part.label_bins(bins), bins, weights)
-            grads = ad.backward(loss, params=[p for _, p in params])
-            adamw_step(params, grads, state, settings)
-            train_losses.append(loss.item())
+            train_losses = []
+            for start in range(0, len(items), settings.batch_size):
+                part = items.take(slice(start, start + settings.batch_size))
+                loss = _mean_loss(model, part, part.label_bins(bins), bins, weights)
+                grads = ad.backward(loss, params=[p for _, p in params])
+                adamw_step(params, grads, state, settings)
+                train_losses.append(loss.item())
 
-        with ad.no_grad(p for _, p in params):
-            val_loss = _mean_loss(model, val, val_labels, bins, weights).item()
-        history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
+            with ad.no_grad(p for _, p in params):
+                val_loss = _mean_loss(model, val, val_labels, bins, weights).item()
+            history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
-        improved, stop = end_epoch(state, val_loss, settings)
-        if improved:
-            best = snapshot_parameters(model)
-            best_epoch = epoch
-        if stop:
-            break
+            improved, stop = end_epoch(state, val_loss, settings)
+            if improved:
+                best = snapshot_parameters(model)
+                best_epoch = epoch
+            if stop:
+                break
 
     restore_parameters(model, best)
     return TrainResult(state.best, best_epoch, epochs_run=epoch, history=history)

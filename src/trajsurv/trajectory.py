@@ -1,8 +1,9 @@
 """LSTM trajectory integrator: snapshot sequence -> summary vector h*.
 
-The snapshots z_0..z_{T-1}, a plain list of tensors with one row per graph
-of the batch, are consumed by a single-layer LSTM from a zero initial state;
-h* is the elementwise mean of all hidden states so no single step dominates.
+The snapshots z_0..z_{T-1}, one node stacked step-major as `evolve` returns
+them (T B x d, B rows per step), are consumed by a single-layer LSTM from a
+zero initial state; h* is the elementwise mean of all hidden states so no
+single step dominates.
 The whole recurrence is one tape node, the `lstm` primitive of `autodiff`,
 whose backward rule runs backpropagation through time; the parameters stay
 the eight `lstm.*` leaves, one weight and one bias per gate. The
@@ -62,17 +63,17 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
                       w("lstm.w_g"), b("lstm.b_g"), w("lstm.w_o"), b("lstm.b_o"))
 
 
-def integrate(snapshots: list[Tensor], params: LstmParams) -> Tensor:
-    """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T."""
-    return ad.lstm(snapshots, params.w_i, params.b_i, params.w_f, params.b_f,
+def integrate(snapshots: Tensor, steps: int, params: LstmParams) -> Tensor:
+    """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T over
+    the `steps` stacked snapshots."""
+    return ad.lstm(snapshots, steps, params.w_i, params.b_i, params.w_f, params.b_f,
                    params.w_g, params.b_g, params.w_o, params.b_o)
 
 
-def integrate_mean(snapshots: list[Tensor]) -> Tensor:
-    """Integrator ablation: elementwise mean of the raw snapshots."""
-    if not snapshots:
-        raise ValueError("cannot integrate an empty snapshot sequence")
-    acc = snapshots[0]
-    for r in snapshots[1:]:
-        acc = ad.add(acc, r)
-    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / len(snapshots))))
+def integrate_mean(snapshots: Tensor, steps: int) -> Tensor:
+    """Integrator ablation: elementwise mean of the `steps` stacked snapshots."""
+    if steps < 1 or snapshots.rows % steps:
+        raise ValueError(f"cannot integrate {snapshots.rows} snapshot rows as {steps} steps")
+    rows, d = snapshots.rows // steps, snapshots.cols
+    total = ad.matmul(ad.constant(np.ones((1, steps))), ad.reshape(snapshots, steps, rows * d))
+    return ad.mul(ad.reshape(total, rows, d), ad.constant(np.full((rows, d), 1.0 / steps)))

@@ -9,6 +9,9 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 `concat_step` is the evolution step in its first form, dense and per node.
 `lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
 nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
+`tape_evolve` is the evolution rollout as per-op tape nodes: `rows_of`
+selectors for the weight blocks and time rows, `residual_update` for a step
+and `readout` for a snapshot.
 """
 
 from dataclasses import dataclass
@@ -287,16 +290,18 @@ def lstm_step(z, h, c, params):
     return h2, c2
 
 
-def tape_integrate(snapshots, params):
-    """The per-op tape form of `trajectory.integrate`: `lstm_step` from a
-    zero state, then the mean of h_1..h_T as a chain of adds and one scale."""
-    zeros = np.zeros((snapshots[0].rows, params.hidden_dim))
+def tape_integrate(snapshots, steps, params):
+    """The per-op tape form of `trajectory.integrate`: the stacked snapshots
+    split into steps by `rows_of`, `lstm_step` from a zero state, then the
+    mean of h_1..h_T as a chain of adds and one scale."""
+    rows = snapshots.rows // steps
+    zeros = np.zeros((rows, params.hidden_dim))
     h, c = ad.constant(zeros), ad.constant(zeros)
     acc = None
-    for z in snapshots:
-        h, c = lstm_step(z, h, c, params)
+    for t in range(steps):
+        h, c = lstm_step(rows_of(snapshots, t * rows, (t + 1) * rows), h, c, params)
         acc = h if acc is None else ad.add(acc, h)
-    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / len(snapshots))))
+    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / steps)))
 
 
 def leafwise_adamw_step(params, grads, state, settings):
@@ -315,3 +320,110 @@ def leafwise_adamw_step(params, grads, state, settings):
         state[name] = (m, v)
         update = (m / bc1) / (np.sqrt(v / bc2) + settings.eps)
         p.data -= state["lr"] * (update + settings.weight_decay * p.data)
+
+
+def rows_of(x, start, stop):
+    """Rows start..stop-1 of x on the tape, through a dense selector."""
+    if not 0 <= start < stop <= x.rows:
+        raise ad.ShapeMismatchError("rows", (start, stop), x.rows)
+    return ad.spmm(ad.Blocks(np.eye(stop - start, x.rows, start)[None]), x)
+
+
+def weight_blocks(params, name):
+    """Weight `name` split by rows into its H, e_t (and A) blocks, on the tape."""
+    d, d_t = params.w_out.cols, params.time_table.cols
+    heights = {"w_self": (d, d_t), "w_neigh": (d, d_t, 3),
+               "attn_u": (d, d_t, d, d_t, 3)}[name]
+    stops = np.cumsum(heights).tolist()
+    return [rows_of(getattr(params, name), stop - h, stop) for h, stop in zip(heights, stops)]
+
+
+def tape_segment_softmax(scores, ops):
+    """`autodiff.segment_softmax` on the tape, per-target maximum as a constant."""
+    per_arc = scores.data.reshape(ops["at_dst"].blocks.shape[0], -1)
+    in_arcs = ops["at_dst"].blocks > 0.0
+    top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
+    shift = np.where(in_arcs.any(axis=2),
+                     np.take_along_axis(top, in_arcs.argmax(axis=2), axis=1), per_arc)
+    shifted = ad.sub(scores, ad.constant(shift.reshape(-1, 1)))
+    total = ad.add(ad.spmm(ops["sum_dst"], ad.exp(shifted)), ad.constant(ops["no_arcs"]))
+    return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
+
+
+def _attention(ops, params, w_na):
+    """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
+    u_dh, u_dt, u_sh, u_st, u_a = weight_blocks(params, "attn_u")
+    attr = ad.constant(ops["attr"])
+    score_rows = ad.matmul(params.time_table, ad.add(u_dt, u_st))
+    score_arcs = ad.add(ad.matmul(attr, u_a), params.attn_b)
+    msg_arcs = ad.matmul(attr, w_na)
+    spread = ad.constant(np.ones((1, w_na.cols)))
+
+    def neighbours(h, x_n, t):
+        dst = ad.spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
+        src = ad.spmm(ops["at_src"], ad.matmul(h, u_sh))
+        hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
+        alpha = tape_segment_softmax(ad.matmul(hidden, params.attn_v), ops)
+        msgs = ad.add(ad.spmm(ops["at_src"], x_n), msg_arcs)
+        return ad.spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
+
+    return neighbours
+
+
+def residual_update(cohort, params):
+    """dH of step t as a function of (H, t), as per-op tape nodes: the
+    evolution step as the `evolve` primitive is held to it."""
+    from trajsurv.evolution import adjacency
+
+    e = params.time_table
+    ops = adjacency(cohort, params.backbone)
+    w_sh, w_st = weight_blocks(params, "w_self")
+    self_rows = ad.matmul(e, w_st)
+    if params.backbone == "gcn":
+        norm = ops["norm"]
+
+        def pre(h, t):
+            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return ad.add(ad.spmm(norm, own), params.b_msg)
+    else:
+        w_nh, w_nt, w_na = weight_blocks(params, "w_neigh")
+        neigh_rows = ad.matmul(e, w_nt)
+        if params.backbone == "graphsage":
+            fixed = ad.add(ad.matmul(ad.constant(ops["attr_mean"]), w_na), params.b_msg)
+
+            def neighbours(h, x_n, t):
+                return ad.spmm(ops["mean"], x_n)
+        else:
+            fixed = params.b_msg
+            neighbours = _attention(ops, params, w_na)
+
+        def pre(h, t):
+            x_n = ad.add(ad.matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
+            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return ad.add(ad.add(own, neighbours(h, x_n, t)), fixed)
+
+    def update(h, t):
+        return ad.add(ad.matmul(ad.relu(pre(h, t)), params.w_out), params.b_out)
+
+    return update
+
+
+def readout(h, pool):
+    """Patient-level snapshots on the tape: per patient, the mean of its rows in use."""
+    if h.rows == 0:
+        raise ValueError("readout of empty node-state matrix")
+    return ad.spmm(pool, h)
+
+
+def tape_evolve(h0, cohort, params, horizon):
+    """The per-op tape form of `evolution.evolve`: `residual_update` and a
+    readout per step, the snapshots as a list of T tensors."""
+    from trajsurv.evolution import mean_pool
+
+    update = residual_update(cohort, params)
+    pool = mean_pool(cohort.present)
+    h, snapshots = h0, []
+    for t in range(horizon):
+        h = ad.add(h, update(h, t))
+        snapshots.append(readout(h, pool))
+    return snapshots

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsurv import autodiff as ad
+from trajsurv.cohort import simulate_cohort
+from trajsurv.evolution import BACKBONES, evolve, init_evolution
+from trajsurv.graph import slots_in_use
 
 
 # Three 2 x 1 blocks, one of them zero: a 6 x 3 block-diagonal matrix.
@@ -201,14 +204,28 @@ def _fd_builders():
     cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
         ad.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
     # Three snapshots of two rows, d = 2, d_h = 3: every gate weight and bias
-    # and every snapshot is a leaf.
-    snaps = [leafy(rng.normal(size=(2, 2))) for _ in range(3)]
+    # and the stacked snapshots are leaves.
+    snaps = leafy(rng.normal(size=(6, 2)))
     gate_leaves = []
     for _ in range(4):
         gate_leaves += [leafy(rng.normal(size=(5, 3))), leafy(rng.normal(size=(1, 3)))]
     mix = ad.constant(rng.normal(size=(2, 3)))
-    cases["lstm"] = (snaps + gate_leaves,
-                     lambda: ad.sum_all(ad.mul(ad.lstm(snaps, *gate_leaves), mix)))
+    cases["lstm"] = ([snaps] + gate_leaves,
+                     lambda: ad.sum_all(ad.mul(ad.lstm(snaps, 3, *gate_leaves), mix)))
+    # Three steps over two patients, the second without two regions: H0 and
+    # every evolution leaf of each backbone.
+    cohort, _ = simulate_cohort(10, seed=1)
+    present = cohort.present[:2].copy()
+    present[1, 1:3] = False
+    cohort = cohort[:2].with_presence(present)
+    for backbone in BACKBONES:
+        params = init_evolution(backbone, 3, 2, 3, 4, rng, attention_dim=2)
+        h0 = leafy(rng.normal(size=(14, 3)) * slots_in_use(present).reshape(-1, 1))
+        weight = ad.constant(rng.normal(size=(6, 3)))
+        cases[f"evolve/{backbone}"] = (
+            [h0] + [leaf for _, leaf in params.named_leaves()],
+            lambda h0=h0, params=params, weight=weight: ad.sum_all(ad.mul(
+                ad.tanh(evolve(h0, cohort, params, 3)), weight)))
     return cases
 
 
@@ -223,12 +240,12 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
     # gradients stacked at once would take 2 x 33.5 MB.
     rng = np.random.default_rng(0)
     steps, width = 64, 128
-    snaps = [ad.constant(rng.normal(size=(1, width))) for _ in range(steps)]
+    snaps = ad.constant(rng.normal(size=(steps, width)))
     leaves = []
     for _ in range(4):
         leaves += [ad.parameter(rng.normal(scale=0.05, size=(2 * width, width))),
                    ad.parameter(np.zeros((1, width)))]
-    out = ad.sum_all(ad.lstm(snaps, *leaves))
+    out = ad.sum_all(ad.lstm(snaps, steps, *leaves))
     tracemalloc.start()
     try:
         ad.backward(out, params=leaves)
@@ -239,7 +256,7 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
 
 
 def test_every_primitive_is_covered_by_fd_sweep():
-    covered = {name.replace("-broadcast", "") for name in _fd_builders()}
+    covered = {name.replace("-broadcast", "").split("/")[0] for name in _fd_builders()}
     assert set(ad._BACKWARD) <= covered
 
 

@@ -512,6 +512,20 @@ def test_crossval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_diverging_crossval_prints_one_stderr_line(tmp_path):
+    # In a child process, so no warning capture stands between numpy and stderr.
+    cohort = simulate_into(tmp_path, simulate={"n": 20, "region_len": 4, "clinical_len": 3})
+    config = write_config(tmp_path, name="diverge.json", cohort=cohort,
+                          model={"d": 4, "T": 2, "K": 4}, cv={"k": 2, "repeats": 1},
+                          train={"lr": 1e300})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "trajsurv.cli", "crossval", "--config",
+                           str(config), "--out", str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_TRAINING
+    assert proc.stderr.splitlines() == ["2/2 folds failed to train"]
+
+
 # ---------------------------------------------------------------------------
 # Loader fuzz: a mutated model file loads equal or is a data error.
 # ---------------------------------------------------------------------------

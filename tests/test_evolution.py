@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
+from trajsurv.autodiff import segment_softmax
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
 from trajsurv import evolution
 from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
-                                init_evolution, mean_pool, readout, residual_update, rows_of,
-                                segment_softmax, uniform_weight)
+                                init_evolution, mean_pool, uniform_weight)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss
 
 import oracles
+from oracles import readout, residual_update, rows_of, tape_evolve
 from test_graph import join, make_graph, make_record
 
 D = 4
@@ -100,12 +101,6 @@ class TestTimeEmbedding:
             time_embedding(3, table)
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(-1, table)
-
-    def test_cached_selector_holds_only_its_own_rows(self):
-        sel = evolution._row_selector(3, 5, 256)
-        assert np.array_equal(sel.blocks[0], np.eye(256)[3:5])
-        owner = sel.blocks if sel.blocks.base is None else sel.blocks.base
-        assert owner.nbytes == sel.blocks.nbytes == 2 * 256 * 8
 
     def test_rows_are_trainable(self):
         table = time_table(4, DT, 1)
@@ -211,23 +206,24 @@ class TestReadout:
     def test_identical_rows(self):
         r = np.array([[2.0, -1.0]])
         g = make_graph(kinds=ANATOMICAL_KINDS[1:3])
-        out = readout(ad.constant(np.repeat(r, 7, axis=0)), mean_pool(g.present))
-        assert np.allclose(out.data, r)
+        out = mean_pool(g.present).apply(np.repeat(r, 7, axis=0))
+        assert np.allclose(out, r)
 
     def test_hand_mean(self):
         # The liver and both hubs count; the padding rows do not.
         h = np.full((7, 2), 100.0)
         h[[LIVER, SUMMARY, CLINICAL]] = [[1.0, 3.0], [5.0, 7.0], [3.0, 2.0]]
-        out = readout(ad.constant(h), mean_pool(one_region_graph().present))
-        np.testing.assert_allclose(out.data, [[3.0, 4.0]], rtol=0, atol=1e-15)
+        out = mean_pool(one_region_graph().present).apply(h)
+        np.testing.assert_allclose(out, [[3.0, 4.0]], rtol=0, atol=1e-15)
 
     def test_single_row_passthrough(self):
         out = readout(ad.constant([[1.0, 2.0]]), ad.Blocks(np.ones((1, 1, 1))))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            readout(ad.constant(np.zeros((0, 3))), ad.Blocks(np.zeros((0, 1, 7))))
+        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty"):
+            evolve(ad.constant(np.zeros((0, D))), full_graph().take(slice(0, 0)), params, 1)
 
 
 class TestEvolve:
@@ -239,18 +235,17 @@ class TestEvolve:
         g = full_graph()
         h0 = ad.constant(np.random.default_rng(9).normal(size=(7 * len(g), D)))
         snaps = evolve(h0, g, params, horizon)
-        base = readout(h0, mean_pool(g.present)).data
-        assert len(snaps) == horizon
-        for z in snaps:
-            assert np.array_equal(z.data, base)
+        base = mean_pool(g.present).apply(h0.data)
+        assert snaps.shape == (horizon * len(g), D)
+        for z in snaps.data.reshape(horizon, len(g), D):
+            assert np.array_equal(z, base)
 
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
         h0 = ad.constant(np.zeros((7 * len(g), D)))
         snaps = evolve(h0, g, params, 12)
-        assert len(snaps) == 12
-        assert all(z.shape == (1, D) for z in snaps)
+        assert snaps.shape == (12, D)
 
     def test_time_embedding_conditions_each_step(self):
         # With distinct time rows, consecutive increments differ.
@@ -289,8 +284,8 @@ class TestEvolve:
         assert len(states) == 3
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
-        for z, h in zip(evolve(h0, g, params, 2), states[1:]):
-            assert np.array_equal(z.data, readout(h, mean_pool(g.present)).data)
+        for z, h in zip(evolve(h0, g, params, 2).data, states[1:]):
+            assert np.array_equal(z, mean_pool(g.present).apply(h.data)[0])
 
 
 def test_uniform_weight_bound_and_determinism():
@@ -314,11 +309,10 @@ def test_graphs_in_one_batch_match_graphs_alone():
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
         hs = [rng.normal(size=(7, D)) for _ in records]
-        e_t = time_embedding(1, params.time_table)
-        joint = residual_step(ad.constant(np.vstack(hs)), e_t, join(records), params)
-        alone = [residual_step(ad.constant(h), e_t, r, params).data
-                 for h, r in zip(hs, records)]
-        np.testing.assert_allclose(joint.data, np.vstack(alone), rtol=0, atol=1e-12)
+        joint = evolve(ad.constant(np.vstack(hs)), join(records), params, 4)
+        alone = [evolve(ad.constant(h), r, params, 4).data for h, r in zip(hs, records)]
+        np.testing.assert_allclose(joint.data.reshape(4, len(records), D),
+                                   np.stack(alone, axis=1), rtol=0, atol=1e-12)
 
 
 class TestSegmentSoftmax:
@@ -330,7 +324,7 @@ class TestSegmentSoftmax:
     def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
         ops = self.ops()
         scores = np.random.default_rng(14).normal(size=(ops["at_dst"].shape[0], 1)) * scale
-        alpha = segment_softmax(ad.constant(scores), ops).data
+        alpha = segment_softmax(scores, ops)[0]
         assert np.isfinite(alpha).all() and (alpha >= 0).all()
         per_node = ops["sum_dst"].apply(alpha)[:, 0]
         has_arcs = ops["sum_dst"].apply(np.ones_like(alpha))[:, 0] > 0
@@ -341,7 +335,7 @@ class TestSegmentSoftmax:
     def test_equal_extreme_scores_split_evenly(self):
         ops = self.ops()
         arcs = ops["at_dst"].shape[0]
-        alpha = segment_softmax(ad.constant(np.full((arcs, 1), 1000.0)), ops).data
+        alpha = segment_softmax(np.full((arcs, 1), 1000.0), ops)[0]
         deg = ops["sum_dst"].apply(np.ones((arcs, 1)))
         used = ops["at_dst"].apply(np.ones((ops["at_dst"].shape[1], 1)))[:, 0] > 0
         np.testing.assert_allclose(alpha[used, 0], 1.0 / ops["at_dst"].apply(deg)[used, 0],
@@ -369,6 +363,65 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
                                    rtol=0, atol=1e-12)
 
 
+def absent_region_cohort(n):
+    """n simulated patients with about a third of their regions absent, the
+    first patient's hepatic veins among them."""
+    cohort, _ = simulate_cohort(max(n, 10), seed=21)
+    present = cohort.present[:n] & (np.random.default_rng(22).random((n, 5)) > 0.35)
+    present[:, 0] = True
+    present[0, 2] = False
+    return cohort[:n].with_presence(present)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("rows,steps", ((1, 1), (1, 12), (64, 1), (64, 12)),
+                         ids=("B1-T1", "B1-T12", "B64-T1", "B64-T12"))
+def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps):
+    # The snapshots bit for bit. The loss, a weighted mean of tanh of each
+    # step's snapshots read through `rows_of`, and the gradients of H0 and of
+    # every evolution leaf within 1e-12; H0's padding rows get exactly zero.
+    cohort = absent_region_cohort(rows)
+    rng = np.random.default_rng(23)
+    params = init_evolution(backbone, 32, 16, 12, 32, rng)
+    used = slots_in_use(cohort.present).reshape(-1, 1)
+    h0 = ad.parameter(rng.normal(size=(7 * rows, 32)) * used)
+    weights = [ad.constant(rng.normal(size=(rows, 32)) / rows) for _ in range(steps)]
+    leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
+    z = evolve(h0, cohort, params, steps)
+    reference = tape_evolve(h0, cohort, params, steps)
+    assert np.array_equal(z.data, np.vstack([s.data for s in reference]))
+
+    def loss(snapshots):
+        terms = [ad.sum_all(ad.mul(ad.tanh(s), w)) for s, w in zip(snapshots, weights)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    fused = loss([rows_of(z, t * rows, (t + 1) * rows) for t in range(steps)])
+    ref = loss(reference)
+    assert abs(fused.item() - ref.item()) <= 1e-12
+    grads, ref_grads = ad.backward(fused, leaves), ad.backward(ref, leaves)
+    for leaf in leaves:
+        np.testing.assert_allclose(grads[leaf].data, ref_grads[leaf].data, rtol=0, atol=1e-12)
+    for g in (grads, ref_grads):
+        assert (g[h0].data[~used[:, 0]] == 0.0).all()
+
+
+def test_evolve_without_grad_keeps_no_cache():
+    g = join(mixed_records())
+    h0 = ad.parameter(np.random.default_rng(24).normal(size=(7 * len(g), D)))
+    for backbone in BACKBONES:
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25))
+        leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
+        taped = evolve(h0, g, params, 4)
+        with ad.no_grad(leaves):
+            free = evolve(h0, g, params, 4)
+        assert taped.ctx is not None
+        assert free.ctx is None and free.parents == ()
+        assert np.array_equal(free.data, taped.data)
+
+
 def one_batch_loss(backbone, n=64):
     cohort, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
@@ -378,12 +431,13 @@ def one_batch_loss(backbone, n=64):
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",
-                         (("graphsage", 275, 258), ("gcn", 219, 203), ("gat", 564, 533)),
+                         (("graphsage", 98, 82), ("gcn", 97, 81), ("gat", 101, 85)),
                          ids=("graphsage", "gcn", "gat"))
 def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
     # Every distinct tensor reachable from the loss, leaves included, and the
-    # nodes backward visits (`_topo_order`). A change that adds per-step work
-    # to the rollout or the LSTM moves these counts.
+    # nodes backward visits (`_topo_order`). The rollout and the LSTM are one
+    # node each, so the counts do not depend on T or on the backbone's
+    # per-step work; gcn has one leaf fewer (no w_neigh), gat three more.
     _, _, loss = one_batch_loss(backbone)
     out = loss()
     seen, stack = set(), [out]
@@ -396,18 +450,13 @@ def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
     assert len(ad._topo_order(out)) == differentiable
 
 
-def test_forwards_reuse_selectors_and_operators(monkeypatch):
-    # A second forward and backward builds no selector: the time-row and
-    # weight-block selectors are built once per process. Each forward builds
-    # its slice's operators once, gat's included.
+def test_forwards_build_their_operators_once(monkeypatch):
+    # Each forward builds its slice's operators once, gat's included.
     model, _, loss = one_batch_loss("gat", n=12)
     params = [p for _, p in model.named_parameters()]
-    ad.backward(loss(), params=params)
-    built = evolution._row_selector.cache_info().misses
     calls = []
     build = evolution.adjacency
     monkeypatch.setattr(evolution, "adjacency",
                         lambda cohort, backbone: calls.append(backbone) or build(cohort, backbone))
     ad.backward(loss(), params=params)
-    assert evolution._row_selector.cache_info().misses == built
     assert calls == ["gat"]

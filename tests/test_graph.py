@@ -58,7 +58,7 @@ def arc_list(cohort, patient=0):
     """(source slot, target slot, attribute) of every arc in use."""
     ops = adjacency(cohort, "gat")
     at_dst, at_src = ops["at_dst"].blocks[patient], ops["at_src"].blocks[patient]
-    attr = ops["attr"].data.reshape(len(cohort), -1, EDGE_ATTR_DIM)[patient]
+    attr = ops["attr"].reshape(len(cohort), -1, EDGE_ATTR_DIM)[patient]
     return [(int(at_src[a].argmax()), int(at_dst[a].argmax()), attr[a])
             for a in range(at_dst.shape[0]) if at_dst[a].any()]
 
@@ -223,7 +223,7 @@ def test_batch_blocks_match_star_oracle(patterns, seed):
     for b, rec in enumerate(records):
         expected = oracles.star_operators(rec)
         np.testing.assert_allclose(mean["mean"].blocks[b], expected["mean"], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(mean["attr_mean"].data[SLOTS * b:SLOTS * (b + 1)],
+        np.testing.assert_allclose(mean["attr_mean"][SLOTS * b:SLOTS * (b + 1)],
                                    expected["attr_mean"], rtol=0, atol=1e-15)
         np.testing.assert_allclose(norm[b], expected["norm"], rtol=0, atol=1e-15)
         got = sorted((s, d, tuple(a)) for s, d, a in arc_list(batch, b))

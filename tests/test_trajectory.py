@@ -46,7 +46,7 @@ class TestLstmStep:
     def test_zero_params_zero_cell(self):
         p = zero_params()
         # All gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0.
-        out = integrate([ad.constant(np.ones((1, DIM)))], p)
+        out = integrate(ad.constant(np.ones((1, DIM))), 1, p)
         assert np.array_equal(out.data, np.zeros((1, DIM)))
 
     def test_zero_params_unit_cell_memory(self):
@@ -71,15 +71,15 @@ class TestLstmStep:
     def test_width_mismatch_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-            integrate([ad.constant(np.zeros((1, DIM + 1)))], p)
+            integrate(ad.constant(np.zeros((1, DIM + 1))), 1, p)
 
     def test_multi_row_step_matches_per_row(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         seq = [rng.normal(size=(4, DIM)) for _ in range(3)]
-        out = integrate([ad.constant(z) for z in seq], p)
+        out = integrate(ad.constant(np.vstack(seq)), 3, p)
         for r in range(4):
-            row = integrate([ad.constant(z[r:r + 1]) for z in seq], p)
+            row = integrate(ad.constant(np.vstack([z[r:r + 1] for z in seq])), 3, p)
             np.testing.assert_allclose(out.data[r], row.data[0], rtol=0, atol=1e-12)
 
 
@@ -88,7 +88,7 @@ class TestLstmStep:
     (64, 12, None, False), (64, 12, 100.0, False), (64, 12, None, True)],
     ids=["B1-T1", "B1-T12", "B64-T1", "B64-T12", "saturated", "constant"])
 def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
-    # Loss sum(h* . W) and the gradients of every snapshot and lstm.* leaf.
+    # Loss sum(h* . W) and the gradients of the snapshots and every lstm.* leaf.
     rng = np.random.default_rng(5)
     p = init_lstm(32, 32, rng)
     if bias is not None:
@@ -96,11 +96,12 @@ def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
             if ".b_" in name:
                 leaf.data[:] = bias * rng.choice([-1.0, 1.0], size=leaf.shape)
     first = rng.normal(size=(rows, 32))
-    snaps = [ad.parameter(first if constant else rng.normal(size=(rows, 32)))
-             for _ in range(steps)]
+    snaps = ad.parameter(np.vstack([first if constant else rng.normal(size=(rows, 32))
+                                    for _ in range(steps)]))
     weight = ad.constant(rng.normal(size=(rows, 32)))
-    leaves = snaps + [leaf for _, leaf in p.named_leaves()]
-    loss, ref = (ad.sum_all(ad.mul(f(snaps, p), weight)) for f in (integrate, tape_integrate))
+    leaves = [snaps] + [leaf for _, leaf in p.named_leaves()]
+    loss, ref = (ad.sum_all(ad.mul(f(snaps, steps, p), weight))
+                 for f in (integrate, tape_integrate))
     assert abs(loss.item() - ref.item()) <= 1e-12
     grads, ref_grads = ad.backward(loss, leaves), ad.backward(ref, leaves)
     for leaf in leaves:
@@ -108,18 +109,18 @@ def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
 
 
 def test_lstm_rejects_ragged_snapshots():
+    # Five rows cannot be two steps of equal height.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
-    ragged = [ad.constant(np.zeros((2, DIM))), ad.constant(np.zeros((3, DIM)))]
     with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-        integrate(ragged, p)
+        integrate(ad.constant(np.zeros((5, DIM))), 2, p)
 
 
 def test_lstm_without_grad_keeps_no_cache():
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
-    snaps = [ad.constant(np.ones((2, DIM))) for _ in range(4)]
-    taped = integrate(snaps, p)
+    snaps = ad.constant(np.ones((8, DIM)))
+    taped = integrate(snaps, 4, p)
     with ad.no_grad(leaf for _, leaf in p.named_leaves()):
-        free = integrate(snaps, p)
+        free = integrate(snaps, 4, p)
     assert taped.ctx is not None
     assert free.ctx is None and free.parents == ()
     assert np.array_equal(free.data, taped.data)
@@ -127,18 +128,18 @@ def test_lstm_without_grad_keeps_no_cache():
 
 class TestIntegrate:
     def snaps(self, arrays):
-        return [ad.constant(a) for a in arrays]
+        return ad.constant(np.vstack(arrays)), len(arrays)
 
     def test_zero_params_zero_summary(self):
         p = zero_params()
         rng = np.random.default_rng(3)
-        out = integrate(self.snaps([rng.normal(size=(1, DIM)) for _ in range(5)]), p)
+        out = integrate(*self.snaps([rng.normal(size=(1, DIM)) for _ in range(5)]), p)
         assert np.array_equal(out.data, np.zeros((1, DIM)))
 
     def test_single_snapshot_equals_single_hidden_state(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(4))
         z = np.random.default_rng(5).normal(size=(1, DIM))
-        out = integrate(self.snaps([z]), p)
+        out = integrate(*self.snaps([z]), p)
         h1, _ = lstm_step(ad.constant(z), ad.constant(np.zeros((1, DIM))),
                           ad.constant(np.zeros((1, DIM))), p)
         assert np.allclose(out.data, h1.data)
@@ -147,45 +148,48 @@ class TestIntegrate:
         p = init_lstm(DIM, 5, np.random.default_rng(6))
         z_const = np.random.default_rng(7).normal(size=(1, DIM))
         seq = [z_const.copy() for _ in range(8)]
-        out = integrate(self.snaps(seq), p)
+        out = integrate(*self.snaps(seq), p)
         assert np.allclose(out.data, numpy_lstm(seq, p), atol=1e-12)
 
     def test_varying_sequence_matches_oracle(self):
         p = init_lstm(DIM, 4, np.random.default_rng(8))
         rng = np.random.default_rng(9)
         seq = [rng.normal(size=(1, DIM)) for _ in range(6)]
-        out = integrate(self.snaps(seq), p)
+        out = integrate(*self.snaps(seq), p)
         assert np.allclose(out.data, numpy_lstm(seq, p), atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate([], p)
+            integrate(ad.constant(np.zeros((0, DIM))), 0, p)
 
     def test_gradients_through_recurrence(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        seq = [ad.constant(rng.normal(size=(1, DIM))) for _ in range(3)]
+        seq = ad.constant(rng.normal(size=(3, DIM)))
 
         def f():
-            return ad.sum_all(integrate(list(seq), p))
+            return ad.sum_all(integrate(seq, 3, p))
 
         assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
 
 
 class TestIntegrateMean:
     def test_mean_of_snapshots(self):
-        snaps = [ad.constant([[1.0, 2.0]]), ad.constant([[3.0, 6.0]])]
-        assert np.allclose(integrate_mean(snaps).data, [[2.0, 4.0]])
+        snaps = ad.constant([[1.0, 2.0], [3.0, 6.0]])
+        assert np.allclose(integrate_mean(snaps, 2).data, [[2.0, 4.0]])
+        # Two steps of two rows: row r of the mean averages row r of each step.
+        snaps = ad.constant([[1.0, 2.0], [5.0, 0.0], [3.0, 6.0], [7.0, 2.0]])
+        assert np.allclose(integrate_mean(snaps, 2).data, [[2.0, 4.0], [6.0, 1.0]])
 
     def test_single_is_identity_value(self):
         z = np.array([[1.5, -2.0]])
-        out = integrate_mean([ad.constant(z)])
+        out = integrate_mean(ad.constant(z), 1)
         assert np.array_equal(out.data, z)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            integrate_mean([])
+            integrate_mean(ad.constant(np.zeros((0, 2))), 0)
 
 
 def test_init_lstm_zero_biases_and_fan_in_bound():
