@@ -2,7 +2,10 @@
 
 Every trainable part of the pipeline (node embeddings, the residual graph
 operator, the LSTM integrator, the survival heads) is expressed through the
-primitives in this module, so one tape implementation serves the whole model.
+11 primitives in this module, so one tape implementation serves the whole
+model: matmul, add, mul, negate, concat-cols, reshape, log-sigmoid, tanh,
+sum-all, and the fused evolve and lstm nodes. Each is a key of `_BACKWARD`,
+and the losses of the model use every one of them.
 Tensors are immutable values once they participate in a tape; only leaf
 parameters are ever updated, and only between tapes (by the optimizer).
 """
@@ -24,10 +27,6 @@ class ShapeMismatchError(ValueError):
         self.shapes = shapes
 
 
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the op (e.g. log of x <= 0)."""
-
-
 class NonFiniteError(ArithmeticError):
     """A value or gradient came out NaN/Inf."""
 
@@ -40,9 +39,9 @@ class Tensor:
     never stored on the tensor itself -- `backward` returns them in a map.
     """
 
-    __slots__ = ("data", "op", "parents", "ctx", "requires_grad", "name")
+    __slots__ = ("data", "op", "parents", "ctx", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -55,7 +54,6 @@ class Tensor:
         self.parents: tuple[Tensor, ...] = ()
         self.ctx = None
         self.requires_grad = requires_grad
-        self.name = name
 
     @classmethod
     def _node(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...], ctx=None) -> "Tensor":
@@ -71,7 +69,6 @@ class Tensor:
         # inputs are freed as soon as the caller drops them.
         t.parents = parents if t.requires_grad else ()
         t.ctx = ctx
-        t.name = None
         return t
 
     @property
@@ -92,19 +89,17 @@ class Tensor:
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
-        tag = self.name or self.op or "leaf"
-        return f"Tensor({self.rows}x{self.cols}, {tag})"
+        return f"Tensor({self.rows}x{self.cols}, {self.op or 'leaf'})"
 
 
-def parameter(data, name: str | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """A trainable leaf."""
-    t = Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
-    return t
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def constant(data, name: str | None = None) -> Tensor:
+def constant(data) -> Tensor:
     """A non-trainable leaf (inputs, masks, adjacency and the like)."""
-    return Tensor(data, requires_grad=False, name=name)
+    return Tensor(data)
 
 
 @contextmanager
@@ -150,11 +145,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._node(a.data + b.data, "add", (a, b))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("sub", a, b)
-    return Tensor._node(a.data - b.data, "sub", (a, b))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _elementwise_shapes("mul", a, b)
     return Tensor._node(a.data * b.data, "mul", (a, b))
@@ -193,24 +183,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._node(np.tanh(a.data), "tanh", (a,))
 
 
-def relu(a: Tensor) -> Tensor:
-    return Tensor._node(np.maximum(a.data, 0.0), "relu", (a,))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("exp overflowed on input outside representable range")
-    return Tensor._node(out, "exp", (a,))
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise DomainError("log of non-positive value")
-    return Tensor._node(np.log(a.data), "log", (a,))
-
-
 def sum_all(a: Tensor) -> Tensor:
     return Tensor._node(np.array([[a.data.sum()]]), "sum-all", (a,))
 
@@ -245,13 +217,6 @@ class Blocks:
         return np.matmul(self.blocks, x.reshape(count, c, m)).reshape(self.shape[0], m)
 
 
-def spmm(s: Blocks, x: Tensor) -> Tensor:
-    """Constant block-diagonal matrix times a tape tensor; only x gets a gradient."""
-    if s.shape[1] != x.rows:
-        raise ShapeMismatchError("spmm", s.shape, x.shape)
-    return Tensor._node(s.apply(x.data), "spmm", (x,), s)
-
-
 def segment_softmax(scores: np.ndarray, ops: dict) -> tuple[np.ndarray, ...]:
     """Softmax of per-arc scores (B 20 x 1) over the in-arcs of each target.
 
@@ -276,7 +241,7 @@ def evolve(h0: Tensor, steps: int, ops: dict, pool: Blocks, w_self: Tensor, b_ms
            attn_v: Tensor | None = None) -> Tensor:
     """The first `steps` residual evolution steps from H0 and their readouts, as one node.
 
-    Step t sets H <- H + relu(pre_t(H)) W_out + b_out and reads out the
+    Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
     snapshot pool H; the snapshots come stacked step-major, (T B x d). The
     backbone follows from the leaves given: gcn has no `w_neigh`, gat has the
     `attn_*` leaves. pre_t and the blocks `ops` are those of
@@ -432,11 +397,6 @@ def _bw_add(node, g):
     return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
 
 
-def _bw_sub(node, g):
-    a, b = node.parents
-    return (_reduce_to(g, a.shape), _reduce_to(-g, b.shape))
-
-
 def _bw_mul(node, g):
     a, b = node.parents
     return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
@@ -470,26 +430,9 @@ def _bw_tanh(node, g):
     return (g * (1.0 - y * y),)
 
 
-def _bw_relu(node, g):
-    # Subgradient at exactly 0 is taken as 0.
-    return (g * (node.parents[0].data > 0.0),)
-
-
-def _bw_exp(node, g):
-    return (g * node.data,)
-
-
-def _bw_log(node, g):
-    return (g / node.parents[0].data,)
-
-
 def _bw_sum_all(node, g):
     (a,) = node.parents
     return (np.full_like(a.data, g[0, 0]),)
-
-
-def _bw_spmm(node, g):
-    return (node.ctx.T.apply(g),)
 
 
 def _bw_evolve(node, g):
@@ -627,18 +570,13 @@ def _bw_lstm(node, g):
 _BACKWARD: dict[str, Callable] = {
     "matmul": _bw_matmul,
     "add": _bw_add,
-    "sub": _bw_sub,
     "mul": _bw_mul,
     "negate": _bw_negate,
     "concat-cols": _bw_concat_cols,
     "reshape": _bw_reshape,
     "log-sigmoid": _bw_log_sigmoid,
     "tanh": _bw_tanh,
-    "relu": _bw_relu,
-    "exp": _bw_exp,
-    "log": _bw_log,
     "sum-all": _bw_sum_all,
-    "spmm": _bw_spmm,
     "evolve": _bw_evolve,
     "lstm": _bw_lstm,
 }
@@ -709,7 +647,7 @@ def grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> float:
     if isinstance(params, Mapping):
         leaves = list(params.items())
     else:
-        leaves = [(getattr(p, "name", None) or f"param{i}", p) for i, p in enumerate(params)]
+        leaves = [(f"param{i}", p) for i, p in enumerate(params)]
 
     out = f()
     auto = backward(out, params=[t for _, t in leaves])

@@ -21,6 +21,7 @@ from .crossval import (VARIANTS, emit_report, evaluate_model, feature_widths, fo
                        run_ablation)
 from .evolution import BACKBONES
 from .graph import GraphConstructionError
+from .heads import SaturatedCurveError
 from .model import ModelFileError, load_model, save_model
 from .training import train_model
 
@@ -76,6 +77,15 @@ def _load(args) -> RunConfig:
         cfg = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths,
                                                                  output_dir=args.out))
     return cfg
+
+
+def _check_output_dir(path: str) -> None:
+    """Raise ConfigError unless `path` is a directory or can be made one."""
+    part = os.path.abspath(path)
+    while not os.path.lexists(part):
+        part = os.path.dirname(part)
+    if not os.path.isdir(part):
+        raise ConfigError(f"output directory {path}: {part} is not a directory")
 
 
 def _cohort(cfg: RunConfig):
@@ -180,6 +190,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck()
         cfg = _load(args)
+        _check_output_dir(cfg.paths.output_dir)
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "train":
@@ -192,10 +203,11 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CohortError, GraphConstructionError, ModelFileError, FileNotFoundError) as exc:
+    except (CohortError, GraphConstructionError, ModelFileError, SaturatedCurveError,
+            FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ad.NonFiniteError, ad.DomainError) as exc:
+    except ad.NonFiniteError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

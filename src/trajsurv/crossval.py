@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
-from .heads import TimeBins, point_estimate_time
+from .heads import SaturatedCurveError, TimeBins, point_estimate_time
 from .metrics import (IpcwCapWarning, bootstrap_ci, cindex_arrays, format_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
@@ -228,8 +228,9 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
              widths: dict[NodeKind, int], variant: str) -> FoldOutcome:
     """Train the model of fold `spec` and score its test patients.
 
-    A fold that fails to train (non-finite states, gradients, or losses)
-    gives an outcome holding only the reason.
+    A fold that fails to train (non-finite states, gradients, or losses) or
+    whose hazards saturate its survival curves gives an outcome holding only
+    the reason.
     """
     model = fold_model(config, widths, spec.repeat, spec.fold)
     fold_seed = int(np.random.SeedSequence(
@@ -241,7 +242,7 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
         if variant == "no_cascade":
             outcome.cascade_grad_zero = _cascade_grad_check(
                 model, cohort.take(spec.test[:1]), model.config.bins())
-    except (ad.NonFiniteError, ad.DomainError) as exc:
+    except (ad.NonFiniteError, SaturatedCurveError) as exc:
         return FoldOutcome(spec.repeat, spec.fold, failure=str(exc))
     return outcome
 

@@ -59,14 +59,13 @@ if TYPE_CHECKING:
 BACKBONES = ("graphsage", "gcn", "gat")
 
 
-def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   name: str) -> Tensor:
+def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name=name)
+    return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
 
-def _bias(fan_out: int, name: str) -> Tensor:
-    return ad.parameter(np.zeros((1, fan_out)), name=name)
+def _bias(fan_out: int) -> Tensor:
+    return ad.parameter(np.zeros((1, fan_out)))
 
 
 @dataclass
@@ -110,19 +109,19 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
     w_neigh = None
     attn_u = attn_b = attn_v = None
     if backbone in ("graphsage", "gat"):
-        w_neigh = uniform_weight(rng, d_in + EDGE_ATTR_DIM, message_dim, "op.w_neigh")
+        w_neigh = uniform_weight(rng, d_in + EDGE_ATTR_DIM, message_dim)
     if backbone == "gat":
-        attn_u = uniform_weight(rng, 2 * d_in + EDGE_ATTR_DIM, attention_dim, "op.attn_u")
-        attn_b = _bias(attention_dim, "op.attn_b")
-        attn_v = uniform_weight(rng, attention_dim, 1, "op.attn_v")
+        attn_u = uniform_weight(rng, 2 * d_in + EDGE_ATTR_DIM, attention_dim)
+        attn_b = _bias(attention_dim)
+        attn_v = uniform_weight(rng, attention_dim, 1)
     return EvolutionParams(
         backbone=backbone,
-        w_self=uniform_weight(rng, d_in, message_dim, "op.w_self"),
+        w_self=uniform_weight(rng, d_in, message_dim),
         w_neigh=w_neigh,
-        b_msg=_bias(message_dim, "op.b_msg"),
-        w_out=uniform_weight(rng, message_dim, hidden_dim, "op.w_out"),
-        b_out=_bias(hidden_dim, "op.b_out"),
-        time_table=uniform_weight(rng, steps, time_dim, "time_table"),
+        b_msg=_bias(message_dim),
+        w_out=uniform_weight(rng, message_dim, hidden_dim),
+        b_out=_bias(hidden_dim),
+        time_table=uniform_weight(rng, steps, time_dim),
         attn_u=attn_u,
         attn_b=attn_b,
         attn_v=attn_v,

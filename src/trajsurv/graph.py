@@ -82,9 +82,8 @@ def init_embedding(feature_widths: dict[NodeKind, int], hidden_dim: int,
     from .evolution import uniform_weight  # shared init convention
     weights, biases = {}, {}
     for kind in NodeKind:
-        weights[kind] = uniform_weight(rng, feature_widths[kind], hidden_dim,
-                                       f"embed.{kind.value}.w")
-        biases[kind] = ad.parameter(np.zeros((1, hidden_dim)), name=f"embed.{kind.value}.b")
+        weights[kind] = uniform_weight(rng, feature_widths[kind], hidden_dim)
+        biases[kind] = ad.parameter(np.zeros((1, hidden_dim)))
     return EmbeddingParams(weights, biases)
 
 

@@ -18,6 +18,10 @@ from .autodiff import Tensor
 from .evolution import uniform_weight
 
 
+class SaturatedCurveError(ValueError):
+    """Valid hazards whose survival product underflows to 0."""
+
+
 @dataclass(frozen=True)
 class TimeBins:
     """K left-closed bins [edges[k], edges[k+1]) in years; edges[0] = 0."""
@@ -74,16 +78,16 @@ class HeadParams:
 
 def init_heads(summary_dim: int, context_dim: int, num_bins: int,
                rng: np.random.Generator) -> HeadParams:
-    def b(width, name):
-        return ad.parameter(np.zeros((1, width)), name=name)
+    def b(width):
+        return ad.parameter(np.zeros((1, width)))
 
     return HeadParams(
-        w_ctx=uniform_weight(rng, summary_dim, context_dim, "heads.w_ctx"),
-        b_ctx=b(context_dim, "heads.b_ctx"),
-        w_dfs=uniform_weight(rng, summary_dim, num_bins, "heads.w_dfs"),
-        b_dfs=b(num_bins, "heads.b_dfs"),
-        w_os=uniform_weight(rng, summary_dim + context_dim, num_bins, "heads.w_os"),
-        b_os=b(num_bins, "heads.b_os"),
+        w_ctx=uniform_weight(rng, summary_dim, context_dim),
+        b_ctx=b(context_dim),
+        w_dfs=uniform_weight(rng, summary_dim, num_bins),
+        b_dfs=b(num_bins),
+        w_os=uniform_weight(rng, summary_dim + context_dim, num_bins),
+        b_os=b(num_bins),
     )
 
 
@@ -127,7 +131,9 @@ def survival_from_hazards(h: np.ndarray) -> np.ndarray:
         raise ValueError("hazards must be finite and strictly inside (0, 1)")
     s = np.cumprod(1.0 - h, axis=1)
     if (s[:, -1] <= 0.0).any():
-        raise ValueError("survival curve must be nonincreasing within (0, 1]")
+        first = int((s <= 0.0).any(axis=0).argmax())
+        raise SaturatedCurveError("survival curve must be nonincreasing within (0, 1]: the "
+                                  f"hazards saturate, and S is 0 from bin {first}")
     return s
 
 

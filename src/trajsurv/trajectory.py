@@ -51,16 +51,11 @@ class LstmParams:
 
 
 def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
-    fan_in = input_dim + hidden_dim
-
-    def w(name):
-        return uniform_weight(rng, fan_in, hidden_dim, name)
-
-    def b(name):
-        return ad.parameter(np.zeros((1, hidden_dim)), name=name)
-
-    return LstmParams(w("lstm.w_i"), b("lstm.b_i"), w("lstm.w_f"), b("lstm.b_f"),
-                      w("lstm.w_g"), b("lstm.b_g"), w("lstm.w_o"), b("lstm.b_o"))
+    leaves = []
+    for _ in range(4):      # gates i, f, g, o, in field order
+        leaves += [uniform_weight(rng, input_dim + hidden_dim, hidden_dim),
+                   ad.parameter(np.zeros((1, hidden_dim)))]
+    return LstmParams(*leaves)
 
 
 def integrate(snapshots: Tensor, steps: int, params: LstmParams) -> Tensor:

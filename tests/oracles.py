@@ -12,6 +12,9 @@ nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
 `tape_evolve` is the evolution rollout as per-op tape nodes: `rows_of`
 selectors for the weight blocks and time rows, `residual_update` for a step
 and `readout` for a snapshot.
+The per-op forms use three tape ops the model does not: `spmm`, `exp` and
+`log`. They are defined here, and their backward rules join the engine's
+table when this module is imported; `SRC_RULES` is that table before they do.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,29 @@ import numpy as np
 
 from trajsurv import autodiff as ad
 from trajsurv.objective import label_to_bin
+
+
+def spmm(s, x):
+    """Constant block-diagonal matrix times a tape tensor; only x gets a gradient."""
+    if s.shape[1] != x.rows:
+        raise ad.ShapeMismatchError("spmm", s.shape, x.shape)
+    return ad.Tensor._node(s.apply(x.data), "spmm", (x,), s)
+
+
+def exp(a):
+    return ad.Tensor._node(np.exp(a.data), "exp", (a,))
+
+
+def log(a):
+    return ad.Tensor._node(np.log(a.data), "log", (a,))
+
+
+SRC_RULES = frozenset(ad._BACKWARD)
+ad._BACKWARD.update({
+    "spmm": lambda node, g: (node.ctx.T.apply(g),),
+    "exp": lambda node, g: (g * node.data,),
+    "log": lambda node, g: (g / node.parents[0].data,),
+})
 
 
 @dataclass(frozen=True)
@@ -270,7 +296,7 @@ def star_operators(cohort, offset_scale=100.0):
 
 def _sigmoid(x):
     """The gate nonlinearity on the tape, as exp(log sigmoid(x))."""
-    return ad.exp(ad.log_sigmoid(x))
+    return exp(ad.log_sigmoid(x))
 
 
 def lstm_step(z, h, c, params):
@@ -326,7 +352,7 @@ def rows_of(x, start, stop):
     """Rows start..stop-1 of x on the tape, through a dense selector."""
     if not 0 <= start < stop <= x.rows:
         raise ad.ShapeMismatchError("rows", (start, stop), x.rows)
-    return ad.spmm(ad.Blocks(np.eye(stop - start, x.rows, start)[None]), x)
+    return spmm(ad.Blocks(np.eye(stop - start, x.rows, start)[None]), x)
 
 
 def weight_blocks(params, name):
@@ -345,9 +371,10 @@ def tape_segment_softmax(scores, ops):
     top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
     shift = np.where(in_arcs.any(axis=2),
                      np.take_along_axis(top, in_arcs.argmax(axis=2), axis=1), per_arc)
-    shifted = ad.sub(scores, ad.constant(shift.reshape(-1, 1)))
-    total = ad.add(ad.spmm(ops["sum_dst"], ad.exp(shifted)), ad.constant(ops["no_arcs"]))
-    return ad.exp(ad.sub(shifted, ad.spmm(ops["at_dst"], ad.log(total))))
+    # x - y is x + (-y), the same bits.
+    shifted = ad.add(scores, ad.constant(-shift.reshape(-1, 1)))
+    total = ad.add(spmm(ops["sum_dst"], exp(shifted)), ad.constant(ops["no_arcs"]))
+    return exp(ad.add(shifted, ad.negate(spmm(ops["at_dst"], log(total)))))
 
 
 def _attention(ops, params, w_na):
@@ -360,12 +387,12 @@ def _attention(ops, params, w_na):
     spread = ad.constant(np.ones((1, w_na.cols)))
 
     def neighbours(h, x_n, t):
-        dst = ad.spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
-        src = ad.spmm(ops["at_src"], ad.matmul(h, u_sh))
+        dst = spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
+        src = spmm(ops["at_src"], ad.matmul(h, u_sh))
         hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
         alpha = tape_segment_softmax(ad.matmul(hidden, params.attn_v), ops)
-        msgs = ad.add(ad.spmm(ops["at_src"], x_n), msg_arcs)
-        return ad.spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
+        msgs = ad.add(spmm(ops["at_src"], x_n), msg_arcs)
+        return spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
 
     return neighbours
 
@@ -384,7 +411,7 @@ def residual_update(cohort, params):
 
         def pre(h, t):
             own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
-            return ad.add(ad.spmm(norm, own), params.b_msg)
+            return ad.add(spmm(norm, own), params.b_msg)
     else:
         w_nh, w_nt, w_na = weight_blocks(params, "w_neigh")
         neigh_rows = ad.matmul(e, w_nt)
@@ -392,7 +419,7 @@ def residual_update(cohort, params):
             fixed = ad.add(ad.matmul(ad.constant(ops["attr_mean"]), w_na), params.b_msg)
 
             def neighbours(h, x_n, t):
-                return ad.spmm(ops["mean"], x_n)
+                return spmm(ops["mean"], x_n)
         else:
             fixed = params.b_msg
             neighbours = _attention(ops, params, w_na)
@@ -403,7 +430,10 @@ def residual_update(cohort, params):
             return ad.add(ad.add(own, neighbours(h, x_n, t)), fixed)
 
     def update(h, t):
-        return ad.add(ad.matmul(ad.relu(pre(h, t)), params.w_out), params.b_out)
+        # relu(x) as x times the constant mask x > 0: the same values, a zero's
+        # sign aside, and the same gradient.
+        x = pre(h, t)
+        return ad.add(ad.matmul(ad.mul(x, ad.constant(x.data > 0.0)), params.w_out), params.b_out)
 
     return update
 
@@ -412,7 +442,7 @@ def readout(h, pool):
     """Patient-level snapshots on the tape: per patient, the mean of its rows in use."""
     if h.rows == 0:
         raise ValueError("readout of empty node-state matrix")
-    return ad.spmm(pool, h)
+    return spmm(pool, h)
 
 
 def tape_evolve(h0, cohort, params, horizon):

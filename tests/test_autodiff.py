@@ -1,5 +1,6 @@
 """Tape engine: forward values, backward rules, and finite-difference checks."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from trajsurv import autodiff as ad
 from trajsurv.cohort import simulate_cohort
+from trajsurv.crossval import feature_widths
 from trajsurv.evolution import BACKBONES, evolve, init_evolution
 from trajsurv.graph import slots_in_use
+from trajsurv.model import ModelConfig, init_model
+from trajsurv.objective import LossWeights
+from trajsurv.training import _mean_loss
 
 
 # Three 2 x 1 blocks, one of them zero: a 6 x 3 block-diagonal matrix.
@@ -34,10 +40,9 @@ class TestForwardValues:
         a = ad.constant([[1.0, -2.0]])
         b = ad.constant([[3.0, 5.0]])
         assert np.array_equal(ad.add(a, b).data, [[4.0, 3.0]])
-        assert np.array_equal(ad.sub(a, b).data, [[-2.0, -7.0]])
         assert np.array_equal(ad.mul(a, b).data, [[3.0, -10.0]])
         assert np.array_equal(ad.negate(a).data, [[-1.0, 2.0]])
-        assert np.array_equal(ad.relu(a).data, [[1.0, 0.0]])
+        assert np.array_equal(ad.tanh(a).data, np.tanh(a.data))
 
     def test_concat_then_slice_roundtrip(self):
         a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
@@ -61,7 +66,7 @@ class TestForwardValues:
 
     def test_log_exp_inverse(self):
         x = ad.constant([[0.5, 2.0]])
-        assert np.allclose(ad.log(ad.exp(x)).data, x.data)
+        assert np.allclose(oracles.log(oracles.exp(x)).data, x.data)
 
 
 class TestErrors:
@@ -73,20 +78,10 @@ class TestErrors:
         with pytest.raises(ad.ShapeMismatchError, match="add"):
             ad.add(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0]]))
 
-    def test_log_domain_error(self):
-        with pytest.raises(ad.DomainError):
-            ad.log(ad.constant([[0.0]]))
-        with pytest.raises(ad.DomainError):
-            ad.log(ad.constant([[-1.0]]))
-
-    def test_exp_overflow_is_nonfinite_error(self):
-        with pytest.raises(ad.NonFiniteError):
-            ad.exp(ad.constant([[1e4]]))
-
     def test_backward_rejects_nonscalar(self):
         x = ad.parameter([[1.0, 2.0]])
         with pytest.raises(ad.ShapeMismatchError, match="backward"):
-            ad.backward(ad.relu(x))
+            ad.backward(ad.tanh(x))
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(ad.ShapeMismatchError):
@@ -160,14 +155,15 @@ class TestBackwardExamples:
         x = ad.parameter(rng.normal(size=(3, 3)))
 
         def run():
-            y = ad.spmm(BLOCKS, ad.matmul(x, ad.tanh(x)))
+            y = oracles.spmm(BLOCKS, ad.matmul(x, ad.tanh(x)))
             return ad.backward(ad.sum_all(y), params=[x])[x].data.copy()
 
         assert np.array_equal(run(), run())
 
 
 def _fd_builders():
-    """One scalar-valued builder per primitive, over trainable leaves."""
+    """One scalar-valued builder per primitive, the test-side ops of `oracles`
+    included, over trainable leaves."""
     rng = np.random.default_rng(42)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
@@ -184,7 +180,6 @@ def _fd_builders():
     cases["matmul"] = ([x, wl], lambda: ad.sum_all(ad.matmul(x, wl)))
     cases["add"] = ([x, y], lambda: ad.sum_all(ad.add(x, y)))
     cases["add-broadcast"] = ([x, rl], lambda: ad.sum_all(ad.add(x, rl)))
-    cases["sub"] = ([x, y], lambda: ad.sum_all(ad.sub(x, y)))
     cases["mul"] = ([x, y], lambda: ad.sum_all(ad.mul(x, y)))
     cases["negate"] = ([x], lambda: ad.sum_all(ad.negate(x)))
     cases["concat-cols"] = ([x, y], lambda: ad.sum_all(ad.mul(
@@ -197,12 +192,11 @@ def _fd_builders():
     sl = leafy(sat)
     cases["log-sigmoid"] = ([sl], lambda: ad.sum_all(ad.log_sigmoid(sl)))
     cases["tanh"] = ([x], lambda: ad.sum_all(ad.tanh(x)))
-    cases["relu"] = ([x], lambda: ad.sum_all(ad.relu(x)))
-    cases["exp"] = ([x], lambda: ad.sum_all(ad.exp(x)))
-    cases["log"] = ([pl], lambda: ad.sum_all(ad.log(pl)))
+    cases["exp"] = ([x], lambda: ad.sum_all(oracles.exp(x)))
+    cases["log"] = ([pl], lambda: ad.sum_all(oracles.log(pl)))
     cases["sum-all"] = ([x], lambda: ad.sum_all(x))
     cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
-        ad.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
+        oracles.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
     # Three snapshots of two rows, d = 2, d_h = 3: every gate weight and bias
     # and the stacked snapshots are leaves.
     snaps = leafy(rng.normal(size=(6, 2)))
@@ -260,6 +254,24 @@ def test_every_primitive_is_covered_by_fd_sweep():
     assert set(ad._BACKWARD) <= covered
 
 
+def test_every_primitive_is_on_a_loss_tape():
+    # The ops backward visits on the losses of every backbone, integrator and
+    # cascade setting are exactly the engine's own rules, `oracles.SRC_RULES`:
+    # a primitive that loses its last caller in the model fails here.
+    cohort, _ = simulate_cohort(10, seed=0)
+    found = set()
+    for backbone, integrator, cascade in itertools.product(BACKBONES, ("lstm", "mean"),
+                                                           (True, False)):
+        config = ModelConfig(backbone=backbone, integrator=integrator, cascade=cascade,
+                             hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2,
+                             horizon=2, num_bins=3, message_dim=4, attention_dim=2)
+        model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+        loss = _mean_loss(model, cohort, cohort.label_bins(config.bins()), config.bins(),
+                          LossWeights())
+        found |= {node.op for node in ad._topo_order(loss) if node.op is not None}
+    assert found == oracles.SRC_RULES
+
+
 class TestGradCheck:
     def test_quadratic_is_exact_to_roundoff(self):
         x = ad.parameter([[1.0, -2.0], [0.5, 3.0]])
@@ -292,19 +304,18 @@ class TestGradCheck:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
        st.integers(0, 2 ** 31 - 1))
-def test_spmm_matches_dense_product(count, r, c, m, seed):
-    # Random blocks with some zero entries, applied against their block diagonal.
+def test_blocks_apply_matches_dense_product(count, r, c, m, seed):
+    # Random blocks with some zero entries, and their transpose, applied
+    # against their block diagonal.
     rng = np.random.default_rng(seed)
     blocks = rng.normal(size=(count, r, c)) * (rng.random(size=(count, r, c)) < 0.7)
     dense = np.zeros((count * r, count * c))
     for b in range(count):
         dense[b * r:(b + 1) * r, b * c:(b + 1) * c] = blocks[b]
-    x = ad.parameter(rng.normal(size=(count * c, m)))
-    y = ad.spmm(ad.Blocks(blocks), x)
-    np.testing.assert_allclose(y.data, dense @ x.data, rtol=0, atol=1e-12)
+    x = rng.normal(size=(count * c, m))
+    np.testing.assert_allclose(ad.Blocks(blocks).apply(x), dense @ x, rtol=0, atol=1e-12)
     g = rng.normal(size=(count * r, m))
-    grad = ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))), params=[x])[x].data
-    np.testing.assert_allclose(grad, dense.T @ g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ad.Blocks(blocks).T.apply(g), dense.T @ g, rtol=0, atol=1e-12)
 
 
 def test_no_grad_keeps_no_tape_and_restores_leaves():
@@ -323,7 +334,7 @@ def test_spmm_shape_and_index_errors():
     s = ad.Blocks(np.ones((2, 1, 1)))
     assert s.shape == (2, 2)
     with pytest.raises(ad.ShapeMismatchError, match="spmm"):
-        ad.spmm(s, ad.constant(np.ones((3, 1))))
+        oracles.spmm(s, ad.constant(np.ones((3, 1))))
     with pytest.raises(ad.ShapeMismatchError):
         ad.Blocks(np.ones((2, 2)))
 

@@ -526,6 +526,73 @@ def test_diverging_crossval_prints_one_stderr_line(tmp_path):
     assert proc.stderr.splitlines() == ["2/2 folds failed to train"]
 
 
+@pytest.mark.parametrize("command,out", (("simulate", "afile"), ("train", "afile"),
+                                         ("crossval", "afile/x"), ("evaluate", "afile"),
+                                         ("ablate", "afile/x/y")))
+def test_output_path_at_or_below_a_file_is_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, out):
+    # Checked once, before a cohort is read or a fold trained.
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="o.json", cohort=cohort)
+    (tmp_path / "afile").write_text("")
+    trained = []
+    monkeypatch.setattr(cv, "train_model", lambda *args: trained.append(args))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / out)]
+    if command == "evaluate":
+        argv += ["--model", str(save_untrained_model(tmp_path))]
+    elif command == "ablate":
+        argv += ["--variant", "no_cascade"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"config error: output directory {tmp_path / out}: "
+                   f"{tmp_path / 'afile'} is not a directory\n")
+    assert trained == []
+
+
+def save_saturating_model(tmp_path):
+    """A valid 30-bin model whose OS hazards all clip to 1 - 1e-16, so its
+    survival product underflows to 0 from about bin 21."""
+    widths = {**{k: 4 for k in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 4, NodeKind.CLINICAL: 3}
+    config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
+                         num_bins=30, message_dim=8)
+    model = init_model(config, widths, np.random.default_rng(0))
+    model.heads.b_os.data[:] = 60.0
+    path = tmp_path / "saturated.npz"
+    save_model(model, path)
+    return path
+
+
+def test_evaluate_saturated_model_is_data_error(tmp_path, capsys):
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="s.json", cohort=cohort)
+    code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "s"),
+                 "--model", str(save_saturating_model(tmp_path))])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: survival curve must be")
+    assert "hazards saturate" in err[0]
+
+
+def test_saturated_fold_is_a_failed_fold(tmp_path, capsys, monkeypatch):
+    # Every fold's model saturates in place of training: each fails with the
+    # reason, as a diverged fold does, and the run exits 3.
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="s.json", cohort=cohort, model={"K": 30})
+
+    def saturate(model, train, val, settings):
+        model.heads.b_os.data[:] = 60.0
+
+    monkeypatch.setattr(cv, "train_model", saturate)
+    out = tmp_path / "s"
+    assert main(["crossval", "--config", str(config), "--out", str(out)]) == EXIT_TRAINING
+    assert capsys.readouterr().err == "3/3 folds failed to train\n"
+    failed = json.loads((out / "report.json").read_text())["failed_folds"]
+    assert len(failed) == 3
+    assert all(f["reason"].startswith("survival curve must be nonincreasing within (0, 1]: "
+                                      "the hazards saturate") for f in failed)
+
+
 # ---------------------------------------------------------------------------
 # Loader fuzz: a mutated model file loads equal or is a data error.
 # ---------------------------------------------------------------------------

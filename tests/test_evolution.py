@@ -42,7 +42,7 @@ def residual_step(h, e_t, cohort, params):
 
 
 def time_table(steps, width, seed):
-    return uniform_weight(np.random.default_rng(seed), steps, width, "time_table")
+    return uniform_weight(np.random.default_rng(seed), steps, width)
 
 
 def zero_weights(params):
@@ -165,9 +165,9 @@ class TestResidualStep:
         sage = identity_params("graphsage")
         gat = identity_params("gat")
         rng = np.random.default_rng(5)
-        gat.attn_u = uniform_weight(rng, 2 * DIN + 3, 4, "u")
+        gat.attn_u = uniform_weight(rng, 2 * DIN + 3, 4)
         gat.attn_b = ad.parameter(np.zeros((1, 4)))
-        gat.attn_v = uniform_weight(rng, 4, 1, "v")
+        gat.attn_v = uniform_weight(rng, 4, 1)
         h = ad.constant(rng.normal(size=(7, D)))
         e_t = ad.constant(rng.normal(size=(1, DT)))
         d_sage = residual_step(h, e_t, g, sage)
@@ -289,8 +289,8 @@ class TestEvolve:
 
 
 def test_uniform_weight_bound_and_determinism():
-    w1 = uniform_weight(np.random.default_rng(11), 16, 8, "w")
-    w2 = uniform_weight(np.random.default_rng(11), 16, 8, "w")
+    w1 = uniform_weight(np.random.default_rng(11), 16, 8)
+    w2 = uniform_weight(np.random.default_rng(11), 16, 8)
     assert np.array_equal(w1.data, w2.data)
     assert np.abs(w1.data).max() <= 1.0 / 4.0
     assert w1.requires_grad
