@@ -102,13 +102,22 @@ class CohortArrays:
 def make_cohort(ids, regions: np.ndarray, present: np.ndarray, centroids: np.ndarray,
                 clinical: np.ndarray, time: dict[str, np.ndarray],
                 event: dict[str, np.ndarray]) -> CohortArrays:
-    """The cohort of these patients; every patient needs a present region.
+    """The cohort of these patients.
 
-    The rows of missing regions are zeroed. The summary features and
-    centroid are the means over the present regions. A region's offset is
-    (its centroid - the summary centroid) divided by DEFAULT_OFFSET_SCALE
-    and clamped to [-1, 1].
+    Three rules join a patient's fields: a region is present, the DFS time
+    is at most the OS time, and the clinical features lie in [0, 1]. The
+    first patient to break one, in the given order, raises CohortError
+    naming the first rule it breaks. The rows of missing regions are zeroed.
+    The summary features and centroid are the means over the present
+    regions. A region's offset is (its centroid - the summary centroid)
+    divided by DEFAULT_OFFSET_SCALE and clamped to [-1, 1].
     """
+    rules = [(~present.any(axis=1), "no region is present"),
+             (time["dfs"] > time["os"], "DFS time exceeds OS time"),
+             (((clinical < -1e-9) | (clinical > 1 + 1e-9)).any(axis=1),
+              "clinical features outside [0, 1]")]
+    _require_all(~np.logical_or.reduce([broken for broken, _ in rules]),
+                 lambda i: f"patient {ids[i]}: {next(m for broken, m in rules if broken[i])}")
     mask = present[:, :, None]
     regions, centroids = np.where(mask, regions, 0.0), np.where(mask, centroids, 0.0)
     count = present.sum(axis=1, keepdims=True)
@@ -195,8 +204,8 @@ def load_cohort(path) -> CohortArrays:
 
     One pass over the parsed document checks its structure and collects
     the numeric fields; each field is then converted and checked as one
-    array (`_block`), and the rules that join fields are checked on the
-    arrays. Every error names the first faulty patient in file order.
+    array (`_block`), and `make_cohort` checks the rules that join fields.
+    Every error names the first faulty patient in file order.
     """
     doc = _read_json(path)
     _require(isinstance(doc, dict) and doc.keys() == {"schema_version", "feature_schema",
@@ -267,15 +276,7 @@ def load_cohort(path) -> CohortArrays:
     _require_all((events == 0) | (events == 1), lambda j: f"{label(j)} event must be 0 or 1")
     time = dict(zip(_TASKS, times.reshape(-1, len(_TASKS)).T))
     event = dict(zip(_TASKS, events.astype(np.int64).reshape(-1, len(_TASKS)).T))
-
-    # The rules joining a patient's fields, each patient's in this order.
     present = np.array(present, dtype=bool).reshape(len(ids), len(REGION_KEYS))
-    rules = [(~present.any(axis=1), "no region is present"),
-             (time["dfs"] > time["os"], "DFS time exceeds OS time"),
-             (((clinical < -1e-9) | (clinical > 1 + 1e-9)).any(axis=1),
-              "clinical features outside [0, 1]")]
-    _require_all(~np.logical_or.reduce([broken for broken, _ in rules]),
-                 lambda i: f"patient {ids[i]}: {next(m for broken, m in rules if broken[i])}")
     regions = np.zeros(present.shape + (schema["region_len"],))
     regions[present] = features
     region_centroids = np.zeros(present.shape + (EDGE_ATTR_DIM,))

@@ -83,7 +83,6 @@ class CvReport:
             "variant": self.variant,
             "config": self.config,
             "seed": self.seed,
-            "runtime_seconds": self.runtime_seconds,
             "folds": [dataclasses.asdict(r) for r in self.rows],
             "failed_folds": self.failed_folds,
             "aggregate": self.aggregate,
@@ -310,17 +309,24 @@ def run_ablation(config: RunConfig, variant: str, cohort: CohortArrays) -> CvRep
 
 
 def emit_report(report: CvReport, out_dir) -> dict[str, str]:
-    """Write report.json, metrics.csv, and curves.csv; returns the paths.
+    """Write report.json, metrics.csv, curves.csv and timings.json; returns
+    the paths.
 
-    Each file is written in full to a temporary file in `out_dir`, and the
-    three replace their targets only once all are written, so a failure
-    midway leaves the previous report whole and no temporary file behind.
+    The first three depend only on the config, the cohort and the seed, so
+    a rerun writes the same bytes; the wall-clock `runtime_seconds` goes to
+    timings.json. Each file is written in full to a temporary file in
+    `out_dir`, and the four replace their targets only once all are written,
+    so a failure midway leaves the previous report whole and no temporary
+    file behind.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name)
-             for name in ("report.json", "metrics.csv", "curves.csv")}
+             for name in ("report.json", "metrics.csv", "curves.csv", "timings.json")}
     temps = {name: os.path.join(out_dir, f".{name}.tmp") for name in paths}
     try:
+        with open(temps["timings.json"], "w") as fh:
+            json.dump({"runtime_seconds": report.runtime_seconds}, fh, indent=1)
+            fh.write("\n")
         with open(temps["report.json"], "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=1)
             fh.write("\n")

@@ -8,29 +8,33 @@ state untouched). The mean-pooled state after each update is one snapshot of
 the patient's latent trajectory.
 
 Everything runs on a cohort slice of B patients in the 7-slot star layout
-(see `graph.py`): node states are one matrix with 7 rows per patient, and
-every neighbour mean, normalised adjacency, per-arc gather and per-target
-sum is a stack of B per-patient dense blocks (`autodiff.Blocks`), one
-batched matmul. `adjacency` builds each backbone's blocks from the slots in
-use and one star template, once per forward. `evolve` runs all T steps and
-their readouts as one node of the `evolve` primitive of `autodiff`, whose
-backward rule runs backpropagation through time; it returns the T snapshots
-stacked step-major, (T B x d), rows tB..tB+B-1 holding step t.
+(see `graph.py`): node states are one matrix with 7 rows per patient.
+`adjacency` builds each backbone's constants from the slots in use and one
+star template, once per forward. The neighbour mean, the gcn normalisation
+and the readout are `Blocks`, stacks of B per-patient dense blocks applied
+with one batched matmul.
+`evolve` runs all T steps and their readouts as one tape node, `evolve`,
+and returns the T snapshots stacked step-major, (T B x d), rows tB..tB+B-1
+holding step t. Its backward rule, `_bw_evolve`, runs backpropagation
+through time and is registered in `autodiff._BACKWARD` below.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
-so every block operator propagates a projection of H alone:
+so every operator propagates a projection of H alone:
 
 - graphsage: pre = H W_sh + M(H W_nh) + (A W_na + b_msg) + 1 (e_t W_st)
   + r (e_t W_nt), with M the in-neighbour mean, (B, 7, 7), and r = M 1;
 - gcn: pre = N(H W_sh) + s (e_t W_st) + b_msg, N = D^-1/2 (A + I) D^-1/2,
   (B, 7, 7), and s = N 1;
-- gat: arc j -> i is scored from at_dst(H U_dh) + at_src(H U_sh) + (A U_a +
-  b_attn) + e_t (U_dt + U_st); its message at_src(H W_nh) + A W_na + e_t W_nt
-  is weighted by the softmax over the in-arcs of i and summed into i, and
-  pre = H W_sh + 1 (e_t W_st) + (that sum) + b_msg. The gathers at_dst and
-  at_src are (B, 20, 7), one row per arc slot (4 per region), and the sum
-  is at_dst's transpose, (B, 7, 20).
+- gat: arc j -> i is scored from H_i U_dh + H_j U_sh + (A U_a + b_attn) +
+  e_t (U_dt + U_st); its message H_j W_nh + A W_na + e_t W_nt is weighted by
+  the softmax over the in-arcs of i and summed into i, and
+  pre = H W_sh + 1 (e_t W_st) + (that sum) + b_msg.
+
+gat's per-arc values are (20B x m), four arcs per region k in the order
+global -> k, clinical -> k, k -> global, k -> clinical, so their (B, 5, 4, m)
+view follows the arc template; `gather` and `scatter` read and sum them by
+index.
 
 A node with no in-arcs, such as a missing region's padding row, has an empty
 row in M and in the gat sum, so r is 0 there and only the self path remains;
@@ -49,7 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Blocks, Tensor
+from .autodiff import NonFiniteError, ShapeMismatchError, Tensor, uniform_weight, zero_bias
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
                     slots_in_use)
 
@@ -59,13 +63,34 @@ if TYPE_CHECKING:
 BACKBONES = ("graphsage", "gcn", "gat")
 
 
-def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return ad.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+class Blocks:
+    """A constant block-diagonal matrix, held as its stack of dense blocks.
 
+    `blocks` of shape (B, r, c) stands for the (B r x B c) matrix whose b-th
+    diagonal block is blocks[b]. Applying it to a (B c x m) matrix is one
+    batched `np.matmul`, so its cost and memory grow linearly in B. The
+    transpose is the transposed stack, built once, on first use.
+    """
 
-def _bias(fan_out: int) -> Tensor:
-    return ad.parameter(np.zeros((1, fan_out)))
+    def __init__(self, blocks):
+        self.blocks = np.asarray(blocks, dtype=np.float64)
+        if self.blocks.ndim != 3:
+            raise ShapeMismatchError("blocks", self.blocks.shape)
+        count, r, c = self.blocks.shape
+        self.shape = (count * r, count * c)
+        self._transpose: Blocks | None = None
+
+    @property
+    def T(self) -> "Blocks":
+        if self._transpose is None:
+            self._transpose = Blocks(np.ascontiguousarray(self.blocks.transpose(0, 2, 1)))
+        return self._transpose
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """This matrix times x: block b times rows b c .. (b + 1) c - 1 of x."""
+        count, _, c = self.blocks.shape
+        m = x.shape[1]
+        return np.matmul(self.blocks, x.reshape(count, c, m)).reshape(self.shape[0], m)
 
 
 @dataclass
@@ -112,15 +137,15 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
         w_neigh = uniform_weight(rng, d_in + EDGE_ATTR_DIM, message_dim)
     if backbone == "gat":
         attn_u = uniform_weight(rng, 2 * d_in + EDGE_ATTR_DIM, attention_dim)
-        attn_b = _bias(attention_dim)
+        attn_b = zero_bias(attention_dim)
         attn_v = uniform_weight(rng, attention_dim, 1)
     return EvolutionParams(
         backbone=backbone,
         w_self=uniform_weight(rng, d_in, message_dim),
         w_neigh=w_neigh,
-        b_msg=_bias(message_dim),
+        b_msg=zero_bias(message_dim),
         w_out=uniform_weight(rng, message_dim, hidden_dim),
-        b_out=_bias(hidden_dim),
+        b_out=zero_bias(hidden_dim),
         time_table=uniform_weight(rng, steps, time_dim),
         attn_u=attn_u,
         attn_b=attn_b,
@@ -128,61 +153,64 @@ def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
     )
 
 
-# The star template. Arcs come four per region k, in region order:
-# global -> k (attribute +offset_k), clinical -> k (0), k -> global
-# (-offset_k) and k -> clinical (0). `_STAR` links every region to both hubs.
+# The star template. Arcs come four per region k: global -> k (attribute
+# +offset_k), clinical -> k (0), k -> global (-offset_k) and k -> clinical
+# (0). `_ENDS[TARGET]` and `_ENDS[SOURCE]` are their (5, 4) end slots, and
+# `_STAR` links every region to both hubs.
 _REGIONS = len(ANATOMICAL_KINDS)
-_ARC_REGION = np.repeat(np.arange(_REGIONS), 4)
-_ARC_SIGN = np.tile([1.0, 0.0, -1.0, 0.0], _REGIONS)
-_ARC_SRC = np.array([(GLOBAL_SLOT, CLINICAL_SLOT, k, k) for k in range(_REGIONS)]).ravel()
-_ARC_DST = np.array([(k, k, GLOBAL_SLOT, CLINICAL_SLOT) for k in range(_REGIONS)]).ravel()
-_STAR = np.eye(SLOTS)[_ARC_DST].T @ np.eye(SLOTS)[_ARC_SRC]
+_SIGN = np.array([1.0, 0.0, -1.0, 0.0])
+TARGET, SOURCE = 0, 1
+_ENDS = np.array([[(k, k, GLOBAL_SLOT, CLINICAL_SLOT) for k in range(_REGIONS)],
+                  [(GLOBAL_SLOT, CLINICAL_SLOT, k, k) for k in range(_REGIONS)]])
+_STAR = np.zeros((SLOTS, SLOTS))
+_STAR[_ENDS[TARGET], _ENDS[SOURCE]] = 1.0
 
 
-def _arcs(cohort: CohortArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per patient, the (20, 7) target and source gathers of the arcs and
-    their (20, 3) attributes; the arcs of a missing region are zero rows."""
-    used = cohort.present[:, _ARC_REGION].astype(np.float64)[:, :, None]
-    attr = used * _ARC_SIGN[:, None] * cohort.offsets[:, _ARC_REGION]
-    return used * np.eye(SLOTS)[_ARC_DST], used * np.eye(SLOTS)[_ARC_SRC], attr
+def gather(x: np.ndarray, present: np.ndarray, end: int, fill=0.0) -> np.ndarray:
+    """Per arc, the row of x (7B x m) at the arc's `end` (TARGET or SOURCE),
+    as (20B x m); an absent region's arcs get `fill`."""
+    rows = x.reshape(len(present), SLOTS, -1)[:, _ENDS[end]]
+    return np.where(present[:, :, None, None], rows, fill).reshape(-1, x.shape[1])
+
+
+def scatter(v: np.ndarray, present: np.ndarray, end: int, op=np.add,
+            fill=0.0) -> np.ndarray:
+    """Per node, `op` over the per-arc values v (20B x m) of the arcs whose
+    `end` it is, as (7B x m). An absent region's arcs count as `fill`, so a
+    padding row gets `op(fill, fill)`."""
+    m = v.shape[1]
+    v = np.where(present[:, :, None, None], v.reshape(len(present), _REGIONS, 4, m), fill)
+    near = v[:, :, 2 * end:2 * end + 2]       # the two arcs ending at region k
+    hubs = v[:, :, 2 - 2 * end:4 - 2 * end]   # ending at the global / clinical hub
+    return np.concatenate([op(near[:, :, 0], near[:, :, 1]), op.reduce(hubs, axis=1)],
+                          axis=1).reshape(-1, m)
 
 
 def adjacency(cohort: CohortArrays, backbone: str) -> dict:
-    """The backbone's constant blocks for a cohort slice.
+    """The backbone's constants for a cohort slice.
 
     graphsage: `mean` (B, 7, 7) averages in-neighbours (1/in-degree per arc)
     and `attr_mean` (7B x 3) is the matching mean of arc attributes. gcn:
     `norm` (B, 7, 7) is the symmetric normalisation D^-1/2 (A + I) D^-1/2
-    over the slots in use. gat: `at_dst`/`at_src` (B, 20, 7) gather each
-    arc's target/source row, `sum_dst` (B, 7, 20) sums arcs into their
-    target, `attr` (20B x 3) holds the arc attributes, `no_arcs` (7B x 1) is
-    1 on rows without in-arcs, `arc_used` (20B x 1) marks the arcs in use
-    and `arc_target` (20B) gives each arc's target row. Every block is zero
-    in the rows and columns of a missing region, so its neighbour term is
-    zero.
+    over the slots in use. gat: `attr` (20B x 3) holds the arc attributes.
+    Every block is zero in the rows and columns of a missing region, and its
+    arcs' attributes are zero, so its neighbour term is zero.
     """
     slots = slots_in_use(cohort.present)
     used = slots[:, :, None] & slots[:, None, :]
-    if backbone == "graphsage":
-        at_dst, _, attr = _arcs(cohort)
-        adj = _STAR * used
-        deg = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
-        attr_sum = np.matmul(at_dst.transpose(0, 2, 1), attr)
-        return {"mean": Blocks(adj / deg),
-                "attr_mean": (attr_sum / deg).reshape(-1, EDGE_ATTR_DIM)}
-    elif backbone == "gcn":
+    if backbone == "gcn":
         adj = (_STAR + np.eye(SLOTS)) * used
         inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
         return {"norm": Blocks(inv_sqrt[:, :, None] * adj * inv_sqrt[:, None, :])}
-    else:
-        at_dst, at_src, attr = _arcs(cohort)
-        gather = Blocks(at_dst)
-        target = np.arange(len(cohort))[:, None] * SLOTS + _ARC_DST
-        return {"at_dst": gather, "at_src": Blocks(at_src), "sum_dst": gather.T,
-                "attr": attr.reshape(-1, EDGE_ATTR_DIM),
-                "no_arcs": (~slots).astype(np.float64).reshape(-1, 1),
-                "arc_used": cohort.present[:, _ARC_REGION].reshape(-1, 1),
-                "arc_target": target.ravel()}
+    present = cohort.present.astype(np.float64)[:, :, None, None]
+    attr = (present * _SIGN[:, None] * cohort.offsets[:, :, None]).reshape(-1, EDGE_ATTR_DIM)
+    if backbone == "gat":
+        return {"attr": attr}
+    adj = _STAR * used
+    deg = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
+    attr_sum = scatter(attr, cohort.present, TARGET).reshape(deg.shape[0], SLOTS, -1)
+    return {"mean": Blocks(adj / deg),
+            "attr_mean": (attr_sum / deg).reshape(-1, EDGE_ATTR_DIM)}
 
 
 def mean_pool(present: np.ndarray) -> Blocks:
@@ -191,11 +219,36 @@ def mean_pool(present: np.ndarray) -> Blocks:
     return Blocks((slots / slots.sum(axis=1, keepdims=True))[:, None, :])
 
 
+def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Softmax of per-arc scores (20B x 1) over the in-arcs of each target.
+
+    The per-target maximum is subtracted first, so exp never overflows; the
+    weights are exp(shifted - log(total)), where total is the sum of
+    exp(shifted) over the arcs into the same target. An absent region's arc
+    is shifted by its own score and has total 1. Returns the weights,
+    exp(shifted) and total, all per arc; the backward rule of `evolve`
+    reuses the last two.
+    """
+    top = scatter(scores, present, TARGET, np.maximum, -np.inf)
+    shifted = scores - gather(top, present, TARGET, scores.reshape(len(present), _REGIONS, 4, 1))
+    exp_shifted = np.exp(shifted)
+    total = gather(scatter(exp_shifted, present, TARGET), present, TARGET, 1.0)
+    return np.exp(shifted - np.log(total)), exp_shifted, total
+
+
 def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
            horizon: int) -> Tensor:
-    """Roll the residual operator forward `horizon` steps from H0; the
-    snapshots z_0..z_{T-1}, each the readout taken after one update, stacked
-    step-major as one (T B x d) node of the `evolve` primitive."""
+    """Roll the residual operator forward `horizon` steps from H0 as one node.
+
+    Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
+    snapshot pool H, so the node holds z_0..z_{T-1} stacked step-major,
+    (T B x d). Its parents are H0 and then `params.named_leaves()`. The
+    numpy forward runs every operation in the order of the per-op tape form,
+    so the values are the same bits. A state that is not finite after step t
+    raises NonFiniteError naming t. Each step's input state and activations,
+    and gat's arc terms, are kept for backward only when some parent
+    requires grad.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > params.time_table.rows:
@@ -203,7 +256,164 @@ def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
                          f"{params.time_table.rows} rows")
     if h0.rows == 0:
         raise ValueError("evolve of an empty node-state matrix")
-    return ad.evolve(h0, horizon, adjacency(cohort, params.backbone), mean_pool(cohort.present),
-                     params.w_self, params.b_msg, params.w_out, params.b_out,
-                     params.time_table, params.w_neigh, params.attn_u, params.attn_b,
-                     params.attn_v)
+    backbone, present = params.backbone, cohort.present
+    ops, pool = adjacency(cohort, backbone), mean_pool(present)
+    d, d_t = params.w_out.cols, params.time_table.cols
+    e = params.time_table.data
+    w_sh, w_st = params.w_self.data[:d], params.w_self.data[d:]
+    self_rows = e @ w_st
+    if backbone != "gcn":
+        w_nh, w_nt, w_na = np.split(params.w_neigh.data, [d, d + d_t])
+        neigh_rows = e @ w_nt
+    if backbone == "graphsage":
+        fixed = ops["attr_mean"] @ w_na + params.b_msg.data
+    elif backbone == "gat":
+        u_dh, u_dt, u_sh, u_st, u_a = np.split(params.attn_u.data, np.cumsum([d, d_t, d, d_t]))
+        score_rows = e @ (u_dt + u_st)
+        score_arcs = ops["attr"] @ u_a + params.attn_b.data
+        msg_arcs = ops["attr"] @ w_na
+        fixed = params.b_msg.data
+    leaves = tuple(leaf for _, leaf in params.named_leaves())
+    node = Tensor._node(np.empty((horizon * len(present), d)), "evolve", (h0,) + leaves)
+    out = node.data.reshape(horizon, len(present), d)
+    saved = []
+    h = h0.data
+    # In-place updates of fresh temporaries keep the tape form's operation
+    # order, and so its values, with fewer allocations.
+    for t in range(horizon):
+        kept = [h]
+        own = h @ w_sh
+        own += self_rows[t]
+        if backbone == "gcn":
+            pre = ops["norm"].apply(own)
+            pre += params.b_msg.data
+        else:
+            x_n = h @ w_nh
+            x_n += neigh_rows[t]
+            if backbone == "graphsage":
+                pre = ops["mean"].apply(x_n)
+            else:
+                q_dst = h @ u_dh
+                q_dst += score_rows[t]
+                hidden = gather(q_dst, present, TARGET)
+                hidden += gather(h @ u_sh, present, SOURCE)
+                hidden += score_arcs
+                np.tanh(hidden, out=hidden)
+                alpha, exp_shifted, total = segment_softmax(hidden @ params.attn_v.data, present)
+                msgs = gather(x_n, present, SOURCE)
+                msgs += msg_arcs
+                pre = scatter(msgs * alpha, present, TARGET)
+                kept += [hidden, alpha, exp_shifted, total, msgs]
+            pre += own
+            pre += fixed
+        act = np.maximum(pre, 0.0, out=pre)
+        update = act @ params.w_out.data
+        update += params.b_out.data
+        h = h + update
+        if not np.isfinite(h).all():
+            raise NonFiniteError(f"node states diverged at evolution step {t}")
+        out[t] = pool.apply(h)
+        if node.requires_grad:
+            saved.append(kept + [act])
+    if node.requires_grad:
+        node.ctx = (params, present, ops, pool, saved)
+    return node
+
+
+def _bw_evolve(node, g):
+    # Backpropagation through time over the kept states. Every product and
+    # every sum runs in the order in which backward sums the per-op tape form
+    # (tests/oracles.py), so the gradients are the same bits as that form's.
+    params, present, ops, pool, saved = node.ctx
+    h0 = node.parents[0]
+    neigh, gat = params.backbone != "gcn", params.backbone == "gat"
+    d, d_t = params.w_out.cols, params.time_table.cols
+    steps = len(saved)
+    w_out = params.w_out.data
+    w_sh, w_st = params.w_self.data[:d], params.w_self.data[d:]
+    if neigh:
+        w_nh, w_nt, _ = np.split(params.w_neigh.data, [d, d + d_t])
+    # Row t of each: the gradient of the time rows step t adds, e_t W_st,
+    # e_t W_nt and e_t (U_dt + U_st).
+    d_self = np.zeros((params.time_table.rows, w_out.shape[0]))
+    d_neigh = np.zeros_like(d_self)
+    if gat:
+        u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u.data, np.cumsum([d, d_t, d, d_t]))
+        d_score_rows = np.zeros((params.time_table.rows, u_dh.shape[1]))
+        spread = np.ones((1, w_out.shape[0]))
+    gz = g.reshape(steps, -1, d)
+    sums = {}
+
+    def add(key, term):
+        # The first term, then each next one added, from the last step back.
+        if key in sums:
+            sums[key] += term
+        else:
+            sums[key] = term.copy()
+
+    dh = pool.T.apply(gz[-1])
+    for t in range(steps - 1, -1, -1):
+        h, *arcs, act = saved[t]
+        add("b_out", dh.sum(axis=0, keepdims=True))
+        add("w_out", act.T @ dh)
+        dp = dh @ w_out.T
+        dp *= act > 0.0
+        if neigh and not gat:
+            add("fixed", dp)            # A W_na + b_msg, one term for all steps
+        else:
+            add("b_msg", dp.sum(axis=0, keepdims=True))
+        d_own = dp if neigh else ops["norm"].T.apply(dp)
+        add("w_sh", h.T @ d_own)
+        d_self[t] = d_own.sum(axis=0)
+        back = [d_own @ w_sh.T]
+        if gat:
+            hidden, alpha, exp_shifted, total, msgs = arcs
+            weighted = gather(dp, present, TARGET)
+            d_msgs = weighted * alpha
+            d_exp = alpha * ((weighted * msgs) @ spread.T)
+            d_scores = d_exp + gather(scatter(-d_exp, present, TARGET), present,
+                                      TARGET) / total * exp_shifted
+            add("attn_v", hidden.T @ d_scores)
+            d_arc = d_scores @ params.attn_v.data.T
+            d_arc *= 1.0 - hidden * hidden
+            add("score_arcs", d_arc)
+            add("msg_arcs", d_msgs)
+            d_xn = scatter(d_msgs, present, SOURCE)
+        elif neigh:
+            d_xn = ops["mean"].T.apply(dp)
+        if neigh:
+            add("w_nh", h.T @ d_xn)
+            d_neigh[t] = d_xn.sum(axis=0)
+            back.append(d_xn @ w_nh.T)
+        if gat:
+            d_dst, d_src = scatter(d_arc, present, TARGET), scatter(d_arc, present, SOURCE)
+            add("u_dh", h.T @ d_dst)
+            add("u_sh", h.T @ d_src)
+            d_score_rows[t] = d_dst.sum(axis=0)
+            back += [d_dst @ u_dh.T, d_src @ u_sh.T]
+        # The readout of H_t comes first, then the update H_t + U_{t+1}.
+        if t:
+            dh = pool.T.apply(gz[t - 1]) + dh
+        for term in back:
+            dh += term
+    e = params.time_table.data
+    d_time = d_self @ w_st.T
+    # In the order of `params.named_leaves()`.
+    grads = [dh if h0.requires_grad else None, np.concatenate([sums["w_sh"], e.T @ d_self]),
+             sums["fixed"].sum(axis=0, keepdims=True) if "fixed" in sums else sums["b_msg"],
+             sums["w_out"], sums["b_out"], d_time]
+    if neigh:
+        d_time += d_neigh @ w_nt.T
+        arc_terms = (ops["attr"].T @ sums["msg_arcs"] if gat
+                     else ops["attr_mean"].T @ sums["fixed"])
+        grads.append(np.concatenate([sums["w_nh"], e.T @ d_neigh, arc_terms]))
+    if gat:
+        d_time += d_score_rows @ (u_dt + u_st).T
+        d_u_t = e.T @ d_score_rows
+        grads += [np.concatenate([sums["u_dh"], d_u_t, sums["u_sh"], d_u_t,
+                                  ops["attr"].T @ sums["score_arcs"]]),
+                  sums["score_arcs"].sum(axis=0, keepdims=True), sums["attn_v"]]
+    return tuple(grads)
+
+
+ad._BACKWARD["evolve"] = _bw_evolve

@@ -14,8 +14,7 @@ patient's rows in `NodeKind` order; `slots_in_use` marks the rows in use
 from the region presence. A missing region's row is a padding row: it
 starts at zero, and every operator has a zero row and column for it and the
 readout a zero weight, so it never reaches an output or a gradient. The
-operators are `autodiff.Blocks` stacks of B per-patient dense blocks, built
-once per forward by `evolution.adjacency`.
+operators are built once per forward by `evolution.adjacency`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform_weight, zero_bias
 
 
 class NodeKind(Enum):
@@ -79,11 +78,10 @@ class EmbeddingParams:
 
 def init_embedding(feature_widths: dict[NodeKind, int], hidden_dim: int,
                    rng: np.random.Generator) -> EmbeddingParams:
-    from .evolution import uniform_weight  # shared init convention
     weights, biases = {}, {}
     for kind in NodeKind:
         weights[kind] = uniform_weight(rng, feature_widths[kind], hidden_dim)
-        biases[kind] = ad.parameter(np.zeros((1, hidden_dim)))
+        biases[kind] = zero_bias(hidden_dim)
     return EmbeddingParams(weights, biases)
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .evolution import uniform_weight
+from .autodiff import Tensor, uniform_weight, zero_bias
 
 
 class SaturatedCurveError(ValueError):
@@ -78,16 +77,13 @@ class HeadParams:
 
 def init_heads(summary_dim: int, context_dim: int, num_bins: int,
                rng: np.random.Generator) -> HeadParams:
-    def b(width):
-        return ad.parameter(np.zeros((1, width)))
-
     return HeadParams(
         w_ctx=uniform_weight(rng, summary_dim, context_dim),
-        b_ctx=b(context_dim),
+        b_ctx=zero_bias(context_dim),
         w_dfs=uniform_weight(rng, summary_dim, num_bins),
-        b_dfs=b(num_bins),
+        b_dfs=zero_bias(num_bins),
         w_os=uniform_weight(rng, summary_dim + context_dim, num_bins),
-        b_os=b(num_bins),
+        b_os=zero_bias(num_bins),
     )
 
 

@@ -4,11 +4,11 @@ The snapshots z_0..z_{T-1}, one node stacked step-major as `evolve` returns
 them (T B x d, B rows per step), are consumed by a single-layer LSTM from a
 zero initial state; h* is the elementwise mean of all hidden states so no
 single step dominates.
-The whole recurrence is one tape node, the `lstm` primitive of `autodiff`,
-whose backward rule runs backpropagation through time; the parameters stay
-the eight `lstm.*` leaves, one weight and one bias per gate. The
-integrator-ablation mode bypasses the LSTM and averages the raw snapshots
-instead.
+`integrate` runs the whole recurrence as one tape node, `lstm`. Its
+backward rule, `_bw_lstm`, runs backpropagation through time and is
+registered in `autodiff._BACKWARD` below; the parameters stay the eight
+`lstm.*` leaves, one weight and one bias per gate. The integrator-ablation
+mode bypasses the LSTM and averages the raw snapshots instead.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .evolution import uniform_weight
+from .autodiff import ShapeMismatchError, Tensor, uniform_weight, zero_bias
 
 
 @dataclass
@@ -54,15 +53,103 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     leaves = []
     for _ in range(4):      # gates i, f, g, o, in field order
         leaves += [uniform_weight(rng, input_dim + hidden_dim, hidden_dim),
-                   ad.parameter(np.zeros((1, hidden_dim)))]
+                   zero_bias(hidden_dim)]
     return LstmParams(*leaves)
 
 
 def integrate(snapshots: Tensor, steps: int, params: LstmParams) -> Tensor:
-    """Trajectory summary h*: mean of the LSTM hidden states h_1..h_T over
-    the `steps` stacked snapshots."""
-    return ad.lstm(snapshots, steps, params.w_i, params.b_i, params.w_f, params.b_f,
-                   params.w_g, params.b_g, params.w_o, params.b_o)
+    """Trajectory summary h*: the mean hidden state h_1..h_T of the LSTM over
+    the `steps` stacked snapshots, as one node.
+
+    `snapshots` holds the T snapshots of B rows stacked step-major, (T B x d),
+    as `evolution.evolve` returns them. The cell is c' = f*c + i*g,
+    h' = o*tanh(c') from h = c = 0, each gate acting on [z_t ; h_{t-1}]. The
+    gates are held as (T, 4, B, d_h) in the order i f o g, so a step's gates
+    are one contiguous block and its three sigmoids one contiguous part of
+    it. The input projection of all T snapshots is one batched matmul outside
+    the recurrence, and each step adds one (B x d_h) @ (4, d_h, d_h) product.
+    The node's parents are the snapshots and then `params.named_leaves()`.
+    Gates and cells are kept for backward only when some parent requires grad.
+    """
+    weights = (params.w_i, params.w_f, params.w_o, params.w_g)
+    biases = (params.b_i, params.b_f, params.b_o, params.b_g)
+    d_h, d = params.hidden_dim, params.input_dim
+    for w, b in zip(weights, biases):
+        if w.shape != (d + d_h, d_h) or b.shape != (1, d_h):
+            raise ShapeMismatchError("lstm", params.w_i.shape, w.shape, b.shape)
+    if steps < 1 or snapshots.rows % steps or snapshots.cols != d:
+        raise ShapeMismatchError("lstm", snapshots.shape, (steps, d))
+    rows = snapshots.rows // steps
+    w = np.stack([p.data for p in weights])           # (4, d + d_h, d_h)
+    z = snapshots.data.reshape(steps, rows, d)
+    gates = np.matmul(z[:, None], w[:, :d])
+    gates += np.stack([p.data for p in biases])
+    w_h = w[:, d:]
+    cells = np.zeros((steps + 1, rows, d_h))      # c_0 .. c_T
+    hidden = np.zeros((steps + 1, rows, d_h))     # h_0 .. h_T
+    tanh_c = np.empty((steps, rows, d_h))
+    # 1 / (1 + e^-x) overflows only to 1 / inf = 0, the correctly rounded value.
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            a = gates[t]
+            if t:
+                a += np.matmul(hidden[t], w_h)
+            s = a[:3]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            np.tanh(a[3], out=a[3])
+            c = cells[t + 1]
+            np.multiply(a[1], cells[t], out=c)
+            c += a[0] * a[3]
+            np.tanh(c, out=tanh_c[t])
+            np.multiply(a[2], tanh_c[t], out=hidden[t + 1])
+    out = hidden[1:].sum(axis=0) * (1.0 / steps)
+    node = Tensor._node(out, "lstm", (snapshots,) + tuple(p for _, p in params.named_leaves()))
+    if node.requires_grad:
+        node.ctx = (z, w, gates, cells, hidden, tanh_c)
+    return node
+
+
+def _bw_lstm(node, g):
+    # Backpropagation through time over the cached [i f o g] gate blocks.
+    z, w, gates, cells, hidden, tanh_c = node.ctx
+    steps, _, rows, d_h = gates.shape
+    d = z.shape[2]
+    w_h_t = w[:, d:].transpose(0, 2, 1)
+    dh_out = g * (1.0 / steps)          # every h_t enters the mean once
+    da = np.empty_like(gates)
+    dh = dh_out
+    dc_next = 0.0
+    for t in range(steps - 1, -1, -1):
+        a, dat = gates[t], da[t]
+        tc = tanh_c[t]
+        dc = dh * a[2] * (1.0 - tc * tc) + dc_next
+        np.multiply(dc, a[3], out=dat[0])
+        np.multiply(dc, cells[t], out=dat[1])
+        np.multiply(dh, tc, out=dat[2])
+        dat[:3] *= a[:3] * (1.0 - a[:3])
+        np.multiply(dc * a[0], 1.0 - a[3] * a[3], out=dat[3])
+        dc_next = dc * a[1]
+        if t:
+            dh = dh_out + np.matmul(dat, w_h_t).sum(axis=0)
+    # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
+    # products, which would hold T copies of the weights at once.
+    dw_x, dw_h = np.matmul(z[0].T, da[0]), np.matmul(hidden[0].T, da[0])
+    for t in range(1, steps):
+        dw_x += np.matmul(z[t].T, da[t])
+        dw_h += np.matmul(hidden[t].T, da[t])
+    db = da.sum(axis=(0, 2))
+    grads = [np.matmul(da, w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
+             if node.parents[0].requires_grad else None]
+    # Gate order i f o g back to the parents' order i, f, g, o.
+    for k in (0, 1, 3, 2):
+        grads += [np.concatenate([dw_x[k], dw_h[k]]), db[k:k + 1]]
+    return tuple(grads)
+
+
+ad._BACKWARD["lstm"] = _bw_lstm
 
 
 def integrate_mean(snapshots: Tensor, steps: int) -> Tensor:

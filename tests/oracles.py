@@ -11,7 +11,8 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
 `tape_evolve` is the evolution rollout as per-op tape nodes: `rows_of`
 selectors for the weight blocks and time rows, `residual_update` for a step
-and `readout` for a snapshot.
+and `readout` for a snapshot. Its gat arcs are the dense one-hot gathers of
+`arc_blocks`, built from the arc template, not the index form they check.
 The per-op forms use three tape ops the model does not: `spmm`, `exp` and
 `log`. They are defined here, and their backward rules join the engine's
 table when this module is imported; `SRC_RULES` is that table before they do.
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajsurv import autodiff as ad
+from trajsurv.evolution import Blocks, adjacency, mean_pool
+from trajsurv.graph import slots_in_use
 from trajsurv.objective import label_to_bin
 
 
@@ -352,7 +355,7 @@ def rows_of(x, start, stop):
     """Rows start..stop-1 of x on the tape, through a dense selector."""
     if not 0 <= start < stop <= x.rows:
         raise ad.ShapeMismatchError("rows", (start, stop), x.rows)
-    return spmm(ad.Blocks(np.eye(stop - start, x.rows, start)[None]), x)
+    return spmm(Blocks(np.eye(stop - start, x.rows, start)[None]), x)
 
 
 def weight_blocks(params, name):
@@ -364,8 +367,30 @@ def weight_blocks(params, name):
     return [rows_of(getattr(params, name), stop - h, stop) for h, stop in zip(heights, stops)]
 
 
+# The arc template: four arcs per region k, global -> k (attribute
+# +offset_k), clinical -> k (0), k -> global (-offset_k), k -> clinical (0).
+_ARC_REGION = np.repeat(np.arange(5), 4)
+_ARC_SIGN = np.tile([1.0, 0.0, -1.0, 0.0], 5)
+_ARC_SRC = np.array([(5, 6, k, k) for k in range(5)]).ravel()
+_ARC_DST = np.array([(k, k, 5, 6) for k in range(5)]).ravel()
+
+
+def arc_blocks(cohort):
+    """gat's arcs as dense blocks: per patient the (20, 7) one-hot target and
+    source gathers, zero on an absent region's arcs, the target sum as the
+    target gather's transpose, (B, 7, 20), the (20B x 3) arc attributes, and
+    `no_arcs` (7B x 1), 1 on rows without in-arcs."""
+    used = cohort.present[:, _ARC_REGION].astype(np.float64)[:, :, None]
+    at_dst = Blocks(used * np.eye(7)[_ARC_DST])
+    attr = used * _ARC_SIGN[:, None] * cohort.offsets[:, _ARC_REGION]
+    return {"at_dst": at_dst, "at_src": Blocks(used * np.eye(7)[_ARC_SRC]),
+            "sum_dst": at_dst.T, "attr": attr.reshape(-1, 3),
+            "no_arcs": (~slots_in_use(cohort.present)).astype(np.float64).reshape(-1, 1)}
+
+
 def tape_segment_softmax(scores, ops):
-    """`autodiff.segment_softmax` on the tape, per-target maximum as a constant."""
+    """`evolution.segment_softmax` on the tape over the blocks of
+    `arc_blocks`, per-target maximum as a constant."""
     per_arc = scores.data.reshape(ops["at_dst"].blocks.shape[0], -1)
     in_arcs = ops["at_dst"].blocks > 0.0
     top = np.where(in_arcs, per_arc[:, :, None], -np.inf).max(axis=1)
@@ -400,10 +425,8 @@ def _attention(ops, params, w_na):
 def residual_update(cohort, params):
     """dH of step t as a function of (H, t), as per-op tape nodes: the
     evolution step as the `evolve` primitive is held to it."""
-    from trajsurv.evolution import adjacency
-
     e = params.time_table
-    ops = adjacency(cohort, params.backbone)
+    ops = arc_blocks(cohort) if params.backbone == "gat" else adjacency(cohort, params.backbone)
     w_sh, w_st = weight_blocks(params, "w_self")
     self_rows = ad.matmul(e, w_st)
     if params.backbone == "gcn":
@@ -448,8 +471,6 @@ def readout(h, pool):
 def tape_evolve(h0, cohort, params, horizon):
     """The per-op tape form of `evolution.evolve`: `residual_update` and a
     readout per step, the snapshots as a list of T tensors."""
-    from trajsurv.evolution import mean_pool
-
     update = residual_update(cohort, params)
     pool = mean_pool(cohort.present)
     h, snapshots = h0, []

@@ -242,11 +242,11 @@ def test_09_determinism(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert cli_main(["crossval", "--config", str(config), "--out", str(out1)]) == 0
     assert cli_main(["crossval", "--config", str(config), "--out", str(out2)]) == 0
-    b1 = (out1 / "metrics.csv").read_bytes()
-    b2 = (out2 / "metrics.csv").read_bytes()
-    verdict(9, "identical config and seed give byte-identical metrics.csv",
-            b1 == b2 and len(b1) > 0,
-            f"{len(b1)} bytes compared across two crossval runs")
+    b1, b2 = ([(out / name).read_bytes() for name in ("metrics.csv", "curves.csv")]
+              for out in (out1, out2))
+    verdict(9, "identical config and seed give byte-identical metrics.csv and curves.csv",
+            b1 == b2 and all(b1),
+            f"{sum(map(len, b1))} bytes compared across two crossval runs")
 
 
 def test_10_bootstrap_plumbing(full_run):

@@ -12,15 +12,16 @@ import oracles
 from trajsurv import autodiff as ad
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
-from trajsurv.evolution import BACKBONES, evolve, init_evolution
+from trajsurv.evolution import BACKBONES, Blocks, evolve, init_evolution
 from trajsurv.graph import slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss
+from trajsurv.trajectory import LstmParams, integrate
 
 
 # Three 2 x 1 blocks, one of them zero: a 6 x 3 block-diagonal matrix.
-BLOCKS = ad.Blocks([[[0.5], [-1.0]], [[0.0], [0.0]], [[2.0], [3.0]]])
+BLOCKS = Blocks([[[0.5], [-1.0]], [[0.0], [0.0]], [[2.0], [3.0]]])
 
 
 def params_of(*arrays):
@@ -204,8 +205,9 @@ def _fd_builders():
     for _ in range(4):
         gate_leaves += [leafy(rng.normal(size=(5, 3))), leafy(rng.normal(size=(1, 3)))]
     mix = ad.constant(rng.normal(size=(2, 3)))
+    lstm = LstmParams(*gate_leaves)
     cases["lstm"] = ([snaps] + gate_leaves,
-                     lambda: ad.sum_all(ad.mul(ad.lstm(snaps, 3, *gate_leaves), mix)))
+                     lambda: ad.sum_all(ad.mul(integrate(snaps, 3, lstm), mix)))
     # Three steps over two patients, the second without two regions: H0 and
     # every evolution leaf of each backbone.
     cohort, _ = simulate_cohort(10, seed=1)
@@ -239,7 +241,7 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
     for _ in range(4):
         leaves += [ad.parameter(rng.normal(scale=0.05, size=(2 * width, width))),
                    ad.parameter(np.zeros((1, width)))]
-    out = ad.sum_all(ad.lstm(snaps, steps, *leaves))
+    out = ad.sum_all(integrate(snaps, steps, LstmParams(*leaves)))
     tracemalloc.start()
     try:
         ad.backward(out, params=leaves)
@@ -313,9 +315,9 @@ def test_blocks_apply_matches_dense_product(count, r, c, m, seed):
     for b in range(count):
         dense[b * r:(b + 1) * r, b * c:(b + 1) * c] = blocks[b]
     x = rng.normal(size=(count * c, m))
-    np.testing.assert_allclose(ad.Blocks(blocks).apply(x), dense @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Blocks(blocks).apply(x), dense @ x, rtol=0, atol=1e-12)
     g = rng.normal(size=(count * r, m))
-    np.testing.assert_allclose(ad.Blocks(blocks).T.apply(g), dense.T @ g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Blocks(blocks).T.apply(g), dense.T @ g, rtol=0, atol=1e-12)
 
 
 def test_no_grad_keeps_no_tape_and_restores_leaves():
@@ -331,12 +333,12 @@ def test_no_grad_keeps_no_tape_and_restores_leaves():
 
 
 def test_spmm_shape_and_index_errors():
-    s = ad.Blocks(np.ones((2, 1, 1)))
+    s = Blocks(np.ones((2, 1, 1)))
     assert s.shape == (2, 2)
     with pytest.raises(ad.ShapeMismatchError, match="spmm"):
         oracles.spmm(s, ad.constant(np.ones((3, 1))))
     with pytest.raises(ad.ShapeMismatchError):
-        ad.Blocks(np.ones((2, 2)))
+        Blocks(np.ones((2, 2)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -361,7 +363,7 @@ def test_blocks_with_a_transpose_are_freed_without_the_cycle_collector():
     # collection, raising peak memory.
     import gc
     import weakref
-    blocks = ad.Blocks(np.ones((2, 3, 4)))
+    blocks = Blocks(np.ones((2, 3, 4)))
     assert blocks.T.shape == (8, 6)
     ref = weakref.ref(blocks)
     gc.disable()

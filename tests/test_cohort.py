@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestRecordValidation:
             patient["clinical"][0] = 2.0
         with pytest.raises(CohortError, match=f"^patient sim0004: {message}$"):
             load_cohort(saved_text(tmp_path, change))
+
+    def test_clearing_every_region_of_a_patient_is_rejected(self):
+        # The rules hold for every cohort built, not only for a loaded one.
+        cohort, _ = simulate_cohort(10, seed=0)
+        present = cohort.present.copy()
+        present[[3, 6]] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CohortError, match="^patient sim0003: no region is present$"):
+                cohort.with_presence(present)
 
 
 def assert_same_cohort(expected, got):

@@ -200,6 +200,10 @@ class TestEmitReport:
         assert doc["variant"] == "full"
         assert doc["seed"] == 7
         assert doc["warnings"] == {"ipcw_capped_folds": 0}
+        # The wall-clock time is kept apart, so that reruns write the same report.json.
+        assert "runtime_seconds" not in doc
+        assert json.load(open(paths["timings.json"])) == {
+            "runtime_seconds": report.runtime_seconds}
 
     def test_failed_emit_leaves_the_previous_report_whole(self, tmp_path):
         emit_report(synthetic_report(), tmp_path)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.autodiff import segment_softmax
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
 from trajsurv import evolution
-from trajsurv.evolution import (BACKBONES, EvolutionParams, adjacency, evolve,
-                                init_evolution, mean_pool, uniform_weight)
+from trajsurv.autodiff import uniform_weight
+from trajsurv.evolution import (BACKBONES, Blocks, EvolutionParams, evolve, init_evolution,
+                                mean_pool, segment_softmax)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
@@ -217,7 +217,7 @@ class TestReadout:
         np.testing.assert_allclose(out, [[3.0, 4.0]], rtol=0, atol=1e-15)
 
     def test_single_row_passthrough(self):
-        out = readout(ad.constant([[1.0, 2.0]]), ad.Blocks(np.ones((1, 1, 1))))
+        out = readout(ad.constant([[1.0, 2.0]]), Blocks(np.ones((1, 1, 1))))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
@@ -316,30 +316,36 @@ def test_graphs_in_one_batch_match_graphs_alone():
 
 
 class TestSegmentSoftmax:
-    def ops(self):
-        # Rows without in-arcs: the missing regions' padding rows.
-        return adjacency(join(mixed_records()[1:]), "gat")
+    # Rows without in-arcs: the missing regions' padding rows.
+    cohort = join(mixed_records()[1:])
+
+    def in_arcs(self):
+        """Per target row, the arc rows (of the 20B per-arc rows) that end there,
+        written out from the arc template: arcs 4k .. 4k + 3 of a present
+        region k run from the summary node and the clinical node to k, and
+        from k to each of them."""
+        into = {}
+        for b, regions in enumerate(self.cohort.present):
+            for k in np.flatnonzero(regions):
+                for j, target in enumerate((k, k, SUMMARY, CLINICAL)):
+                    into.setdefault(7 * b + target, []).append(20 * b + 4 * k + j)
+        return into
 
     @pytest.mark.parametrize("scale", (1.0, 1000.0, -1000.0))
     def test_weights_sum_to_one_per_node_with_in_arcs(self, scale):
-        ops = self.ops()
-        scores = np.random.default_rng(14).normal(size=(ops["at_dst"].shape[0], 1)) * scale
-        alpha = segment_softmax(scores, ops)[0]
+        into = self.in_arcs()
+        assert len(into) < 7 * len(self.cohort)
+        scores = np.random.default_rng(14).normal(size=(20 * len(self.cohort), 1)) * scale
+        alpha = segment_softmax(scores, self.cohort.present)[0]
         assert np.isfinite(alpha).all() and (alpha >= 0).all()
-        per_node = ops["sum_dst"].apply(alpha)[:, 0]
-        has_arcs = ops["sum_dst"].apply(np.ones_like(alpha))[:, 0] > 0
-        assert not has_arcs.all()
-        np.testing.assert_allclose(per_node[has_arcs], 1.0, rtol=0, atol=1e-12)
-        assert (per_node[~has_arcs] == 0.0).all()
+        for arcs in into.values():
+            np.testing.assert_allclose(alpha[arcs, 0].sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_equal_extreme_scores_split_evenly(self):
-        ops = self.ops()
-        arcs = ops["at_dst"].shape[0]
-        alpha = segment_softmax(np.full((arcs, 1), 1000.0), ops)[0]
-        deg = ops["sum_dst"].apply(np.ones((arcs, 1)))
-        used = ops["at_dst"].apply(np.ones((ops["at_dst"].shape[1], 1)))[:, 0] > 0
-        np.testing.assert_allclose(alpha[used, 0], 1.0 / ops["at_dst"].apply(deg)[used, 0],
-                                   rtol=0, atol=1e-15)
+        arcs = 20 * len(self.cohort)
+        alpha = segment_softmax(np.full((arcs, 1), 1000.0), self.cohort.present)[0]
+        for into in self.in_arcs().values():
+            np.testing.assert_allclose(alpha[into, 0], 1.0 / len(into), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("backbone", BACKBONES)
@@ -374,22 +380,31 @@ def absent_region_cohort(n):
 
 
 @pytest.mark.parametrize("backbone", BACKBONES)
-@pytest.mark.parametrize("rows,steps", ((1, 1), (1, 12), (64, 1), (64, 12)),
-                         ids=("B1-T1", "B1-T12", "B64-T1", "B64-T12"))
-def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps):
-    # The snapshots bit for bit. The loss, a weighted mean of tanh of each
-    # step's snapshots read through `rows_of`, and the gradients of H0 and of
-    # every evolution leaf within 1e-12; H0's padding rows get exactly zero.
+@pytest.mark.parametrize("rows,steps,widths", ((1, 1, None), (1, 12, None), (64, 1, None),
+                                               (64, 12, None), (40, 12, (9, 33, 17))),
+                         ids=("B1-T1", "B1-T12", "B64-T1", "B64-T12", "B40-T12-d9-m33-a17"))
+def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths):
+    # The snapshots bit for bit at the default widths (d 32, message and
+    # attention 32 and 16), within 1e-12 at widths off the BLAS tile, where
+    # a dense matmul may sum in another order than the index form. The loss,
+    # a weighted mean of tanh of each step's snapshots read through
+    # `rows_of`, and the gradients of H0 and of every evolution leaf within
+    # 1e-12; H0's padding rows get exactly zero.
+    d, message_dim, attention_dim = widths or (32, 32, 16)
     cohort = absent_region_cohort(rows)
     rng = np.random.default_rng(23)
-    params = init_evolution(backbone, 32, 16, 12, 32, rng)
+    params = init_evolution(backbone, d, 16, 12, message_dim, rng, attention_dim)
     used = slots_in_use(cohort.present).reshape(-1, 1)
-    h0 = ad.parameter(rng.normal(size=(7 * rows, 32)) * used)
-    weights = [ad.constant(rng.normal(size=(rows, 32)) / rows) for _ in range(steps)]
+    h0 = ad.parameter(rng.normal(size=(7 * rows, d)) * used)
+    weights = [ad.constant(rng.normal(size=(rows, d)) / rows) for _ in range(steps)]
     leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
     z = evolve(h0, cohort, params, steps)
-    reference = tape_evolve(h0, cohort, params, steps)
-    assert np.array_equal(z.data, np.vstack([s.data for s in reference]))
+    snapshots = tape_evolve(h0, cohort, params, steps)
+    reference = np.vstack([s.data for s in snapshots])
+    if widths is None:
+        assert np.array_equal(z.data, reference)
+    else:
+        np.testing.assert_allclose(z.data, reference, rtol=0, atol=1e-12)
 
     def loss(snapshots):
         terms = [ad.sum_all(ad.mul(ad.tanh(s), w)) for s, w in zip(snapshots, weights)]
@@ -399,7 +414,7 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps):
         return total
 
     fused = loss([rows_of(z, t * rows, (t + 1) * rows) for t in range(steps)])
-    ref = loss(reference)
+    ref = loss(snapshots)
     assert abs(fused.item() - ref.item()) <= 1e-12
     grads, ref_grads = ad.backward(fused, leaves), ad.backward(ref, leaves)
     for leaf in leaves:

@@ -11,7 +11,7 @@ import oracles
 from trajsurv import autodiff as ad
 from trajsurv.cohort import (REGION_KEYS, CohortError, load_cohort, make_cohort, save_cohort,
                              simulate_cohort)
-from trajsurv.evolution import adjacency, mean_pool
+from trajsurv.evolution import SOURCE, TARGET, adjacency, gather, mean_pool, scatter
 from trajsurv.graph import (ANATOMICAL_KINDS, EDGE_ATTR_DIM, SLOTS, EmbeddingParams,
                             GraphConstructionError, NodeKind, embed_nodes, init_embedding,
                             slots_in_use)
@@ -55,12 +55,15 @@ def make_graph(kinds=ANATOMICAL_KINDS, seed=0, centroids=None):
 
 
 def arc_list(cohort, patient=0):
-    """(source slot, target slot, attribute) of every arc in use."""
-    ops = adjacency(cohort, "gat")
-    at_dst, at_src = ops["at_dst"].blocks[patient], ops["at_src"].blocks[patient]
-    attr = ops["attr"].reshape(len(cohort), -1, EDGE_ATTR_DIM)[patient]
-    return [(int(at_src[a].argmax()), int(at_dst[a].argmax()), attr[a])
-            for a in range(at_dst.shape[0]) if at_dst[a].any()]
+    """(source slot, target slot, attribute) of every arc in use: each node's
+    row number, counted from 1, gathered at both ends of every arc (0 on the
+    arcs of an absent region)."""
+    rows = np.arange(1.0, SLOTS * len(cohort) + 1).reshape(-1, 1)
+    src, dst = (gather(rows, cohort.present, end).reshape(len(cohort), -1)[patient] - 1
+                - SLOTS * patient for end in (SOURCE, TARGET))
+    attr = adjacency(cohort, "gat")["attr"].reshape(len(cohort), -1, EDGE_ATTR_DIM)[patient]
+    return [(int(s), int(d), attr[a]) for a, (s, d) in enumerate(zip(src, dst))
+            if d >= 0]
 
 
 def cohort_file(tmp_path, change):
@@ -184,12 +187,30 @@ class TestArcs:
 
     def test_in_neighbors_row_indices_valid(self):
         g = make_graph(kinds=(NodeKind.LIVER_PARENCHYMA, NodeKind.HEPATIC_VEINS))
-        ops = adjacency(g, "gat")
         unused = ~slots_in_use(g.present)[0]
-        for name in ("at_dst", "at_src"):
-            assert ops[name].blocks.shape == (1, 20, SLOTS)
-            assert not ops[name].blocks[0][:, unused].any()
-        assert ops["attr"].shape == (20, EDGE_ATTR_DIM)
+        # No gather reads a padding row, and no sum adds into one.
+        x = np.where(unused, np.nan, 1.0).reshape(-1, 1)
+        for end in (TARGET, SOURCE):
+            assert np.isfinite(gather(x, g.present, end)).all()
+            assert not scatter(np.ones((20, 1)), g.present, end)[unused].any()
+        assert adjacency(g, "gat")["attr"].shape == (20, EDGE_ATTR_DIM)
+
+    @pytest.mark.parametrize("width", (1, 3, 8, 16, 32, 33))
+    def test_index_gathers_and_sums_match_one_hot_blocks(self, width):
+        # The dense one-hot gathers of the oracle, and their transposes as the
+        # sums, on a slice with regions absent; an absent region's arc values
+        # are ignored by the sums.
+        cohort = join([make_record(k, seed) for seed, k in enumerate(
+            (ANATOMICAL_KINDS, ANATOMICAL_KINDS[1:4], (NodeKind.PORTAL_VEINS,)))])
+        blocks = oracles.arc_blocks(cohort)
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(SLOTS * len(cohort), width))
+        v = rng.normal(size=(20 * len(cohort), width))
+        v_used = v * cohort.present.repeat(4, axis=1).reshape(-1, 1)
+        for end, name in ((TARGET, "at_dst"), (SOURCE, "at_src")):
+            assert np.array_equal(gather(x, cohort.present, end), blocks[name].apply(x))
+            np.testing.assert_allclose(scatter(v, cohort.present, end),
+                                       blocks[name].T.apply(v_used), rtol=0, atol=1e-12)
 
 
 class TestValidate:
