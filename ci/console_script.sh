@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# End-to-end checks of the `trajsurv` console script, run in the current
+# directory: simulate, the exit codes of a bad --out, of no command and of a
+# diverging run, the gradient check, and byte-identical reruns of a tiny gat
+# crossval. Usage: bash ci/console_script.sh (with `trajsurv` on PATH).
+set -eu
+
+echo '{"simulate": {"n": 10, "region_len": 2, "clinical_len": 2}}' > tiny.json
+trajsurv simulate --config tiny.json --out sim
+test -s sim/cohort.json && test -s sim/truth.json
+# An --out that names a file exits 1 with its one-line report, before any work.
+status=0
+trajsurv simulate --config tiny.json --out sim/cohort.json 2> out.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < out.err)" -eq 1
+status=0
+trajsurv || status=$?
+test "$status" -eq 1
+# The lazily imported gradient check and the whole tape.
+trajsurv gradcheck
+# A diverging run exits 3 with its one-line report as the only stderr output.
+echo '{"simulate": {"n": 20, "region_len": 2, "clinical_len": 2}}' > sim20.json
+trajsurv simulate --config sim20.json --out sim20
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4},
+       "cv": {"k": 2, "repeats": 1}, "train": {"lr": 1e300}}' > diverge.json
+status=0
+trajsurv crossval --config diverge.json --out diverge 2> diverge.err || status=$?
+test "$status" -eq 3
+test "$(wc -l < diverge.err)" -eq 1
+# A tiny gat crossval run twice into one --out exits 0 both times and
+# writes the same report.json, metrics.csv and curves.csv bytes.
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"backbone": "gat", "d": 4,
+       "T": 2, "K": 4}, "cv": {"k": 2, "repeats": 1}}' > gat.json
+trajsurv crossval --config gat.json --out gat
+mkdir first
+cp gat/report.json gat/metrics.csv gat/curves.csv first/
+trajsurv crossval --config gat.json --out gat
+for name in report.json metrics.csv curves.csv; do cmp "first/$name" "gat/$name"; done

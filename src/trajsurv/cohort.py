@@ -485,37 +485,25 @@ class FoldSpec:
     val: list[int]
 
 
-def _strata(indices: list[int], keys: list[tuple[int, int]], k: int) -> list[list[int]]:
-    """Joint (OS, DFS) event-indicator cells; sparse cells collapse to the OS margin."""
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in indices:
-        cells.setdefault(keys[i], []).append(i)
-    strata: dict[tuple[int, int], list[int]] = {}
+def _strata(rows: np.ndarray, keys: np.ndarray, k: int) -> list[np.ndarray]:
+    """The joint (OS, DFS) event cells of `rows`, each selected with a mask,
+    in key order. An OS margin with a cell of fewer than `k` rows is one
+    stratum, its cells concatenated in key order."""
+    key = keys[rows]
+    strata: list[np.ndarray] = []
     for os_event in (0, 1):
-        children = {key: v for key, v in cells.items() if key[0] == os_event}
-        if not children:
-            continue
-        if any(len(v) < k for v in children.values()):
-            merged: list[int] = []
-            for key in sorted(children):
-                merged.extend(children[key])
-            strata[(os_event, -1)] = merged
-        else:
-            strata.update(children)
-    return [strata[key] for key in sorted(strata)]
+        margin = key[:, 0] == os_event
+        cells = [rows[margin & (key[:, 1] == dfs)] for dfs in np.unique(key[margin, 1])]
+        strata += [np.concatenate(cells)] if any(c.size < k for c in cells) else cells
+    return strata
 
 
-def _deal(strata: list[list[int]], k: int, rng: np.random.Generator) -> list[list[int]]:
-    """Shuffle each stratum and deal round-robin, carrying the fold pointer
-    across strata so overall fold sizes stay within one of each other."""
-    folds: list[list[int]] = [[] for _ in range(k)]
-    ptr = 0
-    for members in strata:
-        order = rng.permutation(len(members))
-        for j in order:
-            folds[ptr % k].append(members[j])
-            ptr += 1
-    return folds
+def _deal(strata: list[np.ndarray], k: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The k sorted folds of one shuffle per stratum: position p of the
+    shuffled strata, laid end to end, goes to fold p mod k, so overall fold
+    sizes stay within one of each other."""
+    order = np.concatenate([s[rng.permutation(s.size)] for s in strata])
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def stratified_repeated_kfold(cohort: CohortArrays, k: int = 5, repeats: int = 3,
@@ -526,25 +514,21 @@ def stratified_repeated_kfold(cohort: CohortArrays, k: int = 5, repeats: int = 3
     n = len(cohort)
     too_small = (f"cohort of {n} patients cannot form {k} folds with "
                  "nonempty test, inner training and validation sets")
-    if k > n:   # checked before `_deal` builds one list per fold
+    if not 2 <= k <= n:   # checked before `_deal` builds one array per fold
         raise CohortError(too_small)
-    all_idx = list(range(n))
-    keys = list(zip(cohort.event["os"].tolist(), cohort.event["dfs"].tolist()))
+    rows = np.arange(n)
+    keys = np.stack([cohort.event["os"], cohort.event["dfs"]], axis=1)
     folds: list[FoldSpec] = []
     for rep in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        outer = _deal(_strata(all_idx, keys, k), k, rng)
-        for f in range(k):
-            test = sorted(outer[f])
-            in_test = set(test)
-            rest = [i for i in all_idx if i not in in_test]
+        for f, test in enumerate(_deal(_strata(rows, keys, k), k, rng)):
+            rest = np.setdiff1d(rows, test)
             inner_rng = np.random.default_rng(np.random.SeedSequence([seed, rep, f]))
-            buckets = _deal(_strata(rest, keys, 5), 5, inner_rng)
-            val = sorted(buckets[0])
-            train = sorted(set(rest) - set(val))
-            if not (test and train and val):
+            val = _deal(_strata(rest, keys, 5), 5, inner_rng)[0]
+            train = np.setdiff1d(rest, val)
+            if not (test.size and train.size and val.size):
                 raise CohortError(too_small)
-            folds.append(FoldSpec(rep, f, test, train, val))
+            folds.append(FoldSpec(rep, f, test.tolist(), train.tolist(), val.tolist()))
     return folds
 
 

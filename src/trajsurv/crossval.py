@@ -105,77 +105,55 @@ def fold_model(config: RunConfig, widths: dict[NodeKind, int], repeat: int,
     return init_model(config.model, widths, rng)
 
 
-@dataclass
+@dataclass(eq=False)
 class FoldOutcome:
-    """What one fold gives the report: a plain, picklable value. A fold that
-    failed to train holds only its `failure` reason."""
+    """What one fold gives the report: a plain, picklable value of arrays. A
+    fold that failed to train holds only its `failure` reason."""
     repeat: int
     fold: int
     rows: list[FoldRow] = field(default_factory=list)
-    test: list[int] = field(default_factory=list)                # cohort indices scored
-    risks: dict[str, list[float]] = field(default_factory=dict)  # per task, in `test` order
-    curves: list[CurveRow] = field(default_factory=list)         # repeat 0 only
-    capped: bool = False                                         # an IPCW weight was capped
-    cascade_grad_zero: bool | None = None                        # no_cascade variant only
+    test: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))  # cohort indices
+    risks: dict[str, np.ndarray] = field(default_factory=dict)  # per task, in `test` order
+    # Repeat 0 only: per task the (n, K) hazards and survival, and the patient ids.
+    curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    ids: np.ndarray | None = None
+    capped: bool = False                     # an IPCW weight was capped
+    cascade_grad_zero: bool | None = None    # no_cascade variant only
     failure: str | None = None
 
 
-@dataclass
-class _TaskPrediction:
-    hazard: np.ndarray        # (n, K)
-    survival: np.ndarray      # (n, K)
-    pred_time: np.ndarray     # (n,) point estimate; the risk is its negation
-    scores: np.ndarray        # (n, horizons): P(event <= t) = 1 - S(t)
-
-
-@dataclass
-class _FoldPrediction:
-    cohort: CohortArrays
-    tasks: dict[str, _TaskPrediction]
-
-    def curve_rows(self) -> list[CurveRow]:
-        """Rows patient by patient, task by task, bin by bin."""
-        per_task = [(task, self.tasks[task].hazard.tolist(), self.tasks[task].survival.tolist())
-                    for task in TASKS]
-        return [CurveRow(pid, task, k, h, s)
-                for i, pid in enumerate(self.cohort.ids.tolist()) for task, hz, sv in per_task
-                for k, (h, s) in enumerate(zip(hz[i], sv[i]))]
-
-
-def _predict_fold(model: FullModel, cohort: CohortArrays, bins: TimeBins,
-                  horizons, chunk: int) -> _FoldPrediction:
-    """Score `cohort` in forward passes of `chunk` patients, then as arrays."""
+def _predict_fold(model: FullModel, cohort: CohortArrays,
+                  chunk: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per task, the (n, K) hazards and survival of `cohort`, scored in
+    forward passes of `chunk` patients."""
     parts = [model.predict_curves(cohort.take(slice(start, start + chunk)))
              for start in range(0, len(cohort), chunk)]
-    cols = bins.index(horizons)   # step interpolation: the bin containing each horizon
-    tasks = {}
-    for task in TASKS:
-        hazard = np.concatenate([part[task][0] for part in parts])
-        survival = np.concatenate([part[task][1] for part in parts])
-        tasks[task] = _TaskPrediction(hazard, survival, point_estimate_time(survival, bins),
-                                      1.0 - survival[:, cols])
-    return _FoldPrediction(cohort, tasks)
+    return {task: tuple(np.concatenate([part[task][j] for part in parts]) for j in (0, 1))
+            for task in TASKS}
 
 
-def _fold_metrics(pred: _FoldPrediction, bins: TimeBins, tau: float,
+def _fold_metrics(cohort: CohortArrays, curves: dict[str, tuple[np.ndarray, np.ndarray]],
+                  pred_time: dict[str, np.ndarray], bins: TimeBins, tau: float,
                   horizons) -> tuple[dict[str, dict], int]:
+    """Per task the metrics of the curves and point-estimate times of
+    `cohort`, and the number of capped IPCW weights."""
     capped = 0
     out: dict[str, dict] = {}
     for task in TASKS:
-        p = pred.tasks[task]
-        t, e = pred.cohort.time[task], pred.cohort.event[task]
+        s, pt = curves[task][1], pred_time[task]
+        t, e = cohort.time[task], cohort.event[task]
         try:
-            cindex = cindex_arrays(-p.pred_time, t, e)
+            cindex = cindex_arrays(-pt, t, e)
         except ValueError:
             cindex = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IpcwCapWarning)
-            ibs = integrated_brier(p.survival, t, e, bins, tau)
+            ibs = integrated_brier(s, t, e, bins, tau)
             capped += sum(1 for w in caught if issubclass(w.category, IpcwCapWarning))
-        aucs = [time_dependent_auc(p.scores[:, j], t, e, h) for j, h in enumerate(horizons)]
-        mae = mae_uncensored(p.pred_time, t, e)
+        # P(event <= h) = 1 - S at the bin containing h (step interpolation)
+        aucs = [time_dependent_auc(1.0 - s[:, bins.index(h)], t, e, h) for h in horizons]
         out[task] = {"cindex": cindex, "ibs": ibs, "auc1": aucs[0], "auc3": aucs[1],
-                     "auc5": aucs[2], "mae": mae}
+                     "auc5": aucs[2], "mae": mae_uncensored(pt, t, e)}
     return out, capped
 
 
@@ -207,20 +185,23 @@ def apply_variant(config: RunConfig, variant: str) -> RunConfig:
                                                                  **_OVERRIDES[variant]))
 
 
-def _score(model: FullModel, cohort: CohortArrays, test: list[int],
+def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
            config: RunConfig, repeat: int, fold: int) -> FoldOutcome:
     """Score the patients `test` of `cohort` as fold (repeat, fold), with the
     model's own bins; the one path from a trained model to report rows."""
     bins = model.config.bins()
-    horizons = config.eval.horizons
     tau = config.eval.resolve_tau(bins)
-    preds = _predict_fold(model, cohort.take(test), bins, horizons, config.train.batch_size)
-    per_task, capped = _fold_metrics(preds, bins, tau, horizons)
+    scored = cohort.take(test)
+    curves = _predict_fold(model, scored, config.train.batch_size)
+    pred_time = {task: point_estimate_time(curves[task][1], bins) for task in TASKS}
+    per_task, capped = _fold_metrics(scored, curves, pred_time, bins, tau, config.eval.horizons)
+    first = repeat == 0
     return FoldOutcome(repeat, fold, rows=[FoldRow(repeat, fold, task, **per_task[task])
                                            for task in TASKS],
-                       test=test,
-                       risks={task: (-preds.tasks[task].pred_time).tolist() for task in TASKS},
-                       curves=preds.curve_rows() if repeat == 0 else [], capped=capped > 0)
+                       test=np.asarray(test, dtype=np.intp),
+                       risks={task: -pred_time[task] for task in TASKS},
+                       curves=curves if first else {}, ids=scored.ids if first else None,
+                       capped=capped > 0)
 
 
 def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
@@ -251,7 +232,7 @@ def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutco
     """Bootstrap interval of the C-index of each patient's mean risk over its folds."""
     pooled: dict[int, list[float]] = {}
     for o in outcomes:
-        for i, risk in zip(o.test, o.risks[task]):
+        for i, risk in zip(o.test.tolist(), o.risks[task].tolist()):
             pooled.setdefault(i, []).append(risk)
     ids = sorted(pooled)
     if len(ids) < 2:
@@ -281,7 +262,10 @@ def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
     flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
     return CvReport(
         variant=variant, config=config_to_dict(config), seed=config.train.seed, rows=rows,
-        curves=[c for o in done for c in o.curves],
+        # patient by patient, task by task, bin by bin
+        curves=[CurveRow(pid, task, k, h, s) for o in done if o.ids is not None
+                for i, pid in enumerate(o.ids.tolist()) for task in TASKS
+                for k, (h, s) in enumerate(zip(*(a[i].tolist() for a in o.curves[task])))],
         failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
                       for o in outcomes if o.failure is not None],
         aggregate=_aggregate(rows),
@@ -351,5 +335,5 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
 def evaluate_model(model: FullModel, cohort: CohortArrays, config: RunConfig,
                    variant: str = "evaluate") -> CvReport:
     """Single-model evaluation presented as one pseudo-fold."""
-    outcome = _score(model, cohort, list(range(len(cohort))), config, 0, 0)
+    outcome = _score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     return assemble(config, variant, [outcome])

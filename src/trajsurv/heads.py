@@ -18,7 +18,8 @@ from .autodiff import Tensor, uniform_weight, zero_bias
 
 
 class SaturatedCurveError(ValueError):
-    """Valid hazards whose survival product underflows to 0."""
+    """Curves a finite model cannot represent: logits that overflow, or valid
+    hazards whose survival product underflows to 0."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def hazards_from_logits(logits: np.ndarray) -> np.ndarray:
     """(n, K) hazards; the clip keeps them inside (0, 1) at extreme logits."""
     x = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
+        raise SaturatedCurveError("logits must be finite: the model's outputs overflow")
     return np.clip(sigmoid(x), 1e-300, 1.0 - 1e-16)
 
 

@@ -30,7 +30,10 @@ from .objective import SurvivalLabel
 
 
 class IpcwCapWarning(UserWarning):
-    """An IPCW weight hit the configured cap (censoring survival near 0)."""
+    """An IPCW weight hit the cap (censoring survival near 0)."""
+
+
+IPCW_WEIGHT_CAP = 100.0
 
 
 _BASE = 32
@@ -171,7 +174,7 @@ def km_censoring_survival(t: np.ndarray, e: np.ndarray) -> CensoringSurvival:
 
 
 def integrated_brier(survival: np.ndarray, t_obs: np.ndarray, e_obs: np.ndarray,
-                     bins: TimeBins, tau: float, weight_cap: float = 100.0) -> float:
+                     bins: TimeBins, tau: float) -> float:
     """IPCW Brier score averaged over [0, tau] by the trapezoid rule.
 
     `survival` holds one patient's curve per row (n x K), for the patients
@@ -180,7 +183,7 @@ def integrated_brier(survival: np.ndarray, t_obs: np.ndarray, e_obs: np.ndarray,
     (1 - S(t))^2 / G(t) for patients still at risk; censored patients with
     time <= t contribute nothing. The time grid is 100 uniform points.
     Weights where G reaches 0 (or exceeds the cap) are clamped to
-    `weight_cap` and a warning is emitted.
+    `IPCW_WEIGHT_CAP` and a warning is emitted.
     """
     if tau <= 0 or tau > bins.horizon:
         raise ValueError(f"tau must lie in (0, {bins.horizon}]")
@@ -194,8 +197,8 @@ def integrated_brier(survival: np.ndarray, t_obs: np.ndarray, e_obs: np.ndarray,
     event = e_obs == 1
     g = np.concatenate([G.at_left(t_obs[event]), G.at(grid)])
     w = np.divide(1.0, g, out=np.full(g.size, np.inf), where=g > 0.0)
-    capped = int(np.count_nonzero(w > weight_cap))
-    w = np.minimum(w, weight_cap)
+    capped = int(np.count_nonzero(w > IPCW_WEIGHT_CAP))
+    w = np.minimum(w, IPCW_WEIGHT_CAP)
     w_event = np.zeros(n)
     w_event[event] = w[:-grid.size]
     bs = np.zeros_like(grid)
@@ -206,7 +209,7 @@ def integrated_brier(survival: np.ndarray, t_obs: np.ndarray, e_obs: np.ndarray,
         terms = np.where(alive, (1.0 - s_mat[:, j]) ** 2 * w_alive, terms)
         bs[j] = terms.sum() / n
     if capped:
-        warnings.warn(f"{capped} IPCW weights capped at {weight_cap}", IpcwCapWarning)
+        warnings.warn(f"{capped} IPCW weights capped at {IPCW_WEIGHT_CAP}", IpcwCapWarning)
     return float(np.trapezoid(bs, grid) / tau)
 
 

@@ -131,8 +131,10 @@ class FullModel:
         return {"dfs": dfs_logits, "os": os_logits}
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per task, the slice's (B, K) hazards and survival, checked once."""
-        with ad.no_grad(p for _, p in self.named_parameters()):
+        """Per task, the slice's (B, K) hazards and survival, checked once.
+        Logits that overflow are reported once, by the SaturatedCurveError of
+        that check, not also by numpy's warnings on the way."""
+        with ad.no_grad(p for _, p in self.named_parameters()), np.errstate(all="ignore"):
             out = self.forward(cohort)
         curves = {}
         for task, logits in out.items():

@@ -9,6 +9,8 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 `concat_step` is the evolution step in its first form, dense and per node.
 `lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
 nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
+`list_kfold` is the repeated stratified k-fold split in its list form,
+dealing patients one at a time.
 `tape_evolve` is the evolution rollout as per-op tape nodes: `rows_of`
 selectors for the weight blocks and time rows, `residual_update` for a step
 and `readout` for a snapshot. Its gat arcs are the dense one-hot gathers of
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajsurv import autodiff as ad
+from trajsurv.cohort import CohortError, FoldSpec
 from trajsurv.evolution import Blocks, adjacency, mean_pool
 from trajsurv.graph import slots_in_use
 from trajsurv.objective import label_to_bin
@@ -478,3 +481,63 @@ def tape_evolve(h0, cohort, params, horizon):
         h = ad.add(h, update(h, t))
         snapshots.append(readout(h, pool))
     return snapshots
+
+
+def _list_strata(indices, keys, k):
+    """Joint (OS, DFS) event-indicator cells; sparse cells collapse to the OS margin."""
+    cells = {}
+    for i in indices:
+        cells.setdefault(keys[i], []).append(i)
+    strata = {}
+    for os_event in (0, 1):
+        children = {key: v for key, v in cells.items() if key[0] == os_event}
+        if not children:
+            continue
+        if any(len(v) < k for v in children.values()):
+            merged = []
+            for key in sorted(children):
+                merged.extend(children[key])
+            strata[(os_event, -1)] = merged
+        else:
+            strata.update(children)
+    return [strata[key] for key in sorted(strata)]
+
+
+def _list_deal(strata, k, rng):
+    """Shuffle each stratum and deal round-robin, carrying the fold pointer
+    across strata."""
+    folds = [[] for _ in range(k)]
+    ptr = 0
+    for members in strata:
+        order = rng.permutation(len(members))
+        for j in order:
+            folds[ptr % k].append(members[j])
+            ptr += 1
+    return folds
+
+
+def list_kfold(cohort, k, repeats, seed):
+    """`stratified_repeated_kfold` with lists, sets and one patient dealt at a time."""
+    n = len(cohort)
+    too_small = (f"cohort of {n} patients cannot form {k} folds with "
+                 "nonempty test, inner training and validation sets")
+    if k > n:
+        raise CohortError(too_small)
+    all_idx = list(range(n))
+    keys = list(zip(cohort.event["os"].tolist(), cohort.event["dfs"].tolist()))
+    folds = []
+    for rep in range(repeats):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+        outer = _list_deal(_list_strata(all_idx, keys, k), k, rng)
+        for f in range(k):
+            test = sorted(outer[f])
+            in_test = set(test)
+            rest = [i for i in all_idx if i not in in_test]
+            inner_rng = np.random.default_rng(np.random.SeedSequence([seed, rep, f]))
+            buckets = _list_deal(_list_strata(rest, keys, 5), 5, inner_rng)
+            val = sorted(buckets[0])
+            train = sorted(set(rest) - set(val))
+            if not (test and train and val):
+                raise CohortError(too_small)
+            folds.append(FoldSpec(rep, f, test, train, val))
+    return folds

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,23 @@ def test_crossval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_console_script_check_passes_against_the_source_tree(tmp_path):
+    # The CI step's script, with a `trajsurv` on PATH that runs this checkout's
+    # cli module; CI runs the same script against the installed package.
+    root = Path(__file__).resolve().parents[1]
+    bin_dir, work = tmp_path / "bin", tmp_path / "work"
+    bin_dir.mkdir()
+    work.mkdir()
+    shim = bin_dir / "trajsurv"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m trajsurv.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    proc = subprocess.run(["bash", str(root / "ci" / "console_script.sh")], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_diverging_crossval_prints_one_stderr_line(tmp_path):
     # In a child process, so no warning capture stands between numpy and stderr.
     cohort = simulate_into(tmp_path, simulate={"n": 20, "region_len": 4, "clinical_len": 3})
@@ -589,6 +607,52 @@ def test_saturated_fold_is_a_failed_fold(tmp_path, capsys, monkeypatch):
     assert len(failed) == 3
     assert all(f["reason"].startswith("survival curve must be nonincreasing within (0, 1]: "
                                       "the hazards saturate") for f in failed)
+
+
+OVERFLOW = "logits must be finite: the model's outputs overflow"
+
+
+def overflow_os_logits(model):
+    """Finite head weights whose OS logits overflow in the bias add: the
+    context saturates at 1, its last unit's weight to each logit is 1e308,
+    every other weight 0, and the bias 1.7e308."""
+    heads = model.heads
+    heads.w_ctx.data[:], heads.b_ctx.data[:] = 0.0, 50.0
+    heads.w_os.data[:] = 0.0
+    heads.w_os.data[-1] = 1e308
+    heads.b_os.data[:] = 1.7e308
+
+
+def test_evaluate_overflowing_model_is_data_error(tmp_path, capsys):
+    # The file is valid and loads; its logits overflow in the forward pass.
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="o.json", cohort=cohort)
+    model = cv.fold_model(config_from_dict(BASE_DOC), cv.feature_widths(load_cohort(cohort)),
+                          0, 0)
+    overflow_os_logits(model)
+    save_model(model, tmp_path / "overflowing.npz")
+    assert load_model(tmp_path / "overflowing.npz").heads.b_os.data.max() == 1.7e308
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--model", str(tmp_path / "overflowing.npz")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {OVERFLOW}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_fold_is_a_failed_fold(tmp_path, capsys, monkeypatch):
+    # Every fold's logits overflow in place of training: each fails with the
+    # reason, as a saturated fold does, and the run exits 3.
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="o.json", cohort=cohort)
+    monkeypatch.setattr(cv, "train_model", lambda model, *rest: overflow_os_logits(model))
+    out = tmp_path / "o"
+    assert main(["crossval", "--config", str(config), "--out", str(out)]) == EXIT_TRAINING
+    assert capsys.readouterr().err == "3/3 folds failed to train\n"
+    failed = json.loads((out / "report.json").read_text())["failed_folds"]
+    assert [f["reason"] for f in failed] == [OVERFLOW] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import list_kfold
 from trajsurv.cohort import (REGION_KEYS, CohortError, Scenario, augment, load_cohort,
                              make_cohort, oracle_cindex, record_to_graph, save_cohort,
                              simulate_cohort, stratified_repeated_kfold)
@@ -414,6 +415,26 @@ class TestSplits:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 80), p_os=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+       p_dfs=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), draw=st.integers(0, 2**32 - 1),
+       k=st.integers(2, 6), repeats=st.integers(1, 3), seed=st.sampled_from([0, 1, 7, 2**31]))
+def test_split_is_the_list_form(n, p_os, p_dfs, draw, k, repeats, seed):
+    """The array split gives the folds of the list form that deals patients
+    one at a time, or the same rejection: all-censored, all-event and sparse
+    (OS, DFS) event cells included."""
+    rng = np.random.default_rng(draw)
+    cohort = tiny_cohort([1.0] * n, (rng.random(n) < p_os).astype(np.int64))
+    cohort.event["dfs"] = (rng.random(n) < p_dfs).astype(np.int64)
+
+    def plan(split):
+        try:
+            return split(cohort, k, repeats, seed)
+        except CohortError as exc:
+            return f"CohortError: {exc}"
+    assert plan(stratified_repeated_kfold) == plan(list_kfold)
 
 
 class TestAugment:

@@ -1,5 +1,6 @@
 """Cross-validation engine, ablation overrides, and report emission."""
 
+import dataclasses
 import json
 import pickle
 import re
@@ -12,6 +13,7 @@ from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
 from oracles import pair_cindex, scalar_hazards, scalar_point_estimate, scalar_survival
 from trajsurv.cohort import simulate_cohort, stratified_repeated_kfold
+from trajsurv.heads import point_estimate_time
 from trajsurv.crossval import (CurveRow, CvReport, FoldRow, _aggregate, apply_variant,
                                emit_report, evaluate_model, run_ablation, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
@@ -110,6 +112,19 @@ class TestRunCrossval:
         assert len(report.rows) == 5 * 2
 
 
+def same_value(a, b) -> bool:
+    """==, with arrays compared by `np.array_equal` and their dtype."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_value(a[key], b[key]) for key in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_value(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
 def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch):
     """`run_fold` over the plan gives plain values that survive pickling, and
     `assemble` of them is `run_crossval`'s report, with one fold failing."""
@@ -129,9 +144,16 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
     widths = cv.feature_widths(cohort)
     outcomes = [cv.run_fold(config, cohort, spec, widths, "no_cascade") for spec in plan]
     restored = pickle.loads(pickle.dumps(outcomes))
-    assert restored == outcomes
+    for got, want in zip(restored, outcomes, strict=True):
+        for f in dataclasses.fields(cv.FoldOutcome):
+            assert same_value(getattr(got, f.name), getattr(want, f.name)), f.name
     assert [o.failure for o in restored] == [None, "synthetic blow-up"] + [None] * 4
     assert [bool(o.curves) for o in restored] == [True, False, True, False, False, False]
+    for o in restored:
+        if o.failure is None:
+            assert o.test.dtype == np.intp and o.test.tolist() == plan[3 * o.repeat + o.fold].test
+            assert all(o.risks[task].dtype == np.float64 for task in cv.TASKS)
+            assert (o.ids is None) == (o.repeat != 0)
     again = cv.assemble(config, "no_cascade", restored, cohort)
     assert report.failed_folds == [{"repeat": 0, "fold": 1, "reason": "synthetic blow-up"}]
     assert report.checks == {"os_context_grad_zero": True}
@@ -252,28 +274,53 @@ class TestAggregate:
 def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
     """The pooled interval equals, bit for bit, the pair-count C-index of each
     patient's mean risk over the repeats and the bootstrap of (risk, label)
-    items, with the risks read from every fold's predictions."""
-    config = small_config()
-    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
-    folds = []
-    predict = cv._predict_fold
-    monkeypatch.setattr(cv, "_predict_fold", lambda *args: folds.append(predict(*args))
-                        or folds[-1])
-    report = run_crossval(config, cohort)
-    for task in cv.TASKS:
-        risks = {rec.patient_id: [] for rec in cohort}
-        for pred in folds:
-            for rec, t in zip(pred.cohort, pred.tasks[task].pred_time.tolist()):
-                risks[rec.patient_id].append(-t)
-        assert {len(v) for v in risks.values()} == {config.cv.repeats}
-        items = [(float(np.mean(risks[rec.patient_id])), getattr(rec, task)) for rec in cohort]
-        point = pair_cindex([r for r, _ in items], [lab for _, lab in items])
-        seed = int(np.random.SeedSequence([0, 5, cv.TASKS.index(task)]).generate_state(1)[0])
-        lo, hi = bootstrap_ci(
-            lambda sample: harrell_cindex([r for r, _ in sample], [lab for _, lab in sample]),
-            items, config.eval.bootstrap_b, config.eval.level, seed)
-        assert (report.ci[task]["point"], report.ci[task]["lo"], report.ci[task]["hi"]) == \
-            (point, lo, hi)
+    items, with the risks read from every fold's predictions. At 9 repeats
+    with a failed fold, each mean is over 8 or 9 risks, and the mean risks
+    the pooled C-index reads are each `np.mean` of the patient's list: a
+    sum in another order differs in the last bits, which ranks cannot show."""
+    predict, real, cindex = cv._predict_fold, cv.train_model, cv.cindex_arrays
+    for repeats, failing_call in ((2, None), (9, 2)):
+        config = small_config(cv={"repeats": repeats})
+        cohort, _ = simulate_cohort(config.simulate.n, seed=0,
+                                     scenario=config.simulate.scenario())
+        folds, calls, ranked = [], [], []
+
+        def flaky(model, train_recs, val_recs, settings):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise ad.NonFiniteError("synthetic blow-up")
+            return real(model, train_recs, val_recs, settings)
+
+        monkeypatch.setattr(cv, "train_model", flaky)
+        monkeypatch.setattr(cv, "_predict_fold", lambda *args: folds.append(
+            (args[1], predict(*args))) or folds[-1][1])
+        monkeypatch.setattr(cv, "cindex_arrays", lambda risk, t, e: ranked.append(
+            (risk, t)) or cindex(risk, t, e))
+        report = run_crossval(config, cohort)
+        assert len(report.failed_folds) == (failing_call is not None)
+        bins = config.model.bins()
+        for task in cv.TASKS:
+            risks = {rec.patient_id: [] for rec in cohort}
+            for scored, curves in folds:
+                times = point_estimate_time(curves[task][1], bins)
+                for rec, t in zip(scored, times.tolist()):
+                    risks[rec.patient_id].append(-t)
+            counts = {len(v) for v in risks.values()}
+            assert counts == ({repeats} if failing_call is None else {repeats - 1, repeats})
+            items = [(float(np.mean(risks[rec.patient_id])), getattr(rec, task))
+                     for rec in cohort]
+            # the point estimate is the one call over every patient in order
+            pooled = [r for r, t in ranked if np.array_equal(t, cohort.time[task])]
+            assert len(pooled) == 1 and pooled[0].tolist() == [r for r, _ in items]
+            point = pair_cindex([r for r, _ in items], [lab for _, lab in items])
+            seed = int(np.random.SeedSequence([0, 5, cv.TASKS.index(task)])
+                       .generate_state(1)[0])
+            lo, hi = bootstrap_ci(
+                lambda sample: harrell_cindex([r for r, _ in sample],
+                                              [lab for _, lab in sample]),
+                items, config.eval.bootstrap_b, config.eval.level, seed)
+            assert (report.ci[task]["point"], report.ci[task]["lo"], report.ci[task]["hi"]) == \
+                (point, lo, hi)
 
 
 class TestEvaluateModel:
@@ -294,45 +341,55 @@ class TestEvaluateModel:
         model = init_model(config.model, cv.feature_widths(cohort),
                            np.random.default_rng(1))
         bins = config.model.bins()
-        chunked = cv._predict_fold(model, cohort, bins, config.eval.horizons, 64)
-        alone = cv._predict_fold(model, cohort, bins, config.eval.horizons, 1)
-        assert chunked.cohort.ids.tolist() == cohort.ids.tolist()
+        chunked = cv._predict_fold(model, cohort, 64)
+        alone = cv._predict_fold(model, cohort, 1)
         for task in cv.TASKS:
-            a, b = chunked.tasks[task], alone.tasks[task]
-            for got, want in ((a.hazard, b.hazard), (a.survival, b.survival)):
+            (ha, sa), (hb, sb) = chunked[task], alone[task]
+            assert ha.shape == sa.shape == (len(cohort), bins.count)
+            for got, want in ((ha, hb), (sa, sb)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(-a.pred_time, -b.pred_time, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(-point_estimate_time(sa, bins),
+                                       -point_estimate_time(sb, bins), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
 @pytest.mark.parametrize("saturated", [False, True])
-def test_predict_fold_equals_scalar_oracles(chunk, saturated):
-    """Every array `_predict_fold` returns is == the per-patient scalar forms
-    applied to the logits of the same chunk, and the curve rows carry them."""
-    config = small_config()
+def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
+    """Every array a fold is scored from is == the per-patient scalar forms
+    applied to the logits of the same chunk: the hazards and survival
+    `_predict_fold` returns, the risks, the horizon scores the AUC reads, and
+    the curve rows `assemble` builds."""
+    config = small_config(train={"batch_size": chunk})
     cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
     model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
         model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
         model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]
     bins, horizons = config.model.bins(), config.eval.horizons
-    pred = cv._predict_fold(model, cohort, bins, horizons, chunk)
+    scores, auc = [], cv.time_dependent_auc
+    monkeypatch.setattr(cv, "time_dependent_auc",
+                        lambda s, *rest: scores.append(s) or auc(s, *rest))
+    outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
     for start in range(0, len(cohort), chunk):
         with ad.no_grad(p for _, p in model.named_parameters()):
             out = model.forward(cohort.take(slice(start, start + chunk)))
         logits["dfs"].extend(out["dfs"].data)
         logits["os"].extend(out["os"].data)
-    rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival) for c in pred.curve_rows()}
+    rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)
+            for c in cv.assemble(config, "evaluate", [outcome]).curves}
     assert len(rows) == len(cohort) * 2 * bins.count
-    for task in cv.TASKS:
-        p = pred.tasks[task]
+    assert outcome.ids.tolist() == cohort.ids.tolist()
+    assert len(scores) == len(cv.TASKS) * len(horizons)
+    for n_task, task in enumerate(cv.TASKS):
+        hazard, survival = outcome.curves[task]
+        task_scores = scores[n_task * len(horizons):(n_task + 1) * len(horizons)]
         for i, rec in enumerate(cohort):
             hc = scalar_hazards(logits[task][i])
             sc = scalar_survival(hc)
-            assert p.hazard[i].tolist() == hc.h.tolist()
-            assert p.survival[i].tolist() == sc.s.tolist()
-            assert p.pred_time[i] == scalar_point_estimate(sc, bins)
-            assert p.scores[i].tolist() == [1.0 - sc.at_time(t, bins) for t in horizons]
+            assert hazard[i].tolist() == hc.h.tolist()
+            assert survival[i].tolist() == sc.s.tolist()
+            assert -outcome.risks[task][i] == scalar_point_estimate(sc, bins)
+            assert [s[i] for s in task_scores] == [1.0 - sc.at_time(t, bins) for t in horizons]
             assert [rows[(rec.patient_id, task, k)] for k in range(bins.count)] == \
                 list(zip(hc.h.tolist(), sc.s.tolist()))
