@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end checks of the `trajsurv` console script, run in the current
 # directory: simulate, the exit codes of a bad --out, of no command and of a
-# diverging run, the gradient check, and byte-identical reruns of a tiny gat
-# crossval. Usage: bash ci/console_script.sh (with `trajsurv` on PATH).
+# diverging run, the gradient check, byte-identical reruns of a tiny gat
+# crossval, and a trained model file read back by evaluate. Usage:
+# bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
 
 echo '{"simulate": {"n": 10, "region_len": 2, "clinical_len": 2}}' > tiny.json
@@ -36,3 +37,19 @@ mkdir first
 cp gat/report.json gat/metrics.csv gat/curves.csv first/
 trajsurv crossval --config gat.json --out gat
 for name in report.json metrics.csv curves.csv; do cmp "first/$name" "gat/$name"; done
+# A model written by train is read back by evaluate on its own cohort; on a
+# cohort of other feature widths, evaluate exits 2 with one stderr line.
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4},
+       "train": {"max_epochs": 3}}' > train.json
+trajsurv train --config train.json --out trained
+test -s trained/model.npz
+trajsurv evaluate --config train.json --model trained/model.npz --out evaluated
+test -s evaluated/report.json
+echo '{"simulate": {"n": 10, "region_len": 3, "clinical_len": 2}}' > wide.json
+trajsurv simulate --config wide.json --out wide
+echo '{"paths": {"cohort": "wide/cohort.json"}}' > wide_eval.json
+status=0
+trajsurv evaluate --config wide_eval.json --model trained/model.npz --out wide_out \
+  2> wide.err || status=$?
+test "$status" -eq 2
+test "$(wc -l < wide.err)" -eq 1

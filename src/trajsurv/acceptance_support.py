@@ -33,9 +33,8 @@ def full_pipeline_gradcheck(step: float = 1e-5, backbone: str = "graphsage") -> 
     model, cohort = toy_setup(backbone=backbone)
     bins = model.config.bins()
     weights = LossWeights(1.0, 1.0)
-    labels = cohort.label_bins(bins)
 
     def loss():
-        return _mean_loss(model, cohort, labels, bins, weights)
+        return _mean_loss(model, cohort, bins, weights)
 
     return grad_check(loss, dict(model.named_parameters()), step=step)

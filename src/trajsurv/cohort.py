@@ -16,9 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph import ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, NodeKind
-from .heads import TimeBins
 from .metrics import cindex_arrays
-from .objective import SurvivalLabel, label_bins
+from .objective import SurvivalLabel
 
 SCHEMA_VERSION = 1
 
@@ -89,10 +88,6 @@ class CohortArrays:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def label_bins(self, bins: TimeBins) -> dict[str, np.ndarray]:
-        """Each task's (n, 2) bin and event rows (`objective.label_bins`)."""
-        return {task: label_bins(self.time[task], self.event[task], bins) for task in _TASKS}
-
     def with_presence(self, present: np.ndarray) -> CohortArrays:
         """These patients with only the regions `present` marks."""
         return make_cohort(self.ids, self.regions, present, self.centroids, self.clinical,
@@ -104,20 +99,35 @@ def make_cohort(ids, regions: np.ndarray, present: np.ndarray, centroids: np.nda
                 event: dict[str, np.ndarray]) -> CohortArrays:
     """The cohort of these patients.
 
-    Three rules join a patient's fields: a region is present, the DFS time
-    is at most the OS time, and the clinical features lie in [0, 1]. The
-    first patient to break one, in the given order, raises CohortError
-    naming the first rule it breaks. The rows of missing regions are zeroed.
-    The summary features and centroid are the means over the present
-    regions. A region's offset is (its centroid - the summary centroid)
-    divided by DEFAULT_OFFSET_SCALE and clamped to [-1, 1].
+    Each patient's fields must keep these rules, checked in this order:
+    each task's time is finite and >= 0, each task's event is 0 or 1, no
+    earlier patient has the same id, a region is present, the DFS time is
+    at most the OS time, and the clinical features lie in [0, 1]. The first
+    patient to break one, in the given order, raises CohortError naming the
+    first rule it breaks, so every cohort holds only what a cohort file may.
+    Times are stored as float64 and, once checked, events as int64. The
+    rows of missing regions are zeroed. The summary features and centroid
+    are the means over the present regions. A region's offset is (its
+    centroid - the summary centroid) divided by DEFAULT_OFFSET_SCALE and
+    clamped to [-1, 1].
     """
-    rules = [(~present.any(axis=1), "no region is present"),
+    time = {task: np.asarray(time[task], dtype=np.float64) for task in _TASKS}
+    event = {task: np.asarray(event[task]) for task in _TASKS}
+    seen = {}
+    rules = [*((~np.isfinite(time[t]), f"{t} time_years must be finite") for t in _TASKS),
+             *((time[t] < 0, f"{t} time_years must be >= 0") for t in _TASKS),
+             *(((event[t] != 0) & (event[t] != 1), f"{t} event must be 0 or 1") for t in _TASKS),
+             (np.array([seen.setdefault(pid, i) != i for i, pid in enumerate(ids)], dtype=bool),
+              "duplicate id"),
+             (~present.any(axis=1), "no region is present"),
              (time["dfs"] > time["os"], "DFS time exceeds OS time"),
              (((clinical < -1e-9) | (clinical > 1 + 1e-9)).any(axis=1),
               "clinical features outside [0, 1]")]
-    _require_all(~np.logical_or.reduce([broken for broken, _ in rules]),
-                 lambda i: f"patient {ids[i]}: {next(m for broken, m in rules if broken[i])}")
+    broken = np.logical_or.reduce([faulty for faulty, _ in rules])
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise CohortError(f"patient {ids[i]}: {next(m for faulty, m in rules if faulty[i])}")
+    event = {task: e.astype(np.int64, copy=False) for task, e in event.items()}
     mask = present[:, :, None]
     regions, centroids = np.where(mask, regions, 0.0), np.where(mask, centroids, 0.0)
     count = present.sum(axis=1, keepdims=True)
@@ -174,12 +184,6 @@ def _block(values: list, tail: tuple, where) -> np.ndarray:
     return np.zeros((0,) + tail)  # no values, so none of them is bad
 
 
-def _require_all(ok: np.ndarray, message) -> None:
-    """Raise `message(i)` for the first i where `ok` is false."""
-    if not ok.all():
-        raise CohortError(message(int(np.argmin(ok))))
-
-
 def _region_fault(where: str, robj) -> str:
     """Why a region entry is malformed; only called once it is known to be."""
     if not (isinstance(robj, dict) and "present" in robj):
@@ -203,8 +207,9 @@ def load_cohort(path) -> CohortArrays:
     """Parse and validate a cohort file; patient order is preserved.
 
     One pass over the parsed document checks its structure and collects
-    the numeric fields; each field is then converted and checked as one
-    array (`_block`), and `make_cohort` checks the rules that join fields.
+    the numeric fields; each field is then converted and checked for type
+    and finiteness as one array (`_block`), and `make_cohort` checks the
+    value rules of the labels and ids and the rules that join fields.
     Every error names the first faulty patient in file order.
     """
     doc = _read_json(path)
@@ -254,11 +259,6 @@ def load_cohort(path) -> CohortArrays:
             events.append(label["event"])
         ids.append(pid)
         clinical.append(entry["clinical"])
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for pid in ids:
-            _require(pid not in seen, f"patient {pid}: duplicate id")
-            seen.add(pid)
 
     def region(r):
         return f"patient {owners[r][0]}: region {owners[r][1]}"
@@ -272,10 +272,8 @@ def load_cohort(path) -> CohortArrays:
                       lambda i: f"patient {ids[i]}: clinical features")
     times = _block(times, (), lambda j: f"{label(j)} time_years")
     events = _block(events, (), lambda j: f"{label(j)} event")
-    _require_all(times >= 0, lambda j: f"{label(j)} time_years must be >= 0")
-    _require_all((events == 0) | (events == 1), lambda j: f"{label(j)} event must be 0 or 1")
     time = dict(zip(_TASKS, times.reshape(-1, len(_TASKS)).T))
-    event = dict(zip(_TASKS, events.astype(np.int64).reshape(-1, len(_TASKS)).T))
+    event = dict(zip(_TASKS, events.reshape(-1, len(_TASKS)).T))
     present = np.array(present, dtype=bool).reshape(len(ids), len(REGION_KEYS))
     regions = np.zeros(present.shape + (schema["region_len"],))
     regions[present] = features
@@ -357,8 +355,9 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.censoring_rate < 1.0):
             raise ValueError("censoring_rate must be in [0, 1)")
-        if self.hazard_ratio <= 0 or self.base_os_hazard <= 0 or self.base_dfs_hazard <= 0:
-            raise ValueError("hazards and ratio must be positive")
+        if not (self.hazard_ratio > 0 and 0 < self.base_os_hazard < 1
+                and 0 < self.base_dfs_hazard < 1):
+            raise ValueError("hazard_ratio must be positive and base hazards in (0, 1)")
         if self.base_dfs_hazard < self.base_os_hazard:
             raise ValueError("base DFS hazard must be >= base OS hazard")
 

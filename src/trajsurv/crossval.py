@@ -173,8 +173,8 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 def _cascade_grad_check(model: FullModel, cohort: CohortArrays, bins: TimeBins) -> bool:
     """True iff the OS loss of `cohort` sends exactly zero gradient to the
     context weights."""
-    os_loss = discrete_nll(model.forward(cohort)["os"], cohort.label_bins(bins)["os"], bins)
-    grads = ad.backward(os_loss, params=[p for _, p in model.named_parameters()])
+    loss = discrete_nll(model.forward(cohort)["os"], cohort.time["os"], cohort.event["os"], bins)
+    grads = ad.backward(loss, params=[p for _, p in model.named_parameters()])
     return all(np.all(grads[p].data == 0.0) for p in (model.heads.w_ctx, model.heads.b_ctx))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +23,8 @@ from .heads import TimeBins
 from .model import check
 
 IMPROVE_TOL = 1e-8
+# AdamW's moment decay rates and denominator offset (Loshchilov & Hutter 2019).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +62,6 @@ class TrainSettings:
     scheduler_factor: float = 0.5
     scheduler_patience: int = 5
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     augment: bool = False
     seed: int = 0
 
@@ -90,26 +88,21 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
     return int(bins.index(time))
 
 
-def label_bins(time: Sequence[float], event: Sequence[int], bins: TimeBins) -> np.ndarray:
-    """(n, 2) integer rows of each observed time's bin (as `label_to_bin`) and
-    its event flag."""
-    k = bins.index(np.asarray(time, dtype=np.float64))
-    return np.stack([k, event], axis=1).astype(np.intp)
-
-
-def discrete_nll(logits: Tensor, labels: np.ndarray, bins: TimeBins) -> Tensor:
-    """Mean negative log-likelihood of a batch given its B x K hazard logits and
-    the (B, 2) bin and event rows of its labels (`label_bins`)."""
+def discrete_nll(logits: Tensor, time: np.ndarray, event: np.ndarray,
+                 bins: TimeBins) -> Tensor:
+    """Mean negative log-likelihood of a batch given its B x K hazard logits
+    and each patient's observed time (binned by `bins.index`) and event flag."""
     K = bins.count
-    if logits.shape != (len(labels), K) or not len(labels):
-        raise ad.ShapeMismatchError("discrete-nll", logits.shape, (len(labels), K))
-    k, event = labels[:, :1], labels[:, 1:]
+    if logits.shape != (len(time), K) or not len(time):
+        raise ad.ShapeMismatchError("discrete-nll", logits.shape, (len(time), K))
+    k = bins.index(time)[:, None]
+    event = np.asarray(event)[:, None]
     cols = np.arange(K)[None, :]
     event_mask = ((cols == k) & (event == 1)).astype(np.float64)
     surv_mask = (cols < k + 1 - event).astype(np.float64)
     ll = ad.sum_all(ad.add(ad.mul(ad.constant(event_mask), ad.log_sigmoid(logits)),
                            ad.mul(ad.constant(surv_mask), ad.log_sigmoid(ad.negate(logits)))))
-    return ad.mul(ad.negate(ll), ad.constant([[1.0 / len(labels)]]))
+    return ad.mul(ad.negate(ll), ad.constant([[1.0 / len(time)]]))
 
 
 @dataclass
@@ -136,8 +129,8 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - settings.beta1 ** t
-    bc2 = 1.0 - settings.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     g = np.concatenate([grads[p].data.ravel() for _, p in params])
     if not np.isfinite(g).all():
         name = next(name for name, p in params if not np.isfinite(grads[p].data).all())
@@ -147,11 +140,11 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
     m, v = state.moments
     if m.size != g.size:
         raise ValueError(f"parameters hold {g.size} values, the moments {m.size}")
-    m *= settings.beta1
-    m += (1.0 - settings.beta1) * g
-    v *= settings.beta2
-    v += (1.0 - settings.beta2) * (g * g)
-    update = (m / bc1) / (np.sqrt(v / bc2) + settings.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     flat = np.concatenate([p.data.ravel() for _, p in params])
     flat -= state.lr * (update + settings.weight_decay * flat)
     start = 0

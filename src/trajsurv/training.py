@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .cohort import CohortArrays, augment
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
 from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
-                        adamw_step, discrete_nll, end_epoch, label_bins)
+                        adamw_step, discrete_nll, end_epoch)
 
 
 @dataclass
@@ -22,23 +22,24 @@ class TrainResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _mean_loss(model: FullModel, cohort: CohortArrays, labels: dict[str, np.ndarray],
-               bins: TimeBins, weights: LossWeights):
-    """Mean over the slice of alpha * OS NLL + beta * DFS NLL, on one tape;
-    `labels` maps each task to the slice's bin and event rows (`label_bins`)."""
+def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins, weights: LossWeights):
+    """Mean over the slice of alpha * OS NLL + beta * DFS NLL, on one tape,
+    against the slice's own times and event flags."""
     logits = model.forward(cohort)
-    os_nll = discrete_nll(logits["os"], labels["os"], bins)
-    dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins)
+    os_nll = discrete_nll(logits["os"], cohort.time["os"], cohort.event["os"], bins)
+    dfs_nll = discrete_nll(logits["dfs"], cohort.time["dfs"], cohort.event["dfs"], bins)
     return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
                   ad.mul(ad.constant([[weights.beta]]), dfs_nll))
 
 
 def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
-    """The loss of one patient, whose graph is a one-patient cohort."""
-    labels = {"dfs": label_bins([dfs.time], [dfs.event], bins),
-              "os": label_bins([os_label.time], [os_label.event], bins)}
-    return _mean_loss(model, graph, labels, bins, weights)
+    """The loss of one patient, whose graph is a one-patient cohort, scored
+    against the labels `dfs` and `os_label` in place of its own."""
+    labels = {"dfs": dfs, "os": os_label}
+    labelled = replace(graph, time={t: np.array([y.time]) for t, y in labels.items()},
+                       event={t: np.array([y.event]) for t, y in labels.items()})
+    return _mean_loss(model, labelled, bins, weights)
 
 
 def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
@@ -57,8 +58,6 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     weights = LossWeights(settings.alpha, settings.beta)
     params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
-
-    val_labels = val.label_bins(bins)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
     best = snapshot_parameters(model)
@@ -79,13 +78,13 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
             train_losses = []
             for start in range(0, len(items), settings.batch_size):
                 part = items.take(slice(start, start + settings.batch_size))
-                loss = _mean_loss(model, part, part.label_bins(bins), bins, weights)
+                loss = _mean_loss(model, part, bins, weights)
                 grads = ad.backward(loss, params=[p for _, p in params])
                 adamw_step(params, grads, state, settings)
                 train_losses.append(loss.item())
 
             with ad.no_grad(p for _, p in params):
-                val_loss = _mean_loss(model, val, val_labels, bins, weights).item()
+                val_loss = _mean_loss(model, val, bins, weights).item()
             history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
             improved, stop = end_epoch(state, val_loss, settings)

@@ -28,7 +28,7 @@ from trajsurv import autodiff as ad
 from trajsurv.cohort import CohortError, FoldSpec
 from trajsurv.evolution import Blocks, adjacency, mean_pool
 from trajsurv.graph import slots_in_use
-from trajsurv.objective import label_to_bin
+from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
 
 
 def spmm(s, x):
@@ -342,15 +342,15 @@ def leafwise_adamw_step(params, grads, state, settings):
     dict holding the learning rate "lr", the step count "t" and the moments
     by leaf name."""
     state["t"] = t = state.get("t", 0) + 1
-    bc1 = 1.0 - settings.beta1 ** t
-    bc2 = 1.0 - settings.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params:
         g = grads[p].data
         m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m = settings.beta1 * m + (1.0 - settings.beta1) * g
-        v = settings.beta2 * v + (1.0 - settings.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state[name] = (m, v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + settings.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= state["lr"] * (update + settings.weight_decay * p.data)
 
 

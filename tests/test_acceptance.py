@@ -26,7 +26,7 @@ from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_tim
 from trajsurv.metrics import (IpcwCapWarning, bootstrap_ci, format_ci,
                               harrell_cindex, integrated_brier, km_censoring_survival,
                               mae_uncensored, time_dependent_auc)
-from trajsurv.objective import discrete_nll, label_bins
+from trajsurv.objective import discrete_nll
 
 SEED = 0
 
@@ -166,11 +166,10 @@ def test_05_nll_closed_forms():
 
     time, event = [0.2, 0.2, 1.5], [1, 0, 1]
     rows = [logits([0.0]), logits([0.0]), logits([-np.log(4.0), 0.0])]
-    per = [discrete_nll(x, label_bins([t], [e], bins), bins).item()
-           for x, t, e in zip(rows, time, event)]
+    per = [discrete_nll(x, [t], [e], bins).item() for x, t, e in zip(rows, time, event)]
     errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
     together = discrete_nll(ad.constant(np.vstack([x.data for x in rows])),
-                            label_bins(time, event, bins), bins).item()
+                            time, event, bins).item()
     mean_gap = abs(together - float(np.mean(per)))
 
     verdict(5, "closed-form likelihood values and batch-mean linearity",

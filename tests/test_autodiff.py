@@ -268,8 +268,7 @@ def test_every_primitive_is_on_a_loss_tape():
                              hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2,
                              horizon=2, num_bins=3, message_dim=4, attention_dim=2)
         model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-        loss = _mean_loss(model, cohort, cohort.label_bins(config.bins()), config.bins(),
-                          LossWeights())
+        loss = _mean_loss(model, cohort, config.bins(), LossWeights())
         found |= {node.op for node in ad._topo_order(loss) if node.op is not None}
     assert found == oracles.SRC_RULES
 

@@ -38,6 +38,19 @@ def saved_text(tmp_path, change, n=10):
     return path
 
 
+# case -> (field, task, value for patient 3 (id sim0003), expected message), a fault
+# that `make_cohort` and the loader both reject with the same message
+LABEL_FAULTS = {
+    "os_event_2": ("event", "os", 2, "patient sim0003: os event must be 0 or 1"),
+    "os_event_half": ("event", "os", 0.5, "patient sim0003: os event must be 0 or 1"),
+    "dfs_time_negative": ("time_years", "dfs", -0.5,
+                          "patient sim0003: dfs time_years must be >= 0"),
+    "os_time_nan": ("time_years", "os", float("nan"),
+                    "patient sim0003: os time_years must be finite"),
+    "repeated_id": ("id", None, "sim0001", "patient sim0001: duplicate id"),
+}
+
+
 class TestRecordValidation:
     def test_dfs_after_os_rejected(self, tmp_path):
         path = saved_text(tmp_path, _patient3("dfs", "time_years", value=99.0))
@@ -66,6 +79,14 @@ class TestRecordValidation:
                            match=r"^patient sim0002: clinical features outside \[0, 1\]$"):
             load_cohort(saved_text(tmp_path, change))
 
+        # Patient 2 has DFS after OS; patient 5, later, a negative time. The
+        # label values are checked per patient with the other rules.
+        def labels(doc):
+            doc["patients"][2]["dfs"]["time_years"] = 99.0
+            doc["patients"][5]["dfs"]["time_years"] = -1.0
+        with pytest.raises(CohortError, match="^patient sim0002: DFS time exceeds OS time$"):
+            load_cohort(saved_text(tmp_path, labels))
+
     @pytest.mark.parametrize("no_regions, message", ((True, "no region is present"),
                                                      (False, "DFS time exceeds OS time")))
     def test_one_patient_breaking_several_rules_names_the_first(self, tmp_path, no_regions,
@@ -88,6 +109,55 @@ class TestRecordValidation:
             warnings.simplefilter("error")
             with pytest.raises(CohortError, match="^patient sim0003: no region is present$"):
                 cohort.with_presence(present)
+
+    @pytest.mark.parametrize("case", LABEL_FAULTS, ids=list(LABEL_FAULTS))
+    def test_label_and_id_faults_are_rejected_by_make_cohort(self, tmp_path, case):
+        # A cohort built in Python keeps the rules a cohort file keeps, with
+        # the loader's messages.
+        field, task, value, message = LABEL_FAULTS[case]
+        cohort, _ = simulate_cohort(10, seed=0)
+        ids = cohort.ids.copy()
+        time = {t: cohort.time[t].astype(np.float64) for t in ("dfs", "os")}
+        event = {t: cohort.event[t].astype(np.float64) for t in ("dfs", "os")}
+        if field == "id":
+            ids[3] = value
+        else:
+            (time if field == "time_years" else event)[task][3] = value
+        with pytest.raises(CohortError, match=f"^{message}$"):
+            make_cohort(ids, cohort.regions, cohort.present, cohort.centroids,
+                        cohort.clinical, time, event)
+        keys = (field,) if field == "id" else (task, field)
+        with pytest.raises(CohortError, match=f"^{message}$"):
+            load_cohort(saved_text(tmp_path, _patient3(*keys, value=value)))
+
+
+_TIMES = [0, 2, True, 0.0, 1.0, 3.0, 1e300]
+_EVENTS = [0, 1, True, False, 0.0, 1.0]
+_BAD = [2, -1, 0.5, -0.5, float("nan"), float("inf"), -float("inf")]
+# One patient's (DFS time, DFS event, OS time, OS event): values a cohort file
+# may hold, or any of them with faulty ones mixed in.
+_LABELS = (st.tuples(*[st.sampled_from(v) for v in (_TIMES, _EVENTS) * 2]).map(
+               lambda x: (min(x[0], x[2]), x[1], max(x[0], x[2]), x[3]))
+           | st.tuples(*[st.sampled_from(_TIMES + _EVENTS + _BAD)] * 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LABELS, min_size=1, max_size=4))
+def test_every_cohort_make_cohort_accepts_reads_back_patient_by_patient(labels):
+    # Times and flags of any value: `make_cohort` rejects the cohort, or it
+    # holds the flags as int64 and each of its rows is a valid `PatientRecord`.
+    dfs_t, dfs_e, os_t, os_e = (np.array(column) for column in zip(*labels))
+    n = len(labels)
+    try:
+        cohort = make_cohort([f"p{i}" for i in range(n)], np.zeros((n, 5, 4)),
+                             np.ones((n, 5), dtype=bool), np.zeros((n, 5, 3)),
+                             np.full((n, 3), 0.5), {"dfs": dfs_t, "os": os_t},
+                             {"dfs": dfs_e, "os": os_e})
+    except CohortError:
+        return
+    assert cohort.event["dfs"].dtype == cohort.event["os"].dtype == np.int64
+    for i, record in enumerate(cohort):
+        assert (record.dfs.time, record.os.event) == (float(dfs_t[i]), int(os_e[i]))
 
 
 def assert_same_cohort(expected, got):

@@ -65,6 +65,16 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match="unknown key train.learning_rate"):
             config_from_dict({"train": {"learning_rate": 0.01}})
 
+    @pytest.mark.parametrize("key, value", (("beta1", 1.0), ("beta2", 1.0), ("eps", -1e-8)))
+    def test_adamw_constants_are_not_config_keys(self, key, value, tmp_path, capsys):
+        # AdamW's beta1, beta2 and eps are module constants: a value that
+        # would diverge or silently misstep is a usage error, not a run.
+        doc = {"train": {key: value}}
+        with pytest.raises(ConfigError, match=f"^unknown key train.{key}$"):
+            config_from_dict(doc)
+        assert _main_exit(tmp_path, json.dumps(doc)) == 1
+        assert capsys.readouterr().err == f"config error: unknown key train.{key}\n"
+
     def test_removed_static_no_update_key_exits_one(self, tmp_path, capsys):
         from trajsurv.cli import EXIT_USAGE, main
 
@@ -134,6 +144,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="simulate"):
             config_from_dict({"simulate": {"censoring_rate": 1.5}})
 
+    @pytest.mark.parametrize("hazard", (1.0, 1.5))
+    def test_base_hazard_of_one_or_more_exits_one_before_any_draw(self, hazard, tmp_path,
+                                                                  capsys):
+        # A geometric draw needs a hazard in (0, 1): at 1 it gives event
+        # times of -1, above 1 NaN.
+        from trajsurv.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"simulate": {"base_os_hazard": hazard,
+                                                 "base_dfs_hazard": hazard}}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulate: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("attention_dim", [0, -1])
     def test_gat_attention_dim_below_one_exits_one(self, attention_dim, tmp_path, capsys):
         doc = {"model": {"backbone": "gat", "attention_dim": attention_dim}}
@@ -162,6 +188,8 @@ class TestValidation:
         (SimulateSettings, {"seed": -3}, "^simulate.seed must be >= 0"),
         (SimulateSettings, {"censoring_rate": 1.5}, "^simulate"),
         (RunConfig, {"eval": EvalSettings(tau=13.0)}, "^eval.tau"),
+        (SimulateSettings, {"base_os_hazard": 1.0, "base_dfs_hazard": 1.0}, "^simulate"),
+        (SimulateSettings, {"base_os_hazard": 1.5, "base_dfs_hazard": 1.5}, "^simulate"),
     ])
     def test_bad_value_built_in_python_raises(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=match):

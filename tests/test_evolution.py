@@ -441,8 +441,7 @@ def one_batch_loss(backbone, n=64):
     cohort, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    labels = cohort.label_bins(config.bins())
-    return model, cohort, lambda: _mean_loss(model, cohort, labels, config.bins(), LossWeights())
+    return model, cohort, lambda: _mean_loss(model, cohort, config.bins(), LossWeights())
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",

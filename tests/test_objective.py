@@ -7,7 +7,7 @@ from trajsurv import autodiff as ad
 from trajsurv.heads import TimeBins, annual_bins
 from trajsurv.acceptance_support import toy_setup
 from trajsurv.objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
-                                adamw_step, discrete_nll, end_epoch, label_bins, label_to_bin)
+                                adamw_step, discrete_nll, end_epoch, label_to_bin)
 from trajsurv.training import _mean_loss
 
 import oracles
@@ -59,16 +59,11 @@ class TestLabelToBin:
         assert label_to_bin(2.0, bins) == 2
 
 
-def test_label_bins_match_label_to_bin():
+def test_bin_index_matches_label_to_bin():
     rng = np.random.default_rng(3)
     bins = TimeBins(np.array([0.0, 0.5, 2.0, 2.5, 7.0]))
-    labels = [SurvivalLabel(float(t), int(e)) for t, e in
-              zip(np.concatenate([rng.uniform(0, 9, 40), bins.edges]),
-                  rng.integers(0, 2, 45))]
-    rows = label_bins([lab.time for lab in labels], [lab.event for lab in labels], bins)
-    assert rows.shape == (45, 2)
-    assert rows[:, 0].tolist() == [label_to_bin(lab.time, bins) for lab in labels]
-    assert rows[:, 1].tolist() == [lab.event for lab in labels]
+    times = np.concatenate([rng.uniform(0, 9, 40), bins.edges])
+    assert bins.index(times).tolist() == [label_to_bin(float(t), bins) for t in times]
 
 
 def numpy_nll(x, time, event, bins):
@@ -90,16 +85,15 @@ class TestDiscreteNll:
         return ad.constant(x)
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), label_bins([0.2], [1], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), [0.2], [1], BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), label_bins([0.2], [0], BINS), BINS)
+        loss = discrete_nll(self.logits([0.0]), [0.2], [0], BINS)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
-        loss = discrete_nll(self.logits([LOGIT_FIFTH, 0.0]),
-                            label_bins([1.5], [1], BINS), BINS)
+        loss = discrete_nll(self.logits([LOGIT_FIFTH, 0.0]), [1.5], [1], BINS)
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
@@ -108,8 +102,7 @@ class TestDiscreteNll:
             x = rng.uniform(-5.0, 5.0, size=BINS.count)
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
-            loss = discrete_nll(ad.constant(x.reshape(1, -1)),
-                                label_bins([time], [event], BINS), BINS)
+            loss = discrete_nll(ad.constant(x.reshape(1, -1)), [time], [event], BINS)
             assert loss.item() == pytest.approx(numpy_nll(x, time, event, BINS),
                                                 abs=1e-12)
 
@@ -118,7 +111,7 @@ class TestDiscreteNll:
         # event in bin 0 costs its whole logit.
         x = np.full((1, BINS.count), -700.0)
         x[0, 0] = 700.0
-        loss = discrete_nll(ad.constant(x), label_bins([1.5], [0], BINS), BINS)
+        loss = discrete_nll(ad.constant(x), [1.5], [0], BINS)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(700.0, rel=1e-12)
 
@@ -133,25 +126,23 @@ class TestDiscreteNll:
         labels = [(5.5, 1), (4.5, 0)]
         wrong_way = (4, 3)     # bins 0, 2, 4 survived at +size; the event adds bin 5 at -size
         for (time, event), wrong in zip(labels, wrong_way):
-            rows = label_bins([time], [event], BINS)
-            loss = discrete_nll(x, rows, BINS)
-            reached = rows[0, 0] + 1
+            loss = discrete_nll(x, [time], [event], BINS)
+            reached = label_to_bin(time, BINS) + 1
             expected = wrong * size + reached * np.log1p(np.exp(-size))
             assert np.isfinite(loss.item())
             assert loss.item() == pytest.approx(expected, rel=1e-12)
             g = ad.backward(loss, params=[x])[x].data[0]
             assert np.all(g[:reached] != 0.0)
             assert np.all(g[reached:] == 0.0)
-            assert ad.grad_check(lambda: discrete_nll(x, rows, BINS), [x]) <= 1e-6
+            assert ad.grad_check(lambda: discrete_nll(x, [time], [event], BINS), [x]) <= 1e-6
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            discrete_nll(ad.constant(np.zeros((1, 3))), label_bins([1.0], [1], BINS),
-                         BINS)
+            discrete_nll(ad.constant(np.zeros((1, 3))), [1.0], [1], BINS)
 
     def test_gradient_signs_push_toward_event_bin(self):
         x = ad.parameter(np.full((1, BINS.count), np.log(0.4 / 0.6)))
-        loss = discrete_nll(x, label_bins([2.5], [1], BINS), BINS)  # event in bin 2
+        loss = discrete_nll(x, [2.5], [1], BINS)  # event in bin 2
         g = ad.backward(loss, params=[x])[x].data[0]
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
@@ -159,8 +150,7 @@ class TestDiscreteNll:
 
     def test_gradient_matches_finite_differences(self):
         x = ad.parameter(np.random.default_rng(1).uniform(-2.0, 2.0, size=(1, BINS.count)))
-        labels = label_bins([3.5], [1], BINS)
-        err = ad.grad_check(lambda: discrete_nll(x, labels, BINS), [x])
+        err = ad.grad_check(lambda: discrete_nll(x, [3.5], [1], BINS), [x])
         assert err <= 1e-4
 
 
@@ -170,11 +160,10 @@ class TestCombinedLoss:
     def parts(self, weights):
         model, cohort = toy_setup()
         bins = model.config.bins()
-        labels = cohort.label_bins(bins)
         logits = model.forward(cohort)
-        os_nll = discrete_nll(logits["os"], labels["os"], bins).item()
-        dfs_nll = discrete_nll(logits["dfs"], labels["dfs"], bins).item()
-        return _mean_loss(model, cohort, labels, bins, weights).item(), os_nll, dfs_nll
+        os_nll, dfs_nll = (discrete_nll(logits[task], cohort.time[task], cohort.event[task],
+                                        bins).item() for task in ("os", "dfs"))
+        return _mean_loss(model, cohort, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
         loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))
@@ -195,7 +184,7 @@ class TestBatchMean:
     def test_mean_of_scalars(self):
         x = np.zeros((3, BINS.count))
         x[2, 0] = LOGIT_FIFTH
-        loss = discrete_nll(ad.constant(x), label_bins([0.2, 0.2, 1.5], [1, 0, 1], BINS), BINS)
+        loss = discrete_nll(ad.constant(x), [0.2, 0.2, 1.5], [1, 0, 1], BINS)
         expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -204,14 +193,14 @@ class TestBatchMean:
         x = rng.uniform(-5.0, 5.0, size=(16, BINS.count))
         labels = [(rng.uniform(0, 14), int(rng.integers(0, 2))) for _ in range(16)]
         time, event = zip(*labels)
-        out = discrete_nll(ad.constant(x), label_bins(time, event, BINS), BINS)
-        per = [discrete_nll(ad.constant(row[None, :]), label_bins([t], [e], BINS), BINS).item()
+        out = discrete_nll(ad.constant(x), time, event, BINS)
+        per = [discrete_nll(ad.constant(row[None, :]), [t], [e], BINS).item()
                for row, (t, e) in zip(x, labels)]
         assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            discrete_nll(ad.constant(np.zeros((0, BINS.count))), label_bins([], [], BINS), BINS)
+            discrete_nll(ad.constant(np.zeros((0, BINS.count))), [], [], BINS)
 
 
 class TestAdamW:

@@ -46,10 +46,6 @@ VARIANTS = {
 }
 
 
-def batch_loss(model, cohort, bins, weights):
-    return _mean_loss(model, cohort, cohort.label_bins(bins), bins, weights)
-
-
 class TestBatchedAgreement:
     """One batch of B patients against B batches of one."""
 
@@ -63,7 +59,7 @@ class TestBatchedAgreement:
         params = model.named_parameters()
         leaves = [p for _, p in params]
 
-        stacked = batch_loss(model, cohort, bins, weights)
+        stacked = _mean_loss(model, cohort, bins, weights)
         gs = ad.backward(stacked, params=leaves)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
@@ -79,7 +75,7 @@ class TestBatchedAgreement:
         cohort, items = small_items(n=4, seed=2)
         bins = config.bins()
         weights = LossWeights(0.3, 1.7)
-        stacked = batch_loss(model, cohort, bins, weights)
+        stacked = _mean_loss(model, cohort, bins, weights)
         looped = np.mean([patient_loss(model, g, d, o, bins, weights).item()
                           for g, d, o in items])
         assert stacked.item() == pytest.approx(looped, abs=1e-12)
@@ -89,7 +85,7 @@ class TestBatchedAgreement:
         cohort, items = small_items(n=1, drop_region=False)
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = batch_loss(model, cohort, bins, weights)
+        stacked = _mean_loss(model, cohort, bins, weights)
         g, dfs, os_label = items[0]
         looped = patient_loss(model, g, dfs, os_label, bins, weights)
         assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
@@ -118,7 +114,7 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     leaves = [p for _, p in model.named_parameters()]
 
     def run(data):
-        loss = _mean_loss(model, data, data.label_bins(bins), bins, LossWeights(1.0, 1.0))
+        loss = _mean_loss(model, data, bins, LossWeights(1.0, 1.0))
         grads = ad.backward(loss, params=leaves)
         curves = model.predict_curves(data)
         return ([loss.data] + [grads[p].data for p in leaves]
@@ -153,7 +149,7 @@ class TestTrainModel:
         train, val = self.cohort()
         config, model = small_model(seed=4)
         result = train_model(model, train, val, quick_settings())
-        recomputed = batch_loss(model, val, config.bins(), LossWeights(1.0, 1.0)).item()
+        recomputed = _mean_loss(model, val, config.bins(), LossWeights(1.0, 1.0)).item()
         assert recomputed == pytest.approx(result.best_val, abs=1e-9)
         assert result.best_epoch <= result.epochs_run
 
