@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end checks of the `trajsurv` console script, run in the current
-# directory: simulate, the exit codes of a bad --out, of no command and of a
+# directory: simulate and its byte-identical rerun, the exit codes of a bad
+# --out, of an output file that is a directory, of no command and of a
 # diverging run, the gradient check, byte-identical reruns of a tiny gat
 # crossval, and a trained model file read back by evaluate. Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
@@ -9,6 +10,8 @@ set -eu
 echo '{"simulate": {"n": 10, "region_len": 2, "clinical_len": 2}}' > tiny.json
 trajsurv simulate --config tiny.json --out sim
 test -s sim/cohort.json && test -s sim/truth.json
+trajsurv simulate --config tiny.json --out sim_again
+for name in cohort.json truth.json; do cmp "sim/$name" "sim_again/$name"; done
 # An --out that names a file exits 1 with its one-line report, before any work.
 status=0
 trajsurv simulate --config tiny.json --out sim/cohort.json 2> out.err || status=$?
@@ -43,6 +46,13 @@ echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 
        "train": {"max_epochs": 3}}' > train.json
 trajsurv train --config train.json --out trained
 test -s trained/model.npz
+# An output file that is a directory exits 1 with one stderr line, before any work.
+mkdir -p blocked/model.npz
+status=0
+trajsurv train --config train.json --out blocked 2> blocked.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < blocked.err)" -eq 1
+test ! -e blocked/training_log.txt
 trajsurv evaluate --config train.json --model trained/model.npz --out evaluated
 test -s evaluated/report.json
 echo '{"simulate": {"n": 10, "region_len": 3, "clinical_len": 2}}' > wide.json

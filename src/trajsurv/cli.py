@@ -17,8 +17,8 @@ from . import autodiff as ad
 from .cohort import (CohortError, load_cohort, save_cohort, simulate_cohort,
                      stratified_repeated_kfold)
 from .config import ConfigError, RunConfig, load_config
-from .crossval import (VARIANTS, emit_report, evaluate_model, feature_widths, fold_model,
-                       run_ablation)
+from .crossval import (REPORT_FILES, VARIANTS, emit_report, evaluate_model, feature_widths,
+                       fold_model, run_ablation)
 from .evolution import BACKBONES
 from .graph import GraphConstructionError
 from .heads import SaturatedCurveError
@@ -29,6 +29,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
+
+# The files each command writes into its output directory.
+_OUTPUT_FILES = {"simulate": ("cohort.json", "truth.json"),
+                 "train": ("training_log.txt", "model.npz", "train_summary.json"),
+                 "crossval": REPORT_FILES, "ablate": REPORT_FILES, "evaluate": REPORT_FILES}
 
 
 class UsageError(Exception):
@@ -79,13 +84,17 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _check_output_dir(path: str) -> None:
-    """Raise ConfigError unless `path` is a directory or can be made one."""
+def _check_output_dir(path: str, files: tuple[str, ...]) -> None:
+    """Raise ConfigError unless `path` is a directory or can be made one, and
+    none of `files` in it is a directory."""
     part = os.path.abspath(path)
     while not os.path.lexists(part):
         part = os.path.dirname(part)
     if not os.path.isdir(part):
         raise ConfigError(f"output directory {path}: {part} is not a directory")
+    for target in (os.path.join(path, name) for name in files):
+        if os.path.isdir(target):
+            raise ConfigError(f"output file {target} is a directory")
 
 
 def _cohort(cfg: RunConfig):
@@ -190,7 +199,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck()
         cfg = _load(args)
-        _check_output_dir(cfg.paths.output_dir)
+        _check_output_dir(cfg.paths.output_dir, _OUTPUT_FILES[args.command])
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "train":

@@ -324,14 +324,13 @@ def save_cohort(cohort: CohortArrays, path, region_len: int | None = None,
 # Synthetic cohort with known latent risk groups.
 # ---------------------------------------------------------------------------
 
-# Nominal region centroids in millimetres; jitter is added per patient.
-_REGION_CENTERS = {
-    NodeKind.LIVER_PARENCHYMA: np.array([60.0, 50.0, 40.0]),
-    NodeKind.FUTURE_LIVER_REMNANT: np.array([30.0, 62.0, 46.0]),
-    NodeKind.HEPATIC_VEINS: np.array([72.0, 66.0, 54.0]),
-    NodeKind.PORTAL_VEINS: np.array([46.0, 34.0, 52.0]),
-    NodeKind.METASTATIC_TUMORS: np.array([56.0, 44.0, 34.0]),
-}
+# Nominal region centroids in millimetres, one row per kind in
+# ANATOMICAL_KINDS order; jitter is added per patient.
+_REGION_CENTERS = np.array([[60.0, 50.0, 40.0],
+                            [30.0, 62.0, 46.0],
+                            [72.0, 66.0, 54.0],
+                            [46.0, 34.0, 52.0],
+                            [56.0, 44.0, 34.0]])
 
 
 @dataclass(frozen=True)
@@ -371,14 +370,6 @@ def _geometric_time(u: np.ndarray, hazard: np.ndarray) -> np.ndarray:
     return np.ceil(np.log1p(-u) / np.log1p(-hazard)).astype(np.int64) - 1
 
 
-def _mixture_pmf(hazards: np.ndarray, k_max: int = 400) -> np.ndarray:
-    k = np.arange(k_max)
-    pmf = np.zeros(k_max)
-    for h in hazards:
-        pmf += 0.5 * (1.0 - h) ** k * h
-    return pmf
-
-
 def _calibrate_censoring(scenario: Scenario) -> float:
     """Upper bound of the uniform censoring window hitting the target rate.
 
@@ -387,8 +378,9 @@ def _calibrate_censoring(scenario: Scenario) -> float:
     mixture is monotone in c_max, so bisection applies.
     """
     target = scenario.censoring_rate
-    pmf = _mixture_pmf(scenario.group_hazards("os"))
-    k = np.arange(pmf.shape[0])
+    k = np.arange(400)
+    hazards = scenario.group_hazards("os")[:, None]
+    pmf = (0.5 * (1.0 - hazards) ** k * hazards).sum(axis=0)
 
     def expected(c_max: float) -> float:
         return float(pmf @ np.minimum(k / c_max, 1.0))
@@ -405,46 +397,49 @@ def _calibrate_censoring(scenario: Scenario) -> float:
 
 def simulate_cohort(n: int, seed: int, scenario: Scenario = Scenario()
                     ) -> tuple[CohortArrays, np.ndarray]:
-    """Two-group synthetic cohort; returns the cohort plus the latent groups.
+    """Two-group synthetic cohort; returns the cohort plus the (n,) latent
+    groups (0 or 1).
 
-    Features are group-informative patterns scaled by signal strength plus
-    unit Gaussian noise; clinical features are min-max normalized across the
-    cohort after generation. Event times are integer years (annual bins).
+    One generator, seeded with `seed`, draws in this order: the (5, L) unit
+    region patterns, one row per kind in ANATOMICAL_KINDS order; the (C,)
+    unit clinical pattern; the groups; one (n,) uniform u shared by both
+    tasks; the region noise as (5, n, L); the (n, C) clinical noise; the
+    centroid jitter as (5, n, 3) with sd 10 mm; and, if the censoring rate
+    is positive, the (n,) uniform censoring times. The generator fills
+    arrays in C order, so the (1, 0, 2) transpose of a (5, n, ·) draw is
+    the cohort's (n, 5, ·) layout. Every region of every patient is present.
+
+    A feature is its group's sign (-1 or +1) times the signal strength
+    times the pattern, plus unit Gaussian noise; clinical features are then
+    min-max normalized across the cohort. Each task's event time is the
+    integer year `_geometric_time(u, hazard of the patient's group)`.
     """
     if n < 10:
         raise ValueError("need at least 10 patients")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    kinds = len(ANATOMICAL_KINDS)
 
-    region_patterns = {}
-    for kind in ANATOMICAL_KINDS:
-        p = rng.normal(size=scenario.region_len)
-        region_patterns[kind] = p / np.linalg.norm(p)
+    # The norm of each row on its own: the axis form sums in another order.
+    p = rng.normal(size=(kinds, scenario.region_len))
+    region_patterns = p / np.array([np.linalg.norm(row) for row in p])[:, None]
     p = rng.normal(size=scenario.clinical_len)
     clinical_pattern = p / np.linalg.norm(p)
 
     groups = rng.integers(0, 2, size=n)
     u = rng.uniform(size=n)
-    h_os = scenario.group_hazards("os")[groups]
-    h_dfs = scenario.group_hazards("dfs")[groups]
-    t_os = _geometric_time(u, h_os).astype(np.float64)
-    t_dfs = _geometric_time(u, h_dfs).astype(np.float64)
+    event_time = {task: _geometric_time(u, scenario.group_hazards(task)[groups])
+                  .astype(np.float64) for task in _TASKS}
 
     sign = 2.0 * groups - 1.0
-    region_feats = {
-        kind: sign[:, None] * scenario.signal_strength * region_patterns[kind]
-        + rng.normal(size=(n, scenario.region_len))
-        for kind in ANATOMICAL_KINDS
-    }
+    regions = (sign[:, None, None] * scenario.signal_strength * region_patterns
+               + rng.normal(size=(kinds, n, scenario.region_len)).transpose(1, 0, 2))
     clinical_raw = (sign[:, None] * scenario.signal_strength * clinical_pattern
                     + rng.normal(size=(n, scenario.clinical_len)))
     span = clinical_raw.max(axis=0) - clinical_raw.min(axis=0)
     span[span < 1e-12] = 1.0
     clinical = (clinical_raw - clinical_raw.min(axis=0)) / span
 
-    centroids = {
-        kind: _REGION_CENTERS[kind] + rng.normal(0.0, 10.0, size=(n, 3))
-        for kind in ANATOMICAL_KINDS
-    }
+    centroids = _REGION_CENTERS + rng.normal(0.0, 10.0, size=(kinds, n, 3)).transpose(1, 0, 2)
 
     if scenario.censoring_rate > 0.0:
         c_max = _calibrate_censoring(scenario)
@@ -452,14 +447,11 @@ def simulate_cohort(n: int, seed: int, scenario: Scenario = Scenario()
     else:
         censor = np.full(n, np.inf)
 
-    observed = {"dfs": t_dfs <= censor, "os": t_os <= censor}
-    return make_cohort([f"sim{i:04d}" for i in range(n)],
-                       np.stack([region_feats[kind] for kind in ANATOMICAL_KINDS], axis=1),
-                       np.ones((n, len(ANATOMICAL_KINDS)), dtype=bool),
-                       np.stack([centroids[kind] for kind in ANATOMICAL_KINDS], axis=1),
-                       clinical,
-                       {"dfs": np.where(observed["dfs"], t_dfs, censor),
-                        "os": np.where(observed["os"], t_os, censor)},
+    observed = {task: t <= censor for task, t in event_time.items()}
+    return make_cohort([f"sim{i:04d}" for i in range(n)], regions,
+                       np.ones((n, kinds), dtype=bool), centroids, clinical,
+                       {task: np.where(observed[task], t, censor)
+                        for task, t in event_time.items()},
                        {task: flags.astype(np.int64) for task, flags in observed.items()}), groups
 
 

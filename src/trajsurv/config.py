@@ -28,15 +28,12 @@ MAX_BOOTSTRAP = 100_000
 
 @dataclass(frozen=True)
 class EvalSettings:
-    horizons: tuple[float, ...] = (1.0, 3.0, 5.0)
     tau: float | None = None          # None: min(5, last bin edge)
     bootstrap_b: int = 1000
     level: float = 0.95
 
     def __post_init__(self):
         check([
-            (len(self.horizons) == 3 and all(h > 0 for h in self.horizons),
-             "eval.horizons must be three positive values"),
             (self.tau is None or self.tau > 0, "eval.tau must be positive"),
             (100 <= self.bootstrap_b <= MAX_BOOTSTRAP,
              f"eval.bootstrap_b must be in [100, {MAX_BOOTSTRAP}]"),
@@ -172,5 +169,4 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc["model"] = {inverse[k]: v for k, v in doc["model"].items()}
     if doc["model"]["bin_edges"] is not None:
         doc["model"]["bin_edges"] = list(doc["model"]["bin_edges"])
-    doc["eval"]["horizons"] = list(doc["eval"]["horizons"])
     return doc

@@ -28,6 +28,8 @@ _OVERRIDES = {"full": {}, "static": {"horizon": 1}, "mean_integrator": {"integra
 VARIANTS = tuple(_OVERRIDES)
 
 METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
+AUC_HORIZONS = (1.0, 3.0, 5.0)   # years: the horizons of auc1, auc3 and auc5
+REPORT_FILES = ("report.json", "metrics.csv", "curves.csv", "timings.json")
 TASKS = ("os", "dfs")
 
 
@@ -133,8 +135,8 @@ def _predict_fold(model: FullModel, cohort: CohortArrays,
 
 
 def _fold_metrics(cohort: CohortArrays, curves: dict[str, tuple[np.ndarray, np.ndarray]],
-                  pred_time: dict[str, np.ndarray], bins: TimeBins, tau: float,
-                  horizons) -> tuple[dict[str, dict], int]:
+                  pred_time: dict[str, np.ndarray], bins: TimeBins,
+                  tau: float) -> tuple[dict[str, dict], int]:
     """Per task the metrics of the curves and point-estimate times of
     `cohort`, and the number of capped IPCW weights."""
     capped = 0
@@ -151,7 +153,7 @@ def _fold_metrics(cohort: CohortArrays, curves: dict[str, tuple[np.ndarray, np.n
             ibs = integrated_brier(s, t, e, bins, tau)
             capped += sum(1 for w in caught if issubclass(w.category, IpcwCapWarning))
         # P(event <= h) = 1 - S at the bin containing h (step interpolation)
-        aucs = [time_dependent_auc(1.0 - s[:, bins.index(h)], t, e, h) for h in horizons]
+        aucs = [time_dependent_auc(1.0 - s[:, bins.index(h)], t, e, h) for h in AUC_HORIZONS]
         out[task] = {"cindex": cindex, "ibs": ibs, "auc1": aucs[0], "auc3": aucs[1],
                      "auc5": aucs[2], "mae": mae_uncensored(pt, t, e)}
     return out, capped
@@ -194,7 +196,7 @@ def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
     scored = cohort.take(test)
     curves = _predict_fold(model, scored, config.train.batch_size)
     pred_time = {task: point_estimate_time(curves[task][1], bins) for task in TASKS}
-    per_task, capped = _fold_metrics(scored, curves, pred_time, bins, tau, config.eval.horizons)
+    per_task, capped = _fold_metrics(scored, curves, pred_time, bins, tau)
     first = repeat == 0
     return FoldOutcome(repeat, fold, rows=[FoldRow(repeat, fold, task, **per_task[task])
                                            for task in TASKS],
@@ -304,8 +306,7 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
     file behind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {name: os.path.join(out_dir, name)
-             for name in ("report.json", "metrics.csv", "curves.csv", "timings.json")}
+    paths = {name: os.path.join(out_dir, name) for name in REPORT_FILES}
     temps = {name: os.path.join(out_dir, f".{name}.tmp") for name in paths}
     try:
         with open(temps["timings.json"], "w") as fh:

@@ -11,6 +11,9 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
 `list_kfold` is the repeated stratified k-fold split in its list form,
 dealing patients one at a time.
+`per_region_simulate` is the cohort simulator in its per-region form: one
+draw per region kind into dicts keyed by `NodeKind`, stacked at the end,
+and the censoring calibration's mixture summed one group at a time.
 `tape_evolve` is the evolution rollout as per-op tape nodes: `rows_of`
 selectors for the weight blocks and time rows, `residual_update` for a step
 and `readout` for a snapshot. Its gat arcs are the dense one-hot gathers of
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajsurv import autodiff as ad
-from trajsurv.cohort import CohortError, FoldSpec
+from trajsurv.cohort import CohortError, FoldSpec, _geometric_time, make_cohort
 from trajsurv.evolution import Blocks, adjacency, mean_pool
-from trajsurv.graph import slots_in_use
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
 
 
@@ -541,3 +544,92 @@ def list_kfold(cohort, k, repeats, seed):
                 raise CohortError(too_small)
             folds.append(FoldSpec(rep, f, test, train, val))
     return folds
+
+
+_REGION_CENTERS = {
+    NodeKind.LIVER_PARENCHYMA: np.array([60.0, 50.0, 40.0]),
+    NodeKind.FUTURE_LIVER_REMNANT: np.array([30.0, 62.0, 46.0]),
+    NodeKind.HEPATIC_VEINS: np.array([72.0, 66.0, 54.0]),
+    NodeKind.PORTAL_VEINS: np.array([46.0, 34.0, 52.0]),
+    NodeKind.METASTATIC_TUMORS: np.array([56.0, 44.0, 34.0]),
+}
+
+
+def _mixture_pmf(hazards, k_max=400):
+    k = np.arange(k_max)
+    pmf = np.zeros(k_max)
+    for h in hazards:
+        pmf += 0.5 * (1.0 - h) ** k * h
+    return pmf
+
+
+def _calibrate_censoring(scenario):
+    target = scenario.censoring_rate
+    pmf = _mixture_pmf(scenario.group_hazards("os"))
+    k = np.arange(pmf.shape[0])
+
+    def expected(c_max):
+        return float(pmf @ np.minimum(k / c_max, 1.0))
+
+    lo, hi = 1e-6, 1e6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def per_region_simulate(n, seed, scenario):
+    """`simulate_cohort` with one draw per region kind, kept in dicts."""
+    if n < 10:
+        raise ValueError("need at least 10 patients")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+
+    region_patterns = {}
+    for kind in ANATOMICAL_KINDS:
+        p = rng.normal(size=scenario.region_len)
+        region_patterns[kind] = p / np.linalg.norm(p)
+    p = rng.normal(size=scenario.clinical_len)
+    clinical_pattern = p / np.linalg.norm(p)
+
+    groups = rng.integers(0, 2, size=n)
+    u = rng.uniform(size=n)
+    h_os = scenario.group_hazards("os")[groups]
+    h_dfs = scenario.group_hazards("dfs")[groups]
+    t_os = _geometric_time(u, h_os).astype(np.float64)
+    t_dfs = _geometric_time(u, h_dfs).astype(np.float64)
+
+    sign = 2.0 * groups - 1.0
+    region_feats = {
+        kind: sign[:, None] * scenario.signal_strength * region_patterns[kind]
+        + rng.normal(size=(n, scenario.region_len))
+        for kind in ANATOMICAL_KINDS
+    }
+    clinical_raw = (sign[:, None] * scenario.signal_strength * clinical_pattern
+                    + rng.normal(size=(n, scenario.clinical_len)))
+    span = clinical_raw.max(axis=0) - clinical_raw.min(axis=0)
+    span[span < 1e-12] = 1.0
+    clinical = (clinical_raw - clinical_raw.min(axis=0)) / span
+
+    centroids = {
+        kind: _REGION_CENTERS[kind] + rng.normal(0.0, 10.0, size=(n, 3))
+        for kind in ANATOMICAL_KINDS
+    }
+
+    if scenario.censoring_rate > 0.0:
+        c_max = _calibrate_censoring(scenario)
+        censor = rng.uniform(0.0, c_max, size=n)
+    else:
+        censor = np.full(n, np.inf)
+
+    observed = {"dfs": t_dfs <= censor, "os": t_os <= censor}
+    return make_cohort([f"sim{i:04d}" for i in range(n)],
+                       np.stack([region_feats[kind] for kind in ANATOMICAL_KINDS], axis=1),
+                       np.ones((n, len(ANATOMICAL_KINDS)), dtype=bool),
+                       np.stack([centroids[kind] for kind in ANATOMICAL_KINDS], axis=1),
+                       clinical,
+                       {"dfs": np.where(observed["dfs"], t_dfs, censor),
+                        "os": np.where(observed["os"], t_os, censor)},
+                       {task: flags.astype(np.int64) for task, flags in observed.items()}), groups

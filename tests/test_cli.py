@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trajsurv import autodiff as ad
+from trajsurv import cli
 from trajsurv import crossval as cv
 from trajsurv.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_USAGE, main
 from trajsurv.cohort import load_cohort, save_cohort, simulate_cohort
@@ -566,6 +567,33 @@ def test_output_path_at_or_below_a_file_is_config_error(tmp_path, capsys, monkey
     assert trained == []
 
 
+@pytest.mark.parametrize("command,target", (("simulate", "truth.json"), ("train", "model.npz"),
+                                            ("crossval", "report.json"),
+                                            ("evaluate", "curves.csv"),
+                                            ("ablate", "timings.json")))
+def test_output_file_that_is_a_directory_is_config_error(tmp_path, capsys, monkeypatch,
+                                                         command, target):
+    # Checked before any work: nothing is trained or written.
+    cohort = simulate_into(tmp_path)
+    config = write_config(tmp_path, name="o.json", cohort=cohort)
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    trained = []
+    monkeypatch.setattr(cv, "train_model", lambda *args: trained.append(args))
+    monkeypatch.setattr(cli, "train_model", lambda *args: trained.append(args))
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--model", str(save_untrained_model(tmp_path))]
+    elif command == "ablate":
+        argv += ["--variant", "no_cascade"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"config error: output file {out / target} is a directory\n"
+    assert trained == []
+    assert sorted(p.name for p in out.iterdir()) == [target]
+
+
 def save_saturating_model(tmp_path):
     """A valid 30-bin model whose OS hazards all clip to 1 - 1e-16, so its
     survival product underflows to 0 from about bin 21."""
@@ -771,10 +799,8 @@ def crossval_runs(draw):
              "batch_size": draw(st.integers(1, 32)), "max_epochs": draw(st.integers(1, 2)),
              "patience": draw(st.integers(1, 2)), "alpha": weights[0], "beta": weights[1],
              "augment": draw(st.booleans()), "seed": draw(st.integers(0, 3))}
-    horizons = sorted(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, 3.0, 5.0, 8.0)),
-                                    min_size=3, max_size=3)))
     return draw(st.integers(1, 30)), {
-        "model": model, "train": train, "eval": {"bootstrap_b": 100, "horizons": horizons},
+        "model": model, "train": train, "eval": {"bootstrap_b": 100},
         "cv": {"k": 2, "repeats": 1}}
 
 

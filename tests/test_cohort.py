@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import list_kfold
+from oracles import list_kfold, per_region_simulate
 from trajsurv.cohort import (REGION_KEYS, CohortError, Scenario, augment, load_cohort,
                              make_cohort, oracle_cindex, record_to_graph, save_cohort,
                              simulate_cohort, stratified_repeated_kfold)
@@ -373,6 +373,24 @@ class TestSimulator:
         b, gb = simulate_cohort(20, seed=42)
         assert np.array_equal(ga, gb)
         assert_same_cohort(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(10, 300), st.sampled_from([0, 2 ** 32 - 1]) | st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 3.0), st.sampled_from([0.0, 0.3, 0.9]) | st.floats(0.0, 0.99),
+           st.integers(1, 20), st.integers(1, 10), st.floats(1e-3, 0.999),
+           st.floats(0.0, 1.0), st.floats(0.01, 20.0))
+    def test_is_the_per_region_form(self, n, seed, signal, censoring, region_len,
+                                    clinical_len, base_os, dfs_share, hazard_ratio):
+        scenario = Scenario(signal_strength=signal, censoring_rate=censoring,
+                            hazard_ratio=hazard_ratio, base_os_hazard=base_os,
+                            base_dfs_hazard=min(base_os + dfs_share * (1.0 - base_os), 0.999),
+                            region_len=region_len, clinical_len=clinical_len)
+        want, want_groups = per_region_simulate(n, seed, scenario)
+        got, groups = simulate_cohort(n, seed, scenario)
+        assert_same_cohort(want, got)
+        for name in ("regions", "centroids", "offsets", "global_features", "clinical"):
+            assert getattr(got, name).strides == getattr(want, name).strides, name
+        assert groups.dtype == want_groups.dtype and np.array_equal(groups, want_groups)
 
     def test_dfs_never_after_os(self):
         cohort, _ = simulate_cohort(500, seed=1)

@@ -29,7 +29,6 @@ class TestDefaults:
         assert cfg.model.num_bins == 12
         assert cfg.train.lr == 1e-3
         assert cfg.train.batch_size == 64
-        assert cfg.eval.horizons == (1.0, 3.0, 5.0)
         assert cfg.cv.k == 5 and cfg.cv.repeats == 3
 
     def test_short_model_keys_map_to_dims(self):
@@ -75,6 +74,14 @@ class TestUnknownKeys:
         assert _main_exit(tmp_path, json.dumps(doc)) == 1
         assert capsys.readouterr().err == f"config error: unknown key train.{key}\n"
 
+    def test_auc_horizons_are_not_a_config_key(self, tmp_path, capsys):
+        # auc1, auc3 and auc5 name their years, so the horizons are fixed.
+        doc = {"eval": {"horizons": [1.0, 3.0, 5.0]}}
+        with pytest.raises(ConfigError, match="^unknown key eval.horizons$"):
+            config_from_dict(doc)
+        assert _main_exit(tmp_path, json.dumps(doc)) == 1
+        assert capsys.readouterr().err == "config error: unknown key eval.horizons\n"
+
     def test_removed_static_no_update_key_exits_one(self, tmp_path, capsys):
         from trajsurv.cli import EXIT_USAGE, main
 
@@ -108,10 +115,6 @@ class TestValidation:
     def test_scheduler_factor_range(self):
         with pytest.raises(ConfigError, match="scheduler_factor"):
             config_from_dict({"train": {"scheduler_factor": 1.0}})
-
-    def test_horizons_must_be_three(self):
-        with pytest.raises(ConfigError, match="eval.horizons"):
-            config_from_dict({"eval": {"horizons": [1.0, 3.0]}})
 
     def test_bootstrap_b_minimum(self):
         with pytest.raises(ConfigError, match="bootstrap_b"):
@@ -182,7 +185,7 @@ class TestValidation:
         (TrainSettings, {"alpha": 0.0, "beta": 0.0}, "^train.alpha/beta"),
         (TrainSettings, {"scheduler_factor": 1.0}, "^train.scheduler_factor"),
         (TrainSettings, {"seed": -1}, "^train.seed must be >= 0"),
-        (EvalSettings, {"horizons": (1.0, 3.0)}, "^eval.horizons"),
+        (EvalSettings, {"tau": 0.0}, "^eval.tau must be positive"),
         (EvalSettings, {"bootstrap_b": 50}, "^eval.bootstrap_b"),
         (CvSettings, {"k": 1}, "^cv.k"),
         (SimulateSettings, {"seed": -3}, "^simulate.seed must be >= 0"),
@@ -210,9 +213,10 @@ class TestTauResolution:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        doc = {"model": {"backbone": "gcn", "d": 8, "T": 4, "K": 4, "cascade": False},
+        doc = {"model": {"backbone": "gcn", "d": 8, "T": 4, "K": 4, "cascade": False,
+                         "bin_edges": [0, 1, 2, 3, 4]},
                "train": {"lr": 0.01, "batch_size": 16, "seed": 9},
-               "eval": {"horizons": [1, 2, 3], "tau": 2.0},
+               "eval": {"tau": 2.0},
                "simulate": {"n": 40, "signal_strength": 0.0},
                "cv": {"k": 3, "repeats": 2}}
         cfg = config_from_dict(doc)
@@ -221,7 +225,7 @@ class TestRoundTrip:
         assert echoed["model"]["d"] == 8
         assert echoed["model"]["backbone"] == "gcn"
         assert echoed["train"]["lr"] == 0.01
-        assert echoed["eval"]["horizons"] == [1.0, 2.0, 3.0]
+        assert echoed["model"]["bin_edges"] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_defaults_round_trip(self):
         cfg = RunConfig()
@@ -260,8 +264,8 @@ class TestFieldTypes:
     @pytest.mark.parametrize("doc, key", [
         ({"model": {"d": "x"}}, "model.d"),
         ({"train": {"lr": "0.1"}}, "train.lr"),
-        ({"eval": {"horizons": 3}}, "eval.horizons"),
-        ({"eval": {"horizons": ["a", 1, 2]}}, "eval.horizons"),
+        ({"model": {"bin_edges": ["a", 1, 2]}}, "model.bin_edges"),
+        ({"model": {"bin_edges": [0, 1, True]}}, "model.bin_edges"),
         ({"model": {"bin_edges": 5}}, "model.bin_edges"),
         ({"cv": {"k": 2.5}}, "cv.k"),
         ({"train": {"batch_size": 2.5}}, "train.batch_size"),
@@ -283,9 +287,11 @@ class TestFieldTypes:
         assert f"config error: {key} must be" in capsys.readouterr().err
 
     def test_float_fields_take_integers(self):
-        cfg = config_from_dict({"train": {"lr": 1}, "eval": {"tau": 2, "horizons": [1, 2, 3]}})
+        cfg = config_from_dict({"train": {"lr": 1}, "eval": {"tau": 2},
+                                "model": {"K": 3, "bin_edges": [0, 1, 2, 3]}})
         assert cfg.train.lr == 1 and cfg.eval.tau == 2
-        assert cfg.eval.horizons == (1.0, 2.0, 3.0)
+        assert cfg.model.bin_edges == (0.0, 1.0, 2.0, 3.0)
+        assert all(type(edge) is float for edge in cfg.model.bin_edges)
 
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
         from trajsurv.cli import main

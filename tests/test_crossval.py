@@ -365,7 +365,7 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
         model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
         model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]
-    bins, horizons = config.model.bins(), config.eval.horizons
+    bins, horizons = config.model.bins(), cv.AUC_HORIZONS
     scores, auc = [], cv.time_dependent_auc
     monkeypatch.setattr(cv, "time_dependent_auc",
                         lambda s, *rest: scores.append(s) or auc(s, *rest))
