@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end checks of the `trajsurv` console script, run in the current
 # directory: simulate and its byte-identical rerun, the exit codes of a bad
-# --out, of an output file that is a directory, of no command and of a
-# diverging run, the gradient check, byte-identical reruns of a tiny gat
-# crossval, and a trained model file read back by evaluate. Usage:
+# --out, of a base hazard too small for integer event times, of an output
+# file that is a directory, of no command and of a diverging run, the
+# gradient check, byte-identical reruns of a tiny gat crossval, and a
+# trained model file read back by evaluate. Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
 
@@ -17,6 +18,15 @@ status=0
 trajsurv simulate --config tiny.json --out sim/cohort.json 2> out.err || status=$?
 test "$status" -eq 1
 test "$(wc -l < out.err)" -eq 1
+# A base hazard too small for integer event times exits 1 with one stderr
+# line, before any draw.
+echo '{"simulate": {"n": 10, "base_os_hazard": 1e-300, "base_dfs_hazard": 1e-300}}' \
+  > tiny_hazard.json
+status=0
+trajsurv simulate --config tiny_hazard.json --out tiny_hazard 2> tiny_hazard.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < tiny_hazard.err)" -eq 1
+test ! -e tiny_hazard/cohort.json
 status=0
 trajsurv || status=$?
 test "$status" -eq 1

@@ -333,6 +333,13 @@ _REGION_CENTERS = np.array([[60.0, 50.0, 40.0],
                             [56.0, 44.0, 34.0]])
 
 
+# The smallest hazard h whose longest geometric draw, log1p(-u) / log1p(-h)
+# at the largest uniform u = 1 - 2^-53 (about 36.7 / h years), is at most
+# 2^53: an exact float64 integer, which `_geometric_time`'s int64 cast keeps.
+# Below it (about 4.1e-15) the cast wraps.
+_MIN_GROUP_HAZARD = float(-np.expm1(np.log1p(-np.nextafter(1.0, 0.0)) / 2.0 ** 53))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Generating model of the two-group synthetic cohort.
@@ -359,6 +366,11 @@ class Scenario:
             raise ValueError("hazard_ratio must be positive and base hazards in (0, 1)")
         if self.base_dfs_hazard < self.base_os_hazard:
             raise ValueError("base DFS hazard must be >= base OS hazard")
+        # the OS group hazards are the smallest, since DFS dominates OS
+        if self.group_hazards("os").min() < _MIN_GROUP_HAZARD:
+            raise ValueError(f"group hazards (base hazards, and times hazard_ratio) must be "
+                             f"at least {_MIN_GROUP_HAZARD:.2g}, so that every event time "
+                             f"(up to about 36.7 / hazard years) is an exact integer")
 
     def group_hazards(self, task: str) -> np.ndarray:
         base = self.base_os_hazard if task == "os" else self.base_dfs_hazard

@@ -16,7 +16,7 @@ from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import SaturatedCurveError, TimeBins, point_estimate_time
-from .metrics import (IpcwCapWarning, bootstrap_ci, cindex_arrays, format_ci,
+from .metrics import (IpcwCapWarning, cindex_arrays, format_ci, index_bootstrap_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
 from .objective import discrete_nll
@@ -246,9 +246,9 @@ def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutco
         point = cindex_arrays(risk, t, e)
         boot_seed = int(np.random.SeedSequence([config.train.seed, 5, TASKS.index(task)])
                         .generate_state(1)[0])
-        lo, hi = bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
-                              range(len(ids)), config.eval.bootstrap_b, config.eval.level,
-                              boot_seed)
+        lo, hi = index_bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
+                                    len(ids), config.eval.bootstrap_b, config.eval.level,
+                                    boot_seed)
     except ValueError as exc:
         return {"metric": "cindex", "error": str(exc)}
     return {"metric": "cindex", "point": point, "lo": lo, "hi": hi,

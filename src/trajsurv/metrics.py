@@ -6,10 +6,15 @@ indicators; IPCW terms use G with a left limit at event times; undefined
 metrics propagate as None (missing), never as zeros.
 
 Cost for n patients, none of it an n x n matrix:
-- `harrell_cindex`: O(n) memory; one dense comparison inside aligned
-  blocks of 32 patients (32 booleans per patient), then ceil(log2 n) - 5
-  merge levels, each one stable argsort of rows made of two sorted runs
-  (merged in linear time), so O(n log n) time.
+- `harrell_cindex`: O(n) memory, O(n log^2 n) time. Three argsorts (the
+  time ranks, the risk ranks and the (time, risk) order), one dense
+  comparison inside aligned blocks of 32 patients (32 booleans per
+  patient), then ceil(log2 n) - 5 merge levels. Each level is one in-place
+  value sort of rows made of two sorted runs and two masked index sums,
+  with no argsort and no gather. A level is O(n log n), not the O(n) of a
+  stable merge, but numpy's vectorised int32 sort is the faster at these
+  sizes: 7 us for 2048 keys against 120 us for a stable argsort (2-core
+  Xeon).
 - `time_dependent_auc`: O(n) memory; one sort of the controls and two
   binary searches per case, O(n log n) time.
 - `km_censoring_survival`: O(n) memory; one sorted pass, O(n log n) time.
@@ -47,8 +52,12 @@ def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     a code above all. Pairs within a 32-aligned block: one dense (blocks, 32,
     32) comparison kept where p is queried. Then merge levels: at width w, the
     pairs with p in the left and j in the right half of a 2w-aligned block.
-    Both halves are held sorted and one stable argsort merges them; a left
-    code moved from index i to k has k - i smaller right codes ahead.
+    Each half is held sorted as keys 2 code + half (0 left, 1 right), so one
+    value sort of each 2w row merges them, and a left key sorts ahead of the
+    right keys of its own code. A left key moved from index i to k has k - i
+    smaller right codes ahead; over the queried left keys (key % 4 == 0) that
+    is their index sum after the sort minus their index sum before it. With
+    the half bits cleared, the sorted rows are the next level's runs.
     """
     n = ranks.size
     size = 1 << max(_BASE.bit_length() - 1, (n - 1).bit_length())
@@ -61,13 +70,16 @@ def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     pairs &= (rows % 2 == 0)[:, :, None]
     total = int(np.count_nonzero(pairs))
     del pairs
-    merged = np.sort(rows, axis=1)
+    keys = code << 1
+    keys.reshape(-1, _BASE).sort(axis=1)
+    index = np.arange(size)
     for w in (_BASE << np.arange((size // _BASE).bit_length() - 1)).tolist():
-        merged = merged.reshape(-1, 2 * w)
-        order = np.argsort(merged, axis=1, kind="stable")
-        merged = np.take_along_axis(merged, order, axis=1)
-        ahead = np.arange(2 * w) - order
-        total += int(ahead[(order < w) & (merged % 2 == 0)].sum())
+        runs = keys.reshape(-1, 2 * w)
+        runs[:, w:] |= 1
+        total -= int(((keys & 3) == 0) @ index)
+        runs.sort(axis=1)
+        total += int(((keys & 3) == 0) @ index)
+        keys &= -2
     return total
 
 
@@ -83,14 +95,23 @@ def harrell_cindex(risks: Sequence[float], labels: Sequence[SurvivalLabel]) -> f
                          np.array([lab.event for lab in labels], dtype=np.int64))
 
 
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Rank of each value among the distinct values of `x`, smallest 0."""
+    order = np.argsort(x)
+    ranked = x[order]
+    rank = np.empty(x.size, dtype=np.intp)
+    rank[order] = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    return rank
+
+
 def cindex_arrays(r: np.ndarray, t: np.ndarray, e: np.ndarray) -> float:
     """`harrell_cindex` on risk, time and event arrays of equal length."""
     if not r.shape == t.shape == e.shape or t.size < 2:
         raise ValueError("need matching risks and at least two patients")
     if not np.isfinite(r).all():
         raise ValueError("risk scores must be finite")
-    _, t_rank, t_counts = np.unique(t, return_inverse=True, return_counts=True)
-    r_rank = np.unique(r, return_inverse=True)[1]
+    t_rank, r_rank = _dense_ranks(t), _dense_ranks(r)
+    t_counts = np.bincount(t_rank)
     events = np.flatnonzero(e == 1)
     # comparable: for each event, the patients with a strictly later time
     n_comp = int((t.size - np.cumsum(t_counts)[t_rank[events]]).sum())
@@ -227,25 +248,33 @@ def mae_uncensored(pred_times: Sequence[float], t: np.ndarray, e: np.ndarray) ->
 
 def bootstrap_ci(metric: Callable[[Sequence], float | None], patients: Sequence, b: int,
                  level: float, seed: int) -> tuple[float, float]:
-    """Patient-level percentile bootstrap interval.
+    """Patient-level percentile bootstrap interval: `index_bootstrap_ci`
+    with each resample handed to `metric` as the list of its patients."""
+    pool = np.fromiter(patients, dtype=object, count=len(patients))
+    return index_bootstrap_ci(lambda idx: metric(pool[idx].tolist()), pool.size, b, level,
+                              seed)
 
-    Each resample draws n patients with replacement using a seed derived
-    from (seed, resample index). Resamples where the metric is undefined
-    (returns None or raises ValueError) are discarded; more than half
-    undefined is an error.
+
+def index_bootstrap_ci(metric: Callable[[np.ndarray], float | None], n: int, b: int,
+                       level: float, seed: int) -> tuple[float, float]:
+    """Percentile bootstrap interval over patients 0..n-1.
+
+    Each resample draws n patient indices with replacement using a seed
+    derived from (seed, resample index), and `metric` gets them as an array.
+    Resamples where the metric is undefined (returns None or raises
+    ValueError) are discarded; more than half undefined is an error.
     """
     if b < 100:
         raise ValueError("bootstrap needs at least 100 resamples")
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
-    n = len(patients)
     if n == 0:
         raise ValueError("no patients to resample")
     values = []
     for child in np.random.SeedSequence(seed).spawn(b):
         idx = np.random.default_rng(child).integers(0, n, size=n)
         try:
-            v = metric([patients[i] for i in idx.tolist()])
+            v = metric(idx)
         except ValueError:
             v = None
         if v is not None:

@@ -4,6 +4,8 @@ Everything here is written as plain per-patient loops, deliberately sharing
 no code with the library: pair enumeration for the rank metrics, an explicit
 product recursion for Kaplan-Meier, and direct summation for the weighted
 Brier integral. Used to pin the vectorized implementations to 1e-12.
+`argsort_later_smaller_counts` is the C-index's merge count in its first
+numpy form, one stable argsort and one gather per merge level.
 The curve classes and functions below are the per-patient scalar forms of
 the (n, K) curve transforms, the reference the arrays are held to with ==.
 `concat_step` is the evolution step in its first form, dense and per node.
@@ -135,6 +137,35 @@ def pair_cindex(risks, labels):
                 elif risks[i] == risks[j]:
                     num += 0.5
     return None if den == 0 else num / den
+
+
+def argsort_later_smaller_counts(ranks, query):
+    """Sum over positions p in `query` of #{j > p : ranks[j] < ranks[p]}.
+
+    Codes 2r (queried) or 2r + 1, padded to a power of two; a dense
+    comparison inside 32-aligned blocks, then at each merge level one stable
+    argsort merges the two sorted halves of each row, and a left code moved
+    from index i to k has k - i smaller right codes ahead.
+    """
+    base = 32
+    n = ranks.size
+    size = 1 << max(base.bit_length() - 1, (n - 1).bit_length())
+    code = np.full(size, 2 * n + 1, dtype=np.int32)
+    code[:n] = 2 * ranks + 1
+    code[query] -= 1
+    rows = code.reshape(-1, base)
+    pairs = rows[:, :, None] > rows[:, None, :]
+    pairs &= np.triu(np.ones((base, base), dtype=bool), 1)
+    pairs &= (rows % 2 == 0)[:, :, None]
+    total = int(np.count_nonzero(pairs))
+    merged = np.sort(rows, axis=1)
+    for w in (base << np.arange((size // base).bit_length() - 1)).tolist():
+        merged = merged.reshape(-1, 2 * w)
+        order = np.argsort(merged, axis=1, kind="stable")
+        merged = np.take_along_axis(merged, order, axis=1)
+        ahead = np.arange(2 * w) - order
+        total += int(ahead[(order < w) & (merged % 2 == 0)].sum())
+    return total
 
 
 def pair_auc(scores, labels, horizon):

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import list_kfold, per_region_simulate
-from trajsurv.cohort import (REGION_KEYS, CohortError, Scenario, augment, load_cohort,
-                             make_cohort, oracle_cindex, record_to_graph, save_cohort,
-                             simulate_cohort, stratified_repeated_kfold)
+from trajsurv.cohort import (_MIN_GROUP_HAZARD, REGION_KEYS, CohortError, Scenario,
+                             _geometric_time, augment, load_cohort, make_cohort,
+                             oracle_cindex, record_to_graph, save_cohort, simulate_cohort,
+                             stratified_repeated_kfold)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 
 
@@ -443,6 +444,21 @@ class TestSimulator:
             Scenario(hazard_ratio=0.0)
         with pytest.raises(ValueError):
             Scenario(base_os_hazard=0.4, base_dfs_hazard=0.3)
+
+    def test_smallest_group_hazard_draws_exact_integer_times(self):
+        """At the smallest accepted hazard the largest uniform draw gives the
+        time 2^53 - 1; one ulp below it, or a group hazard made that small by
+        the ratio, the scenario is refused before any draw."""
+        h = _MIN_GROUP_HAZARD
+        largest_u = np.array([np.nextafter(1.0, 0.0)])
+        assert _geometric_time(largest_u, np.array([h])).tolist() == [2 ** 53 - 1]
+        Scenario(base_os_hazard=h, base_dfs_hazard=h)
+        for kwargs in ({"base_os_hazard": np.nextafter(h, 0.0), "base_dfs_hazard": h},
+                       {"base_os_hazard": 1e-17, "base_dfs_hazard": 1e-17},
+                       {"base_os_hazard": 1e-300, "base_dfs_hazard": 1e-300},
+                       {"hazard_ratio": 1e-300}):
+            with pytest.raises(ValueError, match="exact integer"):
+                Scenario(**kwargs)
 
 
 class TestSplits:

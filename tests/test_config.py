@@ -163,6 +163,23 @@ class TestValidation:
         assert err.startswith("config error: simulate: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("hazard", (1e-17, 1e-300))
+    def test_base_hazard_without_integer_times_exits_one_before_any_draw(self, hazard,
+                                                                         tmp_path, capsys):
+        # Below about 4.1e-15 the longest geometric draw is no float64
+        # integer: at 1e-300 the int64 cast wrapped every time, at 1e-17 the
+        # times reached 2e17 years.
+        from trajsurv.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"simulate": {"base_os_hazard": hazard,
+                                                 "base_dfs_hazard": hazard}}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulate: group hazards") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("attention_dim", [0, -1])
     def test_gat_attention_dim_below_one_exits_one(self, attention_dim, tmp_path, capsys):
         doc = {"model": {"backbone": "gat", "attention_dim": attention_dim}}

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (arrays, direct_ibs, km_censor_at, pair_auc, pair_cindex,
-                     random_survival_instance, unweighted_ibs)
+from oracles import (argsort_later_smaller_counts, arrays, direct_ibs, km_censor_at,
+                     pair_auc, pair_cindex, random_survival_instance, unweighted_ibs)
 from trajsurv.heads import annual_bins
-from trajsurv.metrics import (IpcwCapWarning, _later_smaller_counts, bootstrap_ci,
+from trajsurv.metrics import (_BASE, IpcwCapWarning, _later_smaller_counts, bootstrap_ci,
                               cindex_arrays, format_ci, harrell_cindex, integrated_brier,
                               km_censoring_survival, mae_uncensored,
                               time_dependent_auc)
@@ -189,6 +189,33 @@ def test_later_smaller_counts_match_direct_count(n):
         query = np.flatnonzero(rng.random(n) < 0.6)
         want = sum(int((ranks[p + 1:] < ranks[p]).sum()) for p in query)
         assert _later_smaller_counts(ranks, query) == want
+
+
+# one below, at and one above each padded size from one block to 128 blocks
+_EDGE_SIZES = [1, 2] + [(_BASE << k) + d for k in range(8) for d in (-1, 0, 1)]
+
+
+@st.composite
+def ranks_and_queries(draw):
+    """Ranks with 1, 2, 3 or up to n distinct values and an empty, full or
+    random query set, at sizes 1 to 5000."""
+    n = draw(st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(1, 5000)))
+    distinct = draw(st.sampled_from([1, 2, 3, n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = rng.integers(0, distinct, n)
+    query = draw(st.sampled_from([np.arange(0), np.arange(n),
+                                  np.flatnonzero(rng.random(n) < rng.random())]))
+    return ranks, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranks_and_queries())
+@example((np.array([0]), np.arange(1)))
+@example((np.zeros(4097, dtype=np.int64), np.arange(4097)))
+def test_later_smaller_counts_equal_the_argsort_merge(case):
+    """The value-sort levels count what the stable-argsort levels count."""
+    ranks, query = case
+    assert _later_smaller_counts(ranks, query) == argsort_later_smaller_counts(ranks, query)
 
 
 class TestRankMetricMemory:
@@ -383,6 +410,17 @@ class TestBootstrap:
         by_index = bootstrap_ci(lambda idx: cindex_arrays(risks[idx], t[idx], e[idx]),
                                 range(len(items)), b=200, level=0.9, seed=21)
         assert by_index == by_items
+
+    def test_harrell_cindex_interval_is_the_pair_count_interval(self):
+        """200 patients with tied times and risks: resample by resample the
+        kernel and the pair enumeration give the same value, or both none."""
+        rng = np.random.default_rng(31)
+        labels = [lab(t, e) for t, e in zip(rng.integers(0, 8, 200), rng.random(200) < 0.5)]
+        items = list(zip((rng.integers(0, 12, 200) / 4.0).tolist(), labels))
+        split = lambda sample: ([r for r, _ in sample], [l for _, l in sample])
+        by_kernel = bootstrap_ci(lambda s: harrell_cindex(*split(s)), items, 100, 0.95, seed=4)
+        by_pairs = bootstrap_ci(lambda s: pair_cindex(*split(s)), items, 100, 0.95, seed=4)
+        assert by_kernel == by_pairs
 
     def test_mostly_undefined_is_error(self):
         with pytest.raises(ValueError, match="undefined"):
