@@ -4,7 +4,8 @@
 # --out, of a base hazard too small for integer event times, of an output
 # file that is a directory, of no command and of a diverging run, the
 # gradient check, byte-identical reruns of a tiny gat crossval, and a
-# trained model file read back by evaluate. Usage:
+# trained model file read back by evaluate, twice with the same bytes.
+# Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
 
@@ -65,6 +66,16 @@ test "$(wc -l < blocked.err)" -eq 1
 test ! -e blocked/training_log.txt
 trajsurv evaluate --config train.json --model trained/model.npz --out evaluated
 test -s evaluated/report.json
+# One header line and one line per patient, task and bin: 1 + 20 * 2 * 4.
+test "$(wc -l < evaluated/curves.csv)" -eq 161
+# The same evaluate again writes the same bytes. It writes into the same
+# --out, because report.json echoes the output directory.
+mkdir evaluated_first
+cp evaluated/report.json evaluated/metrics.csv evaluated/curves.csv evaluated_first/
+trajsurv evaluate --config train.json --model trained/model.npz --out evaluated
+for name in report.json metrics.csv curves.csv; do
+  cmp "evaluated_first/$name" "evaluated/$name"
+done
 echo '{"simulate": {"n": 10, "region_len": 3, "clinical_len": 2}}' > wide.json
 trajsurv simulate --config wide.json --out wide
 echo '{"paths": {"cohort": "wide/cohort.json"}}' > wide_eval.json

@@ -58,13 +58,34 @@ class CurveRow:
     survival: float
 
 
+@dataclass(eq=False)
+class CurveTable:
+    """Curves held as arrays: the patient ids (n,) and, per task, the (n, K)
+    hazards and survival. Its rows are made only when it is iterated: one
+    `CurveRow` per (patient, task, bin), patient by patient, task by task,
+    bin by bin."""
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=object))
+    tasks: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return sum(hazard.size for hazard, _ in self.tasks.values())
+
+    def __iter__(self):
+        for i, pid in enumerate(self.ids.tolist()):
+            for task, (hazard, survival) in self.tasks.items():
+                for k, (h, s) in enumerate(zip(hazard[i].tolist(), survival[i].tolist())):
+                    yield CurveRow(pid, task, k, h, s)
+
+
 @dataclass
 class CvReport:
+    """The report of a run. `curves` holds the repeat-0 curves of its folds
+    as arrays, in outcome order; `emit_report` writes them row by row."""
     variant: str
     config: dict
     seed: int
     rows: list[FoldRow] = field(default_factory=list)
-    curves: list[CurveRow] = field(default_factory=list)
+    curves: CurveTable = field(default_factory=CurveTable)
     failed_folds: list[dict] = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
     ci: dict = field(default_factory=dict)
@@ -255,19 +276,27 @@ def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutco
             "formatted": f"{point:.3f} with a {format_ci(config.eval.level, lo, hi)}"}
 
 
+def _curve_table(outcomes: list[FoldOutcome]) -> CurveTable:
+    """The curves of the outcomes that hold them, joined in outcome order."""
+    if not outcomes:
+        return CurveTable()
+    return CurveTable(np.concatenate([o.ids for o in outcomes]),
+                      {task: tuple(np.concatenate([o.curves[task][j] for o in outcomes])
+                                   for j in (0, 1)) for task in TASKS})
+
+
 def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
              cohort: CohortArrays | None = None) -> CvReport:
-    """The report of `outcomes`, in their order. Given the `cohort`, it also
-    holds the pooled C-index interval of each task."""
+    """The report of `outcomes`, in their order: its rows, and its curves as
+    one `CurveTable` of the repeat-0 folds' arrays, with no object per row.
+    Given the `cohort`, it also holds the pooled C-index interval of each
+    task."""
     done = [o for o in outcomes if o.failure is None]
     rows = [row for o in done for row in o.rows]
     flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
     return CvReport(
         variant=variant, config=config_to_dict(config), seed=config.train.seed, rows=rows,
-        # patient by patient, task by task, bin by bin
-        curves=[CurveRow(pid, task, k, h, s) for o in done if o.ids is not None
-                for i, pid in enumerate(o.ids.tolist()) for task in TASKS
-                for k, (h, s) in enumerate(zip(*(a[i].tolist() for a in o.curves[task])))],
+        curves=_curve_table([o for o in done if o.ids is not None]),
         failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
                       for o in outcomes if o.failure is not None],
         aggregate=_aggregate(rows),

@@ -7,14 +7,14 @@ metrics propagate as None (missing), never as zeros.
 
 Cost for n patients, none of it an n x n matrix:
 - `harrell_cindex`: O(n) memory, O(n log^2 n) time. Three argsorts (the
-  time ranks, the risk ranks and the (time, risk) order), one dense
-  comparison inside aligned blocks of 32 patients (32 booleans per
-  patient), then ceil(log2 n) - 5 merge levels. Each level is one in-place
-  value sort of rows made of two sorted runs and two masked index sums,
-  with no argsort and no gather. A level is O(n log n), not the O(n) of a
-  stable merge, but numpy's vectorised int32 sort is the faster at these
-  sizes: 7 us for 2048 keys against 120 us for a stable argsort (2-core
-  Xeon).
+  time ranks, the risk ranks and the (time, risk) order), one
+  gather-compare of the 496 pairs inside each aligned block of 32 patients
+  (15.5 booleans per patient), then ceil(log2 n) - 5 merge levels. Each
+  level is one in-place value sort of rows made of two sorted runs and two
+  masked index sums, with no argsort and no gather. A level is O(n log n),
+  not the O(n) of a stable merge, but numpy's vectorised int32 sort is the
+  faster at these sizes: 7 us for 2048 keys against 120 us for a stable
+  argsort (2-core Xeon).
 - `time_dependent_auc`: O(n) memory; one sort of the controls and two
   binary searches per case, O(n log n) time.
 - `km_censoring_survival`: O(n) memory; one sorted pass, O(n log n) time.
@@ -42,15 +42,21 @@ IPCW_WEIGHT_CAP = 100.0
 
 
 _BASE = 32
-_LATER = np.triu(np.ones((_BASE, _BASE), dtype=bool), 1)   # [p, j]: j > p
+_P, _J = np.triu_indices(_BASE, 1)   # the 496 positions p < j within a block
+# Blocks per gather-compare: its (496, 64) operands stay in cache, where
+# gathering all blocks at once was slower than a dense compare from n = 5000.
+_CHUNK = 64
 
 
 def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     """Sum over positions p in `query` of #{j > p : ranks[j] < ranks[p]}.
 
     Ranks become codes 2r (queried) or 2r + 1, padded to a power of two with
-    a code above all. Pairs within a 32-aligned block: one dense (blocks, 32,
-    32) comparison kept where p is queried. Then merge levels: at width w, the
+    a code above all. Pairs within a 32-aligned block: the codes are laid out
+    as (32, blocks) columns, 64 blocks at a time. A copy with the code of
+    every unqueried p set to -1 is gathered at the rows p of the 496 pairs
+    p < j and compared with the codes gathered at their rows j, so one
+    comparison counts them all. Then merge levels: at width w, the
     pairs with p in the left and j in the right half of a 2w-aligned block.
     Each half is held sorted as keys 2 code + half (0 left, 1 right), so one
     value sort of each 2w row merges them, and a left key sorts ahead of the
@@ -64,12 +70,11 @@ def _later_smaller_counts(ranks: np.ndarray, query: np.ndarray) -> int:
     code = np.full(size, 2 * n + 1, dtype=np.int32)
     code[:n] = 2 * ranks + 1
     code[query] -= 1
-    rows = code.reshape(-1, _BASE)
-    pairs = rows[:, :, None] > rows[:, None, :]    # [block, p, j]
-    pairs &= _LATER
-    pairs &= (rows % 2 == 0)[:, :, None]
-    total = int(np.count_nonzero(pairs))
-    del pairs
+    # [chunk, p, block]: 64 blocks, or all of them, per chunk
+    cols = code.reshape(-1, min(size // _BASE, _CHUNK), _BASE).transpose(0, 2, 1).copy()
+    left = cols | -(cols & 1)   # an odd (unqueried) code becomes -1
+    total = sum(int(np.count_nonzero(lp.take(_P, axis=0) > cp.take(_J, axis=0)))
+                for lp, cp in zip(left, cols))
     keys = code << 1
     keys.reshape(-1, _BASE).sort(axis=1)
     index = np.arange(size)

@@ -8,6 +8,8 @@ Brier integral. Used to pin the vectorized implementations to 1e-12.
 numpy form, one stable argsort and one gather per merge level.
 The curve classes and functions below are the per-patient scalar forms of
 the (n, K) curve transforms, the reference the arrays are held to with ==.
+`curve_rows` is a report's curves in their first form, one `CurveRow` per
+(patient, task, bin) built from the fold outcomes.
 `concat_step` is the evolution step in its first form, dense and per node.
 `lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
 nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
@@ -31,6 +33,7 @@ import numpy as np
 
 from trajsurv import autodiff as ad
 from trajsurv.cohort import CohortError, FoldSpec, _geometric_time, make_cohort
+from trajsurv.crossval import TASKS, CurveRow
 from trajsurv.evolution import Blocks, adjacency, mean_pool
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
@@ -119,6 +122,15 @@ def scalar_point_estimate(curve, bins):
         raise ValueError(f"curve has {s.shape[0]} bins, grid has {bins.count}")
     mass = np.concatenate(([1.0], s[:-1])) - s
     return float(mass @ bins.midpoints() + s[-1] * bins.edges[-1])
+
+
+def curve_rows(outcomes):
+    """The curve rows of the repeat-0 outcomes that did not fail, in outcome
+    order: patient by patient, task by task, bin by bin."""
+    return [CurveRow(pid, task, k, h, s) for o in outcomes
+            if o.failure is None and o.ids is not None
+            for i, pid in enumerate(o.ids.tolist()) for task in TASKS
+            for k, (h, s) in enumerate(zip(*(a[i].tolist() for a in o.curves[task])))]
 
 
 def pair_cindex(risks, labels):

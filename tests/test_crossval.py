@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ import pytest
 from trajsurv import autodiff as ad
 from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
-from oracles import pair_cindex, scalar_hazards, scalar_point_estimate, scalar_survival
+from oracles import (curve_rows, pair_cindex, scalar_hazards, scalar_point_estimate,
+                     scalar_survival)
 from trajsurv.cohort import simulate_cohort, stratified_repeated_kfold
 from trajsurv.heads import point_estimate_time
-from trajsurv.crossval import (CurveRow, CvReport, FoldRow, _aggregate, apply_variant,
+from trajsurv.crossval import (CurveTable, CvReport, FoldRow, _aggregate, apply_variant,
                                emit_report, evaluate_model, run_ablation, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
 from trajsurv.model import init_model
@@ -157,9 +159,56 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
     again = cv.assemble(config, "no_cascade", restored, cohort)
     assert report.failed_folds == [{"repeat": 0, "fold": 1, "reason": "synthetic blow-up"}]
     assert report.checks == {"os_context_grad_zero": True}
-    for name in ("rows", "curves", "ci", "checks", "failed_folds", "aggregate",
-                 "ipcw_capped_folds", "config"):
+    for name in ("rows", "ci", "checks", "failed_folds", "aggregate", "ipcw_capped_folds",
+                 "config"):
         assert getattr(again, name) == getattr(report, name), name
+    # Two of the three repeat-0 folds hold curves, row for row the oracle's.
+    rows = curve_rows(outcomes)
+    assert len(report.curves) == len(again.curves) == len(rows) > 0
+    assert list(again.curves) == list(report.curves) == rows
+
+
+@pytest.mark.parametrize("run", ["crossval_with_absent_regions", "evaluate"])
+def test_curve_table_rows_are_the_oracle_rows_of_its_outcomes(run, monkeypatch):
+    """The rows a report's curves yield, and their count, are those of the
+    outcomes it was assembled from."""
+    config = small_config(cv={"repeats": 1})
+    cohort, _ = simulate_cohort(config.simulate.n, seed=2, scenario=config.simulate.scenario())
+    real, outcomes = cv.assemble, []
+    monkeypatch.setattr(cv, "assemble", lambda config, variant, got, cohort=None: (
+        outcomes.extend(got) or real(config, variant, got, cohort)))
+    if run == "evaluate":
+        model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(3))
+        report = evaluate_model(model, cohort, config)
+    else:
+        present = cohort.present.copy()
+        present[::3, 0] = False          # the liver of every third patient
+        present[1::4, [1, 3]] = False
+        report = run_crossval(config, cohort.with_presence(present))
+    rows = curve_rows(outcomes)
+    assert len(report.curves) == len(rows) == len(cohort) * 2 * config.model.num_bins
+    assert list(report.curves) == rows
+
+
+def test_assembled_curves_hold_no_object_per_row():
+    """`assemble` of one outcome of 2000 patients at K = 12 keeps its curves
+    as arrays: under 2 MB retained, where a `CurveRow` per (patient, task,
+    bin) retained 8.1 MB."""
+    n, k = 2000, 12
+    rng = np.random.default_rng(0)
+    outcome = cv.FoldOutcome(0, 0, test=np.arange(n),
+                             curves={task: (rng.uniform(0.01, 0.5, (n, k)),
+                                            rng.uniform(0.0, 1.0, (n, k))) for task in cv.TASKS},
+                             ids=np.array([f"p{i}" for i in range(n)], dtype=object))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = cv.assemble(small_config(), "evaluate", [outcome])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.curves) == n * 2 * k
+    assert retained < 2 * 2**20, retained
 
 
 class TestAblation:
@@ -187,8 +236,9 @@ def synthetic_report():
     report = CvReport(variant="full", config={"note": "hand-built"}, seed=7)
     report.rows = [FoldRow(0, 0, "os", 0.123456789, None, 1.0, 0.5, 0.25, 2.0),
                    FoldRow(0, 0, "dfs", 0.75, 0.1, None, None, None, None)]
-    report.curves = [CurveRow("p0", "os", 0, 0.123456789, 0.987654321),
-                     CurveRow("p0", "os", 1, 0.25, 0.5)]
+    report.curves = CurveTable(np.array(["p0"], dtype=object),
+                               {"os": (np.array([[0.123456789, 0.25]]),
+                                       np.array([[0.987654321, 0.5]]))})
     report.aggregate = _aggregate(report.rows)
     return report
 
@@ -234,7 +284,10 @@ class TestEmitReport:
         report.seed = 8
         report.rows = report.rows[:1]
         # A hazard that cannot be formatted makes the write of curves.csv raise.
-        report.curves.append(CurveRow("p1", "os", 0, "not a number", 0.5))
+        report.curves = CurveTable(np.array(["p0", "p1"], dtype=object),
+                                   {"os": (np.array([[0.123456789, 0.25],
+                                                     ["not a number", 0.25]], dtype=object),
+                                           np.array([[0.987654321, 0.5], [0.5, 0.25]]))})
         with pytest.raises(ValueError):
             emit_report(report, tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
