@@ -344,8 +344,8 @@ def grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> float:
     else:
         leaves = [(f"param{i}", p) for i, p in enumerate(params)]
 
-    out = f()
-    auto = backward(out, params=[t for _, t in leaves])
+    # The analytic tape dies with this call, before the first perturbed one.
+    auto = backward(f(), params=[t for _, t in leaves])
     worst = 0.0
     for label, leaf in leaves:
         ad = auto[leaf].data

@@ -141,7 +141,7 @@ class FoldOutcome:
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     ids: np.ndarray | None = None
     capped: bool = False                     # an IPCW weight was capped
-    cascade_grad_zero: bool | None = None    # no_cascade variant only
+    cascade_grad_zero: bool | None = None    # models without the cascade only
     failure: str | None = None
 
 
@@ -228,8 +228,9 @@ def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
 
 
 def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
-             widths: dict[NodeKind, int], variant: str) -> FoldOutcome:
-    """Train the model of fold `spec` and score its test patients.
+             widths: dict[NodeKind, int]) -> FoldOutcome:
+    """Train the model of fold `spec` and score its test patients. A model
+    without the cascade also checks that no OS gradient reaches its context.
 
     A fold that fails to train (non-finite states, gradients, or losses) or
     whose hazards saturate its survival curves gives an outcome holding only
@@ -242,7 +243,7 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
         train_model(model, cohort.take(spec.train), cohort.take(spec.val),
                     dataclasses.replace(config.train, seed=fold_seed))
         outcome = _score(model, cohort, spec.test, config, spec.repeat, spec.fold)
-        if variant == "no_cascade":
+        if not config.model.cascade:
             outcome.cascade_grad_zero = _cascade_grad_check(
                 model, cohort.take(spec.test[:1]), model.config.bins())
     except (ad.NonFiniteError, SaturatedCurveError) as exc:
@@ -302,7 +303,7 @@ def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
         aggregate=_aggregate(rows),
         ci={} if cohort is None else {task: _pooled_ci(config, cohort, done, task)
                                       for task in TASKS},
-        checks={"os_context_grad_zero": flags[0]} if flags else {},
+        checks={"os_context_grad_zero": all(flags)} if flags else {},
         ipcw_capped_folds=sum(1 for o in done if o.capped))
 
 
@@ -311,7 +312,7 @@ def run_crossval(config: RunConfig, cohort: CohortArrays, variant: str = "full")
     the report; the caller decides whether too many folds failed."""
     start = time.perf_counter()
     widths = feature_widths(cohort)
-    outcomes = [run_fold(config, cohort, spec, widths, variant)
+    outcomes = [run_fold(config, cohort, spec, widths)
                 for spec in stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats,
                                                       config.train.seed)]
     report = assemble(config, variant, outcomes, cohort)

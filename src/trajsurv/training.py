@@ -42,6 +42,16 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
     return _mean_loss(model, labelled, bins, weights)
 
 
+def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
+                params: list[tuple[str, ad.Tensor]], state: OptimizerState,
+                settings: TrainSettings) -> float:
+    """One AdamW step on `batch`; returns its loss. The step's tape is bound
+    only in this frame, so it is freed on return, before the next forward."""
+    loss = _mean_loss(model, batch, bins, weights)
+    adamw_step(params, ad.backward(loss, params=[p for _, p in params]), state, settings)
+    return loss.item()
+
+
 def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
                 settings: TrainSettings) -> TrainResult:
     """Fit the model in place; the best-validation snapshot is restored.
@@ -50,7 +60,9 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
-    a slice of the shuffled training set.
+    a slice of the shuffled training set. Each step runs in `_train_step`,
+    so training holds one step's kept backward state at a time, and none
+    during validation.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
@@ -75,13 +87,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
                 items = augment(items, [int(np.random.SeedSequence(
                     [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
 
-            train_losses = []
-            for start in range(0, len(items), settings.batch_size):
-                part = items.take(slice(start, start + settings.batch_size))
-                loss = _mean_loss(model, part, bins, weights)
-                grads = ad.backward(loss, params=[p for _, p in params])
-                adamw_step(params, grads, state, settings)
-                train_losses.append(loss.item())
+            train_losses = [
+                _train_step(model, items.take(slice(start, start + settings.batch_size)),
+                            bins, weights, params, state, settings)
+                for start in range(0, len(items), settings.batch_size)]
 
             with ad.no_grad(p for _, p in params):
                 val_loss = _mean_loss(model, val, bins, weights).item()

@@ -112,12 +112,12 @@ def integrate(snapshots: Tensor, steps: int, params: LstmParams) -> Tensor:
     return node
 
 
-def _bw_lstm(node, g):
-    # Backpropagation through time over the cached [i f o g] gate blocks.
+def _gate_grads(node, g) -> np.ndarray:
+    """The (T, 4, B, d_h) gradient of the pre-activation gates [i f o g] of
+    the `lstm` node, by backpropagation through time from the upstream `g`."""
     z, w, gates, cells, hidden, tanh_c = node.ctx
-    steps, _, rows, d_h = gates.shape
-    d = z.shape[2]
-    w_h_t = w[:, d:].transpose(0, 2, 1)
+    steps = gates.shape[0]
+    w_h_t = w[:, z.shape[2]:].transpose(0, 2, 1)
     dh_out = g * (1.0 / steps)          # every h_t enters the mean once
     da = np.empty_like(gates)
     dh = dh_out
@@ -134,6 +134,16 @@ def _bw_lstm(node, g):
         dc_next = dc * a[1]
         if t:
             dh = dh_out + np.matmul(dat, w_h_t).sum(axis=0)
+    return da
+
+
+def _bw_lstm(node, g):
+    """The gradients of the snapshots and of the eight `lstm.*` leaves. No
+    (T, 4, ...) product is ever stacked; each gradient is summed in the order
+    of the sum over such a stack, so its bits are that sum's."""
+    z, w, _, _, hidden, _ = node.ctx
+    steps, d = z.shape[0], z.shape[2]
+    da = _gate_grads(node, g)
     # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
     # products, which would hold T copies of the weights at once.
     dw_x, dw_h = np.matmul(z[0].T, da[0]), np.matmul(hidden[0].T, da[0])
@@ -141,8 +151,15 @@ def _bw_lstm(node, g):
         dw_x += np.matmul(z[t].T, da[t])
         dw_h += np.matmul(hidden[t].T, da[t])
     db = da.sum(axis=(0, 2))
-    grads = [np.matmul(da, w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
-             if node.parents[0].requires_grad else None]
+    dz = None
+    if node.parents[0].requires_grad:
+        # Gate by gate, i f o g: the stacked (T, 4, B, d) product would be 4x dz.
+        w_x_t = w[:, :d].transpose(0, 2, 1)
+        dz = np.matmul(da[:, 0], w_x_t[0])
+        for k in (1, 2, 3):
+            dz += np.matmul(da[:, k], w_x_t[k])
+        dz = dz.reshape(-1, d)
+    grads = [dz]
     # Gate order i f o g back to the parents' order i, f, g, o.
     for k in (0, 1, 3, 2):
         grads += [np.concatenate([dw_x[k], dw_h[k]]), db[k:k + 1]]

@@ -12,7 +12,9 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 (patient, task, bin) built from the fold outcomes.
 `concat_step` is the evolution step in its first form, dense and per node.
 `lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
-nodes, and `leafwise_adamw_step` is AdamW one leaf at a time.
+nodes, `stacked_snapshot_grad` is the `lstm` node's snapshot gradient as
+one stacked (T, 4, B, d) product summed over its gates, and
+`leafwise_adamw_step` is AdamW one leaf at a time.
 `list_kfold` is the repeated stratified k-fold split in its list form,
 dealing patients one at a time.
 `per_region_simulate` is the cohort simulator in its per-region form: one
@@ -37,6 +39,7 @@ from trajsurv.crossval import TASKS, CurveRow
 from trajsurv.evolution import Blocks, adjacency, mean_pool
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
+from trajsurv.trajectory import _gate_grads
 
 
 def spmm(s, x):
@@ -380,6 +383,15 @@ def tape_integrate(snapshots, steps, params):
         h, c = lstm_step(rows_of(snapshots, t * rows, (t + 1) * rows), h, c, params)
         acc = h if acc is None else ad.add(acc, h)
     return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / steps)))
+
+
+def stacked_snapshot_grad(node, g):
+    """The snapshot gradient of the `lstm` node `node` from the upstream `g`,
+    as it was first computed: the (T, 4, B, d) product of every gate's
+    gradient with its input weights, summed over the gate axis."""
+    z, w = node.ctx[:2]
+    d = z.shape[2]
+    return np.matmul(_gate_grads(node, g), w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
 
 
 def leafwise_adamw_step(params, grads, state, settings):

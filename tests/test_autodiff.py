@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from trajsurv import autodiff as ad
+from trajsurv import trajectory
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
 from trajsurv.evolution import BACKBONES, Blocks, evolve, init_evolution
@@ -249,6 +250,41 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def _lstm_node(steps, rows, d, d_h, seed=0):
+    """An `lstm` node over (steps rows x d) snapshots that require grad, at
+    hidden width d_h, and an upstream gradient for its summary."""
+    rng = np.random.default_rng(seed)
+    snaps = ad.parameter(rng.normal(size=(steps * rows, d)))
+    leaves = []
+    for _ in range(4):
+        leaves += [ad.parameter(rng.normal(scale=0.05, size=(d + d_h, d_h))),
+                   ad.parameter(rng.normal(scale=0.05, size=(1, d_h)))]
+    node = integrate(snaps, steps, LstmParams(*leaves))
+    return node, rng.normal(size=node.shape)
+
+
+@pytest.mark.parametrize("steps,rows,d,d_h", [(1, 1, 3, 3), (5, 7, 4, 6), (12, 64, 32, 32)])
+def test_lstm_snapshot_gradient_is_the_stacked_gate_sum(steps, rows, d, d_h):
+    node, g = _lstm_node(steps, rows, d, d_h)
+    got = trajectory._bw_lstm(node, g)[0]
+    assert got.shape == (steps * rows, d)
+    assert np.array_equal(got, oracles.stacked_snapshot_grad(node, g))
+
+
+def test_lstm_backward_never_stacks_the_snapshot_gradient():
+    # At T = 64, B = 32, d = 256 and d_h = 32, the gate gradients take
+    # 2.1 MB and the snapshot gradient 4.2 MB; the stacked (T, 4, B, d)
+    # product of the two would take 16.8 MB more.
+    node, g = _lstm_node(64, 32, 256, 32)
+    tracemalloc.start()
+    try:
+        trajectory._bw_lstm(node, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_every_primitive_is_covered_by_fd_sweep():

@@ -144,7 +144,7 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
     report = run_crossval(config, cohort, variant="no_cascade")
     plan = stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats, config.train.seed)
     widths = cv.feature_widths(cohort)
-    outcomes = [cv.run_fold(config, cohort, spec, widths, "no_cascade") for spec in plan]
+    outcomes = [cv.run_fold(config, cohort, spec, widths) for spec in plan]
     restored = pickle.loads(pickle.dumps(outcomes))
     for got, want in zip(restored, outcomes, strict=True):
         for f in dataclasses.fields(cv.FoldOutcome):
@@ -224,6 +224,26 @@ class TestAblation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown ablation variant"):
             apply_variant(small_config(), "dropout")
+
+    def test_cascade_check_reports_every_fold(self):
+        # Hand-built outcomes: a later fold's nonzero context gradient counts.
+        config = small_config()
+
+        def assembled(*flags):
+            outcomes = [cv.FoldOutcome(0, fold, cascade_grad_zero=flag)
+                        for fold, flag in enumerate(flags)]
+            return cv.assemble(config, "no_cascade", outcomes).checks
+
+        assert assembled(True, False) == {"os_context_grad_zero": False}
+        assert assembled(False, True) == {"os_context_grad_zero": False}
+        assert assembled(True, True) == {"os_context_grad_zero": True}
+        assert assembled(None, None) == {}
+
+    def test_crossval_of_a_model_without_cascade_checks_it(self, small_run):
+        config = small_config(model={"cascade": False}, cv={"repeats": 1})
+        report = run_crossval(config, small_run[1])
+        assert report.variant == "full"
+        assert report.checks == {"os_context_grad_zero": True}
 
     def test_no_cascade_blocks_context_gradient(self, small_run):
         config, cohort, _ = small_run
