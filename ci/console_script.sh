@@ -3,8 +3,9 @@
 # directory: simulate and its byte-identical rerun, the exit codes of a bad
 # --out, of a base hazard too small for integer event times, of an output
 # file that is a directory, of no command and of a diverging run, the
-# gradient check, byte-identical reruns of a tiny gat crossval, and a
-# trained model file read back by evaluate, twice with the same bytes.
+# gradient check, byte-identical reruns of a tiny gat crossval and its pooled
+# C-index intervals, and a trained model file read back by evaluate, twice
+# with the same bytes.
 # Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
@@ -51,6 +52,15 @@ mkdir first
 cp gat/report.json gat/metrics.csv gat/curves.csv first/
 trajsurv crossval --config gat.json --out gat
 for name in report.json metrics.csv curves.csv; do cmp "first/$name" "gat/$name"; done
+# Its pooled C-index interval, for both tasks, holds its point and is formatted.
+python3 - gat/report.json <<'PY'
+import json, sys
+ci = json.load(open(sys.argv[1]))["ci"]
+for task in ("os", "dfs"):
+    c = ci[task]
+    assert c["lo"] <= c["point"] <= c["hi"], (task, c)
+    assert isinstance(c["formatted"], str) and c["formatted"], (task, c)
+PY
 # A model written by train is read back by evaluate on its own cohort; on a
 # cohort of other feature widths, evaluate exits 2 with one stderr line.
 echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4},

@@ -298,11 +298,18 @@ def _topo_order(output: Tensor) -> list[Tensor]:
     return order
 
 
+# The `ctx` of an interior node whose backward rule has run.
+_CONSUMED = object()
+
+
 def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
     """Gradients of a scalar output with respect to every trainable leaf.
 
     Leaves listed in `params` but unreachable from `output` get zero
     gradients. Keys are the leaf tensors themselves (identity semantics).
+    Each interior node's rule is the last reader of its `ctx`, so the `ctx`
+    is released as soon as the rule has run: a tape is backpropagated once,
+    and a second `backward` through it raises RuntimeError.
     """
     if output.shape != (1, 1):
         raise ShapeMismatchError("backward", output.shape)
@@ -317,7 +324,12 @@ def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Ten
             if node.op is None:
                 result[node] = Tensor(g)
                 continue
-            for parent, pg in zip(node.parents, _BACKWARD[node.op](node, g)):
+            if node.ctx is _CONSUMED:
+                raise RuntimeError(f"backward: a {node.op} node of this tape was already "
+                                   "backpropagated; run the forward pass again")
+            parent_grads = _BACKWARD[node.op](node, g)
+            node.ctx = _CONSUMED
+            for parent, pg in zip(node.parents, parent_grads):
                 if not parent.requires_grad:
                     continue
                 # Rules may hand back their upstream array, so sums are new arrays.

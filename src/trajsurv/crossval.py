@@ -16,7 +16,7 @@ from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import SaturatedCurveError, TimeBins, point_estimate_time
-from .metrics import (IpcwCapWarning, cindex_arrays, format_ci, index_bootstrap_ci,
+from .metrics import (IpcwCapWarning, bootstrap_cindex, cindex_arrays, format_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
 from .objective import discrete_nll
@@ -253,24 +253,33 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
 
 def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutcome],
                task: str) -> dict | None:
-    """Bootstrap interval of the C-index of each patient's mean risk over its folds."""
-    pooled: dict[int, list[float]] = {}
-    for o in outcomes:
-        for i, risk in zip(o.test.tolist(), o.risks[task].tolist()):
-            pooled.setdefault(i, []).append(risk)
-    ids = sorted(pooled)
-    if len(ids) < 2:
+    """Bootstrap interval of the C-index of each patient's mean risk over its
+    folds. The patients with c risks are one (patients, c) matrix of their
+    risks in outcome order, whose row means sum each row as `np.mean` sums
+    the patient's list; a sum in any other order differs from eight folds
+    on."""
+    if not outcomes:
         return None
-    # arrays built once; each resample indexes them
-    risk = np.array([np.mean(pooled[i]) for i in ids])
+    test = np.concatenate([o.test for o in outcomes])
+    counts = np.bincount(test)
+    ids = np.flatnonzero(counts)
+    if ids.size < 2:
+        return None
+    by_patient = np.concatenate([o.risks[task] for o in outcomes])[
+        np.argsort(test, kind="stable")]
+    counts = counts[ids]
+    starts = np.cumsum(counts) - counts
+    risk = np.empty(ids.size)
+    for c in np.unique(counts).tolist():
+        rows = counts == c
+        risk[rows] = by_patient[starts[rows, None] + np.arange(c)].mean(axis=1)
     t, e = cohort.time[task][ids], cohort.event[task][ids]
     try:
         point = cindex_arrays(risk, t, e)
         boot_seed = int(np.random.SeedSequence([config.train.seed, 5, TASKS.index(task)])
                         .generate_state(1)[0])
-        lo, hi = index_bootstrap_ci(lambda idx: cindex_arrays(risk[idx], t[idx], e[idx]),
-                                    len(ids), config.eval.bootstrap_b, config.eval.level,
-                                    boot_seed)
+        lo, hi = bootstrap_cindex(risk, t, e, config.eval.bootstrap_b, config.eval.level,
+                                  boot_seed)
     except ValueError as exc:
         return {"metric": "cindex", "error": str(exc)}
     return {"metric": "cindex", "point": point, "lo": lo, "hi": hi,

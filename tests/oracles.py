@@ -6,6 +6,9 @@ product recursion for Kaplan-Meier, and direct summation for the weighted
 Brier integral. Used to pin the vectorized implementations to 1e-12.
 `argsort_later_smaller_counts` is the C-index's merge count in its first
 numpy form, one stable argsort and one gather per merge level.
+`tie_table_cindex` is the array C-index with every cohort ranked on its
+own: two rank argsorts, a sorted (risk, time) key table binary-searched for
+the risk ties, and the (time, risk) order for the library's merge count.
 The curve classes and functions below are the per-patient scalar forms of
 the (n, K) curve transforms, the reference the arrays are held to with ==.
 `curve_rows` is a report's curves in their first form, one `CurveRow` per
@@ -38,6 +41,7 @@ from trajsurv.cohort import CohortError, FoldSpec, _geometric_time, make_cohort
 from trajsurv.crossval import TASKS, CurveRow
 from trajsurv.evolution import Blocks, adjacency, mean_pool
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
+from trajsurv.metrics import _later_smaller_counts
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
 from trajsurv.trajectory import _gate_grads
 
@@ -152,6 +156,41 @@ def pair_cindex(risks, labels):
                 elif risks[i] == risks[j]:
                     num += 0.5
     return None if den == 0 else num / den
+
+
+def _dense_ranks(x):
+    """Rank of each value among the distinct values of `x`, smallest 0."""
+    order = np.argsort(x)
+    ranked = x[order]
+    rank = np.empty(x.size, dtype=np.intp)
+    rank[order] = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    return rank
+
+
+def tie_table_cindex(r, t, e):
+    """The C-index of risk, time and event arrays, ranked from scratch."""
+    if not r.shape == t.shape == e.shape or t.size < 2:
+        raise ValueError("need matching risks and at least two patients")
+    if not np.isfinite(r).all():
+        raise ValueError("risk scores must be finite")
+    t_rank, r_rank = _dense_ranks(t), _dense_ranks(r)
+    t_counts = np.bincount(t_rank)
+    events = np.flatnonzero(e == 1)
+    # comparable: for each event, the patients with a strictly later time
+    n_comp = int((t.size - np.cumsum(t_counts)[t_rank[events]]).sum())
+    if n_comp == 0:
+        raise ValueError("no comparable pairs")
+    # tied: among those, the ones with the same risk rank (sorted queries)
+    m = t_counts.size
+    key = r_rank * m + t_rank
+    tie_keys, asked = np.sort(key), np.sort(key[events])
+    tied = int((np.searchsorted(tie_keys, (asked // m + 1) * m)
+                - np.searchsorted(tie_keys, asked, side="right")).sum())
+    # concordant: in (time, rank) order an event outranks exactly the later
+    # patients with a smaller rank, because equal times sort by rank
+    order = np.argsort(t_rank * t.size + r_rank)
+    concordant = _later_smaller_counts(r_rank[order], np.flatnonzero(e[order] == 1))
+    return float((concordant + 0.5 * tied) / n_comp)
 
 
 def argsort_later_smaller_counts(ranks, query):

@@ -309,6 +309,59 @@ def test_every_primitive_is_on_a_loss_tape():
     assert found == oracles.SRC_RULES
 
 
+def test_backward_frees_each_ctx_before_the_next_rule(monkeypatch):
+    # A node whose rule is the last reader of its 8 MiB ctx sits above a node
+    # whose rule allocates 8 MiB. Keeping every ctx until backward returns
+    # peaks at 16 MiB; releasing each once its rule has run, at 8 MiB.
+    size = 1 << 20
+    monkeypatch.setitem(ad._BACKWARD, "cached", lambda node, g: (g,))
+    monkeypatch.setitem(ad._BACKWARD, "scratch", lambda node, g: (g * np.ones(size)[:1],))
+    x = ad.parameter(np.ones((1, 1)))
+    tracemalloc.start()
+    try:
+        scratch = ad.Tensor._node(x.data.copy(), "scratch", (x,))
+        cached = ad.Tensor._node(scratch.data.copy(), "cached", (scratch,), ctx=np.ones(size))
+        grads = ad.backward(ad.sum_all(cached), params=[x])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[x].data[0, 0] == 1.0
+    assert peak < 1.5 * 8 * size
+
+
+def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
+    cohort, _ = simulate_cohort(10, seed=0)
+    config = ModelConfig(hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2, horizon=3,
+                         num_bins=3, message_dim=4)
+    model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+    loss = _mean_loss(model, cohort, config.bins(), LossWeights())
+    (lstm,) = [node for node in ad._topo_order(loss) if node.op == "lstm"]
+    assert isinstance(lstm.ctx, tuple)
+    released, evolve_rule = [], ad._BACKWARD["evolve"]
+
+    def spy(node, g):
+        released.append(lstm.ctx is ad._CONSUMED)
+        return evolve_rule(node, g)
+
+    monkeypatch.setitem(ad._BACKWARD, "evolve", spy)
+    ad.backward(loss, params=[p for _, p in model.named_parameters()])
+    assert released == [True]
+
+
+def test_second_backward_over_a_consumed_tape_raises():
+    x = ad.parameter(np.array([[0.5, -1.0]]))
+    hidden = ad.tanh(x)
+    loss = ad.sum_all(ad.mul(hidden, hidden))
+    first = ad.backward(loss, params=[x])[x].data
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ad.backward(loss, params=[x])
+    # A new output over the consumed part of the tape is refused as well.
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        ad.backward(ad.sum_all(hidden), params=[x])
+    fresh = ad.sum_all(ad.mul(ad.tanh(x), ad.tanh(x)))
+    assert np.array_equal(ad.backward(fresh, params=[x])[x].data, first)
+
+
 class TestGradCheck:
     def test_quadratic_is_exact_to_roundoff(self):
         x = ad.parameter([[1.0, -2.0], [0.5, 3.0]])

@@ -347,12 +347,13 @@ class TestAggregate:
 def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
     """The pooled interval equals, bit for bit, the pair-count C-index of each
     patient's mean risk over the repeats and the bootstrap of (risk, label)
-    items, with the risks read from every fold's predictions. At 9 repeats
-    with a failed fold, each mean is over 8 or 9 risks, and the mean risks
-    the pooled C-index reads are each `np.mean` of the patient's list: a
-    sum in another order differs in the last bits, which ranks cannot show."""
+    items, with the risks read from every fold's predictions. At 3 repeats
+    with the first repeat-0 fold failed, each mean is over 2 or 3 risks; at
+    9 repeats with a failed fold, over 8 or 9. The mean risks the pooled
+    C-index reads are each `np.mean` of the patient's list: a sum in another
+    order differs in the last bits, which ranks cannot show."""
     predict, real, cindex = cv._predict_fold, cv.train_model, cv.cindex_arrays
-    for repeats, failing_call in ((2, None), (9, 2)):
+    for repeats, failing_call in ((2, None), (3, 1), (9, 2)):
         config = small_config(cv={"repeats": repeats})
         cohort, _ = simulate_cohort(config.simulate.n, seed=0,
                                      scenario=config.simulate.scenario())

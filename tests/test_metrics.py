@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (argsort_later_smaller_counts, arrays, direct_ibs, km_censor_at,
-                     pair_auc, pair_cindex, random_survival_instance, unweighted_ibs)
+                     pair_auc, pair_cindex, random_survival_instance, tie_table_cindex,
+                     unweighted_ibs)
 from trajsurv.heads import annual_bins
-from trajsurv.metrics import (_BASE, IpcwCapWarning, _later_smaller_counts, bootstrap_ci,
-                              cindex_arrays, format_ci, harrell_cindex, integrated_brier,
+from trajsurv.metrics import (_BASE, IpcwCapWarning, _Concordance, _later_smaller_counts,
+                              bootstrap_ci, bootstrap_cindex, cindex_arrays, format_ci,
+                              harrell_cindex, index_bootstrap_ci, integrated_brier,
                               km_censoring_survival, mae_uncensored,
                               time_dependent_auc)
 from trajsurv.objective import SurvivalLabel
@@ -180,6 +182,112 @@ class TestRankMetricsEqualPairEnumeration:
             assert G.at_left(t) == km_censor_at(labels, t, left=True)
 
 
+def defined(cindex, *args):
+    """The C-index, or the message of the ValueError that says it is undefined."""
+    try:
+        return cindex(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def concordance_cohorts(draw):
+    """Risk, time and event arrays of 2-120 patients with few distinct times.
+    "spanning": small integer risks, one equal-risk pair at two times, so the
+    tie count takes its general path. "one_time": risks a function of time
+    alone, or all distinct, so every equal-risk run holds one time and the
+    tie count is 0. "tied": small integer risks, either path."""
+    n = draw(st.integers(2, 120))
+    kind = draw(st.sampled_from(["spanning", "one_time", "tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.integers(0, draw(st.integers(1, 8)), n).astype(np.float64)
+    e = (rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))).astype(np.int64)
+    if kind == "one_time":
+        r = t / 3.0 if draw(st.booleans()) else rng.normal(size=n)
+    else:
+        r = rng.integers(0, 4, n) / 4.0
+    if kind == "spanning":
+        r[1], t[1] = r[0], t[0] + 1.0
+    return kind, r, t, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(concordance_cohorts(), st.integers(0, 2**32 - 1))
+@example(("spanning", np.array([0.5, 0.5]), np.array([1.0, 2.0]), np.array([1, 0])), 0)
+@example(("one_time", np.array([1.0, 1.0, 2.0]), np.array([3.0, 3.0, 1.0]),
+          np.array([1, 1, 1])), 0)
+def test_prepared_cindex_is_the_tie_table_and_pair_count(cohort, seed):
+    """The prepared C-index, of the cohort and of three bootstrap draws by
+    their multiplicities, is == to the per-cohort oracle and the pair
+    enumeration, or all three are undefined."""
+    kind, r, t, e = cohort
+    prepared = _Concordance(r, t, e)
+    if kind != "tied":
+        assert (prepared.tie_order is None) == (kind == "one_time")
+    rng = np.random.default_rng(seed)
+    draws = [np.arange(t.size)] + [rng.integers(0, t.size, t.size) for _ in range(3)]
+    for idx in draws:
+        labels = [lab(a, b) for a, b in zip(t[idx], e[idx])]
+        pairs = pair_cindex(r[idx], labels)
+        want = "no comparable pairs" if pairs is None else pairs
+        assert defined(tie_table_cindex, r[idx], t[idx], e[idx]) == want
+        assert defined(prepared.cindex, np.bincount(idx, minlength=t.size)) == want
+    assert defined(cindex_arrays, r, t, e) == defined(tie_table_cindex, r, t, e)
+
+
+class TestBootstrapCindex:
+    """`bootstrap_cindex` against `index_bootstrap_ci` over the oracle, ==."""
+
+    @staticmethod
+    def oracle_interval(r, t, e, b, level, seed):
+        undefined = []
+
+        def metric(idx):
+            try:
+                return tie_table_cindex(r[idx], t[idx], e[idx])
+            except ValueError:
+                undefined.append(1)
+                raise
+
+        return index_bootstrap_ci(metric, t.size, b, level, seed), len(undefined)
+
+    @pytest.mark.parametrize("n, tied", [(200, True), (400, False)])
+    def test_interval_is_the_per_resample_interval(self, n, tied):
+        # three risk values over ten times, or continuous risks: both tie paths
+        rng = np.random.default_rng(n)
+        t = rng.integers(0, 10, n).astype(np.float64)
+        e = (rng.random(n) < 0.5).astype(np.int64)
+        r = rng.integers(0, 3, n) / 2.0 if tied else rng.normal(size=n)
+        assert (_Concordance(r, t, e).tie_order is not None) == tied
+        want, undefined = self.oracle_interval(r, t, e, 200, 0.95, 7)
+        assert bootstrap_cindex(r, t, e, 200, 0.95, 7) == want
+        assert undefined == 0
+
+    def test_draws_without_a_comparable_pair_are_skipped(self):
+        # One event among 12, at the earliest time: a draw without it has no
+        # comparable pair.
+        t = np.arange(12.0)
+        e = np.zeros(12, dtype=np.int64)
+        e[0] = 1
+        r = np.array([2.0, 1.0, 2.0, 0.5] * 3)
+        want, undefined = self.oracle_interval(r, t, e, 200, 0.9, 3)
+        assert 0 < undefined <= 100
+        assert bootstrap_cindex(r, t, e, 200, 0.9, 3) == want
+
+    def test_more_than_half_undefined_is_an_error(self):
+        # The one event is comparable only with the one later patient, so a
+        # draw is defined only when it holds both: about 4 draws in 10.
+        t = np.arange(20.0)
+        e = np.zeros(20, dtype=np.int64)
+        e[18] = 1
+        r = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match="bootstrap resamples undefined") as oracle:
+            self.oracle_interval(r, t, e, 200, 0.95, 5)
+        with pytest.raises(ValueError, match="bootstrap resamples undefined") as got:
+            bootstrap_cindex(r, t, e, 200, 0.95, 5)
+        assert str(got.value) == str(oracle.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 511, 512, 513, 1025])
 def test_later_smaller_counts_match_direct_count(n):
     """Sizes around the 32-wide base block and the power-of-two padding."""
@@ -243,6 +351,13 @@ class TestRankMetricMemory:
     def test_cindex_peak_below_limit(self):
         labels, risks = self.cohort()
         assert self.peak_bytes(lambda: harrell_cindex(risks, labels)) < self.LIMIT
+
+    def test_bootstrap_cindex_peak_below_limit(self):
+        # 100 draws, each counted in O(n) from the one prepared order
+        labels, risks = self.cohort()
+        t, e = arrays(labels)
+        peak = self.peak_bytes(lambda: bootstrap_cindex(risks, t, e, 100, 0.95, 3))
+        assert peak < self.LIMIT
 
     def test_auc_peak_below_limit(self):
         labels, scores = self.cohort()
