@@ -512,6 +512,35 @@ def test_crossval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs, so that one run forks its bootstrap draws")
+def test_crossval_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    # The pooled intervals' draws run on every CPU the process may use; the
+    # second child may use one, so it draws them all itself.
+    cohort = simulate_into(tmp_path, simulate={"n": 60, "region_len": 6, "clinical_len": 4})
+    config = write_config(tmp_path, name="cpus.json", cohort=cohort, cv={"k": 2, "repeats": 2},
+                          eval={"bootstrap_b": 400})
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from trajsurv.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+    outputs = []
+    for cpus in ("all", "one"):
+        run_dir = tmp_path / f"cpus-{cpus}"
+        run_dir.mkdir()
+        subprocess.run([sys.executable, "-c", code, cpus, "crossval", "--config", str(config),
+                        "--out", "out"], cwd=run_dir, env=env, check=True,
+                       capture_output=True, timeout=300)
+        outputs.append([(run_dir / "out" / name).read_bytes()
+                        for name in ("metrics.csv", "curves.csv", "report.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_console_script_check_passes_against_the_source_tree(tmp_path):
     # The CI step's script, with a `trajsurv` on PATH that runs this checkout's
     # cli module; CI runs the same script against the installed package.

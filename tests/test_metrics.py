@@ -1,7 +1,13 @@
 """Evaluation metrics pinned against brute-force oracles and hand examples."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (argsort_later_smaller_counts, arrays, direct_ibs, km_censor_at,
                      pair_auc, pair_cindex, random_survival_instance, tie_table_cindex,
                      unweighted_ibs)
+from trajsurv import metrics
 from trajsurv.heads import annual_bins
 from trajsurv.metrics import (_BASE, IpcwCapWarning, _Concordance, _later_smaller_counts,
                               bootstrap_ci, bootstrap_cindex, cindex_arrays, format_ci,
@@ -240,6 +247,8 @@ class TestBootstrapCindex:
 
     @staticmethod
     def oracle_interval(r, t, e, b, level, seed):
+        """The serial loop over the oracle, and its count of undefined draws,
+        which sees every draw only when no draw runs in a forked child."""
         undefined = []
 
         def metric(idx):
@@ -249,7 +258,9 @@ class TestBootstrapCindex:
                 undefined.append(1)
                 raise
 
-        return index_bootstrap_ci(metric, t.size, b, level, seed), len(undefined)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_workers", lambda: 1)
+            return index_bootstrap_ci(metric, t.size, b, level, seed), len(undefined)
 
     @pytest.mark.parametrize("n, tied", [(200, True), (400, False)])
     def test_interval_is_the_per_resample_interval(self, n, tied):
@@ -550,6 +561,165 @@ class TestBootstrap:
             bootstrap_ci(lambda s: 1.0, [], b=100, level=0.95, seed=0)
 
 
+class TestForkedDraws:
+    """`index_bootstrap_ci` with its draws split over forked workers, the
+    count monkeypatched through `metrics._workers`: the serial interval, a
+    child's error raised in the caller, and no child left after any call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_a_call(self):
+        yield
+        with pytest.raises(ChildProcessError):   # no child at all, zombies included
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def set_count(count):
+            monkeypatch.setattr(metrics, "_workers", lambda: count)
+        return set_count
+
+    def test_cindex_intervals_do_not_depend_on_the_worker_count(self, workers, monkeypatch):
+        # the defined draws' values, as the quantile receives them
+        seen = []
+        quantile = np.quantile
+        monkeypatch.setattr(np, "quantile", lambda a, q: seen.append(a) or quantile(a, q))
+        rng = np.random.default_rng(8)
+        t = rng.integers(0, 8, 150).astype(np.float64)
+        e = (rng.random(150) < 0.5).astype(np.int64)
+        r = rng.integers(0, 4, 150) / 2.0   # tie-heavy in time and in risk
+        items = list(zip(r.tolist(), [lab(a, b) for a, b in zip(t, e)]))
+        split = lambda sample: ([x for x, _ in sample], [y for _, y in sample])
+        # one event among 12, at the earliest time: about a third of the
+        # draws have no comparable pair
+        t_one = np.arange(12.0)
+        e_one = np.zeros(12, dtype=np.int64)
+        e_one[0] = 1
+        r_one = np.array([2.0, 1.0, 2.0, 0.5] * 3)
+        calls = [lambda: bootstrap_ci(lambda s: harrell_cindex(*split(s)), items, 200, 0.95, 5),
+                 lambda: bootstrap_cindex(r, t, e, 200, 0.95, 5),
+                 lambda: bootstrap_ci(lambda s: harrell_cindex(*split(s)),
+                                      list(zip(r_one.tolist(), [lab(a, b) for a, b in
+                                                                zip(t_one, e_one)])),
+                                      200, 0.9, 3),
+                 lambda: bootstrap_cindex(r_one, t_one, e_one, 200, 0.9, 3)]
+        for call in calls:
+            workers(1)
+            want = call()
+            for count in (2, 3):
+                workers(count)
+                assert call() == want
+                assert np.array_equal(seen[-1], seen[0])
+            seen.clear()
+
+    def test_later_chunks_run_in_forked_children(self, workers):
+        workers(2)
+        lo, hi = bootstrap_ci(lambda s: float(os.getpid()), range(10), 100, 0.98, 0)
+        assert os.getpid() in (lo, hi) and lo != hi
+
+    def test_one_cpu_never_forks(self, workers, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+        monkeypatch.setattr(os, "fork", no_fork)
+        workers(1)
+        assert bootstrap_ci(lambda s: float(os.getpid()), range(10), 100, 0.98, 0) == \
+            (os.getpid(), os.getpid())
+
+    def test_a_failed_fork_draws_here(self, workers, monkeypatch):
+        def no_process():
+            raise BlockingIOError("no process to be had")
+        data = list(np.random.default_rng(4).normal(size=30))
+        call = lambda: bootstrap_ci(lambda s: float(np.mean(s)), data, 300, 0.9, 2)
+        workers(1)
+        want = call()
+        monkeypatch.setattr(os, "fork", no_process)
+        workers(3)
+        assert call() == want
+
+    def test_a_type_error_in_a_child_is_raised_here(self, workers):
+        parent = os.getpid()
+
+        def metric(idx):
+            if os.getpid() != parent:
+                raise TypeError("a draw in a child")
+            return 0.5
+
+        workers(2)
+        with pytest.raises(TypeError, match="^a draw in a child$"):
+            index_bootstrap_ci(metric, 10, 100, 0.95, 0)
+
+    def test_a_value_error_in_a_child_is_an_undefined_draw(self, workers):
+        parent = os.getpid()
+
+        def metric(idx):
+            if os.getpid() != parent:
+                raise ValueError("undefined")
+            return 0.5
+
+        workers(2)   # 50 of 100 undefined: not more than half
+        assert index_bootstrap_ci(metric, 10, 100, 0.95, 0) == (0.5, 0.5)
+        workers(3)
+        with pytest.raises(ValueError, match="^67/100 bootstrap resamples undefined$"):
+            index_bootstrap_ci(metric, 10, 100, 0.95, 0)
+
+    def test_an_error_that_cannot_travel_is_named(self, workers):
+        class TwoPart(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a}-{b}")
+
+        parent = os.getpid()
+
+        def metric(idx):
+            if os.getpid() != parent:
+                raise TwoPart("left", "right")
+            return 0.5
+
+        workers(2)
+        with pytest.raises(RuntimeError, match="TwoPart could not be sent back: left-right"):
+            index_bootstrap_ci(metric, 10, 100, 0.95, 0)
+
+    def test_a_child_that_dies_makes_the_call_raise(self, workers):
+        parent = os.getpid()
+
+        def metric(idx):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.5
+
+        workers(2)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            index_bootstrap_ci(metric, 10, 100, 0.95, 0)
+
+    def test_an_interrupt_here_reaps_the_running_children(self, workers):
+        parent = os.getpid()
+
+        def metric(idx):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(0.2)   # each child is still drawing when the caller stops
+            return 0.5
+
+        workers(3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            index_bootstrap_ci(metric, 10, 100, 0.95, 0)
+        assert time.perf_counter() - start < 5.0
+
+    def test_a_child_flushes_no_inherited_output(self):
+        # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is set),
+        # so the parent's line is still in its buffer when the children fork.
+        code = ("from trajsurv import metrics\n"
+                "metrics._workers = lambda: 3\n"
+                "print('result line')\n"
+                "metrics.bootstrap_ci(lambda s: 1.0, range(10), 100, 0.95, 0)\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout == "result line\n"
+
+
 def test_format_ci_matches_reporting_style():
     assert format_ci(0.95, 0.711, 0.796) == "95% CI of [0.711, 0.796]"
     assert format_ci(0.9, 0.5, 0.25 + 0.25) == "90% CI of [0.500, 0.500]"
+    assert format_ci(0.975, 0.711, 0.796) == "97.5% CI of [0.711, 0.796]"
+    assert format_ci(0.999, 0.711, 0.796) == "99.9% CI of [0.711, 0.796]"
