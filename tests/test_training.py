@@ -248,3 +248,44 @@ def test_training_holds_one_step_tape_at_a_time(backbone):
                                                       LossWeights(1.0, 1.0)), params=params))
     training = traced_peak(lambda: train_model(model, train, val, settings))
     assert training <= 1.25 * step, (training, step)
+
+
+def featureless_cohort(n=40):
+    """n patients with identical features and every region present. Every
+    OS and DFS bin of the four annual bins has both events and patients who
+    survive it, so the life table d_k / r_k lies strictly inside (0, 1)."""
+    os_time = np.tile([0.5, 1.5, 2.5, 3.5, 5.0], n // 5)
+    dfs_time = np.minimum(os_time, np.tile([0.2, 0.7, 1.2, 2.2, 3.2], n // 5))
+    return make_cohort([f"p{i:02d}" for i in range(n)], np.full((n, 5, 4), 0.3),
+                       np.ones((n, 5), dtype=bool), np.zeros((n, 5, 3)), np.full((n, 3), 0.5),
+                       {"os": os_time, "dfs": dfs_time},
+                       {"os": np.tile([1, 1, 1, 1, 0, 0, 1, 0, 1, 0], n // 10),
+                        "dfs": np.tile([1, 0, 1, 1, 0, 1, 1, 0, 1, 1], n // 10)})
+
+
+def test_featureless_patients_learn_the_life_table():
+    # With identical features every patient has the same summary, so each
+    # head's logits are one free vector per bin, and the discrete-time NLL
+    # is minimised at the life table h_k = d_k / r_k: d_k events in bin k
+    # over the r_k patients whose bin is k or later, a patient censored in
+    # bin k surviving it. Validation is the training set, so the schedule and
+    # the best-epoch restore follow the same table. A 300-patient, default-width
+    # probe came within 4.5e-5, and these widths come within 3.1e-5.
+    cohort = featureless_cohort()
+    config, model = small_model(horizon=2, hidden_dim=4, time_dim=2, summary_dim=4,
+                                context_dim=2, message_dim=4)
+    train_model(model, cohort, cohort, quick_settings(batch_size=len(cohort), max_epochs=300,
+                                                      patience=300, weight_decay=0.0,
+                                                      scheduler_patience=10))
+    curves = model.predict_curves(cohort)
+    bins = config.bins()
+    for task in ("os", "dfs"):
+        hazard, survival = curves[task]
+        k, event = bins.index(cohort.time[task]), cohort.event[task]
+        d = np.bincount(k[event == 1], minlength=bins.count)
+        r = np.bincount(k, minlength=bins.count)[::-1].cumsum()[::-1]
+        assert ((0 < d) & (d < r)).all()
+        assert (hazard == hazard[0]).all() and (survival == survival[0]).all()
+        np.testing.assert_allclose(hazard[0], d / r, rtol=0, atol=1e-4, err_msg=task)
+        np.testing.assert_allclose(survival[0], np.cumprod(1.0 - d / r), rtol=0, atol=1e-4,
+                                   err_msg=task)
