@@ -4,7 +4,8 @@
 # --out, of a base hazard too small for integer event times, of an output
 # file that is a directory, of no command and of a diverging run, the
 # gradient check, byte-identical reruns of a tiny gat crossval and its pooled
-# C-index intervals, and a trained model file read back by evaluate, twice
+# C-index intervals, `ablate --variant no_cascade` against `crossval` with
+# `cascade: false`, and a trained model file read back by evaluate, twice
 # with the same bytes.
 # Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
@@ -32,7 +33,8 @@ test ! -e tiny_hazard/cohort.json
 status=0
 trajsurv || status=$?
 test "$status" -eq 1
-# The lazily imported gradient check and the whole tape.
+# The lazily imported gradient check: the hand-written gradients of the
+# whole pipeline against central differences of its loss.
 trajsurv gradcheck
 # A diverging run exits 3 with its one-line report as the only stderr output.
 echo '{"simulate": {"n": 20, "region_len": 2, "clinical_len": 2}}' > sim20.json
@@ -61,6 +63,19 @@ for task in ("os", "dfs"):
     assert c["lo"] <= c["point"] <= c["hi"], (task, c)
     assert isinstance(c["formatted"], str) and c["formatted"], (task, c)
 PY
+# An ablation is crossval of its override: `ablate --variant no_cascade` and
+# `crossval` with `cascade: false`, run into one --out, write the same
+# report.json, metrics.csv and curves.csv bytes.
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4},
+       "cv": {"k": 2, "repeats": 1}, "train": {"max_epochs": 2}}' > ablate.json
+trajsurv ablate --config ablate.json --variant no_cascade --out ablated
+mkdir ablated_first
+cp ablated/report.json ablated/metrics.csv ablated/curves.csv ablated_first/
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4,
+       "cascade": false}, "cv": {"k": 2, "repeats": 1}, "train": {"max_epochs": 2}}' \
+  > no_cascade.json
+trajsurv crossval --config no_cascade.json --out ablated
+for name in report.json metrics.csv curves.csv; do cmp "ablated_first/$name" "ablated/$name"; done
 # A model written by train is read back by evaluate on its own cohort; on a
 # cohort of other feature widths, evaluate exits 2 with one stderr line.
 echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4},

@@ -1,16 +1,17 @@
-"""Graph-trajectory survival prognosis on a self-contained autodiff engine.
+"""Graph-trajectory survival prognosis in numpy, with hand-written gradients.
 
 Pipeline: heterogeneous 7-slot patient graphs -> time-conditioned residual
 message passing -> LSTM trajectory integration -> cascaded discrete-time
 DFS/OS survival heads, with censored-survival training, evaluation metrics,
-and a repeated stratified cross-validation harness.
+and a repeated stratified cross-validation harness. Each stage writes its
+backward next to its forward, and `training.loss_and_grads` returns the
+loss with one gradient per parameter name.
 """
 
-from .autodiff import Tensor, backward, grad_check
 from .cohort import (CohortArrays, Scenario, augment, load_cohort, oracle_cindex,
                      save_cohort, simulate_cohort, stratified_repeated_kfold)
 from .config import RunConfig, config_from_dict, load_config
-from .crossval import emit_report, run_ablation, run_crossval
+from .crossval import emit_report, run_crossval
 from .graph import NodeKind
 from .heads import TimeBins, annual_bins
 from .metrics import (bootstrap_ci, harrell_cindex, integrated_brier,
@@ -22,11 +23,10 @@ from .training import train_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "backward", "grad_check",
     "CohortArrays", "Scenario", "augment", "load_cohort", "oracle_cindex",
     "save_cohort", "simulate_cohort", "stratified_repeated_kfold",
     "RunConfig", "config_from_dict", "load_config",
-    "emit_report", "run_ablation", "run_crossval",
+    "emit_report", "run_crossval",
     "NodeKind",
     "TimeBins", "annual_bins",
     "bootstrap_ci", "harrell_cindex", "integrated_brier", "km_censoring_survival",

@@ -9,7 +9,7 @@ from .cohort import Scenario, simulate_cohort
 from .graph import NodeKind
 from .model import ModelConfig, init_model
 from .objective import LossWeights
-from .training import _mean_loss
+from .training import _mean_loss, loss_and_grads
 
 
 def toy_setup(n_patients: int = 3, seed: int = 7, backbone: str = "graphsage"):
@@ -29,12 +29,11 @@ def toy_setup(n_patients: int = 3, seed: int = 7, backbone: str = "graphsage"):
 
 
 def full_pipeline_gradcheck(step: float = 1e-5, backbone: str = "graphsage") -> float:
-    """Max relative error of the tape gradient over the whole pipeline."""
+    """Max relative error of `loss_and_grads`' gradients over the whole
+    pipeline, against central differences of the same loss."""
     model, cohort = toy_setup(backbone=backbone)
     bins = model.config.bins()
     weights = LossWeights(1.0, 1.0)
-
-    def loss():
-        return _mean_loss(model, cohort, bins, weights)
-
-    return grad_check(loss, dict(model.named_parameters()), step=step)
+    _, grads = loss_and_grads(model, cohort, bins, weights)
+    return grad_check(lambda: _mean_loss(model, cohort, bins, weights), grads,
+                      dict(model.named_parameters()), step=step)

@@ -1,21 +1,18 @@
-"""Dense 2-D tensors with reverse-mode automatic differentiation: the tape.
+"""What the model's gradients share: the error classes, the parameter
+initialisers and the central-difference check.
 
-Every trainable part of the pipeline (node embeddings, the residual graph
-operator, the LSTM integrator, the survival heads) is expressed on this one
-tape. It holds nine generic primitives: matmul, add, mul, negate,
-concat-cols, reshape, log-sigmoid, tanh and sum-all. The model adds two
-fused nodes, each defined with its backprop-through-time rule in its own
-module: `evolution.evolve` and `trajectory.integrate` register the `evolve`
-and `lstm` rules in `_BACKWARD`, whose keys are the primitives; the losses
-of the model use every one of them.
-Tensors are immutable values once they participate in a tape; only leaf
-parameters are ever updated, and only between tapes (by the optimizer).
+Parameters are plain float64 arrays. Each stage of the model writes its
+backward next to its forward: `graph.embed_backward`,
+`evolution.evolve_backward`, `trajectory.integrate_backward` and
+`integrate_mean_backward`, `heads.heads_backward` and
+`objective.nll_backward`. `FullModel.backward` chains them, and
+`training.loss_and_grads` returns the loss with one gradient per parameter
+name.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -33,347 +30,43 @@ class NonFiniteError(ArithmeticError):
     """A value or gradient came out NaN/Inf."""
 
 
-class Tensor:
-    """A rows x cols matrix of float64 values, optionally recorded on a tape.
-
-    Interior nodes carry their op kind, parent references and any cached
-    context needed by the backward rule; leaves have op None. Gradients are
-    never stored on the tensor itself -- `backward` returns them in a map.
-    """
-
-    __slots__ = ("data", "op", "parents", "ctx", "requires_grad")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ShapeMismatchError("tensor", arr.shape)
-        self.data = arr
-        self.op: str | None = None
-        self.parents: tuple[Tensor, ...] = ()
-        self.ctx = None
-        self.requires_grad = requires_grad
-
-    @classmethod
-    def _node(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...], ctx=None) -> "Tensor":
-        t = cls.__new__(cls)
-        t.data = data
-        t.op = op
-        t.requires_grad = False
-        for p in parents:
-            if p.requires_grad:
-                t.requires_grad = True
-                break
-        # A node nothing differentiates through keeps no parents, so its
-        # inputs are freed as soon as the caller drops them.
-        t.parents = parents if t.requires_grad else ()
-        t.ctx = ctx
-        return t
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeMismatchError("item", self.shape)
-        return float(self.data[0, 0])
-
-    def __repr__(self) -> str:
-        return f"Tensor({self.rows}x{self.cols}, {self.op or 'leaf'})"
-
-
-def parameter(data) -> Tensor:
-    """A trainable leaf."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    """A trainable fan_in x fan_out weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A fan_in x fan_out weight drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def zero_bias(width: int) -> Tensor:
-    """A trainable 1 x width bias, all zero."""
-    return parameter(np.zeros((1, width)))
+def zero_bias(width: int) -> np.ndarray:
+    """A 1 x width bias, all zero."""
+    return np.zeros((1, width))
 
 
-def constant(data) -> Tensor:
-    """A non-trainable leaf (inputs, masks, adjacency and the like)."""
-    return Tensor(data)
+def grad_check(f: Callable[[], float], grads: Mapping[str, np.ndarray],
+               params: Mapping[str, np.ndarray], step: float = 1e-5) -> float:
+    """Max relative error between `grads` and central differences of `f`.
 
-
-@contextmanager
-def no_grad(leaves: Iterable[Tensor]):
-    """Treat `leaves` as constants inside the block.
-
-    Nothing computed there can be differentiated, so no tape is kept and a
-    forward pass frees each intermediate once the next one is built.
-    """
-    leaves = list(leaves)
-    saved = [leaf.requires_grad for leaf in leaves]
-    for leaf in leaves:
-        leaf.requires_grad = False
-    try:
-        yield
-    finally:
-        for leaf, flag in zip(leaves, saved):
-            leaf.requires_grad = flag
-
-
-# ---------------------------------------------------------------------------
-# Primitives. Each returns a new node; backward rules live in _BACKWARD.
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    return Tensor._node(a.data @ b.data, "matmul", (a, b))
-
-
-def _elementwise_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape:
-        return
-    # Broadcast-row pattern: one operand is a single row with matching cols.
-    if a.cols == b.cols and (a.rows == 1 or b.rows == 1):
-        return
-    raise ShapeMismatchError(op, a.shape, b.shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("add", a, b)
-    return Tensor._node(a.data + b.data, "add", (a, b))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("mul", a, b)
-    return Tensor._node(a.data * b.data, "mul", (a, b))
-
-
-def negate(a: Tensor) -> Tensor:
-    return Tensor._node(-a.data, "negate", (a,))
-
-
-def concat_cols(*tensors: Tensor) -> Tensor:
-    if not tensors:
-        raise ShapeMismatchError("concat-cols", ())
-    rows = tensors[0].rows
-    for t in tensors[1:]:
-        if t.rows != rows:
-            raise ShapeMismatchError("concat-cols", tensors[0].shape, t.shape)
-    widths = tuple(t.cols for t in tensors)
-    return Tensor._node(np.concatenate([t.data for t in tensors], axis=1),
-                        "concat-cols", tuple(tensors), widths)
-
-
-def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
-    """The entries of `a` in row-major order as a rows x cols matrix."""
-    if rows * cols != a.data.size:
-        raise ShapeMismatchError("reshape", a.shape, (rows, cols))
-    return Tensor._node(a.data.reshape(rows, cols), "reshape", (a,))
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    # log σ(x) = min(x, 0) - log(1 + e^-|x|): finite and exact at any logit.
-    x = a.data
-    return Tensor._node(np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x))), "log-sigmoid", (a,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Tensor._node(np.tanh(a.data), "tanh", (a,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return Tensor._node(np.array([[a.data.sum()]]), "sum-all", (a,))
-
-
-# ---------------------------------------------------------------------------
-# Backward rules: (node, upstream grad) -> per-parent gradients.
-# ---------------------------------------------------------------------------
-
-
-def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
-    # Undo broadcast-row expansion performed by an elementwise op.
-    if grad.shape == shape:
-        return grad
-    return grad.sum(axis=0, keepdims=True)
-
-
-# matmul and mul skip the half that belongs to a constant parent.
-def _bw_matmul(node, g):
-    a, b = node.parents
-    return (g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None)
-
-
-def _bw_add(node, g):
-    a, b = node.parents
-    return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
-
-
-def _bw_mul(node, g):
-    a, b = node.parents
-    return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
-            _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
-
-
-def _bw_negate(node, g):
-    return (-g,)
-
-
-def _bw_concat_cols(node, g):
-    out = []
-    start = 0
-    for w in node.ctx:
-        out.append(g[:, start:start + w])
-        start += w
-    return tuple(out)
-
-
-def _bw_reshape(node, g):
-    return (g.reshape(node.parents[0].shape),)
-
-
-def _bw_log_sigmoid(node, g):
-    # d/dx log σ(x) = σ(-x) = exp(log σ(x) - x), which cannot overflow.
-    return (g * np.exp(node.data - node.parents[0].data),)
-
-
-def _bw_tanh(node, g):
-    y = node.data
-    return (g * (1.0 - y * y),)
-
-
-def _bw_sum_all(node, g):
-    (a,) = node.parents
-    return (np.full_like(a.data, g[0, 0]),)
-
-
-# Keyed by the op name a tape node carries: these keys are the primitives.
-# `evolution` and `trajectory` add the rules of their fused nodes.
-_BACKWARD: dict[str, Callable] = {
-    "matmul": _bw_matmul,
-    "add": _bw_add,
-    "mul": _bw_mul,
-    "negate": _bw_negate,
-    "concat-cols": _bw_concat_cols,
-    "reshape": _bw_reshape,
-    "log-sigmoid": _bw_log_sigmoid,
-    "tanh": _bw_tanh,
-    "sum-all": _bw_sum_all,
-}
-
-
-def _topo_order(output: Tensor) -> list[Tensor]:
-    # Iterative post-order DFS (tensors hash by identity); parent order is
-    # fixed, so the ordering and hence gradient accumulation is deterministic.
-    order: list[Tensor] = []
-    visited: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in visited:
-            continue
-        visited.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and p not in visited:
-                stack.append((p, False))
-    return order
-
-
-# The `ctx` of an interior node whose backward rule has run.
-_CONSUMED = object()
-
-
-def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar output with respect to every trainable leaf.
-
-    Leaves listed in `params` but unreachable from `output` get zero
-    gradients. Keys are the leaf tensors themselves (identity semantics).
-    Each interior node's rule is the last reader of its `ctx`, so the `ctx`
-    is released as soon as the rule has run: a tape is backpropagated once,
-    and a second `backward` through it raises RuntimeError.
-    """
-    if output.shape != (1, 1):
-        raise ShapeMismatchError("backward", output.shape)
-
-    grads: dict[Tensor, np.ndarray] = {output: np.ones((1, 1))}
-    result: dict[Tensor, Tensor] = {}
-    if output.requires_grad:
-        for node in reversed(_topo_order(output)):
-            g = grads.pop(node, None)
-            if g is None:
-                continue
-            if node.op is None:
-                result[node] = Tensor(g)
-                continue
-            if node.ctx is _CONSUMED:
-                raise RuntimeError(f"backward: a {node.op} node of this tape was already "
-                                   "backpropagated; run the forward pass again")
-            parent_grads = _BACKWARD[node.op](node, g)
-            node.ctx = _CONSUMED
-            for parent, pg in zip(node.parents, parent_grads):
-                if not parent.requires_grad:
-                    continue
-                # Rules may hand back their upstream array, so sums are new arrays.
-                acc = grads.get(parent)
-                grads[parent] = pg if acc is None else acc + pg
-    if params is not None:
-        for p in params:
-            if p.requires_grad and p not in result:
-                result[p] = Tensor(np.zeros_like(p.data))
-    return result
-
-
-def grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `f` rebuilds its tape from the current contents of `params` on every
-    call; the leaves are perturbed in place and restored. The relative error
-    for one coordinate is |autodiff - fd| / max(1, |fd|).
+    `f` computes the loss from the current contents of `params`, arrays
+    keyed like `grads`; each entry is perturbed in place and restored. The
+    relative error of one coordinate is |grad - fd| / max(1, |fd|).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if isinstance(params, Mapping):
-        leaves = list(params.items())
-    else:
-        leaves = [(f"param{i}", p) for i, p in enumerate(params)]
-
-    # The analytic tape dies with this call, before the first perturbed one.
-    auto = backward(f(), params=[t for _, t in leaves])
     worst = 0.0
-    for label, leaf in leaves:
-        ad = auto[leaf].data
-        it = np.nditer(leaf.data, flags=["multi_index"])
+    for label, array in params.items():
+        analytic = grads[label]
+        it = np.nditer(array, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            saved = leaf.data[idx]
-            leaf.data[idx] = saved + step
-            fp = f().item()
-            leaf.data[idx] = saved - step
-            fm = f().item()
-            leaf.data[idx] = saved
+            saved = array[idx]
+            array[idx] = saved + step
+            fp = float(f())
+            array[idx] = saved - step
+            fm = float(f())
+            array[idx] = saved
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NonFiniteError(f"non-finite value while perturbing {label}{idx}")
             fd = (fp - fm) / (2.0 * step)
-            rel = abs(ad[idx] - fd) / max(1.0, abs(fd))
+            rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
             if rel > worst:
                 worst = rel
     return worst

@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from . import autodiff as ad
+from .autodiff import NonFiniteError
 from .cohort import (CohortError, load_cohort, save_cohort, simulate_cohort,
                      stratified_repeated_kfold)
 from .config import ConfigError, RunConfig, load_config
-from .crossval import (REPORT_FILES, VARIANTS, emit_report, evaluate_model, feature_widths,
-                       fold_model, run_ablation)
+from .crossval import (REPORT_FILES, emit_report, evaluate_model, feature_widths, fold_model,
+                       run_crossval)
 from .evolution import BACKBONES
 from .graph import GraphConstructionError
 from .heads import SaturatedCurveError
@@ -34,6 +34,12 @@ EXIT_TRAINING = 3
 _OUTPUT_FILES = {"simulate": ("cohort.json", "truth.json"),
                  "train": ("training_log.txt", "model.npz", "train_summary.json"),
                  "crossval": REPORT_FILES, "ablate": REPORT_FILES, "evaluate": REPORT_FILES}
+
+
+# `ablate --variant` -> its model overrides: a variant is `crossval` of the
+# config with these keys set, and writes what that `crossval` writes.
+ABLATIONS = {"full": {}, "static": {"horizon": 1}, "mean_integrator": {"integrator": "mean"},
+             "no_cascade": {"cascade": False}}
 
 
 class UsageError(Exception):
@@ -63,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("evaluate", help="evaluate a saved model on a cohort")
     common(pe)
     pe.add_argument("--model", default=None, help="model file (overrides paths.model)")
-    pa = sub.add_parser("ablate", help="run an ablation variant")
+    pa = sub.add_parser("ablate", help="crossval of the config with an ablation's overrides")
     common(pa)
-    pa.add_argument("--variant", required=True, choices=VARIANTS)
+    pa.add_argument("--variant", required=True, choices=tuple(ABLATIONS))
     common(sub.add_parser("gradcheck", help="finite-difference check of the full pipeline"),
            config_required=False)
     return parser
@@ -81,6 +87,9 @@ def _load(args) -> RunConfig:
     if args.out is not None:
         cfg = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths,
                                                                  output_dir=args.out))
+    if args.command == "ablate":
+        cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model,
+                                                                 **ABLATIONS[args.variant]))
     return cfg
 
 
@@ -144,8 +153,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(cfg: RunConfig, variant: str) -> int:
-    report = run_ablation(cfg, variant, _cohort(cfg))
+def cmd_crossval(cfg: RunConfig) -> int:
+    report = run_crossval(cfg, _cohort(cfg))
     paths = emit_report(report, cfg.paths.output_dir)
     for task in ("os", "dfs"):
         mean = report.mean_metric(task, "cindex")
@@ -205,7 +214,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         if args.command in ("crossval", "ablate"):
-            return cmd_ablate(cfg, getattr(args, "variant", "full"))
+            return cmd_crossval(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.model)
         raise UsageError(f"unknown command {args.command}")
@@ -216,7 +225,7 @@ def main(argv=None) -> int:
             FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ad.NonFiniteError as exc:
+    except NonFiniteError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

@@ -1,4 +1,4 @@
-"""Cross-validation engine, ablation variants, and report emission."""
+"""Cross-validation engine, single-model evaluation, and report emission."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import NonFiniteError
 from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
@@ -19,13 +19,8 @@ from .heads import SaturatedCurveError, TimeBins, point_estimate_time
 from .metrics import (IpcwCapWarning, bootstrap_cindex, cindex_arrays, format_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
-from .objective import discrete_nll
-from .training import train_model
-
-# Ablation variant -> its ModelConfig overrides; everything not named stays as in full.
-_OVERRIDES = {"full": {}, "static": {"horizon": 1}, "mean_integrator": {"integrator": "mean"},
-              "no_cascade": {"cascade": False}}
-VARIANTS = tuple(_OVERRIDES)
+from .objective import LossWeights
+from .training import loss_and_grads, train_model
 
 METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
 AUC_HORIZONS = (1.0, 3.0, 5.0)   # years: the horizons of auc1, auc3 and auc5
@@ -80,8 +75,9 @@ class CurveTable:
 @dataclass
 class CvReport:
     """The report of a run. `curves` holds the repeat-0 curves of its folds
-    as arrays, in outcome order; `emit_report` writes them row by row."""
-    variant: str
+    as arrays, in outcome order; `emit_report` writes them row by row.
+    `tied_risk_folds` names each (repeat, fold, task) whose test patients'
+    risks all tie, so that its C-index says nothing about the model."""
     config: dict
     seed: int
     rows: list[FoldRow] = field(default_factory=list)
@@ -91,6 +87,8 @@ class CvReport:
     ci: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     ipcw_capped_folds: int = 0
+    tied_risk_folds: list[dict] = field(default_factory=list)
+    evaluation: bool = False
     runtime_seconds: float = 0.0
 
     @property
@@ -103,7 +101,7 @@ class CvReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "variant": self.variant,
+            "evaluation": self.evaluation,
             "config": self.config,
             "seed": self.seed,
             "folds": [dataclasses.asdict(r) for r in self.rows],
@@ -111,7 +109,8 @@ class CvReport:
             "aggregate": self.aggregate,
             "ci": self.ci,
             "checks": self.checks,
-            "warnings": {"ipcw_capped_folds": self.ipcw_capped_folds},
+            "warnings": {"ipcw_capped_folds": self.ipcw_capped_folds,
+                         "tied_risk_folds": self.tied_risk_folds},
         }
 
 
@@ -194,18 +193,10 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 
 
 def _cascade_grad_check(model: FullModel, cohort: CohortArrays, bins: TimeBins) -> bool:
-    """True iff the OS loss of `cohort` sends exactly zero gradient to the
-    context weights."""
-    loss = discrete_nll(model.forward(cohort)["os"], cohort.time["os"], cohort.event["os"], bins)
-    grads = ad.backward(loss, params=[p for _, p in model.named_parameters()])
-    return all(np.all(grads[p].data == 0.0) for p in (model.heads.w_ctx, model.heads.b_ctx))
-
-
-def apply_variant(config: RunConfig, variant: str) -> RunConfig:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}; expected one of {VARIANTS}")
-    return dataclasses.replace(config, model=dataclasses.replace(config.model,
-                                                                 **_OVERRIDES[variant]))
+    """True iff the gradient of the OS term alone of `cohort`'s loss is
+    exactly zero at the context weights."""
+    _, grads = loss_and_grads(model, cohort, bins, LossWeights(1.0, 0.0))
+    return all(np.all(grads[name] == 0.0) for name in ("heads.w_ctx", "heads.b_ctx"))
 
 
 def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
@@ -246,7 +237,7 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
         if not config.model.cascade:
             outcome.cascade_grad_zero = _cascade_grad_check(
                 model, cohort.take(spec.test[:1]), model.config.bins())
-    except (ad.NonFiniteError, SaturatedCurveError) as exc:
+    except (NonFiniteError, SaturatedCurveError) as exc:
         return FoldOutcome(spec.repeat, spec.fold, failure=str(exc))
     return outcome
 
@@ -295,7 +286,7 @@ def _curve_table(outcomes: list[FoldOutcome]) -> CurveTable:
                                    for j in (0, 1)) for task in TASKS})
 
 
-def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
+def assemble(config: RunConfig, outcomes: list[FoldOutcome],
              cohort: CohortArrays | None = None) -> CvReport:
     """The report of `outcomes`, in their order: its rows, and its curves as
     one `CurveTable` of the repeat-0 folds' arrays, with no object per row.
@@ -305,7 +296,7 @@ def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
     rows = [row for o in done for row in o.rows]
     flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
     return CvReport(
-        variant=variant, config=config_to_dict(config), seed=config.train.seed, rows=rows,
+        config=config_to_dict(config), seed=config.train.seed, rows=rows,
         curves=_curve_table([o for o in done if o.ids is not None]),
         failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
                       for o in outcomes if o.failure is not None],
@@ -313,10 +304,13 @@ def assemble(config: RunConfig, variant: str, outcomes: list[FoldOutcome],
         ci={} if cohort is None else {task: _pooled_ci(config, cohort, done, task)
                                       for task in TASKS},
         checks={"os_context_grad_zero": all(flags)} if flags else {},
-        ipcw_capped_folds=sum(1 for o in done if o.capped))
+        ipcw_capped_folds=sum(1 for o in done if o.capped),
+        tied_risk_folds=[{"repeat": o.repeat, "fold": o.fold, "task": task}
+                         for o in done for task, risk in o.risks.items()
+                         if len(risk) > 1 and (risk == risk[0]).all()])
 
 
-def run_crossval(config: RunConfig, cohort: CohortArrays, variant: str = "full") -> CvReport:
+def run_crossval(config: RunConfig, cohort: CohortArrays) -> CvReport:
     """Train and score one model per (repeat, fold) of the plan, then assemble
     the report; the caller decides whether too many folds failed."""
     start = time.perf_counter()
@@ -324,13 +318,9 @@ def run_crossval(config: RunConfig, cohort: CohortArrays, variant: str = "full")
     outcomes = [run_fold(config, cohort, spec, widths)
                 for spec in stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats,
                                                       config.train.seed)]
-    report = assemble(config, variant, outcomes, cohort)
+    report = assemble(config, outcomes, cohort)
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-def run_ablation(config: RunConfig, variant: str, cohort: CohortArrays) -> CvReport:
-    return run_crossval(apply_variant(config, variant), cohort, variant=variant)
 
 
 def emit_report(report: CvReport, out_dir) -> dict[str, str]:
@@ -372,8 +362,7 @@ def emit_report(report: CvReport, out_dir) -> dict[str, str]:
     return paths
 
 
-def evaluate_model(model: FullModel, cohort: CohortArrays, config: RunConfig,
-                   variant: str = "evaluate") -> CvReport:
+def evaluate_model(model: FullModel, cohort: CohortArrays, config: RunConfig) -> CvReport:
     """Single-model evaluation presented as one pseudo-fold."""
     outcome = _score(model, cohort, np.arange(len(cohort)), config, 0, 0)
-    return assemble(config, variant, [outcome])
+    return dataclasses.replace(assemble(config, [outcome]), evaluation=True)

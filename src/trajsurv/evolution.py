@@ -13,10 +13,10 @@ Everything runs on a cohort slice of B patients in the 7-slot star layout
 star template, once per forward. The neighbour mean, the gcn normalisation
 and the readout are `Blocks`, stacks of B per-patient dense blocks applied
 with one batched matmul.
-`evolve` runs all T steps and their readouts as one tape node, `evolve`,
-and returns the T snapshots stacked step-major, (T B x d), rows tB..tB+B-1
-holding step t. Its backward rule, `_bw_evolve`, runs backpropagation
-through time and is registered in `autodiff._BACKWARD` below.
+`evolve` runs all T steps and their readouts and returns the T snapshots
+stacked step-major, (T B x d), rows tB..tB+B-1 holding step t. Asked to,
+it also keeps each step's states, from which `evolve_backward` runs
+backpropagation through time.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -52,8 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import NonFiniteError, ShapeMismatchError, Tensor, uniform_weight, zero_bias
+from .autodiff import NonFiniteError, ShapeMismatchError, uniform_weight, zero_bias
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
                     slots_in_use)
 
@@ -106,17 +105,17 @@ class EvolutionParams:
     """
 
     backbone: str
-    w_self: Tensor
-    w_neigh: Tensor | None
-    b_msg: Tensor
-    w_out: Tensor
-    b_out: Tensor
-    time_table: Tensor
-    attn_u: Tensor | None = None
-    attn_b: Tensor | None = None
-    attn_v: Tensor | None = None
+    w_self: np.ndarray
+    w_neigh: np.ndarray | None
+    b_msg: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+    time_table: np.ndarray
+    attn_u: np.ndarray | None = None
+    attn_b: np.ndarray | None = None
+    attn_v: np.ndarray | None = None
 
-    def named_leaves(self) -> list[tuple[str, Tensor]]:
+    def named_leaves(self) -> list[tuple[str, np.ndarray]]:
         pairs = [("op.w_self", self.w_self), ("op.b_msg", self.b_msg),
                  ("op.w_out", self.w_out), ("op.b_out", self.b_out),
                  ("op.time_table", self.time_table)]
@@ -226,8 +225,8 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
     weights are exp(shifted - log(total)), where total is the sum of
     exp(shifted) over the arcs into the same target. An absent region's arc
     is shifted by its own score and has total 1. Returns the weights,
-    exp(shifted) and total, all per arc; the backward rule of `evolve`
-    reuses the last two.
+    exp(shifted) and total, all per arc; `evolve_backward` reuses the last
+    two.
     """
     top = scatter(scores, present, TARGET, np.maximum, -np.inf)
     shifted = scores - gather(top, present, TARGET, scores.reshape(len(present), _REGIONS, 4, 1))
@@ -236,48 +235,45 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
     return np.exp(shifted - np.log(total)), exp_shifted, total
 
 
-def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
-           horizon: int) -> Tensor:
-    """Roll the residual operator forward `horizon` steps from H0 as one node.
+def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
+           horizon: int, keep: bool = False):
+    """Roll the residual operator forward `horizon` steps from H0.
 
     Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
-    snapshot pool H, so the node holds z_0..z_{T-1} stacked step-major,
-    (T B x d). Its parents are H0 and then `params.named_leaves()`. The
-    numpy forward runs every operation in the order of the per-op tape form,
-    so the values are the same bits. A state that is not finite after step t
-    raises NonFiniteError naming t. Each step's input state and activations,
-    and gat's arc terms, are kept for backward only when some parent
-    requires grad.
+    snapshot pool H, so the result holds z_0..z_{T-1} stacked step-major,
+    (T B x d). Every operation runs in the order of the per-op tape form
+    (tests/oracles.py), so the values are the same bits. A state that is
+    not finite after step t raises NonFiniteError naming t. Returns the
+    snapshots and, with `keep`, what `evolve_backward` needs (None
+    without): each step's input state and activations, and gat's arc terms.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > params.time_table.rows:
+    if horizon > params.time_table.shape[0]:
         raise IndexError(f"horizon {horizon} exceeds time table with "
-                         f"{params.time_table.rows} rows")
-    if h0.rows == 0:
+                         f"{params.time_table.shape[0]} rows")
+    if h0.shape[0] == 0:
         raise ValueError("evolve of an empty node-state matrix")
     backbone, present = params.backbone, cohort.present
     ops, pool = adjacency(cohort, backbone), mean_pool(present)
-    d, d_t = params.w_out.cols, params.time_table.cols
-    e = params.time_table.data
-    w_sh, w_st = params.w_self.data[:d], params.w_self.data[d:]
+    d, d_t = params.w_out.shape[1], params.time_table.shape[1]
+    e = params.time_table
+    w_sh, w_st = params.w_self[:d], params.w_self[d:]
     self_rows = e @ w_st
     if backbone != "gcn":
-        w_nh, w_nt, w_na = np.split(params.w_neigh.data, [d, d + d_t])
+        w_nh, w_nt, w_na = np.split(params.w_neigh, [d, d + d_t])
         neigh_rows = e @ w_nt
     if backbone == "graphsage":
-        fixed = ops["attr_mean"] @ w_na + params.b_msg.data
+        fixed = ops["attr_mean"] @ w_na + params.b_msg
     elif backbone == "gat":
-        u_dh, u_dt, u_sh, u_st, u_a = np.split(params.attn_u.data, np.cumsum([d, d_t, d, d_t]))
+        u_dh, u_dt, u_sh, u_st, u_a = np.split(params.attn_u, np.cumsum([d, d_t, d, d_t]))
         score_rows = e @ (u_dt + u_st)
-        score_arcs = ops["attr"] @ u_a + params.attn_b.data
+        score_arcs = ops["attr"] @ u_a + params.attn_b
         msg_arcs = ops["attr"] @ w_na
-        fixed = params.b_msg.data
-    leaves = tuple(leaf for _, leaf in params.named_leaves())
-    node = Tensor._node(np.empty((horizon * len(present), d)), "evolve", (h0,) + leaves)
-    out = node.data.reshape(horizon, len(present), d)
+        fixed = params.b_msg
+    out = np.empty((horizon, len(present), d))
     saved = []
-    h = h0.data
+    h = h0
     # In-place updates of fresh temporaries keep the tape form's operation
     # order, and so its values, with fewer allocations.
     for t in range(horizon):
@@ -286,7 +282,7 @@ def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
         own += self_rows[t]
         if backbone == "gcn":
             pre = ops["norm"].apply(own)
-            pre += params.b_msg.data
+            pre += params.b_msg
         else:
             x_n = h @ w_nh
             x_n += neigh_rows[t]
@@ -299,7 +295,7 @@ def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
                 hidden += gather(h @ u_sh, present, SOURCE)
                 hidden += score_arcs
                 np.tanh(hidden, out=hidden)
-                alpha, exp_shifted, total = segment_softmax(hidden @ params.attn_v.data, present)
+                alpha, exp_shifted, total = segment_softmax(hidden @ params.attn_v, present)
                 msgs = gather(x_n, present, SOURCE)
                 msgs += msg_arcs
                 pre = scatter(msgs * alpha, present, TARGET)
@@ -307,39 +303,40 @@ def evolve(h0: Tensor, cohort: CohortArrays, params: EvolutionParams,
             pre += own
             pre += fixed
         act = np.maximum(pre, 0.0, out=pre)
-        update = act @ params.w_out.data
-        update += params.b_out.data
+        update = act @ params.w_out
+        update += params.b_out
         h = h + update
         if not np.isfinite(h).all():
             raise NonFiniteError(f"node states diverged at evolution step {t}")
         out[t] = pool.apply(h)
-        if node.requires_grad:
+        if keep:
             saved.append(kept + [act])
-    if node.requires_grad:
-        node.ctx = (params, present, ops, pool, saved)
-    return node
+    return out.reshape(-1, d), ((params, present, ops, pool, saved) if keep else None)
 
 
-def _bw_evolve(node, g):
-    # Backpropagation through time over the kept states. Every product and
-    # every sum runs in the order in which backward sums the per-op tape form
-    # (tests/oracles.py), so the gradients are the same bits as that form's.
-    params, present, ops, pool, saved = node.ctx
-    h0 = node.parents[0]
+def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """dH0 and the gradient of each `op.*` parameter, by name, from the
+    gradient `g` of the stacked snapshots and what `evolve` kept.
+
+    Backpropagation through time over the kept states. Every product and
+    every sum runs in the order in which the tape sums the per-op form
+    (tests/oracles.py), so the gradients are the same bits as that form's.
+    """
+    params, present, ops, pool, saved = kept
     neigh, gat = params.backbone != "gcn", params.backbone == "gat"
-    d, d_t = params.w_out.cols, params.time_table.cols
+    d, d_t = params.w_out.shape[1], params.time_table.shape[1]
     steps = len(saved)
-    w_out = params.w_out.data
-    w_sh, w_st = params.w_self.data[:d], params.w_self.data[d:]
+    w_out = params.w_out
+    w_sh, w_st = params.w_self[:d], params.w_self[d:]
     if neigh:
-        w_nh, w_nt, _ = np.split(params.w_neigh.data, [d, d + d_t])
+        w_nh, w_nt, _ = np.split(params.w_neigh, [d, d + d_t])
     # Row t of each: the gradient of the time rows step t adds, e_t W_st,
     # e_t W_nt and e_t (U_dt + U_st).
-    d_self = np.zeros((params.time_table.rows, w_out.shape[0]))
+    d_self = np.zeros((params.time_table.shape[0], w_out.shape[0]))
     d_neigh = np.zeros_like(d_self)
     if gat:
-        u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u.data, np.cumsum([d, d_t, d, d_t]))
-        d_score_rows = np.zeros((params.time_table.rows, u_dh.shape[1]))
+        u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u, np.cumsum([d, d_t, d, d_t]))
+        d_score_rows = np.zeros((params.time_table.shape[0], u_dh.shape[1]))
         spread = np.ones((1, w_out.shape[0]))
     gz = g.reshape(steps, -1, d)
     sums = {}
@@ -374,7 +371,7 @@ def _bw_evolve(node, g):
             d_scores = d_exp + gather(scatter(-d_exp, present, TARGET), present,
                                       TARGET) / total * exp_shifted
             add("attn_v", hidden.T @ d_scores)
-            d_arc = d_scores @ params.attn_v.data.T
+            d_arc = d_scores @ params.attn_v.T
             d_arc *= 1.0 - hidden * hidden
             add("score_arcs", d_arc)
             add("msg_arcs", d_msgs)
@@ -396,10 +393,10 @@ def _bw_evolve(node, g):
             dh = pool.T.apply(gz[t - 1]) + dh
         for term in back:
             dh += term
-    e = params.time_table.data
+    e = params.time_table
     d_time = d_self @ w_st.T
     # In the order of `params.named_leaves()`.
-    grads = [dh if h0.requires_grad else None, np.concatenate([sums["w_sh"], e.T @ d_self]),
+    grads = [np.concatenate([sums["w_sh"], e.T @ d_self]),
              sums["fixed"].sum(axis=0, keepdims=True) if "fixed" in sums else sums["b_msg"],
              sums["w_out"], sums["b_out"], d_time]
     if neigh:
@@ -413,7 +410,4 @@ def _bw_evolve(node, g):
         grads += [np.concatenate([sums["u_dh"], d_u_t, sums["u_sh"], d_u_t,
                                   ops["attr"].T @ sums["score_arcs"]]),
                   sums["score_arcs"].sum(axis=0, keepdims=True), sums["attn_v"]]
-    return tuple(grads)
-
-
-ad._BACKWARD["evolve"] = _bw_evolve
+    return dh, {name: grad for (name, _), grad in zip(params.named_leaves(), grads)}

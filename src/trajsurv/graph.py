@@ -24,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, uniform_weight, zero_bias
+from .autodiff import uniform_weight, zero_bias
 
 
 class NodeKind(Enum):
@@ -65,10 +64,10 @@ class GraphConstructionError(ValueError):
 class EmbeddingParams:
     """Per-kind affine projections into the shared latent width d."""
 
-    weights: dict[NodeKind, Tensor]
-    biases: dict[NodeKind, Tensor]
+    weights: dict[NodeKind, np.ndarray]
+    biases: dict[NodeKind, np.ndarray]
 
-    def named_leaves(self) -> list[tuple[str, Tensor]]:
+    def named_leaves(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for k in self.weights:
             out.append((f"embed.{k.value}.w", self.weights[k]))
@@ -91,22 +90,38 @@ def slots_in_use(present: np.ndarray) -> np.ndarray:
     return np.concatenate([present, np.ones((present.shape[0], 2), dtype=bool)], axis=1)
 
 
-def embed_nodes(cohort, params: EmbeddingParams) -> Tensor:
+def _inputs(cohort) -> list[np.ndarray]:
+    """The (B, width) features of each kind, in `NodeKind` order."""
+    return ([cohort.regions[:, j] for j in range(len(ANATOMICAL_KINDS))]
+            + [cohort.global_features, cohort.clinical])
+
+
+def embed_nodes(cohort, params: EmbeddingParams) -> np.ndarray:
     """Initial node-state matrix H0 of a cohort slice (`cohort.CohortArrays`).
 
     Each kind's (B, d) rows are projected, the seven are joined side by side
     and reshaped to (7B, d), which puts kind j of patient b at row 7b + j,
-    and a constant mask zeroes the rows of missing regions.
+    and the rows of missing regions are zeroed.
     """
-    inputs = ([cohort.regions[:, j] for j in range(len(ANATOMICAL_KINDS))]
-              + [cohort.global_features, cohort.clinical])
     rows = []
-    for kind, x in zip(NodeKind, inputs):
+    for kind, x in zip(NodeKind, _inputs(cohort)):
         w = params.weights[kind]
-        if x.shape[1] != w.rows:
+        if x.shape[1] != w.shape[0]:
             raise GraphConstructionError(
-                f"{kind.value} features have width {x.shape[1]}, the model expects {w.rows}")
-        rows.append(ad.add(ad.matmul(ad.constant(x), w), params.biases[kind]))
-    h0 = ad.reshape(ad.concat_cols(*rows), SLOTS * len(cohort), rows[0].cols)
-    mask = np.broadcast_to(slots_in_use(cohort.present).reshape(-1, 1), h0.shape)
-    return ad.mul(h0, ad.constant(mask))
+                f"{kind.value} features have width {x.shape[1]}, the model expects {w.shape[0]}")
+        rows.append(x @ w + params.biases[kind])
+    h0 = np.concatenate(rows, axis=1).reshape(SLOTS * len(cohort), -1)
+    return h0 * slots_in_use(cohort.present).reshape(-1, 1)
+
+
+def embed_backward(cohort, params: EmbeddingParams, dh0: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradient of each `embed.*` parameter, by name, from the gradient
+    dH0 of `embed_nodes`' output. The rows of missing regions get none."""
+    g = (dh0 * slots_in_use(cohort.present).reshape(-1, 1)).reshape(len(cohort), -1)
+    d = dh0.shape[1]
+    grads = {}
+    for j, (kind, x) in enumerate(zip(NodeKind, _inputs(cohort))):
+        g_kind = g[:, j * d:(j + 1) * d]
+        grads[f"embed.{kind.value}.w"] = x.T @ g_kind
+        grads[f"embed.{kind.value}.b"] = g_kind.sum(axis=0, keepdims=True)
+    return grads

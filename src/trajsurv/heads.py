@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, uniform_weight, zero_bias
+from .autodiff import uniform_weight, zero_bias
 
 
 class SaturatedCurveError(ValueError):
@@ -59,18 +58,18 @@ class HeadParams:
     """Context projection (d_h -> d_c), recurrence logits (d_h -> K), and the
     mortality logit layer on the concatenation (d_h + d_c -> K)."""
 
-    w_ctx: Tensor
-    b_ctx: Tensor
-    w_dfs: Tensor
-    b_dfs: Tensor
-    w_os: Tensor
-    b_os: Tensor
+    w_ctx: np.ndarray
+    b_ctx: np.ndarray
+    w_dfs: np.ndarray
+    b_dfs: np.ndarray
+    w_os: np.ndarray
+    b_os: np.ndarray
 
     @property
     def context_dim(self) -> int:
-        return self.w_ctx.cols
+        return self.w_ctx.shape[1]
 
-    def named_leaves(self) -> list[tuple[str, Tensor]]:
+    def named_leaves(self) -> list[tuple[str, np.ndarray]]:
         return [("heads.w_ctx", self.w_ctx), ("heads.b_ctx", self.b_ctx),
                 ("heads.w_dfs", self.w_dfs), ("heads.b_dfs", self.b_dfs),
                 ("heads.w_os", self.w_os), ("heads.b_os", self.b_os)]
@@ -88,21 +87,51 @@ def init_heads(summary_dim: int, context_dim: int, num_bins: int,
     )
 
 
-def dfs_head(h_star: Tensor, params: HeadParams) -> tuple[Tensor, Tensor]:
+def dfs_head(h_star: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence logits (B x K) and the tanh-bounded context (B x d_c)."""
-    context = ad.tanh(ad.add(ad.matmul(h_star, params.w_ctx), params.b_ctx))
-    logits = ad.add(ad.matmul(h_star, params.w_dfs), params.b_dfs)
+    context = np.tanh(h_star @ params.w_ctx + params.b_ctx)
+    logits = h_star @ params.w_dfs + params.b_dfs
     return logits, context
 
 
-def os_head(h_star: Tensor, dfs_context: Tensor, params: HeadParams,
-            cascade_enabled: bool = True) -> Tensor:
-    """Mortality logits; with the cascade disabled the context is replaced by
-    a zero constant, so no gradient reaches the context projection."""
+def _joint(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
+           cascade_enabled: bool) -> np.ndarray:
+    """[h* | context], the input of the mortality logits; with the cascade
+    disabled the context is replaced by zeros."""
     if not cascade_enabled:
-        dfs_context = ad.constant(np.zeros((h_star.rows, params.context_dim)))
-    joint = ad.concat_cols(h_star, dfs_context)
-    return ad.add(ad.matmul(joint, params.w_os), params.b_os)
+        dfs_context = np.zeros((h_star.shape[0], params.context_dim))
+    return np.concatenate([h_star, dfs_context], axis=1)
+
+
+def os_head(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
+            cascade_enabled: bool = True) -> np.ndarray:
+    """Mortality logits; with the cascade disabled the context is replaced by
+    zeros, so no gradient reaches the context projection."""
+    return _joint(h_star, dfs_context, params, cascade_enabled) @ params.w_os + params.b_os
+
+
+def heads_backward(h_star: np.ndarray, context: np.ndarray, params: HeadParams,
+                   d_dfs: np.ndarray, d_os: np.ndarray,
+                   cascade_enabled: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The gradient of h* and of each `heads.*` parameter, by name, from the
+    gradients of both heads' logits. h* feeds three products: its gradient
+    adds the mortality head's, then the context's, then the recurrence
+    logits' share, the order in which the tape visits them, so its bits are
+    the tape's. Without the cascade the context parameters get zeros."""
+    width = h_star.shape[1]
+    d_joint = d_os @ params.w_os.T
+    dh_star = d_joint[:, :width]
+    if cascade_enabled:
+        d_pre = d_joint[:, width:] * (1.0 - context * context)
+        dh_star = dh_star + d_pre @ params.w_ctx.T
+        d_w_ctx, d_b_ctx = h_star.T @ d_pre, d_pre.sum(axis=0, keepdims=True)
+    else:
+        d_w_ctx, d_b_ctx = np.zeros_like(params.w_ctx), np.zeros_like(params.b_ctx)
+    grads = {"heads.w_ctx": d_w_ctx, "heads.b_ctx": d_b_ctx,
+             "heads.w_dfs": h_star.T @ d_dfs, "heads.b_dfs": d_dfs.sum(axis=0, keepdims=True),
+             "heads.w_os": _joint(h_star, context, params, cascade_enabled).T @ d_os,
+             "heads.b_os": d_os.sum(axis=0, keepdims=True)}
+    return dh_star + d_dfs @ params.w_dfs.T, grads
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

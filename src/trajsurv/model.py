@@ -1,10 +1,12 @@
 """Full prognostic model: embedding -> evolution -> integrator -> heads.
 
-The forward pass reads a cohort slice (`cohort.CohortArrays`) as it is and
-runs it on one tape, handing each stage a plain value: the node states H0
-in the 7-slot layout, the T snapshots stacked step-major in one tensor (B
-rows per step), the summary h*, and the logits keyed by task. h* and the
-logits have one row per patient, and one patient is simply a slice of one.
+The forward pass reads a cohort slice (`cohort.CohortArrays`) as it is,
+handing each stage a plain array: the node states H0 in the 7-slot layout,
+the T snapshots stacked step-major in one array (B rows per step), the
+summary h*, and the logits keyed by task. h* and the logits have one row
+per patient, and one patient is simply a slice of one. Training,
+validation, inference and the gradient check run the same forward; asked
+to, it keeps what `FullModel.backward` needs, and nothing otherwise.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .evolution import BACKBONES, EvolutionParams, evolve, init_evolution
-from .graph import EmbeddingParams, NodeKind, embed_nodes, init_embedding
+from .evolution import BACKBONES, EvolutionParams, evolve, evolve_backward, init_evolution
+from .graph import EmbeddingParams, NodeKind, embed_backward, embed_nodes, init_embedding
 from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
-                    init_heads, os_head, survival_from_hazards)
-from .trajectory import LstmParams, init_lstm, integrate, integrate_mean
+                    heads_backward, init_heads, os_head, survival_from_hazards)
+from .trajectory import (LstmParams, init_lstm, integrate, integrate_backward, integrate_mean,
+                         integrate_mean_backward)
 
 if TYPE_CHECKING:
     from .cohort import CohortArrays
@@ -113,32 +114,52 @@ class FullModel:
     lstm: LstmParams
     heads: HeadParams
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, cohort: CohortArrays) -> dict[str, Tensor]:
-        """The slice's (B, K) logits per task, keyed like `labels`."""
+    def forward(self, cohort: CohortArrays, keep: bool = False):
+        """The slice's (B, K) logits per task, keyed like `labels`, and, with
+        `keep`, what `backward` needs (None without)."""
         cfg = self.config
+        kept = {"cohort": cohort}
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots = evolve(h0, cohort, self.evolution, cfg.horizon)
+        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, keep)
         if cfg.integrator == "lstm":
-            h_star = integrate(snapshots, cfg.horizon, self.lstm)
+            h_star, kept["lstm"] = integrate(snapshots, cfg.horizon, self.lstm, keep)
         else:
             h_star = integrate_mean(snapshots, cfg.horizon)
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
-        return {"dfs": dfs_logits, "os": os_logits}
+        kept.update(h_star=h_star, context=context)
+        return {"dfs": dfs_logits, "os": os_logits}, (kept if keep else None)
+
+    def backward(self, kept: dict, d_logits: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The gradient of each parameter, by name in `named_parameters`
+        order, from the gradients of the logits per task and what
+        `forward(cohort, keep=True)` kept. Each stage's state is dropped
+        once its backward has run, the LSTM's before the evolution's runs."""
+        cfg = self.config
+        dh_star, head_grads = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
+                                             d_logits["dfs"], d_logits["os"], cfg.cascade)
+        if cfg.integrator == "lstm":
+            dz, lstm_grads = integrate_backward(kept.pop("lstm"), dh_star)
+        else:
+            dz = integrate_mean_backward(dh_star, cfg.horizon)
+            lstm_grads = {name: np.zeros_like(p) for name, p in self.lstm.named_leaves()}
+        dh0, evolve_grads = evolve_backward(kept.pop("evolve"), dz)
+        return {**embed_backward(kept.pop("cohort"), self.embedding, dh0), **evolve_grads,
+                **lstm_grads, **head_grads}
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per task, the slice's (B, K) hazards and survival, checked once.
         Logits that overflow are reported once, by the SaturatedCurveError of
         that check, not also by numpy's warnings on the way."""
-        with ad.no_grad(p for _, p in self.named_parameters()), np.errstate(all="ignore"):
-            out = self.forward(cohort)
+        with np.errstate(all="ignore"):
+            out, _ = self.forward(cohort)
         curves = {}
         for task, logits in out.items():
-            h = hazards_from_logits(logits.data)
+            h = hazards_from_logits(logits)
             curves[task] = (h, survival_from_hazards(h))
         return curves
 
@@ -163,12 +184,12 @@ def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
 
 
 def snapshot_parameters(model: FullModel) -> dict[str, np.ndarray]:
-    return {name: leaf.data.copy() for name, leaf in model.named_parameters()}
+    return {name: leaf.copy() for name, leaf in model.named_parameters()}
 
 
 def restore_parameters(model: FullModel, snapshot: dict[str, np.ndarray]) -> None:
     for name, leaf in model.named_parameters():
-        leaf.data[:] = snapshot[name]
+        leaf[:] = snapshot[name]
 
 
 FORMAT_VERSION = 1
@@ -177,8 +198,8 @@ FORMAT_VERSION = 1
 def save_model(model: FullModel, path) -> None:
     """Persist weights and the architecture needed to rebuild them."""
     meta = {"format_version": FORMAT_VERSION, **dataclasses.asdict(model.config)}
-    meta["feature_widths"] = {k.value: int(w.rows) for k, w in model.embedding.weights.items()}
-    arrays = {name: leaf.data for name, leaf in model.named_parameters()}
+    meta["feature_widths"] = {k.value: int(w.shape[0]) for k, w in model.embedding.weights.items()}
+    arrays = dict(model.named_parameters())
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **arrays)
 
@@ -240,7 +261,7 @@ def load_model(path) -> FullModel:
         for name, leaf in model.named_parameters():
             if arrays[name].dtype.kind not in "fiu" or not np.isfinite(arrays[name]).all():
                 raise ValueError(f"parameter {name} must hold finite numbers")
-            leaf.data[:] = arrays[name]
+            leaf[:] = arrays[name]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: not a readable model file "
                              f"({type(exc).__name__}: {exc})") from exc

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NonFiniteError, ShapeMismatchError
 from .heads import TimeBins
 from .model import check
 
@@ -88,21 +87,39 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
     return int(bins.index(time))
 
 
-def discrete_nll(logits: Tensor, time: np.ndarray, event: np.ndarray,
-                 bins: TimeBins) -> Tensor:
+def log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log σ(x) = min(x, 0) - log(1 + e^-|x|): finite and exact at any logit."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray,
+                 bins: TimeBins, keep: bool = False):
     """Mean negative log-likelihood of a batch given its B x K hazard logits
-    and each patient's observed time (binned by `bins.index`) and event flag."""
+    and each patient's observed time (binned by `bins.index`) and event
+    flag; and, with `keep`, what `nll_backward` needs (None without)."""
     K = bins.count
     if logits.shape != (len(time), K) or not len(time):
-        raise ad.ShapeMismatchError("discrete-nll", logits.shape, (len(time), K))
+        raise ShapeMismatchError("discrete-nll", logits.shape, (len(time), K))
     k = bins.index(time)[:, None]
     event = np.asarray(event)[:, None]
     cols = np.arange(K)[None, :]
     event_mask = ((cols == k) & (event == 1)).astype(np.float64)
     surv_mask = (cols < k + 1 - event).astype(np.float64)
-    ll = ad.sum_all(ad.add(ad.mul(ad.constant(event_mask), ad.log_sigmoid(logits)),
-                           ad.mul(ad.constant(surv_mask), ad.log_sigmoid(ad.negate(logits)))))
-    return ad.mul(ad.negate(ll), ad.constant([[1.0 / len(time)]]))
+    negated = -logits
+    log_h, log_s = log_sigmoid(logits), log_sigmoid(negated)
+    loss = -(event_mask * log_h + surv_mask * log_s).sum() * (1.0 / len(time))
+    return loss, ((logits, negated, log_h, log_s, event_mask, surv_mask) if keep else None)
+
+
+def nll_backward(kept, weight: float) -> np.ndarray:
+    """The gradient of `weight` times the NLL with respect to the logits,
+    from what `discrete_nll` kept. d/dx log σ(x) = σ(-x) = exp(log σ(x) - x),
+    which cannot overflow. The scale and the two terms are formed in the
+    tape's order, so the bits are the tape's."""
+    logits, negated, log_h, log_s, event_mask, surv_mask = kept
+    scale = -(weight * (1.0 / len(logits)))
+    return ((scale * event_mask) * np.exp(log_h - logits)
+            - (scale * surv_mask) * np.exp(log_s - negated))
 
 
 @dataclass
@@ -119,22 +136,24 @@ class OptimizerState:
     stop_stall: int = 0
 
 
-def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
+def adamw_step(params: list[tuple[str, np.ndarray]], grads: dict[str, np.ndarray],
                state: OptimizerState, settings: TrainSettings) -> None:
-    """Decoupled-weight-decay Adam update, applied to the leaves in place.
+    """Decoupled-weight-decay Adam update, applied to the arrays in place;
+    `grads` holds one gradient per parameter name.
 
-    All leaves are updated as one concatenated vector; every element sees the
-    same operations as in a leaf-by-leaf update, so the result is the same
-    bit for bit. A non-finite gradient stops the step before any leaf moves.
+    All parameters are updated as one concatenated vector; every element
+    sees the same operations as in a one-by-one update, so the result is the
+    same bit for bit. A non-finite gradient stops the step before any
+    parameter moves.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    g = np.concatenate([grads[p].data.ravel() for _, p in params])
+    g = np.concatenate([grads[name].ravel() for name, _ in params])
     if not np.isfinite(g).all():
-        name = next(name for name, p in params if not np.isfinite(grads[p].data).all())
-        raise ad.NonFiniteError(f"non-finite gradient for parameter {name}")
+        name = next(name for name, _ in params if not np.isfinite(grads[name]).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {name}")
     if state.moments is None:
         state.moments = (np.zeros_like(g), np.zeros_like(g))
     m, v = state.moments
@@ -145,12 +164,12 @@ def adamw_step(params: list[tuple[str, Tensor]], grads: dict[Tensor, Tensor],
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (g * g)
     update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    flat = np.concatenate([p.data.ravel() for _, p in params])
+    flat = np.concatenate([p.ravel() for _, p in params])
     flat -= state.lr * (update + settings.weight_decay * flat)
     start = 0
     for _, p in params:
-        stop = start + p.data.size
-        p.data[...] = flat[start:stop].reshape(p.shape)
+        stop = start + p.size
+        p[...] = flat[start:stop].reshape(p.shape)
         start = stop
 
 

@@ -6,12 +6,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .cohort import CohortArrays, augment
 from .heads import TimeBins
 from .model import FullModel, restore_parameters, snapshot_parameters
 from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
-                        adamw_step, discrete_nll, end_epoch)
+                        adamw_step, discrete_nll, end_epoch, nll_backward)
 
 
 @dataclass
@@ -22,14 +21,33 @@ class TrainResult:
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins, weights: LossWeights):
-    """Mean over the slice of alpha * OS NLL + beta * DFS NLL, on one tape,
-    against the slice's own times and event flags."""
-    logits = model.forward(cohort)
-    os_nll = discrete_nll(logits["os"], cohort.time["os"], cohort.event["os"], bins)
-    dfs_nll = discrete_nll(logits["dfs"], cohort.time["dfs"], cohort.event["dfs"], bins)
-    return ad.add(ad.mul(ad.constant([[weights.alpha]]), os_nll),
-                  ad.mul(ad.constant([[weights.beta]]), dfs_nll))
+def _weighted_nll(logits: dict[str, np.ndarray], cohort: CohortArrays, bins: TimeBins,
+                  weights: LossWeights, keep: bool = False):
+    """alpha * OS NLL + beta * DFS NLL of the logits, against the slice's own
+    times and event flags, and, with `keep`, each task's kept NLL state."""
+    os_nll, os_kept = discrete_nll(logits["os"], cohort.time["os"], cohort.event["os"], bins,
+                                   keep)
+    dfs_nll, dfs_kept = discrete_nll(logits["dfs"], cohort.time["dfs"], cohort.event["dfs"],
+                                     bins, keep)
+    return weights.alpha * os_nll + weights.beta * dfs_nll, {"os": os_kept, "dfs": dfs_kept}
+
+
+def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins,
+               weights: LossWeights) -> np.float64:
+    """Mean over the slice of alpha * OS NLL + beta * DFS NLL: validation's
+    loss, a forward that keeps nothing."""
+    return _weighted_nll(model.forward(cohort)[0], cohort, bins, weights)[0]
+
+
+def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
+                   weights: LossWeights) -> tuple[np.float64, dict[str, np.ndarray]]:
+    """`_mean_loss` of the slice and its gradient per parameter name, from
+    one forward that keeps what backward needs."""
+    logits, kept = model.forward(cohort, keep=True)
+    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights, keep=True)
+    task_weights = {"os": weights.alpha, "dfs": weights.beta}
+    return loss, model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
+                                       for task in logits})
 
 
 def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
@@ -43,13 +61,12 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
 
 
 def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
-                params: list[tuple[str, ad.Tensor]], state: OptimizerState,
+                params: list[tuple[str, np.ndarray]], state: OptimizerState,
                 settings: TrainSettings) -> float:
-    """One AdamW step on `batch`; returns its loss. The step's tape is bound
-    only in this frame, so it is freed on return, before the next forward."""
-    loss = _mean_loss(model, batch, bins, weights)
-    adamw_step(params, ad.backward(loss, params=[p for _, p in params]), state, settings)
-    return loss.item()
+    """One AdamW step on `batch`; returns its loss."""
+    loss, grads = loss_and_grads(model, batch, bins, weights)
+    adamw_step(params, grads, state, settings)
+    return float(loss)
 
 
 def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
@@ -60,9 +77,9 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
-    a slice of the shuffled training set. Each step runs in `_train_step`,
-    so training holds one step's kept backward state at a time, and none
-    during validation.
+    a slice of the shuffled training set. Each step's kept forward state
+    lives only inside `loss_and_grads`, so training holds one step's at a
+    time, and none during validation.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
@@ -92,8 +109,7 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
                             bins, weights, params, state, settings)
                 for start in range(0, len(items), settings.batch_size)]
 
-            with ad.no_grad(p for _, p in params):
-                val_loss = _mean_loss(model, val, bins, weights).item()
+            val_loss = float(_mean_loss(model, val, bins, weights))
             history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
             improved, stop = end_epoch(state, val_loss, settings)

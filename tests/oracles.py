@@ -1,6 +1,19 @@
-"""Independent brute-force reference implementations for the metrics.
+"""Independent reference implementations, and the tape they are written on.
 
-Everything here is written as plain per-patient loops, deliberately sharing
+The tape is reverse-mode differentiation over 2-D tensors, the way the
+package once differentiated its model: `Tensor` nodes, the nine primitives
+the model used (matmul, add, mul, negate, concat-cols, reshape,
+log-sigmoid, tanh, sum-all) with their rules in `_BACKWARD`, `_topo_order`
+and `backward`, plus `no_grad`. `evolve_node` and `lstm_node` put the
+package's `evolve` and `integrate` on it as one node each, whose rules call
+`evolve_backward` and `integrate_backward`; `MODEL_RULES` is the table of
+those eleven ops. `tape_mean_loss` is the whole model's loss on the tape,
+as `training._mean_loss` computed it: the reference that
+`training.loss_and_grads` is held `==` to. `leaves_of` wraps a parameter
+dataclass's arrays as tape leaves that share their memory, and
+`tape_grad_check` runs `autodiff.grad_check` on a tape builder.
+
+Everything else is written as plain per-patient loops, deliberately sharing
 no code with the library: pair enumeration for the rank metrics, an explicit
 product recursion for Kaplan-Meier, and direct summation for the weighted
 Brier integral. Used to pin the vectorized implementations to 1e-12.
@@ -15,7 +28,7 @@ the (n, K) curve transforms, the reference the arrays are held to with ==.
 (patient, task, bin) built from the fold outcomes.
 `concat_step` is the evolution step in its first form, dense and per node.
 `lstm_step` and `tape_integrate` are the LSTM integrator as per-op tape
-nodes, `stacked_snapshot_grad` is the `lstm` node's snapshot gradient as
+nodes, `stacked_snapshot_grad` is the integrator's snapshot gradient as
 one stacked (T, 4, B, d) product summed over its gates, and
 `leafwise_adamw_step` is AdamW one leaf at a time.
 `list_kfold` is the repeated stratified k-fold split in its list form,
@@ -27,42 +40,477 @@ and the censoring calibration's mixture summed one group at a time.
 selectors for the weight blocks and time rows, `residual_update` for a step
 and `readout` for a snapshot. Its gat arcs are the dense one-hot gathers of
 `arc_blocks`, built from the arc template, not the index form they check.
-The per-op forms use three tape ops the model does not: `spmm`, `exp` and
-`log`. They are defined here, and their backward rules join the engine's
-table when this module is imported; `SRC_RULES` is that table before they do.
+The per-op forms use three tape ops the model never did: `spmm`, `exp` and
+`log`. They are defined here, and their rules join the table.
 """
 
+import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from trajsurv import autodiff as ad
+from trajsurv.autodiff import ShapeMismatchError
 from trajsurv.cohort import CohortError, FoldSpec, _geometric_time, make_cohort
 from trajsurv.crossval import TASKS, CurveRow
-from trajsurv.evolution import Blocks, adjacency, mean_pool
-from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
+from trajsurv.evolution import Blocks, adjacency, evolve, evolve_backward, mean_pool
+from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, SLOTS, slots_in_use
 from trajsurv.metrics import _later_smaller_counts
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
-from trajsurv.trajectory import _gate_grads
+from trajsurv.trajectory import _gate_grads, integrate, integrate_backward
+
+
+class Tensor:
+    """A rows x cols matrix of float64 values, optionally recorded on a tape.
+
+    Interior nodes carry their op kind, parent references and any cached
+    context needed by the backward rule; leaves have op None. Gradients are
+    never stored on the tensor itself -- `backward` returns them in a map.
+    """
+
+    __slots__ = ("data", "op", "parents", "ctx", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim == 0:
+            arr = arr.reshape(1, 1)
+        elif arr.ndim == 1:
+            arr = arr.reshape(1, -1)
+        elif arr.ndim != 2:
+            raise ShapeMismatchError("tensor", arr.shape)
+        self.data = arr
+        self.op: str | None = None
+        self.parents: tuple[Tensor, ...] = ()
+        self.ctx = None
+        self.requires_grad = requires_grad
+
+    @classmethod
+    def _node(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...], ctx=None) -> "Tensor":
+        t = cls.__new__(cls)
+        t.data = data
+        t.op = op
+        t.requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                break
+        # A node nothing differentiates through keeps no parents, so its
+        # inputs are freed as soon as the caller drops them.
+        t.parents = parents if t.requires_grad else ()
+        t.ctx = ctx
+        return t
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
+
+    def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeMismatchError("item", self.shape)
+        return float(self.data[0, 0])
+
+    def __repr__(self) -> str:
+        return f"Tensor({self.rows}x{self.cols}, {self.op or 'leaf'})"
+
+
+def parameter(data) -> Tensor:
+    """A trainable leaf."""
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+
+
+def constant(data) -> Tensor:
+    """A non-trainable leaf (inputs, masks, adjacency and the like)."""
+    return Tensor(data)
+
+
+@contextmanager
+def no_grad(leaves: Iterable[Tensor]):
+    """Treat `leaves` as constants inside the block.
+
+    Nothing computed there can be differentiated, so no tape is kept and a
+    forward pass frees each intermediate once the next one is built.
+    """
+    leaves = list(leaves)
+    saved = [leaf.requires_grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.requires_grad = False
+    try:
+        yield
+    finally:
+        for leaf, flag in zip(leaves, saved):
+            leaf.requires_grad = flag
+
+
+# ---------------------------------------------------------------------------
+# Primitives. Each returns a new node; backward rules live in _BACKWARD.
+# ---------------------------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.cols != b.rows:
+        raise ShapeMismatchError("matmul", a.shape, b.shape)
+    return Tensor._node(a.data @ b.data, "matmul", (a, b))
+
+
+def _elementwise_shapes(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape == b.shape:
+        return
+    # Broadcast-row pattern: one operand is a single row with matching cols.
+    if a.cols == b.cols and (a.rows == 1 or b.rows == 1):
+        return
+    raise ShapeMismatchError(op, a.shape, b.shape)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _elementwise_shapes("add", a, b)
+    return Tensor._node(a.data + b.data, "add", (a, b))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _elementwise_shapes("mul", a, b)
+    return Tensor._node(a.data * b.data, "mul", (a, b))
+
+
+def negate(a: Tensor) -> Tensor:
+    return Tensor._node(-a.data, "negate", (a,))
+
+
+def concat_cols(*tensors: Tensor) -> Tensor:
+    if not tensors:
+        raise ShapeMismatchError("concat-cols", ())
+    rows = tensors[0].rows
+    for t in tensors[1:]:
+        if t.rows != rows:
+            raise ShapeMismatchError("concat-cols", tensors[0].shape, t.shape)
+    widths = tuple(t.cols for t in tensors)
+    return Tensor._node(np.concatenate([t.data for t in tensors], axis=1),
+                        "concat-cols", tuple(tensors), widths)
+
+
+def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
+    """The entries of `a` in row-major order as a rows x cols matrix."""
+    if rows * cols != a.data.size:
+        raise ShapeMismatchError("reshape", a.shape, (rows, cols))
+    return Tensor._node(a.data.reshape(rows, cols), "reshape", (a,))
+
+
+def log_sigmoid(a: Tensor) -> Tensor:
+    # log σ(x) = min(x, 0) - log(1 + e^-|x|): finite and exact at any logit.
+    x = a.data
+    return Tensor._node(np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x))), "log-sigmoid", (a,))
+
+
+def tanh(a: Tensor) -> Tensor:
+    return Tensor._node(np.tanh(a.data), "tanh", (a,))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    return Tensor._node(np.array([[a.data.sum()]]), "sum-all", (a,))
+
+
+# ---------------------------------------------------------------------------
+# Backward rules: (node, upstream grad) -> per-parent gradients.
+# ---------------------------------------------------------------------------
+
+
+def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
+    # Undo broadcast-row expansion performed by an elementwise op.
+    if grad.shape == shape:
+        return grad
+    return grad.sum(axis=0, keepdims=True)
+
+
+# matmul and mul skip the half that belongs to a constant parent.
+def _bw_matmul(node, g):
+    a, b = node.parents
+    return (g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None)
+
+
+def _bw_add(node, g):
+    a, b = node.parents
+    return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
+
+
+def _bw_mul(node, g):
+    a, b = node.parents
+    return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
+            _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
+
+
+def _bw_negate(node, g):
+    return (-g,)
+
+
+def _bw_concat_cols(node, g):
+    out = []
+    start = 0
+    for w in node.ctx:
+        out.append(g[:, start:start + w])
+        start += w
+    return tuple(out)
+
+
+def _bw_reshape(node, g):
+    return (g.reshape(node.parents[0].shape),)
+
+
+def _bw_log_sigmoid(node, g):
+    # d/dx log σ(x) = σ(-x) = exp(log σ(x) - x), which cannot overflow.
+    return (g * np.exp(node.data - node.parents[0].data),)
+
+
+def _bw_tanh(node, g):
+    y = node.data
+    return (g * (1.0 - y * y),)
+
+
+def _bw_sum_all(node, g):
+    (a,) = node.parents
+    return (np.full_like(a.data, g[0, 0]),)
+
+
+# Keyed by the op name a tape node carries: these keys are the primitives.
+_BACKWARD: dict[str, Callable] = {
+    "matmul": _bw_matmul,
+    "add": _bw_add,
+    "mul": _bw_mul,
+    "negate": _bw_negate,
+    "concat-cols": _bw_concat_cols,
+    "reshape": _bw_reshape,
+    "log-sigmoid": _bw_log_sigmoid,
+    "tanh": _bw_tanh,
+    "sum-all": _bw_sum_all,
+}
+
+
+def _topo_order(output: Tensor) -> list[Tensor]:
+    # Iterative post-order DFS (tensors hash by identity); parent order is
+    # fixed, so the ordering and hence gradient accumulation is deterministic.
+    order: list[Tensor] = []
+    visited: set[Tensor] = set()
+    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in visited:
+            continue
+        visited.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if p.requires_grad and p not in visited:
+                stack.append((p, False))
+    return order
+
+
+# The `ctx` of an interior node whose backward rule has run.
+_CONSUMED = object()
+
+
+def backward(output: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
+    """Gradients of a scalar output with respect to every trainable leaf.
+
+    Leaves listed in `params` but unreachable from `output` get zero
+    gradients. Keys are the leaf tensors themselves (identity semantics).
+    Each interior node's rule is the last reader of its `ctx`, so the `ctx`
+    is released as soon as the rule has run: a tape is backpropagated once,
+    and a second `backward` through it raises RuntimeError.
+    """
+    if output.shape != (1, 1):
+        raise ShapeMismatchError("backward", output.shape)
+
+    grads: dict[Tensor, np.ndarray] = {output: np.ones((1, 1))}
+    result: dict[Tensor, Tensor] = {}
+    if output.requires_grad:
+        for node in reversed(_topo_order(output)):
+            g = grads.pop(node, None)
+            if g is None:
+                continue
+            if node.op is None:
+                result[node] = Tensor(g)
+                continue
+            if node.ctx is _CONSUMED:
+                raise RuntimeError(f"backward: a {node.op} node of this tape was already "
+                                   "backpropagated; run the forward pass again")
+            parent_grads = _BACKWARD[node.op](node, g)
+            node.ctx = _CONSUMED
+            for parent, pg in zip(node.parents, parent_grads):
+                if not parent.requires_grad:
+                    continue
+                # Rules may hand back their upstream array, so sums are new arrays.
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
+    if params is not None:
+        for p in params:
+            if p.requires_grad and p not in result:
+                result[p] = Tensor(np.zeros_like(p.data))
+    return result
+
+
+def tape_grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> float:
+    """`autodiff.grad_check` of the tape builder `f` over the leaves `params`,
+    a list or a name -> leaf mapping, against the tape's gradients. `f`
+    rebuilds its tape from the current contents of the leaves on every call."""
+    leaves = (dict(params) if isinstance(params, Mapping)
+              else {f"param{i}": p for i, p in enumerate(params)})
+    # The analytic tape dies with this call, before the first perturbed one.
+    grads = backward(f(), params=list(leaves.values()))
+    return ad.grad_check(lambda: f().item(), {k: grads[p].data for k, p in leaves.items()},
+                         {k: p.data for k, p in leaves.items()}, step)
+
+
+def leaves_of(params):
+    """The parameter dataclass `params` with each array wrapped as a tape leaf
+    that shares its memory: a step of either moves both."""
+    return dataclasses.replace(params, **{
+        f.name: Tensor(getattr(params, f.name), requires_grad=True)
+        for f in dataclasses.fields(params) if isinstance(getattr(params, f.name), np.ndarray)})
+
+
+def arrays_of(params):
+    """The inverse of `leaves_of`: the dataclass of the leaves' arrays."""
+    return dataclasses.replace(params, **{
+        f.name: getattr(params, f.name).data
+        for f in dataclasses.fields(params) if isinstance(getattr(params, f.name), Tensor)})
+
+
+def evolve_node(h0, cohort, params, horizon):
+    """`evolution.evolve` as one tape node over H0 and the leaves of `params`
+    (a `leaves_of` dataclass); its rule is `evolve_backward`."""
+    value, kept = evolve(h0.data, cohort, arrays_of(params), horizon, keep=True)
+    return Tensor._node(value, "evolve", (h0,) + tuple(leaf for _, leaf in params.named_leaves()),
+                        kept)
+
+
+def lstm_node(snapshots, steps, params):
+    """`trajectory.integrate` as one tape node over the snapshots and the
+    leaves of `params` (a `leaves_of` dataclass); its rule is
+    `integrate_backward`."""
+    value, kept = integrate(snapshots.data, steps, arrays_of(params), keep=True)
+    return Tensor._node(value, "lstm",
+                        (snapshots,) + tuple(leaf for _, leaf in params.named_leaves()), kept)
+
+
+def _fused_rule(backward_fn):
+    def rule(node, g):
+        d_input, grads = backward_fn(node.ctx, g)
+        return (d_input,) + tuple(grads.values())
+    return rule
+
+
+_BACKWARD["evolve"] = _fused_rule(evolve_backward)
+_BACKWARD["lstm"] = _fused_rule(integrate_backward)
+MODEL_RULES = frozenset(_BACKWARD)
+
+
+def tape_embed(cohort, weights, biases):
+    """`graph.embed_nodes` on the tape, with the leaves keyed by `NodeKind`."""
+    inputs = ([cohort.regions[:, j] for j in range(len(ANATOMICAL_KINDS))]
+              + [cohort.global_features, cohort.clinical])
+    rows = [add(matmul(constant(x), weights[kind]), biases[kind])
+            for kind, x in zip(NodeKind, inputs)]
+    h0 = reshape(concat_cols(*rows), SLOTS * len(cohort), rows[0].cols)
+    mask = np.broadcast_to(slots_in_use(cohort.present).reshape(-1, 1), h0.shape)
+    return mul(h0, constant(mask))
+
+
+def tape_integrate_mean(snapshots, steps):
+    """`trajectory.integrate_mean` on the tape."""
+    rows, d = snapshots.rows // steps, snapshots.cols
+    total = matmul(constant(np.ones((1, steps))), reshape(snapshots, steps, rows * d))
+    return mul(reshape(total, rows, d), constant(np.full((rows, d), 1.0 / steps)))
+
+
+def tape_dfs_head(h_star, params):
+    """`heads.dfs_head` on the tape: (logits, context)."""
+    context = tanh(add(matmul(h_star, params.w_ctx), params.b_ctx))
+    return add(matmul(h_star, params.w_dfs), params.b_dfs), context
+
+
+def tape_os_head(h_star, dfs_context, params, cascade_enabled=True):
+    """`heads.os_head` on the tape; without the cascade the context is a zero constant."""
+    if not cascade_enabled:
+        dfs_context = constant(np.zeros((h_star.rows, params.context_dim)))
+    return add(matmul(concat_cols(h_star, dfs_context), params.w_os), params.b_os)
+
+
+def tape_nll(logits, time, event, bins):
+    """`objective.discrete_nll` on the tape."""
+    K = bins.count
+    k = bins.index(time)[:, None]
+    event = np.asarray(event)[:, None]
+    cols = np.arange(K)[None, :]
+    event_mask = ((cols == k) & (event == 1)).astype(np.float64)
+    surv_mask = (cols < k + 1 - event).astype(np.float64)
+    ll = sum_all(add(mul(constant(event_mask), log_sigmoid(logits)),
+                     mul(constant(surv_mask), log_sigmoid(negate(logits)))))
+    return mul(negate(ll), constant([[1.0 / len(time)]]))
+
+
+def tape_mean_loss(model, cohort, bins, weights):
+    """`training._mean_loss` on the tape, as it once was: the loss tensor and
+    the model's leaves by name."""
+    cfg = model.config
+    embedding, evolution = model.embedding, leaves_of(model.evolution)
+    lstm, heads = leaves_of(model.lstm), leaves_of(model.heads)
+    embed_w = {kind: Tensor(w, requires_grad=True) for kind, w in embedding.weights.items()}
+    embed_b = {kind: Tensor(b, requires_grad=True) for kind, b in embedding.biases.items()}
+    h0 = tape_embed(cohort, embed_w, embed_b)
+    snapshots = evolve_node(h0, cohort, evolution, cfg.horizon)
+    if cfg.integrator == "lstm":
+        h_star = lstm_node(snapshots, cfg.horizon, lstm)
+    else:
+        h_star = tape_integrate_mean(snapshots, cfg.horizon)
+    dfs_logits, context = tape_dfs_head(h_star, heads)
+    os_logits = tape_os_head(h_star, context, heads, cfg.cascade)
+    leaves = {}
+    for kind in embed_w:
+        leaves[f"embed.{kind.value}.w"] = embed_w[kind]
+        leaves[f"embed.{kind.value}.b"] = embed_b[kind]
+    for part in (evolution, lstm, heads):
+        leaves.update(part.named_leaves())
+    os_nll = tape_nll(os_logits, cohort.time["os"], cohort.event["os"], bins)
+    dfs_nll = tape_nll(dfs_logits, cohort.time["dfs"], cohort.event["dfs"], bins)
+    loss = add(mul(constant([[weights.alpha]]), os_nll), mul(constant([[weights.beta]]), dfs_nll))
+    return loss, leaves
+
+
+def tape_loss_and_grads(model, cohort, bins, weights):
+    """The tape's loss and its gradient per parameter name, zeros for the
+    parameters the loss does not reach."""
+    loss, leaves = tape_mean_loss(model, cohort, bins, weights)
+    grads = backward(loss, params=list(leaves.values()))
+    return loss.item(), {name: grads[leaf].data for name, leaf in leaves.items()}
 
 
 def spmm(s, x):
     """Constant block-diagonal matrix times a tape tensor; only x gets a gradient."""
     if s.shape[1] != x.rows:
-        raise ad.ShapeMismatchError("spmm", s.shape, x.shape)
-    return ad.Tensor._node(s.apply(x.data), "spmm", (x,), s)
+        raise ShapeMismatchError("spmm", s.shape, x.shape)
+    return Tensor._node(s.apply(x.data), "spmm", (x,), s)
 
 
 def exp(a):
-    return ad.Tensor._node(np.exp(a.data), "exp", (a,))
+    return Tensor._node(np.exp(a.data), "exp", (a,))
 
 
 def log(a):
-    return ad.Tensor._node(np.log(a.data), "log", (a,))
+    return Tensor._node(np.log(a.data), "log", (a,))
 
 
-SRC_RULES = frozenset(ad._BACKWARD)
-ad._BACKWARD.update({
+_BACKWARD.update({
     "spmm": lambda node, g: (node.ctx.T.apply(g),),
     "exp": lambda node, g: (g * node.data,),
     "log": lambda node, g: (g / node.parents[0].data,),
@@ -390,7 +838,7 @@ def star_operators(cohort, offset_scale=100.0):
 
 def _sigmoid(x):
     """The gate nonlinearity on the tape, as exp(log sigmoid(x))."""
-    return exp(ad.log_sigmoid(x))
+    return exp(log_sigmoid(x))
 
 
 def lstm_step(z, h, c, params):
@@ -398,15 +846,15 @@ def lstm_step(z, h, c, params):
     written: c' = f*c + i*g, h' = o*tanh(c'), each gate its own matmul on
     [z | h]."""
     if z.cols != params.input_dim or h.cols != params.hidden_dim:
-        raise ad.ShapeMismatchError("lstm-step", z.shape, h.shape,
+        raise ShapeMismatchError("lstm-step", z.shape, h.shape,
                                     (params.input_dim, params.hidden_dim))
-    zh = ad.concat_cols(z, h)
-    i = _sigmoid(ad.add(ad.matmul(zh, params.w_i), params.b_i))
-    f = _sigmoid(ad.add(ad.matmul(zh, params.w_f), params.b_f))
-    g = ad.tanh(ad.add(ad.matmul(zh, params.w_g), params.b_g))
-    o = _sigmoid(ad.add(ad.matmul(zh, params.w_o), params.b_o))
-    c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h2 = ad.mul(o, ad.tanh(c2))
+    zh = concat_cols(z, h)
+    i = _sigmoid(add(matmul(zh, params.w_i), params.b_i))
+    f = _sigmoid(add(matmul(zh, params.w_f), params.b_f))
+    g = tanh(add(matmul(zh, params.w_g), params.b_g))
+    o = _sigmoid(add(matmul(zh, params.w_o), params.b_o))
+    c2 = add(mul(f, c), mul(i, g))
+    h2 = mul(o, tanh(c2))
     return h2, c2
 
 
@@ -416,21 +864,21 @@ def tape_integrate(snapshots, steps, params):
     mean of h_1..h_T as a chain of adds and one scale."""
     rows = snapshots.rows // steps
     zeros = np.zeros((rows, params.hidden_dim))
-    h, c = ad.constant(zeros), ad.constant(zeros)
+    h, c = constant(zeros), constant(zeros)
     acc = None
     for t in range(steps):
         h, c = lstm_step(rows_of(snapshots, t * rows, (t + 1) * rows), h, c, params)
-        acc = h if acc is None else ad.add(acc, h)
-    return ad.mul(acc, ad.constant(np.full(acc.shape, 1.0 / steps)))
+        acc = h if acc is None else add(acc, h)
+    return mul(acc, constant(np.full(acc.shape, 1.0 / steps)))
 
 
-def stacked_snapshot_grad(node, g):
-    """The snapshot gradient of the `lstm` node `node` from the upstream `g`,
-    as it was first computed: the (T, 4, B, d) product of every gate's
-    gradient with its input weights, summed over the gate axis."""
-    z, w = node.ctx[:2]
+def stacked_snapshot_grad(kept, g):
+    """The snapshot gradient of `integrate` from what it kept and the
+    gradient `g` of h*, as it was first computed: the (T, 4, B, d) product of
+    every gate's gradient with its input weights, summed over the gate axis."""
+    z, w = kept[:2]
     d = z.shape[2]
-    return np.matmul(_gate_grads(node, g), w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
+    return np.matmul(_gate_grads(kept, g), w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
 
 
 def leafwise_adamw_step(params, grads, state, settings):
@@ -442,19 +890,19 @@ def leafwise_adamw_step(params, grads, state, settings):
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params:
-        g = grads[p].data
-        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        g = grads[name]
+        m, v = state.get(name, (np.zeros_like(p), np.zeros_like(p)))
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state[name] = (m, v)
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data -= state["lr"] * (update + settings.weight_decay * p.data)
+        p -= state["lr"] * (update + settings.weight_decay * p)
 
 
 def rows_of(x, start, stop):
     """Rows start..stop-1 of x on the tape, through a dense selector."""
     if not 0 <= start < stop <= x.rows:
-        raise ad.ShapeMismatchError("rows", (start, stop), x.rows)
+        raise ShapeMismatchError("rows", (start, stop), x.rows)
     return spmm(Blocks(np.eye(stop - start, x.rows, start)[None]), x)
 
 
@@ -497,27 +945,27 @@ def tape_segment_softmax(scores, ops):
     shift = np.where(in_arcs.any(axis=2),
                      np.take_along_axis(top, in_arcs.argmax(axis=2), axis=1), per_arc)
     # x - y is x + (-y), the same bits.
-    shifted = ad.add(scores, ad.constant(-shift.reshape(-1, 1)))
-    total = ad.add(spmm(ops["sum_dst"], exp(shifted)), ad.constant(ops["no_arcs"]))
-    return exp(ad.add(shifted, ad.negate(spmm(ops["at_dst"], log(total)))))
+    shifted = add(scores, constant(-shift.reshape(-1, 1)))
+    total = add(spmm(ops["sum_dst"], exp(shifted)), constant(ops["no_arcs"]))
+    return exp(add(shifted, negate(spmm(ops["at_dst"], log(total)))))
 
 
 def _attention(ops, params, w_na):
     """gat's neighbour term as a function of (H, H W_nh + 1 (e_t W_nt), t)."""
     u_dh, u_dt, u_sh, u_st, u_a = weight_blocks(params, "attn_u")
-    attr = ad.constant(ops["attr"])
-    score_rows = ad.matmul(params.time_table, ad.add(u_dt, u_st))
-    score_arcs = ad.add(ad.matmul(attr, u_a), params.attn_b)
-    msg_arcs = ad.matmul(attr, w_na)
-    spread = ad.constant(np.ones((1, w_na.cols)))
+    attr = constant(ops["attr"])
+    score_rows = matmul(params.time_table, add(u_dt, u_st))
+    score_arcs = add(matmul(attr, u_a), params.attn_b)
+    msg_arcs = matmul(attr, w_na)
+    spread = constant(np.ones((1, w_na.cols)))
 
     def neighbours(h, x_n, t):
-        dst = spmm(ops["at_dst"], ad.add(ad.matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
-        src = spmm(ops["at_src"], ad.matmul(h, u_sh))
-        hidden = ad.tanh(ad.add(ad.add(dst, src), score_arcs))
-        alpha = tape_segment_softmax(ad.matmul(hidden, params.attn_v), ops)
-        msgs = ad.add(spmm(ops["at_src"], x_n), msg_arcs)
-        return spmm(ops["sum_dst"], ad.mul(msgs, ad.matmul(alpha, spread)))
+        dst = spmm(ops["at_dst"], add(matmul(h, u_dh), rows_of(score_rows, t, t + 1)))
+        src = spmm(ops["at_src"], matmul(h, u_sh))
+        hidden = tanh(add(add(dst, src), score_arcs))
+        alpha = tape_segment_softmax(matmul(hidden, params.attn_v), ops)
+        msgs = add(spmm(ops["at_src"], x_n), msg_arcs)
+        return spmm(ops["sum_dst"], mul(msgs, matmul(alpha, spread)))
 
     return neighbours
 
@@ -528,18 +976,18 @@ def residual_update(cohort, params):
     e = params.time_table
     ops = arc_blocks(cohort) if params.backbone == "gat" else adjacency(cohort, params.backbone)
     w_sh, w_st = weight_blocks(params, "w_self")
-    self_rows = ad.matmul(e, w_st)
+    self_rows = matmul(e, w_st)
     if params.backbone == "gcn":
         norm = ops["norm"]
 
         def pre(h, t):
-            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
-            return ad.add(spmm(norm, own), params.b_msg)
+            own = add(matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return add(spmm(norm, own), params.b_msg)
     else:
         w_nh, w_nt, w_na = weight_blocks(params, "w_neigh")
-        neigh_rows = ad.matmul(e, w_nt)
+        neigh_rows = matmul(e, w_nt)
         if params.backbone == "graphsage":
-            fixed = ad.add(ad.matmul(ad.constant(ops["attr_mean"]), w_na), params.b_msg)
+            fixed = add(matmul(constant(ops["attr_mean"]), w_na), params.b_msg)
 
             def neighbours(h, x_n, t):
                 return spmm(ops["mean"], x_n)
@@ -548,15 +996,15 @@ def residual_update(cohort, params):
             neighbours = _attention(ops, params, w_na)
 
         def pre(h, t):
-            x_n = ad.add(ad.matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
-            own = ad.add(ad.matmul(h, w_sh), rows_of(self_rows, t, t + 1))
-            return ad.add(ad.add(own, neighbours(h, x_n, t)), fixed)
+            x_n = add(matmul(h, w_nh), rows_of(neigh_rows, t, t + 1))
+            own = add(matmul(h, w_sh), rows_of(self_rows, t, t + 1))
+            return add(add(own, neighbours(h, x_n, t)), fixed)
 
     def update(h, t):
         # relu(x) as x times the constant mask x > 0: the same values, a zero's
         # sign aside, and the same gradient.
         x = pre(h, t)
-        return ad.add(ad.matmul(ad.mul(x, ad.constant(x.data > 0.0)), params.w_out), params.b_out)
+        return add(matmul(mul(x, constant(x.data > 0.0)), params.w_out), params.b_out)
 
     return update
 
@@ -575,7 +1023,7 @@ def tape_evolve(h0, cohort, params, horizon):
     pool = mean_pool(cohort.present)
     h, snapshots = h0, []
     for t in range(horizon):
-        h = ad.add(h, update(h, t))
+        h = add(h, update(h, t))
         snapshots.append(readout(h, pool))
     return snapshots
 

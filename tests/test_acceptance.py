@@ -4,6 +4,7 @@ Run with -s to see the verdict lines inline; each test prints
 "[NN] <name>: PASS/FAIL (<measurements>)" before asserting.
 """
 
+import dataclasses
 import re
 import time
 import warnings
@@ -13,13 +14,12 @@ import pytest
 
 from oracles import (arrays, direct_ibs, km_censor_at, pair_auc, pair_cindex,
                      random_survival_instance)
-from trajsurv import autodiff as ad
 from trajsurv.acceptance_support import full_pipeline_gradcheck
-from trajsurv.cli import main as cli_main
+from trajsurv.cli import ABLATIONS, main as cli_main
 from trajsurv.cohort import (Scenario, oracle_cindex, record_to_graph,
                              simulate_cohort)
 from trajsurv.config import RunConfig
-from trajsurv.crossval import run_ablation, run_crossval
+from trajsurv.crossval import run_crossval
 from trajsurv.evolution import BACKBONES, evolve, init_evolution, mean_pool
 from trajsurv.heads import (annual_bins, hazards_from_logits, point_estimate_time,
                             survival_from_hazards)
@@ -65,17 +65,17 @@ def test_02_residual_identity():
     cohort, _ = simulate_cohort(10, seed=3, scenario=Scenario(region_len=4,
                                                               clinical_len=3))
     graph = record_to_graph(cohort[0])
-    h0 = ad.constant(np.random.default_rng(9).normal(size=(7, 8)))
-    base = mean_pool(graph.present).apply(h0.data).tobytes()
+    h0 = np.random.default_rng(9).normal(size=(7, 8))
+    base = mean_pool(graph.present).apply(h0).tobytes()
     mismatches = 0
     checked = 0
     for backbone in BACKBONES:
         params = init_evolution(backbone, 8, 4, steps=12, message_dim=8,
                                 rng=np.random.default_rng(1), attention_dim=4)
         for _, leaf in params.named_leaves():
-            leaf.data[:] = 0.0
+            leaf[:] = 0.0
         for horizon in (1, 12):
-            for z in evolve(h0, graph, params, horizon).data:
+            for z in evolve(h0, graph, params, horizon)[0]:
                 checked += 1
                 if z.tobytes() != base:
                     mismatches += 1
@@ -162,14 +162,13 @@ def test_05_nll_closed_forms():
     def logits(values):      # logit(0.5) = 0, logit(0.2) = -ln 4
         x = np.zeros((1, bins.count))
         x[0, :len(values)] = values
-        return ad.constant(x)
+        return x
 
     time, event = [0.2, 0.2, 1.5], [1, 0, 1]
     rows = [logits([0.0]), logits([0.0]), logits([-np.log(4.0), 0.0])]
-    per = [discrete_nll(x, [t], [e], bins).item() for x, t, e in zip(rows, time, event)]
+    per = [discrete_nll(x, [t], [e], bins)[0].item() for x, t, e in zip(rows, time, event)]
     errs = [abs(p - e) for p, e in zip(per, (0.6931, 0.6931, 0.9163))]
-    together = discrete_nll(ad.constant(np.vstack([x.data for x in rows])),
-                            time, event, bins).item()
+    together = discrete_nll(np.vstack(rows), time, event, bins)[0].item()
     mean_gap = abs(together - float(np.mean(per)))
 
     verdict(5, "closed-form likelihood values and batch-mean linearity",
@@ -197,8 +196,8 @@ def test_06_synthetic_recovery(synthetic, full_run):
 def test_07_ablation_direction(synthetic, full_run):
     _, cohort, _ = synthetic
     config, report = full_run
-    static = run_ablation(config, "static", cohort)
-    cascade = run_ablation(config, "no_cascade", cohort)
+    static, cascade = (run_crossval(dataclasses.replace(config, model=dataclasses.replace(
+        config.model, **ABLATIONS[variant])), cohort) for variant in ("static", "no_cascade"))
     full_c = report.mean_metric("os", "cindex")
     static_c = static.mean_metric("os", "cindex")
     cascade_c = cascade.mean_metric("os", "cindex")

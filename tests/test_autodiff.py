@@ -1,7 +1,10 @@
-"""Tape engine: forward values, backward rules, and finite-difference checks."""
+"""The reference tape of `oracles`: forward values, backward rules and
+finite-difference checks; the central-difference check; the LSTM
+backward's memory; and `Blocks`."""
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,15 +13,14 @@ from hypothesis import strategies as st
 
 import oracles
 from trajsurv import autodiff as ad
-from trajsurv import trajectory
+from trajsurv import model as model_module
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
-from trajsurv.evolution import BACKBONES, Blocks, evolve, init_evolution
+from trajsurv.evolution import BACKBONES, Blocks, init_evolution
 from trajsurv.graph import slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
-from trajsurv.training import _mean_loss
-from trajsurv.trajectory import LstmParams, integrate
+from trajsurv.trajectory import LstmParams, integrate, integrate_backward
 
 
 # Three 2 x 1 blocks, one of them zero: a 6 x 3 block-diagonal matrix.
@@ -26,139 +28,139 @@ BLOCKS = Blocks([[[0.5], [-1.0]], [[0.0], [0.0]], [[2.0], [3.0]]])
 
 
 def params_of(*arrays):
-    return [ad.parameter(a) for a in arrays]
+    return [oracles.parameter(a) for a in arrays]
 
 
 class TestForwardValues:
     def test_matmul_hand_example(self):
-        out = ad.matmul(ad.constant([[1.0, 2.0], [3.0, 4.0]]), ad.constant([[1.0], [1.0]]))
+        out = oracles.matmul(oracles.constant([[1.0, 2.0], [3.0, 4.0]]), oracles.constant([[1.0], [1.0]]))
         assert np.array_equal(out.data, [[3.0], [7.0]])
 
     def test_sum_all(self):
-        x = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-        assert ad.sum_all(x).item() == 10.0
+        x = oracles.constant([[1.0, 2.0], [3.0, 4.0]])
+        assert oracles.sum_all(x).item() == 10.0
 
     def test_elementwise_and_unary(self):
-        a = ad.constant([[1.0, -2.0]])
-        b = ad.constant([[3.0, 5.0]])
-        assert np.array_equal(ad.add(a, b).data, [[4.0, 3.0]])
-        assert np.array_equal(ad.mul(a, b).data, [[3.0, -10.0]])
-        assert np.array_equal(ad.negate(a).data, [[-1.0, 2.0]])
-        assert np.array_equal(ad.tanh(a).data, np.tanh(a.data))
+        a = oracles.constant([[1.0, -2.0]])
+        b = oracles.constant([[3.0, 5.0]])
+        assert np.array_equal(oracles.add(a, b).data, [[4.0, 3.0]])
+        assert np.array_equal(oracles.mul(a, b).data, [[3.0, -10.0]])
+        assert np.array_equal(oracles.negate(a).data, [[-1.0, 2.0]])
+        assert np.array_equal(oracles.tanh(a).data, np.tanh(a.data))
 
     def test_concat_then_slice_roundtrip(self):
-        a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.constant([[5.0], [6.0]])
-        cat = ad.concat_cols(a, b)
+        a = oracles.constant([[1.0, 2.0], [3.0, 4.0]])
+        b = oracles.constant([[5.0], [6.0]])
+        cat = oracles.concat_cols(a, b)
         assert cat.shape == (2, 3)
         assert np.array_equal(cat.data[:, 0:2], a.data)
         assert np.array_equal(cat.data[:, 2:3], b.data)
 
     def test_reshape_keeps_row_major_order(self):
-        a = ad.constant([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        assert np.array_equal(ad.reshape(a, 4, 2).data, [[1.0, 2.0], [3.0, 4.0],
+        a = oracles.constant([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        assert np.array_equal(oracles.reshape(a, 4, 2).data, [[1.0, 2.0], [3.0, 4.0],
                                                          [5.0, 6.0], [7.0, 8.0]])
-        with pytest.raises(ad.ShapeMismatchError, match="reshape"):
-            ad.reshape(a, 3, 3)
+        with pytest.raises(oracles.ShapeMismatchError, match="reshape"):
+            oracles.reshape(a, 3, 3)
 
     def test_add_broadcasts_single_row(self):
-        a = ad.constant([[1.0, 1.0], [2.0, 2.0]])
-        bias = ad.constant([[10.0, 20.0]])
-        assert np.array_equal(ad.add(a, bias).data, [[11.0, 21.0], [12.0, 22.0]])
+        a = oracles.constant([[1.0, 1.0], [2.0, 2.0]])
+        bias = oracles.constant([[10.0, 20.0]])
+        assert np.array_equal(oracles.add(a, bias).data, [[11.0, 21.0], [12.0, 22.0]])
 
     def test_log_exp_inverse(self):
-        x = ad.constant([[0.5, 2.0]])
+        x = oracles.constant([[0.5, 2.0]])
         assert np.allclose(oracles.log(oracles.exp(x)).data, x.data)
 
 
 class TestErrors:
     def test_matmul_shape_error_names_op(self):
-        with pytest.raises(ad.ShapeMismatchError, match="matmul"):
-            ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0, 2.0]]))
+        with pytest.raises(oracles.ShapeMismatchError, match="matmul"):
+            oracles.matmul(oracles.constant([[1.0, 2.0]]), oracles.constant([[1.0, 2.0]]))
 
     def test_elementwise_shape_error(self):
-        with pytest.raises(ad.ShapeMismatchError, match="add"):
-            ad.add(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [2.0]]))
+        with pytest.raises(oracles.ShapeMismatchError, match="add"):
+            oracles.add(oracles.constant([[1.0, 2.0]]), oracles.constant([[1.0], [2.0]]))
 
     def test_backward_rejects_nonscalar(self):
-        x = ad.parameter([[1.0, 2.0]])
-        with pytest.raises(ad.ShapeMismatchError, match="backward"):
-            ad.backward(ad.tanh(x))
+        x = oracles.parameter([[1.0, 2.0]])
+        with pytest.raises(oracles.ShapeMismatchError, match="backward"):
+            oracles.backward(oracles.tanh(x))
 
     def test_item_rejects_nonscalar(self):
-        with pytest.raises(ad.ShapeMismatchError):
-            ad.constant([[1.0, 2.0]]).item()
+        with pytest.raises(oracles.ShapeMismatchError):
+            oracles.constant([[1.0, 2.0]]).item()
 
     def test_tensor_rejects_3d(self):
-        with pytest.raises(ad.ShapeMismatchError):
-            ad.constant(np.zeros((2, 2, 2)))
+        with pytest.raises(oracles.ShapeMismatchError):
+            oracles.constant(np.zeros((2, 2, 2)))
 
 
 class TestBackwardExamples:
     def test_quadratic_gradient(self):
-        x = ad.parameter([[3.0]])
-        grads = ad.backward(ad.sum_all(ad.mul(x, x)))
+        x = oracles.parameter([[3.0]])
+        grads = oracles.backward(oracles.sum_all(oracles.mul(x, x)))
         assert grads[x].item() == pytest.approx(6.0)
 
     def test_matmul_weight_gradient_rows(self):
-        w = ad.parameter(np.zeros((2, 2)))
-        v = ad.constant([[1.0], [2.0]])
-        grads = ad.backward(ad.sum_all(ad.matmul(w, v)))
+        w = oracles.parameter(np.zeros((2, 2)))
+        v = oracles.constant([[1.0], [2.0]])
+        grads = oracles.backward(oracles.sum_all(oracles.matmul(w, v)))
         assert np.allclose(grads[w].data, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_unreachable_parameter_gets_zeros(self):
-        x = ad.parameter([[1.0]])
-        unused = ad.parameter([[5.0, 5.0]])
-        grads = ad.backward(ad.sum_all(x), params=[x, unused])
+        x = oracles.parameter([[1.0]])
+        unused = oracles.parameter([[5.0, 5.0]])
+        grads = oracles.backward(oracles.sum_all(x), params=[x, unused])
         assert np.array_equal(grads[unused].data, np.zeros((1, 2)))
 
     def test_reused_tensor_accumulates(self):
-        x = ad.parameter([[2.0]])
-        grads = ad.backward(ad.sum_all(ad.add(ad.mul(x, x), x)))
+        x = oracles.parameter([[2.0]])
+        grads = oracles.backward(oracles.sum_all(oracles.add(oracles.mul(x, x), x)))
         assert grads[x].item() == pytest.approx(5.0)  # 2x + 1
 
     def test_gradient_through_broadcast_row(self):
         # A single row added to every row of a matrix gets the column sums.
-        x = ad.parameter([[1.0, 2.0]])
-        grads = ad.backward(ad.sum_all(ad.add(ad.constant(np.zeros((4, 2))), x)))
+        x = oracles.parameter([[1.0, 2.0]])
+        grads = oracles.backward(oracles.sum_all(oracles.add(oracles.constant(np.zeros((4, 2))), x)))
         assert np.allclose(grads[x].data, [[4.0, 4.0]])
 
     def test_shared_upstream_gradient_is_not_summed_in_place(self):
         # The outer add hands the same array to x and to the inner add; the
         # inner add hands it on to x and y. Summing in place would double y's.
-        x, y = ad.parameter([[1.0]]), ad.parameter([[1.0]])
-        grads = ad.backward(ad.sum_all(ad.add(ad.add(x, y), x)))
+        x, y = oracles.parameter([[1.0]]), oracles.parameter([[1.0]])
+        grads = oracles.backward(oracles.sum_all(oracles.add(oracles.add(x, y), x)))
         assert grads[x].item() == 2.0 and grads[y].item() == 1.0
 
     def test_constant_operand_gets_no_gradient_product(self):
-        w = ad.parameter(np.ones((2, 2)))
-        for node in (ad.matmul(ad.constant(np.ones((3, 2))), w),
-                     ad.mul(ad.constant(np.ones((2, 2))), w)):
-            const_grad, w_grad = ad._BACKWARD[node.op](node, np.ones(node.shape))
+        w = oracles.parameter(np.ones((2, 2)))
+        for node in (oracles.matmul(oracles.constant(np.ones((3, 2))), w),
+                     oracles.mul(oracles.constant(np.ones((2, 2))), w)):
+            const_grad, w_grad = oracles._BACKWARD[node.op](node, np.ones(node.shape))
             assert const_grad is None and w_grad.shape == (2, 2)
 
     def test_gradient_additivity_across_terms(self):
         rng = np.random.default_rng(0)
-        x = ad.parameter(rng.normal(size=(2, 3)))
+        x = oracles.parameter(rng.normal(size=(2, 3)))
 
         def f():
-            return ad.sum_all(ad.tanh(x))
+            return oracles.sum_all(oracles.tanh(x))
 
         def g():
-            return ad.sum_all(ad.mul(x, x))
+            return oracles.sum_all(oracles.mul(x, x))
 
-        gf = ad.backward(f(), params=[x])[x].data
-        gg = ad.backward(g(), params=[x])[x].data
-        combined = ad.backward(ad.add(f(), g()), params=[x])[x].data
+        gf = oracles.backward(f(), params=[x])[x].data
+        gg = oracles.backward(g(), params=[x])[x].data
+        combined = oracles.backward(oracles.add(f(), g()), params=[x])[x].data
         assert np.allclose(combined, gf + gg, atol=1e-12)
 
     def test_backward_is_deterministic_bitwise(self):
         rng = np.random.default_rng(7)
-        x = ad.parameter(rng.normal(size=(3, 3)))
+        x = oracles.parameter(rng.normal(size=(3, 3)))
 
         def run():
-            y = oracles.spmm(BLOCKS, ad.matmul(x, ad.tanh(x)))
-            return ad.backward(ad.sum_all(y), params=[x])[x].data.copy()
+            y = oracles.spmm(BLOCKS, oracles.matmul(x, oracles.tanh(x)))
+            return oracles.backward(oracles.sum_all(y), params=[x])[x].data.copy()
 
         assert np.array_equal(run(), run())
 
@@ -174,41 +176,41 @@ def _fd_builders():
     pos = rng.uniform(0.5, 2.0, size=(3, 4))
 
     def leafy(arr):
-        return ad.parameter(arr.copy())
+        return oracles.parameter(arr.copy())
 
     cases = {}
     x, y = leafy(a), leafy(b)
     wl, rl, pl = leafy(w), leafy(row), leafy(pos)
-    cases["matmul"] = ([x, wl], lambda: ad.sum_all(ad.matmul(x, wl)))
-    cases["add"] = ([x, y], lambda: ad.sum_all(ad.add(x, y)))
-    cases["add-broadcast"] = ([x, rl], lambda: ad.sum_all(ad.add(x, rl)))
-    cases["mul"] = ([x, y], lambda: ad.sum_all(ad.mul(x, y)))
-    cases["negate"] = ([x], lambda: ad.sum_all(ad.negate(x)))
-    cases["concat-cols"] = ([x, y], lambda: ad.sum_all(ad.mul(
-        ad.concat_cols(x, y), ad.constant(np.arange(24.0).reshape(3, 8)))))
-    cases["reshape"] = ([x], lambda: ad.sum_all(ad.mul(
-        ad.reshape(x, 6, 2), ad.constant(np.arange(12.0).reshape(6, 2)))))
+    cases["matmul"] = ([x, wl], lambda: oracles.sum_all(oracles.matmul(x, wl)))
+    cases["add"] = ([x, y], lambda: oracles.sum_all(oracles.add(x, y)))
+    cases["add-broadcast"] = ([x, rl], lambda: oracles.sum_all(oracles.add(x, rl)))
+    cases["mul"] = ([x, y], lambda: oracles.sum_all(oracles.mul(x, y)))
+    cases["negate"] = ([x], lambda: oracles.sum_all(oracles.negate(x)))
+    cases["concat-cols"] = ([x, y], lambda: oracles.sum_all(oracles.mul(
+        oracles.concat_cols(x, y), oracles.constant(np.arange(24.0).reshape(3, 8)))))
+    cases["reshape"] = ([x], lambda: oracles.sum_all(oracles.mul(
+        oracles.reshape(x, 6, 2), oracles.constant(np.arange(12.0).reshape(6, 2)))))
     # Saturated logits included: log-sigmoid stays exact and differentiable there.
     sat = a.copy()
     sat[0] = [40.0, -40.0, 700.0, -700.0]
     sl = leafy(sat)
-    cases["log-sigmoid"] = ([sl], lambda: ad.sum_all(ad.log_sigmoid(sl)))
-    cases["tanh"] = ([x], lambda: ad.sum_all(ad.tanh(x)))
-    cases["exp"] = ([x], lambda: ad.sum_all(oracles.exp(x)))
-    cases["log"] = ([pl], lambda: ad.sum_all(oracles.log(pl)))
-    cases["sum-all"] = ([x], lambda: ad.sum_all(x))
-    cases["spmm"] = ([x], lambda: ad.sum_all(ad.mul(
-        oracles.spmm(BLOCKS, x), ad.constant(np.arange(24.0).reshape(6, 4)))))
+    cases["log-sigmoid"] = ([sl], lambda: oracles.sum_all(oracles.log_sigmoid(sl)))
+    cases["tanh"] = ([x], lambda: oracles.sum_all(oracles.tanh(x)))
+    cases["exp"] = ([x], lambda: oracles.sum_all(oracles.exp(x)))
+    cases["log"] = ([pl], lambda: oracles.sum_all(oracles.log(pl)))
+    cases["sum-all"] = ([x], lambda: oracles.sum_all(x))
+    cases["spmm"] = ([x], lambda: oracles.sum_all(oracles.mul(
+        oracles.spmm(BLOCKS, x), oracles.constant(np.arange(24.0).reshape(6, 4)))))
     # Three snapshots of two rows, d = 2, d_h = 3: every gate weight and bias
     # and the stacked snapshots are leaves.
     snaps = leafy(rng.normal(size=(6, 2)))
     gate_leaves = []
     for _ in range(4):
         gate_leaves += [leafy(rng.normal(size=(5, 3))), leafy(rng.normal(size=(1, 3)))]
-    mix = ad.constant(rng.normal(size=(2, 3)))
+    mix = oracles.constant(rng.normal(size=(2, 3)))
     lstm = LstmParams(*gate_leaves)
     cases["lstm"] = ([snaps] + gate_leaves,
-                     lambda: ad.sum_all(ad.mul(integrate(snaps, 3, lstm), mix)))
+                     lambda: oracles.sum_all(oracles.mul(oracles.lstm_node(snaps, 3, lstm), mix)))
     # Three steps over two patients, the second without two regions: H0 and
     # every evolution leaf of each backbone.
     cohort, _ = simulate_cohort(10, seed=1)
@@ -216,71 +218,64 @@ def _fd_builders():
     present[1, 1:3] = False
     cohort = cohort[:2].with_presence(present)
     for backbone in BACKBONES:
-        params = init_evolution(backbone, 3, 2, 3, 4, rng, attention_dim=2)
+        params = oracles.leaves_of(init_evolution(backbone, 3, 2, 3, 4, rng, attention_dim=2))
         h0 = leafy(rng.normal(size=(14, 3)) * slots_in_use(present).reshape(-1, 1))
-        weight = ad.constant(rng.normal(size=(6, 3)))
+        weight = oracles.constant(rng.normal(size=(6, 3)))
         cases[f"evolve/{backbone}"] = (
             [h0] + [leaf for _, leaf in params.named_leaves()],
-            lambda h0=h0, params=params, weight=weight: ad.sum_all(ad.mul(
-                ad.tanh(evolve(h0, cohort, params, 3)), weight)))
+            lambda h0=h0, params=params, weight=weight: oracles.sum_all(oracles.mul(
+                oracles.tanh(oracles.evolve_node(h0, cohort, params, 3)), weight)))
     return cases
 
 
 @pytest.mark.parametrize("op", sorted(_fd_builders()))
 def test_primitive_gradients_match_central_differences(op):
     leaves, f = _fd_builders()[op]
-    assert ad.grad_check(f, leaves) <= 1e-4
+    assert oracles.tape_grad_check(f, leaves) <= 1e-4
+
+
+def _integrated(steps, rows, d, d_h, seed=0, weight_scale=0.05, bias_scale=0.05):
+    """What `integrate` keeps over (steps rows x d) snapshots at hidden width
+    d_h, and a gradient for its summary."""
+    rng = np.random.default_rng(seed)
+    snaps = rng.normal(size=(steps * rows, d))
+    arrays = []
+    for _ in range(4):
+        arrays += [rng.normal(scale=weight_scale, size=(d + d_h, d_h)),
+                   rng.normal(scale=bias_scale, size=(1, d_h))]
+    h_star, kept = integrate(snaps, steps, LstmParams(*arrays), keep=True)
+    return kept, rng.normal(size=h_star.shape)
 
 
 def test_lstm_backward_sums_weight_gradients_step_by_step():
     # At T = 64 and d = d_h = 128, the per-step products of both weight
     # gradients stacked at once would take 2 x 33.5 MB.
-    rng = np.random.default_rng(0)
-    steps, width = 64, 128
-    snaps = ad.constant(rng.normal(size=(steps, width)))
-    leaves = []
-    for _ in range(4):
-        leaves += [ad.parameter(rng.normal(scale=0.05, size=(2 * width, width))),
-                   ad.parameter(np.zeros((1, width)))]
-    out = ad.sum_all(integrate(snaps, steps, LstmParams(*leaves)))
+    kept, g = _integrated(64, 1, 128, 128, bias_scale=0.0)
     tracemalloc.start()
     try:
-        ad.backward(out, params=leaves)
+        integrate_backward(kept, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
 
 
-def _lstm_node(steps, rows, d, d_h, seed=0):
-    """An `lstm` node over (steps rows x d) snapshots that require grad, at
-    hidden width d_h, and an upstream gradient for its summary."""
-    rng = np.random.default_rng(seed)
-    snaps = ad.parameter(rng.normal(size=(steps * rows, d)))
-    leaves = []
-    for _ in range(4):
-        leaves += [ad.parameter(rng.normal(scale=0.05, size=(d + d_h, d_h))),
-                   ad.parameter(rng.normal(scale=0.05, size=(1, d_h)))]
-    node = integrate(snaps, steps, LstmParams(*leaves))
-    return node, rng.normal(size=node.shape)
-
-
 @pytest.mark.parametrize("steps,rows,d,d_h", [(1, 1, 3, 3), (5, 7, 4, 6), (12, 64, 32, 32)])
 def test_lstm_snapshot_gradient_is_the_stacked_gate_sum(steps, rows, d, d_h):
-    node, g = _lstm_node(steps, rows, d, d_h)
-    got = trajectory._bw_lstm(node, g)[0]
+    kept, g = _integrated(steps, rows, d, d_h)
+    got = integrate_backward(kept, g)[0]
     assert got.shape == (steps * rows, d)
-    assert np.array_equal(got, oracles.stacked_snapshot_grad(node, g))
+    assert np.array_equal(got, oracles.stacked_snapshot_grad(kept, g))
 
 
 def test_lstm_backward_never_stacks_the_snapshot_gradient():
     # At T = 64, B = 32, d = 256 and d_h = 32, the gate gradients take
     # 2.1 MB and the snapshot gradient 4.2 MB; the stacked (T, 4, B, d)
     # product of the two would take 16.8 MB more.
-    node, g = _lstm_node(64, 32, 256, 32)
+    kept, g = _integrated(64, 32, 256, 32)
     tracemalloc.start()
     try:
-        trajectory._bw_lstm(node, g)
+        integrate_backward(kept, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,13 +284,14 @@ def test_lstm_backward_never_stacks_the_snapshot_gradient():
 
 def test_every_primitive_is_covered_by_fd_sweep():
     covered = {name.replace("-broadcast", "").split("/")[0] for name in _fd_builders()}
-    assert set(ad._BACKWARD) <= covered
+    assert set(oracles._BACKWARD) <= covered
 
 
 def test_every_primitive_is_on_a_loss_tape():
-    # The ops backward visits on the losses of every backbone, integrator and
-    # cascade setting are exactly the engine's own rules, `oracles.SRC_RULES`:
-    # a primitive that loses its last caller in the model fails here.
+    # The ops backward visits on the tape losses of every backbone,
+    # integrator and cascade setting are exactly the model's rules,
+    # `oracles.MODEL_RULES`: a rule the model's tape form no longer uses
+    # fails here.
     cohort, _ = simulate_cohort(10, seed=0)
     found = set()
     for backbone, integrator, cascade in itertools.product(BACKBONES, ("lstm", "mean"),
@@ -304,9 +300,9 @@ def test_every_primitive_is_on_a_loss_tape():
                              hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2,
                              horizon=2, num_bins=3, message_dim=4, attention_dim=2)
         model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-        loss = _mean_loss(model, cohort, config.bins(), LossWeights())
-        found |= {node.op for node in ad._topo_order(loss) if node.op is not None}
-    assert found == oracles.SRC_RULES
+        loss, _ = oracles.tape_mean_loss(model, cohort, config.bins(), LossWeights())
+        found |= {node.op for node in oracles._topo_order(loss) if node.op is not None}
+    assert found == oracles.MODEL_RULES
 
 
 def test_backward_frees_each_ctx_before_the_next_rule(monkeypatch):
@@ -314,14 +310,14 @@ def test_backward_frees_each_ctx_before_the_next_rule(monkeypatch):
     # whose rule allocates 8 MiB. Keeping every ctx until backward returns
     # peaks at 16 MiB; releasing each once its rule has run, at 8 MiB.
     size = 1 << 20
-    monkeypatch.setitem(ad._BACKWARD, "cached", lambda node, g: (g,))
-    monkeypatch.setitem(ad._BACKWARD, "scratch", lambda node, g: (g * np.ones(size)[:1],))
-    x = ad.parameter(np.ones((1, 1)))
+    monkeypatch.setitem(oracles._BACKWARD, "cached", lambda node, g: (g,))
+    monkeypatch.setitem(oracles._BACKWARD, "scratch", lambda node, g: (g * np.ones(size)[:1],))
+    x = oracles.parameter(np.ones((1, 1)))
     tracemalloc.start()
     try:
-        scratch = ad.Tensor._node(x.data.copy(), "scratch", (x,))
-        cached = ad.Tensor._node(scratch.data.copy(), "cached", (scratch,), ctx=np.ones(size))
-        grads = ad.backward(ad.sum_all(cached), params=[x])
+        scratch = oracles.Tensor._node(x.data.copy(), "scratch", (x,))
+        cached = oracles.Tensor._node(scratch.data.copy(), "cached", (scratch,), ctx=np.ones(size))
+        grads = oracles.backward(oracles.sum_all(cached), params=[x])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,65 +326,73 @@ def test_backward_frees_each_ctx_before_the_next_rule(monkeypatch):
 
 
 def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
+    # `FullModel.backward` drops what `integrate` kept before the evolution's
+    # backward runs, so the LSTM's gates are freed by then.
     cohort, _ = simulate_cohort(10, seed=0)
     config = ModelConfig(hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2, horizon=3,
                          num_bins=3, message_dim=4)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    loss = _mean_loss(model, cohort, config.bins(), LossWeights())
-    (lstm,) = [node for node in ad._topo_order(loss) if node.op == "lstm"]
-    assert isinstance(lstm.ctx, tuple)
-    released, evolve_rule = [], ad._BACKWARD["evolve"]
+    logits, kept = model.forward(cohort, keep=True)
+    gates = weakref.ref(kept["lstm"][2])
+    released, evolve_backward = [], model_module.evolve_backward
 
-    def spy(node, g):
-        released.append(lstm.ctx is ad._CONSUMED)
-        return evolve_rule(node, g)
+    def spy(*args):
+        released.append(gates() is None)
+        return evolve_backward(*args)
 
-    monkeypatch.setitem(ad._BACKWARD, "evolve", spy)
-    ad.backward(loss, params=[p for _, p in model.named_parameters()])
+    monkeypatch.setattr(model_module, "evolve_backward", spy)
+    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()})
     assert released == [True]
 
 
 def test_second_backward_over_a_consumed_tape_raises():
-    x = ad.parameter(np.array([[0.5, -1.0]]))
-    hidden = ad.tanh(x)
-    loss = ad.sum_all(ad.mul(hidden, hidden))
-    first = ad.backward(loss, params=[x])[x].data
+    x = oracles.parameter(np.array([[0.5, -1.0]]))
+    hidden = oracles.tanh(x)
+    loss = oracles.sum_all(oracles.mul(hidden, hidden))
+    first = oracles.backward(loss, params=[x])[x].data
     with pytest.raises(RuntimeError, match="already backpropagated"):
-        ad.backward(loss, params=[x])
+        oracles.backward(loss, params=[x])
     # A new output over the consumed part of the tape is refused as well.
     with pytest.raises(RuntimeError, match="already backpropagated"):
-        ad.backward(ad.sum_all(hidden), params=[x])
-    fresh = ad.sum_all(ad.mul(ad.tanh(x), ad.tanh(x)))
-    assert np.array_equal(ad.backward(fresh, params=[x])[x].data, first)
+        oracles.backward(oracles.sum_all(hidden), params=[x])
+    fresh = oracles.sum_all(oracles.mul(oracles.tanh(x), oracles.tanh(x)))
+    assert np.array_equal(oracles.backward(fresh, params=[x])[x].data, first)
 
 
 class TestGradCheck:
+    """`autodiff.grad_check` on plain arrays and hand-written gradients."""
+
     def test_quadratic_is_exact_to_roundoff(self):
-        x = ad.parameter([[1.0, -2.0], [0.5, 3.0]])
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), [x])
+        x = np.array([[1.0, -2.0], [0.5, 3.0]])
+        err = ad.grad_check(lambda: (x * x).sum(), {"x": 2.0 * x}, {"x": x})
         assert err <= 1e-6
+        # A wrong gradient is seen.
+        assert ad.grad_check(lambda: (x * x).sum(), {"x": 3.0 * x}, {"x": x}) > 0.4
 
     def test_unreachable_parameter_contributes_zero_error(self):
-        x = ad.parameter([[1.5]])
-        unused = ad.parameter([[9.0]])
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), [x, unused])
+        x, unused = np.array([[1.5]]), np.array([[9.0]])
+        err = ad.grad_check(lambda: (x * x).sum(), {"x": 2.0 * x, "unused": np.zeros((1, 1))},
+                            {"x": x, "unused": unused})
         assert err <= 1e-6
 
     def test_leaves_are_restored_after_check(self):
-        x = ad.parameter([[1.0, 2.0]])
-        before = x.data.copy()
-        ad.grad_check(lambda: ad.sum_all(ad.tanh(x)), [x])
-        assert np.array_equal(x.data, before)
+        x = np.array([[1.0, 2.0]])
+        before = x.copy()
+        ad.grad_check(lambda: np.tanh(x).sum(), {"x": 1.0 - np.tanh(x) ** 2}, {"x": x})
+        assert np.array_equal(x, before)
 
     def test_rejects_nonpositive_step(self):
-        x = ad.parameter([[1.0]])
+        x = np.array([[1.0]])
         with pytest.raises(ValueError):
-            ad.grad_check(lambda: ad.sum_all(x), [x], step=0.0)
+            ad.grad_check(lambda: x.sum(), {"x": np.ones((1, 1))}, {"x": x}, step=0.0)
 
     def test_named_mapping_accepted(self):
-        x = ad.parameter([[2.0]])
-        err = ad.grad_check(lambda: ad.sum_all(ad.mul(x, x)), {"x": x})
-        assert err <= 1e-6
+        # The names label the parameters, in a non-finite value's report too.
+        x = np.array([[2.0]])
+        assert ad.grad_check(lambda: (x * x).sum(), {"x": 2.0 * x}, {"x": x}) <= 1e-6
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError,
+                                                          match=r"weight\(0, 0\)"):
+            ad.grad_check(lambda: np.log(x - 2.0).sum(), {"weight": x}, {"weight": x})
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,23 +413,23 @@ def test_blocks_apply_matches_dense_product(count, r, c, m, seed):
 
 
 def test_no_grad_keeps_no_tape_and_restores_leaves():
-    w = ad.parameter([[1.0, 2.0]])
-    taped = ad.tanh(ad.mul(w, w))
-    with ad.no_grad([w]):
-        free = ad.tanh(ad.mul(w, w))
+    w = oracles.parameter([[1.0, 2.0]])
+    taped = oracles.tanh(oracles.mul(w, w))
+    with oracles.no_grad([w]):
+        free = oracles.tanh(oracles.mul(w, w))
     assert not free.requires_grad and free.parents == ()
     assert np.array_equal(free.data, taped.data)
     assert w.requires_grad
-    grads = ad.backward(ad.sum_all(ad.mul(w, w)), params=[w])
+    grads = oracles.backward(oracles.sum_all(oracles.mul(w, w)), params=[w])
     assert np.array_equal(grads[w].data, [[2.0, 4.0]])
 
 
 def test_spmm_shape_and_index_errors():
     s = Blocks(np.ones((2, 1, 1)))
     assert s.shape == (2, 2)
-    with pytest.raises(ad.ShapeMismatchError, match="spmm"):
-        oracles.spmm(s, ad.constant(np.ones((3, 1))))
-    with pytest.raises(ad.ShapeMismatchError):
+    with pytest.raises(oracles.ShapeMismatchError, match="spmm"):
+        oracles.spmm(s, oracles.constant(np.ones((3, 1))))
+    with pytest.raises(oracles.ShapeMismatchError):
         Blocks(np.ones((2, 2)))
 
 
@@ -434,7 +438,7 @@ def test_spmm_shape_and_index_errors():
 def test_concat_slice_inverse_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
-    cat = ad.concat_cols(ad.constant(a), ad.constant(b))
+    cat = oracles.concat_cols(oracles.constant(a), oracles.constant(b))
     assert np.array_equal(cat.data[:, :cols], a)
     assert np.array_equal(cat.data[:, cols:], b)
 

@@ -82,6 +82,8 @@ class TestCrossval:
                      "--out", str(out)]) == EXIT_OK
         for name in ("report.json", "metrics.csv", "curves.csv", "timings.json"):
             assert (out / name).exists()
+        # A model whose risks vary names no fold as tied.
+        assert json.loads((out / "report.json").read_text())["warnings"]["tied_risk_folds"] == []
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "repeat,fold,task,cindex,ibs,auc1,auc3,auc5,mae"
         assert len(lines) == 1 + 3 * 2
@@ -128,7 +130,7 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--config", str(config), "--out", str(eval_out),
                      "--model", str(fit_out / "model.npz")]) == EXIT_OK
         report = json.load(open(eval_out / "report.json"))
-        assert report["variant"] == "evaluate"
+        assert report["evaluation"] is True
         assert len(report["folds"]) == 2
 
     def test_training_log_holds_only_the_last_run(self, tmp_path):
@@ -383,9 +385,25 @@ class TestAblate:
         assert main(["ablate", "--config", str(config), "--out", str(out),
                      "--variant", "no_cascade"]) == EXIT_OK
         report = json.load(open(out / "report.json"))
-        assert report["variant"] == "no_cascade"
+        assert report["evaluation"] is False
         assert report["checks"]["os_context_grad_zero"] is True
         assert report["config"]["model"]["cascade"] is False
+
+    def test_ablation_is_crossval_of_its_override(self, tmp_path):
+        # `ablate --variant no_cascade` and `crossval` with `cascade: false`,
+        # run into the same --out, write the same bytes.
+        cohort = simulate_into(tmp_path)
+        out = tmp_path / "out"
+        ablate = write_config(tmp_path, name="ab.json", cohort=cohort)
+        assert main(["ablate", "--config", str(ablate), "--out", str(out),
+                     "--variant", "no_cascade"]) == EXIT_OK
+        first = {name: (out / name).read_bytes()
+                 for name in ("report.json", "metrics.csv", "curves.csv")}
+        crossval = write_config(tmp_path, name="cv.json", cohort=cohort,
+                                model={"cascade": False})
+        assert main(["crossval", "--config", str(crossval), "--out", str(out)]) == EXIT_OK
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data, name
 
     def test_unknown_variant_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -572,6 +590,28 @@ def test_diverging_crossval_prints_one_stderr_line(tmp_path):
     assert proc.stderr.splitlines() == ["2/2 folds failed to train"]
 
 
+def test_folds_whose_risks_all_tie_are_named(tmp_path):
+    # A tiny gat model at lr 1e4 trains to finite losses, then gives every
+    # test patient of each fold the same risk: each fold's C-index is 0.5
+    # from ties alone, and the run exits 0. report.json names each such
+    # (repeat, fold, task).
+    (tmp_path / "sim.json").write_text(json.dumps({"simulate": {"n": 40}}))
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "sim")]) == EXIT_OK
+    config = tmp_path / "tied.json"
+    config.write_text(json.dumps({
+        "paths": {"cohort": str(tmp_path / "sim" / "cohort.json")},
+        "model": {"backbone": "gat", "d": 8, "T": 3, "K": 4}, "train": {"lr": 1e4},
+        "cv": {"k": 2, "repeats": 1}}))
+    out = tmp_path / "tied"
+    assert main(["crossval", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_folds"] == []
+    assert report["warnings"]["tied_risk_folds"] == [
+        {"repeat": 0, "fold": fold, "task": task} for fold in range(2) for task in ("os", "dfs")]
+    assert {row["cindex"] for row in report["folds"]} == {0.5}
+
+
 @pytest.mark.parametrize("command,out", (("simulate", "afile"), ("train", "afile"),
                                          ("crossval", "afile/x"), ("evaluate", "afile"),
                                          ("ablate", "afile/x/y")))
@@ -630,7 +670,7 @@ def save_saturating_model(tmp_path):
     config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
                          num_bins=30, message_dim=8)
     model = init_model(config, widths, np.random.default_rng(0))
-    model.heads.b_os.data[:] = 60.0
+    model.heads.b_os[:] = 60.0
     path = tmp_path / "saturated.npz"
     save_model(model, path)
     return path
@@ -654,7 +694,7 @@ def test_saturated_fold_is_a_failed_fold(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, name="s.json", cohort=cohort, model={"K": 30})
 
     def saturate(model, train, val, settings):
-        model.heads.b_os.data[:] = 60.0
+        model.heads.b_os[:] = 60.0
 
     monkeypatch.setattr(cv, "train_model", saturate)
     out = tmp_path / "s"
@@ -674,10 +714,10 @@ def overflow_os_logits(model):
     context saturates at 1, its last unit's weight to each logit is 1e308,
     every other weight 0, and the bias 1.7e308."""
     heads = model.heads
-    heads.w_ctx.data[:], heads.b_ctx.data[:] = 0.0, 50.0
-    heads.w_os.data[:] = 0.0
-    heads.w_os.data[-1] = 1e308
-    heads.b_os.data[:] = 1.7e308
+    heads.w_ctx[:], heads.b_ctx[:] = 0.0, 50.0
+    heads.w_os[:] = 0.0
+    heads.w_os[-1] = 1e308
+    heads.b_os[:] = 1.7e308
 
 
 def test_evaluate_overflowing_model_is_data_error(tmp_path, capsys):
@@ -688,7 +728,7 @@ def test_evaluate_overflowing_model_is_data_error(tmp_path, capsys):
                           0, 0)
     overflow_os_logits(model)
     save_model(model, tmp_path / "overflowing.npz")
-    assert load_model(tmp_path / "overflowing.npz").heads.b_os.data.max() == 1.7e308
+    assert load_model(tmp_path / "overflowing.npz").heads.b_os.max() == 1.7e308
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -782,7 +822,7 @@ def test_mutated_model_loads_equal_or_exits_2(model_fuzz_base, mutation, data):
     else:
         assert loaded.config == model.config
         for (name, got), (_, want) in zip(loaded.named_parameters(), model.named_parameters()):
-            assert got.data.tobytes() == want.data.tobytes(), name
+            assert got.tobytes() == want.tobytes(), name
         expected = EXIT_OK
     assert main(["evaluate", "--config", str(root / "run.json"), "--out", str(root / "out"),
                  "--model", str(bad)]) == expected

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
+from trajsurv import cli
 from trajsurv import crossval as cv
 from trajsurv.config import config_from_dict
 from oracles import (curve_rows, pair_cindex, scalar_hazards, scalar_point_estimate,
                      scalar_survival)
 from trajsurv.cohort import simulate_cohort, stratified_repeated_kfold
 from trajsurv.heads import point_estimate_time
-from trajsurv.crossval import (CurveTable, CvReport, FoldRow, _aggregate, apply_variant,
-                               emit_report, evaluate_model, run_ablation, run_crossval)
+from trajsurv.crossval import (CurveTable, CvReport, FoldRow, _aggregate, emit_report,
+                               evaluate_model, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
 from trajsurv.model import init_model
 
@@ -130,7 +131,7 @@ def same_value(a, b) -> bool:
 def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch):
     """`run_fold` over the plan gives plain values that survive pickling, and
     `assemble` of them is `run_crossval`'s report, with one fold failing."""
-    config = apply_variant(small_config(), "no_cascade")
+    config = small_config(model={"cascade": False})
     cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
     real, calls = cv.train_model, []
 
@@ -141,7 +142,7 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
         return real(model, train_recs, val_recs, settings)
 
     monkeypatch.setattr(cv, "train_model", flaky)
-    report = run_crossval(config, cohort, variant="no_cascade")
+    report = run_crossval(config, cohort)
     plan = stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats, config.train.seed)
     widths = cv.feature_widths(cohort)
     outcomes = [cv.run_fold(config, cohort, spec, widths) for spec in plan]
@@ -156,7 +157,7 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
             assert o.test.dtype == np.intp and o.test.tolist() == plan[3 * o.repeat + o.fold].test
             assert all(o.risks[task].dtype == np.float64 for task in cv.TASKS)
             assert (o.ids is None) == (o.repeat != 0)
-    again = cv.assemble(config, "no_cascade", restored, cohort)
+    again = cv.assemble(config, restored, cohort)
     assert report.failed_folds == [{"repeat": 0, "fold": 1, "reason": "synthetic blow-up"}]
     assert report.checks == {"os_context_grad_zero": True}
     for name in ("rows", "ci", "checks", "failed_folds", "aggregate", "ipcw_capped_folds",
@@ -175,8 +176,8 @@ def test_curve_table_rows_are_the_oracle_rows_of_its_outcomes(run, monkeypatch):
     config = small_config(cv={"repeats": 1})
     cohort, _ = simulate_cohort(config.simulate.n, seed=2, scenario=config.simulate.scenario())
     real, outcomes = cv.assemble, []
-    monkeypatch.setattr(cv, "assemble", lambda config, variant, got, cohort=None: (
-        outcomes.extend(got) or real(config, variant, got, cohort)))
+    monkeypatch.setattr(cv, "assemble", lambda config, got, cohort=None: (
+        outcomes.extend(got) or real(config, got, cohort)))
     if run == "evaluate":
         model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(3))
         report = evaluate_model(model, cohort, config)
@@ -203,7 +204,7 @@ def test_assembled_curves_hold_no_object_per_row():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = cv.assemble(small_config(), "evaluate", [outcome])
+        report = cv.assemble(small_config(), [outcome])
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -211,19 +212,32 @@ def test_assembled_curves_hold_no_object_per_row():
     assert retained < 2 * 2**20, retained
 
 
-class TestAblation:
-    def test_apply_variant_overrides(self):
-        config = small_config()
-        assert apply_variant(config, "full") == config
-        assert apply_variant(config, "static").model.horizon == 1
-        assert apply_variant(config, "mean_integrator").model.integrator == "mean"
-        assert not apply_variant(config, "no_cascade").model.cascade
-        # Everything else stays put.
-        assert apply_variant(config, "static").train == config.train
+def cli_config(tmp_path, *argv):
+    """The config the CLI runs for `argv` over SMALL_DOC."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_DOC))
+    return cli._load(cli.build_parser().parse_args([*argv, "--config", str(path)]))
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown ablation variant"):
-            apply_variant(small_config(), "dropout")
+
+class TestAblation:
+    def test_apply_variant_overrides(self, tmp_path):
+        # `ablate --variant X` runs the config with X's model keys set.
+        config = cli_config(tmp_path, "crossval")
+        assert config == small_config()
+
+        def ablated(variant):
+            return cli_config(tmp_path, "ablate", "--variant", variant)
+        assert ablated("full") == config
+        assert ablated("static").model.horizon == 1
+        assert ablated("mean_integrator").model.integrator == "mean"
+        assert not ablated("no_cascade").model.cascade
+        # Everything else stays put.
+        assert ablated("static").train == config.train
+        assert dataclasses.replace(ablated("static"), model=config.model) == config
+
+    def test_unknown_variant_rejected(self, tmp_path):
+        with pytest.raises(cli.UsageError, match="invalid choice: 'dropout'"):
+            cli_config(tmp_path, "ablate", "--variant", "dropout")
 
     def test_cascade_check_reports_every_fold(self):
         # Hand-built outcomes: a later fold's nonzero context gradient counts.
@@ -232,7 +246,7 @@ class TestAblation:
         def assembled(*flags):
             outcomes = [cv.FoldOutcome(0, fold, cascade_grad_zero=flag)
                         for fold, flag in enumerate(flags)]
-            return cv.assemble(config, "no_cascade", outcomes).checks
+            return cv.assemble(config, outcomes).checks
 
         assert assembled(True, False) == {"os_context_grad_zero": False}
         assert assembled(False, True) == {"os_context_grad_zero": False}
@@ -242,18 +256,20 @@ class TestAblation:
     def test_crossval_of_a_model_without_cascade_checks_it(self, small_run):
         config = small_config(model={"cascade": False}, cv={"repeats": 1})
         report = run_crossval(config, small_run[1])
-        assert report.variant == "full"
+        assert not report.evaluation
         assert report.checks == {"os_context_grad_zero": True}
 
-    def test_no_cascade_blocks_context_gradient(self, small_run):
-        config, cohort, _ = small_run
-        report = run_ablation(small_config(cv={"repeats": 1}), "no_cascade", cohort)
-        assert report.variant == "no_cascade"
+    def test_no_cascade_blocks_context_gradient(self, small_run, tmp_path):
+        _, cohort, _ = small_run
+        config = cli_config(tmp_path, "ablate", "--variant", "no_cascade")
+        report = run_crossval(dataclasses.replace(config, cv=small_config(cv={"repeats": 1}).cv),
+                              cohort)
+        assert report.config["model"]["cascade"] is False
         assert report.checks["os_context_grad_zero"] is True
 
 
 def synthetic_report():
-    report = CvReport(variant="full", config={"note": "hand-built"}, seed=7)
+    report = CvReport(config={"note": "hand-built"}, seed=7)
     report.rows = [FoldRow(0, 0, "os", 0.123456789, None, 1.0, 0.5, 0.25, 2.0),
                    FoldRow(0, 0, "dfs", 0.75, 0.1, None, None, None, None)]
     report.curves = CurveTable(np.array(["p0"], dtype=object),
@@ -276,7 +292,7 @@ class TestEmitReport:
         assert curve_lines[2] == "p0,os,1,0.25,0.5"
 
     def test_empty_report_writes_headers_only(self, tmp_path):
-        report = CvReport(variant="full", config={}, seed=0)
+        report = CvReport(config={}, seed=0)
         report.aggregate = _aggregate(report.rows)
         paths = emit_report(report, tmp_path)
         assert open(paths["metrics.csv"]).read() == \
@@ -289,9 +305,9 @@ class TestEmitReport:
         paths = emit_report(report, tmp_path)
         doc = json.load(open(paths["report.json"]))
         assert doc == report.to_json_dict()
-        assert doc["variant"] == "full"
+        assert doc["evaluation"] is False
         assert doc["seed"] == 7
-        assert doc["warnings"] == {"ipcw_capped_folds": 0}
+        assert doc["warnings"] == {"ipcw_capped_folds": 0, "tied_risk_folds": []}
         # The wall-clock time is kept apart, so that reruns write the same report.json.
         assert "runtime_seconds" not in doc
         assert json.load(open(paths["timings.json"])) == {
@@ -403,7 +419,7 @@ class TestEvaluateModel:
         widths = cv.feature_widths(cohort)
         model = init_model(config.model, widths, np.random.default_rng(0))
         report = evaluate_model(model, cohort, config)
-        assert report.variant == "evaluate"
+        assert report.evaluation
         assert [r.task for r in report.rows] == ["os", "dfs"]
         assert all(r.repeat == 0 and r.fold == 0 for r in report.rows)
         assert len(report.curves) == len(cohort) * 2 * config.model.num_bins
@@ -437,8 +453,8 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
     model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
-        model.heads.b_dfs.data[:] = [[60.0, -60.0, 745.0, -800.0]]
-        model.heads.b_os.data[:] = [[-745.0, 40.0, -40.0, 800.0]]
+        model.heads.b_dfs[:] = [[60.0, -60.0, 745.0, -800.0]]
+        model.heads.b_os[:] = [[-745.0, 40.0, -40.0, 800.0]]
     bins, horizons = config.model.bins(), cv.AUC_HORIZONS
     scores, auc = [], cv.time_dependent_auc
     monkeypatch.setattr(cv, "time_dependent_auc",
@@ -446,12 +462,11 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
     for start in range(0, len(cohort), chunk):
-        with ad.no_grad(p for _, p in model.named_parameters()):
-            out = model.forward(cohort.take(slice(start, start + chunk)))
-        logits["dfs"].extend(out["dfs"].data)
-        logits["os"].extend(out["os"].data)
+        out, _ = model.forward(cohort.take(slice(start, start + chunk)))
+        logits["dfs"].extend(out["dfs"])
+        logits["os"].extend(out["os"])
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)
-            for c in cv.assemble(config, "evaluate", [outcome]).curves}
+            for c in cv.assemble(config, [outcome]).curves}
     assert len(rows) == len(cohort) * 2 * bins.count
     assert outcome.ids.tolist() == cohort.ids.tolist()
     assert len(scores) == len(cv.TASKS) * len(horizons)

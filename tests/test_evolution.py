@@ -13,10 +13,10 @@ from trajsurv.evolution import (BACKBONES, Blocks, EvolutionParams, evolve, init
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
-from trajsurv.training import _mean_loss
+from trajsurv.training import loss_and_grads
 
 import oracles
-from oracles import readout, residual_update, rows_of, tape_evolve
+from oracles import leaves_of, readout, residual_update, rows_of, tape_evolve
 from test_graph import join, make_graph, make_record
 
 D = 4
@@ -35,10 +35,10 @@ def full_graph(seed=0):
 
 
 def residual_step(h, e_t, cohort, params):
-    """dH of one step whose time embedding is e_t: e_t is written into row 0
-    of the time table and step 0 is taken."""
-    params.time_table.data[0] = e_t.data[0]
-    return residual_update(cohort, params)(h, 0)
+    """dH of one step whose time embedding is e_t, on the tape: e_t is
+    written into row 0 of the time table and step 0 is taken."""
+    params.time_table[0] = e_t.data[0]
+    return residual_update(cohort, leaves_of(params))(h, 0)
 
 
 def time_table(steps, width, seed):
@@ -46,17 +46,18 @@ def time_table(steps, width, seed):
 
 
 def zero_weights(params):
-    """The identity-trajectory configuration: every leaf zero."""
+    """The identity-trajectory configuration: every parameter zero."""
     for _, leaf in params.named_leaves():
-        leaf.data[:] = 0.0
+        leaf[:] = 0.0
 
 
 def rolled_states(h0, cohort, params, horizon):
-    """H_0..H_T: the node states `evolve` passes through, H_0 included."""
-    update = residual_update(cohort, params)
+    """H_0..H_T on the tape: the node states `evolve` passes through, H_0
+    included."""
+    update = residual_update(cohort, leaves_of(params))
     states = [h0]
     for t in range(horizon):
-        states.append(ad.add(states[-1], update(states[-1], t)))
+        states.append(oracles.add(states[-1], update(states[-1], t)))
     return states
 
 
@@ -70,41 +71,46 @@ def identity_params(backbone):
     w_out[:D, :D] = np.eye(D)
     return EvolutionParams(
         backbone=backbone,
-        w_self=ad.parameter(np.zeros((DIN, msg))),
-        w_neigh=ad.parameter(w_neigh),
-        b_msg=ad.parameter(np.zeros((1, msg))),
-        w_out=ad.parameter(w_out),
-        b_out=ad.parameter(np.zeros((1, D))),
+        w_self=np.zeros((DIN, msg)),
+        w_neigh=w_neigh,
+        b_msg=np.zeros((1, msg)),
+        w_out=w_out,
+        b_out=np.zeros((1, D)),
         time_table=time_table(4, DT, 0),
     )
 
 
 def time_embedding(t, table):
-    """e_t: row t of the time table, picked as the evolution step picks it."""
+    """e_t: row t of the time table (a tape leaf), picked as the evolution
+    step's tape form picks it."""
     return rows_of(table, t, t + 1)
+
+
+def table_leaf(steps, width, seed):
+    return oracles.Tensor(time_table(steps, width, seed), requires_grad=True)
 
 
 class TestTimeEmbedding:
     def test_zero_table_gives_zero_vector(self):
-        table = time_table(3, DT, 0)
+        table = table_leaf(3, DT, 0)
         table.data[:] = 0.0
         assert np.array_equal(time_embedding(1, table).data, np.zeros((1, DT)))
 
     def test_one_hot_row_lookup(self):
-        table = time_table(3, 3, 0)
+        table = table_leaf(3, 3, 0)
         table.data[:] = np.eye(3)
         assert np.array_equal(time_embedding(2, table).data, [[0.0, 0.0, 1.0]])
 
     def test_out_of_range_step_rejected(self):
-        table = time_table(3, DT, 0)
+        table = table_leaf(3, DT, 0)
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(3, table)
         with pytest.raises(ad.ShapeMismatchError):
             time_embedding(-1, table)
 
     def test_rows_are_trainable(self):
-        table = time_table(4, DT, 1)
-        grads = ad.backward(ad.sum_all(time_embedding(2, table)), params=[table])
+        table = table_leaf(4, DT, 1)
+        grads = oracles.backward(oracles.sum_all(time_embedding(2, table)), params=[table])
         g = grads[table].data
         assert np.allclose(g[2], 1.0)
         assert np.allclose(np.delete(g, 2, axis=0), 0.0)
@@ -116,8 +122,8 @@ class TestResidualStep:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0))
         zero_weights(params)
         g = full_graph()
-        h = ad.constant(np.random.default_rng(1).normal(size=(7 * len(g), D)))
-        delta = residual_step(h, time_embedding(0, params.time_table), g, params)
+        h = oracles.constant(np.random.default_rng(1).normal(size=(7 * len(g), D)))
+        delta = residual_step(h, oracles.constant(params.time_table[:1]), g, params)
         assert np.array_equal(delta.data, np.zeros((7 * len(g), D)))
 
     def test_graphsage_single_neighbor_hand_case(self):
@@ -126,7 +132,7 @@ class TestResidualStep:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(oracles.constant(h), oracles.constant(e_t), g, params)
         # Each hub's only in-neighbor is the liver: the message is
         # relu([h_liver ; e_t ; 0]) and the output projection keeps the first
         # D entries.
@@ -138,17 +144,17 @@ class TestResidualStep:
         g = one_region_graph()
         params = EvolutionParams(
             backbone="gcn",
-            w_self=ad.parameter(np.eye(DIN)),
+            w_self=np.eye(DIN),
             w_neigh=None,
-            b_msg=ad.parameter(np.zeros((1, DIN))),
-            w_out=ad.parameter(np.vstack([np.eye(D), np.zeros((DIN - D, D))])),
-            b_out=ad.parameter(np.zeros((1, D))),
+            b_msg=np.zeros((1, DIN)),
+            w_out=np.vstack([np.eye(D), np.zeros((DIN - D, D))]),
+            b_out=np.zeros((1, D)),
             time_table=time_table(4, DT, 0),
         )
         rng = np.random.default_rng(4)
         h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(oracles.constant(h), oracles.constant(e_t), g, params)
         x = np.hstack([h, np.repeat(e_t, 7, axis=0)])
         # With self-loops the liver has degree 3 and each hub degree 2, so the
         # weights are 1/3 on the liver's own row, 1/2 on a hub's own row and
@@ -166,10 +172,10 @@ class TestResidualStep:
         gat = identity_params("gat")
         rng = np.random.default_rng(5)
         gat.attn_u = uniform_weight(rng, 2 * DIN + 3, 4)
-        gat.attn_b = ad.parameter(np.zeros((1, 4)))
+        gat.attn_b = np.zeros((1, 4))
         gat.attn_v = uniform_weight(rng, 4, 1)
-        h = ad.constant(rng.normal(size=(7, D)))
-        e_t = ad.constant(rng.normal(size=(1, DT)))
+        h = oracles.constant(rng.normal(size=(7, D)))
+        e_t = oracles.constant(rng.normal(size=(1, DT)))
         d_sage = residual_step(h, e_t, g, sage)
         d_gat = residual_step(h, e_t, g, gat)
         assert np.allclose(d_sage.data[1:], d_gat.data[1:])
@@ -181,25 +187,24 @@ class TestResidualStep:
         rng = np.random.default_rng(6)
         h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
-        delta = residual_step(ad.constant(h), ad.constant(e_t), g, params)
+        delta = residual_step(oracles.constant(h), oracles.constant(e_t), g, params)
         # The portal veins' padding row has no arcs; only the self path remains.
         x_iso = np.concatenate([h[3], e_t[0]]).reshape(1, -1)
-        m = np.maximum(x_iso @ params.w_self.data + params.b_msg.data, 0.0)
-        expected = m @ params.w_out.data + params.b_out.data
+        m = np.maximum(x_iso @ params.w_self + params.b_msg, 0.0)
+        expected = m @ params.w_out + params.b_out
         assert np.allclose(delta.data[3], expected[0])
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_gradients_through_one_step(self, backbone):
-        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7))
+        params = leaves_of(init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7)))
         g = full_graph(seed=1)
-        h = ad.constant(np.random.default_rng(8).normal(size=(7 * len(g), D)))
+        h = oracles.constant(np.random.default_rng(8).normal(size=(7 * len(g), D)))
 
         def f():
             delta = residual_update(g, params)(h, 1)
-            return ad.sum_all(ad.tanh(delta))
+            return oracles.sum_all(oracles.tanh(delta))
 
-        leaves = dict(params.named_leaves())
-        assert ad.grad_check(f, leaves) <= 1e-4
+        assert oracles.tape_grad_check(f, dict(params.named_leaves())) <= 1e-4
 
 
 class TestReadout:
@@ -217,13 +222,13 @@ class TestReadout:
         np.testing.assert_allclose(out, [[3.0, 4.0]], rtol=0, atol=1e-15)
 
     def test_single_row_passthrough(self):
-        out = readout(ad.constant([[1.0, 2.0]]), Blocks(np.ones((1, 1, 1))))
+        out = readout(oracles.constant([[1.0, 2.0]]), Blocks(np.ones((1, 1, 1))))
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
-            evolve(ad.constant(np.zeros((0, D))), full_graph().take(slice(0, 0)), params, 1)
+            evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params, 1)
 
 
 class TestEvolve:
@@ -233,25 +238,24 @@ class TestEvolve:
         params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0))
         zero_weights(params)
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(9).normal(size=(7 * len(g), D)))
-        snaps = evolve(h0, g, params, horizon)
-        base = mean_pool(g.present).apply(h0.data)
+        h0 = np.random.default_rng(9).normal(size=(7 * len(g), D))
+        snaps, _ = evolve(h0, g, params, horizon)
+        base = mean_pool(g.present).apply(h0)
         assert snaps.shape == (horizon * len(g), D)
-        for z in snaps.data.reshape(horizon, len(g), D):
+        for z in snaps.reshape(horizon, len(g), D):
             assert np.array_equal(z, base)
 
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
-        h0 = ad.constant(np.zeros((7 * len(g), D)))
-        snaps = evolve(h0, g, params, 12)
+        snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params, 12)
         assert snaps.shape == (12, D)
 
     def test_time_embedding_conditions_each_step(self):
         # With distinct time rows, consecutive increments differ.
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(3).normal(size=(7 * len(g), D)))
+        h0 = oracles.constant(np.random.default_rng(3).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 3)
         d1 = states[1].data - states[0].data
         d2 = states[2].data - states[1].data
@@ -260,7 +264,7 @@ class TestEvolve:
     def test_horizon_bounds(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
         g = full_graph()
-        h0 = ad.constant(np.zeros((7 * len(g), D)))
+        h0 = np.zeros((7 * len(g), D))
         with pytest.raises(ValueError):
             evolve(h0, g, params, 0)
         with pytest.raises(IndexError):
@@ -269,31 +273,31 @@ class TestEvolve:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_step(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
-        params.w_out.data[:] = 1e300
-        params.b_msg.data[:] = 1.0
+        params.w_out[:] = 1e300
+        params.b_msg[:] = 1.0
         g = full_graph()
-        h0 = ad.constant(np.full((7 * len(g), D), 1e10))
+        h0 = np.full((7 * len(g), D), 1e10)
         with pytest.raises(ad.NonFiniteError, match="step 0"):
             evolve(h0, g, params, 4)
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
         g = full_graph()
-        h0 = ad.constant(np.random.default_rng(5).normal(size=(7 * len(g), D)))
+        h0 = oracles.constant(np.random.default_rng(5).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 2)
         assert len(states) == 3
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
-        for z, h in zip(evolve(h0, g, params, 2).data, states[1:]):
+        for z, h in zip(evolve(h0.data, g, params, 2)[0], states[1:]):
             assert np.array_equal(z, mean_pool(g.present).apply(h.data)[0])
 
 
 def test_uniform_weight_bound_and_determinism():
     w1 = uniform_weight(np.random.default_rng(11), 16, 8)
     w2 = uniform_weight(np.random.default_rng(11), 16, 8)
-    assert np.array_equal(w1.data, w2.data)
-    assert np.abs(w1.data).max() <= 1.0 / 4.0
-    assert w1.requires_grad
+    assert np.array_equal(w1, w2)
+    assert np.abs(w1).max() <= 1.0 / 4.0
+    assert w1.shape == (16, 8) and w1.dtype == np.float64
 
 
 def mixed_records():
@@ -309,9 +313,9 @@ def test_graphs_in_one_batch_match_graphs_alone():
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
         hs = [rng.normal(size=(7, D)) for _ in records]
-        joint = evolve(ad.constant(np.vstack(hs)), join(records), params, 4)
-        alone = [evolve(ad.constant(h), r, params, 4).data for h, r in zip(hs, records)]
-        np.testing.assert_allclose(joint.data.reshape(4, len(records), D),
+        joint, _ = evolve(np.vstack(hs), join(records), params, 4)
+        alone = [evolve(h, r, params, 4)[0] for h, r in zip(hs, records)]
+        np.testing.assert_allclose(joint.reshape(4, len(records), D),
                                    np.stack(alone, axis=1), rtol=0, atol=1e-12)
 
 
@@ -355,14 +359,14 @@ def test_step_matches_concat_then_propagate_oracle(backbone):
     batch = join(records)
     params = init_evolution(backbone, D, DT, 4, 5, rng, attention_dim=3)
     for _, leaf in params.named_leaves():
-        leaf.data[:] = rng.normal(size=leaf.shape)
+        leaf[:] = rng.normal(size=leaf.shape)
     h = rng.normal(size=(7 * len(batch), D))
-    delta = residual_update(batch, params)(ad.constant(h), 2)
-    weights = {name[3:]: leaf.data for name, leaf in params.named_leaves()}
+    delta = residual_update(batch, leaves_of(params))(oracles.constant(h), 2)
+    weights = {name[3:]: leaf for name, leaf in params.named_leaves()}
     for b, rec in enumerate(records):
         src, dst, attr = zip(*oracles.star_operators(rec)["arcs"])
         expected = oracles.concat_step(backbone, h[7 * b:7 * b + 7],
-                                       params.time_table.data[2:3],
+                                       params.time_table[2:3],
                                        src, dst, np.array(attr), weights)
         used = slots_in_use(batch.present)[b]
         np.testing.assert_allclose(delta.data[7 * b:7 * b + 7][used], expected[used],
@@ -393,12 +397,12 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths)
     d, message_dim, attention_dim = widths or (32, 32, 16)
     cohort = absent_region_cohort(rows)
     rng = np.random.default_rng(23)
-    params = init_evolution(backbone, d, 16, 12, message_dim, rng, attention_dim)
+    params = leaves_of(init_evolution(backbone, d, 16, 12, message_dim, rng, attention_dim))
     used = slots_in_use(cohort.present).reshape(-1, 1)
-    h0 = ad.parameter(rng.normal(size=(7 * rows, d)) * used)
-    weights = [ad.constant(rng.normal(size=(rows, d)) / rows) for _ in range(steps)]
+    h0 = oracles.parameter(rng.normal(size=(7 * rows, d)) * used)
+    weights = [oracles.constant(rng.normal(size=(rows, d)) / rows) for _ in range(steps)]
     leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
-    z = evolve(h0, cohort, params, steps)
+    z = oracles.evolve_node(h0, cohort, params, steps)
     snapshots = tape_evolve(h0, cohort, params, steps)
     reference = np.vstack([s.data for s in snapshots])
     if widths is None:
@@ -407,16 +411,17 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths)
         np.testing.assert_allclose(z.data, reference, rtol=0, atol=1e-12)
 
     def loss(snapshots):
-        terms = [ad.sum_all(ad.mul(ad.tanh(s), w)) for s, w in zip(snapshots, weights)]
+        terms = [oracles.sum_all(oracles.mul(oracles.tanh(s), w))
+                 for s, w in zip(snapshots, weights)]
         total = terms[0]
         for term in terms[1:]:
-            total = ad.add(total, term)
+            total = oracles.add(total, term)
         return total
 
     fused = loss([rows_of(z, t * rows, (t + 1) * rows) for t in range(steps)])
     ref = loss(snapshots)
     assert abs(fused.item() - ref.item()) <= 1e-12
-    grads, ref_grads = ad.backward(fused, leaves), ad.backward(ref, leaves)
+    grads, ref_grads = oracles.backward(fused, leaves), oracles.backward(ref, leaves)
     for leaf in leaves:
         np.testing.assert_allclose(grads[leaf].data, ref_grads[leaf].data, rtol=0, atol=1e-12)
     for g in (grads, ref_grads):
@@ -425,34 +430,36 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths)
 
 def test_evolve_without_grad_keeps_no_cache():
     g = join(mixed_records())
-    h0 = ad.parameter(np.random.default_rng(24).normal(size=(7 * len(g), D)))
+    h0 = np.random.default_rng(24).normal(size=(7 * len(g), D))
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25))
-        leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
-        taped = evolve(h0, g, params, 4)
-        with ad.no_grad(leaves):
-            free = evolve(h0, g, params, 4)
-        assert taped.ctx is not None
-        assert free.ctx is None and free.parents == ()
-        assert np.array_equal(free.data, taped.data)
+        kept_value, kept = evolve(h0, g, params, 4, keep=True)
+        value, nothing = evolve(h0, g, params, 4)
+        assert kept is not None and len(kept[-1]) == 4
+        assert nothing is None
+        assert np.array_equal(value, kept_value)
 
 
 def one_batch_loss(backbone, n=64):
+    """The model's loss on one batch of `n` on the tape, and as
+    `loss_and_grads`."""
     cohort, _ = simulate_cohort(n, seed=0)
     config = ModelConfig(backbone=backbone)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    return model, cohort, lambda: _mean_loss(model, cohort, config.bins(), LossWeights())
+    return (lambda: oracles.tape_mean_loss(model, cohort, config.bins(), LossWeights())[0],
+            lambda: loss_and_grads(model, cohort, config.bins(), LossWeights()))
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",
                          (("graphsage", 98, 82), ("gcn", 97, 81), ("gat", 101, 85)),
                          ids=("graphsage", "gcn", "gat"))
 def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
-    # Every distinct tensor reachable from the loss, leaves included, and the
-    # nodes backward visits (`_topo_order`). The rollout and the LSTM are one
-    # node each, so the counts do not depend on T or on the backbone's
-    # per-step work; gcn has one leaf fewer (no w_neigh), gat three more.
-    _, _, loss = one_batch_loss(backbone)
+    # Every distinct tensor reachable from the tape form's loss, leaves
+    # included, and the nodes backward visits (`_topo_order`). The rollout
+    # and the LSTM are one node each, so the counts do not depend on T or on
+    # the backbone's per-step work; gcn has one leaf fewer (no w_neigh), gat
+    # three more.
+    loss, _ = one_batch_loss(backbone)
     out = loss()
     seen, stack = set(), [out]
     while stack:
@@ -461,16 +468,16 @@ def test_tape_node_count_of_one_batch_loss(backbone, nodes, differentiable):
             seen.add(node)
             stack.extend(node.parents)
     assert len(seen) == nodes
-    assert len(ad._topo_order(out)) == differentiable
+    assert len(oracles._topo_order(out)) == differentiable
 
 
 def test_forwards_build_their_operators_once(monkeypatch):
-    # Each forward builds its slice's operators once, gat's included.
-    model, _, loss = one_batch_loss("gat", n=12)
-    params = [p for _, p in model.named_parameters()]
+    # Each forward and its backward build the slice's operators once, gat's
+    # included.
+    _, loss_and_grads_of = one_batch_loss("gat", n=12)
     calls = []
     build = evolution.adjacency
     monkeypatch.setattr(evolution, "adjacency",
                         lambda cohort, backbone: calls.append(backbone) or build(cohort, backbone))
-    ad.backward(loss(), params=params)
+    loss_and_grads_of()
     assert calls == ["gat"]

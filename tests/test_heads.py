@@ -5,8 +5,9 @@ import pytest
 
 from oracles import scalar_hazards, scalar_point_estimate, scalar_survival
 from trajsurv import autodiff as ad
-from trajsurv.heads import (TimeBins, annual_bins, dfs_head, hazards_from_logits, init_heads,
-                            os_head, point_estimate_time, sigmoid, survival_from_hazards)
+from trajsurv.heads import (TimeBins, annual_bins, dfs_head, hazards_from_logits,
+                            heads_backward, init_heads, os_head, point_estimate_time, sigmoid,
+                            survival_from_hazards)
 
 
 class TestTimeBins:
@@ -35,7 +36,7 @@ def heads_with(weights):
     """HeadParams with every array overwritten by the given dense values."""
     p = init_heads(2, 2, 1, np.random.default_rng(0))
     for name, arr in weights.items():
-        getattr(p, name).data[:] = arr
+        getattr(p, name)[:] = arr
     return p
 
 
@@ -43,65 +44,70 @@ class TestHeads:
     def test_zero_params_zero_outputs(self):
         p = init_heads(3, 2, 4, np.random.default_rng(0))
         for _, leaf in p.named_leaves():
-            leaf.data[:] = 0.0
-        h_star = ad.constant(np.random.default_rng(1).normal(size=(1, 3)))
+            leaf[:] = 0.0
+        h_star = np.random.default_rng(1).normal(size=(1, 3))
         logits, context = dfs_head(h_star, p)
-        assert np.array_equal(logits.data, np.zeros((1, 4)))
-        assert np.array_equal(context.data, np.zeros((1, 2)))
-        assert np.array_equal(os_head(h_star, context, p).data, np.zeros((1, 4)))
+        assert np.array_equal(logits, np.zeros((1, 4)))
+        assert np.array_equal(context, np.zeros((1, 2)))
+        assert np.array_equal(os_head(h_star, context, p), np.zeros((1, 4)))
 
     def test_single_bin_dot_product(self):
         p = init_heads(2, 2, 1, np.random.default_rng(0))
         for _, leaf in p.named_leaves():
-            leaf.data[:] = 0.0
-        p.w_dfs.data[:] = 1.0
-        logits, _ = dfs_head(ad.constant([[1.0, 1.0]]), p)
+            leaf[:] = 0.0
+        p.w_dfs[:] = 1.0
+        logits, _ = dfs_head(np.array([[1.0, 1.0]]), p)
         assert logits.item() == pytest.approx(2.0)
 
     def test_context_is_tanh_bounded(self):
         p = init_heads(2, 3, 2, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         for _ in range(20):
-            _, context = dfs_head(ad.constant(rng.normal(scale=3.0, size=(1, 2))), p)
-            assert np.all(np.abs(context.data) < 1.0)
+            _, context = dfs_head(rng.normal(scale=3.0, size=(1, 2)), p)
+            assert np.all(np.abs(context) < 1.0)
         # At float saturation the bound closes but never overshoots.
-        _, extreme = dfs_head(ad.constant([[1e4, -1e4]]), p)
-        assert np.all(np.abs(extreme.data) <= 1.0)
+        _, extreme = dfs_head(np.array([[1e4, -1e4]]), p)
+        assert np.all(np.abs(extreme) <= 1.0)
 
     def test_cascade_off_equals_zero_context(self):
         p = init_heads(2, 2, 3, np.random.default_rng(3))
-        h_star = ad.constant([[0.7, -0.4]])
+        h_star = np.array([[0.7, -0.4]])
         _, context = dfs_head(h_star, p)
         off = os_head(h_star, context, p, cascade_enabled=False)
-        on_zero = os_head(h_star, ad.constant(np.zeros((1, 2))), p)
-        assert np.array_equal(off.data, on_zero.data)
+        on_zero = os_head(h_star, np.zeros((1, 2)), p)
+        assert np.array_equal(off, on_zero)
 
     def test_cascade_off_blocks_context_gradient(self):
         p = init_heads(2, 2, 3, np.random.default_rng(4))
-        h_star = ad.constant([[0.7, -0.4]])
+        h_star = np.array([[0.7, -0.4]])
+        _, context = dfs_head(h_star, p)
+        d_os = np.random.default_rng(5).normal(size=(1, 3))
 
-        def os_scalar(enabled):
-            logits, context = dfs_head(h_star, p)
-            out = os_head(h_star, context, p, cascade_enabled=enabled)
-            return ad.sum_all(ad.tanh(out))
+        def grads(enabled):
+            return heads_backward(h_star, context, p, np.zeros((1, 3)), d_os, enabled)[1]
 
-        leaves = [leaf for _, leaf in p.named_leaves()]
-        g_off = ad.backward(os_scalar(False), params=leaves)
-        assert np.array_equal(g_off[p.w_ctx].data, np.zeros_like(p.w_ctx.data))
-        assert np.array_equal(g_off[p.b_ctx].data, np.zeros_like(p.b_ctx.data))
-        g_on = ad.backward(os_scalar(True), params=leaves)
-        assert np.any(g_on[p.w_ctx].data != 0.0)
+        g_off = grads(False)
+        assert np.array_equal(g_off["heads.w_ctx"], np.zeros_like(p.w_ctx))
+        assert np.array_equal(g_off["heads.b_ctx"], np.zeros_like(p.b_ctx))
+        assert np.any(grads(True)["heads.w_ctx"] != 0.0)
 
     def test_head_gradients_match_finite_differences(self):
+        # sum(tanh([dfs logits | os logits])), over h* and every head
+        # parameter, with the cascade and without.
         p = init_heads(3, 2, 4, np.random.default_rng(5))
-        h_star = ad.constant(np.random.default_rng(6).normal(size=(1, 3)))
+        h_star = np.random.default_rng(6).normal(size=(2, 3))
+        for cascade in (True, False):
+            def logits():
+                dfs_logits, context = dfs_head(h_star, p)
+                return dfs_logits, os_head(h_star, context, p, cascade), context
 
-        def f():
-            logits, context = dfs_head(h_star, p)
-            os_logits = os_head(h_star, context, p)
-            return ad.sum_all(ad.tanh(ad.concat_cols(logits, os_logits)))
-
-        assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
+            dfs_logits, os_logits, context = logits()
+            dh_star, grads = heads_backward(h_star, context, p, 1.0 - np.tanh(dfs_logits) ** 2,
+                                            1.0 - np.tanh(os_logits) ** 2, cascade)
+            err = ad.grad_check(lambda: sum(np.tanh(x).sum() for x in logits()[:2]),
+                                {"h_star": dh_star, **grads},
+                                {"h_star": h_star, **dict(p.named_leaves())})
+            assert err <= 1e-4, cascade
 
     def test_init_shapes(self):
         p = init_heads(5, 3, 7, np.random.default_rng(7))

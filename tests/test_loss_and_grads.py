@@ -1,0 +1,90 @@
+"""`training.loss_and_grads` against the model's loss on the tape.
+
+The tape form (`oracles.tape_mean_loss`) is the package's former way of
+differentiating the model: the embedding, the integrator ablation, the heads
+and the NLL as per-op tape nodes around the `evolve` and `lstm` nodes. The
+hand-written backward must give the same loss and the same gradients bit
+for bit at the default widths, and within 1e-12 at widths off the BLAS tile.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import oracles
+from trajsurv.cohort import simulate_cohort
+from trajsurv.crossval import _cascade_grad_check, feature_widths
+from trajsurv.evolution import BACKBONES
+from trajsurv.model import ModelConfig, init_model
+from trajsurv.objective import LossWeights
+from trajsurv.training import _mean_loss, loss_and_grads
+
+
+def cohort_of(rows):
+    """`rows` simulated patients; at 40, about a third of the regions absent."""
+    cohort, _ = simulate_cohort(64, seed=3)
+    cohort = cohort[:rows]
+    if rows == 40:
+        present = cohort.present & (np.random.default_rng(1).random(cohort.present.shape) > 0.35)
+        present[:, 0] = True
+        cohort = cohort.with_presence(present)
+    return cohort
+
+
+def both(config, rows, weights=LossWeights(0.7, 1.3), seed=5):
+    cohort = cohort_of(rows)
+    model = init_model(config, feature_widths(cohort), np.random.default_rng(seed))
+    bins = config.bins()
+    return (loss_and_grads(model, cohort, bins, weights),
+            oracles.tape_loss_and_grads(model, cohort, bins, weights), model)
+
+
+@pytest.mark.parametrize("backbone,integrator,cascade,rows",
+                         list(itertools.product(BACKBONES, ("lstm", "mean"), (True, False),
+                                                (1, 40, 64))))
+def test_loss_and_gradients_are_the_tape_bits(backbone, integrator, cascade, rows):
+    config = ModelConfig(backbone=backbone, integrator=integrator, cascade=cascade)
+    (loss, grads), (ref_loss, ref_grads), model = both(config, rows)
+    assert loss == ref_loss
+    assert list(grads) == [name for name, _ in model.named_parameters()] == list(ref_grads)
+    for name in grads:
+        assert grads[name].shape == ref_grads[name].shape, name
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("integrator", ("lstm", "mean"))
+def test_loss_and_gradients_off_the_default_widths(backbone, integrator):
+    config = ModelConfig(backbone=backbone, integrator=integrator, hidden_dim=9, time_dim=5,
+                         summary_dim=11, context_dim=3, horizon=5, num_bins=7, message_dim=13,
+                         attention_dim=6)
+    (loss, grads), (ref_loss, ref_grads), _ = both(config, 40)
+    assert abs(loss - ref_loss) <= 1e-12
+    for name in ref_grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_the_loss_is_validations_loss():
+    config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
+                         num_bins=4, message_dim=8)
+    cohort = cohort_of(40)
+    model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+    weights = LossWeights(0.3, 1.7)
+    loss, _ = loss_and_grads(model, cohort, config.bins(), weights)
+    assert loss == _mean_loss(model, cohort, config.bins(), weights)
+
+
+@pytest.mark.parametrize("cascade", (True, False))
+def test_cascade_check_is_the_os_term_alone(cascade):
+    # Without the cascade, the OS term sends exact zeros to the context
+    # weights; with it, some gradient reaches them. The DFS term never does.
+    config = ModelConfig(cascade=cascade, hidden_dim=8, time_dim=4, summary_dim=8,
+                         context_dim=4, horizon=3, num_bins=4, message_dim=8)
+    cohort = cohort_of(40)
+    model = init_model(config, feature_widths(cohort), np.random.default_rng(2))
+    assert _cascade_grad_check(model, cohort, config.bins()) is not cascade
+    _, dfs_only = loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
+    for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
+        assert (dfs_only[name] == 0.0).all(), name

@@ -7,12 +7,21 @@ from trajsurv import autodiff as ad
 from trajsurv.heads import TimeBins, annual_bins
 from trajsurv.acceptance_support import toy_setup
 from trajsurv.objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
-                                adamw_step, discrete_nll, end_epoch, label_to_bin)
+                                adamw_step, discrete_nll, end_epoch, label_to_bin, nll_backward)
 from trajsurv.training import _mean_loss
 
 import oracles
 
 BINS = annual_bins(12)
+
+
+def nll(x, time, event):
+    return discrete_nll(x, time, event, BINS)[0]
+
+
+def nll_grad(x, time, event):
+    """The gradient of `nll` with respect to the logits x."""
+    return nll_backward(discrete_nll(x, time, event, BINS, keep=True)[1], 1.0)
 
 
 class TestLabels:
@@ -82,18 +91,18 @@ class TestDiscreteNll:
     def logits(self, values):
         x = np.zeros((1, BINS.count))
         x[0, :len(values)] = values
-        return ad.constant(x)
+        return x
 
     def test_event_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), [0.2], [1], BINS)
+        loss = nll(self.logits([0.0]), [0.2], [1])
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_censored_first_bin_closed_form(self):
-        loss = discrete_nll(self.logits([0.0]), [0.2], [0], BINS)
+        loss = nll(self.logits([0.0]), [0.2], [0])
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_event_second_bin_closed_form(self):
-        loss = discrete_nll(self.logits([LOGIT_FIFTH, 0.0]), [1.5], [1], BINS)
+        loss = nll(self.logits([LOGIT_FIFTH, 0.0]), [1.5], [1])
         assert loss.item() == pytest.approx(0.9163, abs=1e-4)
 
     def test_matches_direct_summation_oracle(self):
@@ -102,7 +111,7 @@ class TestDiscreteNll:
             x = rng.uniform(-5.0, 5.0, size=BINS.count)
             time = rng.uniform(0, 14)
             event = int(rng.integers(0, 2))
-            loss = discrete_nll(ad.constant(x.reshape(1, -1)), [time], [event], BINS)
+            loss = nll(x.reshape(1, -1), [time], [event])
             assert loss.item() == pytest.approx(numpy_nll(x, time, event, BINS),
                                                 abs=1e-12)
 
@@ -111,7 +120,7 @@ class TestDiscreteNll:
         # event in bin 0 costs its whole logit.
         x = np.full((1, BINS.count), -700.0)
         x[0, 0] = 700.0
-        loss = discrete_nll(ad.constant(x), [1.5], [0], BINS)
+        loss = nll(x, [1.5], [0])
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(700.0, rel=1e-12)
 
@@ -122,35 +131,36 @@ class TestDiscreteNll:
         # ln(1 + e^(+-size)): size + ln(1 + e^-size) when the hazard it asks
         # for is saturated the wrong way, ln(1 + e^-size) otherwise.
         signs = np.where(np.arange(BINS.count) % 2 == 0, 1.0, -1.0)
-        x = ad.parameter(size * signs[None, :])
+        x = size * signs[None, :]
         labels = [(5.5, 1), (4.5, 0)]
         wrong_way = (4, 3)     # bins 0, 2, 4 survived at +size; the event adds bin 5 at -size
         for (time, event), wrong in zip(labels, wrong_way):
-            loss = discrete_nll(x, [time], [event], BINS)
+            loss = nll(x, [time], [event])
             reached = label_to_bin(time, BINS) + 1
             expected = wrong * size + reached * np.log1p(np.exp(-size))
             assert np.isfinite(loss.item())
             assert loss.item() == pytest.approx(expected, rel=1e-12)
-            g = ad.backward(loss, params=[x])[x].data[0]
-            assert np.all(g[:reached] != 0.0)
-            assert np.all(g[reached:] == 0.0)
-            assert ad.grad_check(lambda: discrete_nll(x, [time], [event], BINS), [x]) <= 1e-6
+            g = nll_grad(x, [time], [event])
+            assert np.all(g[0, :reached] != 0.0)
+            assert np.all(g[0, reached:] == 0.0)
+            assert ad.grad_check(lambda: nll(x, [time], [event]), {"x": g}, {"x": x}) <= 1e-6
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ad.ShapeMismatchError):
-            discrete_nll(ad.constant(np.zeros((1, 3))), [1.0], [1], BINS)
+            nll(np.zeros((1, 3)), [1.0], [1])
 
     def test_gradient_signs_push_toward_event_bin(self):
-        x = ad.parameter(np.full((1, BINS.count), np.log(0.4 / 0.6)))
-        loss = discrete_nll(x, [2.5], [1], BINS)  # event in bin 2
-        g = ad.backward(loss, params=[x])[x].data[0]
+        x = np.full((1, BINS.count), np.log(0.4 / 0.6))
+        g = nll_grad(x, [2.5], [1])[0]  # event in bin 2
         assert g[2] < 0.0              # raising the event-bin hazard helps
         assert np.all(g[:2] > 0.0)     # earlier hazards are penalized
         assert np.allclose(g[3:], 0.0)  # later bins never enter the likelihood
 
     def test_gradient_matches_finite_differences(self):
-        x = ad.parameter(np.random.default_rng(1).uniform(-2.0, 2.0, size=(1, BINS.count)))
-        err = ad.grad_check(lambda: discrete_nll(x, [3.5], [1], BINS), [x])
+        x = np.random.default_rng(1).uniform(-2.0, 2.0, size=(3, BINS.count))
+        time, event = [3.5, 0.5, 14.0], [1, 0, 0]
+        err = ad.grad_check(lambda: nll(x, time, event), {"x": nll_grad(x, time, event)},
+                            {"x": x})
         assert err <= 1e-4
 
 
@@ -160,9 +170,9 @@ class TestCombinedLoss:
     def parts(self, weights):
         model, cohort = toy_setup()
         bins = model.config.bins()
-        logits = model.forward(cohort)
+        logits, _ = model.forward(cohort)
         os_nll, dfs_nll = (discrete_nll(logits[task], cohort.time[task], cohort.event[task],
-                                        bins).item() for task in ("os", "dfs"))
+                                        bins)[0].item() for task in ("os", "dfs"))
         return _mean_loss(model, cohort, bins, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
@@ -184,7 +194,7 @@ class TestBatchMean:
     def test_mean_of_scalars(self):
         x = np.zeros((3, BINS.count))
         x[2, 0] = LOGIT_FIFTH
-        loss = discrete_nll(ad.constant(x), [0.2, 0.2, 1.5], [1, 0, 1], BINS)
+        loss = nll(x, [0.2, 0.2, 1.5], [1, 0, 1])
         expected = (2.0 * np.log(2.0) - np.log(0.8) - np.log(0.5)) / 3.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
@@ -193,22 +203,22 @@ class TestBatchMean:
         x = rng.uniform(-5.0, 5.0, size=(16, BINS.count))
         labels = [(rng.uniform(0, 14), int(rng.integers(0, 2))) for _ in range(16)]
         time, event = zip(*labels)
-        out = discrete_nll(ad.constant(x), time, event, BINS)
-        per = [discrete_nll(ad.constant(row[None, :]), [t], [e], BINS).item()
+        out = nll(x, time, event)
+        per = [nll(row[None, :], [t], [e]).item()
                for row, (t, e) in zip(x, labels)]
         assert out.item() == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            discrete_nll(ad.constant(np.zeros((0, BINS.count))), [], [], BINS)
+            nll(np.zeros((0, BINS.count)), [], [])
 
 
 class TestAdamW:
     def leaf(self, v):
-        return [("p", ad.parameter([[v]]))]
+        return [("p", np.array([[v]]))]
 
     def grads_for(self, params, value):
-        return {p: ad.Tensor(np.full_like(p.data, value)) for _, p in params}
+        return {name: np.full_like(p, value) for name, p in params}
 
     def test_zero_grad_zero_decay_is_identity(self):
         params = self.leaf(1.5)
@@ -233,22 +243,21 @@ class TestAdamW:
         assert params[0][1].item() == pytest.approx(4.0 * 0.99, abs=1e-12)
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = [("op.w_out", ad.parameter([[1.0]]))]
+        params = [("op.w_out", np.array([[1.0]]))]
         state = OptimizerState(lr=0.1)
-        bad = {params[0][1]: ad.Tensor([[np.nan]])}
+        bad = {"op.w_out": np.array([[np.nan]])}
         with pytest.raises(ad.NonFiniteError, match="op.w_out"):
             adamw_step(params, bad, state, TrainSettings())
 
     def test_steps_are_deterministic_bitwise(self):
         def run():
             rng = np.random.default_rng(3)
-            params = [(f"p{i}", ad.parameter(rng.normal(size=(2, 2))))
-                      for i in range(3)]
+            params = [(f"p{i}", rng.normal(size=(2, 2))) for i in range(3)]
             state = OptimizerState(lr=0.05)
             for step in range(5):
-                grads = {p: ad.Tensor(rng.normal(size=p.shape)) for _, p in params}
+                grads = {name: rng.normal(size=p.shape) for name, p in params}
                 adamw_step(params, grads, state, TrainSettings(lr=0.05))
-            return np.concatenate([p.data.ravel() for _, p in params])
+            return np.concatenate([p.ravel() for _, p in params])
 
         assert np.array_equal(run(), run())
 
@@ -256,33 +265,30 @@ class TestAdamW:
         # Leaves of several shapes, as in a model, and a scheduled lr.
         rng = np.random.default_rng(4)
         shapes = [(3, 4), (1, 4), (5, 1), (2, 2)]
-        flat = [(f"p{i}", ad.parameter(rng.normal(size=s))) for i, s in enumerate(shapes)]
-        leafwise = [(name, ad.parameter(p.data.copy())) for name, p in flat]
+        flat = [(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+        leafwise = [(name, p.copy()) for name, p in flat]
         settings = TrainSettings(lr=0.05, weight_decay=0.1)
         state, ref = OptimizerState(lr=0.05), {"lr": 0.05}
         for step in range(5):
-            values = [rng.normal(size=s) * 10.0 ** -step for s in shapes]
-            adamw_step(flat, {p: ad.Tensor(v) for (_, p), v in zip(flat, values)},
-                       state, settings)
-            oracles.leafwise_adamw_step(
-                leafwise, {p: ad.Tensor(v) for (_, p), v in zip(leafwise, values)},
-                ref, settings)
+            grads = {name: rng.normal(size=s) * 10.0 ** -step for (name, _), s in zip(flat, shapes)}
+            adamw_step(flat, grads, state, settings)
+            oracles.leafwise_adamw_step(leafwise, grads, ref, settings)
             state.lr = ref["lr"] = state.lr * 0.5
         for (_, p), (_, q) in zip(flat, leafwise):
-            assert np.array_equal(p.data, q.data)
+            assert np.array_equal(p, q)
 
     def test_parameters_of_another_size_than_the_moments_raise(self):
-        params = [("p", ad.parameter(np.ones((2, 2))))]
+        params = [("p", np.ones((2, 2)))]
         state = OptimizerState(lr=0.1)
         adamw_step(params, self.grads_for(params, 1.0), state, TrainSettings())
-        grown = params + [("q", ad.parameter(np.ones((1, 3))))]
+        grown = params + [("q", np.ones((1, 3)))]
         with pytest.raises(ValueError, match="moments"):
             adamw_step(grown, self.grads_for(grown, 1.0), state, TrainSettings())
 
     def test_nonfinite_gradient_moves_no_leaf(self):
-        params = [("a", ad.parameter([[1.0]])), ("b", ad.parameter([[2.0]]))]
+        params = [("a", np.array([[1.0]])), ("b", np.array([[2.0]]))]
         state = OptimizerState(lr=0.1)
-        grads = {params[0][1]: ad.Tensor([[1.0]]), params[1][1]: ad.Tensor([[np.inf]])}
+        grads = {"a": np.array([[1.0]]), "b": np.array([[np.inf]])}
         with pytest.raises(ad.NonFiniteError, match="parameter b"):
             adamw_step(params, grads, state, TrainSettings())
         assert params[0][1].item() == 1.0 and params[1][1].item() == 2.0

@@ -9,9 +9,10 @@ benchmark makes then fails here rather than only in a benchmark run.
 Every workload also runs once traced, where `perfbench/tracing.py` wraps
 program functions by name and walks the first loss's tape. The run must
 exit 0, print every per-layer metric with its declared unit, and report as
-absent exactly the 22 wrappers whose functions left the program before the
-tracer was last updated. A new absence, or a crash only the traced path
-meets, then fails here.
+absent exactly the 37 wrappers whose functions left the program before the
+tracer was last updated: the tape's `backward`, its 17 primitives and their
+17 rules, and the two batched functions. A new absence, or a crash only the
+traced path meets, then fails here.
 """
 
 import importlib
@@ -26,13 +27,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # The wrappers `tracing.Tracer.install` finds no function for, in its order.
 # Dropping them is a change to the benchmark (ROADMAP item 1); until then a
 # run reports exactly these.
-ABSENT = (
-    ["batched.build_batch", "batched.batched_mean_loss"]
-    + [f"autodiff.{op}" for op in ("sub", "slice_cols", "broadcast_row", "sigmoid", "relu",
-                                    "exp", "log", "mean_all", "mean_rows", "softmax_rows")]
-    + [f"autodiff._BACKWARD[{op}]" for op in ("sub", "slice-cols", "broadcast-row", "sigmoid",
-                                               "relu", "exp", "log", "mean-all", "mean-rows",
-                                               "softmax-rows")])
+PRIMITIVES = ("matmul", "add", "sub", "mul", "negate", "concat-cols", "slice-cols",
+              "broadcast-row", "sigmoid", "tanh", "relu", "exp", "log", "sum-all", "mean-all",
+              "mean-rows", "softmax-rows")
+ABSENT = (["autodiff.backward", "batched.build_batch", "batched.batched_mean_loss"]
+          + [f"autodiff.{op.replace('-', '_')}" for op in PRIMITIVES]
+          + [f"autodiff._BACKWARD[{op}]" for op in PRIMITIVES])
 TRACED = ["cv400", "score2000", "fullbatch400", "gat64"]
 
 

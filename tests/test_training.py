@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajsurv import autodiff as ad
 from trajsurv.cohort import Scenario, make_cohort, record_to_graph, simulate_cohort
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, snapshot_parameters
 from trajsurv.objective import LossWeights
 from trajsurv.cli import write_training_log
-from trajsurv.training import TrainSettings, _mean_loss, patient_loss, train_model
+from trajsurv.training import (TrainSettings, _mean_loss, loss_and_grads, patient_loss,
+                               train_model)
 
 SCENARIO = Scenario(region_len=4, clinical_len=3)
 WIDTHS = {**{kind: 4 for kind in ANATOMICAL_KINDS},
@@ -57,19 +57,14 @@ class TestBatchedAgreement:
         cohort, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        params = model.named_parameters()
-        leaves = [p for _, p in params]
-
-        stacked = _mean_loss(model, cohort, bins, weights)
-        gs = ad.backward(stacked, params=leaves)
+        stacked, gs = loss_and_grads(model, cohort, bins, weights)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
                                                abs=1e-12)
-        per_patient = [ad.backward(s, params=leaves) for s in singles]
-        for name, p in params:
-            looped = np.mean([g[p].data for g in per_patient], axis=0)
-            np.testing.assert_allclose(gs[p].data, looped, atol=1e-12, rtol=0,
-                                       err_msg=name)
+        per_patient = [loss_and_grads(model, g, bins, weights)[1] for g, _, _ in items]
+        for name, _ in model.named_parameters():
+            looped = np.mean([g[name] for g in per_patient], axis=0)
+            np.testing.assert_allclose(gs[name], looped, atol=1e-12, rtol=0, err_msg=name)
 
     def test_unequal_task_weights_also_match(self):
         config, model = small_model("gcn")
@@ -112,14 +107,10 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     assert missing.sum() == 3
     dirty.regions[missing] = rng.normal(size=(3, 4))
     dirty.offsets[missing] = rng.uniform(-1.0, 1.0, size=(3, 3))
-    leaves = [p for _, p in model.named_parameters()]
-
     def run(data):
-        loss = _mean_loss(model, data, bins, LossWeights(1.0, 1.0))
-        grads = ad.backward(loss, params=leaves)
+        loss, grads = loss_and_grads(model, data, bins, LossWeights(1.0, 1.0))
         curves = model.predict_curves(data)
-        return ([loss.data] + [grads[p].data for p in leaves]
-                + [curves[task][0] for task in ("dfs", "os")])
+        return ([loss] + list(grads.values()) + [curves[task][0] for task in ("dfs", "os")])
 
     for got, want in zip(run(dirty), run(cohort.with_presence(present))):
         assert np.array_equal(got, want)
@@ -235,17 +226,16 @@ def traced_peak(fn) -> int:
 @pytest.mark.parametrize("backbone", ["graphsage", "gat"])
 def test_training_holds_one_step_tape_at_a_time(backbone):
     """Over three batches and a validation pass, `train_model` peaks within
-    1.25x of one forward and backward: the tape of one step is freed before
-    the next forward is built. Holding two peaked at 1.50x (graphsage) and
-    1.75x (gat)."""
+    1.25x of one forward and backward: the kept state of one step is freed
+    before the next forward is built. Holding two peaked at 1.50x
+    (graphsage) and 1.75x (gat)."""
     cohort, _ = simulate_cohort(60, seed=2, scenario=SCENARIO)
     train, val = cohort[:48], cohort[48:]
     config, model = small_model(backbone, hidden_dim=32, message_dim=32, summary_dim=32,
                                 horizon=48)
     settings = quick_settings(batch_size=16, max_epochs=1)
-    params = [p for _, p in model.named_parameters()]
-    step = traced_peak(lambda: ad.backward(_mean_loss(model, train[:16], config.bins(),
-                                                      LossWeights(1.0, 1.0)), params=params))
+    step = traced_peak(lambda: loss_and_grads(model, train[:16], config.bins(),
+                                              LossWeights(1.0, 1.0)))
     training = traced_peak(lambda: train_model(model, train, val, settings))
     assert training <= 1.25 * step, (training, step)
 

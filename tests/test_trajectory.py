@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
-from trajsurv.trajectory import init_lstm, integrate, integrate_mean
+from trajsurv.trajectory import (init_lstm, integrate, integrate_backward, integrate_mean,
+                                 integrate_mean_backward)
 
-from oracles import lstm_step, tape_integrate
+import oracles
+from oracles import constant, leaves_of, lstm_step, tape_integrate
+
+
+def summary(snapshots, steps, params):
+    """h* of `integrate` alone."""
+    return integrate(snapshots, steps, params)[0]
 
 DIM = 3
 
@@ -15,7 +22,7 @@ DIM = 3
 def zero_params(input_dim=DIM, hidden_dim=DIM):
     p = init_lstm(input_dim, hidden_dim, np.random.default_rng(0))
     for _, leaf in p.named_leaves():
-        leaf.data[:] = 0.0
+        leaf[:] = 0.0
     return p
 
 
@@ -29,10 +36,10 @@ def numpy_lstm(z_seq, params):
     hidden = []
     for z in z_seq:
         zh = np.hstack([z, h])
-        i = sig(zh @ params.w_i.data + params.b_i.data)
-        f = sig(zh @ params.w_f.data + params.b_f.data)
-        g = np.tanh(zh @ params.w_g.data + params.b_g.data)
-        o = sig(zh @ params.w_o.data + params.b_o.data)
+        i = sig(zh @ params.w_i + params.b_i)
+        f = sig(zh @ params.w_f + params.b_f)
+        g = np.tanh(zh @ params.w_g + params.b_g)
+        o = sig(zh @ params.w_o + params.b_o)
         c = f * c + i * g
         h = o * np.tanh(c)
         hidden.append(h)
@@ -46,41 +53,41 @@ class TestLstmStep:
     def test_zero_params_zero_cell(self):
         p = zero_params()
         # All gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0.
-        out = integrate(ad.constant(np.ones((1, DIM))), 1, p)
-        assert np.array_equal(out.data, np.zeros((1, DIM)))
+        out = summary(np.ones((1, DIM)), 1, p)
+        assert np.array_equal(out, np.zeros((1, DIM)))
 
     def test_zero_params_unit_cell_memory(self):
         p = zero_params()
-        z = ad.constant(np.zeros((1, DIM)))
-        h = ad.constant(np.zeros((1, DIM)))
-        c = ad.constant(np.ones((1, DIM)))
-        h2, c2 = lstm_step(z, h, c, p)
+        z = constant(np.zeros((1, DIM)))
+        h = constant(np.zeros((1, DIM)))
+        c = constant(np.ones((1, DIM)))
+        h2, c2 = lstm_step(z, h, c, leaves_of(p))
         assert np.allclose(c2.data, 0.5)
         assert np.allclose(h2.data, 0.5 * np.tanh(0.5))
         assert np.allclose(h2.data, 0.2311, atol=5e-5)
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_params()
-        p.b_f.data[:] = 100.0
-        p.b_i.data[:] = -100.0
+        p.b_f[:] = 100.0
+        p.b_i[:] = -100.0
         c0 = np.array([[0.3, -1.2, 2.0]])
-        _, c2 = lstm_step(ad.constant(np.zeros((1, DIM))),
-                          ad.constant(np.zeros((1, DIM))), ad.constant(c0), p)
+        _, c2 = lstm_step(constant(np.zeros((1, DIM))),
+                          constant(np.zeros((1, DIM))), constant(c0), leaves_of(p))
         assert np.allclose(c2.data, c0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-            integrate(ad.constant(np.zeros((1, DIM + 1))), 1, p)
+            integrate(np.zeros((1, DIM + 1)), 1, p)
 
     def test_multi_row_step_matches_per_row(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         seq = [rng.normal(size=(4, DIM)) for _ in range(3)]
-        out = integrate(ad.constant(np.vstack(seq)), 3, p)
+        out = summary(np.vstack(seq), 3, p)
         for r in range(4):
-            row = integrate(ad.constant(np.vstack([z[r:r + 1] for z in seq])), 3, p)
-            np.testing.assert_allclose(out.data[r], row.data[0], rtol=0, atol=1e-12)
+            row = summary(np.vstack([z[r:r + 1] for z in seq]), 3, p)
+            np.testing.assert_allclose(out[r], row[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("rows,steps,bias,constant", [
@@ -88,22 +95,24 @@ class TestLstmStep:
     (64, 12, None, False), (64, 12, 100.0, False), (64, 12, None, True)],
     ids=["B1-T1", "B1-T12", "B64-T1", "B64-T12", "saturated", "constant"])
 def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
-    # Loss sum(h* . W) and the gradients of the snapshots and every lstm.* leaf.
+    # Loss sum(h* . W) and the gradients of the snapshots and every lstm.*
+    # leaf, `integrate` and its backward as one tape node.
     rng = np.random.default_rng(5)
     p = init_lstm(32, 32, rng)
     if bias is not None:
         for name, leaf in p.named_leaves():
             if ".b_" in name:
-                leaf.data[:] = bias * rng.choice([-1.0, 1.0], size=leaf.shape)
+                leaf[:] = bias * rng.choice([-1.0, 1.0], size=leaf.shape)
     first = rng.normal(size=(rows, 32))
-    snaps = ad.parameter(np.vstack([first if constant else rng.normal(size=(rows, 32))
-                                    for _ in range(steps)]))
-    weight = ad.constant(rng.normal(size=(rows, 32)))
+    snaps = oracles.parameter(np.vstack([first if constant else rng.normal(size=(rows, 32))
+                                         for _ in range(steps)]))
+    weight = oracles.constant(rng.normal(size=(rows, 32)))
+    p = leaves_of(p)
     leaves = [snaps] + [leaf for _, leaf in p.named_leaves()]
-    loss, ref = (ad.sum_all(ad.mul(f(snaps, steps, p), weight))
-                 for f in (integrate, tape_integrate))
+    loss, ref = (oracles.sum_all(oracles.mul(f(snaps, steps, p), weight))
+                 for f in (oracles.lstm_node, tape_integrate))
     assert abs(loss.item() - ref.item()) <= 1e-12
-    grads, ref_grads = ad.backward(loss, leaves), ad.backward(ref, leaves)
+    grads, ref_grads = oracles.backward(loss, leaves), oracles.backward(ref, leaves)
     for leaf in leaves:
         np.testing.assert_allclose(grads[leaf].data, ref_grads[leaf].data, rtol=0, atol=1e-12)
 
@@ -112,84 +121,84 @@ def test_lstm_rejects_ragged_snapshots():
     # Five rows cannot be two steps of equal height.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
     with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-        integrate(ad.constant(np.zeros((5, DIM))), 2, p)
+        integrate(np.zeros((5, DIM)), 2, p)
 
 
 def test_lstm_without_grad_keeps_no_cache():
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
-    snaps = ad.constant(np.ones((8, DIM)))
-    taped = integrate(snaps, 4, p)
-    with ad.no_grad(leaf for _, leaf in p.named_leaves()):
-        free = integrate(snaps, 4, p)
-    assert taped.ctx is not None
-    assert free.ctx is None and free.parents == ()
-    assert np.array_equal(free.data, taped.data)
+    snaps = np.ones((8, DIM))
+    kept_value, kept = integrate(snaps, 4, p, keep=True)
+    value, nothing = integrate(snaps, 4, p)
+    assert kept is not None and nothing is None
+    assert np.array_equal(value, kept_value)
 
 
 class TestIntegrate:
     def snaps(self, arrays):
-        return ad.constant(np.vstack(arrays)), len(arrays)
+        return np.vstack(arrays), len(arrays)
 
     def test_zero_params_zero_summary(self):
         p = zero_params()
         rng = np.random.default_rng(3)
-        out = integrate(*self.snaps([rng.normal(size=(1, DIM)) for _ in range(5)]), p)
-        assert np.array_equal(out.data, np.zeros((1, DIM)))
+        out = summary(*self.snaps([rng.normal(size=(1, DIM)) for _ in range(5)]), p)
+        assert np.array_equal(out, np.zeros((1, DIM)))
 
     def test_single_snapshot_equals_single_hidden_state(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(4))
         z = np.random.default_rng(5).normal(size=(1, DIM))
-        out = integrate(*self.snaps([z]), p)
-        h1, _ = lstm_step(ad.constant(z), ad.constant(np.zeros((1, DIM))),
-                          ad.constant(np.zeros((1, DIM))), p)
-        assert np.allclose(out.data, h1.data)
+        out = summary(*self.snaps([z]), p)
+        h1, _ = lstm_step(constant(z), constant(np.zeros((1, DIM))),
+                          constant(np.zeros((1, DIM))), leaves_of(p))
+        assert np.allclose(out, h1.data)
 
     def test_matches_numpy_recurrence_oracle(self):
         p = init_lstm(DIM, 5, np.random.default_rng(6))
         z_const = np.random.default_rng(7).normal(size=(1, DIM))
         seq = [z_const.copy() for _ in range(8)]
-        out = integrate(*self.snaps(seq), p)
-        assert np.allclose(out.data, numpy_lstm(seq, p), atol=1e-12)
+        out = summary(*self.snaps(seq), p)
+        assert np.allclose(out, numpy_lstm(seq, p), atol=1e-12)
 
     def test_varying_sequence_matches_oracle(self):
         p = init_lstm(DIM, 4, np.random.default_rng(8))
         rng = np.random.default_rng(9)
         seq = [rng.normal(size=(1, DIM)) for _ in range(6)]
-        out = integrate(*self.snaps(seq), p)
-        assert np.allclose(out.data, numpy_lstm(seq, p), atol=1e-12)
+        out = summary(*self.snaps(seq), p)
+        assert np.allclose(out, numpy_lstm(seq, p), atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate(ad.constant(np.zeros((0, DIM))), 0, p)
+            integrate(np.zeros((0, DIM)), 0, p)
 
     def test_gradients_through_recurrence(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        seq = ad.constant(rng.normal(size=(3, DIM)))
-
-        def f():
-            return ad.sum_all(integrate(seq, 3, p))
-
-        assert ad.grad_check(f, dict(p.named_leaves())) <= 1e-4
+        seq = rng.normal(size=(3, DIM))
+        _, kept = integrate(seq, 3, p, keep=True)
+        grads = integrate_backward(kept, np.ones((1, DIM)))[1]
+        assert ad.grad_check(lambda: summary(seq, 3, p).sum(), grads,
+                             dict(p.named_leaves())) <= 1e-4
 
 
 class TestIntegrateMean:
     def test_mean_of_snapshots(self):
-        snaps = ad.constant([[1.0, 2.0], [3.0, 6.0]])
-        assert np.allclose(integrate_mean(snaps, 2).data, [[2.0, 4.0]])
+        snaps = np.array([[1.0, 2.0], [3.0, 6.0]])
+        assert np.allclose(integrate_mean(snaps, 2), [[2.0, 4.0]])
         # Two steps of two rows: row r of the mean averages row r of each step.
-        snaps = ad.constant([[1.0, 2.0], [5.0, 0.0], [3.0, 6.0], [7.0, 2.0]])
-        assert np.allclose(integrate_mean(snaps, 2).data, [[2.0, 4.0], [6.0, 1.0]])
+        snaps = np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 6.0], [7.0, 2.0]])
+        assert np.allclose(integrate_mean(snaps, 2), [[2.0, 4.0], [6.0, 1.0]])
+        # Each snapshot row gets 1/T of its mean row's gradient.
+        g = np.array([[1.0, -2.0], [4.0, 8.0]])
+        assert np.array_equal(integrate_mean_backward(g, 2), np.vstack([g, g]) * 0.5)
 
     def test_single_is_identity_value(self):
         z = np.array([[1.5, -2.0]])
-        out = integrate_mean(ad.constant(z), 1)
-        assert np.array_equal(out.data, z)
+        out = integrate_mean(z, 1)
+        assert np.array_equal(out, z)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            integrate_mean(ad.constant(np.zeros((0, 2))), 0)
+            integrate_mean(np.zeros((0, 2)), 0)
 
 
 def test_init_lstm_zero_biases_and_fan_in_bound():
@@ -197,9 +206,9 @@ def test_init_lstm_zero_biases_and_fan_in_bound():
     bound = 1.0 / np.sqrt(10)
     for name, leaf in p.named_leaves():
         if ".b_" in name:
-            assert np.array_equal(leaf.data, np.zeros((1, 4)))
+            assert np.array_equal(leaf, np.zeros((1, 4)))
         else:
             assert leaf.shape == (10, 4)
-            assert np.abs(leaf.data).max() <= bound
+            assert np.abs(leaf).max() <= bound
     assert p.input_dim == 6
     assert p.hidden_dim == 4
