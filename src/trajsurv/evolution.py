@@ -318,49 +318,50 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
     """dH0 and the gradient of each `op.*` parameter, by name, from the
     gradient `g` of the stacked snapshots and what `evolve` kept.
 
-    Backpropagation through time over the kept states. Every product and
-    every sum runs in the order in which the tape sums the per-op form
-    (tests/oracles.py), so the gradients are the same bits as that form's.
+    Backpropagation through time over the kept states, each step's term added
+    into its parameter's row block, split as `evolve` splits the weights.
+    Every product and sum runs in the order in which the tape sums the per-op
+    form (tests/oracles.py), so the gradients are that form's bits.
     """
     params, present, ops, pool, saved = kept
     neigh, gat = params.backbone != "gcn", params.backbone == "gat"
     d, d_t = params.w_out.shape[1], params.time_table.shape[1]
-    steps = len(saved)
-    w_out = params.w_out
-    w_sh, w_st = params.w_self[:d], params.w_self[d:]
-    if neigh:
-        w_nh, w_nt, _ = np.split(params.w_neigh, [d, d + d_t])
+    e, w_out = params.time_table, params.w_out
+    grads = {name: np.zeros_like(p) for name, p in params.named_leaves()}
+    w_sh, w_st = np.split(params.w_self, [d])
+    gw_sh, gw_st = np.split(grads["op.w_self"], [d])
     # Row t of each: the gradient of the time rows step t adds, e_t W_st,
     # e_t W_nt and e_t (U_dt + U_st).
-    d_self = np.zeros((params.time_table.shape[0], w_out.shape[0]))
+    d_self = np.zeros((e.shape[0], w_out.shape[0]))
     d_neigh = np.zeros_like(d_self)
+    if neigh:
+        w_nh, w_nt, _ = np.split(params.w_neigh, [d, d + d_t])
+        gw_nh, gw_nt, gw_na = np.split(grads["op.w_neigh"], [d, d + d_t])
+        # Summed over the steps: the gradient of the arc term that every step
+        # adds alike, graphsage's A W_na + b_msg and gat's A W_na.
+        attr = ops["attr"] if gat else ops["attr_mean"]
+        d_attr = np.zeros((attr.shape[0], w_out.shape[0]))
     if gat:
         u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u, np.cumsum([d, d_t, d, d_t]))
-        d_score_rows = np.zeros((params.time_table.shape[0], u_dh.shape[1]))
+        gu_dh, gu_dt, gu_sh, gu_st, gu_a = np.split(grads["op.attn_u"],
+                                                    np.cumsum([d, d_t, d, d_t]))
+        d_score_rows = np.zeros((e.shape[0], u_dh.shape[1]))
+        d_score_arcs = np.zeros((attr.shape[0], u_dh.shape[1]))     # of A U_a + b_attn
         spread = np.ones((1, w_out.shape[0]))
-    gz = g.reshape(steps, -1, d)
-    sums = {}
-
-    def add(key, term):
-        # The first term, then each next one added, from the last step back.
-        if key in sums:
-            sums[key] += term
-        else:
-            sums[key] = term.copy()
-
+    gz = g.reshape(len(saved), -1, d)
     dh = pool.T.apply(gz[-1])
-    for t in range(steps - 1, -1, -1):
+    for t in range(len(saved) - 1, -1, -1):
         h, *arcs, act = saved[t]
-        add("b_out", dh.sum(axis=0, keepdims=True))
-        add("w_out", act.T @ dh)
+        grads["op.b_out"] += dh.sum(axis=0, keepdims=True)
+        grads["op.w_out"] += act.T @ dh
         dp = dh @ w_out.T
         dp *= act > 0.0
         if neigh and not gat:
-            add("fixed", dp)            # A W_na + b_msg, one term for all steps
+            d_attr += dp
         else:
-            add("b_msg", dp.sum(axis=0, keepdims=True))
+            grads["op.b_msg"] += dp.sum(axis=0, keepdims=True)
         d_own = dp if neigh else ops["norm"].T.apply(dp)
-        add("w_sh", h.T @ d_own)
+        gw_sh += h.T @ d_own
         d_self[t] = d_own.sum(axis=0)
         back = [d_own @ w_sh.T]
         if gat:
@@ -370,22 +371,22 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
             d_exp = alpha * ((weighted * msgs) @ spread.T)
             d_scores = d_exp + gather(scatter(-d_exp, present, TARGET), present,
                                       TARGET) / total * exp_shifted
-            add("attn_v", hidden.T @ d_scores)
+            grads["op.attn_v"] += hidden.T @ d_scores
             d_arc = d_scores @ params.attn_v.T
             d_arc *= 1.0 - hidden * hidden
-            add("score_arcs", d_arc)
-            add("msg_arcs", d_msgs)
+            d_score_arcs += d_arc
+            d_attr += d_msgs
             d_xn = scatter(d_msgs, present, SOURCE)
         elif neigh:
             d_xn = ops["mean"].T.apply(dp)
         if neigh:
-            add("w_nh", h.T @ d_xn)
+            gw_nh += h.T @ d_xn
             d_neigh[t] = d_xn.sum(axis=0)
             back.append(d_xn @ w_nh.T)
         if gat:
             d_dst, d_src = scatter(d_arc, present, TARGET), scatter(d_arc, present, SOURCE)
-            add("u_dh", h.T @ d_dst)
-            add("u_sh", h.T @ d_src)
+            gu_dh += h.T @ d_dst
+            gu_sh += h.T @ d_src
             d_score_rows[t] = d_dst.sum(axis=0)
             back += [d_dst @ u_dh.T, d_src @ u_sh.T]
         # The readout of H_t comes first, then the update H_t + U_{t+1}.
@@ -393,21 +394,14 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
             dh = pool.T.apply(gz[t - 1]) + dh
         for term in back:
             dh += term
-    e = params.time_table
-    d_time = d_self @ w_st.T
-    # In the order of `params.named_leaves()`.
-    grads = [np.concatenate([sums["w_sh"], e.T @ d_self]),
-             sums["fixed"].sum(axis=0, keepdims=True) if "fixed" in sums else sums["b_msg"],
-             sums["w_out"], sums["b_out"], d_time]
+    gw_st[:], grads["op.time_table"][:] = e.T @ d_self, d_self @ w_st.T
     if neigh:
-        d_time += d_neigh @ w_nt.T
-        arc_terms = (ops["attr"].T @ sums["msg_arcs"] if gat
-                     else ops["attr_mean"].T @ sums["fixed"])
-        grads.append(np.concatenate([sums["w_nh"], e.T @ d_neigh, arc_terms]))
+        gw_nt[:], gw_na[:] = e.T @ d_neigh, attr.T @ d_attr
+        grads["op.time_table"] += d_neigh @ w_nt.T
+    if neigh and not gat:
+        grads["op.b_msg"][:] = d_attr.sum(axis=0, keepdims=True)
     if gat:
-        d_time += d_score_rows @ (u_dt + u_st).T
-        d_u_t = e.T @ d_score_rows
-        grads += [np.concatenate([sums["u_dh"], d_u_t, sums["u_sh"], d_u_t,
-                                  ops["attr"].T @ sums["score_arcs"]]),
-                  sums["score_arcs"].sum(axis=0, keepdims=True), sums["attn_v"]]
-    return dh, {name: grad for (name, _), grad in zip(params.named_leaves(), grads)}
+        gu_dt[:] = gu_st[:] = e.T @ d_score_rows
+        gu_a[:], grads["op.attn_b"][:] = attr.T @ d_score_arcs, d_score_arcs.sum(axis=0)
+        grads["op.time_table"] += d_score_rows @ (u_dt + u_st).T
+    return dh, grads

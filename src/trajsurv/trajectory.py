@@ -45,6 +45,9 @@ class LstmParams:
         return [(f"lstm.{field.name}", getattr(self, field.name)) for field in fields(self)]
 
 
+GATES = ("i", "f", "o", "g")        # as `integrate` stacks them: the sigmoids, then g
+
+
 def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LstmParams:
     leaves = []
     for _ in range(4):      # gates i, f, g, o, in field order
@@ -60,15 +63,15 @@ def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool 
     `snapshots` holds the T snapshots of B rows stacked step-major, (T B x d),
     as `evolution.evolve` returns them. The cell is c' = f*c + i*g,
     h' = o*tanh(c') from h = c = 0, each gate acting on [z_t ; h_{t-1}]. The
-    gates are held as (T, 4, B, d_h) in the order i f o g, so a step's gates
+    gates are held as (T, 4, B, d_h) in `GATES` order, i f o g, so a step's gates
     are one contiguous block and its three sigmoids one contiguous part of
     it. The input projection of all T snapshots is one batched matmul outside
     the recurrence, and each step adds one (B x d_h) @ (4, d_h, d_h) product.
     Returns h* and, with `keep`, what `integrate_backward` needs (None
     without): the snapshots, weights, gates and cells.
     """
-    weights = (params.w_i, params.w_f, params.w_o, params.w_g)
-    biases = (params.b_i, params.b_f, params.b_o, params.b_g)
+    weights = [getattr(params, f"w_{gate}") for gate in GATES]
+    biases = [getattr(params, f"b_{gate}") for gate in GATES]
     d_h, d = params.hidden_dim, params.input_dim
     for w, b in zip(weights, biases):
         if w.shape != (d + d_h, d_h) or b.shape != (1, d_h):
@@ -106,8 +109,8 @@ def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool 
 
 
 def _gate_grads(kept, g) -> np.ndarray:
-    """The (T, 4, B, d_h) gradient of the pre-activation gates [i f o g], by
-    backpropagation through time from the gradient `g` of h*."""
+    """The (T, 4, B, d_h) gradient of the pre-activation gates, in `GATES`
+    order, by backpropagation through time from the gradient `g` of h*."""
     z, w, gates, cells, hidden, tanh_c = kept
     steps = gates.shape[0]
     w_h_t = w[:, z.shape[2]:].transpose(0, 2, 1)
@@ -131,10 +134,10 @@ def _gate_grads(kept, g) -> np.ndarray:
 
 
 def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The gradient of the snapshots and of each `lstm.*` parameter, by name,
-    from the gradient `g` of h* and what `integrate` kept. No (T, 4, ...)
-    product is ever stacked; each gradient is summed in the order of the sum
-    over such a stack, so its bits are that sum's."""
+    """The gradient of the snapshots and of each `lstm.*` parameter, by name
+    in `GATES` order, from the gradient `g` of h* and what `integrate` kept.
+    No (T, 4, ...) product is ever stacked; each gradient is summed in the
+    order of the sum over such a stack, so its bits are that sum's."""
     z, w, _, _, hidden, _ = kept
     steps, d = z.shape[0], z.shape[2]
     da = _gate_grads(kept, g)
@@ -145,17 +148,14 @@ def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.nd
         dw_x += np.matmul(z[t].T, da[t])
         dw_h += np.matmul(hidden[t].T, da[t])
     db = da.sum(axis=(0, 2))
-    # Gate by gate, i f o g: the stacked (T, 4, B, d) product would be 4x dz.
+    # Gate by gate: the stacked (T, 4, B, d) product would be 4x dz.
     w_x_t = w[:, :d].transpose(0, 2, 1)
     dz = np.matmul(da[:, 0], w_x_t[0])
-    for k in (1, 2, 3):
+    for k in range(1, len(GATES)):
         dz += np.matmul(da[:, k], w_x_t[k])
-    grads = []
-    # Gate order i f o g back to the field order i, f, g, o.
-    for k in (0, 1, 3, 2):
-        grads += [np.concatenate([dw_x[k], dw_h[k]]), db[k:k + 1]]
-    return dz.reshape(-1, d), {f"lstm.{field.name}": grad
-                               for field, grad in zip(fields(LstmParams), grads)}
+    dw = np.concatenate([dw_x, dw_h], axis=1)      # stacked as `integrate` stacks w
+    return dz.reshape(-1, d), {f"lstm.{kind}_{gate}": grad[k] for kind, grad in
+                               (("w", dw), ("b", db[:, None])) for k, gate in enumerate(GATES)}
 
 
 def integrate_mean(snapshots: np.ndarray, steps: int) -> np.ndarray:

@@ -390,8 +390,8 @@ def evolve_node(h0, cohort, params, horizon):
     """`evolution.evolve` as one tape node over H0 and the leaves of `params`
     (a `leaves_of` dataclass); its rule is `evolve_backward`."""
     value, kept = evolve(h0.data, cohort, arrays_of(params), horizon, keep=True)
-    return Tensor._node(value, "evolve", (h0,) + tuple(leaf for _, leaf in params.named_leaves()),
-                        kept)
+    names, leaves = zip(*params.named_leaves())
+    return Tensor._node(value, "evolve", (h0,) + leaves, (names, kept))
 
 
 def lstm_node(snapshots, steps, params):
@@ -399,14 +399,17 @@ def lstm_node(snapshots, steps, params):
     leaves of `params` (a `leaves_of` dataclass); its rule is
     `integrate_backward`."""
     value, kept = integrate(snapshots.data, steps, arrays_of(params), keep=True)
-    return Tensor._node(value, "lstm",
-                        (snapshots,) + tuple(leaf for _, leaf in params.named_leaves()), kept)
+    names, leaves = zip(*params.named_leaves())
+    return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept))
 
 
 def _fused_rule(backward_fn):
+    """The tape rule of a stage's backward: the input's gradient, then each
+    leaf's, read by the names the node was built with."""
     def rule(node, g):
-        d_input, grads = backward_fn(node.ctx, g)
-        return (d_input,) + tuple(grads.values())
+        names, kept = node.ctx
+        d_input, grads = backward_fn(kept, g)
+        return (d_input,) + tuple(grads[name] for name in names)
     return rule
 
 
