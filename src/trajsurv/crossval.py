@@ -243,14 +243,19 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
 
 
 def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutcome],
-               task: str) -> dict | None:
+               task: str, tied: list[dict]) -> dict | None:
     """Bootstrap interval of the C-index of each patient's mean risk over its
     folds. The patients with c risks are one (patients, c) matrix of their
     risks in outcome order, whose row means sum each row as `np.mean` sums
     the patient's list; a sum in any other order differs from eight folds
-    on."""
+    on. It is withheld, as an error naming them, if the task has `tied`
+    folds: their pooled risks would rank patients by fold alone."""
     if not outcomes:
         return None
+    tied = [f"(repeat {f['repeat']}, fold {f['fold']})" for f in tied if f["task"] == task]
+    if tied:
+        return {"metric": "cindex",
+                "error": f"no pooled interval: the risks tie within {', '.join(tied)}"}
     test = np.concatenate([o.test for o in outcomes])
     counts = np.bincount(test)
     ids = np.flatnonzero(counts)
@@ -291,23 +296,24 @@ def assemble(config: RunConfig, outcomes: list[FoldOutcome],
     """The report of `outcomes`, in their order: its rows, and its curves as
     one `CurveTable` of the repeat-0 folds' arrays, with no object per row.
     Given the `cohort`, it also holds the pooled C-index interval of each
-    task."""
+    task, or why it is withheld."""
     done = [o for o in outcomes if o.failure is None]
     rows = [row for o in done for row in o.rows]
     flags = [o.cascade_grad_zero for o in done if o.cascade_grad_zero is not None]
+    tied = [{"repeat": o.repeat, "fold": o.fold, "task": task}
+            for o in done for task, risk in o.risks.items()
+            if len(risk) > 1 and (risk == risk[0]).all()]
     return CvReport(
         config=config_to_dict(config), seed=config.train.seed, rows=rows,
         curves=_curve_table([o for o in done if o.ids is not None]),
         failed_folds=[{"repeat": o.repeat, "fold": o.fold, "reason": o.failure}
                       for o in outcomes if o.failure is not None],
         aggregate=_aggregate(rows),
-        ci={} if cohort is None else {task: _pooled_ci(config, cohort, done, task)
+        ci={} if cohort is None else {task: _pooled_ci(config, cohort, done, task, tied)
                                       for task in TASKS},
         checks={"os_context_grad_zero": all(flags)} if flags else {},
         ipcw_capped_folds=sum(1 for o in done if o.capped),
-        tied_risk_folds=[{"repeat": o.repeat, "fold": o.fold, "task": task}
-                         for o in done for task, risk in o.risks.items()
-                         if len(risk) > 1 and (risk == risk[0]).all()])
+        tied_risk_folds=tied)
 
 
 def run_crossval(config: RunConfig, cohort: CohortArrays) -> CvReport:

@@ -590,11 +590,12 @@ def test_diverging_crossval_prints_one_stderr_line(tmp_path):
     assert proc.stderr.splitlines() == ["2/2 folds failed to train"]
 
 
-def test_folds_whose_risks_all_tie_are_named(tmp_path):
+def test_folds_whose_risks_all_tie_are_named(tmp_path, capsys):
     # A tiny gat model at lr 1e4 trains to finite losses, then gives every
     # test patient of each fold the same risk: each fold's C-index is 0.5
     # from ties alone, and the run exits 0. report.json names each such
-    # (repeat, fold, task).
+    # (repeat, fold, task), and withholds each task's pooled interval, whose
+    # pooled risks would rank patients by fold alone.
     (tmp_path / "sim.json").write_text(json.dumps({"simulate": {"n": 40}}))
     assert main(["simulate", "--config", str(tmp_path / "sim.json"),
                  "--out", str(tmp_path / "sim")]) == EXIT_OK
@@ -604,12 +605,18 @@ def test_folds_whose_risks_all_tie_are_named(tmp_path):
         "model": {"backbone": "gat", "d": 8, "T": 3, "K": 4}, "train": {"lr": 1e4},
         "cv": {"k": 2, "repeats": 1}}))
     out = tmp_path / "tied"
+    capsys.readouterr()
     assert main(["crossval", "--config", str(config), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["failed_folds"] == []
     assert report["warnings"]["tied_risk_folds"] == [
         {"repeat": 0, "fold": fold, "task": task} for fold in range(2) for task in ("os", "dfs")]
     assert {row["cindex"] for row in report["folds"]} == {0.5}
+    assert report["ci"] == {task: {"metric": "cindex", "error": "no pooled interval: the risks "
+                                   "tie within (repeat 0, fold 0), (repeat 0, fold 1)"}
+                            for task in ("os", "dfs")}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == ["os C-index mean 0.500", "dfs C-index mean 0.500"]
 
 
 @pytest.mark.parametrize("command,out", (("simulate", "afile"), ("train", "afile"),

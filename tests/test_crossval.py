@@ -21,6 +21,7 @@ from trajsurv.crossval import (CurveTable, CvReport, FoldRow, _aggregate, emit_r
                                evaluate_model, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
 from trajsurv.model import init_model
+from test_training import featureless_cohort
 
 SMALL_DOC = {
     "model": {"d": 8, "d_t": 4, "d_h": 8, "d_c": 4, "T": 3, "K": 4, "message_dim": 8},
@@ -440,6 +441,44 @@ class TestEvaluateModel:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(-point_estimate_time(sa, bins),
                                        -point_estimate_time(sb, bins), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backbone", ("graphsage", "gcn", "gat"))
+def test_scoring_is_the_same_bits_in_any_chunk_of_two_or_more(backbone):
+    # Every matrix product of a chunk of two or more patients runs through
+    # BLAS's matrix-matrix path, whose rows do not depend on the other rows,
+    # so each patient's curves are the same bits whatever the chunk. A chunk
+    # of one patient, such as the last of a fold of 64k + 1 test patients at
+    # the default batch size, runs its (1 x .) products through the
+    # matrix-vector path, which holds them only within 1e-12 (the test above).
+    config = small_config(model={"backbone": backbone})
+    cohort, _ = simulate_cohort(200, seed=3, scenario=config.simulate.scenario())
+    present = cohort.present & (np.random.default_rng(0).random(cohort.present.shape) > 0.2)
+    present[:, 0] = True
+    cohort = cohort.with_presence(present)
+    model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(1))
+    want = cv._predict_fold(model, cohort, 64)
+    for chunk in (2, 7, 16, 50, 100, 200):
+        got = cv._predict_fold(model, cohort, chunk)
+        for task in cv.TASKS:
+            for a, b in zip(got[task], want[task]):
+                assert np.array_equal(a, b), (chunk, task)
+
+
+def test_featureless_cohort_scores_every_fold_by_ties_alone():
+    # Identical features and every region present give every test patient of
+    # a fold the same risk, so each fold's C-index is 0.5 exactly, each
+    # (fold, task) is named tied, and no pooled interval is reported. The
+    # folds' chunks of 16 and 4 patients score alike (test above).
+    config = small_config(cv={"k": 2, "repeats": 1})
+    report = run_crossval(config, featureless_cohort(40))
+    assert not report.failed_folds
+    assert sorted((r.fold, r.task, r.cindex) for r in report.rows) == [
+        (fold, task, 0.5) for fold in range(2) for task in ("dfs", "os")]
+    assert report.tied_risk_folds == [{"repeat": 0, "fold": fold, "task": task}
+                                      for fold in range(2) for task in ("os", "dfs")]
+    for task in cv.TASKS:
+        assert set(report.ci[task]) == {"metric", "error"}
 
 
 @pytest.mark.parametrize("chunk", [1, 64])
