@@ -252,10 +252,10 @@ def _pooled_ci(config: RunConfig, cohort: CohortArrays, outcomes: list[FoldOutco
     folds: their pooled risks would rank patients by fold alone."""
     if not outcomes:
         return None
-    tied = [f"(repeat {f['repeat']}, fold {f['fold']})" for f in tied if f["task"] == task]
-    if tied:
+    pairs = [f"(repeat {f['repeat']}, fold {f['fold']})" for f in tied if f["task"] == task]
+    if pairs:
         return {"metric": "cindex",
-                "error": f"no pooled interval: the risks tie within {', '.join(tied)}"}
+                "error": f"no pooled interval: the risks tie within {', '.join(pairs)}"}
     test = np.concatenate([o.test for o in outcomes])
     counts = np.bincount(test)
     ids = np.flatnonzero(counts)
