@@ -5,19 +5,21 @@ wrong one, and names the tests that must then fail. Several mutants keep
 the forward and the backward consistent, so the gradient checks cannot see
 them; they guard what those checks do not.
 
-    python3 ci/mutants.py [--out mutants.json] [--only NAME ...]
+    python3 ci/mutants.py
 
 copies the tree into a fresh temporary directory for each mutant, applies
 it there, runs only its named tests with one BLAS thread, one mutant at a
-time, and writes, per mutant, which named tests failed, whether all of them
-did ("caught") and the seconds. It exits 1 if a mutant survived. A
-surviving mutant is a finding to report; it stays in the catalogue.
-tests/test_mutants.py checks only that each old text occurs exactly once.
+time, and writes `mutants.json` at the repository root: per mutant, which
+named tests failed, whether all of them did ("caught") and the seconds. It
+exits 1 if a mutant survived. A surviving mutant is a finding to report; it
+stays in the catalogue. An entry whose old text is not found once, or whose
+tests pytest cannot run (an exit other than 0 or 1, such as a renamed test),
+is stale: the run stops and names it. tests/test_mutants.py checks that each
+old text occurs exactly once and each named test is defined.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -117,6 +119,9 @@ def run(mutant: Mutant, work: Path) -> dict:
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
                            *mutant.tests], cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}, so the entry is "
+                         f"stale:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     failed = _failed(proc.stdout)
     caught = all(any(f == t or f.startswith(t + "::") or f.startswith(t + "[")
                      for f in failed) for t in mutant.tests)
@@ -125,19 +130,14 @@ def run(mutant: Mutant, work: Path) -> dict:
             "seconds": round(time.perf_counter() - start, 2)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="mutants.json")
-    parser.add_argument("--only", nargs="*", help="names of the mutants to run")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:
         results = []
-        for mutant in chosen:
+        for mutant in MUTANTS:
             results.append(run(mutant, Path(work)))
             print(f"{mutant.name}: {'caught' if results[-1]['caught'] else 'SURVIVED'} "
                   f"({results[-1]['seconds']} s)", flush=True)
-    Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
+    (ROOT / "mutants.json").write_text(json.dumps(results, indent=2) + "\n")
     return 0 if all(r["caught"] for r in results) else 1
 
 

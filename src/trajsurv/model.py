@@ -148,9 +148,8 @@ class FullModel:
             dz = integrate_mean_backward(dh_star, cfg.horizon)
             lstm_grads = {name: np.zeros_like(p) for name, p in self.lstm.named_leaves()}
         dh0, evolve_grads = evolve_backward(kept.pop("evolve"), dz)
-        grads = {**embed_backward(kept.pop("cohort"), self.embedding, dh0), **evolve_grads,
-                 **lstm_grads, **head_grads}
-        return {name: grads[name] for name, _ in self.named_parameters()}
+        return {**embed_backward(kept.pop("cohort"), self.embedding, dh0), **evolve_grads,
+                **lstm_grads, **head_grads}
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per task, the slice's (B, K) hazards and survival, checked once.

@@ -135,9 +135,9 @@ def _gate_grads(kept, g) -> np.ndarray:
 
 def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The gradient of the snapshots and of each `lstm.*` parameter, by name
-    in `GATES` order, from the gradient `g` of h* and what `integrate` kept.
-    No (T, 4, ...) product is ever stacked; each gradient is summed in the
-    order of the sum over such a stack, so its bits are that sum's."""
+    in `named_leaves` order, from the gradient `g` of h* and what `integrate`
+    kept. No (T, 4, ...) product is ever stacked; each gradient is summed in
+    the order of the sum over such a stack, so its bits are that sum's."""
     z, w, _, _, hidden, _ = kept
     steps, d = z.shape[0], z.shape[2]
     da = _gate_grads(kept, g)
@@ -153,9 +153,9 @@ def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.nd
     dz = np.matmul(da[:, 0], w_x_t[0])
     for k in range(1, len(GATES)):
         dz += np.matmul(da[:, k], w_x_t[k])
-    dw = np.concatenate([dw_x, dw_h], axis=1)      # stacked as `integrate` stacks w
-    return dz.reshape(-1, d), {f"lstm.{kind}_{gate}": grad[k] for kind, grad in
-                               (("w", dw), ("b", db[:, None])) for k, gate in enumerate(GATES)}
+    stacked = {"w": np.concatenate([dw_x, dw_h], axis=1), "b": db[:, None]}   # in `GATES` order
+    return dz.reshape(-1, d), {f"lstm.{f.name}": stacked[f.name[0]][GATES.index(f.name[-1])]
+                               for f in fields(LstmParams)}
 
 
 def integrate_mean(snapshots: np.ndarray, steps: int) -> np.ndarray:

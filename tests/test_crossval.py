@@ -451,6 +451,9 @@ def test_scoring_is_the_same_bits_in_any_chunk_of_two_or_more(backbone):
     # of one patient, such as the last of a fold of 64k + 1 test patients at
     # the default batch size, runs its (1 x .) products through the
     # matrix-vector path, which holds them only within 1e-12 (the test above).
+    # The row independence is a property of the OpenBLAS that numpy's wheels
+    # bundle, not of trajsurv: a BLAS with kernels for few rows (MKL,
+    # Accelerate) may break this test with no defect in the program.
     config = small_config(model={"backbone": backbone})
     cohort, _ = simulate_cohort(200, seed=3, scenario=config.simulate.scenario())
     present = cohort.present & (np.random.default_rng(0).random(cohort.present.shape) > 0.2)

@@ -1,10 +1,13 @@
-"""The mutant catalogue stays applicable: each old text occurs exactly once.
+"""The mutant catalogue stays applicable: each old text occurs exactly once
+and each named test is defined.
 
 The catalogue's runner (`python3 ci/mutants.py`) is a hand run; this test
-only keeps its entries from going stale as the code they quote changes.
+only keeps its entries from going stale as the code and tests they quote
+change.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -25,4 +28,9 @@ def test_old_text_occurs_once_and_named_tests_exist(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old and mutant.tests and mutant.why
     for test in mutant.tests:
-        assert (ROOT / test.split("::")[0]).is_file(), test
+        path, *scopes, name = test.split("::")
+        assert (ROOT / path).is_file(), test
+        source = (ROOT / path).read_text()
+        for scope in scopes:
+            assert re.search(rf"^\s*class {scope}\b", source, re.M), test
+        assert re.search(rf"^\s*def {name.split('[')[0]}\(", source, re.M), test
