@@ -8,10 +8,16 @@ backward next to its forward: `graph.embed_backward`,
 `objective.nll_backward`. `FullModel.backward` chains them, and
 `training.loss_and_grads` returns the loss with one gradient per parameter
 name.
+
+A training fit keeps each step's forward state in a workspace: a plain
+dict of float64 buffers that `slot` hands out by name. The fit owns it and
+drops it when it returns; a step overwrites what the previous step kept,
+so its arrays are not allocated, freed and page-faulted in again per step.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -39,6 +45,19 @@ def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 def zero_bias(width: int) -> np.ndarray:
     """A 1 x width bias, all zero."""
     return np.zeros((1, width))
+
+
+def slot(out: dict[str, np.ndarray] | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape`: a fresh one without a
+    workspace `out`, else a view of the workspace's buffer `name`, which is
+    reallocated only when it holds fewer elements than `shape` needs."""
+    if out is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buffer = out.get(name)
+    if buffer is None or buffer.size < size:
+        buffer = out[name] = np.empty(size)
+    return buffer[:size].reshape(shape)
 
 
 def grad_check(f: Callable[[], float], grads: Mapping[str, np.ndarray],

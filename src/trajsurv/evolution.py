@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeMismatchError, uniform_weight, zero_bias
+from .autodiff import NonFiniteError, ShapeMismatchError, slot, uniform_weight, zero_bias
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
                     slots_in_use)
 
@@ -85,11 +85,13 @@ class Blocks:
             self._transpose = Blocks(np.ascontiguousarray(self.blocks.transpose(0, 2, 1)))
         return self._transpose
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """This matrix times x: block b times rows b c .. (b + 1) c - 1 of x."""
-        count, _, c = self.blocks.shape
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """This matrix times x: block b times rows b c .. (b + 1) c - 1 of x,
+        written into the C-contiguous `out` when one is given."""
+        count, r, c = self.blocks.shape
         m = x.shape[1]
-        return np.matmul(self.blocks, x.reshape(count, c, m)).reshape(self.shape[0], m)
+        into = None if out is None else out.reshape(count, r, m)
+        return np.matmul(self.blocks, x.reshape(count, c, m), out=into).reshape(self.shape[0], m)
 
 
 @dataclass
@@ -236,7 +238,7 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
 
 
 def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
-           horizon: int, keep: bool = False):
+           horizon: int, keep: bool = False, out: dict[str, np.ndarray] | None = None):
     """Roll the residual operator forward `horizon` steps from H0.
 
     Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
@@ -246,6 +248,8 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     not finite after step t raises NonFiniteError naming t. Returns the
     snapshots and, with `keep`, what `evolve_backward` needs (None
     without): each step's input state and activations, and gat's arc terms.
+    The states, activations and snapshots are written into the workspace
+    `out` when one is given (`autodiff.slot`), else into fresh arrays.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -271,23 +275,28 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
         score_arcs = ops["attr"] @ u_a + params.attn_b
         msg_arcs = ops["attr"] @ w_na
         fixed = params.b_msg
-    out = np.empty((horizon, len(present), d))
+    snapshots = slot(out, "evolve.snapshots", (horizon, len(present), d))
+    if keep:
+        states = slot(out, "evolve.states", (horizon,) + h0.shape)
+        acts = slot(out, "evolve.acts", (horizon, h0.shape[0], params.w_out.shape[0]))
     saved = []
     h = h0
     # In-place updates of fresh temporaries keep the tape form's operation
-    # order, and so its values, with fewer allocations.
+    # order, and so its values, with fewer allocations. H + U is written as
+    # U + H, the same bits, so that the new state needs no temporary.
     for t in range(horizon):
         kept = [h]
+        into = acts[t] if keep else None
         own = h @ w_sh
         own += self_rows[t]
         if backbone == "gcn":
-            pre = ops["norm"].apply(own)
+            pre = ops["norm"].apply(own, out=into)
             pre += params.b_msg
         else:
             x_n = h @ w_nh
             x_n += neigh_rows[t]
             if backbone == "graphsage":
-                pre = ops["mean"].apply(x_n)
+                pre = ops["mean"].apply(x_n, out=into)
             else:
                 q_dst = h @ u_dh
                 q_dst += score_rows[t]
@@ -302,16 +311,17 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
                 kept += [hidden, alpha, exp_shifted, total, msgs]
             pre += own
             pre += fixed
-        act = np.maximum(pre, 0.0, out=pre)
-        update = act @ params.w_out
+        act = np.maximum(pre, 0.0, out=pre if into is None else into)
+        update = np.matmul(act, params.w_out, out=states[t] if keep else None)
         update += params.b_out
-        h = h + update
+        update += h
+        h = update
         if not np.isfinite(h).all():
             raise NonFiniteError(f"node states diverged at evolution step {t}")
-        out[t] = pool.apply(h)
+        pool.apply(h, out=snapshots[t])
         if keep:
             saved.append(kept + [act])
-    return out.reshape(-1, d), ((params, present, ops, pool, saved) if keep else None)
+    return snapshots.reshape(-1, d), ((params, present, ops, pool, saved) if keep else None)
 
 
 def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:

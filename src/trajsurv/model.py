@@ -118,15 +118,18 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, cohort: CohortArrays, keep: bool = False):
+    def forward(self, cohort: CohortArrays, keep: bool = False,
+                out: dict[str, np.ndarray] | None = None):
         """The slice's (B, K) logits per task, keyed like `labels`, and, with
-        `keep`, what `backward` needs (None without)."""
+        `keep`, what `backward` needs (None without). The evolution's and
+        the LSTM's kept state is written into the workspace `out` when one
+        is given (`autodiff.slot`), and stays valid until its next forward."""
         cfg = self.config
         kept = {"cohort": cohort}
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, keep)
+        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, keep, out)
         if cfg.integrator == "lstm":
-            h_star, kept["lstm"] = integrate(snapshots, cfg.horizon, self.lstm, keep)
+            h_star, kept["lstm"] = integrate(snapshots, cfg.horizon, self.lstm, keep, out)
         else:
             h_star = integrate_mean(snapshots, cfg.horizon)
         dfs_logits, context = dfs_head(h_star, self.heads)

@@ -40,10 +40,12 @@ def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins,
 
 
 def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
-                   weights: LossWeights) -> tuple[np.float64, dict[str, np.ndarray]]:
+                   weights: LossWeights, out: dict[str, np.ndarray] | None = None
+                   ) -> tuple[np.float64, dict[str, np.ndarray]]:
     """`_mean_loss` of the slice and its gradient per parameter name, from
-    one forward that keeps what backward needs."""
-    logits, kept = model.forward(cohort, keep=True)
+    one forward that keeps what backward needs, in the workspace `out` when
+    one is given (`autodiff.slot`), else in fresh arrays."""
+    logits, kept = model.forward(cohort, keep=True, out=out)
     loss, nll_kept = _weighted_nll(logits, cohort, bins, weights, keep=True)
     task_weights = {"os": weights.alpha, "dfs": weights.beta}
     return loss, model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
@@ -62,9 +64,9 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
 
 def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
                 params: list[tuple[str, np.ndarray]], state: OptimizerState,
-                settings: TrainSettings) -> float:
-    """One AdamW step on `batch`; returns its loss."""
-    loss, grads = loss_and_grads(model, batch, bins, weights)
+                settings: TrainSettings, workspace: dict[str, np.ndarray]) -> float:
+    """One AdamW step on `batch`, its kept state in `workspace`; returns its loss."""
+    loss, grads = loss_and_grads(model, batch, bins, weights, workspace)
     adamw_step(params, grads, state, settings)
     return float(loss)
 
@@ -77,9 +79,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
-    a slice of the shuffled training set. Each step's kept forward state
-    lives only inside `loss_and_grads`, so training holds one step's at a
-    time, and none during validation.
+    a slice of the shuffled training set. Each step keeps its forward state
+    in one workspace that the fit owns (`autodiff.slot`) and drops when it
+    returns, so training holds one step's at a time, in arrays that every
+    step reuses rather than allocates, frees and faults in again.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
@@ -92,6 +95,7 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     best = snapshot_parameters(model)
     best_epoch = 0
     history = []
+    workspace: dict[str, np.ndarray] = {}
 
     # A diverging run is reported once, by the NonFiniteError of the
     # evolution or AdamW check; numpy's overflow warnings on the way there
@@ -106,7 +110,7 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
 
             train_losses = [
                 _train_step(model, items.take(slice(start, start + settings.batch_size)),
-                            bins, weights, params, state, settings)
+                            bins, weights, params, state, settings, workspace)
                 for start in range(0, len(items), settings.batch_size)]
 
             val_loss = float(_mean_loss(model, val, bins, weights))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, uniform_weight, zero_bias
+from .autodiff import ShapeMismatchError, slot, uniform_weight, zero_bias
 
 
 @dataclass
@@ -56,7 +56,8 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     return LstmParams(*leaves)
 
 
-def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool = False):
+def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool = False,
+              out: dict[str, np.ndarray] | None = None):
     """Trajectory summary h*: the mean hidden state h_1..h_T of the LSTM over
     the `steps` stacked snapshots.
 
@@ -68,7 +69,9 @@ def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool 
     it. The input projection of all T snapshots is one batched matmul outside
     the recurrence, and each step adds one (B x d_h) @ (4, d_h, d_h) product.
     Returns h* and, with `keep`, what `integrate_backward` needs (None
-    without): the snapshots, weights, gates and cells.
+    without): the snapshots, weights, gates and cells. The gates, cells,
+    hidden states and tanh(c) are written into the workspace `out` when one
+    is given (`autodiff.slot`), else into fresh arrays.
     """
     weights = [getattr(params, f"w_{gate}") for gate in GATES]
     biases = [getattr(params, f"b_{gate}") for gate in GATES]
@@ -81,12 +84,13 @@ def integrate(snapshots: np.ndarray, steps: int, params: LstmParams, keep: bool 
     rows = snapshots.shape[0] // steps
     w = np.stack(weights)           # (4, d + d_h, d_h)
     z = snapshots.reshape(steps, rows, d)
-    gates = np.matmul(z[:, None], w[:, :d])
+    gates = np.matmul(z[:, None], w[:, :d], out=slot(out, "lstm.gates", (steps, 4, rows, d_h)))
     gates += np.stack(biases)
     w_h = w[:, d:]
-    cells = np.zeros((steps + 1, rows, d_h))      # c_0 .. c_T
-    hidden = np.zeros((steps + 1, rows, d_h))     # h_0 .. h_T
-    tanh_c = np.empty((steps, rows, d_h))
+    cells = slot(out, "lstm.cells", (steps + 1, rows, d_h))      # c_0 .. c_T
+    hidden = slot(out, "lstm.hidden", (steps + 1, rows, d_h))    # h_0 .. h_T
+    cells[0] = hidden[0] = 0.0
+    tanh_c = slot(out, "lstm.tanh_c", (steps, rows, d_h))
     # 1 / (1 + e^-x) overflows only to 1 / inf = 0, the correctly rounded value.
     with np.errstate(over="ignore"):
         for t in range(steps):
