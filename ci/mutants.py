@@ -15,7 +15,8 @@ exits 1 if a mutant survived. A surviving mutant is a finding to report; it
 stays in the catalogue. An entry whose old text is not found once, or whose
 tests pytest cannot run (an exit other than 0 or 1, such as a renamed test),
 is stale: the run stops and names it. tests/test_mutants.py checks that each
-old text occurs exactly once and each named test is defined.
+old text occurs exactly once and each named test is defined. CI runs the
+catalogue in the `mutants` job of .github/workflows/tier1.yml.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ MUTANTS = (
            "    horizon: int = 1              # T\n",
            ("tests/test_config.py::TestDefaults::test_empty_document_yields_defaults",),
            "a static model by default; only the literal defaults test sees it"),
+    Mutant("workspace-slot-shared", "src/trajsurv/trajectory.py",
+           '    tanh_c = slot(out, "lstm.tanh_c", (steps, rows, d_h))\n',
+           '    tanh_c = slot(out, "lstm.cells", (steps, rows, d_h))\n',
+           ("tests/test_loss_and_grads.py::test_a_reused_workspace_gives_the_bits_of_fresh_arrays",),
+           "tanh(c) overwrites the kept cells before the LSTM backward reads them"),
+    Mutant("workspace-never-grows", "src/trajsurv/autodiff.py",
+           "    if buffer is None or buffer.size < size:\n",
+           "    if buffer is None:\n",
+           ("tests/test_loss_and_grads.py::test_a_reused_workspace_gives_the_bits_of_fresh_arrays",),
+           "a buffer sized for one batch is reused for a larger one"),
 )
 
 

@@ -147,9 +147,16 @@ class FoldOutcome:
 def _predict_fold(model: FullModel, cohort: CohortArrays,
                   chunk: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per task, the (n, K) hazards and survival of `cohort`, scored in
-    forward passes of `chunk` patients."""
-    parts = [model.predict_curves(cohort.take(slice(start, start + chunk)))
-             for start in range(0, len(cohort), chunk)]
+    forward passes of `max(chunk, 2)` patients. A trailing single patient
+    joins the pass before it, so no pass of a larger cohort scores one
+    patient through numpy's matrix-vector path, and the bits do not depend
+    on `chunk`."""
+    chunk = max(chunk, 2)
+    ends = list(range(chunk, len(cohort), chunk))
+    if ends and ends[-1] == len(cohort) - 1:
+        ends.pop()
+    bounds = zip([0] + ends, ends + [len(cohort)])
+    parts = [model.predict_curves(cohort.take(slice(start, stop))) for start, stop in bounds]
     return {task: tuple(np.concatenate([part[task][j] for part in parts]) for j in (0, 1))
             for task in TASKS}
 

@@ -331,7 +331,9 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
     Backpropagation through time over the kept states, each step's term added
     into its parameter's row block, split as `evolve` splits the weights.
     Every product and sum runs in the order in which the tape sums the per-op
-    form (tests/oracles.py), so the gradients are that form's bits.
+    form (tests/oracles.py), except that each column sum is a product with a
+    row of ones, which BLAS computes in its own order: the gradients are that
+    form's up to roundoff.
     """
     params, present, ops, pool, saved = kept
     neigh, gat = params.backbone != "gcn", params.backbone == "gat"
@@ -360,19 +362,20 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
         spread = np.ones((1, w_out.shape[0]))
     gz = g.reshape(len(saved), -1, d)
     dh = pool.T.apply(gz[-1])
+    ones = np.ones((1, dh.shape[0]))
     for t in range(len(saved) - 1, -1, -1):
         h, *arcs, act = saved[t]
-        grads["op.b_out"] += dh.sum(axis=0, keepdims=True)
+        grads["op.b_out"] += ones @ dh
         grads["op.w_out"] += act.T @ dh
         dp = dh @ w_out.T
         dp *= act > 0.0
         if neigh and not gat:
             d_attr += dp
         else:
-            grads["op.b_msg"] += dp.sum(axis=0, keepdims=True)
+            grads["op.b_msg"] += ones @ dp
         d_own = dp if neigh else ops["norm"].T.apply(dp)
         gw_sh += h.T @ d_own
-        d_self[t] = d_own.sum(axis=0)
+        d_self[t] = ones @ d_own
         back = [d_own @ w_sh.T]
         if gat:
             hidden, alpha, exp_shifted, total, msgs = arcs
@@ -391,17 +394,17 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
             d_xn = ops["mean"].T.apply(dp)
         if neigh:
             gw_nh += h.T @ d_xn
-            d_neigh[t] = d_xn.sum(axis=0)
+            d_neigh[t] = ones @ d_xn
             back.append(d_xn @ w_nh.T)
         if gat:
             d_dst, d_src = scatter(d_arc, present, TARGET), scatter(d_arc, present, SOURCE)
             gu_dh += h.T @ d_dst
             gu_sh += h.T @ d_src
-            d_score_rows[t] = d_dst.sum(axis=0)
+            d_score_rows[t] = ones @ d_dst
             back += [d_dst @ u_dh.T, d_src @ u_sh.T]
         # The readout of H_t comes first, then the update H_t + U_{t+1}.
         if t:
-            dh = pool.T.apply(gz[t - 1]) + dh
+            dh += pool.T.apply(gz[t - 1])
         for term in back:
             dh += term
     gw_st[:], grads["op.time_table"][:] = e.T @ d_self, d_self @ w_st.T
@@ -409,9 +412,10 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
         gw_nt[:], gw_na[:] = e.T @ d_neigh, attr.T @ d_attr
         grads["op.time_table"] += d_neigh @ w_nt.T
     if neigh and not gat:
-        grads["op.b_msg"][:] = d_attr.sum(axis=0, keepdims=True)
+        grads["op.b_msg"][:] = ones @ d_attr
     if gat:
         gu_dt[:] = gu_st[:] = e.T @ d_score_rows
-        gu_a[:], grads["op.attn_b"][:] = attr.T @ d_score_arcs, d_score_arcs.sum(axis=0)
+        gu_a[:] = attr.T @ d_score_arcs
+        grads["op.attn_b"][:] = np.ones((1, attr.shape[0])) @ d_score_arcs
         grads["op.time_table"] += d_score_rows @ (u_dt + u_st).T
     return dh, grads

@@ -140,8 +140,10 @@ def _gate_grads(kept, g) -> np.ndarray:
 def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The gradient of the snapshots and of each `lstm.*` parameter, by name
     in `named_leaves` order, from the gradient `g` of h* and what `integrate`
-    kept. No (T, 4, ...) product is ever stacked; each gradient is summed in
-    the order of the sum over such a stack, so its bits are that sum's."""
+    kept. No (T, 4, ...) product is ever stacked; each weight gradient is
+    summed in the order of the sum over such a stack, so its bits are that
+    sum's. A bias gradient is a row of ones times the steps' summed gate
+    gradients, equal to their column sum up to roundoff."""
     z, w, _, _, hidden, _ = kept
     steps, d = z.shape[0], z.shape[2]
     da = _gate_grads(kept, g)
@@ -151,7 +153,7 @@ def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.nd
     for t in range(1, steps):
         dw_x += np.matmul(z[t].T, da[t])
         dw_h += np.matmul(hidden[t].T, da[t])
-    db = da.sum(axis=(0, 2))
+    db = np.ones(da.shape[2]) @ da.sum(axis=0)
     # Gate by gate: the stacked (T, 4, B, d) product would be 4x dz.
     w_x_t = w[:, :d].transpose(0, 2, 1)
     dz = np.matmul(da[:, 0], w_x_t[0])

@@ -444,13 +444,14 @@ class TestEvaluateModel:
 
 
 @pytest.mark.parametrize("backbone", ("graphsage", "gcn", "gat"))
-def test_scoring_is_the_same_bits_in_any_chunk_of_two_or_more(backbone):
-    # Every matrix product of a chunk of two or more patients runs through
+def test_scoring_is_the_same_bits_in_any_chunk(backbone):
+    # Every matrix product of a pass of two or more patients runs through
     # BLAS's matrix-matrix path, whose rows do not depend on the other rows,
-    # so each patient's curves are the same bits whatever the chunk. A chunk
-    # of one patient, such as the last of a fold of 64k + 1 test patients at
-    # the default batch size, runs its (1 x .) products through the
-    # matrix-vector path, which holds them only within 1e-12 (the test above).
+    # so each patient's curves are the same bits whatever the chunk. A pass
+    # of one patient would run its (1 x .) products through the
+    # matrix-vector path, which holds them only within 1e-12 (the test
+    # above), so scoring never makes one: chunk 1 scores pairs, and chunk 199
+    # folds the 200th patient into the pass before it.
     # The row independence is a property of the OpenBLAS that numpy's wheels
     # bundle, not of trajsurv: a BLAS with kernels for few rows (MKL,
     # Accelerate) may break this test with no defect in the program.
@@ -461,7 +462,7 @@ def test_scoring_is_the_same_bits_in_any_chunk_of_two_or_more(backbone):
     cohort = cohort.with_presence(present)
     model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(1))
     want = cv._predict_fold(model, cohort, 64)
-    for chunk in (2, 7, 16, 50, 100, 200):
+    for chunk in (1, 2, 7, 16, 50, 100, 199, 200):
         got = cv._predict_fold(model, cohort, chunk)
         for task in cv.TASKS:
             for a, b in zip(got[task], want[task]):
@@ -488,7 +489,8 @@ def test_featureless_cohort_scores_every_fold_by_ties_alone():
 @pytest.mark.parametrize("saturated", [False, True])
 def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     """Every array a fold is scored from is == the per-patient scalar forms
-    applied to the logits of the same chunk: the hazards and survival
+    applied to the logits of the same passes, of `max(chunk, 2)` patients:
+    the hazards and survival
     `_predict_fold` returns, the risks, the horizon scores the AUC reads, and
     the curve rows `assemble` builds."""
     config = small_config(train={"batch_size": chunk})
@@ -503,8 +505,8 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
                         lambda s, *rest: scores.append(s) or auc(s, *rest))
     outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
-    for start in range(0, len(cohort), chunk):
-        out, _ = model.forward(cohort.take(slice(start, start + chunk)))
+    for start in range(0, len(cohort), max(chunk, 2)):
+        out, _ = model.forward(cohort.take(slice(start, start + max(chunk, 2))))
         logits["dfs"].extend(out["dfs"])
         logits["os"].extend(out["os"])
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)

@@ -66,6 +66,25 @@ def test_loss_and_gradients_off_the_default_widths(backbone, integrator):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("backbone,integrator",
+                         list(itertools.product(BACKBONES, ("lstm", "mean"))))
+def test_a_reused_workspace_gives_the_bits_of_fresh_arrays(backbone, integrator):
+    # One workspace serves a batch, another batch of its size, a larger batch
+    # (the buffers grow) and the first batch again (views of the grown
+    # buffers); each loss and gradient is == to a call on fresh arrays.
+    config = ModelConfig(backbone=backbone, integrator=integrator)
+    first = cohort_of(40)
+    model = init_model(config, feature_widths(first), np.random.default_rng(5))
+    bins, weights, workspace = config.bins(), LossWeights(0.7, 1.3), {}
+    for batch in (first, simulate_cohort(40, seed=4)[0], cohort_of(64), first):
+        loss, grads = loss_and_grads(model, batch, bins, weights, workspace)
+        ref_loss, ref_grads = loss_and_grads(model, batch, bins, weights)
+        assert loss == ref_loss
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 def test_the_loss_is_validations_loss():
     config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
                          num_bins=4, message_dim=8)

@@ -1,9 +1,9 @@
 """The mutant catalogue stays applicable: each old text occurs exactly once
 and each named test is defined.
 
-The catalogue's runner (`python3 ci/mutants.py`) is a hand run; this test
-only keeps its entries from going stale as the code and tests they quote
-change.
+The catalogue's runner (`python3 ci/mutants.py`) runs in its own CI job;
+this test only keeps its entries from going stale as the code and tests
+they quote change.
 """
 
 import importlib.util

@@ -1,7 +1,11 @@
 """Training loop behavior and the one-batch / per-patient loss agreement."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,50 @@ def test_training_holds_one_step_tape_at_a_time(backbone):
                                               LossWeights(1.0, 1.0)))
     training = traced_peak(lambda: train_model(model, train, val, settings))
     assert training <= 1.25 * step, (training, step)
+
+
+# One process's average minor page faults per `_train_step` at cv400's shape
+# (default model, 64 patients), over 20 steps after two warm-up steps.
+FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from trajsurv.cohort import simulate_cohort
+from trajsurv.crossval import feature_widths
+from trajsurv.model import ModelConfig, init_model
+from trajsurv.objective import LossWeights, OptimizerState, TrainSettings
+from trajsurv.training import _train_step
+
+cohort, _ = simulate_cohort(64, seed=1)
+config, settings = ModelConfig(), TrainSettings()
+model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+params, state, workspace = model.named_parameters(), OptimizerState(lr=settings.lr), {}
+weights = LossWeights(settings.alpha, settings.beta)
+step = lambda: _train_step(model, cohort, config.bins(), weights, params, state, settings,
+                           workspace)
+step()
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of Linux's getrusage")
+def test_training_steps_fault_in_no_kept_state():
+    """A training step keeps its state in the fit's workspace, so once warm it
+    faults in almost no pages. Allocating that state afresh each step
+    faulted about 500 per step. The steps run in a fresh process, since
+    the allocator's state that earlier tests leave decides how many pages a
+    freed array takes back to the kernel."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    per_step = float(proc.stdout)
+    assert per_step < 50, per_step
 
 
 def featureless_cohort(n=40):
