@@ -101,12 +101,12 @@ MUTANTS = (
     Mutant("workspace-slot-shared", "src/trajsurv/trajectory.py",
            '    tanh_c = slot(out, "lstm.tanh_c", (steps, rows, d_h))\n',
            '    tanh_c = slot(out, "lstm.cells", (steps, rows, d_h))\n',
-           ("tests/test_loss_and_grads.py::test_a_reused_workspace_gives_the_bits_of_fresh_arrays",),
+           ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
            "tanh(c) overwrites the kept cells before the LSTM backward reads them"),
     Mutant("workspace-never-grows", "src/trajsurv/autodiff.py",
            "    if buffer is None or buffer.size < size:\n",
            "    if buffer is None:\n",
-           ("tests/test_loss_and_grads.py::test_a_reused_workspace_gives_the_bits_of_fresh_arrays",),
+           ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
            "a buffer sized for one batch is reused for a larger one"),
 )
 

@@ -490,9 +490,8 @@ def test_featureless_cohort_scores_every_fold_by_ties_alone():
 def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     """Every array a fold is scored from is == the per-patient scalar forms
     applied to the logits of the same passes, of `max(chunk, 2)` patients:
-    the hazards and survival
-    `_predict_fold` returns, the risks, the horizon scores the AUC reads, and
-    the curve rows `assemble` builds."""
+    the hazards and survival `_predict_fold` returns, the risks, the horizon
+    scores the AUC reads, and the curve rows `assemble` builds."""
     config = small_config(train={"batch_size": chunk})
     cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
     model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))

@@ -68,7 +68,7 @@ def test_loss_and_gradients_off_the_default_widths(backbone, integrator):
 
 @pytest.mark.parametrize("backbone,integrator",
                          list(itertools.product(BACKBONES, ("lstm", "mean"))))
-def test_a_reused_workspace_gives_the_bits_of_fresh_arrays(backbone, integrator):
+def test_reused_workspace_gives_fresh_bits(backbone, integrator):
     # One workspace serves a batch, another batch of its size, a larger batch
     # (the buffers grow) and the first batch again (views of the grown
     # buffers); each loss and gradient is == to a call on fresh arrays.

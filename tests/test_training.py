@@ -232,8 +232,8 @@ def traced_peak(fn) -> int:
 @pytest.mark.parametrize("backbone", ["graphsage", "gat"])
 def test_training_holds_one_step_tape_at_a_time(backbone):
     """Over three batches and a validation pass, `train_model` peaks within
-    1.25x of one forward and backward: the kept state of one step is freed
-    before the next forward is built. Holding two peaked at 1.50x
+    1.25x of one forward and backward: each step writes its kept state over
+    the previous step's, in the fit's workspace. Holding two peaked at 1.50x
     (graphsage) and 1.75x (gat)."""
     cohort, _ = simulate_cohort(60, seed=2, scenario=SCENARIO)
     train, val = cohort[:48], cohort[48:]
