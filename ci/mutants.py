@@ -51,11 +51,11 @@ MUTANTS = (
            "a 95% bootstrap interval that is really a 90% one"),
     Mutant("labels-swapped", "src/trajsurv/training.py",
            '    os_nll, os_kept = discrete_nll(logits["os"], cohort.time["os"], '
-           'cohort.event["os"], bins,\n                                   keep)\n'
+           'cohort.event["os"], bins)\n'
            '    dfs_nll, dfs_kept = discrete_nll(logits["dfs"], cohort.time["dfs"], '
            'cohort.event["dfs"],\n',
            '    os_nll, os_kept = discrete_nll(logits["os"], cohort.time["dfs"], '
-           'cohort.event["dfs"], bins,\n                                   keep)\n'
+           'cohort.event["dfs"], bins)\n'
            '    dfs_nll, dfs_kept = discrete_nll(logits["dfs"], cohort.time["os"], '
            'cohort.event["os"],\n',
            ("tests/test_objective.py::TestCombinedLoss::test_os_only",

@@ -13,10 +13,9 @@ Everything runs on a cohort slice of B patients in the 7-slot star layout
 star template, once per forward. The neighbour mean, the gcn normalisation
 and the readout are `Blocks`, stacks of B per-patient dense blocks applied
 with one batched matmul.
-`evolve` runs all T steps and their readouts and returns the T snapshots
-stacked step-major, (T B x d), rows tB..tB+B-1 holding step t. Asked to,
-it also keeps each step's states, from which `evolve_backward` runs
-backpropagation through time.
+`evolve` runs all T steps and their readouts and returns the snapshots as
+one (T, B, d) array. Handed a workspace, it also keeps each step's states
+there, from which `evolve_backward` runs backpropagation through time.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -238,18 +237,18 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
 
 
 def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
-           horizon: int, keep: bool = False, out: dict[str, np.ndarray] | None = None):
+           horizon: int, out: dict[str, np.ndarray] | None = None):
     """Roll the residual operator forward `horizon` steps from H0.
 
     Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
-    snapshot pool H, so the result holds z_0..z_{T-1} stacked step-major,
-    (T B x d). Every operation runs in the order of the per-op tape form
-    (tests/oracles.py), so the values are the same bits. A state that is
-    not finite after step t raises NonFiniteError naming t. Returns the
-    snapshots and, with `keep`, what `evolve_backward` needs (None
-    without): each step's input state and activations, and gat's arc terms.
-    The states, activations and snapshots are written into the workspace
-    `out` when one is given (`autodiff.slot`), else into fresh arrays.
+    snapshot pool H, so the result holds z_0..z_{T-1} as (T, B, d). Every
+    operation runs in the order of the per-op tape form (tests/oracles.py),
+    so the values are the same bits. A state that is not finite after step
+    t raises NonFiniteError naming t. Handed a workspace `out`, it writes
+    the states, activations and snapshots there (`autodiff.slot`) and
+    returns the snapshots with what `evolve_backward` needs: each step's
+    input state and activations, and gat's arc terms. Without one it keeps
+    nothing and returns the snapshots with None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -276,6 +275,7 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
         msg_arcs = ops["attr"] @ w_na
         fixed = params.b_msg
     snapshots = slot(out, "evolve.snapshots", (horizon, len(present), d))
+    keep = out is not None
     if keep:
         states = slot(out, "evolve.states", (horizon,) + h0.shape)
         acts = slot(out, "evolve.acts", (horizon, h0.shape[0], params.w_out.shape[0]))
@@ -321,12 +321,12 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
         pool.apply(h, out=snapshots[t])
         if keep:
             saved.append(kept + [act])
-    return snapshots.reshape(-1, d), ((params, present, ops, pool, saved) if keep else None)
+    return snapshots, ((params, present, ops, pool, saved) if keep else None)
 
 
 def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """dH0 and the gradient of each `op.*` parameter, by name, from the
-    gradient `g` of the stacked snapshots and what `evolve` kept.
+    gradient `g` of the (T, B, d) snapshots and what `evolve` kept.
 
     Backpropagation through time over the kept states, each step's term added
     into its parameter's row block, split as `evolve` splits the weights.
@@ -360,8 +360,7 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
         d_score_rows = np.zeros((e.shape[0], u_dh.shape[1]))
         d_score_arcs = np.zeros((attr.shape[0], u_dh.shape[1]))     # of A U_a + b_attn
         spread = np.ones((1, w_out.shape[0]))
-    gz = g.reshape(len(saved), -1, d)
-    dh = pool.T.apply(gz[-1])
+    dh = pool.T.apply(g[-1])
     ones = np.ones((1, dh.shape[0]))
     for t in range(len(saved) - 1, -1, -1):
         h, *arcs, act = saved[t]
@@ -404,7 +403,7 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
             back += [d_dst @ u_dh.T, d_src @ u_sh.T]
         # The readout of H_t comes first, then the update H_t + U_{t+1}.
         if t:
-            dh += pool.T.apply(gz[t - 1])
+            dh += pool.T.apply(g[t - 1])
         for term in back:
             dh += term
     gw_st[:], grads["op.time_table"][:] = e.T @ d_self, d_self @ w_st.T

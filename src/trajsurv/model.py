@@ -2,11 +2,11 @@
 
 The forward pass reads a cohort slice (`cohort.CohortArrays`) as it is,
 handing each stage a plain array: the node states H0 in the 7-slot layout,
-the T snapshots stacked step-major in one array (B rows per step), the
-summary h*, and the logits keyed by task. h* and the logits have one row
-per patient, and one patient is simply a slice of one. Training,
-validation, inference and the gradient check run the same forward; asked
-to, it keeps what `FullModel.backward` needs, and nothing otherwise.
+the (T, B, d) snapshots, the summary h*, and the logits keyed by task. h*
+and the logits have one row per patient, and one patient is simply a slice
+of one. Training, validation, inference and the gradient check run the
+same forward; handed a workspace, it keeps what `FullModel.backward` needs
+there, and nothing otherwise.
 """
 
 from __future__ import annotations
@@ -118,29 +118,28 @@ class FullModel:
         return (self.embedding.named_leaves() + self.evolution.named_leaves()
                 + self.lstm.named_leaves() + self.heads.named_leaves())
 
-    def forward(self, cohort: CohortArrays, keep: bool = False,
-                out: dict[str, np.ndarray] | None = None):
-        """The slice's (B, K) logits per task, keyed like `labels`, and, with
-        `keep`, what `backward` needs (None without). The evolution's and
-        the LSTM's kept state is written into the workspace `out` when one
-        is given (`autodiff.slot`), and stays valid until its next forward."""
+    def forward(self, cohort: CohortArrays, out: dict[str, np.ndarray] | None = None):
+        """The slice's (B, K) logits per task, keyed like `labels`, and what
+        `backward` needs when handed a workspace `out` (None without). The
+        evolution's and the LSTM's state is kept in `out` (`autodiff.slot`)
+        and stays valid until its next forward."""
         cfg = self.config
         kept = {"cohort": cohort}
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, keep, out)
+        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, out)
         if cfg.integrator == "lstm":
-            h_star, kept["lstm"] = integrate(snapshots, cfg.horizon, self.lstm, keep, out)
+            h_star, kept["lstm"] = integrate(snapshots, self.lstm, out)
         else:
-            h_star = integrate_mean(snapshots, cfg.horizon)
+            h_star = integrate_mean(snapshots)
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
         kept.update(h_star=h_star, context=context)
-        return {"dfs": dfs_logits, "os": os_logits}, (kept if keep else None)
+        return {"dfs": dfs_logits, "os": os_logits}, (None if out is None else kept)
 
     def backward(self, kept: dict, d_logits: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """The gradient of each parameter, by name in `named_parameters`
         order, from the gradients of the logits per task and what
-        `forward(cohort, keep=True)` kept. Each stage's state is dropped
+        `forward(cohort, out)` kept. Each stage's state is dropped
         once its backward has run, the LSTM's before the evolution's runs."""
         cfg = self.config
         dh_star, head_grads = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,

@@ -92,11 +92,10 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
-def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray,
-                 bins: TimeBins, keep: bool = False):
+def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray, bins: TimeBins):
     """Mean negative log-likelihood of a batch given its B x K hazard logits
     and each patient's observed time (binned by `bins.index`) and event
-    flag; and, with `keep`, what `nll_backward` needs (None without)."""
+    flag, and what `nll_backward` needs: the arrays the loss is made of."""
     K = bins.count
     if logits.shape != (len(time), K) or not len(time):
         raise ShapeMismatchError("discrete-nll", logits.shape, (len(time), K))
@@ -108,7 +107,7 @@ def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray,
     negated = -logits
     log_h, log_s = log_sigmoid(logits), log_sigmoid(negated)
     loss = -(event_mask * log_h + surv_mask * log_s).sum() * (1.0 / len(time))
-    return loss, ((logits, negated, log_h, log_s, event_mask, surv_mask) if keep else None)
+    return loss, (logits, negated, log_h, log_s, event_mask, surv_mask)
 
 
 def nll_backward(kept, weight: float) -> np.ndarray:

@@ -22,13 +22,12 @@ class TrainResult:
 
 
 def _weighted_nll(logits: dict[str, np.ndarray], cohort: CohortArrays, bins: TimeBins,
-                  weights: LossWeights, keep: bool = False):
+                  weights: LossWeights):
     """alpha * OS NLL + beta * DFS NLL of the logits, against the slice's own
-    times and event flags, and, with `keep`, each task's kept NLL state."""
-    os_nll, os_kept = discrete_nll(logits["os"], cohort.time["os"], cohort.event["os"], bins,
-                                   keep)
+    times and event flags, and each task's kept NLL state."""
+    os_nll, os_kept = discrete_nll(logits["os"], cohort.time["os"], cohort.event["os"], bins)
     dfs_nll, dfs_kept = discrete_nll(logits["dfs"], cohort.time["dfs"], cohort.event["dfs"],
-                                     bins, keep)
+                                     bins)
     return weights.alpha * os_nll + weights.beta * dfs_nll, {"os": os_kept, "dfs": dfs_kept}
 
 
@@ -43,10 +42,10 @@ def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
                    weights: LossWeights, out: dict[str, np.ndarray] | None = None
                    ) -> tuple[np.float64, dict[str, np.ndarray]]:
     """`_mean_loss` of the slice and its gradient per parameter name, from
-    one forward that keeps what backward needs, in the workspace `out` when
-    one is given (`autodiff.slot`), else in fresh arrays."""
-    logits, kept = model.forward(cohort, keep=True, out=out)
-    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights, keep=True)
+    one forward that keeps what backward needs in the workspace `out`, or
+    in a fresh one when none is given (`autodiff.slot`)."""
+    logits, kept = model.forward(cohort, {} if out is None else out)
+    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
     task_weights = {"os": weights.alpha, "dfs": weights.beta}
     return loss, model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
                                        for task in logits})

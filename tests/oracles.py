@@ -5,13 +5,16 @@ package once differentiated its model: `Tensor` nodes, the nine primitives
 the model used (matmul, add, mul, negate, concat-cols, reshape,
 log-sigmoid, tanh, sum-all) with their rules in `_BACKWARD`, `_topo_order`
 and `backward`, plus `no_grad`. `evolve_node` and `lstm_node` put the
-package's `evolve` and `integrate` on it as one node each, whose rules call
-`evolve_backward` and `integrate_backward`; `MODEL_RULES` is the table of
-those eleven ops. `tape_mean_loss` is the whole model's loss on the tape,
-as `training._mean_loss` computed it: the reference that
+package's `evolve` and `integrate` on it as one node each, their state
+kept in `FreshArrays`, whose rules call `evolve_backward` and
+`integrate_backward`; `MODEL_RULES` is the table of those eleven ops. The
+tape holds the (T, B, d) snapshots as one (T B x d) matrix.
+`tape_mean_loss` is the whole model's loss on the tape, as
+`training._mean_loss` computed it: the reference that
 `training.loss_and_grads` is held `==` to. `leaves_of` wraps a parameter
-dataclass's arrays as tape leaves that share their memory, and
-`tape_grad_check` runs `autodiff.grad_check` on a tape builder.
+dataclass's arrays as tape leaves that share their memory (the LSTM's as
+its eight named gate slices, `LstmLeaves`), and `tape_grad_check` runs
+`autodiff.grad_check` on a tape builder.
 
 Everything else is written as plain per-patient loops, deliberately sharing
 no code with the library: pair enumeration for the rank metrics, an explicit
@@ -59,7 +62,7 @@ from trajsurv.evolution import Blocks, adjacency, evolve, evolve_backward, mean_
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, SLOTS, slots_in_use
 from trajsurv.metrics import _later_smaller_counts
 from trajsurv.objective import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, label_to_bin
-from trajsurv.trajectory import _gate_grads, integrate, integrate_backward
+from trajsurv.trajectory import LstmParams, _gate_grads, integrate, integrate_backward
 
 
 class Tensor:
@@ -371,9 +374,27 @@ def tape_grad_check(f: Callable[[], Tensor], params, step: float = 1e-5) -> floa
                          {k: p.data for k, p in leaves.items()}, step)
 
 
+class LstmLeaves:
+    """`leaves_of` an `LstmParams`: its eight `lstm.*` gate slices as tape
+    leaves that share their memory, each also an attribute by its name in
+    the model file (`w_i`, `b_i`, ...), beside the params they slice."""
+
+    def __init__(self, params):
+        self.params, self.input_dim, self.hidden_dim = (params, params.input_dim,
+                                                        params.hidden_dim)
+        self.leaves = [(name, Tensor(a, requires_grad=True)) for name, a in params.named_leaves()]
+        for name, leaf in self.leaves:
+            setattr(self, name.removeprefix("lstm."), leaf)
+
+    def named_leaves(self):
+        return list(self.leaves)
+
+
 def leaves_of(params):
     """The parameter dataclass `params` with each array wrapped as a tape leaf
     that shares its memory: a step of either moves both."""
+    if isinstance(params, LstmParams):
+        return LstmLeaves(params)
     return dataclasses.replace(params, **{
         f.name: Tensor(getattr(params, f.name), requires_grad=True)
         for f in dataclasses.fields(params) if isinstance(getattr(params, f.name), np.ndarray)})
@@ -381,35 +402,51 @@ def leaves_of(params):
 
 def arrays_of(params):
     """The inverse of `leaves_of`: the dataclass of the leaves' arrays."""
+    if isinstance(params, LstmLeaves):
+        return params.params
     return dataclasses.replace(params, **{
         f.name: getattr(params, f.name).data
         for f in dataclasses.fields(params) if isinstance(getattr(params, f.name), Tensor)})
 
 
+class FreshArrays(dict):
+    """A workspace that holds no buffer: `autodiff.slot` never finds one in
+    it, so a forward handed it keeps its state in fresh arrays, one per slot,
+    as a forward asked to keep without a workspace once did."""
+
+    def __setitem__(self, name, buffer):
+        pass
+
+
 def evolve_node(h0, cohort, params, horizon):
     """`evolution.evolve` as one tape node over H0 and the leaves of `params`
-    (a `leaves_of` dataclass); its rule is `evolve_backward`."""
-    value, kept = evolve(h0.data, cohort, arrays_of(params), horizon, keep=True)
+    (a `leaves_of` dataclass), its (T, B, d) snapshots held as (T B x d);
+    its rule is `evolve_backward`."""
+    value, kept = evolve(h0.data, cohort, arrays_of(params), horizon, FreshArrays())
     names, leaves = zip(*params.named_leaves())
-    return Tensor._node(value, "evolve", (h0,) + leaves, (names, kept))
+    return Tensor._node(value.reshape(-1, value.shape[2]), "evolve", (h0,) + leaves,
+                        (names, kept, value.shape))
 
 
 def lstm_node(snapshots, steps, params):
-    """`trajectory.integrate` as one tape node over the snapshots and the
-    leaves of `params` (a `leaves_of` dataclass); its rule is
-    `integrate_backward`."""
-    value, kept = integrate(snapshots.data, steps, arrays_of(params), keep=True)
+    """`trajectory.integrate` as one tape node over the (T B x d) snapshots,
+    read as `steps` steps, and the leaves of `params` (a `leaves_of`
+    LSTM); its rule is `integrate_backward`."""
+    value, kept = integrate(snapshots.data.reshape(steps, -1, snapshots.cols),
+                            arrays_of(params), FreshArrays())
     names, leaves = zip(*params.named_leaves())
-    return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept))
+    return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept, value.shape))
 
 
 def _fused_rule(backward_fn):
     """The tape rule of a stage's backward: the input's gradient, then each
-    leaf's, read by the names the node was built with."""
+    leaf's, read by the names the node was built with. The output's
+    gradient is handed over in the shape the stage returned, and the
+    input's comes back in the tape's shape."""
     def rule(node, g):
-        names, kept = node.ctx
-        d_input, grads = backward_fn(kept, g)
-        return (d_input,) + tuple(grads[name] for name in names)
+        names, kept, shape = node.ctx
+        d_input, grads = backward_fn(kept, g.reshape(shape))
+        return (d_input.reshape(node.parents[0].shape),) + tuple(grads[name] for name in names)
     return rule
 
 
@@ -881,7 +918,7 @@ def stacked_snapshot_grad(kept, g):
     every gate's gradient with its input weights, summed over the gate axis."""
     z, w = kept[:2]
     d = z.shape[2]
-    return np.matmul(_gate_grads(kept, g), w[:, :d].transpose(0, 2, 1)).sum(axis=1).reshape(-1, d)
+    return np.matmul(_gate_grads(kept, g), w[:, :d].transpose(0, 2, 1)).sum(axis=1)
 
 
 def leafwise_adamw_step(params, grads, state, settings):

@@ -204,11 +204,12 @@ def _fd_builders():
     # Three snapshots of two rows, d = 2, d_h = 3: every gate weight and bias
     # and the stacked snapshots are leaves.
     snaps = leafy(rng.normal(size=(6, 2)))
-    gate_leaves = []
-    for _ in range(4):
-        gate_leaves += [leafy(rng.normal(size=(5, 3))), leafy(rng.normal(size=(1, 3)))]
+    lstm = LstmParams(np.empty((4, 5, 3)), np.empty((4, 1, 3)))
+    for _, leaf in lstm.named_leaves():
+        leaf[:] = rng.normal(size=leaf.shape)
     mix = oracles.constant(rng.normal(size=(2, 3)))
-    lstm = LstmParams(*gate_leaves)
+    lstm = oracles.leaves_of(lstm)
+    gate_leaves = [leaf for _, leaf in lstm.named_leaves()]
     cases["lstm"] = ([snaps] + gate_leaves,
                      lambda: oracles.sum_all(oracles.mul(oracles.lstm_node(snaps, 3, lstm), mix)))
     # Three steps over two patients, the second without two regions: H0 and
@@ -238,12 +239,11 @@ def _integrated(steps, rows, d, d_h, seed=0, weight_scale=0.05, bias_scale=0.05)
     """What `integrate` keeps over (steps rows x d) snapshots at hidden width
     d_h, and a gradient for its summary."""
     rng = np.random.default_rng(seed)
-    snaps = rng.normal(size=(steps * rows, d))
-    arrays = []
-    for _ in range(4):
-        arrays += [rng.normal(scale=weight_scale, size=(d + d_h, d_h)),
-                   rng.normal(scale=bias_scale, size=(1, d_h))]
-    h_star, kept = integrate(snaps, steps, LstmParams(*arrays), keep=True)
+    snaps = rng.normal(size=(steps, rows, d))
+    params = LstmParams(np.empty((4, d + d_h, d_h)), np.empty((4, 1, d_h)))
+    for name, leaf in params.named_leaves():
+        leaf[:] = rng.normal(scale=weight_scale if ".w_" in name else bias_scale, size=leaf.shape)
+    h_star, kept = integrate(snaps, params, {})
     return kept, rng.normal(size=h_star.shape)
 
 
@@ -264,7 +264,7 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
 def test_lstm_snapshot_gradient_is_the_stacked_gate_sum(steps, rows, d, d_h):
     kept, g = _integrated(steps, rows, d, d_h)
     got = integrate_backward(kept, g)[0]
-    assert got.shape == (steps * rows, d)
+    assert got.shape == (steps, rows, d)
     assert np.array_equal(got, oracles.stacked_snapshot_grad(kept, g))
 
 
@@ -332,7 +332,7 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
     config = ModelConfig(hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2, horizon=3,
                          num_bins=3, message_dim=4)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    logits, kept = model.forward(cohort, keep=True)
+    logits, kept = model.forward(cohort, {})
     gates = weakref.ref(kept["lstm"][2])
     released, evolve_backward = [], model_module.evolve_backward
 

@@ -241,15 +241,15 @@ class TestEvolve:
         h0 = np.random.default_rng(9).normal(size=(7 * len(g), D))
         snaps, _ = evolve(h0, g, params, horizon)
         base = mean_pool(g.present).apply(h0)
-        assert snaps.shape == (horizon * len(g), D)
-        for z in snaps.reshape(horizon, len(g), D):
+        assert snaps.shape == (horizon, len(g), D)
+        for z in snaps:
             assert np.array_equal(z, base)
 
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
         g = full_graph()
         snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params, 12)
-        assert snaps.shape == (12, D)
+        assert snaps.shape == (12, 1, D)
 
     def test_time_embedding_conditions_each_step(self):
         # With distinct time rows, consecutive increments differ.
@@ -289,7 +289,7 @@ class TestEvolve:
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
         for z, h in zip(evolve(h0.data, g, params, 2)[0], states[1:]):
-            assert np.array_equal(z, mean_pool(g.present).apply(h.data)[0])
+            assert np.array_equal(z, mean_pool(g.present).apply(h.data))
 
 
 def test_uniform_weight_bound_and_determinism():
@@ -315,8 +315,7 @@ def test_graphs_in_one_batch_match_graphs_alone():
         hs = [rng.normal(size=(7, D)) for _ in records]
         joint, _ = evolve(np.vstack(hs), join(records), params, 4)
         alone = [evolve(h, r, params, 4)[0] for h, r in zip(hs, records)]
-        np.testing.assert_allclose(joint.reshape(4, len(records), D),
-                                   np.stack(alone, axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(joint, np.concatenate(alone, axis=1), rtol=0, atol=1e-12)
 
 
 class TestSegmentSoftmax:
@@ -433,7 +432,7 @@ def test_evolve_without_grad_keeps_no_cache():
     h0 = np.random.default_rng(24).normal(size=(7 * len(g), D))
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25))
-        kept_value, kept = evolve(h0, g, params, 4, keep=True)
+        kept_value, kept = evolve(h0, g, params, 4, {})
         value, nothing = evolve(h0, g, params, 4)
         assert kept is not None and len(kept[-1]) == 4
         assert nothing is None

@@ -71,14 +71,16 @@ def test_loss_and_gradients_off_the_default_widths(backbone, integrator):
 def test_reused_workspace_gives_fresh_bits(backbone, integrator):
     # One workspace serves a batch, another batch of its size, a larger batch
     # (the buffers grow) and the first batch again (views of the grown
-    # buffers); each loss and gradient is == to a call on fresh arrays.
+    # buffers); each loss and gradient is == to a call on fresh arrays, one
+    # per slot (`oracles.FreshArrays`).
     config = ModelConfig(backbone=backbone, integrator=integrator)
     first = cohort_of(40)
     model = init_model(config, feature_widths(first), np.random.default_rng(5))
     bins, weights, workspace = config.bins(), LossWeights(0.7, 1.3), {}
     for batch in (first, simulate_cohort(40, seed=4)[0], cohort_of(64), first):
         loss, grads = loss_and_grads(model, batch, bins, weights, workspace)
-        ref_loss, ref_grads = loss_and_grads(model, batch, bins, weights)
+        ref_loss, ref_grads = loss_and_grads(model, batch, bins, weights,
+                                             oracles.FreshArrays())
         assert loss == ref_loss
         assert list(grads) == list(ref_grads)
         for name in grads:

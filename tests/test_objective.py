@@ -21,7 +21,7 @@ def nll(x, time, event):
 
 def nll_grad(x, time, event):
     """The gradient of `nll` with respect to the logits x."""
-    return nll_backward(discrete_nll(x, time, event, BINS, keep=True)[1], 1.0)
+    return nll_backward(discrete_nll(x, time, event, BINS)[1], 1.0)
 
 
 class TestLabels:

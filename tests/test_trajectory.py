@@ -13,8 +13,8 @@ from oracles import constant, leaves_of, lstm_step, tape_integrate
 
 
 def summary(snapshots, steps, params):
-    """h* of `integrate` alone."""
-    return integrate(snapshots, steps, params)[0]
+    """h* of `integrate` alone, over the (T B x d) snapshots read as `steps` steps."""
+    return integrate(snapshots.reshape(steps, -1, snapshots.shape[1]), params)[0]
 
 DIM = 3
 
@@ -33,13 +33,14 @@ def numpy_lstm(z_seq, params):
 
     h = np.zeros((1, params.hidden_dim))
     c = np.zeros((1, params.hidden_dim))
+    p = dict(params.named_leaves())
     hidden = []
     for z in z_seq:
         zh = np.hstack([z, h])
-        i = sig(zh @ params.w_i + params.b_i)
-        f = sig(zh @ params.w_f + params.b_f)
-        g = np.tanh(zh @ params.w_g + params.b_g)
-        o = sig(zh @ params.w_o + params.b_o)
+        i = sig(zh @ p["lstm.w_i"] + p["lstm.b_i"])
+        f = sig(zh @ p["lstm.w_f"] + p["lstm.b_f"])
+        g = np.tanh(zh @ p["lstm.w_g"] + p["lstm.b_g"])
+        o = sig(zh @ p["lstm.w_o"] + p["lstm.b_o"])
         c = f * c + i * g
         h = o * np.tanh(c)
         hidden.append(h)
@@ -68,8 +69,9 @@ class TestLstmStep:
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_params()
-        p.b_f[:] = 100.0
-        p.b_i[:] = -100.0
+        leaves = dict(p.named_leaves())
+        leaves["lstm.b_f"][:] = 100.0
+        leaves["lstm.b_i"][:] = -100.0
         c0 = np.array([[0.3, -1.2, 2.0]])
         _, c2 = lstm_step(constant(np.zeros((1, DIM))),
                           constant(np.zeros((1, DIM))), constant(c0), leaves_of(p))
@@ -78,7 +80,7 @@ class TestLstmStep:
     def test_width_mismatch_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-            integrate(np.zeros((1, DIM + 1)), 1, p)
+            integrate(np.zeros((1, 1, DIM + 1)), p)
 
     def test_multi_row_step_matches_per_row(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(1))
@@ -118,17 +120,17 @@ def test_lstm_primitive_matches_the_per_op_tape(rows, steps, bias, constant):
 
 
 def test_lstm_rejects_ragged_snapshots():
-    # Five rows cannot be two steps of equal height.
+    # Five rows of a (rows x d) matrix are no (T, B, d) trajectory.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
     with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-        integrate(np.zeros((5, DIM)), 2, p)
+        integrate(np.zeros((5, DIM)), p)
 
 
 def test_lstm_without_grad_keeps_no_cache():
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
-    snaps = np.ones((8, DIM))
-    kept_value, kept = integrate(snaps, 4, p, keep=True)
-    value, nothing = integrate(snaps, 4, p)
+    snaps = np.ones((4, 2, DIM))
+    kept_value, kept = integrate(snaps, p, {})
+    value, nothing = integrate(snaps, p)
     assert kept is not None and nothing is None
     assert np.array_equal(value, kept_value)
 
@@ -168,13 +170,13 @@ class TestIntegrate:
     def test_empty_sequence_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate(np.zeros((0, DIM)), 0, p)
+            integrate(np.zeros((0, 1, DIM)), p)
 
     def test_gradients_through_recurrence(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         seq = rng.normal(size=(3, DIM))
-        _, kept = integrate(seq, 3, p, keep=True)
+        _, kept = integrate(seq.reshape(3, 1, DIM), p, {})
         grads = integrate_backward(kept, np.ones((1, DIM)))[1]
         assert ad.grad_check(lambda: summary(seq, 3, p).sum(), grads,
                              dict(p.named_leaves())) <= 1e-4
@@ -182,23 +184,23 @@ class TestIntegrate:
 
 class TestIntegrateMean:
     def test_mean_of_snapshots(self):
-        snaps = np.array([[1.0, 2.0], [3.0, 6.0]])
-        assert np.allclose(integrate_mean(snaps, 2), [[2.0, 4.0]])
+        snaps = np.array([[[1.0, 2.0]], [[3.0, 6.0]]])
+        assert np.allclose(integrate_mean(snaps), [[2.0, 4.0]])
         # Two steps of two rows: row r of the mean averages row r of each step.
-        snaps = np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 6.0], [7.0, 2.0]])
-        assert np.allclose(integrate_mean(snaps, 2), [[2.0, 4.0], [6.0, 1.0]])
+        snaps = np.array([[[1.0, 2.0], [5.0, 0.0]], [[3.0, 6.0], [7.0, 2.0]]])
+        assert np.allclose(integrate_mean(snaps), [[2.0, 4.0], [6.0, 1.0]])
         # Each snapshot row gets 1/T of its mean row's gradient.
         g = np.array([[1.0, -2.0], [4.0, 8.0]])
-        assert np.array_equal(integrate_mean_backward(g, 2), np.vstack([g, g]) * 0.5)
+        assert np.array_equal(integrate_mean_backward(g, 2), np.stack([g, g]) * 0.5)
 
     def test_single_is_identity_value(self):
         z = np.array([[1.5, -2.0]])
-        out = integrate_mean(z, 1)
+        out = integrate_mean(z[None])
         assert np.array_equal(out, z)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            integrate_mean(np.zeros((0, 2)), 0)
+            integrate_mean(np.zeros((0, 1, 2)))
 
 
 def test_init_lstm_zero_biases_and_fan_in_bound():
@@ -212,3 +214,4 @@ def test_init_lstm_zero_biases_and_fan_in_bound():
             assert np.abs(leaf).max() <= bound
     assert p.input_dim == 6
     assert p.hidden_dim == 4
+
