@@ -89,8 +89,8 @@ MUTANTS = (
            ("tests/test_training.py::TestTrainModel::test_best_snapshot_restored",),
            "training ends on the last epoch's parameters, not the best epoch's"),
     Mutant("adamw-no-bias-correction", "src/trajsurv/objective.py",
-           "    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)\n",
-           "    update = m / (np.sqrt(v) + ADAM_EPS)\n",
+           "    np.divide(m, bc1, out=update)\n    np.sqrt(np.divide(v, bc2, out=g), out=g)\n",
+           "    np.copyto(update, m)\n    np.sqrt(v, out=g)\n",
            ("tests/test_objective.py::TestAdamW::test_first_step_hand_example",),
            "Adam's first steps shrunk by the uncorrected moments"),
     Mutant("horizon-defaults-to-1", "src/trajsurv/model.py",
@@ -108,6 +108,20 @@ MUTANTS = (
            "    if buffer is None:\n",
            ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
            "a buffer sized for one batch is reused for a larger one"),
+    Mutant("cascade-context-leaks", "src/trajsurv/heads.py",
+           "    if not cascade_enabled:\n"
+           "        dfs_context = np.zeros((h_star.shape[0], params.context_dim))\n",
+           "",
+           ("tests/test_loss_and_grads.py::test_cascade_check_is_the_os_term_alone[False]",),
+           "the mortality head reads the context with the cascade off; its backward "
+           "still writes zeros at the context weights"),
+    Mutant("lstm-gate-names-swapped", "src/trajsurv/trajectory.py",
+           'GATES = ("i", "f", "o", "g")',
+           'GATES = ("i", "f", "g", "o")',
+           ("tests/test_trajectory.py::"
+            "test_a_model_file_written_before_the_stacked_gates_gives_its_curves",),
+           "a model file's lstm.w_g and lstm.w_o are read into each other's gate slices; "
+           "forward, backward and training agree with each other"),
 )
 
 

@@ -19,8 +19,7 @@ from .heads import SaturatedCurveError, TimeBins, point_estimate_time
 from .metrics import (IpcwCapWarning, bootstrap_cindex, cindex_arrays, format_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
 from .model import FullModel, init_model
-from .objective import LossWeights
-from .training import loss_and_grads, train_model
+from .training import train_model
 
 METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
 AUC_HORIZONS = (1.0, 3.0, 5.0)   # years: the horizons of auc1, auc3 and auc5
@@ -199,11 +198,15 @@ def _aggregate(rows: list[FoldRow]) -> dict:
     return agg
 
 
-def _cascade_grad_check(model: FullModel, cohort: CohortArrays, bins: TimeBins) -> bool:
-    """True iff the gradient of the OS term alone of `cohort`'s loss is
-    exactly zero at the context weights."""
-    _, grads = loss_and_grads(model, cohort, bins, LossWeights(1.0, 0.0))
-    return all(np.all(grads[name] == 0.0) for name in ("heads.w_ctx", "heads.b_ctx"))
+def _cascade_grad_check(model: FullModel, cohort: CohortArrays) -> bool:
+    """True iff `cohort`'s OS logits are the same bits under a copy of the
+    model whose context weights are negated and context biases moved by
+    one: then no OS gradient reaches them. It runs the forward, since the
+    backward writes zeros there without the cascade and so cannot tell."""
+    heads = model.heads
+    moved = dataclasses.replace(model, heads=dataclasses.replace(
+        heads, w_ctx=-heads.w_ctx, b_ctx=1.0 - heads.b_ctx))
+    return np.array_equal(model.forward(cohort)[0]["os"], moved.forward(cohort)[0]["os"])
 
 
 def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
@@ -242,8 +245,7 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
                     dataclasses.replace(config.train, seed=fold_seed))
         outcome = _score(model, cohort, spec.test, config, spec.repeat, spec.fold)
         if not config.model.cascade:
-            outcome.cascade_grad_zero = _cascade_grad_check(
-                model, cohort.take(spec.test[:1]), model.config.bins())
+            outcome.cascade_grad_zero = _cascade_grad_check(model, cohort.take(spec.test[:1]))
     except (NonFiniteError, SaturatedCurveError) as exc:
         return FoldOutcome(spec.repeat, spec.fold, failure=str(exc))
     return outcome

@@ -142,8 +142,10 @@ def adamw_step(params: list[tuple[str, np.ndarray]], grads: dict[str, np.ndarray
 
     All parameters are updated as one concatenated vector; every element
     sees the same operations as in a one-by-one update, so the result is the
-    same bit for bit. A non-finite gradient stops the step before any
-    parameter moves.
+    same bit for bit. The step runs in place in two parameter-sized arrays,
+    so that at small batches the allocator does not hand their pages back
+    to the kernel after every step. A non-finite gradient stops the step
+    before any parameter moves.
     """
     state.step_count += 1
     t = state.step_count
@@ -158,17 +160,24 @@ def adamw_step(params: list[tuple[str, np.ndarray]], grads: dict[str, np.ndarray
     m, v = state.moments
     if m.size != g.size:
         raise ValueError(f"parameters hold {g.size} values, the moments {m.size}")
+    # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p), with
+    # the moments' updates and that step formed in `g` and `update`.
+    update = np.empty_like(g)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    flat = np.concatenate([p.ravel() for _, p in params])
-    flat -= state.lr * (update + settings.weight_decay * flat)
+    v += np.multiply(np.multiply(g, g, out=g), 1.0 - ADAM_BETA2, out=g)
+    np.divide(m, bc1, out=update)
+    np.sqrt(np.divide(v, bc2, out=g), out=g)
+    g += ADAM_EPS
+    update /= g
+    flat = np.concatenate([p.ravel() for _, p in params], out=g)
+    update += np.multiply(flat, settings.weight_decay, out=flat)
+    update *= state.lr
     start = 0
     for _, p in params:
         stop = start + p.size
-        p[...] = flat[start:stop].reshape(p.shape)
+        p -= update[start:stop].reshape(p.shape)
         start = stop
 
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import oracles
+from trajsurv import heads
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import _cascade_grad_check, feature_widths
 from trajsurv.evolution import BACKBONES
-from trajsurv.model import ModelConfig, init_model
+from trajsurv.model import ModelConfig, init_model, snapshot_parameters
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss, loss_and_grads
 
@@ -98,14 +99,23 @@ def test_the_loss_is_validations_loss():
 
 
 @pytest.mark.parametrize("cascade", (True, False))
-def test_cascade_check_is_the_os_term_alone(cascade):
+def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
     # Without the cascade, the OS term sends exact zeros to the context
     # weights; with it, some gradient reaches them. The DFS term never does.
+    # A mortality head that reads the context with the cascade off fails the
+    # check, though the backward still writes zeros at the context weights.
+    # The check leaves the model's own weights as they were.
     config = ModelConfig(cascade=cascade, hidden_dim=8, time_dim=4, summary_dim=8,
                          context_dim=4, horizon=3, num_bins=4, message_dim=8)
     cohort = cohort_of(40)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(2))
-    assert _cascade_grad_check(model, cohort, config.bins()) is not cascade
+    before = snapshot_parameters(model)
+    assert _cascade_grad_check(model, cohort) is not cascade
+    for name, leaf in model.named_parameters():
+        assert np.array_equal(leaf, before[name]), name
     _, dfs_only = loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
     for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
         assert (dfs_only[name] == 0.0).all(), name
+    monkeypatch.setattr(heads, "_joint", lambda h_star, context, params, cascade_enabled:
+                        np.concatenate([h_star, context], axis=1))
+    assert _cascade_grad_check(model, cohort) is False

@@ -246,10 +246,12 @@ def test_training_holds_one_step_tape_at_a_time(backbone):
     assert training <= 1.25 * step, (training, step)
 
 
-# One process's average minor page faults per `_train_step` at cv400's shape
-# (default model, 64 patients), over 20 steps after two warm-up steps.
+# One process's average minor page faults per `_train_step` of the default
+# model on a batch of `sys.argv[1]` patients (64 is cv400's shape), over 20
+# steps after two warm-up steps.
 FAULTS_PER_STEP = """
 import resource
+import sys
 import numpy as np
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import feature_widths
@@ -258,6 +260,7 @@ from trajsurv.objective import LossWeights, OptimizerState, TrainSettings
 from trajsurv.training import _train_step
 
 cohort, _ = simulate_cohort(64, seed=1)
+cohort = cohort[:int(sys.argv[1])]
 config, settings = ModelConfig(), TrainSettings()
 model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
 params, state, workspace = model.named_parameters(), OptimizerState(lr=settings.lr), {}
@@ -275,16 +278,19 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the minor page faults of Linux's getrusage")
-def test_training_steps_fault_in_no_kept_state():
-    """A training step keeps its state in the fit's workspace, so once warm it
-    faults in almost no pages. Allocating that state afresh each step
-    faulted about 500 per step. The steps run in a fresh process, since
-    the allocator's state that earlier tests leave decides how many pages a
-    freed array takes back to the kernel."""
+@pytest.mark.parametrize("batch", (16, 64))
+def test_training_steps_fault_in_no_kept_state(batch):
+    """A training step keeps its state in the fit's workspace, and AdamW
+    updates in place, so once warm a step faults in almost no pages.
+    Allocating that state afresh each step faulted about 500 per step at
+    B 64; AdamW's five parameter-sized temporaries faulted about 127 at
+    B 16, where they are the step's largest arrays. The steps run in a
+    fresh process, since the allocator's state that earlier tests leave
+    decides how many pages a freed array takes back to the kernel."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, str(batch)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     per_step = float(proc.stdout)
     assert per_step < 50, per_step

@@ -1,10 +1,14 @@
 """LSTM integrator: cell equations, the lstm primitive against its per-op
 tape form, summary mean, and the mean ablation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from trajsurv import autodiff as ad
+from trajsurv.cohort import Scenario, simulate_cohort
+from trajsurv.model import load_model
 from trajsurv.trajectory import (init_lstm, integrate, integrate_backward, integrate_mean,
                                  integrate_mean_backward)
 
@@ -215,3 +219,22 @@ def test_init_lstm_zero_biases_and_fan_in_bound():
     assert p.input_dim == 6
     assert p.hidden_dim == 4
 
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_a_model_file_written_before_the_stacked_gates_gives_its_curves():
+    # tests/data/lstm_d4_t2_k4.npz was written by the eight-array LSTM layout:
+    # graphsage, d 4, d_t 2, d_h 4, d_c 2, T 2, K 4, message 4, attention 2,
+    # `init_model` on rng 11 with N(0, 0.5^2) draws of rng 12 added to every
+    # parameter in `named_parameters` order; the curves file holds its
+    # `predict_curves` on `simulate_cohort(10, seed=7)` with region_len 4 and
+    # clinical_len 3. Forward, backward and training agree with each other
+    # whichever gate slice a file name maps to; only an earlier file shows it.
+    cohort, _ = simulate_cohort(10, seed=7, scenario=Scenario(region_len=4, clinical_len=3))
+    curves = load_model(DATA / "lstm_d4_t2_k4.npz").predict_curves(cohort)
+    with np.load(DATA / "lstm_d4_t2_k4_curves.npz") as want:
+        assert sorted(want.files) == ["dfs.h", "dfs.s", "os.h", "os.s"]
+        for task, (hazards, survival) in curves.items():
+            assert np.array_equal(hazards, want[f"{task}.h"]), task
+            assert np.array_equal(survival, want[f"{task}.s"]), task
