@@ -84,13 +84,14 @@ MUTANTS = (
             "tests/test_evolution.py::test_step_matches_concat_then_propagate_oracle[graphsage]"),
            "graphsage's neighbour mean is zero in forward and backward alike"),
     Mutant("restore-skipped", "src/trajsurv/training.py",
-           "    restore_parameters(model, best)\n",
+           "    model.theta[...] = best\n",
            "    pass\n",
            ("tests/test_training.py::TestTrainModel::test_best_snapshot_restored",),
            "training ends on the last epoch's parameters, not the best epoch's"),
     Mutant("adamw-no-bias-correction", "src/trajsurv/objective.py",
-           "    np.divide(m, bc1, out=update)\n    np.sqrt(np.divide(v, bc2, out=g), out=g)\n",
-           "    np.copyto(update, m)\n    np.sqrt(v, out=g)\n",
+           "    np.divide(m, bc1, out=update)\n"
+           "    np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)\n",
+           "    np.copyto(update, m)\n    np.sqrt(v, out=scratch)\n",
            ("tests/test_objective.py::TestAdamW::test_first_step_hand_example",),
            "Adam's first steps shrunk by the uncorrected moments"),
     Mutant("horizon-defaults-to-1", "src/trajsurv/model.py",
@@ -122,6 +123,25 @@ MUTANTS = (
             "test_a_model_file_written_before_the_stacked_gates_gives_its_curves",),
            "a model file's lstm.w_g and lstm.w_o are read into each other's gate slices; "
            "forward, backward and training agree with each other"),
+    Mutant("heads-outside-theta", "src/trajsurv/model.py",
+           "        self.embedding, self.evolution, self.lstm, self.heads = "
+           "self.stage_views(self.theta)\n",
+           "        self.embedding, self.evolution, self.lstm, _ = self.stage_views(self.theta)\n",
+           ("tests/test_training.py::"
+            "test_every_parameter_is_a_view_of_theta_and_one_step_moves_it",),
+           "the heads keep their own arrays, so AdamW, the snapshot and the restore act on "
+           "a copy of them in theta that the forward never reads"),
+    Mutant("config-recursion-uncaught", "src/trajsurv/config.py",
+           "    except (OSError, ValueError, RecursionError) as exc:\n",
+           "    except (OSError, ValueError) as exc:\n",
+           ("tests/test_malformed_files.py::test_a_config_nested_too_deep_exits_1",),
+           "a config file nested too deep ends in a traceback, not exit 1"),
+    Mutant("curves-moved-1e-10", "src/trajsurv/model.py",
+           "            curves[task] = (h, survival_from_hazards(h))\n",
+           "            curves[task] = (h + 1e-10, survival_from_hazards(h))\n",
+           ("tests/test_trajectory.py::"
+            "test_a_model_file_written_before_the_stacked_gates_gives_its_curves",),
+           "every hazard moved by 1e-10: the model-file fixture's tolerance must see it"),
 )
 
 

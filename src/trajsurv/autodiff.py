@@ -1,12 +1,16 @@
 """What the model's gradients share: the error classes, the parameter
 initialisers and the central-difference check.
 
-Parameters are plain float64 arrays. Each stage of the model writes its
+Parameters are float64 arrays, held by each stage in a dataclass of them
+(`map_arrays` maps one array by array). Each stage of the model writes its
 backward next to its forward: `graph.embed_backward`,
 `evolution.evolve_backward`, `trajectory.integrate_backward` and
 `integrate_mean_backward`, `heads.heads_backward` and
-`objective.nll_backward`. `FullModel.backward` chains them, and
-`training.loss_and_grads` returns the loss with one gradient per parameter
+`objective.nll_backward`. A stage's backward writes its parameters'
+gradients into zeroed arrays it is handed, or into fresh zeros.
+`FullModel.backward` chains them, each writing its views of one gradient
+vector laid out as the model's parameter vector, and
+`training.loss_and_grads` returns the loss with that gradient by parameter
 name.
 
 A training fit keeps each step's forward state in a workspace: a plain
@@ -17,6 +21,7 @@ so its arrays are not allocated, freed and page-faulted in again per step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Mapping
 
@@ -45,6 +50,18 @@ def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 def zero_bias(width: int) -> np.ndarray:
     """A 1 x width bias, all zero."""
     return np.zeros((1, width))
+
+
+def map_arrays(params, fn: Callable[[np.ndarray], np.ndarray]):
+    """A copy of the parameter dataclass `params` with `fn` of each array
+    field, in field order, and of each array of a dict field, in its order;
+    a field that holds no array, such as None, is kept."""
+    def each(value):
+        if isinstance(value, dict):
+            return {key: fn(a) for key, a in value.items()}
+        return fn(value) if isinstance(value, np.ndarray) else value
+    return dataclasses.replace(params, **{f.name: each(getattr(params, f.name))
+                                          for f in dataclasses.fields(params)})
 
 
 def slot(out: dict[str, np.ndarray] | None, name: str, shape: tuple[int, ...]) -> np.ndarray:

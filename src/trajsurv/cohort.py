@@ -199,7 +199,9 @@ def _read_json(path):
     try:
         with open(path, "rb") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8, or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         raise CohortError(f"{path}: not a readable JSON document ({exc})") from exc
 
 

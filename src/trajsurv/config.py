@@ -157,7 +157,9 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or an integer too long to convert;
+    # RecursionError: arrays or objects nested too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -25,6 +25,10 @@ METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
 AUC_HORIZONS = (1.0, 3.0, 5.0)   # years: the horizons of auc1, auc3 and auc5
 REPORT_FILES = ("report.json", "metrics.csv", "curves.csv", "timings.json")
 TASKS = ("os", "dfs")
+# Patients per scoring pass. A row of a BLAS matrix product may depend on how
+# many rows share the call, so scoring never takes its pass length from the
+# training batch size.
+SCORE_PASS = 64
 
 
 @dataclass
@@ -143,15 +147,14 @@ class FoldOutcome:
     failure: str | None = None
 
 
-def _predict_fold(model: FullModel, cohort: CohortArrays,
-                  chunk: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _predict_fold(model: FullModel,
+                  cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per task, the (n, K) hazards and survival of `cohort`, scored in
-    forward passes of `max(chunk, 2)` patients. A trailing single patient
-    joins the pass before it, so no pass of a larger cohort scores one
-    patient through numpy's matrix-vector path, and the bits do not depend
-    on `chunk`."""
-    chunk = max(chunk, 2)
-    ends = list(range(chunk, len(cohort), chunk))
+    forward passes of `SCORE_PASS` patients. A trailing single patient joins
+    the pass before it, so no pass of a larger cohort scores one patient
+    through numpy's matrix-vector path. The passes depend on nothing but the
+    cohort's size, so neither do the bits."""
+    ends = list(range(SCORE_PASS, len(cohort), SCORE_PASS))
     if ends and ends[-1] == len(cohort) - 1:
         ends.pop()
     bounds = zip([0] + ends, ends + [len(cohort)])
@@ -201,8 +204,10 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 def _cascade_grad_check(model: FullModel, cohort: CohortArrays) -> bool:
     """True iff `cohort`'s OS logits are the same bits under a copy of the
     model whose context weights are negated and context biases moved by
-    one: then no OS gradient reaches them. It runs the forward, since the
-    backward writes zeros there without the cascade and so cannot tell."""
+    one: then no OS gradient reaches them. It runs the forward only, since
+    the backward writes zeros there without the cascade and so cannot tell.
+    The copy lays out its own theta (`FullModel`), so the check never
+    touches the model's parameters."""
     heads = model.heads
     moved = dataclasses.replace(model, heads=dataclasses.replace(
         heads, w_ctx=-heads.w_ctx, b_ctx=1.0 - heads.b_ctx))
@@ -216,7 +221,7 @@ def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
     bins = model.config.bins()
     tau = config.eval.resolve_tau(bins)
     scored = cohort.take(test)
-    curves = _predict_fold(model, scored, config.train.batch_size)
+    curves = _predict_fold(model, scored)
     pred_time = {task: point_estimate_time(curves[task][1], bins) for task in TASKS}
     per_task, capped = _fold_metrics(scored, curves, pred_time, bins, tau)
     first = repeat == 0

@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeMismatchError, slot, uniform_weight, zero_bias
+from .autodiff import (NonFiniteError, ShapeMismatchError, map_arrays, slot, uniform_weight,
+                       zero_bias)
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
                     slots_in_use)
 
@@ -324,9 +325,11 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     return snapshots, ((params, present, ops, pool, saved) if keep else None)
 
 
-def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
+                    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """dH0 and the gradient of each `op.*` parameter, by name, from the
-    gradient `g` of the (T, B, d) snapshots and what `evolve` kept.
+    gradient `g` of the (T, B, d) snapshots and what `evolve` kept, the
+    parameters' summed into the zeroed `grads` (fresh zeros when None).
 
     Backpropagation through time over the kept states, each step's term added
     into its parameter's row block, split as `evolve` splits the weights.
@@ -339,7 +342,7 @@ def evolve_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarr
     neigh, gat = params.backbone != "gcn", params.backbone == "gat"
     d, d_t = params.w_out.shape[1], params.time_table.shape[1]
     e, w_out = params.time_table, params.w_out
-    grads = {name: np.zeros_like(p) for name, p in params.named_leaves()}
+    grads = dict((map_arrays(params, np.zeros_like) if grads is None else grads).named_leaves())
     w_sh, w_st = np.split(params.w_self, [d])
     gw_sh, gw_st = np.split(grads["op.w_self"], [d])
     # Row t of each: the gradient of the time rows step t adds, e_t W_st,

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import uniform_weight, zero_bias
+from .autodiff import map_arrays, uniform_weight, zero_bias
 
 
 class NodeKind(Enum):
@@ -114,14 +114,16 @@ def embed_nodes(cohort, params: EmbeddingParams) -> np.ndarray:
     return h0 * slots_in_use(cohort.present).reshape(-1, 1)
 
 
-def embed_backward(cohort, params: EmbeddingParams, dh0: np.ndarray) -> dict[str, np.ndarray]:
+def embed_backward(cohort, params: EmbeddingParams, dh0: np.ndarray,
+                   grads: EmbeddingParams | None = None) -> dict[str, np.ndarray]:
     """The gradient of each `embed.*` parameter, by name, from the gradient
-    dH0 of `embed_nodes`' output. The rows of missing regions get none."""
+    dH0 of `embed_nodes`' output, written into `grads` (fresh zeros when
+    None). The rows of missing regions get none."""
     g = (dh0 * slots_in_use(cohort.present).reshape(-1, 1)).reshape(len(cohort), -1)
     d = dh0.shape[1]
-    grads = {}
+    grads = map_arrays(params, np.zeros_like) if grads is None else grads
     for j, (kind, x) in enumerate(zip(NodeKind, _inputs(cohort))):
         g_kind = g[:, j * d:(j + 1) * d]
-        grads[f"embed.{kind.value}.w"] = x.T @ g_kind
-        grads[f"embed.{kind.value}.b"] = g_kind.sum(axis=0, keepdims=True)
-    return grads
+        np.matmul(x.T, g_kind, out=grads.weights[kind])
+        g_kind.sum(axis=0, keepdims=True, out=grads.biases[kind])
+    return dict(grads.named_leaves())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import uniform_weight, zero_bias
+from .autodiff import map_arrays, uniform_weight, zero_bias
 
 
 class SaturatedCurveError(ValueError):
@@ -111,27 +111,28 @@ def os_head(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
 
 
 def heads_backward(h_star: np.ndarray, context: np.ndarray, params: HeadParams,
-                   d_dfs: np.ndarray, d_os: np.ndarray,
-                   cascade_enabled: bool = True) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                   d_dfs: np.ndarray, d_os: np.ndarray, cascade_enabled: bool = True,
+                   grads: HeadParams | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The gradient of h* and of each `heads.*` parameter, by name, from the
-    gradients of both heads' logits. h* feeds three products: its gradient
+    gradients of both heads' logits, the parameters' written into the zeroed
+    `grads` (fresh zeros when None). h* feeds three products: its gradient
     adds the mortality head's, then the context's, then the recurrence
     logits' share, the order in which the tape visits them, so its bits are
-    the tape's. Without the cascade the context parameters get zeros."""
+    the tape's. Without the cascade the context parameters keep their zeros."""
+    grads = map_arrays(params, np.zeros_like) if grads is None else grads
     width = h_star.shape[1]
     d_joint = d_os @ params.w_os.T
     dh_star = d_joint[:, :width]
     if cascade_enabled:
         d_pre = d_joint[:, width:] * (1.0 - context * context)
         dh_star = dh_star + d_pre @ params.w_ctx.T
-        d_w_ctx, d_b_ctx = h_star.T @ d_pre, d_pre.sum(axis=0, keepdims=True)
-    else:
-        d_w_ctx, d_b_ctx = np.zeros_like(params.w_ctx), np.zeros_like(params.b_ctx)
-    grads = {"heads.w_ctx": d_w_ctx, "heads.b_ctx": d_b_ctx,
-             "heads.w_dfs": h_star.T @ d_dfs, "heads.b_dfs": d_dfs.sum(axis=0, keepdims=True),
-             "heads.w_os": _joint(h_star, context, params, cascade_enabled).T @ d_os,
-             "heads.b_os": d_os.sum(axis=0, keepdims=True)}
-    return dh_star + d_dfs @ params.w_dfs.T, grads
+        np.matmul(h_star.T, d_pre, out=grads.w_ctx)
+        d_pre.sum(axis=0, keepdims=True, out=grads.b_ctx)
+    np.matmul(h_star.T, d_dfs, out=grads.w_dfs)
+    d_dfs.sum(axis=0, keepdims=True, out=grads.b_dfs)
+    np.matmul(_joint(h_star, context, params, cascade_enabled).T, d_os, out=grads.w_os)
+    d_os.sum(axis=0, keepdims=True, out=grads.b_os)
+    return dh_star + d_dfs @ params.w_dfs.T, dict(grads.named_leaves())
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

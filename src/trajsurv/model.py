@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import zipfile
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .autodiff import map_arrays
 from .evolution import BACKBONES, EvolutionParams, evolve, evolve_backward, init_evolution
 from .graph import EmbeddingParams, NodeKind, embed_backward, embed_nodes, init_embedding
 from .heads import (HeadParams, TimeBins, annual_bins, dfs_head, hazards_from_logits,
@@ -108,15 +110,47 @@ def typed_value(key: str, value, hint):
 
 @dataclass
 class FullModel:
+    """The four stages' parameters, every array a view of one float64 vector
+    `theta`. Construction copies the arrays it is given into a fresh theta,
+    in storage order: field by field (a dict field key by key), the LSTM's
+    gate stacks whole. AdamW, the best-epoch snapshot and its restore each
+    act on theta as one vector; `named_views` maps any vector of its size,
+    such as a gradient, to the same views by parameter name."""
+
     config: ModelConfig
     embedding: EmbeddingParams
     evolution: EvolutionParams
     lstm: LstmParams
     heads: HeadParams
+    theta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = self.named_parameters()
+        self.theta = np.empty(sum(a.size for _, a in given))
+        self.embedding, self.evolution, self.lstm, self.heads = self.stage_views(self.theta)
+        for (_, view), (_, a) in zip(self.named_parameters(), given):
+            view[...] = a
+
+    def stage_views(self, vec: np.ndarray) -> tuple[EmbeddingParams, EvolutionParams,
+                                                    LstmParams, HeadParams]:
+        """The four stages' parameters as views of `vec`, a vector of
+        theta's size, each array at its place in theta."""
+        start = 0
+
+        def view(a: np.ndarray) -> np.ndarray:
+            nonlocal start
+            start += a.size
+            return vec[start - a.size:start].reshape(a.shape)
+        return tuple(map_arrays(stage, view)
+                     for stage in (self.embedding, self.evolution, self.lstm, self.heads))
+
+    def named_views(self, vec: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """`vec`, a vector of theta's size, as views by parameter name in
+        `named_parameters` order."""
+        return _named(self.stage_views(vec))
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return (self.embedding.named_leaves() + self.evolution.named_leaves()
-                + self.lstm.named_leaves() + self.heads.named_leaves())
+        return _named((self.embedding, self.evolution, self.lstm, self.heads))
 
     def forward(self, cohort: CohortArrays, out: dict[str, np.ndarray] | None = None):
         """The slice's (B, K) logits per task, keyed like `labels`, and what
@@ -136,22 +170,24 @@ class FullModel:
         kept.update(h_star=h_star, context=context)
         return {"dfs": dfs_logits, "os": os_logits}, (None if out is None else kept)
 
-    def backward(self, kept: dict, d_logits: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The gradient of each parameter, by name in `named_parameters`
-        order, from the gradients of the logits per task and what
-        `forward(cohort, out)` kept. Each stage's state is dropped
-        once its backward has run, the LSTM's before the evolution's runs."""
+    def backward(self, kept: dict, d_logits: dict[str, np.ndarray], grad: np.ndarray) -> None:
+        """Write the gradient of theta into `grad`, a vector of its size,
+        from the gradients of the logits per task and what
+        `forward(cohort, out)` kept. `grad` is zeroed, and each stage's
+        backward writes its views of it (`stage_views`); without the LSTM
+        its views stay zero. Each stage's state is dropped once its backward
+        has run, the LSTM's before the evolution's runs."""
         cfg = self.config
-        dh_star, head_grads = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
-                                             d_logits["dfs"], d_logits["os"], cfg.cascade)
+        grad[...] = 0.0
+        embedding, evolution, lstm, heads = self.stage_views(grad)
+        dh_star, _ = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
+                                    d_logits["dfs"], d_logits["os"], cfg.cascade, heads)
         if cfg.integrator == "lstm":
-            dz, lstm_grads = integrate_backward(kept.pop("lstm"), dh_star)
+            dz, _ = integrate_backward(kept.pop("lstm"), dh_star, lstm)
         else:
             dz = integrate_mean_backward(dh_star, cfg.horizon)
-            lstm_grads = {name: np.zeros_like(p) for name, p in self.lstm.named_leaves()}
-        dh0, evolve_grads = evolve_backward(kept.pop("evolve"), dz)
-        return {**embed_backward(kept.pop("cohort"), self.embedding, dh0), **evolve_grads,
-                **lstm_grads, **head_grads}
+        dh0, _ = evolve_backward(kept.pop("evolve"), dz, evolution)
+        embed_backward(kept.pop("cohort"), self.embedding, dh0, embedding)
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per task, the slice's (B, K) hazards and survival, checked once.
@@ -164,6 +200,11 @@ class FullModel:
             h = hazards_from_logits(logits)
             curves[task] = (h, survival_from_hazards(h))
         return curves
+
+
+def _named(stages) -> list[tuple[str, np.ndarray]]:
+    """The arrays of the four stages by parameter name: the model file's names."""
+    return [pair for stage in stages for pair in stage.named_leaves()]
 
 
 def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
@@ -181,17 +222,9 @@ def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
     lstm = init_lstm(config.hidden_dim, config.summary_dim, rng)
     head_input = config.summary_dim if config.integrator == "lstm" else config.hidden_dim
     heads = init_heads(head_input, config.context_dim, config.num_bins, rng)
+    # The draws above fix the values; `FullModel` copies them into theta.
     return FullModel(config=config, embedding=embedding, evolution=evolution,
                      lstm=lstm, heads=heads)
-
-
-def snapshot_parameters(model: FullModel) -> dict[str, np.ndarray]:
-    return {name: leaf.copy() for name, leaf in model.named_parameters()}
-
-
-def restore_parameters(model: FullModel, snapshot: dict[str, np.ndarray]) -> None:
-    for name, leaf in model.named_parameters():
-        leaf[:] = snapshot[name]
 
 
 FORMAT_VERSION = 1
@@ -210,6 +243,35 @@ class ModelFileError(ValueError):
     """A model file that cannot be read or describes an unsupported model."""
 
 
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """The arrays of the `.npz` archive at `path` by name, as `np.savez`
+    writes them: every member stored, not compressed, in `.npy` format 1.0
+    or 2.0. A member whose header declares more bytes than the member holds
+    is rejected before its data is read, so no header makes it allocate
+    more than the file holds."""
+    arrays = {}
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"member {info.filename} is compressed")
+            with archive.open(info) as fh:
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADERS:
+                    raise ValueError(f"member {info.filename} has .npy version {version}")
+                shape, _, dtype = _NPY_HEADERS[version](fh)
+                declared = math.prod(shape) * dtype.itemsize
+                if declared > info.file_size - fh.tell():
+                    raise ValueError(f"member {info.filename} declares {declared} bytes of "
+                                     f"data and holds {info.file_size - fh.tell()}")
+                fh.seek(0)
+                arrays[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh)
+    return arrays
+
+
 def load_model(path) -> FullModel:
     """Rebuild a model written by `save_model`.
 
@@ -224,10 +286,11 @@ def load_model(path) -> FullModel:
     names and shapes exactly and hold finite numbers.
     """
     try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        arrays = _read_npz(path)
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    # RuntimeError: zipfile's for an encrypted or patched member, and json's
+    # RecursionError for metadata nested too deep.
+    except (OSError, EOFError, ValueError, KeyError, RuntimeError, zipfile.BadZipFile) as exc:
         raise ModelFileError(f"{path}: not a readable model file ({exc})") from exc
     if not isinstance(meta, dict):
         raise ModelFileError(f"{path}: not a readable model file (metadata is not an object)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -123,7 +124,7 @@ def nll_backward(kept, weight: float) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """One flat AdamW (m, v) pair over all leaves, in parameter-list order;
+    """AdamW's (m, v) pair, each a vector laid out as the parameter vector;
     the scheduled learning rate; and the best validation loss with the
     evaluations since it, counted once for the schedule and once to stop."""
 
@@ -135,50 +136,47 @@ class OptimizerState:
     stop_stall: int = 0
 
 
-def adamw_step(params: list[tuple[str, np.ndarray]], grads: dict[str, np.ndarray],
-               state: OptimizerState, settings: TrainSettings) -> None:
-    """Decoupled-weight-decay Adam update, applied to the arrays in place;
-    `grads` holds one gradient per parameter name.
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
+               settings: TrainSettings,
+               named: Callable[[np.ndarray], list[tuple[str, np.ndarray]]]) -> None:
+    """Decoupled-weight-decay Adam update of the parameter vector `theta`, in
+    place, from its gradient `grad`, a vector of the same layout.
 
-    All parameters are updated as one concatenated vector; every element
-    sees the same operations as in a one-by-one update, so the result is the
-    same bit for bit. The step runs in place in two parameter-sized arrays,
-    so that at small batches the allocator does not hand their pages back
-    to the kernel after every step. A non-finite gradient stops the step
-    before any parameter moves.
+    The update is elementwise, so every element sees the same operations as
+    in a parameter-by-parameter update, and the result is the same bit for
+    bit. It runs in two vector-sized scratch arrays, so that at small
+    batches the allocator does not hand their pages back to the kernel
+    after every step. A non-finite gradient stops the step before any
+    parameter moves; the error names the first parameter, in the order of
+    `named(grad)` (its views by name), that holds one.
     """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    g = np.concatenate([grads[name].ravel() for name, _ in params])
-    if not np.isfinite(g).all():
-        name = next(name for name, _ in params if not np.isfinite(grads[name]).all())
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in named(grad) if not np.isfinite(g).all())
         raise NonFiniteError(f"non-finite gradient for parameter {name}")
     if state.moments is None:
-        state.moments = (np.zeros_like(g), np.zeros_like(g))
+        state.moments = (np.zeros_like(theta), np.zeros_like(theta))
     m, v = state.moments
-    if m.size != g.size:
-        raise ValueError(f"parameters hold {g.size} values, the moments {m.size}")
-    # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p), with
-    # the moments' updates and that step formed in `g` and `update`.
-    update = np.empty_like(g)
+    if not m.size == theta.size == grad.size:
+        raise ValueError(f"parameters hold {theta.size} values, their gradient {grad.size} "
+                         f"and the moments {m.size}")
+    # theta -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * theta),
+    # with the moments' updates and that step formed in `update` and `scratch`.
+    update, scratch = np.empty((2, theta.size))
     m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
-    v += np.multiply(np.multiply(g, g, out=g), 1.0 - ADAM_BETA2, out=g)
+    v += np.multiply(np.multiply(grad, grad, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
     np.divide(m, bc1, out=update)
-    np.sqrt(np.divide(v, bc2, out=g), out=g)
-    g += ADAM_EPS
-    update /= g
-    flat = np.concatenate([p.ravel() for _, p in params], out=g)
-    update += np.multiply(flat, settings.weight_decay, out=flat)
+    np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+    scratch += ADAM_EPS
+    update /= scratch
+    update += np.multiply(theta, settings.weight_decay, out=scratch)
     update *= state.lr
-    start = 0
-    for _, p in params:
-        stop = start + p.size
-        p -= update[start:stop].reshape(p.shape)
-        start = stop
+    theta -= update
 
 
 def end_epoch(state: OptimizerState, val_loss: float,

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import slot
 from .cohort import CohortArrays, augment
 from .heads import TimeBins
-from .model import FullModel, restore_parameters, snapshot_parameters
+from .model import FullModel
 from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
                         adamw_step, discrete_nll, end_epoch, nll_backward)
 
@@ -38,17 +39,29 @@ def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins,
     return _weighted_nll(model.forward(cohort)[0], cohort, bins, weights)[0]
 
 
+def _loss_and_grad(model: FullModel, cohort: CohortArrays, bins: TimeBins,
+                   weights: LossWeights, out: dict[str, np.ndarray]
+                   ) -> tuple[np.float64, np.ndarray]:
+    """`_mean_loss` of the slice and its gradient vector, laid out as the
+    model's `theta`, from one forward that keeps what backward needs in the
+    workspace `out`, which also holds the gradient (`autodiff.slot`)."""
+    logits, kept = model.forward(cohort, out)
+    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
+    task_weights = {"os": weights.alpha, "dfs": weights.beta}
+    grad = slot(out, "grad", model.theta.shape)
+    model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
+                          for task in logits}, grad)
+    return loss, grad
+
+
 def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
                    weights: LossWeights, out: dict[str, np.ndarray] | None = None
                    ) -> tuple[np.float64, dict[str, np.ndarray]]:
-    """`_mean_loss` of the slice and its gradient per parameter name, from
-    one forward that keeps what backward needs in the workspace `out`, or
-    in a fresh one when none is given (`autodiff.slot`)."""
-    logits, kept = model.forward(cohort, {} if out is None else out)
-    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
-    task_weights = {"os": weights.alpha, "dfs": weights.beta}
-    return loss, model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
-                                       for task in logits})
+    """`_mean_loss` of the slice and its gradient per parameter name: the
+    views of the gradient vector kept in the workspace `out`, or in a fresh
+    one when none is given, valid until its next use."""
+    loss, grad = _loss_and_grad(model, cohort, bins, weights, {} if out is None else out)
+    return loss, dict(model.named_views(grad))
 
 
 def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
@@ -62,11 +75,12 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
 
 
 def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
-                params: list[tuple[str, np.ndarray]], state: OptimizerState,
-                settings: TrainSettings, workspace: dict[str, np.ndarray]) -> float:
-    """One AdamW step on `batch`, its kept state in `workspace`; returns its loss."""
-    loss, grads = loss_and_grads(model, batch, bins, weights, workspace)
-    adamw_step(params, grads, state, settings)
+                state: OptimizerState, settings: TrainSettings,
+                workspace: dict[str, np.ndarray]) -> float:
+    """One AdamW step on `batch`, its kept state and gradient in `workspace`;
+    returns its loss."""
+    loss, grad = _loss_and_grad(model, batch, bins, weights, workspace)
+    adamw_step(model.theta, grad, state, settings, model.named_views)
     return float(loss)
 
 
@@ -79,19 +93,20 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
     a slice of the shuffled training set. Each step keeps its forward state
-    in one workspace that the fit owns (`autodiff.slot`) and drops when it
-    returns, so training holds one step's at a time, in arrays that every
-    step reuses rather than allocates, frees and faults in again.
+    and its gradient vector in one workspace that the fit owns
+    (`autodiff.slot`) and drops when it returns, so training holds one
+    step's at a time, in arrays that every step reuses rather than
+    allocates, frees and faults in again. The best-epoch snapshot is a copy
+    of the model's `theta`.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
     bins = model.config.bins()
     weights = LossWeights(settings.alpha, settings.beta)
-    params = model.named_parameters()
     state = OptimizerState(lr=settings.lr)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
 
-    best = snapshot_parameters(model)
+    best = model.theta.copy()
     best_epoch = 0
     history = []
     workspace: dict[str, np.ndarray] = {}
@@ -109,7 +124,7 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
 
             train_losses = [
                 _train_step(model, items.take(slice(start, start + settings.batch_size)),
-                            bins, weights, params, state, settings, workspace)
+                            bins, weights, state, settings, workspace)
                 for start in range(0, len(items), settings.batch_size)]
 
             val_loss = float(_mean_loss(model, val, bins, weights))
@@ -117,10 +132,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
 
             improved, stop = end_epoch(state, val_loss, settings)
             if improved:
-                best = snapshot_parameters(model)
+                best = model.theta.copy()
                 best_epoch = epoch
             if stop:
                 break
 
-    restore_parameters(model, best)
+    model.theta[...] = best
     return TrainResult(state.best, best_epoch, epochs_run=epoch, history=history)

@@ -131,28 +131,33 @@ def _gate_grads(kept, g) -> np.ndarray:
     return da
 
 
-def integrate_backward(kept, g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def integrate_backward(kept, g: np.ndarray, grads: LstmParams | None = None
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The gradient of the snapshots and of each `lstm.*` parameter, by name
     in `named_leaves` order, from the gradient `g` of h* and what `integrate`
-    kept. No (T, 4, ...) product is ever stacked; each weight gradient is
-    summed in the order of the sum over such a stack, so its bits are that
+    kept, the parameters' written into the stacks of `grads` (fresh zeros
+    when None). No (T, 4, ...) product is ever stacked; each weight gradient
+    is summed in the order of the sum over such a stack, so its bits are that
     sum's. A bias gradient is a row of ones times the steps' summed gate
     gradients, equal to their column sum up to roundoff."""
     z, w, _, _, hidden, _ = kept
+    d = z.shape[2]
+    grads = LstmParams(np.zeros_like(w), np.zeros((4, 1, w.shape[2]))) if grads is None else grads
     da = _gate_grads(kept, g)
     # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
-    # products, which would hold T copies of the weights at once.
+    # products, which would hold T copies of the weights at once; summed in
+    # contiguous arrays, since adding into the stacks' strided halves is slower.
     dw_x, dw_h = np.matmul(z[0].T, da[0]), np.matmul(hidden[0].T, da[0])
     for t in range(1, len(z)):
         dw_x += np.matmul(z[t].T, da[t])
         dw_h += np.matmul(hidden[t].T, da[t])
-    db = np.ones(da.shape[2]) @ da.sum(axis=0)
+    grads.w[:, :d], grads.w[:, d:] = dw_x, dw_h
+    np.matmul(np.ones(da.shape[2]), da.sum(axis=0), out=grads.b[:, 0])
     # Gate by gate: the stacked (T, 4, B, d) product would be 4x dz.
-    w_x_t = w[:, :z.shape[2]].transpose(0, 2, 1)
+    w_x_t = w[:, :d].transpose(0, 2, 1)
     dz = np.matmul(da[:, 0], w_x_t[0])
     for k in range(1, len(GATES)):
         dz += np.matmul(da[:, k], w_x_t[k])
-    grads = LstmParams(np.concatenate([dw_x, dw_h], axis=1), db[:, None])
     return dz, dict(grads.named_leaves())
 
 

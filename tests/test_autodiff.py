@@ -341,7 +341,8 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
         return evolve_backward(*args)
 
     monkeypatch.setattr(model_module, "evolve_backward", spy)
-    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()})
+    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()},
+                   np.empty_like(model.theta))
     assert released == [True]
 
 

@@ -432,8 +432,11 @@ class TestEvaluateModel:
         model = init_model(config.model, cv.feature_widths(cohort),
                            np.random.default_rng(1))
         bins = config.model.bins()
-        chunked = cv._predict_fold(model, cohort, 64)
-        alone = cv._predict_fold(model, cohort, 1)
+        chunked = cv._predict_fold(model, cohort)
+        pairs = [model.predict_curves(cohort.take(slice(i, i + 2)))
+                 for i in range(0, len(cohort), 2)]
+        alone = {task: tuple(np.concatenate([p[task][j] for p in pairs]) for j in (0, 1))
+                 for task in cv.TASKS}
         for task in cv.TASKS:
             (ha, sa), (hb, sb) = chunked[task], alone[task]
             assert ha.shape == sa.shape == (len(cohort), bins.count)
@@ -445,35 +448,37 @@ class TestEvaluateModel:
 
 @pytest.mark.parametrize("backbone", ("graphsage", "gcn", "gat"))
 def test_scoring_is_the_same_bits_in_any_chunk(backbone):
-    # Every matrix product of a pass of two or more patients runs through
-    # BLAS's matrix-matrix path, whose rows do not depend on the other rows,
-    # so each patient's curves are the same bits whatever the chunk. A pass
-    # of one patient would run its (1 x .) products through the
-    # matrix-vector path, which holds them only within 1e-12 (the test
-    # above), so scoring never makes one: chunk 1 scores pairs, and chunk 199
-    # folds the 200th patient into the pass before it.
-    # The row independence is a property of the OpenBLAS that numpy's wheels
-    # bundle, not of trajsurv: a BLAS with kernels for few rows (MKL,
-    # Accelerate) may break this test with no defect in the program.
-    config = small_config(model={"backbone": backbone})
-    cohort, _ = simulate_cohort(200, seed=3, scenario=config.simulate.scenario())
+    # The chunk is the training batch size. Scoring runs in passes of
+    # `cv.SCORE_PASS` patients whatever it is, so each patient's curves and
+    # risks are the same bits at any batch size by construction, under any
+    # BLAS. Taking the passes from the batch size held only where a row of a
+    # matrix product does not depend on how many rows share the call: the
+    # SkylakeX kernels of the OpenBLAS that numpy's wheels bundle, but not
+    # its Haswell, Zen or Nehalem kernels, under which chunk 7 and chunk 64
+    # differed.
+    cohort, _ = simulate_cohort(200, seed=3, scenario=small_config().simulate.scenario())
     present = cohort.present & (np.random.default_rng(0).random(cohort.present.shape) > 0.2)
     present[:, 0] = True
     cohort = cohort.with_presence(present)
-    model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(1))
-    want = cv._predict_fold(model, cohort, 64)
+
+    def score(chunk):
+        config = small_config(model={"backbone": backbone}, train={"batch_size": chunk})
+        model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(1))
+        return cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
+    want = score(64)
     for chunk in (1, 2, 7, 16, 50, 100, 199, 200):
-        got = cv._predict_fold(model, cohort, chunk)
+        got = score(chunk)
         for task in cv.TASKS:
-            for a, b in zip(got[task], want[task]):
+            assert np.array_equal(got.risks[task], want.risks[task]), (chunk, task)
+            for a, b in zip(got.curves[task], want.curves[task]):
                 assert np.array_equal(a, b), (chunk, task)
 
 
 def test_featureless_cohort_scores_every_fold_by_ties_alone():
     # Identical features and every region present give every test patient of
     # a fold the same risk, so each fold's C-index is 0.5 exactly, each
-    # (fold, task) is named tied, and no pooled interval is reported. The
-    # folds' chunks of 16 and 4 patients score alike (test above).
+    # (fold, task) is named tied, and no pooled interval is reported. Each
+    # fold's 20 test patients are scored in one pass (`cv.SCORE_PASS`).
     config = small_config(cv={"k": 2, "repeats": 1})
     report = run_crossval(config, featureless_cohort(40))
     assert not report.failed_folds
@@ -489,7 +494,8 @@ def test_featureless_cohort_scores_every_fold_by_ties_alone():
 @pytest.mark.parametrize("saturated", [False, True])
 def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     """Every array a fold is scored from is == the per-patient scalar forms
-    applied to the logits of the same passes, of `max(chunk, 2)` patients:
+    applied to the logits of the same passes, of `cv.SCORE_PASS` patients
+    whatever the batch size `chunk`:
     the hazards and survival `_predict_fold` returns, the risks, the horizon
     scores the AUC reads, and the curve rows `assemble` builds."""
     config = small_config(train={"batch_size": chunk})
@@ -504,8 +510,8 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
                         lambda s, *rest: scores.append(s) or auc(s, *rest))
     outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
-    for start in range(0, len(cohort), max(chunk, 2)):
-        out, _ = model.forward(cohort.take(slice(start, start + max(chunk, 2))))
+    for start in range(0, len(cohort), cv.SCORE_PASS):
+        out, _ = model.forward(cohort.take(slice(start, start + cv.SCORE_PASS)))
         logits["dfs"].extend(out["dfs"])
         logits["os"].extend(out["os"])
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)

@@ -17,7 +17,7 @@ from trajsurv import heads
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import _cascade_grad_check, feature_widths
 from trajsurv.evolution import BACKBONES
-from trajsurv.model import ModelConfig, init_model, snapshot_parameters
+from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss, loss_and_grads
 
@@ -109,10 +109,9 @@ def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
                          context_dim=4, horizon=3, num_bins=4, message_dim=8)
     cohort = cohort_of(40)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(2))
-    before = snapshot_parameters(model)
+    before = model.theta.copy()
     assert _cascade_grad_check(model, cohort) is not cascade
-    for name, leaf in model.named_parameters():
-        assert np.array_equal(leaf, before[name]), name
+    assert np.array_equal(model.theta, before)
     _, dfs_only = loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
     for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
         assert (dfs_only[name] == 0.0).all(), name

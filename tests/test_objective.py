@@ -213,51 +213,53 @@ class TestBatchMean:
             nll(np.zeros((0, BINS.count)), [], [])
 
 
-class TestAdamW:
-    def leaf(self, v):
-        return [("p", np.array([[v]]))]
+def named(g):
+    """The views by name that `adamw_step` searches for a non-finite value."""
+    return [("p", g)]
 
-    def grads_for(self, params, value):
-        return {name: np.full_like(p, value) for name, p in params}
+
+class TestAdamW:
+    def theta(self, v):
+        return np.array([v])
 
     def test_zero_grad_zero_decay_is_identity(self):
-        params = self.leaf(1.5)
+        theta = self.theta(1.5)
         state = OptimizerState(lr=0.1)
-        adamw_step(params, self.grads_for(params, 0.0), state,
-                   TrainSettings(lr=0.1, weight_decay=0.0))
-        assert params[0][1].item() == pytest.approx(1.5)
+        adamw_step(theta, np.zeros_like(theta), state, TrainSettings(lr=0.1, weight_decay=0.0),
+                   named)
+        assert theta.item() == pytest.approx(1.5)
 
     def test_first_step_hand_example(self):
-        params = self.leaf(1.0)
+        theta = self.theta(1.0)
         state = OptimizerState(lr=0.1)
-        adamw_step(params, self.grads_for(params, 1.0), state,
-                   TrainSettings(lr=0.1, weight_decay=0.0))
+        adamw_step(theta, np.ones_like(theta), state, TrainSettings(lr=0.1, weight_decay=0.0),
+                   named)
         # Bias correction makes m-hat = v-hat = 1, so the step is the full lr.
-        assert params[0][1].item() == pytest.approx(0.9, abs=1e-6)
+        assert theta.item() == pytest.approx(0.9, abs=1e-6)
 
     def test_decoupled_decay_scales_parameter(self):
-        params = self.leaf(4.0)
+        theta = self.theta(4.0)
         state = OptimizerState(lr=0.1)
-        adamw_step(params, self.grads_for(params, 0.0), state,
-                   TrainSettings(lr=0.1, weight_decay=0.1))
-        assert params[0][1].item() == pytest.approx(4.0 * 0.99, abs=1e-12)
+        adamw_step(theta, np.zeros_like(theta), state, TrainSettings(lr=0.1, weight_decay=0.1),
+                   named)
+        assert theta.item() == pytest.approx(4.0 * 0.99, abs=1e-12)
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = [("op.w_out", np.array([[1.0]]))]
+        theta = self.theta(1.0)
         state = OptimizerState(lr=0.1)
-        bad = {"op.w_out": np.array([[np.nan]])}
         with pytest.raises(ad.NonFiniteError, match="op.w_out"):
-            adamw_step(params, bad, state, TrainSettings())
+            adamw_step(theta, np.array([np.nan]), state, TrainSettings(),
+                       lambda g: [("op.w_out", g.reshape(1, 1))])
 
     def test_steps_are_deterministic_bitwise(self):
         def run():
             rng = np.random.default_rng(3)
-            params = [(f"p{i}", rng.normal(size=(2, 2))) for i in range(3)]
+            theta = rng.normal(size=12)
             state = OptimizerState(lr=0.05)
             for step in range(5):
-                grads = {name: rng.normal(size=p.shape) for name, p in params}
-                adamw_step(params, grads, state, TrainSettings(lr=0.05))
-            return np.concatenate([p.ravel() for _, p in params])
+                adamw_step(theta, rng.normal(size=theta.shape), state, TrainSettings(lr=0.05),
+                           named)
+            return theta
 
         assert np.array_equal(run(), run())
 
@@ -265,42 +267,43 @@ class TestAdamW:
         # Leaves of several shapes, as in a model, and a scheduled lr.
         rng = np.random.default_rng(4)
         shapes = [(3, 4), (1, 4), (5, 1), (2, 2)]
-        flat = [(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
-        leafwise = [(name, p.copy()) for name, p in flat]
+        leafwise = [(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+        theta = np.concatenate([p.ravel() for _, p in leafwise])
         settings = TrainSettings(lr=0.05, weight_decay=0.1)
         state, ref = OptimizerState(lr=0.05), {"lr": 0.05}
         for step in range(5):
-            grads = {name: rng.normal(size=s) * 10.0 ** -step for (name, _), s in zip(flat, shapes)}
-            adamw_step(flat, grads, state, settings)
+            grads = {name: rng.normal(size=s) * 10.0 ** -step
+                     for (name, _), s in zip(leafwise, shapes)}
+            adamw_step(theta, np.concatenate([g.ravel() for g in grads.values()]), state,
+                       settings, named)
             oracles.leafwise_adamw_step(leafwise, grads, ref, settings)
             state.lr = ref["lr"] = state.lr * 0.5
-        for (_, p), (_, q) in zip(flat, leafwise):
-            assert np.array_equal(p, q)
+        assert np.array_equal(theta, np.concatenate([p.ravel() for _, p in leafwise]))
 
     def test_parameters_of_another_size_than_the_moments_raise(self):
-        params = [("p", np.ones((2, 2)))]
+        theta = np.ones(4)
         state = OptimizerState(lr=0.1)
-        adamw_step(params, self.grads_for(params, 1.0), state, TrainSettings())
-        grown = params + [("q", np.ones((1, 3)))]
+        adamw_step(theta, np.ones_like(theta), state, TrainSettings(), named)
+        grown = np.ones(7)
         with pytest.raises(ValueError, match="moments"):
-            adamw_step(grown, self.grads_for(grown, 1.0), state, TrainSettings())
+            adamw_step(grown, np.ones_like(grown), state, TrainSettings(), named)
 
     def test_nonfinite_gradient_moves_no_leaf(self):
-        params = [("a", np.array([[1.0]])), ("b", np.array([[2.0]]))]
+        theta = np.array([1.0, 2.0])
         state = OptimizerState(lr=0.1)
-        grads = {"a": np.array([[1.0]]), "b": np.array([[np.inf]])}
         with pytest.raises(ad.NonFiniteError, match="parameter b"):
-            adamw_step(params, grads, state, TrainSettings())
-        assert params[0][1].item() == 1.0 and params[1][1].item() == 2.0
+            adamw_step(theta, np.array([1.0, np.inf]), state, TrainSettings(),
+                       lambda g: [("a", g[:1]), ("b", g[1:])])
+        assert theta.tolist() == [1.0, 2.0]
 
     def test_moments_accumulate_across_steps(self):
-        params = self.leaf(0.0)
+        theta = self.theta(0.0)
         state = OptimizerState(lr=0.1)
         for _ in range(3):
-            adamw_step(params, self.grads_for(params, 1.0), state,
-                       TrainSettings(lr=0.1, weight_decay=0.0))
+            adamw_step(theta, np.ones_like(theta), state,
+                       TrainSettings(lr=0.1, weight_decay=0.0), named)
         assert state.step_count == 3
-        assert params[0][1].item() < 0.0
+        assert theta.item() < 0.0
 
 
 def tracker(scheduler_patience=5, patience=20):

@@ -13,11 +13,11 @@ import pytest
 from trajsurv.cohort import Scenario, make_cohort, record_to_graph, simulate_cohort
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
-from trajsurv.model import ModelConfig, init_model, snapshot_parameters
-from trajsurv.objective import LossWeights
+from trajsurv.model import ModelConfig, init_model, load_model, save_model
+from trajsurv.objective import LossWeights, OptimizerState
 from trajsurv.cli import write_training_log
-from trajsurv.training import (TrainSettings, _mean_loss, loss_and_grads, patient_loss,
-                               train_model)
+from trajsurv.training import (TrainSettings, _mean_loss, _train_step, loss_and_grads,
+                               patient_loss, train_model)
 
 SCENARIO = Scenario(region_len=4, clinical_len=3)
 WIDTHS = {**{kind: 4 for kind in ANATOMICAL_KINDS},
@@ -120,6 +120,33 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("integrator", ("lstm", "mean"))
+def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, integrator,
+                                                                   tmp_path):
+    # After `init_model` and after `load_model`, each named parameter lies
+    # in theta, and the views cover it once; AdamW and the best-epoch
+    # snapshot act on theta alone. So after one step without weight decay
+    # the parameters with a nonzero gradient, and only they, have moved: a
+    # field left outside theta would not.
+    config, model = small_model(backbone, integrator=integrator)
+    save_model(model, tmp_path / "model.npz")
+    for m in (model, load_model(tmp_path / "model.npz")):
+        for name, leaf in m.named_parameters():
+            assert np.shares_memory(leaf, m.theta), name
+        assert sum(leaf.size for _, leaf in m.named_parameters()) == m.theta.size
+    cohort, _ = small_items(n=6)
+    before = {name: leaf.copy() for name, leaf in model.named_parameters()}
+    workspace, settings = {}, quick_settings(weight_decay=0.0)
+    _train_step(model, cohort, config.bins(), LossWeights(1.0, 1.0),
+                OptimizerState(lr=settings.lr), settings, workspace)
+    grads = dict(model.named_views(workspace["grad"]))
+    moved = [name for name, leaf in model.named_parameters()
+             if not np.array_equal(leaf, before[name])]
+    assert moved == [name for name in before if grads[name].any()]
+    assert moved
+
+
 def quick_settings(**overrides):
     base = dict(lr=1e-2, batch_size=8, max_epochs=6, patience=20,
                 scheduler_patience=5, seed=0)
@@ -186,12 +213,11 @@ class TestTrainModel:
     def test_augmentation_path_runs(self):
         train, val = self.cohort(n=12)
         _, model = small_model(seed=8)
-        before = snapshot_parameters(model)
+        before = model.theta.copy()
         result = train_model(model, train, val,
                              quick_settings(max_epochs=2, augment=True))
         assert result.epochs_run == 2
-        after = snapshot_parameters(model)
-        assert any(not np.array_equal(before[k], after[k]) for k in before)
+        assert not np.array_equal(before, model.theta)
 
     def test_empty_sets_rejected(self):
         train, val = self.cohort()
@@ -209,8 +235,7 @@ class TestTrainModel:
         r1 = train_model(m1, train, val, settings)
         r2 = train_model(m2, train, val, settings)
         assert r1.history == r2.history
-        s1, s2 = snapshot_parameters(m1), snapshot_parameters(m2)
-        assert all(np.array_equal(s1[k], s2[k]) for k in s1)
+        assert np.array_equal(m1.theta, m2.theta)
 
     def test_gat_backbone_trains(self):
         train, val = self.cohort(n=12)
@@ -263,10 +288,9 @@ cohort, _ = simulate_cohort(64, seed=1)
 cohort = cohort[:int(sys.argv[1])]
 config, settings = ModelConfig(), TrainSettings()
 model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-params, state, workspace = model.named_parameters(), OptimizerState(lr=settings.lr), {}
+state, workspace = OptimizerState(lr=settings.lr), {}
 weights = LossWeights(settings.alpha, settings.beta)
-step = lambda: _train_step(model, cohort, config.bins(), weights, params, state, settings,
-                           workspace)
+step = lambda: _train_step(model, cohort, config.bins(), weights, state, settings, workspace)
 step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
