@@ -5,7 +5,7 @@ message passing -> LSTM trajectory integration -> cascaded discrete-time
 DFS/OS survival heads, with censored-survival training, evaluation metrics,
 and a repeated stratified cross-validation harness. Each stage writes its
 backward next to its forward, and `training.loss_and_grads` returns the
-loss with one gradient per parameter name.
+loss and leaves its gradient in the model's `grad`.
 """
 
 from .cohort import (CohortArrays, Scenario, augment, load_cohort, oracle_cindex,

@@ -34,6 +34,6 @@ def full_pipeline_gradcheck(step: float = 1e-5, backbone: str = "graphsage") -> 
     model, cohort = toy_setup(backbone=backbone)
     bins = model.config.bins()
     weights = LossWeights(1.0, 1.0)
-    _, grads = loss_and_grads(model, cohort, bins, weights)
-    return grad_check(lambda: _mean_loss(model, cohort, bins, weights), grads,
-                      dict(model.named_parameters()), step=step)
+    loss_and_grads(model, cohort, bins, weights)
+    return grad_check(lambda: _mean_loss(model, cohort, bins, weights),
+                      dict(model.named_gradients()), dict(model.named_parameters()), step=step)

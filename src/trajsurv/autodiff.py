@@ -7,11 +7,10 @@ backward next to its forward: `graph.embed_backward`,
 `evolution.evolve_backward`, `trajectory.integrate_backward` and
 `integrate_mean_backward`, `heads.heads_backward` and
 `objective.nll_backward`. A stage's backward writes its parameters'
-gradients into zeroed arrays it is handed, or into fresh zeros.
-`FullModel.backward` chains them, each writing its views of one gradient
-vector laid out as the model's parameter vector, and
-`training.loss_and_grads` returns the loss with that gradient by parameter
-name.
+gradients into the zeroed arrays it is handed and returns only its input's
+gradient. `FullModel.backward` chains them, handing each its views of the
+model's `grad`, one vector laid out as the parameter vector `theta`, and
+`training.loss_and_grads` returns the loss and leaves that gradient there.
 
 A training fit keeps each step's forward state in a workspace: a plain
 dict of float64 buffers that `slot` hands out by name. The fit owns it and

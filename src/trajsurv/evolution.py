@@ -51,8 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import (NonFiniteError, ShapeMismatchError, map_arrays, slot, uniform_weight,
-                       zero_bias)
+from .autodiff import NonFiniteError, ShapeMismatchError, slot, uniform_weight, zero_bias
 from .graph import (ANATOMICAL_KINDS, CLINICAL_SLOT, EDGE_ATTR_DIM, GLOBAL_SLOT, SLOTS,
                     slots_in_use)
 
@@ -325,11 +324,10 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     return snapshots, ((params, present, ops, pool, saved) if keep else None)
 
 
-def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
-                    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """dH0 and the gradient of each `op.*` parameter, by name, from the
-    gradient `g` of the (T, B, d) snapshots and what `evolve` kept, the
-    parameters' summed into the zeroed `grads` (fresh zeros when None).
+def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams) -> np.ndarray:
+    """dH0 from the gradient `g` of the (T, B, d) snapshots and what `evolve`
+    kept; each `op.*` parameter's gradient is summed into its zeroed array
+    in `grads`.
 
     Backpropagation through time over the kept states, each step's term added
     into its parameter's row block, split as `evolve` splits the weights.
@@ -342,24 +340,22 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
     neigh, gat = params.backbone != "gcn", params.backbone == "gat"
     d, d_t = params.w_out.shape[1], params.time_table.shape[1]
     e, w_out = params.time_table, params.w_out
-    grads = dict((map_arrays(params, np.zeros_like) if grads is None else grads).named_leaves())
     w_sh, w_st = np.split(params.w_self, [d])
-    gw_sh, gw_st = np.split(grads["op.w_self"], [d])
+    gw_sh, gw_st = np.split(grads.w_self, [d])
     # Row t of each: the gradient of the time rows step t adds, e_t W_st,
     # e_t W_nt and e_t (U_dt + U_st).
     d_self = np.zeros((e.shape[0], w_out.shape[0]))
     d_neigh = np.zeros_like(d_self)
     if neigh:
         w_nh, w_nt, _ = np.split(params.w_neigh, [d, d + d_t])
-        gw_nh, gw_nt, gw_na = np.split(grads["op.w_neigh"], [d, d + d_t])
+        gw_nh, gw_nt, gw_na = np.split(grads.w_neigh, [d, d + d_t])
         # Summed over the steps: the gradient of the arc term that every step
         # adds alike, graphsage's A W_na + b_msg and gat's A W_na.
         attr = ops["attr"] if gat else ops["attr_mean"]
         d_attr = np.zeros((attr.shape[0], w_out.shape[0]))
     if gat:
         u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u, np.cumsum([d, d_t, d, d_t]))
-        gu_dh, gu_dt, gu_sh, gu_st, gu_a = np.split(grads["op.attn_u"],
-                                                    np.cumsum([d, d_t, d, d_t]))
+        gu_dh, gu_dt, gu_sh, gu_st, gu_a = np.split(grads.attn_u, np.cumsum([d, d_t, d, d_t]))
         d_score_rows = np.zeros((e.shape[0], u_dh.shape[1]))
         d_score_arcs = np.zeros((attr.shape[0], u_dh.shape[1]))     # of A U_a + b_attn
         spread = np.ones((1, w_out.shape[0]))
@@ -367,14 +363,14 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
     ones = np.ones((1, dh.shape[0]))
     for t in range(len(saved) - 1, -1, -1):
         h, *arcs, act = saved[t]
-        grads["op.b_out"] += ones @ dh
-        grads["op.w_out"] += act.T @ dh
+        grads.b_out += ones @ dh
+        grads.w_out += act.T @ dh
         dp = dh @ w_out.T
         dp *= act > 0.0
         if neigh and not gat:
             d_attr += dp
         else:
-            grads["op.b_msg"] += ones @ dp
+            grads.b_msg += ones @ dp
         d_own = dp if neigh else ops["norm"].T.apply(dp)
         gw_sh += h.T @ d_own
         d_self[t] = ones @ d_own
@@ -386,7 +382,7 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
             d_exp = alpha * ((weighted * msgs) @ spread.T)
             d_scores = d_exp + gather(scatter(-d_exp, present, TARGET), present,
                                       TARGET) / total * exp_shifted
-            grads["op.attn_v"] += hidden.T @ d_scores
+            grads.attn_v += hidden.T @ d_scores
             d_arc = d_scores @ params.attn_v.T
             d_arc *= 1.0 - hidden * hidden
             d_score_arcs += d_arc
@@ -409,15 +405,15 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams | None = None
             dh += pool.T.apply(g[t - 1])
         for term in back:
             dh += term
-    gw_st[:], grads["op.time_table"][:] = e.T @ d_self, d_self @ w_st.T
+    gw_st[:], grads.time_table[:] = e.T @ d_self, d_self @ w_st.T
     if neigh:
         gw_nt[:], gw_na[:] = e.T @ d_neigh, attr.T @ d_attr
-        grads["op.time_table"] += d_neigh @ w_nt.T
+        grads.time_table += d_neigh @ w_nt.T
     if neigh and not gat:
-        grads["op.b_msg"][:] = ones @ d_attr
+        grads.b_msg[:] = ones @ d_attr
     if gat:
         gu_dt[:] = gu_st[:] = e.T @ d_score_rows
         gu_a[:] = attr.T @ d_score_arcs
-        grads["op.attn_b"][:] = np.ones((1, attr.shape[0])) @ d_score_arcs
-        grads["op.time_table"] += d_score_rows @ (u_dt + u_st).T
-    return dh, grads
+        grads.attn_b[:] = np.ones((1, attr.shape[0])) @ d_score_arcs
+        grads.time_table += d_score_rows @ (u_dt + u_st).T
+    return dh

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import map_arrays, uniform_weight, zero_bias
+from .autodiff import uniform_weight, zero_bias
 
 
 class NodeKind(Enum):
@@ -115,15 +115,13 @@ def embed_nodes(cohort, params: EmbeddingParams) -> np.ndarray:
 
 
 def embed_backward(cohort, params: EmbeddingParams, dh0: np.ndarray,
-                   grads: EmbeddingParams | None = None) -> dict[str, np.ndarray]:
-    """The gradient of each `embed.*` parameter, by name, from the gradient
-    dH0 of `embed_nodes`' output, written into `grads` (fresh zeros when
-    None). The rows of missing regions get none."""
+                   grads: EmbeddingParams) -> None:
+    """Write the gradient of each `embed.*` parameter into its zeroed array
+    in `grads`, from the gradient dH0 of `embed_nodes`' output. The rows of
+    missing regions get none."""
     g = (dh0 * slots_in_use(cohort.present).reshape(-1, 1)).reshape(len(cohort), -1)
     d = dh0.shape[1]
-    grads = map_arrays(params, np.zeros_like) if grads is None else grads
     for j, (kind, x) in enumerate(zip(NodeKind, _inputs(cohort))):
         g_kind = g[:, j * d:(j + 1) * d]
         np.matmul(x.T, g_kind, out=grads.weights[kind])
         g_kind.sum(axis=0, keepdims=True, out=grads.biases[kind])
-    return dict(grads.named_leaves())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import map_arrays, uniform_weight, zero_bias
+from .autodiff import uniform_weight, zero_bias
 
 
 class SaturatedCurveError(ValueError):
@@ -111,15 +111,14 @@ def os_head(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
 
 
 def heads_backward(h_star: np.ndarray, context: np.ndarray, params: HeadParams,
-                   d_dfs: np.ndarray, d_os: np.ndarray, cascade_enabled: bool = True,
-                   grads: HeadParams | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The gradient of h* and of each `heads.*` parameter, by name, from the
-    gradients of both heads' logits, the parameters' written into the zeroed
-    `grads` (fresh zeros when None). h* feeds three products: its gradient
-    adds the mortality head's, then the context's, then the recurrence
-    logits' share, the order in which the tape visits them, so its bits are
-    the tape's. Without the cascade the context parameters keep their zeros."""
-    grads = map_arrays(params, np.zeros_like) if grads is None else grads
+                   d_dfs: np.ndarray, d_os: np.ndarray, cascade_enabled: bool,
+                   grads: HeadParams) -> np.ndarray:
+    """The gradient of h* from the gradients of both heads' logits; each
+    `heads.*` parameter's is written into its zeroed array in `grads`. h*
+    feeds three products: its gradient adds the mortality head's, then the
+    context's, then the recurrence logits' share, the order in which the
+    tape visits them, so its bits are the tape's. Without the cascade the
+    context parameters keep their zeros."""
     width = h_star.shape[1]
     d_joint = d_os @ params.w_os.T
     dh_star = d_joint[:, :width]
@@ -132,7 +131,7 @@ def heads_backward(h_star: np.ndarray, context: np.ndarray, params: HeadParams,
     d_dfs.sum(axis=0, keepdims=True, out=grads.b_dfs)
     np.matmul(_joint(h_star, context, params, cascade_enabled).T, d_os, out=grads.w_os)
     d_os.sum(axis=0, keepdims=True, out=grads.b_os)
-    return dh_star + d_dfs @ params.w_dfs.T, dict(grads.named_leaves())
+    return dh_star + d_dfs @ params.w_dfs.T
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -111,11 +111,12 @@ def typed_value(key: str, value, hint):
 @dataclass
 class FullModel:
     """The four stages' parameters, every array a view of one float64 vector
-    `theta`. Construction copies the arrays it is given into a fresh theta,
-    in storage order: field by field (a dict field key by key), the LSTM's
-    gate stacks whole. AdamW, the best-epoch snapshot and its restore each
-    act on theta as one vector; `named_views` maps any vector of its size,
-    such as a gradient, to the same views by parameter name."""
+    `theta`, and their gradient `grad`, a second vector laid out as theta.
+    Construction copies the arrays it is given into a fresh theta, in
+    storage order: field by field (a dict field key by key), the LSTM's
+    gate stacks whole; it builds the stages' views of grad once, and
+    `backward` writes through them. AdamW, the best-epoch snapshot and its
+    restore each act on theta as one vector."""
 
     config: ModelConfig
     embedding: EmbeddingParams
@@ -123,11 +124,15 @@ class FullModel:
     lstm: LstmParams
     heads: HeadParams
     theta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    grad: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    grad_stages: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         given = self.named_parameters()
         self.theta = np.empty(sum(a.size for _, a in given))
+        self.grad = np.zeros_like(self.theta)
         self.embedding, self.evolution, self.lstm, self.heads = self.stage_views(self.theta)
+        self.grad_stages = self.stage_views(self.grad)
         for (_, view), (_, a) in zip(self.named_parameters(), given):
             view[...] = a
 
@@ -144,13 +149,12 @@ class FullModel:
         return tuple(map_arrays(stage, view)
                      for stage in (self.embedding, self.evolution, self.lstm, self.heads))
 
-    def named_views(self, vec: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        """`vec`, a vector of theta's size, as views by parameter name in
-        `named_parameters` order."""
-        return _named(self.stage_views(vec))
-
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         return _named((self.embedding, self.evolution, self.lstm, self.heads))
+
+    def named_gradients(self) -> list[tuple[str, np.ndarray]]:
+        """The views of `grad` by parameter name, in `named_parameters` order."""
+        return _named(self.grad_stages)
 
     def forward(self, cohort: CohortArrays, out: dict[str, np.ndarray] | None = None):
         """The slice's (B, K) logits per task, keyed like `labels`, and what
@@ -170,23 +174,22 @@ class FullModel:
         kept.update(h_star=h_star, context=context)
         return {"dfs": dfs_logits, "os": os_logits}, (None if out is None else kept)
 
-    def backward(self, kept: dict, d_logits: dict[str, np.ndarray], grad: np.ndarray) -> None:
-        """Write the gradient of theta into `grad`, a vector of its size,
-        from the gradients of the logits per task and what
-        `forward(cohort, out)` kept. `grad` is zeroed, and each stage's
-        backward writes its views of it (`stage_views`); without the LSTM
-        its views stay zero. Each stage's state is dropped once its backward
-        has run, the LSTM's before the evolution's runs."""
+    def backward(self, kept: dict, d_logits: dict[str, np.ndarray]) -> None:
+        """Write the gradient of theta into `grad` from the gradients of the
+        logits per task and what `forward(cohort, out)` kept. `grad` is
+        zeroed, and each stage's backward writes its views of it; without
+        the LSTM its views stay zero. Each stage's state is dropped once its
+        backward has run, the LSTM's before the evolution's runs."""
         cfg = self.config
-        grad[...] = 0.0
-        embedding, evolution, lstm, heads = self.stage_views(grad)
-        dh_star, _ = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
-                                    d_logits["dfs"], d_logits["os"], cfg.cascade, heads)
+        self.grad[...] = 0.0
+        embedding, evolution, lstm, heads = self.grad_stages
+        dh_star = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
+                                 d_logits["dfs"], d_logits["os"], cfg.cascade, heads)
         if cfg.integrator == "lstm":
-            dz, _ = integrate_backward(kept.pop("lstm"), dh_star, lstm)
+            dz = integrate_backward(kept.pop("lstm"), dh_star, lstm)
         else:
             dz = integrate_mean_backward(dh_star, cfg.horizon)
-        dh0, _ = evolve_backward(kept.pop("evolve"), dz, evolution)
+        dh0 = evolve_backward(kept.pop("evolve"), dz, evolution)
         embed_backward(kept.pop("cohort"), self.embedding, dh0, embedding)
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:

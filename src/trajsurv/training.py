@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import slot
 from .cohort import CohortArrays, augment
 from .heads import TimeBins
 from .model import FullModel
@@ -39,29 +38,19 @@ def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins,
     return _weighted_nll(model.forward(cohort)[0], cohort, bins, weights)[0]
 
 
-def _loss_and_grad(model: FullModel, cohort: CohortArrays, bins: TimeBins,
-                   weights: LossWeights, out: dict[str, np.ndarray]
-                   ) -> tuple[np.float64, np.ndarray]:
-    """`_mean_loss` of the slice and its gradient vector, laid out as the
-    model's `theta`, from one forward that keeps what backward needs in the
-    workspace `out`, which also holds the gradient (`autodiff.slot`)."""
-    logits, kept = model.forward(cohort, out)
-    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
-    task_weights = {"os": weights.alpha, "dfs": weights.beta}
-    grad = slot(out, "grad", model.theta.shape)
-    model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
-                          for task in logits}, grad)
-    return loss, grad
-
-
 def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
                    weights: LossWeights, out: dict[str, np.ndarray] | None = None
-                   ) -> tuple[np.float64, dict[str, np.ndarray]]:
-    """`_mean_loss` of the slice and its gradient per parameter name: the
-    views of the gradient vector kept in the workspace `out`, or in a fresh
-    one when none is given, valid until its next use."""
-    loss, grad = _loss_and_grad(model, cohort, bins, weights, {} if out is None else out)
-    return loss, dict(model.named_views(grad))
+                   ) -> np.float64:
+    """`_mean_loss` of the slice, from one forward that keeps what backward
+    needs in the workspace `out` (`autodiff.slot`), or in a fresh one when
+    none is given. Its gradient is left in `model.grad`, by parameter name
+    in `model.named_gradients()`, valid until the model's next backward."""
+    logits, kept = model.forward(cohort, {} if out is None else out)
+    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
+    task_weights = {"os": weights.alpha, "dfs": weights.beta}
+    model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
+                          for task in logits})
+    return loss
 
 
 def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
@@ -77,10 +66,9 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
 def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
                 state: OptimizerState, settings: TrainSettings,
                 workspace: dict[str, np.ndarray]) -> float:
-    """One AdamW step on `batch`, its kept state and gradient in `workspace`;
-    returns its loss."""
-    loss, grad = _loss_and_grad(model, batch, bins, weights, workspace)
-    adamw_step(model.theta, grad, state, settings, model.named_views)
+    """One AdamW step on `batch`, its kept state in `workspace`; returns its loss."""
+    loss = loss_and_grads(model, batch, bins, weights, workspace)
+    adamw_step(model.theta, model.grad, state, settings, lambda _: model.named_gradients())
     return float(loss)
 
 
@@ -93,8 +81,8 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
     a slice of the shuffled training set. Each step keeps its forward state
-    and its gradient vector in one workspace that the fit owns
-    (`autodiff.slot`) and drops when it returns, so training holds one
+    in one workspace that the fit owns (`autodiff.slot`) and drops when it
+    returns, and its gradient in the model's `grad`, so training holds one
     step's at a time, in arrays that every step reuses rather than
     allocates, frees and faults in again. The best-epoch snapshot is a copy
     of the model's `theta`.

@@ -131,18 +131,15 @@ def _gate_grads(kept, g) -> np.ndarray:
     return da
 
 
-def integrate_backward(kept, g: np.ndarray, grads: LstmParams | None = None
-                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The gradient of the snapshots and of each `lstm.*` parameter, by name
-    in `named_leaves` order, from the gradient `g` of h* and what `integrate`
-    kept, the parameters' written into the stacks of `grads` (fresh zeros
-    when None). No (T, 4, ...) product is ever stacked; each weight gradient
-    is summed in the order of the sum over such a stack, so its bits are that
-    sum's. A bias gradient is a row of ones times the steps' summed gate
+def integrate_backward(kept, g: np.ndarray, grads: LstmParams) -> np.ndarray:
+    """The gradient of the snapshots from the gradient `g` of h* and what
+    `integrate` kept; the parameters' gradients are written into the
+    stacks of `grads`. No (T, 4, ...) product is ever stacked; each weight
+    gradient is summed in the order of the sum over such a stack, so its
+    bits are that sum's. A bias gradient is a row of ones times the steps' summed gate
     gradients, equal to their column sum up to roundoff."""
     z, w, _, _, hidden, _ = kept
     d = z.shape[2]
-    grads = LstmParams(np.zeros_like(w), np.zeros((4, 1, w.shape[2]))) if grads is None else grads
     da = _gate_grads(kept, g)
     # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
     # products, which would hold T copies of the weights at once; summed in
@@ -158,7 +155,7 @@ def integrate_backward(kept, g: np.ndarray, grads: LstmParams | None = None
     dz = np.matmul(da[:, 0], w_x_t[0])
     for k in range(1, len(GATES)):
         dz += np.matmul(da[:, k], w_x_t[k])
-    return dz, dict(grads.named_leaves())
+    return dz
 
 
 def integrate_mean(snapshots: np.ndarray) -> np.ndarray:

@@ -422,31 +422,36 @@ def evolve_node(h0, cohort, params, horizon):
     """`evolution.evolve` as one tape node over H0 and the leaves of `params`
     (a `leaves_of` dataclass), its (T, B, d) snapshots held as (T B x d);
     its rule is `evolve_backward`."""
-    value, kept = evolve(h0.data, cohort, arrays_of(params), horizon, FreshArrays())
+    arrays = arrays_of(params)
+    value, kept = evolve(h0.data, cohort, arrays, horizon, FreshArrays())
     names, leaves = zip(*params.named_leaves())
     return Tensor._node(value.reshape(-1, value.shape[2]), "evolve", (h0,) + leaves,
-                        (names, kept, value.shape))
+                        (names, kept, value.shape, arrays))
 
 
 def lstm_node(snapshots, steps, params):
     """`trajectory.integrate` as one tape node over the (T B x d) snapshots,
     read as `steps` steps, and the leaves of `params` (a `leaves_of`
     LSTM); its rule is `integrate_backward`."""
-    value, kept = integrate(snapshots.data.reshape(steps, -1, snapshots.cols),
-                            arrays_of(params), FreshArrays())
+    arrays = arrays_of(params)
+    value, kept = integrate(snapshots.data.reshape(steps, -1, snapshots.cols), arrays,
+                            FreshArrays())
     names, leaves = zip(*params.named_leaves())
-    return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept, value.shape))
+    return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept, value.shape, arrays))
 
 
 def _fused_rule(backward_fn):
     """The tape rule of a stage's backward: the input's gradient, then each
-    leaf's, read by the names the node was built with. The output's
+    leaf's, read by the names the node was built with from the zeroed
+    arrays the stage wrote, laid out as the node's parameters. The output's
     gradient is handed over in the shape the stage returned, and the
     input's comes back in the tape's shape."""
     def rule(node, g):
-        names, kept, shape = node.ctx
-        d_input, grads = backward_fn(kept, g.reshape(shape))
-        return (d_input.reshape(node.parents[0].shape),) + tuple(grads[name] for name in names)
+        names, kept, shape, params = node.ctx
+        grads = ad.map_arrays(params, np.zeros_like)
+        d_input = backward_fn(kept, g.reshape(shape), grads)
+        named = dict(grads.named_leaves())
+        return (d_input.reshape(node.parents[0].shape),) + tuple(named[name] for name in names)
     return rule
 
 

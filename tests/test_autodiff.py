@@ -237,23 +237,24 @@ def test_primitive_gradients_match_central_differences(op):
 
 def _integrated(steps, rows, d, d_h, seed=0, weight_scale=0.05, bias_scale=0.05):
     """What `integrate` keeps over (steps rows x d) snapshots at hidden width
-    d_h, and a gradient for its summary."""
+    d_h, a gradient for its summary, and zeroed arrays laid out as the
+    parameters for the parameters' gradients."""
     rng = np.random.default_rng(seed)
     snaps = rng.normal(size=(steps, rows, d))
     params = LstmParams(np.empty((4, d + d_h, d_h)), np.empty((4, 1, d_h)))
     for name, leaf in params.named_leaves():
         leaf[:] = rng.normal(scale=weight_scale if ".w_" in name else bias_scale, size=leaf.shape)
     h_star, kept = integrate(snaps, params, {})
-    return kept, rng.normal(size=h_star.shape)
+    return kept, rng.normal(size=h_star.shape), ad.map_arrays(params, np.zeros_like)
 
 
 def test_lstm_backward_sums_weight_gradients_step_by_step():
     # At T = 64 and d = d_h = 128, the per-step products of both weight
     # gradients stacked at once would take 2 x 33.5 MB.
-    kept, g = _integrated(64, 1, 128, 128, bias_scale=0.0)
+    kept, g, grads = _integrated(64, 1, 128, 128, bias_scale=0.0)
     tracemalloc.start()
     try:
-        integrate_backward(kept, g)
+        integrate_backward(kept, g, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,8 +263,8 @@ def test_lstm_backward_sums_weight_gradients_step_by_step():
 
 @pytest.mark.parametrize("steps,rows,d,d_h", [(1, 1, 3, 3), (5, 7, 4, 6), (12, 64, 32, 32)])
 def test_lstm_snapshot_gradient_is_the_stacked_gate_sum(steps, rows, d, d_h):
-    kept, g = _integrated(steps, rows, d, d_h)
-    got = integrate_backward(kept, g)[0]
+    kept, g, grads = _integrated(steps, rows, d, d_h)
+    got = integrate_backward(kept, g, grads)
     assert got.shape == (steps, rows, d)
     assert np.array_equal(got, oracles.stacked_snapshot_grad(kept, g))
 
@@ -272,10 +273,10 @@ def test_lstm_backward_never_stacks_the_snapshot_gradient():
     # At T = 64, B = 32, d = 256 and d_h = 32, the gate gradients take
     # 2.1 MB and the snapshot gradient 4.2 MB; the stacked (T, 4, B, d)
     # product of the two would take 16.8 MB more.
-    kept, g = _integrated(64, 32, 256, 32)
+    kept, g, grads = _integrated(64, 32, 256, 32)
     tracemalloc.start()
     try:
-        integrate_backward(kept, g)
+        integrate_backward(kept, g, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,8 +342,7 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
         return evolve_backward(*args)
 
     monkeypatch.setattr(model_module, "evolve_backward", spy)
-    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()},
-                   np.empty_like(model.theta))
+    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()})
     assert released == [True]
 
 

@@ -84,7 +84,9 @@ class TestHeads:
         d_os = np.random.default_rng(5).normal(size=(1, 3))
 
         def grads(enabled):
-            return heads_backward(h_star, context, p, np.zeros((1, 3)), d_os, enabled)[1]
+            out = ad.map_arrays(p, np.zeros_like)
+            heads_backward(h_star, context, p, np.zeros((1, 3)), d_os, enabled, out)
+            return dict(out.named_leaves())
 
         g_off = grads(False)
         assert np.array_equal(g_off["heads.w_ctx"], np.zeros_like(p.w_ctx))
@@ -102,10 +104,11 @@ class TestHeads:
                 return dfs_logits, os_head(h_star, context, p, cascade), context
 
             dfs_logits, os_logits, context = logits()
-            dh_star, grads = heads_backward(h_star, context, p, 1.0 - np.tanh(dfs_logits) ** 2,
-                                            1.0 - np.tanh(os_logits) ** 2, cascade)
+            grads = ad.map_arrays(p, np.zeros_like)
+            dh_star = heads_backward(h_star, context, p, 1.0 - np.tanh(dfs_logits) ** 2,
+                                     1.0 - np.tanh(os_logits) ** 2, cascade, grads)
             err = ad.grad_check(lambda: sum(np.tanh(x).sum() for x in logits()[:2]),
-                                {"h_star": dh_star, **grads},
+                                {"h_star": dh_star, **dict(grads.named_leaves())},
                                 {"h_star": h_star, **dict(p.named_leaves())})
             assert err <= 1e-4, cascade
 

@@ -1,4 +1,5 @@
-"""`training.loss_and_grads` against the model's loss on the tape.
+"""`training.loss_and_grads` and the model's `grad` against the model's loss
+on the tape.
 
 The tape form (`oracles.tape_mean_loss`) is the package's former way of
 differentiating the model: the embedding, the integrator ablation, the heads
@@ -33,11 +34,18 @@ def cohort_of(rows):
     return cohort
 
 
+def gradients(model):
+    """A copy of the model's gradient by parameter name: the next backward
+    overwrites `model.grad`."""
+    return {name: g.copy() for name, g in model.named_gradients()}
+
+
 def both(config, rows, weights=LossWeights(0.7, 1.3), seed=5):
     cohort = cohort_of(rows)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(seed))
     bins = config.bins()
-    return (loss_and_grads(model, cohort, bins, weights),
+    loss = loss_and_grads(model, cohort, bins, weights)
+    return ((loss, gradients(model)),
             oracles.tape_loss_and_grads(model, cohort, bins, weights), model)
 
 
@@ -73,15 +81,17 @@ def test_reused_workspace_gives_fresh_bits(backbone, integrator):
     # One workspace serves a batch, another batch of its size, a larger batch
     # (the buffers grow) and the first batch again (views of the grown
     # buffers); each loss and gradient is == to a call on fresh arrays, one
-    # per slot (`oracles.FreshArrays`).
+    # per slot (`oracles.FreshArrays`). The gradient is copied before the
+    # reference call, whose backward overwrites `model.grad` after zeroing it.
     config = ModelConfig(backbone=backbone, integrator=integrator)
     first = cohort_of(40)
     model = init_model(config, feature_widths(first), np.random.default_rng(5))
     bins, weights, workspace = config.bins(), LossWeights(0.7, 1.3), {}
     for batch in (first, simulate_cohort(40, seed=4)[0], cohort_of(64), first):
-        loss, grads = loss_and_grads(model, batch, bins, weights, workspace)
-        ref_loss, ref_grads = loss_and_grads(model, batch, bins, weights,
-                                             oracles.FreshArrays())
+        loss = loss_and_grads(model, batch, bins, weights, workspace)
+        grads = gradients(model)
+        ref_loss = loss_and_grads(model, batch, bins, weights, oracles.FreshArrays())
+        ref_grads = dict(model.named_gradients())
         assert loss == ref_loss
         assert list(grads) == list(ref_grads)
         for name in grads:
@@ -94,7 +104,7 @@ def test_the_loss_is_validations_loss():
     cohort = cohort_of(40)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
     weights = LossWeights(0.3, 1.7)
-    loss, _ = loss_and_grads(model, cohort, config.bins(), weights)
+    loss = loss_and_grads(model, cohort, config.bins(), weights)
     assert loss == _mean_loss(model, cohort, config.bins(), weights)
 
 
@@ -112,7 +122,8 @@ def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
     before = model.theta.copy()
     assert _cascade_grad_check(model, cohort) is not cascade
     assert np.array_equal(model.theta, before)
-    _, dfs_only = loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
+    loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
+    dfs_only = dict(model.named_gradients())
     for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
         assert (dfs_only[name] == 0.0).all(), name
     monkeypatch.setattr(heads, "_joint", lambda h_star, context, params, cascade_enabled:

@@ -32,6 +32,12 @@ def small_model(backbone="graphsage", seed=0, **overrides):
     return config, init_model(config, WIDTHS, np.random.default_rng(seed))
 
 
+def gradients(model):
+    """A copy of the model's gradient by parameter name: the next backward
+    overwrites `model.grad`."""
+    return {name: g.copy() for name, g in model.named_gradients()}
+
+
 def small_items(n=6, seed=0, drop_region=True):
     cohort, _ = simulate_cohort(max(n, 10), seed=seed, scenario=SCENARIO)
     cohort = cohort[:n]
@@ -61,11 +67,15 @@ class TestBatchedAgreement:
         cohort, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked, gs = loss_and_grads(model, cohort, bins, weights)
+        stacked = loss_and_grads(model, cohort, bins, weights)
+        gs = gradients(model)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
                                                abs=1e-12)
-        per_patient = [loss_and_grads(model, g, bins, weights)[1] for g, _, _ in items]
+        per_patient = []
+        for g, _, _ in items:
+            loss_and_grads(model, g, bins, weights)
+            per_patient.append(gradients(model))
         for name, _ in model.named_parameters():
             looped = np.mean([g[name] for g in per_patient], axis=0)
             np.testing.assert_allclose(gs[name], looped, atol=1e-12, rtol=0, err_msg=name)
@@ -112,9 +122,10 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     dirty.regions[missing] = rng.normal(size=(3, 4))
     dirty.offsets[missing] = rng.uniform(-1.0, 1.0, size=(3, 3))
     def run(data):
-        loss, grads = loss_and_grads(model, data, bins, LossWeights(1.0, 1.0))
+        loss = loss_and_grads(model, data, bins, LossWeights(1.0, 1.0))
         curves = model.predict_curves(data)
-        return ([loss] + list(grads.values()) + [curves[task][0] for task in ("dfs", "os")])
+        return ([loss] + list(gradients(model).values())
+                + [curves[task][0] for task in ("dfs", "os")])
 
     for got, want in zip(run(dirty), run(cohort.with_presence(present))):
         assert np.array_equal(got, want)
@@ -125,22 +136,32 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
 def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, integrator,
                                                                    tmp_path):
     # After `init_model` and after `load_model`, each named parameter lies
-    # in theta, and the views cover it once; AdamW and the best-epoch
-    # snapshot act on theta alone. So after one step without weight decay
-    # the parameters with a nonzero gradient, and only they, have moved: a
-    # field left outside theta would not.
+    # in theta, and the views cover it once; each named gradient lies in
+    # `grad` at the place its parameter has in theta. AdamW and the
+    # best-epoch snapshot act on theta alone. So after one step without
+    # weight decay the parameters with a nonzero gradient, and only they,
+    # have moved: a field left outside theta would not.
+    def offset(view, base):
+        return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+
     config, model = small_model(backbone, integrator=integrator)
     save_model(model, tmp_path / "model.npz")
     for m in (model, load_model(tmp_path / "model.npz")):
         for name, leaf in m.named_parameters():
             assert np.shares_memory(leaf, m.theta), name
         assert sum(leaf.size for _, leaf in m.named_parameters()) == m.theta.size
+        assert m.grad.shape == m.theta.shape
+        for (name, leaf), (grad_name, g) in zip(m.named_parameters(), m.named_gradients(),
+                                                strict=True):
+            assert grad_name == name and np.shares_memory(g, m.grad), name
+            assert ((offset(g, m.grad), g.shape, g.strides)
+                    == (offset(leaf, m.theta), leaf.shape, leaf.strides)), name
     cohort, _ = small_items(n=6)
     before = {name: leaf.copy() for name, leaf in model.named_parameters()}
     workspace, settings = {}, quick_settings(weight_decay=0.0)
     _train_step(model, cohort, config.bins(), LossWeights(1.0, 1.0),
                 OptimizerState(lr=settings.lr), settings, workspace)
-    grads = dict(model.named_views(workspace["grad"]))
+    grads = dict(model.named_gradients())
     moved = [name for name, leaf in model.named_parameters()
              if not np.array_equal(leaf, before[name])]
     assert moved == [name for name in before if grads[name].any()]
