@@ -136,6 +136,17 @@ MUTANTS = (
            "    except (OSError, ValueError) as exc:\n",
            ("tests/test_malformed_files.py::test_a_config_nested_too_deep_exits_1",),
            "a config file nested too deep ends in a traceback, not exit 1"),
+    Mutant("grad-not-zeroed", "src/trajsurv/model.py",
+           "        self.grad[...] = 0.0\n",
+           "",
+           ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
+           "each backward adds the evolution's gradients to the previous step's"),
+    Mutant("cohort-width-unbounded", "src/trajsurv/cohort.py",
+           "        _require(width <= MAX_FEATURE_WIDTH,\n",
+           "        _require(True,\n",
+           ("tests/test_malformed_files.py::"
+            "test_a_huge_feature_width_exits_2_before_anything_is_allocated",),
+           "a cohort header's region_len sizes the regions array before any data bounds it"),
     Mutant("curves-moved-1e-10", "src/trajsurv/model.py",
            "            curves[task] = (h, survival_from_hazards(h))\n",
            "            curves[task] = (h + 1e-10, survival_from_hazards(h))\n",

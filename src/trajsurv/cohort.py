@@ -17,9 +17,16 @@ import numpy as np
 
 from .graph import ANATOMICAL_KINDS, DEFAULT_OFFSET_SCALE, EDGE_ATTR_DIM, NodeKind
 from .metrics import cindex_arrays
+from .model import shown
 from .objective import SurvivalLabel
 
 SCHEMA_VERSION = 1
+
+# Upper bound on each `feature_schema` width of a cohort file, and of a
+# simulated cohort. The regions array holds n x 5 x region_len values
+# whether or not a region is present, so a header alone would otherwise
+# fix an allocation that no patient's data bounds.
+MAX_FEATURE_WIDTH = 1024
 
 REGION_KEYS: dict[str, NodeKind] = {
     "liver": NodeKind.LIVER_PARENCHYMA,
@@ -126,7 +133,8 @@ def make_cohort(ids, regions: np.ndarray, present: np.ndarray, centroids: np.nda
     broken = np.logical_or.reduce([faulty for faulty, _ in rules])
     if broken.any():
         i = int(np.argmax(broken))
-        raise CohortError(f"patient {ids[i]}: {next(m for faulty, m in rules if faulty[i])}")
+        raise CohortError(f"patient {shown(str(ids[i]))}: "
+                          f"{next(m for faulty, m in rules if faulty[i])}")
     event = {task: e.astype(np.int64, copy=False) for task, e in event.items()}
     mask = present[:, :, None]
     regions, centroids = np.where(mask, regions, 0.0), np.where(mask, centroids, 0.0)
@@ -191,8 +199,8 @@ def _region_fault(where: str, robj) -> str:
     if robj["present"] is True:
         return f"{where} must have present, features, centroid"
     if robj["present"] is False:
-        return f"{where} is absent but has {', '.join(sorted(set(robj) - {'present'}))}"
-    return f"{where} present must be true or false, got {robj['present']!r}"
+        return f"{where} is absent but has {shown(', '.join(sorted(set(robj) - {'present'})))}"
+    return f"{where} present must be true or false, got {shown(repr(robj['present']))}"
 
 
 def _read_json(path):
@@ -220,13 +228,16 @@ def load_cohort(path) -> CohortArrays:
              "top level must have schema_version, feature_schema, patients")
     version = doc["schema_version"]
     _require(type(version) is int and version == SCHEMA_VERSION,
-             f"unsupported schema_version {version!r}")
+             f"unsupported schema_version {shown(repr(version))}")
     schema = doc["feature_schema"]
     _require(isinstance(schema, dict) and schema.keys() == {"region_len", "clinical_len"},
              "feature_schema must have region_len and clinical_len")
     for name, width in schema.items():
         _require(type(width) is int and width > 0,
-                 f"feature_schema {name} must be a positive integer, got {width!r}")
+                 f"feature_schema {name} must be a positive integer, got {shown(repr(width))}")
+        _require(width <= MAX_FEATURE_WIDTH,
+                 f"feature_schema {name} must be at most {MAX_FEATURE_WIDTH}, "
+                 f"got {shown(repr(width))}")
     patients = doc["patients"]
     _require(isinstance(patients, list) and patients, "patients must be a non-empty list")
 
@@ -241,7 +252,7 @@ def load_cohort(path) -> CohortArrays:
         if not (type(pid) is str and pid):
             raise CohortError(f"patients[{i}]: id must be a non-empty string")
         if not (isinstance(regions, dict) and regions.keys() == REGION_KEYS.keys()):
-            raise CohortError(f"patient {pid}: regions must have exactly keys "
+            raise CohortError(f"patient {shown(pid)}: regions must have exactly keys "
                               f"{sorted(REGION_KEYS)}")
         for key in REGION_KEYS:
             robj = regions[key]
@@ -251,27 +262,28 @@ def load_cohort(path) -> CohortArrays:
                 features.append(robj["features"])
                 centroids.append(robj["centroid"])
             elif not (flag is False and len(robj) == 1):
-                raise CohortError(_region_fault(f"patient {pid}: region {key}", robj))
+                raise CohortError(_region_fault(f"patient {shown(pid)}: region {key}", robj))
             present.append(flag)
         for task in _TASKS:
             label = entry[task]
             if not (isinstance(label, dict) and label.keys() == _LABEL_KEYS):
-                raise CohortError(f"patient {pid}: {task} must have exactly time_years and event")
+                raise CohortError(f"patient {shown(pid)}: {task} must have exactly time_years "
+                                  "and event")
             times.append(label["time_years"])
             events.append(label["event"])
         ids.append(pid)
         clinical.append(entry["clinical"])
 
     def region(r):
-        return f"patient {owners[r][0]}: region {owners[r][1]}"
+        return f"patient {shown(owners[r][0])}: region {owners[r][1]}"
 
     def label(j):
-        return f"patient {ids[j // 2]}: {_TASKS[j % 2]}"
+        return f"patient {shown(ids[j // 2])}: {_TASKS[j % 2]}"
 
     features = _block(features, (schema["region_len"],), lambda r: f"{region(r)} features")
     centroids = _block(centroids, (EDGE_ATTR_DIM,), lambda r: f"{region(r)} centroid")
     clinical = _block(clinical, (schema["clinical_len"],),
-                      lambda i: f"patient {ids[i]}: clinical features")
+                      lambda i: f"patient {shown(ids[i])}: clinical features")
     times = _block(times, (), lambda j: f"{label(j)} time_years")
     events = _block(events, (), lambda j: f"{label(j)} event")
     time = dict(zip(_TASKS, times.reshape(-1, len(_TASKS)).T))
@@ -361,6 +373,9 @@ class Scenario:
     clinical_len: int = 6
 
     def __post_init__(self):
+        if not (1 <= self.region_len <= MAX_FEATURE_WIDTH
+                and 1 <= self.clinical_len <= MAX_FEATURE_WIDTH):
+            raise ValueError(f"region_len and clinical_len must be in [1, {MAX_FEATURE_WIDTH}]")
         if not (0.0 <= self.censoring_rate < 1.0):
             raise ValueError("censoring_rate must be in [0, 1)")
         if not (self.hazard_ratio > 0 and 0 < self.base_os_hazard < 1

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .cohort import Scenario
-from .model import ModelConfig, check, typed_value
+from .model import ModelConfig, check, shown, typed_value
 from .objective import TrainSettings
 
 
@@ -126,7 +126,7 @@ def _build_section(name: str, cls, data: dict, key_map: dict[str, str] | None = 
     for key, value in data.items():
         target = rename.get(key, key)
         if target not in hints or (key_map is not None and key not in key_map):
-            raise ConfigError(f"unknown key {name}.{key}")
+            raise ConfigError(f"unknown key {name}.{shown(key)}")
         try:
             kwargs[target] = typed_value(f"{name}.{key}", value, hints[target])
         except TypeError as exc:
@@ -143,7 +143,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     classes = get_type_hints(RunConfig)
     unknown = set(doc) - set(classes)
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ConfigError(f"unknown config sections: {shown(repr(sorted(unknown)))}")
     sections = {name: _build_section(name, cls, doc.get(name, {}),
                                      _MODEL_KEYS if name == "model" else None)
                 for name, cls in classes.items()}

@@ -40,6 +40,18 @@ INTEGRATORS = ("lstm", "mean")
 MAX_WIDTH = 1024
 MAX_STEPS = 256
 
+# The most characters of an input value that an error message quotes.
+MAX_SHOWN = 200
+
+
+def shown(text: str) -> str:
+    """`text`, an input value as an error message quotes it: whole up to
+    `MAX_SHOWN` characters, else its start and the count of the rest, so
+    that the message stays one short line whatever the input holds."""
+    if len(text) <= MAX_SHOWN:
+        return text
+    return f"{text[:MAX_SHOWN]}... ({len(text) - MAX_SHOWN} more characters)"
+
 
 def check(rules) -> None:
     """Raise ValueError with the message of the first (ok, message) rule that fails."""
@@ -98,13 +110,13 @@ def typed_value(key: str, value, hint):
     hint = next(h for h in options if h is not type(None))
     if get_origin(hint) is tuple:
         if type(value) is not list:
-            raise TypeError(f"{key} must be a list of numbers, got {value!r}")
+            raise TypeError(f"{key} must be a list of numbers, got {shown(repr(value))}")
         return tuple(float(typed_value(key, v, float)) for v in value)
     ok = (abs(value) <= sys.float_info.max if hint is float and type(value) in (int, float)
           else type(value) is hint)
     if not ok:
         raise TypeError(f"{key} must be {'a finite number' if hint is float else hint.__name__}"
-                        f", got {value!r}")
+                        f", got {shown(repr(value))}")
     return value
 
 
@@ -299,18 +311,20 @@ def load_model(path) -> FullModel:
         raise ModelFileError(f"{path}: not a readable model file (metadata is not an object)")
     version = meta.pop("format_version", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ModelFileError(f"{path}: unsupported format_version {version!r} "
+        raise ModelFileError(f"{path}: unsupported format_version {shown(repr(version))} "
                              f"(this version reads {FORMAT_VERSION})")
     names = {f.name for f in dataclasses.fields(ModelConfig)}
     unsupported = {k: v for k, v in meta.items()
                    if k not in names | {"feature_widths"} and v is not False}
     if unsupported:
-        raise ModelFileError(f"{path}: unsupported model fields {unsupported}")
+        raise ModelFileError(f"{path}: unsupported model fields {shown(repr(unsupported))}")
     try:
         hints = get_type_hints(ModelConfig)
         cfg = ModelConfig(**{k: typed_value(k, meta[k], hints[k]) for k in names})
-        widths = {NodeKind(k): typed_value(f"feature_widths.{k}", v, int) for k, v
-                  in typed_value("feature_widths", meta["feature_widths"], dict).items()}
+        kinds, widths = {kind.value: kind for kind in NodeKind}, {}
+        for k, v in typed_value("feature_widths", meta["feature_widths"], dict).items():
+            check([(k in kinds, f"{shown(repr(k))} is not a valid NodeKind")])
+            widths[kinds[k]] = typed_value(f"feature_widths.{k}", v, int)
         missing = ", ".join(k.value for k in NodeKind if k not in widths)
         check([(not missing, f"feature_widths must name every node kind; it lacks {missing}")])
         for kind, width in widths.items():

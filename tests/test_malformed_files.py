@@ -6,7 +6,8 @@ error in one line: the CLI prints that line and exits 2 for a cohort or a
 model file, 1 for a config. Configs run through `main`; cohorts and model
 files go to `load_cohort` and `load_model` directly, where the CLI would
 only add time. The hand-made cases below each ended in a traceback before
-their loaders caught them.
+their loaders caught them, and the cases after them ended in a traceback
+or in a stderr line as long as the value they quoted.
 """
 
 import io
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from trajsurv.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from trajsurv.cohort import CohortError, Scenario, load_cohort, save_cohort, simulate_cohort
+from trajsurv.cohort import (MAX_FEATURE_WIDTH, CohortError, Scenario, load_cohort, save_cohort,
+                             simulate_cohort)
 from trajsurv.crossval import feature_widths
 from trajsurv.model import ModelConfig, ModelFileError, init_model, load_model, save_model
 
@@ -163,3 +165,61 @@ def test_a_member_declaring_more_bytes_than_it_holds_is_refused_unread(files, tm
             dst.writestr(info, data)
     with pytest.raises(ModelFileError, match="heads.b_os.npy declares 8796093022208 bytes"):
         load_model(path)
+
+
+def one_short_line(err: str) -> bool:
+    return err.count("\n") == 1 and len(err.encode()) < 1024
+
+
+def test_a_config_with_a_200000_element_list_exits_1_with_one_short_line(files, tmp_path,
+                                                                          capsys):
+    (tmp_path / "long.json").write_text(json.dumps({"model": {"d": [0] * 200_000}}))
+    code, err = evaluate(files, tmp_path, capsys, config=tmp_path / "long.json")
+    assert code == EXIT_USAGE and one_short_line(err), err[:300]
+    assert "model.d must be int, got [0, 0, 0" in err and "more characters" in err, err
+
+
+@pytest.mark.parametrize("fault", ("present flag", "event"))
+def test_a_300000_character_patient_id_exits_2_with_one_short_line(files, tmp_path, capsys,
+                                                                    fault):
+    # The present flag fails in `load_cohort`, the event in `make_cohort`.
+    doc = json.loads((files / "cohort.json").read_text())
+    patient = doc["patients"][3]
+    patient["id"] = "p" * 300_000
+    if fault == "present flag":
+        patient["regions"]["liver"]["present"] = ["yes"] * 100_000
+    else:
+        patient["os"]["event"] = 2
+    (tmp_path / "long-id.json").write_text(json.dumps(doc))
+    code, err = evaluate(files, tmp_path, capsys, cohort=tmp_path / "long-id.json")
+    assert code == EXIT_DATA and one_short_line(err), err[:300]
+    assert "patient ppp" in err and "more characters" in err, err
+
+
+def test_a_huge_feature_width_exits_2_before_anything_is_allocated(files, tmp_path, capsys):
+    # Twelve patients with every region absent and region_len 10^12: the
+    # regions array alone would take 480 TB.
+    doc = json.loads((files / "cohort.json").read_text())
+    first = doc["patients"][0]
+    doc["patients"] = [{**first, "id": f"q{i}",
+                        "regions": {key: {"present": False} for key in first["regions"]}}
+                       for i in range(12)]
+    doc["feature_schema"]["region_len"] = 10 ** 12
+    (tmp_path / "wide.json").write_text(json.dumps(doc))
+    code, err = evaluate(files, tmp_path, capsys, cohort=tmp_path / "wide.json")
+    assert code == EXIT_DATA and one_short_line(err), err[:300]
+    assert (f"feature_schema region_len must be at most {MAX_FEATURE_WIDTH}, "
+            f"got 1000000000000") in err, err
+
+
+def test_a_300000_character_node_kind_in_a_model_file_exits_2_with_one_short_line(
+        files, tmp_path, capsys):
+    with np.load(files / "model.npz") as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    meta["feature_widths"]["k" * 300_000] = 4
+    np.savez(tmp_path / "kind.npz", __meta__=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+             **arrays)
+    code, err = evaluate(files, tmp_path, capsys, model=tmp_path / "kind.npz")
+    assert code == EXIT_DATA and one_short_line(err), err[:300]
+    assert "'kkk" in err and "more characters) is not a valid NodeKind" in err, err
