@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import list_kfold, per_region_simulate
-from trajsurv.cohort import (_MIN_GROUP_HAZARD, MAX_FEATURE_WIDTH, REGION_KEYS, CohortError,
-                             Scenario, _geometric_time, augment, load_cohort, make_cohort,
+from trajsurv.cohort import (_MIN_GROUP_HAZARD, REGION_KEYS, CohortError, Scenario,
+                             _geometric_time, augment, load_cohort, make_cohort,
                              oracle_cindex, record_to_graph, save_cohort, simulate_cohort,
                              stratified_repeated_kfold)
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind, slots_in_use
@@ -368,12 +368,6 @@ class TestSimulator:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError, match="at least 10"):
             simulate_cohort(9, seed=0)
-
-    def test_feature_widths_are_bounded_like_a_cohort_files(self):
-        Scenario(region_len=MAX_FEATURE_WIDTH, clinical_len=MAX_FEATURE_WIDTH)
-        for widths in ({"region_len": MAX_FEATURE_WIDTH + 1}, {"clinical_len": 0}):
-            with pytest.raises(ValueError, match=f"must be in \\[1, {MAX_FEATURE_WIDTH}\\]"):
-                Scenario(**widths)
 
     def test_same_seed_is_identical(self):
         a, ga = simulate_cohort(20, seed=42)

@@ -339,6 +339,8 @@ class TestSizeBounds:
         *(({"model": {k: 10 ** 9}}, "model.d, d_t")
           for k in ("d", "d_t", "d_h", "d_c", "message_dim", "attention_dim")),
         ({"eval": {"bootstrap_b": 10 ** 9}}, "eval.bootstrap_b"),
+        ({"simulate": {"region_len": 10 ** 9}}, "simulate: region_len"),
+        ({"simulate": {"clinical_len": 10 ** 9}}, "simulate: region_len and clinical_len"),
     ])
     def test_oversized_field_exits_one_and_allocates_nothing(self, doc, key, tmp_path,
                                                              capsys):
@@ -356,11 +358,13 @@ class TestSizeBounds:
         assert f"config error: {key}" in capsys.readouterr().err
 
     def test_sizes_at_their_bounds_are_accepted(self):
+        from trajsurv.cohort import MAX_FEATURE_WIDTH
         from trajsurv.config import MAX_BOOTSTRAP, MAX_PATIENTS, MAX_REPEATS
         from trajsurv.model import MAX_STEPS, MAX_WIDTH
 
         cfg = config_from_dict({"cv": {"repeats": MAX_REPEATS},
-                                "simulate": {"n": MAX_PATIENTS},
+                                "simulate": {"n": MAX_PATIENTS, "region_len": MAX_FEATURE_WIDTH,
+                                             "clinical_len": MAX_FEATURE_WIDTH},
                                 "eval": {"bootstrap_b": MAX_BOOTSTRAP},
                                 "model": {"T": MAX_STEPS, "K": MAX_STEPS, "d": MAX_WIDTH,
                                           "attention_dim": MAX_WIDTH}})
