@@ -272,15 +272,15 @@ def _read_npz(path) -> dict[str, np.ndarray]:
     with zipfile.ZipFile(path) as archive:
         for info in archive.infolist():
             if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(f"member {info.filename} is compressed")
+                raise ValueError(f"member {shown(info.filename)} is compressed")
             with archive.open(info) as fh:
                 version = np.lib.format.read_magic(fh)
                 if version not in _NPY_HEADERS:
-                    raise ValueError(f"member {info.filename} has .npy version {version}")
+                    raise ValueError(f"member {shown(info.filename)} has .npy version {version}")
                 shape, _, dtype = _NPY_HEADERS[version](fh)
                 declared = math.prod(shape) * dtype.itemsize
                 if declared > info.file_size - fh.tell():
-                    raise ValueError(f"member {info.filename} declares {declared} bytes of "
+                    raise ValueError(f"member {shown(info.filename)} declares {declared} bytes of "
                                      f"data and holds {info.file_size - fh.tell()}")
                 fh.seek(0)
                 arrays[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh)
@@ -331,8 +331,9 @@ def load_model(path) -> FullModel:
             name = f"embed.{kind.value}.w"
             found = arrays[name].shape if name in arrays else "none"
             if found != (width, cfg.hidden_dim):
+                width = shown(str(width))
                 raise ValueError(f"feature_widths.{kind.value} is {width}, so {name} must be "
-                                 f"{(width, cfg.hidden_dim)}; the file has {found}")
+                                 f"({width}, {cfg.hidden_dim}); the file has {found}")
         model = init_model(cfg, widths, np.random.default_rng(0))
         shapes = {name: leaf.shape for name, leaf in model.named_parameters()}
         found = {k: a.shape for k, a in arrays.items()}
