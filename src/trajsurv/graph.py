@@ -114,8 +114,7 @@ def embed_nodes(cohort, params: EmbeddingParams) -> np.ndarray:
     return h0 * slots_in_use(cohort.present).reshape(-1, 1)
 
 
-def embed_backward(cohort, params: EmbeddingParams, dh0: np.ndarray,
-                   grads: EmbeddingParams) -> None:
+def embed_backward(cohort, dh0: np.ndarray, grads: EmbeddingParams) -> None:
     """Write the gradient of each `embed.*` parameter into its zeroed array
     in `grads`, from the gradient dH0 of `embed_nodes`' output. The rows of
     missing regions get none."""

@@ -202,7 +202,7 @@ class FullModel:
         else:
             dz = integrate_mean_backward(dh_star, cfg.horizon)
         dh0 = evolve_backward(kept.pop("evolve"), dz, evolution)
-        embed_backward(kept.pop("cohort"), self.embedding, dh0, embedding)
+        embed_backward(kept.pop("cohort"), dh0, embedding)
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per task, the slice's (B, K) hazards and survival, checked once.

@@ -136,8 +136,8 @@ def integrate_backward(kept, g: np.ndarray, grads: LstmParams) -> np.ndarray:
     `integrate` kept; the parameters' gradients are written into the
     stacks of `grads`. No (T, 4, ...) product is ever stacked; each weight
     gradient is summed in the order of the sum over such a stack, so its
-    bits are that sum's. A bias gradient is a row of ones times the steps' summed gate
-    gradients, equal to their column sum up to roundoff."""
+    bits are that sum's. A bias gradient is a row of ones times the steps'
+    summed gate gradients, equal to their column sum up to roundoff."""
     z, w, _, _, hidden, _ = kept
     d = z.shape[2]
     da = _gate_grads(kept, g)

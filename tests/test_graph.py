@@ -312,7 +312,7 @@ class TestEmbedding:
         batch = make_graph(kinds=ANATOMICAL_KINDS[1:], seed=2)
         h0 = embed_nodes(batch, params)
         grads = ad.map_arrays(params, np.zeros_like)
-        embed_backward(batch, params, 1.0 - np.tanh(h0) ** 2, grads)
+        embed_backward(batch, 1.0 - np.tanh(h0) ** 2, grads)
         err = ad.grad_check(lambda: np.tanh(embed_nodes(batch, params)).sum(),
                             dict(grads.named_leaves()), dict(params.named_leaves()))
         assert err <= 1e-4
