@@ -32,8 +32,7 @@ def full_pipeline_gradcheck(step: float = 1e-5, backbone: str = "graphsage") -> 
     """Max relative error of `loss_and_grads`' gradients over the whole
     pipeline, against central differences of the same loss."""
     model, cohort = toy_setup(backbone=backbone)
-    bins = model.config.bins()
     weights = LossWeights(1.0, 1.0)
-    loss_and_grads(model, cohort, bins, weights)
-    return grad_check(lambda: _mean_loss(model, cohort, bins, weights),
+    loss_and_grads(model, cohort, weights)
+    return grad_check(lambda: _mean_loss(model, cohort, weights),
                       dict(model.named_gradients()), dict(model.named_parameters()), step=step)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .autodiff import NonFiniteError
-from .cohort import (CohortError, load_cohort, save_cohort, simulate_cohort,
+from .cohort import (CohortError, Scenario, load_cohort, save_cohort, simulate_cohort,
                      stratified_repeated_kfold)
 from .config import ConfigError, RunConfig, load_config
 from .crossval import (REPORT_FILES, emit_report, evaluate_model, feature_widths, fold_model,
@@ -115,13 +115,13 @@ def _cohort(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.simulate
     seed = sim.seed if sim.seed is not None else cfg.train.seed
-    cohort, groups = simulate_cohort(sim.n, seed, sim.scenario())
+    cohort, groups = simulate_cohort(sim.n, seed, sim)
     out = cfg.paths.output_dir
     os.makedirs(out, exist_ok=True)
     save_cohort(cohort, os.path.join(out, "cohort.json"))
+    scenario = {f.name: getattr(sim, f.name) for f in dataclasses.fields(Scenario)}
     with open(os.path.join(out, "truth.json"), "w") as fh:
-        json.dump({"seed": seed, "groups": groups.tolist(),
-                   "scenario": dataclasses.asdict(sim.scenario())}, fh, indent=1)
+        json.dump({"seed": seed, "groups": groups.tolist(), "scenario": scenario}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {sim.n}-patient cohort to {out}/cohort.json")
     return EXIT_OK

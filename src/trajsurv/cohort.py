@@ -526,8 +526,8 @@ def _deal(strata: list[np.ndarray], k: int, rng: np.random.Generator) -> list[np
     return [np.sort(order[f::k]) for f in range(k)]
 
 
-def stratified_repeated_kfold(cohort: CohortArrays, k: int = 5, repeats: int = 3,
-                              seed: int = 0) -> list[FoldSpec]:
+def stratified_repeated_kfold(cohort: CohortArrays, k: int, repeats: int,
+                              seed: int) -> list[FoldSpec]:
     """The folds of a repeated stratified k-fold plan, each with a stratified
     0.8/0.2 inner split; a cohort too small to fill every fold's three sets
     is a `CohortError`."""

@@ -7,7 +7,7 @@ hyperparameter name is the costliest failure mode a config system can have.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import get_type_hints
 
 from .cohort import Scenario
@@ -58,16 +58,11 @@ class Paths:
 
 
 @dataclass(frozen=True)
-class SimulateSettings:
+class SimulateSettings(Scenario):
+    """The simulator's `Scenario`, with the cohort size and its seed."""
+
     n: int = 400
     seed: int | None = None           # None: fall back to train.seed
-    signal_strength: float = Scenario.signal_strength
-    censoring_rate: float = Scenario.censoring_rate
-    hazard_ratio: float = Scenario.hazard_ratio
-    base_os_hazard: float = Scenario.base_os_hazard
-    base_dfs_hazard: float = Scenario.base_dfs_hazard
-    region_len: int = Scenario.region_len
-    clinical_len: int = Scenario.clinical_len
 
     def __post_init__(self):
         check([
@@ -75,12 +70,9 @@ class SimulateSettings:
             (self.seed is None or self.seed >= 0, "simulate.seed must be >= 0"),
         ])
         try:
-            self.scenario()
+            super().__post_init__()
         except ValueError as exc:
             raise ValueError(f"simulate: {exc}") from exc
-
-    def scenario(self) -> Scenario:
-        return Scenario(**{f.name: getattr(self, f.name) for f in fields(Scenario)})
 
 
 @dataclass(frozen=True)

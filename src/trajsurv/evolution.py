@@ -129,7 +129,7 @@ class EvolutionParams:
 
 def init_evolution(backbone: str, hidden_dim: int, time_dim: int, steps: int,
                    message_dim: int, rng: np.random.Generator,
-                   attention_dim: int = 16) -> EvolutionParams:
+                   attention_dim: int) -> EvolutionParams:
     d_in = hidden_dim + time_dim
     w_neigh = None
     attn_u = attn_b = attn_v = None

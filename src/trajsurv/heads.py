@@ -49,7 +49,7 @@ class TimeBins:
         return np.minimum(np.searchsorted(self.edges, times, side="right") - 1, self.count - 1)
 
 
-def annual_bins(count: int = 12) -> TimeBins:
+def annual_bins(count: int) -> TimeBins:
     return TimeBins(np.arange(count + 1, dtype=np.float64))
 
 
@@ -104,7 +104,7 @@ def _joint(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
 
 
 def os_head(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
-            cascade_enabled: bool = True) -> np.ndarray:
+            cascade_enabled: bool) -> np.ndarray:
     """Mortality logits; with the cascade disabled the context is replaced by
     zeros, so no gradient reaches the context projection."""
     return _joint(h_star, dfs_context, params, cascade_enabled) @ params.w_os + params.b_os

@@ -31,22 +31,20 @@ def _weighted_nll(logits: dict[str, np.ndarray], cohort: CohortArrays, bins: Tim
     return weights.alpha * os_nll + weights.beta * dfs_nll, {"os": os_kept, "dfs": dfs_kept}
 
 
-def _mean_loss(model: FullModel, cohort: CohortArrays, bins: TimeBins,
-               weights: LossWeights) -> np.float64:
-    """Mean over the slice of alpha * OS NLL + beta * DFS NLL: validation's
-    loss, a forward that keeps nothing."""
-    return _weighted_nll(model.forward(cohort)[0], cohort, bins, weights)[0]
+def _mean_loss(model: FullModel, cohort: CohortArrays, weights: LossWeights) -> np.float64:
+    """Mean over the slice of alpha * OS NLL + beta * DFS NLL on the model's
+    bins: validation's loss, a forward that keeps nothing."""
+    return _weighted_nll(model.forward(cohort)[0], cohort, model.config.bins(), weights)[0]
 
 
-def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
-                   weights: LossWeights, out: dict[str, np.ndarray] | None = None
-                   ) -> np.float64:
+def loss_and_grads(model: FullModel, cohort: CohortArrays, weights: LossWeights,
+                   out: dict[str, np.ndarray] | None = None) -> np.float64:
     """`_mean_loss` of the slice, from one forward that keeps what backward
     needs in the workspace `out` (`autodiff.slot`), or in a fresh one when
     none is given. Its gradient is left in `model.grad`, by parameter name
     in `model.named_gradients()`, valid until the model's next backward."""
     logits, kept = model.forward(cohort, {} if out is None else out)
-    loss, nll_kept = _weighted_nll(logits, cohort, bins, weights)
+    loss, nll_kept = _weighted_nll(logits, cohort, model.config.bins(), weights)
     task_weights = {"os": weights.alpha, "dfs": weights.beta}
     model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
                           for task in logits})
@@ -56,18 +54,18 @@ def loss_and_grads(model: FullModel, cohort: CohortArrays, bins: TimeBins,
 def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
                  os_label: SurvivalLabel, bins: TimeBins, weights: LossWeights):
     """The loss of one patient, whose graph is a one-patient cohort, scored
-    against the labels `dfs` and `os_label` in place of its own."""
+    against the labels `dfs` and `os_label` in place of its own, on `bins`."""
     labels = {"dfs": dfs, "os": os_label}
     labelled = replace(graph, time={t: np.array([y.time]) for t, y in labels.items()},
                        event={t: np.array([y.event]) for t, y in labels.items()})
-    return _mean_loss(model, labelled, bins, weights)
+    return _weighted_nll(model.forward(labelled)[0], labelled, bins, weights)[0]
 
 
-def _train_step(model: FullModel, batch: CohortArrays, bins: TimeBins, weights: LossWeights,
+def _train_step(model: FullModel, batch: CohortArrays, weights: LossWeights,
                 state: OptimizerState, settings: TrainSettings,
                 workspace: dict[str, np.ndarray]) -> float:
     """One AdamW step on `batch`, its kept state in `workspace`; returns its loss."""
-    loss = loss_and_grads(model, batch, bins, weights, workspace)
+    loss = loss_and_grads(model, batch, weights, workspace)
     adamw_step(model.theta, model.grad, state, settings, lambda _: model.named_gradients())
     return float(loss)
 
@@ -89,7 +87,6 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
-    bins = model.config.bins()
     weights = LossWeights(settings.alpha, settings.beta)
     state = OptimizerState(lr=settings.lr)
     rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
@@ -112,10 +109,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
 
             train_losses = [
                 _train_step(model, items.take(slice(start, start + settings.batch_size)),
-                            bins, weights, state, settings, workspace)
+                            weights, state, settings, workspace)
                 for start in range(0, len(items), settings.batch_size)]
 
-            val_loss = float(_mean_loss(model, val, bins, weights))
+            val_loss = float(_mean_loss(model, val, weights))
             history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
             improved, stop = end_epoch(state, val_loss, settings)

@@ -506,7 +506,7 @@ class TestSplits:
 
     def test_cohort_smaller_than_k_rejected(self):
         with pytest.raises(ValueError, match="cannot form"):
-            stratified_repeated_kfold(tiny_cohort([1.0] * 3, [1] * 3), k=5)
+            stratified_repeated_kfold(tiny_cohort([1.0] * 3, [1] * 3), k=5, repeats=3, seed=0)
 
     def test_huge_k_rejected_before_any_fold_is_built(self):
         # Dealing first would build one list per fold: about 64 MB at k = 10**6.
@@ -514,7 +514,7 @@ class TestSplits:
         tracemalloc.start()
         try:
             with pytest.raises(CohortError, match="40 patients cannot form 1000000 folds"):
-                stratified_repeated_kfold(cohort, k=10**6, repeats=1)
+                stratified_repeated_kfold(cohort, k=10**6, repeats=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

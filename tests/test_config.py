@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -42,9 +42,13 @@ class TestDefaults:
         assert cfg.model.num_bins == 6
 
     def test_simulate_defaults_are_the_scenario_defaults(self):
-        assert SimulateSettings().scenario() == Scenario()
+        # The section is a `Scenario` with the cohort size and seed after its
+        # fields, so each simulator setting is declared once, in `Scenario`.
+        settings = SimulateSettings()
+        assert isinstance(settings, Scenario)
+        assert {f.name: getattr(settings, f.name) for f in fields(Scenario)} == asdict(Scenario())
         fields_of = [f.name for f in fields(SimulateSettings)]
-        assert fields_of == ["n", "seed"] + [f.name for f in fields(Scenario)]
+        assert fields_of == [f.name for f in fields(Scenario)] + ["n", "seed"]
 
     def test_long_model_spellings_rejected(self):
         with pytest.raises(ConfigError, match="unknown key model.hidden_dim"):

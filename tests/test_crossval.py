@@ -42,8 +42,7 @@ def small_config(**overrides):
 @pytest.fixture(scope="module")
 def small_run():
     config = small_config()
-    cohort, _ = simulate_cohort(config.simulate.n, seed=0,
-                                 scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate)
     return config, cohort, run_crossval(config, cohort)
 
 
@@ -133,7 +132,7 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
     """`run_fold` over the plan gives plain values that survive pickling, and
     `assemble` of them is `run_crossval`'s report, with one fold failing."""
     config = small_config(model={"cascade": False})
-    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate)
     real, calls = cv.train_model, []
 
     def flaky(model, train_recs, val_recs, settings):
@@ -175,7 +174,7 @@ def test_curve_table_rows_are_the_oracle_rows_of_its_outcomes(run, monkeypatch):
     """The rows a report's curves yield, and their count, are those of the
     outcomes it was assembled from."""
     config = small_config(cv={"repeats": 1})
-    cohort, _ = simulate_cohort(config.simulate.n, seed=2, scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(config.simulate.n, seed=2, scenario=config.simulate)
     real, outcomes = cv.assemble, []
     monkeypatch.setattr(cv, "assemble", lambda config, got, cohort=None: (
         outcomes.extend(got) or real(config, got, cohort)))
@@ -372,8 +371,7 @@ def test_pooled_ci_is_the_list_form_on_mean_risks_over_repeats(monkeypatch):
     predict, real, cindex = cv._predict_fold, cv.train_model, cv.cindex_arrays
     for repeats, failing_call in ((2, None), (3, 1), (9, 2)):
         config = small_config(cv={"repeats": repeats})
-        cohort, _ = simulate_cohort(config.simulate.n, seed=0,
-                                     scenario=config.simulate.scenario())
+        cohort, _ = simulate_cohort(config.simulate.n, seed=0, scenario=config.simulate)
         folds, calls, ranked = [], [], []
 
         def flaky(model, train_recs, val_recs, settings):
@@ -428,7 +426,7 @@ class TestEvaluateModel:
 
     def test_chunked_scoring_matches_scoring_each_patient_alone(self):
         config = small_config()
-        cohort, _ = simulate_cohort(70, seed=3, scenario=config.simulate.scenario())
+        cohort, _ = simulate_cohort(70, seed=3, scenario=config.simulate)
         model = init_model(config.model, cv.feature_widths(cohort),
                            np.random.default_rng(1))
         bins = config.model.bins()
@@ -456,7 +454,7 @@ def test_scoring_is_the_same_bits_in_any_chunk(backbone):
     # SkylakeX kernels of the OpenBLAS that numpy's wheels bundle, but not
     # its Haswell, Zen or Nehalem kernels, under which chunk 7 and chunk 64
     # differed.
-    cohort, _ = simulate_cohort(200, seed=3, scenario=small_config().simulate.scenario())
+    cohort, _ = simulate_cohort(200, seed=3, scenario=small_config().simulate)
     present = cohort.present & (np.random.default_rng(0).random(cohort.present.shape) > 0.2)
     present[:, 0] = True
     cohort = cohort.with_presence(present)
@@ -499,7 +497,7 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     the hazards and survival `_predict_fold` returns, the risks, the horizon
     scores the AUC reads, and the curve rows `assemble` builds."""
     config = small_config(train={"batch_size": chunk})
-    cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate.scenario())
+    cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate)
     model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))
     if saturated:   # push most logits past the clamps at 1e-300 and 1 - 1e-16
         model.heads.b_dfs[:] = [[60.0, -60.0, 745.0, -800.0]]

@@ -119,7 +119,7 @@ class TestTimeEmbedding:
 class TestResidualStep:
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_zero_weights_give_zero_delta(self, backbone):
-        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0))
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(0), 16)
         zero_weights(params)
         g = full_graph()
         h = oracles.constant(np.random.default_rng(1).normal(size=(7 * len(g), D)))
@@ -183,7 +183,7 @@ class TestResidualStep:
     @pytest.mark.parametrize("backbone", ("graphsage", "gat"))
     def test_isolated_node_gets_zero_neighbor_term(self, backbone):
         g = one_region_graph()
-        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(2))
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(2), 16)
         rng = np.random.default_rng(6)
         h = rng.normal(size=(7, D))
         e_t = rng.normal(size=(1, DT))
@@ -196,7 +196,7 @@ class TestResidualStep:
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_gradients_through_one_step(self, backbone):
-        params = leaves_of(init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7)))
+        params = leaves_of(init_evolution(backbone, D, DT, 4, D, np.random.default_rng(7), 16))
         g = full_graph(seed=1)
         h = oracles.constant(np.random.default_rng(8).normal(size=(7 * len(g), D)))
 
@@ -226,7 +226,7 @@ class TestReadout:
         assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self):
-        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
+        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
         with pytest.raises(ValueError, match="empty"):
             evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params, 1)
 
@@ -235,7 +235,7 @@ class TestEvolve:
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("horizon", (1, 12))
     def test_zero_weights_identity_trajectory(self, backbone, horizon):
-        params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0))
+        params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0), 16)
         zero_weights(params)
         g = full_graph()
         h0 = np.random.default_rng(9).normal(size=(7 * len(g), D))
@@ -246,14 +246,14 @@ class TestEvolve:
             assert np.array_equal(z, base)
 
     def test_snapshot_count_and_shapes(self):
-        params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1))
+        params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1), 16)
         g = full_graph()
         snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params, 12)
         assert snaps.shape == (12, 1, D)
 
     def test_time_embedding_conditions_each_step(self):
         # With distinct time rows, consecutive increments differ.
-        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2))
+        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(2), 16)
         g = full_graph()
         h0 = oracles.constant(np.random.default_rng(3).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 3)
@@ -262,7 +262,7 @@ class TestEvolve:
         assert not np.allclose(d1, d2)
 
     def test_horizon_bounds(self):
-        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
+        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
         g = full_graph()
         h0 = np.zeros((7 * len(g), D))
         with pytest.raises(ValueError):
@@ -272,7 +272,7 @@ class TestEvolve:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_step(self):
-        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0))
+        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
         params.w_out[:] = 1e300
         params.b_msg[:] = 1.0
         g = full_graph()
@@ -281,7 +281,7 @@ class TestEvolve:
             evolve(h0, g, params, 4)
 
     def test_collect_states_includes_initial(self):
-        params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4))
+        params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4), 16)
         g = full_graph()
         h0 = oracles.constant(np.random.default_rng(5).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 2)
@@ -311,7 +311,7 @@ def test_graphs_in_one_batch_match_graphs_alone():
     records = mixed_records()
     rng = np.random.default_rng(12)
     for backbone in BACKBONES:
-        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13))
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13), 16)
         hs = [rng.normal(size=(7, D)) for _ in records]
         joint, _ = evolve(np.vstack(hs), join(records), params, 4)
         alone = [evolve(h, r, params, 4)[0] for h, r in zip(hs, records)]
@@ -431,7 +431,7 @@ def test_evolve_without_grad_keeps_no_cache():
     g = join(mixed_records())
     h0 = np.random.default_rng(24).normal(size=(7 * len(g), D))
     for backbone in BACKBONES:
-        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25))
+        params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25), 16)
         kept_value, kept = evolve(h0, g, params, 4, {})
         value, nothing = evolve(h0, g, params, 4)
         assert kept is not None and len(kept[-1]) == 4
@@ -446,7 +446,7 @@ def one_batch_loss(backbone, n=64):
     config = ModelConfig(backbone=backbone)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
     return (lambda: oracles.tape_mean_loss(model, cohort, config.bins(), LossWeights())[0],
-            lambda: loss_and_grads(model, cohort, config.bins(), LossWeights()))
+            lambda: loss_and_grads(model, cohort, LossWeights()))
 
 
 @pytest.mark.parametrize("backbone,nodes,differentiable",

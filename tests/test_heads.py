@@ -49,7 +49,7 @@ class TestHeads:
         logits, context = dfs_head(h_star, p)
         assert np.array_equal(logits, np.zeros((1, 4)))
         assert np.array_equal(context, np.zeros((1, 2)))
-        assert np.array_equal(os_head(h_star, context, p), np.zeros((1, 4)))
+        assert np.array_equal(os_head(h_star, context, p, True), np.zeros((1, 4)))
 
     def test_single_bin_dot_product(self):
         p = init_heads(2, 2, 1, np.random.default_rng(0))
@@ -74,7 +74,7 @@ class TestHeads:
         h_star = np.array([[0.7, -0.4]])
         _, context = dfs_head(h_star, p)
         off = os_head(h_star, context, p, cascade_enabled=False)
-        on_zero = os_head(h_star, np.zeros((1, 2)), p)
+        on_zero = os_head(h_star, np.zeros((1, 2)), p, True)
         assert np.array_equal(off, on_zero)
 
     def test_cascade_off_blocks_context_gradient(self):

@@ -43,10 +43,9 @@ def gradients(model):
 def both(config, rows, weights=LossWeights(0.7, 1.3), seed=5):
     cohort = cohort_of(rows)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(seed))
-    bins = config.bins()
-    loss = loss_and_grads(model, cohort, bins, weights)
+    loss = loss_and_grads(model, cohort, weights)
     return ((loss, gradients(model)),
-            oracles.tape_loss_and_grads(model, cohort, bins, weights), model)
+            oracles.tape_loss_and_grads(model, cohort, config.bins(), weights), model)
 
 
 @pytest.mark.parametrize("backbone,integrator,cascade,rows",
@@ -86,11 +85,11 @@ def test_reused_workspace_gives_fresh_bits(backbone, integrator):
     config = ModelConfig(backbone=backbone, integrator=integrator)
     first = cohort_of(40)
     model = init_model(config, feature_widths(first), np.random.default_rng(5))
-    bins, weights, workspace = config.bins(), LossWeights(0.7, 1.3), {}
+    weights, workspace = LossWeights(0.7, 1.3), {}
     for batch in (first, simulate_cohort(40, seed=4)[0], cohort_of(64), first):
-        loss = loss_and_grads(model, batch, bins, weights, workspace)
+        loss = loss_and_grads(model, batch, weights, workspace)
         grads = gradients(model)
-        ref_loss = loss_and_grads(model, batch, bins, weights, oracles.FreshArrays())
+        ref_loss = loss_and_grads(model, batch, weights, oracles.FreshArrays())
         ref_grads = dict(model.named_gradients())
         assert loss == ref_loss
         assert list(grads) == list(ref_grads)
@@ -104,8 +103,8 @@ def test_the_loss_is_validations_loss():
     cohort = cohort_of(40)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
     weights = LossWeights(0.3, 1.7)
-    loss = loss_and_grads(model, cohort, config.bins(), weights)
-    assert loss == _mean_loss(model, cohort, config.bins(), weights)
+    loss = loss_and_grads(model, cohort, weights)
+    assert loss == _mean_loss(model, cohort, weights)
 
 
 @pytest.mark.parametrize("cascade", (True, False))
@@ -122,7 +121,7 @@ def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
     before = model.theta.copy()
     assert _cascade_grad_check(model, cohort) is not cascade
     assert np.array_equal(model.theta, before)
-    loss_and_grads(model, cohort, config.bins(), LossWeights(0.0, 1.0))
+    loss_and_grads(model, cohort, LossWeights(0.0, 1.0))
     dfs_only = dict(model.named_gradients())
     for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
         assert (dfs_only[name] == 0.0).all(), name

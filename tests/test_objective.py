@@ -173,7 +173,7 @@ class TestCombinedLoss:
         logits, _ = model.forward(cohort)
         os_nll, dfs_nll = (discrete_nll(logits[task], cohort.time[task], cohort.event[task],
                                         bins)[0].item() for task in ("os", "dfs"))
-        return _mean_loss(model, cohort, bins, weights).item(), os_nll, dfs_nll
+        return _mean_loss(model, cohort, weights).item(), os_nll, dfs_nll
 
     def test_os_only(self):
         loss, os_nll, _ = self.parts(LossWeights(1.0, 0.0))

@@ -67,14 +67,14 @@ class TestBatchedAgreement:
         cohort, items = small_items()
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = loss_and_grads(model, cohort, bins, weights)
+        stacked = loss_and_grads(model, cohort, weights)
         gs = gradients(model)
         singles = [patient_loss(model, g, d, o, bins, weights) for g, d, o in items]
         assert stacked.item() == pytest.approx(np.mean([s.item() for s in singles]),
                                                abs=1e-12)
         per_patient = []
         for g, _, _ in items:
-            loss_and_grads(model, g, bins, weights)
+            loss_and_grads(model, g, weights)
             per_patient.append(gradients(model))
         for name, _ in model.named_parameters():
             looped = np.mean([g[name] for g in per_patient], axis=0)
@@ -85,7 +85,7 @@ class TestBatchedAgreement:
         cohort, items = small_items(n=4, seed=2)
         bins = config.bins()
         weights = LossWeights(0.3, 1.7)
-        stacked = _mean_loss(model, cohort, bins, weights)
+        stacked = _mean_loss(model, cohort, weights)
         looped = np.mean([patient_loss(model, g, d, o, bins, weights).item()
                           for g, d, o in items])
         assert stacked.item() == pytest.approx(looped, abs=1e-12)
@@ -95,7 +95,7 @@ class TestBatchedAgreement:
         cohort, items = small_items(n=1, drop_region=False)
         bins = config.bins()
         weights = LossWeights(1.0, 1.0)
-        stacked = _mean_loss(model, cohort, bins, weights)
+        stacked = _mean_loss(model, cohort, weights)
         g, dfs, os_label = items[0]
         looped = patient_loss(model, g, dfs, os_label, bins, weights)
         assert stacked.item() == pytest.approx(looped.item(), abs=1e-12)
@@ -106,7 +106,7 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     # Values in a missing region's slots, given to `make_cohort` and written
     # into the arrays, change nothing: its row is zero in every operator and
     # the readout.
-    config, model = small_model(backbone)
+    _, model = small_model(backbone)
     cohort, _ = small_items(n=4)
     rng = np.random.default_rng(5)
     present = cohort.present.copy()
@@ -114,7 +114,6 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
 
     def noisy(x, scale):
         return np.where(present[:, :, None], x, rng.normal(size=x.shape) * scale)
-    bins = config.bins()
     dirty = make_cohort(cohort.ids, noisy(cohort.regions, 1.0), present,
                         noisy(cohort.centroids, 1e3), cohort.clinical, cohort.time, cohort.event)
     missing = ~dirty.present
@@ -122,7 +121,7 @@ def test_missing_region_slots_never_reach_loss_gradients_or_curves(backbone):
     dirty.regions[missing] = rng.normal(size=(3, 4))
     dirty.offsets[missing] = rng.uniform(-1.0, 1.0, size=(3, 3))
     def run(data):
-        loss = loss_and_grads(model, data, bins, LossWeights(1.0, 1.0))
+        loss = loss_and_grads(model, data, LossWeights(1.0, 1.0))
         curves = model.predict_curves(data)
         return ([loss] + list(gradients(model).values())
                 + [curves[task][0] for task in ("dfs", "os")])
@@ -144,7 +143,7 @@ def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, inte
     def offset(view, base):
         return view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
 
-    config, model = small_model(backbone, integrator=integrator)
+    _, model = small_model(backbone, integrator=integrator)
     save_model(model, tmp_path / "model.npz")
     for m in (model, load_model(tmp_path / "model.npz")):
         for name, leaf in m.named_parameters():
@@ -159,8 +158,8 @@ def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, inte
     cohort, _ = small_items(n=6)
     before = {name: leaf.copy() for name, leaf in model.named_parameters()}
     workspace, settings = {}, quick_settings(weight_decay=0.0)
-    _train_step(model, cohort, config.bins(), LossWeights(1.0, 1.0),
-                OptimizerState(lr=settings.lr), settings, workspace)
+    _train_step(model, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr),
+                settings, workspace)
     grads = dict(model.named_gradients())
     moved = [name for name, leaf in model.named_parameters()
              if not np.array_equal(leaf, before[name])]
@@ -193,9 +192,9 @@ class TestTrainModel:
         # At lr 0.1 validation is best at epoch 4 of 6, so the parameters
         # the last epoch leaves are not the best ones.
         train, val = self.cohort()
-        config, model = small_model(seed=4)
+        _, model = small_model(seed=4)
         result = train_model(model, train, val, quick_settings(lr=0.1))
-        recomputed = _mean_loss(model, val, config.bins(), LossWeights(1.0, 1.0)).item()
+        recomputed = _mean_loss(model, val, LossWeights(1.0, 1.0)).item()
         assert recomputed == pytest.approx(result.best_val, abs=1e-9)
         assert result.best_epoch < result.epochs_run
 
@@ -283,11 +282,10 @@ def test_training_holds_one_step_tape_at_a_time(backbone):
     (graphsage) and 1.75x (gat)."""
     cohort, _ = simulate_cohort(60, seed=2, scenario=SCENARIO)
     train, val = cohort[:48], cohort[48:]
-    config, model = small_model(backbone, hidden_dim=32, message_dim=32, summary_dim=32,
-                                horizon=48)
+    _, model = small_model(backbone, hidden_dim=32, message_dim=32, summary_dim=32,
+                           horizon=48)
     settings = quick_settings(batch_size=16, max_epochs=1)
-    step = traced_peak(lambda: loss_and_grads(model, train[:16], config.bins(),
-                                              LossWeights(1.0, 1.0)))
+    step = traced_peak(lambda: loss_and_grads(model, train[:16], LossWeights(1.0, 1.0)))
     training = traced_peak(lambda: train_model(model, train, val, settings))
     assert training <= 1.25 * step, (training, step)
 
@@ -311,7 +309,7 @@ config, settings = ModelConfig(), TrainSettings()
 model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
 state, workspace = OptimizerState(lr=settings.lr), {}
 weights = LossWeights(settings.alpha, settings.beta)
-step = lambda: _train_step(model, cohort, config.bins(), weights, state, settings, workspace)
+step = lambda: _train_step(model, cohort, weights, state, settings, workspace)
 step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
