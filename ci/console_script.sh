@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end checks of the `trajsurv` console script, run in the current
-# directory: simulate and its byte-identical rerun, the exit codes of a bad
-# --out, of a base hazard too small for integer event times, of an output
-# file that is a directory, of no command and of a diverging run, the
+# directory: simulate and its byte-identical rerun, simulate with all nine
+# `simulate` keys set and the scenario and seed it records, the exit codes
+# of a bad --out, of a base hazard too small for integer event times, of an
+# output file that is a directory, of no command and of a diverging run, the
 # gradient check, byte-identical reruns of a tiny gat crossval and its pooled
 # C-index intervals, `ablate --variant no_cascade` against `crossval` with
 # `cascade: false`, and a trained model file read back by evaluate, twice
@@ -16,6 +17,21 @@ trajsurv simulate --config tiny.json --out sim
 test -s sim/cohort.json && test -s sim/truth.json
 trajsurv simulate --config tiny.json --out sim_again
 for name in cohort.json truth.json; do cmp "sim/$name" "sim_again/$name"; done
+# All nine `simulate` keys off their defaults: truth.json records the seven
+# scenario values and the configured seed, and the cohort has n patients.
+echo '{"simulate": {"n": 12, "seed": 11, "signal_strength": 0.5, "censoring_rate": 0.1,
+       "hazard_ratio": 2.0, "base_os_hazard": 0.2, "base_dfs_hazard": 0.4,
+       "region_len": 3, "clinical_len": 4}}' > nine.json
+trajsurv simulate --config nine.json --out nine
+python3 - nine/truth.json <<'PY'
+import json, sys
+truth = json.load(open(sys.argv[1]))
+assert truth["seed"] == 11, truth["seed"]
+assert len(truth["groups"]) == 12, len(truth["groups"])
+assert truth["scenario"] == {"signal_strength": 0.5, "censoring_rate": 0.1, "hazard_ratio": 2.0,
+                             "base_os_hazard": 0.2, "base_dfs_hazard": 0.4, "region_len": 3,
+                             "clinical_len": 4}, truth["scenario"]
+PY
 # An --out that names a file exits 1 with its one-line report, before any work.
 status=0
 trajsurv simulate --config tiny.json --out sim/cohort.json 2> out.err || status=$?

@@ -153,6 +153,25 @@ MUTANTS = (
            ("tests/test_trajectory.py::"
             "test_a_model_file_written_before_the_stacked_gates_gives_its_curves",),
            "every hazard moved by 1e-10: the model-file fixture's tolerance must see it"),
+    Mutant("simulate-checks-skipped", "src/trajsurv/config.py",
+           "            super().__post_init__()\n",
+           "            pass\n",
+           ("tests/test_config.py::TestValidation::test_simulate_scenario_errors_surface",
+            "tests/test_config.py::TestValidation::"
+            "test_bad_value_built_in_python_raises[SimulateSettings-kwargs14-^simulate]",
+            "tests/test_config.py::TestValidation::"
+            "test_bad_value_built_in_python_raises[SimulateSettings-kwargs16-^simulate]",
+            "tests/test_config.py::TestValidation::"
+            "test_bad_value_built_in_python_raises[SimulateSettings-kwargs17-^simulate]"),
+           "the simulate section skips Scenario's own checks, so a censoring rate of 1.5 "
+           "or a base hazard of 1 reaches the simulator"),
+    Mutant("model-mismatch-list-unbounded", "src/trajsurv/model.py",
+           "                for k in wrong[:MAX_LISTED]) + more)\n",
+           "                for k in wrong) + more)\n",
+           ("tests/test_malformed_files.py::"
+            "test_a_model_file_with_2000_extra_members_exits_2_with_one_short_line",),
+           "a model file with thousands of stray members gives an error line that lists "
+           "every one"),
 )
 
 

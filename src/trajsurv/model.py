@@ -40,8 +40,10 @@ INTEGRATORS = ("lstm", "mean")
 MAX_WIDTH = 1024
 MAX_STEPS = 256
 
-# The most characters of an input value that an error message quotes.
+# The most characters of an input value that an error message quotes, and
+# the most mismatched parameter arrays that `load_model`'s message lists.
 MAX_SHOWN = 200
+MAX_LISTED = 5
 
 
 def shown(text: str) -> str:
@@ -147,6 +149,13 @@ class FullModel:
         self.grad_stages = self.stage_views(self.grad)
         for (_, view), (_, a) in zip(self.named_parameters(), given):
             view[...] = a
+
+    def __reduce__(self):
+        """Pickling and `copy.deepcopy` rebuild the model through the
+        constructor, so that the copy's parameters are views of its own
+        theta, and its gradient views of its own grad (zero until its first
+        backward)."""
+        return FullModel, (self.config, self.embedding, self.evolution, self.lstm, self.heads)
 
     def stage_views(self, vec: np.ndarray) -> tuple[EmbeddingParams, EvolutionParams,
                                                     LstmParams, HeadParams]:
@@ -339,8 +348,10 @@ def load_model(path) -> FullModel:
         found = {k: a.shape for k, a in arrays.items()}
         if found != shapes:
             wrong = sorted(k for k in shapes.keys() | found.keys() if found.get(k) != shapes.get(k))
+            more = f", and {len(wrong) - MAX_LISTED} more" if len(wrong) > MAX_LISTED else ""
             raise ValueError("parameter arrays do not match the model: " + ", ".join(
-                f"{k} {found.get(k, 'missing')} (expects {shapes.get(k, 'none')})" for k in wrong))
+                f"{shown(k)} {found.get(k, 'missing')} (expects {shapes.get(k, 'none')})"
+                for k in wrong[:MAX_LISTED]) + more)
         for name, leaf in model.named_parameters():
             if arrays[name].dtype.kind not in "fiu" or not np.isfinite(arrays[name]).all():
                 raise ValueError(f"parameter {name} must hold finite numbers")

@@ -169,5 +169,6 @@ def integrate_mean(snapshots: np.ndarray) -> np.ndarray:
 
 
 def integrate_mean_backward(g: np.ndarray, steps: int) -> np.ndarray:
-    """The gradient of the (T, B, d) snapshots from the gradient `g` of their mean."""
-    return (np.ones((steps, 1)) @ (g * (1.0 / steps)).reshape(1, -1)).reshape(steps, *g.shape)
+    """The gradient of the (T, B, d) snapshots from the gradient `g` of their
+    mean: g times 1 / T at every step, as one read-only broadcast."""
+    return np.broadcast_to(g * (1.0 / steps), (steps, *g.shape))

@@ -230,3 +230,16 @@ def test_a_long_name_or_value_in_a_model_file_exits_2_with_one_short_line(files,
     code, err = evaluate(files, tmp_path, capsys, model=path)
     assert code == EXIT_DATA and one_short_line(err), err[:300]
     assert "more characters" in err, err
+
+
+def test_a_model_file_with_2000_extra_members_exits_2_with_one_short_line(files, tmp_path,
+                                                                          capsys):
+    # Listing every mismatch gave a 64,088-character line; the message names
+    # the first few and counts the rest.
+    with np.load(files / "model.npz") as archive:
+        arrays = dict(archive)
+    extra = {f"extra{i:05d}": np.zeros(1) for i in range(2000)}
+    np.savez(tmp_path / "extra.npz", **arrays, **extra)
+    code, err = evaluate(files, tmp_path, capsys, model=tmp_path / "extra.npz")
+    assert code == EXIT_DATA and err.count("\n") == 1 and len(err) < 2000, err[:300]
+    assert "extra00004 (1,) (expects none), and 1995 more" in err, err

@@ -1,6 +1,8 @@
 """Training loop behavior and the one-batch / per-patient loss agreement."""
 
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -165,6 +167,29 @@ def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, inte
              if not np.array_equal(leaf, before[name])]
     assert moved == [name for name in before if grads[name].any()]
     assert moved
+
+
+@pytest.mark.parametrize("how", ("deepcopy", "pickle"))
+def test_a_copied_model_owns_its_parameters(how):
+    # A copy is rebuilt through the constructor: its parameters are views of
+    # its own theta and its gradient views of its own grad, so a step on the
+    # copy moves the copy's logits and leaves the original's bits alone.
+    _, model = small_model("gat")
+    copy_of = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
+    clone = copy_of[how](model)
+    assert np.array_equal(clone.theta, model.theta)
+    assert not np.shares_memory(clone.theta, model.theta)
+    for (name, leaf), (_, g) in zip(clone.named_parameters(), clone.named_gradients()):
+        assert np.shares_memory(leaf, clone.theta) and np.shares_memory(g, clone.grad), name
+    cohort, _ = small_items(n=6)
+    before = {task: logits.copy() for task, logits in model.forward(cohort)[0].items()}
+    settings = quick_settings()
+    _train_step(clone, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr),
+                settings, {})
+    moved = clone.forward(cohort)[0]
+    for task, logits in model.forward(cohort)[0].items():
+        assert np.array_equal(logits, before[task]), task
+        assert not np.array_equal(moved[task], before[task]), task
 
 
 def quick_settings(**overrides):
