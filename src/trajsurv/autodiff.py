@@ -1,5 +1,6 @@
 """What the model's gradients share: the error classes, the parameter
-initialisers and the central-difference check.
+initialisers, `map_arrays`, the workspace's `slot` and the
+central-difference check.
 
 Parameters are float64 arrays, held by each stage in a dataclass of them
 (`map_arrays` maps one array by array). Each stage of the model writes its
