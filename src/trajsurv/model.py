@@ -151,10 +151,8 @@ class FullModel:
             view[...] = a
 
     def __reduce__(self):
-        """Pickling and `copy.deepcopy` rebuild the model through the
-        constructor, so that the copy's parameters are views of its own
-        theta, and its gradient views of its own grad (zero until its first
-        backward)."""
+        """Pickling and `copy.deepcopy` rebuild the model through the constructor,
+        so the copy's parameters and gradient are views of its own two vectors."""
         return FullModel, (self.config, self.embedding, self.evolution, self.lstm, self.heads)
 
     def stage_views(self, vec: np.ndarray) -> tuple[EmbeddingParams, EvolutionParams,
