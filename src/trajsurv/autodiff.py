@@ -13,10 +13,10 @@ gradient. `FullModel.backward` chains them, handing each its views of the
 model's `grad`, one vector laid out as the parameter vector `theta`, and
 `training.loss_and_grads` returns the loss and leaves that gradient there.
 
-A training fit keeps each step's forward state in a workspace: a plain
-dict of float64 buffers that `slot` hands out by name. The fit owns it and
-drops it when it returns; a step overwrites what the previous step kept,
-so its arrays are not allocated, freed and page-faulted in again per step.
+A training step keeps its forward state in its model's `workspace`, a dict
+of float64 buffers that `slot` hands out by name, which the fit empties when
+it ends. A step overwrites what the previous step kept, so its arrays are
+not allocated, freed and page-faulted in again per step.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def _cascade_grad_check(model: FullModel, cohort: CohortArrays) -> bool:
     heads = model.heads
     moved = dataclasses.replace(model, heads=dataclasses.replace(
         heads, w_ctx=-heads.w_ctx, b_ctx=1.0 - heads.b_ctx))
-    return np.array_equal(model.forward(cohort)[0]["os"], moved.forward(cohort)[0]["os"])
+    return np.array_equal(model.forward(cohort)["os"], moved.forward(cohort)["os"])
 
 
 def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,

@@ -6,7 +6,7 @@ the (T, B, d) snapshots, the summary h*, and the logits keyed by task. h*
 and the logits have one row per patient, and one patient is simply a slice
 of one. Training, validation, inference and the gradient check run the
 same forward; handed a workspace, it keeps what `FullModel.backward` needs
-there, and nothing otherwise.
+on the model, and nothing otherwise.
 """
 
 from __future__ import annotations
@@ -140,8 +140,10 @@ class FullModel:
     theta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     grad: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     grad_stages: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    workspace: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.workspace = {}
         given = self.named_parameters()
         self.theta = np.empty(sum(a.size for _, a in given))
         self.grad = np.zeros_like(self.theta)
@@ -152,7 +154,8 @@ class FullModel:
 
     def __reduce__(self):
         """Pickling and `copy.deepcopy` rebuild the model through the constructor,
-        so the copy's parameters and gradient are views of its own two vectors."""
+        so the copy's parameters and gradient are views of its own two vectors,
+        and its `workspace` is its own, empty."""
         return FullModel, (self.config, self.embedding, self.evolution, self.lstm, self.heads)
 
     def stage_views(self, vec: np.ndarray) -> tuple[EmbeddingParams, EvolutionParams,
@@ -176,30 +179,29 @@ class FullModel:
         return _named(self.grad_stages)
 
     def forward(self, cohort: CohortArrays, out: dict[str, np.ndarray] | None = None):
-        """The slice's (B, K) logits per task, keyed like `labels`, and what
-        `backward` needs when handed a workspace `out` (None without). The
-        evolution's and the LSTM's state is kept in `out` (`autodiff.slot`)
-        and stays valid until its next forward."""
+        """The slice's (B, K) logits per task, keyed like `labels`. Handed a
+        workspace `out`, it keeps what `backward` needs: the evolution's and
+        LSTM's arrays in `out` (`autodiff.slot`), the rest in `workspace`."""
         cfg = self.config
-        kept = {"cohort": cohort}
+        self.workspace.pop("kept", None)
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots, kept["evolve"] = evolve(h0, cohort, self.evolution, cfg.horizon, out)
-        if cfg.integrator == "lstm":
-            h_star, kept["lstm"] = integrate(snapshots, self.lstm, out)
-        else:
-            h_star = integrate_mean(snapshots)
+        snapshots, evolved = evolve(h0, cohort, self.evolution, cfg.horizon, out)
+        h_star, integrated = (integrate(snapshots, self.lstm, out) if cfg.integrator == "lstm"
+                              else (integrate_mean(snapshots), None))
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
-        kept.update(h_star=h_star, context=context)
-        return {"dfs": dfs_logits, "os": os_logits}, (None if out is None else kept)
+        if out is not None:
+            self.workspace["kept"] = {"cohort": cohort, "evolve": evolved, "lstm": integrated,
+                                      "h_star": h_star, "context": context}
+        return {"dfs": dfs_logits, "os": os_logits}
 
-    def backward(self, kept: dict, d_logits: dict[str, np.ndarray]) -> None:
+    def backward(self, d_logits: dict[str, np.ndarray]) -> None:
         """Write the gradient of theta into `grad` from the gradients of the
-        logits per task and what `forward(cohort, out)` kept. `grad` is
-        zeroed, and each stage's backward writes its views of it; without
-        the LSTM its views stay zero. Each stage's state is dropped once its
-        backward has run, the LSTM's before the evolution's runs."""
-        cfg = self.config
+        logits per task and what the last forward kept, which it takes out of
+        `workspace` (a KeyError if it kept nothing). `grad` is zeroed, each
+        stage's backward writes its views of it, and each stage's state is
+        dropped once its backward has run, the LSTM's before the evolution's."""
+        cfg, kept = self.config, self.workspace.pop("kept")
         self.grad[...] = 0.0
         embedding, evolution, lstm, heads = self.grad_stages
         dh_star = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
@@ -216,7 +218,7 @@ class FullModel:
         Logits that overflow are reported once, by the SaturatedCurveError of
         that check, not also by numpy's warnings on the way."""
         with np.errstate(all="ignore"):
-            out, _ = self.forward(cohort)
+            out = self.forward(cohort)
         curves = {}
         for task, logits in out.items():
             h = hazards_from_logits(logits)

@@ -34,20 +34,17 @@ def _weighted_nll(logits: dict[str, np.ndarray], cohort: CohortArrays, bins: Tim
 def _mean_loss(model: FullModel, cohort: CohortArrays, weights: LossWeights) -> np.float64:
     """Mean over the slice of alpha * OS NLL + beta * DFS NLL on the model's
     bins: validation's loss, a forward that keeps nothing."""
-    return _weighted_nll(model.forward(cohort)[0], cohort, model.config.bins(), weights)[0]
+    return _weighted_nll(model.forward(cohort), cohort, model.config.bins(), weights)[0]
 
 
-def loss_and_grads(model: FullModel, cohort: CohortArrays, weights: LossWeights,
-                   out: dict[str, np.ndarray] | None = None) -> np.float64:
+def loss_and_grads(model: FullModel, cohort: CohortArrays, weights: LossWeights) -> np.float64:
     """`_mean_loss` of the slice, from one forward that keeps what backward
-    needs in the workspace `out` (`autodiff.slot`), or in a fresh one when
-    none is given. Its gradient is left in `model.grad`, by parameter name
-    in `model.named_gradients()`, valid until the model's next backward."""
-    logits, kept = model.forward(cohort, {} if out is None else out)
+    needs in the model's `workspace`; its gradient is left in `model.grad`
+    (by name in `model.named_gradients()`), valid until the next backward."""
+    logits = model.forward(cohort, model.workspace)
     loss, nll_kept = _weighted_nll(logits, cohort, model.config.bins(), weights)
     task_weights = {"os": weights.alpha, "dfs": weights.beta}
-    model.backward(kept, {task: nll_backward(nll_kept[task], task_weights[task])
-                          for task in logits})
+    model.backward({task: nll_backward(nll_kept[task], task_weights[task]) for task in logits})
     return loss
 
 
@@ -58,14 +55,13 @@ def patient_loss(model: FullModel, graph: CohortArrays, dfs: SurvivalLabel,
     labels = {"dfs": dfs, "os": os_label}
     labelled = replace(graph, time={t: np.array([y.time]) for t, y in labels.items()},
                        event={t: np.array([y.event]) for t, y in labels.items()})
-    return _weighted_nll(model.forward(labelled)[0], labelled, bins, weights)[0]
+    return _weighted_nll(model.forward(labelled), labelled, bins, weights)[0]
 
 
 def _train_step(model: FullModel, batch: CohortArrays, weights: LossWeights,
-                state: OptimizerState, settings: TrainSettings,
-                workspace: dict[str, np.ndarray]) -> float:
-    """One AdamW step on `batch`, its kept state in `workspace`; returns its loss."""
-    loss = loss_and_grads(model, batch, weights, workspace)
+                state: OptimizerState, settings: TrainSettings) -> float:
+    """One AdamW step on `batch`; returns its loss."""
+    loss = loss_and_grads(model, batch, weights)
     adamw_step(model.theta, model.grad, state, settings, lambda _: model.named_gradients())
     return float(loss)
 
@@ -79,11 +75,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
     a slice of the shuffled training set. Each step keeps its forward state
-    in one workspace that the fit owns (`autodiff.slot`) and drops when it
-    returns, and its gradient in the model's `grad`, so training holds one
-    step's at a time, in arrays that every step reuses rather than
-    allocates, frees and faults in again. The best-epoch snapshot is a copy
-    of the model's `theta`.
+    in the model's `workspace` (`autodiff.slot`), emptied when the fit ends
+    or raises, and its gradient in `grad`, so training holds one step's at
+    a time, in arrays that every step reuses rather than allocates, frees
+    and faults in again. The best-epoch snapshot is a copy of `theta`.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")
@@ -94,33 +89,35 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     best = model.theta.copy()
     best_epoch = 0
     history = []
-    workspace: dict[str, np.ndarray] = {}
 
     # A diverging run is reported once, by the NonFiniteError of the
     # evolution or AdamW check; numpy's overflow warnings on the way there
     # would only repeat it on stderr.
     with np.errstate(all="ignore"):
-        for epoch in range(1, settings.max_epochs + 1):
-            order = rng.permutation(len(train))
-            items = train.take(order)
-            if settings.augment:
-                items = augment(items, [int(np.random.SeedSequence(
-                    [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
+        try:
+            for epoch in range(1, settings.max_epochs + 1):
+                order = rng.permutation(len(train))
+                items = train.take(order)
+                if settings.augment:
+                    items = augment(items, [int(np.random.SeedSequence(
+                        [settings.seed, 2, epoch, int(i)]).generate_state(1)[0]) for i in order])
 
-            train_losses = [
-                _train_step(model, items.take(slice(start, start + settings.batch_size)),
-                            weights, state, settings, workspace)
-                for start in range(0, len(items), settings.batch_size)]
+                train_losses = [
+                    _train_step(model, items.take(slice(start, start + settings.batch_size)),
+                                weights, state, settings)
+                    for start in range(0, len(items), settings.batch_size)]
 
-            val_loss = float(_mean_loss(model, val, weights))
-            history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
+                val_loss = float(_mean_loss(model, val, weights))
+                history.append((epoch, float(np.mean(train_losses)), val_loss, state.lr))
 
-            improved, stop = end_epoch(state, val_loss, settings)
-            if improved:
-                best = model.theta.copy()
-                best_epoch = epoch
-            if stop:
-                break
+                improved, stop = end_epoch(state, val_loss, settings)
+                if improved:
+                    best = model.theta.copy()
+                    best_epoch = epoch
+                if stop:
+                    break
+        finally:
+            model.workspace.clear()
 
     model.theta[...] = best
     return TrainResult(state.best, best_epoch, epochs_run=epoch, history=history)

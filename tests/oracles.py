@@ -410,12 +410,12 @@ def arrays_of(params):
 
 
 class FreshArrays(dict):
-    """A workspace that holds no buffer: `autodiff.slot` never finds one in
-    it, so a forward handed it keeps its state in fresh arrays, one per slot,
-    as a forward asked to keep without a workspace once did."""
+    """A workspace that hands out no buffer: `autodiff.slot` never finds one
+    in it, so a forward handed it keeps its state in fresh arrays, one per
+    slot, as a forward asked to keep without a workspace once did."""
 
-    def __setitem__(self, name, buffer):
-        pass
+    def get(self, name, default=None):
+        return default
 
 
 def evolve_node(h0, cohort, params, horizon):

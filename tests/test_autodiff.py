@@ -333,8 +333,8 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
     config = ModelConfig(hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2, horizon=3,
                          num_bins=3, message_dim=4)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    logits, kept = model.forward(cohort, {})
-    gates = weakref.ref(kept["lstm"][2])
+    logits = model.forward(cohort, model.workspace)
+    gates = weakref.ref(model.workspace["kept"]["lstm"][2])
     released, evolve_backward = [], model_module.evolve_backward
 
     def spy(*args):
@@ -342,7 +342,7 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
         return evolve_backward(*args)
 
     monkeypatch.setattr(model_module, "evolve_backward", spy)
-    model.backward(kept, {task: np.ones_like(x) for task, x in logits.items()})
+    model.backward({task: np.ones_like(x) for task, x in logits.items()})
     assert released == [True]
 
 

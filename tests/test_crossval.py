@@ -509,7 +509,7 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
     for start in range(0, len(cohort), cv.SCORE_PASS):
-        out, _ = model.forward(cohort.take(slice(start, start + cv.SCORE_PASS)))
+        out = model.forward(cohort.take(slice(start, start + cv.SCORE_PASS)))
         logits["dfs"].extend(out["dfs"])
         logits["os"].extend(out["os"])
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)

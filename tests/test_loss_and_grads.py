@@ -80,16 +80,19 @@ def test_reused_workspace_gives_fresh_bits(backbone, integrator):
     # One workspace serves a batch, another batch of its size, a larger batch
     # (the buffers grow) and the first batch again (views of the grown
     # buffers); each loss and gradient is == to a call on fresh arrays, one
-    # per slot (`oracles.FreshArrays`). The gradient is copied before the
-    # reference call, whose backward overwrites `model.grad` after zeroing it.
+    # per slot (`oracles.FreshArrays` as the model's workspace). The gradient
+    # is copied before the reference call, whose backward overwrites
+    # `model.grad` after zeroing it.
     config = ModelConfig(backbone=backbone, integrator=integrator)
     first = cohort_of(40)
     model = init_model(config, feature_widths(first), np.random.default_rng(5))
-    weights, workspace = LossWeights(0.7, 1.3), {}
+    weights, reused = LossWeights(0.7, 1.3), model.workspace
     for batch in (first, simulate_cohort(40, seed=4)[0], cohort_of(64), first):
-        loss = loss_and_grads(model, batch, weights, workspace)
+        model.workspace = reused
+        loss = loss_and_grads(model, batch, weights)
         grads = gradients(model)
-        ref_loss = loss_and_grads(model, batch, weights, oracles.FreshArrays())
+        model.workspace = oracles.FreshArrays()
+        ref_loss = loss_and_grads(model, batch, weights)
         ref_grads = dict(model.named_gradients())
         assert loss == ref_loss
         assert list(grads) == list(ref_grads)

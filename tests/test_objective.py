@@ -170,7 +170,7 @@ class TestCombinedLoss:
     def parts(self, weights):
         model, cohort = toy_setup()
         bins = model.config.bins()
-        logits, _ = model.forward(cohort)
+        logits = model.forward(cohort)
         os_nll, dfs_nll = (discrete_nll(logits[task], cohort.time[task], cohort.event[task],
                                         bins)[0].item() for task in ("os", "dfs"))
         return _mean_loss(model, cohort, weights).item(), os_nll, dfs_nll

@@ -1,6 +1,7 @@
 """Training loop behavior and the one-batch / per-patient loss agreement."""
 
 import copy
+import dataclasses
 import os
 import pickle
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajsurv.autodiff import NonFiniteError
 from trajsurv.cohort import Scenario, make_cohort, record_to_graph, simulate_cohort
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
@@ -161,9 +163,8 @@ def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, inte
                     == (offset(leaf, m.theta), leaf.shape, leaf.strides)), name
     cohort, _ = small_items(n=6)
     before = {name: leaf.copy() for name, leaf in model.named_parameters()}
-    workspace, settings = {}, quick_settings(weight_decay=0.0)
-    _train_step(model, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr),
-                settings, workspace)
+    settings = quick_settings(weight_decay=0.0)
+    _train_step(model, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr), settings)
     grads = dict(model.named_gradients())
     moved = [name for name, leaf in model.named_parameters()
              if not np.array_equal(leaf, before[name])]
@@ -180,14 +181,60 @@ def test_a_step_on_a_copied_model_leaves_the_original_alone(how):
     clone = copy_of[how](model)
     assert np.array_equal(clone.theta, model.theta)
     cohort, _ = small_items(n=6)
-    before = {task: logits.copy() for task, logits in model.forward(cohort)[0].items()}
+    before = {task: logits.copy() for task, logits in model.forward(cohort).items()}
     settings = quick_settings()
-    _train_step(clone, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr),
-                settings, {})
-    moved = clone.forward(cohort)[0]
-    for task, logits in model.forward(cohort)[0].items():
+    _train_step(clone, cohort, LossWeights(1.0, 1.0), OptimizerState(lr=settings.lr), settings)
+    moved = clone.forward(cohort)
+    for task, logits in model.forward(cohort).items():
         assert np.array_equal(logits, before[task]), task
         assert not np.array_equal(moved[task], before[task]), task
+
+
+def test_each_model_has_its_own_empty_workspace(tmp_path):
+    # A model from `init_model` or `load_model`, a deep copy, a pickle round
+    # trip and a `dataclasses.replace` copy each start with an empty
+    # workspace of their own, though the model they copy holds a step's.
+    _, model = small_model("gat")
+    loss_and_grads(model, small_items(n=6)[0], LossWeights(1.0, 1.0))
+    assert model.workspace
+    save_model(model, tmp_path / "model.npz")
+    others = [small_model("gat")[1], load_model(tmp_path / "model.npz"), copy.deepcopy(model),
+              pickle.loads(pickle.dumps(model)), dataclasses.replace(model)]
+    for other in others:
+        assert other.workspace == {}
+    assert len({id(m.workspace) for m in [model, *others]}) == len(others) + 1
+
+
+def test_backward_needs_a_keeping_forward():
+    # `backward` takes what the last forward kept out of the workspace, so it
+    # raises rather than reuse a stale state: before any forward, after a
+    # forward that kept nothing, and a second time after one that kept.
+    _, model = small_model()
+    cohort, _ = small_items(n=6)
+    d_logits = {task: np.ones_like(x) for task, x in model.forward(cohort).items()}
+    with pytest.raises(KeyError):
+        model.backward(d_logits)
+    model.forward(cohort, model.workspace)
+    model.forward(cohort)
+    with pytest.raises(KeyError):
+        model.backward(d_logits)
+    model.forward(cohort, model.workspace)
+    model.backward(d_logits)
+    with pytest.raises(KeyError):
+        model.backward(d_logits)
+
+
+def test_a_fit_leaves_the_workspace_empty_when_it_returns_or_raises():
+    # A fitted model holds no step state; nor does one whose fit diverged
+    # in the evolution of its first step, after the workspace had grown.
+    _, model = small_model()
+    cohort, _ = small_items(n=12)
+    train_model(model, cohort[:8], cohort[8:], quick_settings(max_epochs=2))
+    assert model.workspace == {}
+    model.theta[...] = 1e300
+    with pytest.raises(NonFiniteError, match="evolution step 0"):
+        train_model(model, cohort[:8], cohort[8:], quick_settings(max_epochs=2))
+    assert model.workspace == {}
 
 
 def quick_settings(**overrides):
@@ -301,14 +348,16 @@ def traced_peak(fn) -> int:
 def test_training_holds_one_step_tape_at_a_time(backbone):
     """Over three batches and a validation pass, `train_model` peaks within
     1.25x of one forward and backward: each step writes its kept state over
-    the previous step's, in the fit's workspace. Holding two peaked at 1.50x
-    (graphsage) and 1.75x (gat)."""
+    the previous step's, in the model's workspace. Holding two peaked at
+    1.50x (graphsage) and 1.75x (gat). The step's workspace is emptied
+    before the fit, so that the fit's peak counts the buffers it grows."""
     cohort, _ = simulate_cohort(60, seed=2, scenario=SCENARIO)
     train, val = cohort[:48], cohort[48:]
     _, model = small_model(backbone, hidden_dim=32, message_dim=32, summary_dim=32,
                            horizon=48)
     settings = quick_settings(batch_size=16, max_epochs=1)
     step = traced_peak(lambda: loss_and_grads(model, train[:16], LossWeights(1.0, 1.0)))
+    model.workspace.clear()
     training = traced_peak(lambda: train_model(model, train, val, settings))
     assert training <= 1.25 * step, (training, step)
 
@@ -330,9 +379,9 @@ cohort, _ = simulate_cohort(64, seed=1)
 cohort = cohort[:int(sys.argv[1])]
 config, settings = ModelConfig(), TrainSettings()
 model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-state, workspace = OptimizerState(lr=settings.lr), {}
+state = OptimizerState(lr=settings.lr)
 weights = LossWeights(settings.alpha, settings.beta)
-step = lambda: _train_step(model, cohort, weights, state, settings, workspace)
+step = lambda: _train_step(model, cohort, weights, state, settings)
 step()
 step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -346,7 +395,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
                     reason="counts the minor page faults of Linux's getrusage")
 @pytest.mark.parametrize("batch", (16, 64))
 def test_training_steps_fault_in_no_kept_state(batch):
-    """A training step keeps its state in the fit's workspace, and AdamW
+    """A training step keeps its state in the model's workspace, and AdamW
     updates in place, so once warm a step faults in almost no pages.
     Allocating that state afresh each step faulted about 500 per step at
     B 64; AdamW's five parameter-sized temporaries faulted about 127 at
