@@ -172,11 +172,27 @@ MUTANTS = (
             "test_a_model_file_with_2000_extra_members_exits_2_with_one_short_line",),
            "a model file with thousands of stray members gives an error line that lists "
            "every one"),
+    Mutant("workspace-shared", "src/trajsurv/model.py",
+           "    def __post_init__(self):\n        self.workspace = {}\n",
+           "    def __post_init__(self, workspace={}):\n        self.workspace = workspace\n",
+           ("tests/test_training.py::test_each_model_has_its_own_empty_workspace",),
+           "every model, a copy too, shares one workspace through a mutable default, so one "
+           "model's forward overwrites the buffers another's backward reads"),
+    Mutant("simulate-seed-unchecked", "src/trajsurv/config.py",
+           '            (self.seed is None or self.seed >= 0, "simulate.seed must be >= 0"),\n',
+           '            (True, "simulate.seed must be >= 0"),\n',
+           ("tests/test_config.py::TestValidation::test_bad_value_built_in_python_raises"
+            "[SimulateSettings-kwargs13-^simulate.seed must be >= 0]",),
+           "a negative simulate.seed reaches the simulator's seed sequence; the test's id "
+           "holds spaces"),
 )
 
 
 def _failed(output: str) -> set[str]:
-    return {line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")}
+    """The node ids of the `FAILED <node id>[ - <error>]` lines of pytest's
+    `-rf` summary; a parametrized id may hold spaces."""
+    return {line.removeprefix("FAILED ").split(" - ")[0] for line in output.splitlines()
+            if line.startswith("FAILED ")}
 
 
 def run(mutant: Mutant, work: Path) -> dict:

@@ -34,3 +34,12 @@ def test_old_text_occurs_once_and_named_tests_exist(mutant):
         for scope in scopes:
             assert re.search(rf"^\s*class {scope}\b", source, re.M), test
         assert re.search(rf"^\s*def {name.split('[')[0]}\(", source, re.M), test
+
+
+def test_failed_reads_a_node_id_that_holds_spaces():
+    spaced = ("tests/test_config.py::TestValidation::test_bad_value_built_in_python_raises"
+              "[SimulateSettings-kwargs13-^simulate.seed must be >= 0]")
+    output = (f"FAILED {spaced} - Failed: DID NOT RAISE <class 'ValueError'>\n"
+              "FAILED tests/test_training.py::test_a[x]\n"
+              "2 failed in 0.12s\n")
+    assert mutants._failed(output) == {spaced, "tests/test_training.py::test_a[x]"}
