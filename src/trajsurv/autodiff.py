@@ -33,8 +33,6 @@ class ShapeMismatchError(ValueError):
 
     def __init__(self, op: str, *shapes):
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(s) for s in shapes)}")
-        self.op = op
-        self.shapes = shapes
 
 
 class NonFiniteError(ArithmeticError):

@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Graph-trajectory survival prognosis pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
@@ -72,13 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("ablate", help="crossval of the config with an ablation's overrides")
     common(pa)
     pa.add_argument("--variant", required=True, choices=tuple(ABLATIONS))
-    common(sub.add_parser("gradcheck", help="finite-difference check of the full pipeline"),
-           config_required=False)
+    sub.add_parser("gradcheck", help="finite-difference check of the full pipeline")
     return parser
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config)
     if args.seed is not None:
         try:
             cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=args.seed))

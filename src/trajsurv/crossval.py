@@ -233,8 +233,7 @@ def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
                        capped=capped > 0)
 
 
-def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
-             widths: dict[NodeKind, int]) -> FoldOutcome:
+def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec) -> FoldOutcome:
     """Train the model of fold `spec` and score its test patients. A model
     without the cascade also checks that no OS gradient reaches its context.
 
@@ -242,7 +241,7 @@ def run_fold(config: RunConfig, cohort: CohortArrays, spec: FoldSpec,
     whose hazards saturate its survival curves gives an outcome holding only
     the reason.
     """
-    model = fold_model(config, widths, spec.repeat, spec.fold)
+    model = fold_model(config, feature_widths(cohort), spec.repeat, spec.fold)
     fold_seed = int(np.random.SeedSequence(
         [config.train.seed, 3, spec.repeat, spec.fold]).generate_state(1)[0])
     try:
@@ -334,8 +333,7 @@ def run_crossval(config: RunConfig, cohort: CohortArrays) -> CvReport:
     """Train and score one model per (repeat, fold) of the plan, then assemble
     the report; the caller decides whether too many folds failed."""
     start = time.perf_counter()
-    widths = feature_widths(cohort)
-    outcomes = [run_fold(config, cohort, spec, widths)
+    outcomes = [run_fold(config, cohort, spec)
                 for spec in stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats,
                                                       config.train.seed)]
     report = assemble(config, outcomes, cohort)

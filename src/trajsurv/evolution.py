@@ -13,9 +13,9 @@ Everything runs on a cohort slice of B patients in the 7-slot star layout
 star template, once per forward. The neighbour mean, the gcn normalisation
 and the readout are `Blocks`, stacks of B per-patient dense blocks applied
 with one batched matmul.
-`evolve` runs all T steps and their readouts and returns the snapshots as
-one (T, B, d) array. Handed a workspace, it also keeps each step's states
-there, from which `evolve_backward` runs backpropagation through time.
+`evolve` runs one step and readout per row of the time table and returns
+the (T, B, d) snapshots. Handed a workspace, it also keeps each step's
+states there, from which `evolve_backward` runs backpropagation through time.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -237,8 +237,8 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
 
 
 def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
-           horizon: int, out: dict[str, np.ndarray] | None = None):
-    """Roll the residual operator forward `horizon` steps from H0.
+           out: dict[str, np.ndarray] | None = None):
+    """Roll the residual operator forward from H0, one step per time-table row.
 
     Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
     snapshot pool H, so the result holds z_0..z_{T-1} as (T, B, d). Every
@@ -250,17 +250,12 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     input state and activations, and gat's arc terms. Without one it keeps
     nothing and returns the snapshots with None.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > params.time_table.shape[0]:
-        raise IndexError(f"horizon {horizon} exceeds time table with "
-                         f"{params.time_table.shape[0]} rows")
     if h0.shape[0] == 0:
         raise ValueError("evolve of an empty node-state matrix")
     backbone, present = params.backbone, cohort.present
     ops, pool = adjacency(cohort, backbone), mean_pool(present)
-    d, d_t = params.w_out.shape[1], params.time_table.shape[1]
     e = params.time_table
+    (steps, d_t), d = e.shape, params.w_out.shape[1]
     w_sh, w_st = params.w_self[:d], params.w_self[d:]
     self_rows = e @ w_st
     if backbone != "gcn":
@@ -274,17 +269,17 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
         score_arcs = ops["attr"] @ u_a + params.attn_b
         msg_arcs = ops["attr"] @ w_na
         fixed = params.b_msg
-    snapshots = slot(out, "evolve.snapshots", (horizon, len(present), d))
+    snapshots = slot(out, "evolve.snapshots", (steps, len(present), d))
     keep = out is not None
     if keep:
-        states = slot(out, "evolve.states", (horizon,) + h0.shape)
-        acts = slot(out, "evolve.acts", (horizon, h0.shape[0], params.w_out.shape[0]))
+        states = slot(out, "evolve.states", (steps,) + h0.shape)
+        acts = slot(out, "evolve.acts", (steps, h0.shape[0], params.w_out.shape[0]))
     saved = []
     h = h0
     # In-place updates of fresh temporaries keep the tape form's operation
     # order, and so its values, with fewer allocations. H + U is written as
     # U + H, the same bits, so that the new state needs no temporary.
-    for t in range(horizon):
+    for t in range(steps):
         kept = [h]
         into = acts[t] if keep else None
         own = h @ w_sh

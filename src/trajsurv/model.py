@@ -5,8 +5,8 @@ handing each stage a plain array: the node states H0 in the 7-slot layout,
 the (T, B, d) snapshots, the summary h*, and the logits keyed by task. h*
 and the logits have one row per patient, and one patient is simply a slice
 of one. Training, validation, inference and the gradient check run the
-same forward; handed a workspace, it keeps what `FullModel.backward` needs
-on the model, and nothing otherwise.
+same forward, which with `keep` leaves what `FullModel.backward` needs in
+the model's `workspace`. T is the row count of the evolution's time table.
 """
 
 from __future__ import annotations
@@ -178,19 +178,21 @@ class FullModel:
         """The views of `grad` by parameter name, in `named_parameters` order."""
         return _named(self.grad_stages)
 
-    def forward(self, cohort: CohortArrays, out: dict[str, np.ndarray] | None = None):
-        """The slice's (B, K) logits per task, keyed like `labels`. Handed a
-        workspace `out`, it keeps what `backward` needs: the evolution's and
-        LSTM's arrays in `out` (`autodiff.slot`), the rest in `workspace`."""
+    def forward(self, cohort: CohortArrays, keep: bool = False):
+        """The slice's (B, K) logits per task, keyed like `labels`. With
+        `keep`, it leaves what `backward` needs in `workspace`: the
+        evolution's and LSTM's arrays as its buffers (`autodiff.slot`), the
+        rest under `"kept"`."""
         cfg = self.config
         self.workspace.pop("kept", None)
+        out = self.workspace if keep else None
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots, evolved = evolve(h0, cohort, self.evolution, cfg.horizon, out)
+        snapshots, evolved = evolve(h0, cohort, self.evolution, out)
         h_star, integrated = (integrate(snapshots, self.lstm, out) if cfg.integrator == "lstm"
                               else (integrate_mean(snapshots), None))
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
-        if out is not None:
+        if keep:
             self.workspace["kept"] = {"cohort": cohort, "evolve": evolved, "lstm": integrated,
                                       "h_star": h_star, "context": context}
         return {"dfs": dfs_logits, "os": os_logits}
@@ -209,7 +211,7 @@ class FullModel:
         if cfg.integrator == "lstm":
             dz = integrate_backward(kept.pop("lstm"), dh_star, lstm)
         else:
-            dz = integrate_mean_backward(dh_star, cfg.horizon)
+            dz = integrate_mean_backward(dh_star, len(self.evolution.time_table))
         dh0 = evolve_backward(kept.pop("evolve"), dz, evolution)
         embed_backward(kept.pop("cohort"), dh0, embedding)
 

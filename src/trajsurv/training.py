@@ -41,7 +41,7 @@ def loss_and_grads(model: FullModel, cohort: CohortArrays, weights: LossWeights)
     """`_mean_loss` of the slice, from one forward that keeps what backward
     needs in the model's `workspace`; its gradient is left in `model.grad`
     (by name in `model.named_gradients()`), valid until the next backward."""
-    logits = model.forward(cohort, model.workspace)
+    logits = model.forward(cohort, keep=True)
     loss, nll_kept = _weighted_nll(logits, cohort, model.config.bins(), weights)
     task_weights = {"os": weights.alpha, "dfs": weights.beta}
     model.backward({task: nll_backward(nll_kept[task], task_weights[task]) for task in logits})

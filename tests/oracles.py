@@ -418,12 +418,12 @@ class FreshArrays(dict):
         return default
 
 
-def evolve_node(h0, cohort, params, horizon):
+def evolve_node(h0, cohort, params):
     """`evolution.evolve` as one tape node over H0 and the leaves of `params`
     (a `leaves_of` dataclass), its (T, B, d) snapshots held as (T B x d);
     its rule is `evolve_backward`."""
     arrays = arrays_of(params)
-    value, kept = evolve(h0.data, cohort, arrays, horizon, FreshArrays())
+    value, kept = evolve(h0.data, cohort, arrays, FreshArrays())
     names, leaves = zip(*params.named_leaves())
     return Tensor._node(value.reshape(-1, value.shape[2]), "evolve", (h0,) + leaves,
                         (names, kept, value.shape, arrays))
@@ -513,7 +513,7 @@ def tape_mean_loss(model, cohort, bins, weights):
     embed_w = {kind: Tensor(w, requires_grad=True) for kind, w in embedding.weights.items()}
     embed_b = {kind: Tensor(b, requires_grad=True) for kind, b in embedding.biases.items()}
     h0 = tape_embed(cohort, embed_w, embed_b)
-    snapshots = evolve_node(h0, cohort, evolution, cfg.horizon)
+    snapshots = evolve_node(h0, cohort, evolution)
     if cfg.integrator == "lstm":
         h_star = lstm_node(snapshots, cfg.horizon, lstm)
     else:

@@ -70,12 +70,12 @@ def test_02_residual_identity():
     mismatches = 0
     checked = 0
     for backbone in BACKBONES:
-        params = init_evolution(backbone, 8, 4, steps=12, message_dim=8,
-                                rng=np.random.default_rng(1), attention_dim=4)
-        for _, leaf in params.named_leaves():
-            leaf[:] = 0.0
         for horizon in (1, 12):
-            for z in evolve(h0, graph, params, horizon)[0]:
+            params = init_evolution(backbone, 8, 4, steps=horizon, message_dim=8,
+                                    rng=np.random.default_rng(1), attention_dim=4)
+            for _, leaf in params.named_leaves():
+                leaf[:] = 0.0
+            for z in evolve(h0, graph, params)[0]:
                 checked += 1
                 if z.tobytes() != base:
                     mismatches += 1

@@ -225,7 +225,7 @@ def _fd_builders():
         cases[f"evolve/{backbone}"] = (
             [h0] + [leaf for _, leaf in params.named_leaves()],
             lambda h0=h0, params=params, weight=weight: oracles.sum_all(oracles.mul(
-                oracles.tanh(oracles.evolve_node(h0, cohort, params, 3)), weight)))
+                oracles.tanh(oracles.evolve_node(h0, cohort, params)), weight)))
     return cases
 
 
@@ -333,7 +333,7 @@ def test_lstm_cache_is_released_before_the_evolve_rule_runs(monkeypatch):
     config = ModelConfig(hidden_dim=4, time_dim=2, summary_dim=4, context_dim=2, horizon=3,
                          num_bins=3, message_dim=4)
     model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
-    logits = model.forward(cohort, model.workspace)
+    logits = model.forward(cohort, keep=True)
     gates = weakref.ref(model.workspace["kept"]["lstm"][2])
     released, evolve_backward = [], model_module.evolve_backward
 

@@ -144,8 +144,7 @@ def test_fold_outcomes_pickle_and_assemble_into_the_crossval_report(monkeypatch)
     monkeypatch.setattr(cv, "train_model", flaky)
     report = run_crossval(config, cohort)
     plan = stratified_repeated_kfold(cohort, config.cv.k, config.cv.repeats, config.train.seed)
-    widths = cv.feature_widths(cohort)
-    outcomes = [cv.run_fold(config, cohort, spec, widths) for spec in plan]
+    outcomes = [cv.run_fold(config, cohort, spec) for spec in plan]
     restored = pickle.loads(pickle.dumps(outcomes))
     for got, want in zip(restored, outcomes, strict=True):
         for f in dataclasses.fields(cv.FoldOutcome):

@@ -228,18 +228,18 @@ class TestReadout:
     def test_empty_matrix_rejected(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
         with pytest.raises(ValueError, match="empty"):
-            evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params, 1)
+            evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params)
 
 
 class TestEvolve:
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("horizon", (1, 12))
     def test_zero_weights_identity_trajectory(self, backbone, horizon):
-        params = init_evolution(backbone, D, DT, 12, D, np.random.default_rng(0), 16)
+        params = init_evolution(backbone, D, DT, horizon, D, np.random.default_rng(0), 16)
         zero_weights(params)
         g = full_graph()
         h0 = np.random.default_rng(9).normal(size=(7 * len(g), D))
-        snaps, _ = evolve(h0, g, params, horizon)
+        snaps, _ = evolve(h0, g, params)
         base = mean_pool(g.present).apply(h0)
         assert snaps.shape == (horizon, len(g), D)
         for z in snaps:
@@ -248,7 +248,7 @@ class TestEvolve:
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1), 16)
         g = full_graph()
-        snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params, 12)
+        snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params)
         assert snaps.shape == (12, 1, D)
 
     def test_time_embedding_conditions_each_step(self):
@@ -261,15 +261,6 @@ class TestEvolve:
         d2 = states[2].data - states[1].data
         assert not np.allclose(d1, d2)
 
-    def test_horizon_bounds(self):
-        params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
-        g = full_graph()
-        h0 = np.zeros((7 * len(g), D))
-        with pytest.raises(ValueError):
-            evolve(h0, g, params, 0)
-        with pytest.raises(IndexError):
-            evolve(h0, g, params, 5)
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_step(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
@@ -278,17 +269,17 @@ class TestEvolve:
         g = full_graph()
         h0 = np.full((7 * len(g), D), 1e10)
         with pytest.raises(ad.NonFiniteError, match="step 0"):
-            evolve(h0, g, params, 4)
+            evolve(h0, g, params)
 
     def test_collect_states_includes_initial(self):
-        params = init_evolution("gcn", D, DT, 4, D, np.random.default_rng(4), 16)
+        params = init_evolution("gcn", D, DT, 2, D, np.random.default_rng(4), 16)
         g = full_graph()
         h0 = oracles.constant(np.random.default_rng(5).normal(size=(7 * len(g), D)))
         states = rolled_states(h0, g, params, 2)
         assert len(states) == 3
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
-        for z, h in zip(evolve(h0.data, g, params, 2)[0], states[1:]):
+        for z, h in zip(evolve(h0.data, g, params)[0], states[1:], strict=True):
             assert np.array_equal(z, mean_pool(g.present).apply(h.data))
 
 
@@ -313,8 +304,8 @@ def test_graphs_in_one_batch_match_graphs_alone():
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13), 16)
         hs = [rng.normal(size=(7, D)) for _ in records]
-        joint, _ = evolve(np.vstack(hs), join(records), params, 4)
-        alone = [evolve(h, r, params, 4)[0] for h, r in zip(hs, records)]
+        joint, _ = evolve(np.vstack(hs), join(records), params)
+        alone = [evolve(h, r, params)[0] for h, r in zip(hs, records)]
         np.testing.assert_allclose(joint, np.concatenate(alone, axis=1), rtol=0, atol=1e-12)
 
 
@@ -396,12 +387,12 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths)
     d, message_dim, attention_dim = widths or (32, 32, 16)
     cohort = absent_region_cohort(rows)
     rng = np.random.default_rng(23)
-    params = leaves_of(init_evolution(backbone, d, 16, 12, message_dim, rng, attention_dim))
+    params = leaves_of(init_evolution(backbone, d, 16, steps, message_dim, rng, attention_dim))
     used = slots_in_use(cohort.present).reshape(-1, 1)
     h0 = oracles.parameter(rng.normal(size=(7 * rows, d)) * used)
     weights = [oracles.constant(rng.normal(size=(rows, d)) / rows) for _ in range(steps)]
     leaves = [h0] + [leaf for _, leaf in params.named_leaves()]
-    z = oracles.evolve_node(h0, cohort, params, steps)
+    z = oracles.evolve_node(h0, cohort, params)
     snapshots = tape_evolve(h0, cohort, params, steps)
     reference = np.vstack([s.data for s in snapshots])
     if widths is None:
@@ -432,8 +423,8 @@ def test_evolve_without_grad_keeps_no_cache():
     h0 = np.random.default_rng(24).normal(size=(7 * len(g), D))
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25), 16)
-        kept_value, kept = evolve(h0, g, params, 4, {})
-        value, nothing = evolve(h0, g, params, 4)
+        kept_value, kept = evolve(h0, g, params, {})
+        value, nothing = evolve(h0, g, params)
         assert kept is not None and len(kept[-1]) == 4
         assert nothing is None
         assert np.array_equal(value, kept_value)

@@ -214,11 +214,11 @@ def test_backward_needs_a_keeping_forward():
     d_logits = {task: np.ones_like(x) for task, x in model.forward(cohort).items()}
     with pytest.raises(KeyError):
         model.backward(d_logits)
-    model.forward(cohort, model.workspace)
+    model.forward(cohort, keep=True)
     model.forward(cohort)
     with pytest.raises(KeyError):
         model.backward(d_logits)
-    model.forward(cohort, model.workspace)
+    model.forward(cohort, keep=True)
     model.backward(d_logits)
     with pytest.raises(KeyError):
         model.backward(d_logits)
