@@ -4,7 +4,7 @@
 # `simulate` keys set and the scenario and seed it records, the exit codes
 # of a bad --out, of a base hazard too small for integer event times, of an
 # output file that is a directory, of no command and of a diverging run, the
-# gradient check, byte-identical reruns of a tiny gat crossval and its pooled
+# gradient check and its refusal of an option, byte-identical reruns of a tiny gat crossval and its pooled
 # C-index intervals, `ablate --variant no_cascade` against `crossval` with
 # `cascade: false`, and a trained model file read back by evaluate, twice
 # with the same bytes.
@@ -52,6 +52,13 @@ test "$status" -eq 1
 # The lazily imported gradient check: the hand-written gradients of the
 # whole pipeline against central differences of its loss.
 trajsurv gradcheck
+# It reads no config, seed or output directory: naming one exits 1 with one
+# stderr line, before the check runs.
+status=0
+trajsurv gradcheck --seed 3 > gradcheck_seed.out 2> gradcheck_seed.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < gradcheck_seed.err)" -eq 1
+test ! -s gradcheck_seed.out
 # A diverging run exits 3 with its one-line report as the only stderr output.
 echo '{"simulate": {"n": 20, "region_len": 2, "clinical_len": 2}}' > sim20.json
 trajsurv simulate --config sim20.json --out sim20

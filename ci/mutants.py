@@ -185,6 +185,29 @@ MUTANTS = (
             "[SimulateSettings-kwargs13-^simulate.seed must be >= 0]",),
            "a negative simulate.seed reaches the simulator's seed sequence; the test's id "
            "holds spaces"),
+    Mutant("region-keys-reordered", "src/trajsurv/cohort.py",
+           '    "liver": NodeKind.LIVER_PARENCHYMA,\n'
+           '    "remnant": NodeKind.FUTURE_LIVER_REMNANT,\n',
+           '    "remnant": NodeKind.FUTURE_LIVER_REMNANT,\n'
+           '    "liver": NodeKind.LIVER_PARENCHYMA,\n',
+           ("tests/test_cohort.py::TestCohortFile::"
+            "test_region_keys_name_the_node_kinds_in_slot_order",),
+           "a cohort file's liver features fill the remnant's slot and feed its embedding "
+           "weights; a model saved before the swap reads them in the wrong slot, with no error"),
+    Mutant("gradcheck-reads-options", "src/trajsurv/cli.py",
+           '    sub.add_parser("gradcheck", help="finite-difference check of the full pipeline")\n',
+           '    common(sub.add_parser("gradcheck", help="finite-difference check of the full '
+           'pipeline"))\n',
+           ("tests/test_cli.py::test_gradcheck_takes_no_options",),
+           "gradcheck accepts --config, --seed and --out, then runs its fixed check and "
+           "exits 0 whatever they name"),
+    Mutant("evolve-one-step-short", "src/trajsurv/evolution.py",
+           "    for t in range(steps):\n",
+           "    for t in range(steps - 1):\n",
+           ("tests/test_evolution.py::TestEvolve::test_collect_states_includes_initial",
+            "tests/test_evolution.py::test_evolve_primitive_matches_the_per_op_tape"),
+           "the evolution runs one step fewer than its time table has rows, and its last "
+           "snapshot is whatever its buffer held"),
 )
 
 

@@ -479,6 +479,19 @@ def test_gradcheck_subcommand(capsys):
     assert "passed" in out
 
 
+@pytest.mark.parametrize("option", (("--config", "/nonexistent/cfg.json"), ("--seed", "-5"),
+                                    ("--out", "/nonexistent/out")),
+                         ids=("config", "seed", "out"))
+def test_gradcheck_takes_no_options(option, capsys):
+    # The check runs on its own fixed toy model and cohort, so it reads no
+    # config, seed or output directory: naming one is a usage error, given
+    # before the check starts.
+    assert main(["gradcheck", *option]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: unrecognized arguments: {' '.join(option)}\n"
+
+
 def test_console_script_installed(tmp_path):
     """The ``trajsurv`` script declared in pyproject.toml runs ``--help``.
 

@@ -235,6 +235,19 @@ MALFORMED = {
 
 
 class TestCohortFile:
+    def test_region_keys_name_the_node_kinds_in_slot_order(self):
+        # A file's region keys reach the node kinds by position: the j-th key
+        # fills region slot j, whose embedding is ANATOMICAL_KINDS[j]'s. Two
+        # keys swapped would feed the liver's features to the remnant's
+        # weights, and a saved model would read them in the wrong slot.
+        assert list(REGION_KEYS.items()) == [
+            ("liver", NodeKind.LIVER_PARENCHYMA),
+            ("remnant", NodeKind.FUTURE_LIVER_REMNANT),
+            ("hepatic_veins", NodeKind.HEPATIC_VEINS),
+            ("portal_veins", NodeKind.PORTAL_VEINS),
+            ("tumors", NodeKind.METASTATIC_TUMORS)]
+        assert tuple(REGION_KEYS.values()) == ANATOMICAL_KINDS
+
     def test_round_trip_preserves_everything(self, tmp_path):
         cohort, _ = simulate_cohort(12, seed=3, scenario=Scenario(region_len=5,
                                                                   clinical_len=4))

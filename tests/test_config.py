@@ -214,6 +214,7 @@ class TestValidation:
         (RunConfig, {"eval": EvalSettings(tau=13.0)}, "^eval.tau"),
         (SimulateSettings, {"base_os_hazard": 1.0, "base_dfs_hazard": 1.0}, "^simulate"),
         (SimulateSettings, {"base_os_hazard": 1.5, "base_dfs_hazard": 1.5}, "^simulate"),
+        (ModelConfig, {"horizon": 0}, "^model.T must be in"),
     ])
     def test_bad_value_built_in_python_raises(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=match):
