@@ -3,11 +3,13 @@
 # directory: simulate and its byte-identical rerun, simulate with all nine
 # `simulate` keys set and the scenario and seed it records, the exit codes
 # of a bad --out, of a base hazard too small for integer event times, of an
-# output file that is a directory, of no command and of a diverging run, the
-# gradient check and its refusal of an option, byte-identical reruns of a tiny gat crossval and its pooled
-# C-index intervals, `ablate --variant no_cascade` against `crossval` with
-# `cascade: false`, and a trained model file read back by evaluate, twice
-# with the same bytes.
+# output file that is a directory, of no command and of a diverging run,
+# the gradient check and its refusal of an option, byte-identical reruns
+# of a tiny gat crossval and its pooled C-index intervals, `ablate
+# --variant no_cascade` against `crossval` with `cascade: false`, a trained
+# model file read back by evaluate, twice with the same bytes, the same for
+# a model with `integrator: mean` and no cascade, and the refusal of a
+# model file whose metadata names an ablation its arrays do not match.
 # Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
@@ -132,3 +134,30 @@ trajsurv evaluate --config wide_eval.json --model trained/model.npz --out wide_o
   2> wide.err || status=$?
 test "$status" -eq 2
 test "$(wc -l < wide.err)" -eq 1
+# A model with `integrator: mean` and no cascade holds neither an LSTM nor
+# context weights; train writes it, and evaluate reads it back twice with
+# the same bytes.
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 4,
+       "integrator": "mean", "cascade": false}, "train": {"max_epochs": 3}}' > slim.json
+trajsurv train --config slim.json --out slim
+trajsurv evaluate --config slim.json --model slim/model.npz --out slim_eval
+mkdir slim_first
+cp slim_eval/report.json slim_eval/metrics.csv slim_eval/curves.csv slim_first/
+trajsurv evaluate --config slim.json --model slim/model.npz --out slim_eval
+for name in report.json metrics.csv curves.csv; do cmp "slim_first/$name" "slim_eval/$name"; done
+# The cascade model's file with its metadata edited to `cascade: false`
+# does not match the arrays such a model holds: evaluate exits 2 with one
+# stderr line.
+python3 - trained/model.npz edited.npz <<'PY'
+import json, sys
+import numpy as np
+with np.load(sys.argv[1]) as data:
+    arrays = dict(data)
+meta = json.loads(bytes(arrays["__meta__"]).decode())
+arrays["__meta__"] = np.frombuffer(json.dumps({**meta, "cascade": False}).encode(), np.uint8)
+np.savez(sys.argv[2], **arrays)
+PY
+status=0
+trajsurv evaluate --config train.json --model edited.npz --out edited 2> edited.err || status=$?
+test "$status" -eq 2
+test "$(wc -l < edited.err)" -eq 1

@@ -109,13 +109,23 @@ MUTANTS = (
            "    if buffer is None:\n",
            ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
            "a buffer sized for one batch is reused for a larger one"),
-    Mutant("cascade-context-leaks", "src/trajsurv/heads.py",
-           "    if not cascade_enabled:\n"
-           "        dfs_context = np.zeros((h_star.shape[0], params.context_dim))\n",
-           "",
+    Mutant("cascade-context-leaks", "src/trajsurv/model.py",
+           "                       config.context_dim if config.cascade else None, "
+           "config.num_bins, rng)\n",
+           "                       config.context_dim, config.num_bins, rng)\n",
            ("tests/test_loss_and_grads.py::test_cascade_check_is_the_os_term_alone[False]",),
-           "the mortality head reads the context with the cascade off; its backward "
-           "still writes zeros at the context weights"),
+           "a model built with the cascade off still has the context weights, and its "
+           "mortality head reads the context"),
+    Mutant("mean-builds-lstm", "src/trajsurv/model.py",
+           "    lstm = (init_lstm(config.hidden_dim, config.summary_dim, rng)\n"
+           "            if config.integrator == \"lstm\" else None)\n",
+           "    lstm = init_lstm(config.hidden_dim, config.summary_dim, rng)\n",
+           ("tests/test_loss_and_grads.py::test_loss_and_gradients_are_the_tape_bits"
+            "[graphsage-mean-True-40]",
+            "tests/test_loss_and_grads.py::test_loss_and_gradients_off_the_default_widths"
+            "[mean-gcn]",
+            "tests/test_training.py::test_each_config_holds_only_its_stages[mean-True]"),
+           "a model built for the mean integrator has an LSTM, and its forward runs it"),
     Mutant("lstm-gate-names-swapped", "src/trajsurv/trajectory.py",
            'GATES = ("i", "f", "o", "g")',
            'GATES = ("i", "f", "g", "o")',

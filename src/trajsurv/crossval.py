@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, map_arrays
 from .cohort import CohortArrays, FoldSpec, stratified_repeated_kfold
 from .config import RunConfig, config_to_dict
 from .graph import ANATOMICAL_KINDS, NodeKind
@@ -203,15 +203,16 @@ def _aggregate(rows: list[FoldRow]) -> dict:
 
 def _cascade_grad_check(model: FullModel, cohort: CohortArrays) -> bool:
     """True iff `cohort`'s OS logits are the same bits under a copy of the
-    model whose context weights are negated and context biases moved by
-    one: then no OS gradient reaches them. It runs the forward only, since
-    the backward writes zeros there without the cascade and so cannot tell.
-    The copy lays out its own theta (`FullModel`), so the check never
-    touches the model's parameters."""
+    model whose heads arrays other than `w_os` and `b_os` are all moved:
+    then the mortality head reads nothing of the recurrence branch, and no
+    OS gradient reaches it. It runs the forward only, to test what the
+    model computes rather than how it is built. The copy lays out its own
+    theta (`FullModel`), so the check never touches the model's parameters."""
     heads = model.heads
-    moved = dataclasses.replace(model, heads=dataclasses.replace(
-        heads, w_ctx=-heads.w_ctx, b_ctx=1.0 - heads.b_ctx))
-    return np.array_equal(model.forward(cohort)["os"], moved.forward(cohort)["os"])
+    moved = dataclasses.replace(map_arrays(heads, lambda a: 1.0 - a),
+                                w_os=heads.w_os, b_os=heads.b_os)
+    return np.array_equal(model.forward(cohort)["os"],
+                          dataclasses.replace(model, heads=moved).forward(cohort)["os"])
 
 
 def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,

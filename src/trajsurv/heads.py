@@ -1,15 +1,17 @@
 """Cascaded discrete-time survival heads and hazard/survival transforms.
 
 The recurrence branch projects the trajectory summary to logits over K time
-bins and to a compact context vector; the mortality branch consumes the
-summary concatenated with that context, encoding that recurrence informs
-mortality. Per-bin sigmoid hazards multiply into survival curves, and a
-point event-time estimate is the expectation with tail mass at the horizon.
+bins and, with the cascade, to a compact context vector; the mortality
+branch consumes the summary concatenated with that context, encoding that
+recurrence informs mortality. Heads built without the cascade hold no
+context weights, and the mortality branch reads the summary alone. Per-bin
+sigmoid hazards multiply into survival curves, and a point event-time
+estimate is the expectation with tail mass at the horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,81 +57,72 @@ def annual_bins(count: int) -> TimeBins:
 
 @dataclass
 class HeadParams:
-    """Context projection (d_h -> d_c), recurrence logits (d_h -> K), and the
-    mortality logit layer on the concatenation (d_h + d_c -> K)."""
+    """Recurrence logits (d_h -> K); with the cascade, a context projection
+    (d_h -> d_c) and mortality logits on [h* | context] (d_h + d_c -> K);
+    without it, `w_ctx` and `b_ctx` are None and `w_os` is d_h -> K."""
 
-    w_ctx: np.ndarray
-    b_ctx: np.ndarray
+    w_ctx: np.ndarray | None
+    b_ctx: np.ndarray | None
     w_dfs: np.ndarray
     b_dfs: np.ndarray
     w_os: np.ndarray
     b_os: np.ndarray
 
-    @property
-    def context_dim(self) -> int:
-        return self.w_ctx.shape[1]
-
     def named_leaves(self) -> list[tuple[str, np.ndarray]]:
-        return [("heads.w_ctx", self.w_ctx), ("heads.b_ctx", self.b_ctx),
-                ("heads.w_dfs", self.w_dfs), ("heads.b_dfs", self.b_dfs),
-                ("heads.w_os", self.w_os), ("heads.b_os", self.b_os)]
+        return [(f"heads.{f.name}", getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None]
 
 
-def init_heads(summary_dim: int, context_dim: int, num_bins: int,
+def init_heads(summary_dim: int, context_dim: int | None, num_bins: int,
                rng: np.random.Generator) -> HeadParams:
+    """Heads on a summary of `summary_dim`; a `context_dim` builds the cascade."""
+    cascade = context_dim is not None
     return HeadParams(
-        w_ctx=uniform_weight(rng, summary_dim, context_dim),
-        b_ctx=zero_bias(context_dim),
+        w_ctx=uniform_weight(rng, summary_dim, context_dim) if cascade else None,
+        b_ctx=zero_bias(context_dim) if cascade else None,
         w_dfs=uniform_weight(rng, summary_dim, num_bins),
         b_dfs=zero_bias(num_bins),
-        w_os=uniform_weight(rng, summary_dim + context_dim, num_bins),
+        w_os=uniform_weight(rng, summary_dim + (context_dim or 0), num_bins),
         b_os=zero_bias(num_bins),
     )
 
 
-def dfs_head(h_star: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence logits (B x K) and the tanh-bounded context (B x d_c)."""
-    context = np.tanh(h_star @ params.w_ctx + params.b_ctx)
+def dfs_head(h_star: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray | None]:
+    """Recurrence logits (B x K) and the tanh-bounded context (B x d_c), or
+    None for heads without the cascade."""
+    context = None if params.w_ctx is None else np.tanh(h_star @ params.w_ctx + params.b_ctx)
     logits = h_star @ params.w_dfs + params.b_dfs
     return logits, context
 
 
-def _joint(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
-           cascade_enabled: bool) -> np.ndarray:
-    """[h* | context], the input of the mortality logits; with the cascade
-    disabled the context is replaced by zeros."""
-    if not cascade_enabled:
-        dfs_context = np.zeros((h_star.shape[0], params.context_dim))
-    return np.concatenate([h_star, dfs_context], axis=1)
+def _joint(h_star: np.ndarray, context: np.ndarray | None) -> np.ndarray:
+    """The input of the mortality logits: h* alone, or [h* | context]."""
+    return h_star if context is None else np.concatenate([h_star, context], axis=1)
 
 
-def os_head(h_star: np.ndarray, dfs_context: np.ndarray, params: HeadParams,
-            cascade_enabled: bool) -> np.ndarray:
-    """Mortality logits; with the cascade disabled the context is replaced by
-    zeros, so no gradient reaches the context projection."""
-    return _joint(h_star, dfs_context, params, cascade_enabled) @ params.w_os + params.b_os
+def os_head(h_star: np.ndarray, context: np.ndarray | None, params: HeadParams) -> np.ndarray:
+    """Mortality logits from h* and the recurrence head's context, if any."""
+    return _joint(h_star, context) @ params.w_os + params.b_os
 
 
-def heads_backward(h_star: np.ndarray, context: np.ndarray, params: HeadParams,
-                   d_dfs: np.ndarray, d_os: np.ndarray, cascade_enabled: bool,
-                   grads: HeadParams) -> np.ndarray:
+def heads_backward(h_star: np.ndarray, context: np.ndarray | None, params: HeadParams,
+                   d_dfs: np.ndarray, d_os: np.ndarray, grads: HeadParams) -> np.ndarray:
     """The gradient of h* from the gradients of both heads' logits; each
     `heads.*` parameter's is written into its zeroed array in `grads`. h*
-    feeds three products: its gradient adds the mortality head's, then the
-    context's, then the recurrence logits' share, the order in which the
-    tape visits them, so its bits are the tape's. Without the cascade the
-    context parameters keep their zeros."""
+    feeds up to three products: its gradient adds the mortality head's, then
+    the context's, then the recurrence logits' share, the order in which the
+    tape visits them, so its bits are the tape's."""
     width = h_star.shape[1]
     d_joint = d_os @ params.w_os.T
     dh_star = d_joint[:, :width]
-    if cascade_enabled:
+    if context is not None:
         d_pre = d_joint[:, width:] * (1.0 - context * context)
         dh_star = dh_star + d_pre @ params.w_ctx.T
         np.matmul(h_star.T, d_pre, out=grads.w_ctx)
         d_pre.sum(axis=0, keepdims=True, out=grads.b_ctx)
     np.matmul(h_star.T, d_dfs, out=grads.w_dfs)
     d_dfs.sum(axis=0, keepdims=True, out=grads.b_dfs)
-    np.matmul(_joint(h_star, context, params, cascade_enabled).T, d_os, out=grads.w_os)
+    np.matmul(_joint(h_star, context).T, d_os, out=grads.w_os)
     d_os.sum(axis=0, keepdims=True, out=grads.b_os)
     return dh_star + d_dfs @ params.w_dfs.T
 

@@ -124,8 +124,10 @@ def typed_value(key: str, value, hint):
 
 @dataclass
 class FullModel:
-    """The four stages' parameters, every array a view of one float64 vector
+    """The stages' parameters, every array a view of one float64 vector
     `theta`, and their gradient `grad`, a second vector laid out as theta.
+    `lstm` is None for the mean integrator, and the heads hold no context
+    weights without the cascade; forward and backward follow that structure.
     Construction copies the arrays it is given into a fresh theta, in
     storage order: field by field (a dict field key by key), the LSTM's
     gate stacks whole; it builds the stages' views of grad once, and
@@ -135,7 +137,7 @@ class FullModel:
     config: ModelConfig
     embedding: EmbeddingParams
     evolution: EvolutionParams
-    lstm: LstmParams
+    lstm: LstmParams | None
     heads: HeadParams
     theta: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     grad: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
@@ -159,16 +161,17 @@ class FullModel:
         return FullModel, (self.config, self.embedding, self.evolution, self.lstm, self.heads)
 
     def stage_views(self, vec: np.ndarray) -> tuple[EmbeddingParams, EvolutionParams,
-                                                    LstmParams, HeadParams]:
+                                                    LstmParams | None, HeadParams]:
         """The four stages' parameters as views of `vec`, a vector of
-        theta's size, each array at its place in theta."""
+        theta's size, each array at its place in theta; a stage the model
+        does not build stays None."""
         start = 0
 
         def view(a: np.ndarray) -> np.ndarray:
             nonlocal start
             start += a.size
             return vec[start - a.size:start].reshape(a.shape)
-        return tuple(map_arrays(stage, view)
+        return tuple(None if stage is None else map_arrays(stage, view)
                      for stage in (self.embedding, self.evolution, self.lstm, self.heads))
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
@@ -183,15 +186,14 @@ class FullModel:
         `keep`, it leaves what `backward` needs in `workspace`: the
         evolution's and LSTM's arrays as its buffers (`autodiff.slot`), the
         rest under `"kept"`."""
-        cfg = self.config
         self.workspace.pop("kept", None)
         out = self.workspace if keep else None
         h0 = embed_nodes(cohort, self.embedding)
         snapshots, evolved = evolve(h0, cohort, self.evolution, out)
-        h_star, integrated = (integrate(snapshots, self.lstm, out) if cfg.integrator == "lstm"
-                              else (integrate_mean(snapshots), None))
+        h_star, integrated = ((integrate_mean(snapshots), None) if self.lstm is None
+                              else integrate(snapshots, self.lstm, out))
         dfs_logits, context = dfs_head(h_star, self.heads)
-        os_logits = os_head(h_star, context, self.heads, cascade_enabled=cfg.cascade)
+        os_logits = os_head(h_star, context, self.heads)
         if keep:
             self.workspace["kept"] = {"cohort": cohort, "evolve": evolved, "lstm": integrated,
                                       "h_star": h_star, "context": context}
@@ -203,15 +205,15 @@ class FullModel:
         `workspace` (a KeyError if it kept nothing). `grad` is zeroed, each
         stage's backward writes its views of it, and each stage's state is
         dropped once its backward has run, the LSTM's before the evolution's."""
-        cfg, kept = self.config, self.workspace.pop("kept")
+        kept = self.workspace.pop("kept")
         self.grad[...] = 0.0
         embedding, evolution, lstm, heads = self.grad_stages
         dh_star = heads_backward(kept.pop("h_star"), kept.pop("context"), self.heads,
-                                 d_logits["dfs"], d_logits["os"], cfg.cascade, heads)
-        if cfg.integrator == "lstm":
-            dz = integrate_backward(kept.pop("lstm"), dh_star, lstm)
-        else:
+                                 d_logits["dfs"], d_logits["os"], heads)
+        if self.lstm is None:
             dz = integrate_mean_backward(dh_star, len(self.evolution.time_table))
+        else:
+            dz = integrate_backward(kept.pop("lstm"), dh_star, lstm)
         dh0 = evolve_backward(kept.pop("evolve"), dz, evolution)
         embed_backward(kept.pop("cohort"), dh0, embedding)
 
@@ -229,25 +231,26 @@ class FullModel:
 
 
 def _named(stages) -> list[tuple[str, np.ndarray]]:
-    """The arrays of the four stages by parameter name: the model file's names."""
-    return [pair for stage in stages for pair in stage.named_leaves()]
+    """The arrays of the stages by parameter name: the model file's names."""
+    return [pair for stage in stages if stage is not None for pair in stage.named_leaves()]
 
 
 def init_model(config: ModelConfig, feature_widths: dict[NodeKind, int],
                rng: np.random.Generator) -> FullModel:
-    """Build a model with freshly initialized parameters.
-
-    The integrator determines the summary width the heads see: the LSTM maps
-    snapshots to summary_dim, while the mean integrator keeps the snapshot
-    width (hidden_dim).
+    """Build a model with freshly initialized parameters, drawn stage by
+    stage in storage order. Only here does the config decide which stages
+    exist: the LSTM for the `lstm` integrator alone, and the heads' context
+    projection with the cascade alone. The heads see the LSTM's summary_dim,
+    or without it the snapshot width (hidden_dim).
     """
     embedding = init_embedding(feature_widths, config.hidden_dim, rng)
     evolution = init_evolution(config.backbone, config.hidden_dim, config.time_dim,
                                config.horizon, config.message_dim, rng,
                                attention_dim=config.attention_dim)
-    lstm = init_lstm(config.hidden_dim, config.summary_dim, rng)
-    head_input = config.summary_dim if config.integrator == "lstm" else config.hidden_dim
-    heads = init_heads(head_input, config.context_dim, config.num_bins, rng)
+    lstm = (init_lstm(config.hidden_dim, config.summary_dim, rng)
+            if config.integrator == "lstm" else None)
+    heads = init_heads(config.hidden_dim if lstm is None else config.summary_dim,
+                       config.context_dim if config.cascade else None, config.num_bins, rng)
     # The draws above fix the values; `FullModel` copies them into theta.
     return FullModel(config=config, embedding=embedding, evolution=evolution,
                      lstm=lstm, heads=heads)

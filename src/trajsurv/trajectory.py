@@ -7,8 +7,8 @@ elementwise mean of all hidden states so no single step dominates.
 gates and cells there, from which `integrate_backward` runs
 backpropagation through time. The parameters are one weight stack and one
 bias stack over the four gates; the model file names their eight gate
-slices `lstm.w_i` .. `lstm.b_o`. The integrator-ablation mode bypasses the
-LSTM and averages the raw snapshots instead.
+slices `lstm.w_i` .. `lstm.b_o`. A model built for the integrator ablation
+has no LSTM at all: `integrate_mean` averages the raw snapshots instead.
 """
 
 from __future__ import annotations

@@ -479,16 +479,17 @@ def tape_integrate_mean(snapshots, steps):
 
 
 def tape_dfs_head(h_star, params):
-    """`heads.dfs_head` on the tape: (logits, context)."""
-    context = tanh(add(matmul(h_star, params.w_ctx), params.b_ctx))
+    """`heads.dfs_head` on the tape: (logits, context), the context None for
+    heads without the cascade."""
+    context = (None if params.w_ctx is None
+               else tanh(add(matmul(h_star, params.w_ctx), params.b_ctx)))
     return add(matmul(h_star, params.w_dfs), params.b_dfs), context
 
 
-def tape_os_head(h_star, dfs_context, params, cascade_enabled=True):
-    """`heads.os_head` on the tape; without the cascade the context is a zero constant."""
-    if not cascade_enabled:
-        dfs_context = constant(np.zeros((h_star.rows, params.context_dim)))
-    return add(matmul(concat_cols(h_star, dfs_context), params.w_os), params.b_os)
+def tape_os_head(h_star, dfs_context, params):
+    """`heads.os_head` on the tape: h* alone without a context."""
+    joint = h_star if dfs_context is None else concat_cols(h_star, dfs_context)
+    return add(matmul(joint, params.w_os), params.b_os)
 
 
 def tape_nll(logits, time, event, bins):
@@ -506,26 +507,30 @@ def tape_nll(logits, time, event, bins):
 
 def tape_mean_loss(model, cohort, bins, weights):
     """`training._mean_loss` on the tape, as it once was: the loss tensor and
-    the model's leaves by name."""
+    the model's leaves by name. It reads the integrator and the cascade from
+    the config, not from which stages the model holds, so a model built with
+    a stage its config switches off does not match it."""
     cfg = model.config
     embedding, evolution = model.embedding, leaves_of(model.evolution)
-    lstm, heads = leaves_of(model.lstm), leaves_of(model.heads)
+    lstm = leaves_of(model.lstm) if cfg.integrator == "lstm" else None
+    heads = leaves_of(model.heads)
     embed_w = {kind: Tensor(w, requires_grad=True) for kind, w in embedding.weights.items()}
     embed_b = {kind: Tensor(b, requires_grad=True) for kind, b in embedding.biases.items()}
     h0 = tape_embed(cohort, embed_w, embed_b)
     snapshots = evolve_node(h0, cohort, evolution)
-    if cfg.integrator == "lstm":
+    if lstm is not None:
         h_star = lstm_node(snapshots, cfg.horizon, lstm)
     else:
         h_star = tape_integrate_mean(snapshots, cfg.horizon)
     dfs_logits, context = tape_dfs_head(h_star, heads)
-    os_logits = tape_os_head(h_star, context, heads, cfg.cascade)
+    os_logits = tape_os_head(h_star, context if cfg.cascade else None, heads)
     leaves = {}
     for kind in embed_w:
         leaves[f"embed.{kind.value}.w"] = embed_w[kind]
         leaves[f"embed.{kind.value}.b"] = embed_b[kind]
     for part in (evolution, lstm, heads):
-        leaves.update(part.named_leaves())
+        if part is not None:
+            leaves.update(part.named_leaves())
     os_nll = tape_nll(os_logits, cohort.time["os"], cohort.event["os"], bins)
     dfs_nll = tape_nll(dfs_logits, cohort.time["dfs"], cohort.event["dfs"], bins)
     loss = add(mul(constant([[weights.alpha]]), os_nll), mul(constant([[weights.beta]]), dfs_nll))

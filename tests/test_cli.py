@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -299,6 +300,26 @@ def test_forged_model_size_exits_2_and_allocates_nothing(tmp_path, capsys, kind)
     assert code == EXIT_DATA and peak < 2 ** 20
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("meta,named", (
+    ({"cascade": False}, r"heads\.b_ctx \(1, 4\) \(expects none\), heads\.w_ctx \(8, 4\) "
+                         r"\(expects none\), heads\.w_os \(12, 4\) \(expects \(8, 4\)\)"),
+    ({"integrator": "mean"}, r"lstm\.b_f \(1, 8\) \(expects none\), .*, and 3 more")),
+    ids=("cascade", "integrator"))
+def test_metadata_that_disagrees_with_the_arrays_exits_2(tmp_path, capsys, meta, named):
+    # A cascade LSTM model's file whose metadata names an ablation, as does a
+    # file of an ablation model that still stores its unused arrays: read as
+    # the ablation, it would score without some of its stored weights. It
+    # exits 2 with one line that names the arrays the ablation does not hold.
+    path = save_untrained_model(tmp_path, meta)
+    config = write_config(tmp_path, name="m.json", cohort=simulate_into(tmp_path))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "m"),
+                 "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA and err.count("\n") == 1, err
+    assert re.search(named, err), err
 
 
 def test_removed_switch_loads_only_when_false(tmp_path):

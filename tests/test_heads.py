@@ -49,7 +49,7 @@ class TestHeads:
         logits, context = dfs_head(h_star, p)
         assert np.array_equal(logits, np.zeros((1, 4)))
         assert np.array_equal(context, np.zeros((1, 2)))
-        assert np.array_equal(os_head(h_star, context, p, True), np.zeros((1, 4)))
+        assert np.array_equal(os_head(h_star, context, p), np.zeros((1, 4)))
 
     def test_single_bin_dot_product(self):
         p = init_heads(2, 2, 1, np.random.default_rng(0))
@@ -70,54 +70,61 @@ class TestHeads:
         assert np.all(np.abs(extreme) <= 1.0)
 
     def test_cascade_off_equals_zero_context(self):
-        p = init_heads(2, 2, 3, np.random.default_rng(3))
+        # Heads without the cascade have no context, and their mortality
+        # logits are those of heads with it at a zero context, given the
+        # same first d_h rows of w_os.
+        on = init_heads(2, 2, 3, np.random.default_rng(3))
+        off = init_heads(2, None, 3, np.random.default_rng(4))
+        off.w_os[:] = on.w_os[:2]
         h_star = np.array([[0.7, -0.4]])
-        _, context = dfs_head(h_star, p)
-        off = os_head(h_star, context, p, cascade_enabled=False)
-        on_zero = os_head(h_star, np.zeros((1, 2)), p, True)
-        assert np.array_equal(off, on_zero)
+        _, context = dfs_head(h_star, off)
+        assert context is None
+        assert np.array_equal(os_head(h_star, context, off),
+                              os_head(h_star, np.zeros((1, 2)), on))
 
     def test_cascade_off_blocks_context_gradient(self):
-        p = init_heads(2, 2, 3, np.random.default_rng(4))
+        # Without the cascade no context weights exist to take a gradient;
+        # with it, the mortality head's gradient reaches them.
         h_star = np.array([[0.7, -0.4]])
-        _, context = dfs_head(h_star, p)
         d_os = np.random.default_rng(5).normal(size=(1, 3))
 
-        def grads(enabled):
+        def grads(context_dim):
+            p = init_heads(2, context_dim, 3, np.random.default_rng(4))
             out = ad.map_arrays(p, np.zeros_like)
-            heads_backward(h_star, context, p, np.zeros((1, 3)), d_os, enabled, out)
+            heads_backward(h_star, dfs_head(h_star, p)[1], p, np.zeros((1, 3)), d_os, out)
             return dict(out.named_leaves())
 
-        g_off = grads(False)
-        assert np.array_equal(g_off["heads.w_ctx"], np.zeros_like(p.w_ctx))
-        assert np.array_equal(g_off["heads.b_ctx"], np.zeros_like(p.b_ctx))
-        assert np.any(grads(True)["heads.w_ctx"] != 0.0)
+        assert list(grads(None)) == ["heads.w_dfs", "heads.b_dfs", "heads.w_os", "heads.b_os"]
+        assert np.any(grads(2)["heads.w_ctx"] != 0.0)
 
     def test_head_gradients_match_finite_differences(self):
         # sum(tanh([dfs logits | os logits])), over h* and every head
         # parameter, with the cascade and without.
-        p = init_heads(3, 2, 4, np.random.default_rng(5))
         h_star = np.random.default_rng(6).normal(size=(2, 3))
-        for cascade in (True, False):
+        for context_dim in (2, None):
+            p = init_heads(3, context_dim, 4, np.random.default_rng(5))
+
             def logits():
                 dfs_logits, context = dfs_head(h_star, p)
-                return dfs_logits, os_head(h_star, context, p, cascade), context
+                return dfs_logits, os_head(h_star, context, p), context
 
             dfs_logits, os_logits, context = logits()
             grads = ad.map_arrays(p, np.zeros_like)
             dh_star = heads_backward(h_star, context, p, 1.0 - np.tanh(dfs_logits) ** 2,
-                                     1.0 - np.tanh(os_logits) ** 2, cascade, grads)
+                                     1.0 - np.tanh(os_logits) ** 2, grads)
             err = ad.grad_check(lambda: sum(np.tanh(x).sum() for x in logits()[:2]),
                                 {"h_star": dh_star, **dict(grads.named_leaves())},
                                 {"h_star": h_star, **dict(p.named_leaves())})
-            assert err <= 1e-4, cascade
+            assert err <= 1e-4, context_dim
 
     def test_init_shapes(self):
         p = init_heads(5, 3, 7, np.random.default_rng(7))
         assert p.w_ctx.shape == (5, 3)
         assert p.w_dfs.shape == (5, 7)
         assert p.w_os.shape == (8, 7)
-        assert p.context_dim == 3
+        p = init_heads(5, None, 7, np.random.default_rng(7))
+        assert p.w_ctx is None and p.b_ctx is None
+        assert p.w_os.shape == (5, 7)
 
 
 class TestHazardTransforms:

@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from trajsurv import heads
+from trajsurv import model as model_module
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import _cascade_grad_check, feature_widths
 from trajsurv.evolution import BACKBONES
@@ -112,11 +113,12 @@ def test_the_loss_is_validations_loss():
 
 @pytest.mark.parametrize("cascade", (True, False))
 def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
-    # Without the cascade, the OS term sends exact zeros to the context
-    # weights; with it, some gradient reaches them. The DFS term never does.
-    # A mortality head that reads the context with the cascade off fails the
-    # check, though the backward still writes zeros at the context weights.
-    # The check leaves the model's own weights as they were.
+    # The check moves every heads array but the mortality logits' own: a
+    # model with the cascade fails it through its context weights, and one
+    # without, which has none, passes. The DFS term sends no gradient to
+    # the context or the mortality logits. A mortality head that also reads
+    # the recurrence logits' weights fails the check. The check leaves the
+    # model's own weights as they were.
     config = ModelConfig(cascade=cascade, hidden_dim=8, time_dim=4, summary_dim=8,
                          context_dim=4, horizon=3, num_bins=4, message_dim=8)
     cohort = cohort_of(40)
@@ -126,8 +128,11 @@ def test_cascade_check_is_the_os_term_alone(cascade, monkeypatch):
     assert np.array_equal(model.theta, before)
     loss_and_grads(model, cohort, LossWeights(0.0, 1.0))
     dfs_only = dict(model.named_gradients())
-    for name in ("heads.w_ctx", "heads.b_ctx", "heads.w_os", "heads.b_os"):
+    context = ["heads.w_ctx", "heads.b_ctx"] if cascade else []
+    assert [name for name in dfs_only if name.startswith("heads.")] == context + [
+        "heads.w_dfs", "heads.b_dfs", "heads.w_os", "heads.b_os"]
+    for name in context + ["heads.w_os", "heads.b_os"]:
         assert (dfs_only[name] == 0.0).all(), name
-    monkeypatch.setattr(heads, "_joint", lambda h_star, context, params, cascade_enabled:
-                        np.concatenate([h_star, context], axis=1))
+    monkeypatch.setattr(model_module, "os_head", lambda h_star, context, params:
+                        heads.os_head(h_star, context, params) + h_star @ params.w_dfs)
     assert _cascade_grad_check(model, cohort) is False

@@ -5,11 +5,14 @@ and insertions. Each mutated file must load, or be refused with the loader's
 error in one line: the CLI prints that line and exits 2 for a cohort or a
 model file, 1 for a config. Configs run through `main`; cohorts and model
 files go to `load_cohort` and `load_model` directly, where the CLI would
-only add time. The hand-made cases below each ended in a traceback before
+only add time. A structure-aware fuzz puts valid JSON of a wrong type,
+shape or nesting at every field of a cohort. The hand-made cases below each ended in a traceback before
 their loaders caught them, and the cases after them ended in a traceback
 or in a stderr line as long as the value they quoted.
 """
 
+import collections
+import copy
 import io
 import json
 import struct
@@ -83,6 +86,66 @@ def test_mutated_cohort_and_model_files_load_or_give_one_line(files, tmp_path, k
         assert len(err.splitlines()) == (code != EXIT_OK), err
         codes.add(code)
     assert EXIT_DATA in codes
+
+
+# What the structure-aware fuzz puts at a field path: each JSON type, empty
+# and nested containers, NaN and an integer of 400 digits. `DROP` removes
+# the field instead.
+WRONG_VALUES = (None, True, False, 0, -1, 2.5, float("nan"), "", "x", [], [1], [[1]], {},
+                {"a": 1}, 10 ** 400)
+DROP = object()
+
+
+def replaced(doc, path, value):
+    """A copy of the JSON document `doc` with the field at `path`, a tuple of
+    keys and indices, set to `value`, or removed for `DROP`."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def structure_mutants(doc):
+    """Copies of `doc`: at every field path, each of `WRONG_VALUES` in place
+    of the field, the field dropped, and at every object an extra key."""
+    def nodes(node, path=()):
+        yield path, node
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            yield from nodes(child, path + (key,))
+
+    for path, node in list(nodes(doc)):
+        extra = ({**node, "extra": 1},) if isinstance(node, dict) else ()
+        for value in WRONG_VALUES + extra + ((DROP,) if path else ()):
+            yield replaced(doc, path, value)
+
+
+def test_structurally_wrong_cohorts_load_or_raise_cohort_error(tmp_path):
+    # Valid JSON of the wrong type, shape or nesting at each field of a
+    # 3-patient cohort with one region absent: each document loads, or is
+    # refused with the loader's error in one line, never with another
+    # exception. The counts pin how many changes the loader accepts, such as
+    # an integer feature.
+    cohort, _ = simulate_cohort(10, seed=0, scenario=Scenario(region_len=2, clinical_len=2))
+    save_cohort(cohort[:3], tmp_path / "valid.json")
+    doc = json.loads((tmp_path / "valid.json").read_text())
+    doc["patients"][1]["regions"]["tumors"] = {"present": False}
+    bad = tmp_path / "cohort.json"
+    codes = collections.Counter()
+    for changed in structure_mutants(doc):
+        bad.write_text(json.dumps(changed))
+        code, err = exit_of(load_cohort, bad, CohortError)
+        assert len(err.splitlines()) == (code != EXIT_OK), err
+        codes[code] += 1
+    assert codes == {EXIT_OK: 251, EXIT_DATA: 2497}
 
 
 def test_mutated_configs_exit_1_or_2_with_one_line(files, tmp_path, capsys):

@@ -172,6 +172,36 @@ def test_every_parameter_is_a_view_of_theta_and_one_step_moves_it(backbone, inte
     assert moved
 
 
+# theta's size at the default widths, with regions of 8 features and 6
+# clinical ones, per (integrator, cascade).
+THETA_SIZES = {("lstm", True): 16232, ("lstm", False): 15512,
+               ("mean", True): 7912, ("mean", False): 7192}
+
+
+@pytest.mark.parametrize("integrator,cascade", sorted(THETA_SIZES))
+def test_each_config_holds_only_its_stages(integrator, cascade):
+    # The LSTM exists only for the `lstm` integrator, and the context
+    # projection only with the cascade; the mortality logits read d_h + d_c
+    # inputs with it and d_h without. The embedding and evolution are the
+    # same in every config.
+    config = ModelConfig(integrator=integrator, cascade=cascade)
+    widths = {**{kind: 8 for kind in ANATOMICAL_KINDS}, NodeKind.GLOBAL_CT: 8,
+              NodeKind.CLINICAL: 6}
+    model = init_model(config, widths, np.random.default_rng(0))
+    default = init_model(ModelConfig(), widths, np.random.default_rng(0))
+    names = [name for name, _ in model.named_parameters()]
+    shared = [name for name, _ in default.named_parameters()
+              if name.startswith(("embed.", "op."))]
+    lstm = [f"lstm.{kind}_{gate}" for gate in "ifgo" for kind in "wb"]
+    context = ["heads.w_ctx", "heads.b_ctx"]
+    assert names == (shared + (lstm if integrator == "lstm" else [])
+                     + (context if cascade else [])
+                     + ["heads.w_dfs", "heads.b_dfs", "heads.w_os", "heads.b_os"])
+    assert (model.lstm is None) == (integrator == "mean")
+    assert model.heads.w_os.shape == (32 + 16 * cascade, 12)
+    assert model.theta.size == THETA_SIZES[integrator, cascade]
+
+
 @pytest.mark.parametrize("how", ("deepcopy", "pickle"))
 def test_a_step_on_a_copied_model_leaves_the_original_alone(how):
     # A copy is rebuilt through the constructor, so a step on the copy moves
