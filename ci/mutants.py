@@ -63,8 +63,8 @@ MUTANTS = (
             "tests/test_objective.py::TestCombinedLoss::test_weighted"),
            "each head trained on the other task's labels; the backward follows the same masks"),
     Mutant("censored-bin-not-survived", "src/trajsurv/objective.py",
-           "    surv_mask = (cols < k + 1 - event).astype(np.float64)\n",
-           "    surv_mask = (cols < k).astype(np.float64)\n",
+           "    surv_mask = cols < k + 1 - event\n",
+           "    surv_mask = cols < k\n",
            ("tests/test_training.py::test_featureless_patients_learn_the_life_table",),
            "a patient censored in bin k counted as not surviving it, in loss and gradient"),
     Mutant("child-flushes-stdout", "src/trajsurv/metrics.py",
@@ -218,6 +218,28 @@ MUTANTS = (
             "tests/test_evolution.py::test_evolve_primitive_matches_the_per_op_tape"),
            "the evolution runs one step fewer than its time table has rows, and its last "
            "snapshot is whatever its buffer held"),
+    Mutant("validation-in-one-shot", "src/trajsurv/training.py",
+           "    parts = [model.forward(part) for part in score_passes(cohort)]\n",
+           "    parts = [model.forward(cohort)]\n",
+           ("tests/test_training.py::test_validation_holds_one_pass_at_a_time[graphsage]",
+            "tests/test_training.py::test_validation_holds_one_pass_at_a_time[gat]"),
+           "validation runs the whole validation set in one forward, so the workspace grows "
+           "to hold its state; the loss is the same bits"),
+    Mutant("fresh-forward", "src/trajsurv/model.py",
+           "        snapshots, evolved = evolve(h0, cohort, self.evolution, self.workspace)\n"
+           "        h_star, integrated = ((integrate_mean(snapshots), None) if self.lstm is None\n"
+           "                              else integrate(snapshots, self.lstm, self.workspace))\n",
+           "        out = self.workspace if keep else {}\n"
+           "        snapshots, evolved = evolve(h0, cohort, self.evolution, out)\n"
+           "        h_star, integrated = ((integrate_mean(snapshots), None) if self.lstm is None\n"
+           "                              else integrate(snapshots, self.lstm, out))\n",
+           ("tests/test_training.py::test_validation_and_scoring_fault_in_no_forward_state"
+            "[validate-64]",
+            "tests/test_training.py::test_validation_and_scoring_fault_in_no_forward_state"
+            "[score-130]"),
+           "a forward that does not keep writes its state into fresh arrays, which each "
+           "validation and scoring pass allocates, frees and faults in again; the bits are "
+           "the same"),
 )
 
 

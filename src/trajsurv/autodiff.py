@@ -13,10 +13,10 @@ gradient. `FullModel.backward` chains them, handing each its views of the
 model's `grad`, one vector laid out as the parameter vector `theta`, and
 `training.loss_and_grads` returns the loss and leaves that gradient there.
 
-A training step keeps its forward state in its model's `workspace`, a dict
-of float64 buffers that `slot` hands out by name, which the fit empties when
-it ends. A step overwrites what the previous step kept, so its arrays are
-not allocated, freed and page-faulted in again per step.
+Every forward writes its evolution and LSTM state into its model's
+`workspace`, a dict of float64 buffers that `slot` hands out by name, which
+a fit or a scoring run empties when it ends. Each forward overwrites the
+last one's, so no step or pass allocates, frees and faults them in again.
 """
 
 from __future__ import annotations
@@ -62,12 +62,10 @@ def map_arrays(params, fn: Callable[[np.ndarray], np.ndarray]):
                                           for f in dataclasses.fields(params)})
 
 
-def slot(out: dict[str, np.ndarray] | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of `shape`: a fresh one without a
-    workspace `out`, else a view of the workspace's buffer `name`, which is
-    reallocated only when it holds fewer elements than `shape` needs."""
-    if out is None:
-        return np.empty(shape)
+def slot(out: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape`, a view of the workspace
+    `out`'s buffer `name`, which is reallocated only when it holds fewer
+    elements than `shape` needs."""
     size = math.prod(shape)
     buffer = out.get(name)
     if buffer is None or buffer.size < size:

@@ -18,17 +18,13 @@ from .graph import ANATOMICAL_KINDS, NodeKind
 from .heads import SaturatedCurveError, TimeBins, point_estimate_time
 from .metrics import (IpcwCapWarning, bootstrap_cindex, cindex_arrays, format_ci,
                       integrated_brier, mae_uncensored, time_dependent_auc)
-from .model import FullModel, init_model
+from .model import FullModel, init_model, score_passes
 from .training import train_model
 
 METRIC_COLUMNS = ("cindex", "ibs", "auc1", "auc3", "auc5", "mae")
 AUC_HORIZONS = (1.0, 3.0, 5.0)   # years: the horizons of auc1, auc3 and auc5
 REPORT_FILES = ("report.json", "metrics.csv", "curves.csv", "timings.json")
 TASKS = ("os", "dfs")
-# Patients per scoring pass. A row of a BLAS matrix product may depend on how
-# many rows share the call, so scoring never takes its pass length from the
-# training batch size.
-SCORE_PASS = 64
 
 
 @dataclass
@@ -149,16 +145,9 @@ class FoldOutcome:
 
 def _predict_fold(model: FullModel,
                   cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per task, the (n, K) hazards and survival of `cohort`, scored in
-    forward passes of `SCORE_PASS` patients. A trailing single patient joins
-    the pass before it, so no pass of a larger cohort scores one patient
-    through numpy's matrix-vector path. The passes depend on nothing but the
-    cohort's size, so neither do the bits."""
-    ends = list(range(SCORE_PASS, len(cohort), SCORE_PASS))
-    if ends and ends[-1] == len(cohort) - 1:
-        ends.pop()
-    bounds = zip([0] + ends, ends + [len(cohort)])
-    parts = [model.predict_curves(cohort.take(slice(start, stop))) for start, stop in bounds]
+    """Per task, the (n, K) hazards and survival of `cohort`, scored in the
+    forward passes of `score_passes`, as validation is."""
+    parts = [model.predict_curves(part) for part in score_passes(cohort)]
     return {task: tuple(np.concatenate([part[task][j] for part in parts]) for j in (0, 1))
             for task in TASKS}
 
@@ -217,12 +206,15 @@ def _cascade_grad_check(model: FullModel, cohort: CohortArrays) -> bool:
 
 def _score(model: FullModel, cohort: CohortArrays, test: list[int] | np.ndarray,
            config: RunConfig, repeat: int, fold: int) -> FoldOutcome:
-    """Score the patients `test` of `cohort` as fold (repeat, fold), with the
-    model's own bins; the one path from a trained model to report rows."""
+    """Score the patients `test` of `cohort` as fold (repeat, fold) with the model's
+    own bins, then empty its workspace: the one path from a trained model to report rows."""
     bins = model.config.bins()
     tau = config.eval.resolve_tau(bins)
     scored = cohort.take(test)
-    curves = _predict_fold(model, scored)
+    try:
+        curves = _predict_fold(model, scored)
+    finally:
+        model.workspace.clear()
     pred_time = {task: point_estimate_time(curves[task][1], bins) for task in TASKS}
     per_task, capped = _fold_metrics(scored, curves, pred_time, bins, tau)
     first = repeat == 0

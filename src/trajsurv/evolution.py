@@ -14,8 +14,8 @@ star template, once per forward. The neighbour mean, the gcn normalisation
 and the readout are `Blocks`, stacks of B per-patient dense blocks applied
 with one batched matmul.
 `evolve` runs one step and readout per row of the time table and returns
-the (T, B, d) snapshots. Handed a workspace, it also keeps each step's
-states there, from which `evolve_backward` runs backpropagation through time.
+the (T, B, d) snapshots. It writes each step's states into the workspace it
+is handed, from which `evolve_backward` runs backpropagation through time.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -237,18 +237,17 @@ def segment_softmax(scores: np.ndarray, present: np.ndarray) -> tuple[np.ndarray
 
 
 def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
-           out: dict[str, np.ndarray] | None = None):
+           out: dict[str, np.ndarray]):
     """Roll the residual operator forward from H0, one step per time-table row.
 
     Step t sets H <- H + max(pre_t(H), 0) W_out + b_out and reads out the
     snapshot pool H, so the result holds z_0..z_{T-1} as (T, B, d). Every
     operation runs in the order of the per-op tape form (tests/oracles.py),
     so the values are the same bits. A state that is not finite after step
-    t raises NonFiniteError naming t. Handed a workspace `out`, it writes
-    the states, activations and snapshots there (`autodiff.slot`) and
-    returns the snapshots with what `evolve_backward` needs: each step's
-    input state and activations, and gat's arc terms. Without one it keeps
-    nothing and returns the snapshots with None.
+    t raises NonFiniteError naming t. It writes the states, activations and
+    snapshots into the workspace `out` (`autodiff.slot`) and returns the
+    snapshots with what `evolve_backward` needs: each step's input state and
+    activations, and gat's arc terms.
     """
     if h0.shape[0] == 0:
         raise ValueError("evolve of an empty node-state matrix")
@@ -270,10 +269,8 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
         msg_arcs = ops["attr"] @ w_na
         fixed = params.b_msg
     snapshots = slot(out, "evolve.snapshots", (steps, len(present), d))
-    keep = out is not None
-    if keep:
-        states = slot(out, "evolve.states", (steps,) + h0.shape)
-        acts = slot(out, "evolve.acts", (steps, h0.shape[0], params.w_out.shape[0]))
+    states = slot(out, "evolve.states", (steps,) + h0.shape)
+    acts = slot(out, "evolve.acts", (steps, h0.shape[0], params.w_out.shape[0]))
     saved = []
     h = h0
     # In-place updates of fresh temporaries keep the tape form's operation
@@ -281,17 +278,16 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     # U + H, the same bits, so that the new state needs no temporary.
     for t in range(steps):
         kept = [h]
-        into = acts[t] if keep else None
         own = h @ w_sh
         own += self_rows[t]
         if backbone == "gcn":
-            pre = ops["norm"].apply(own, out=into)
+            pre = ops["norm"].apply(own, out=acts[t])
             pre += params.b_msg
         else:
             x_n = h @ w_nh
             x_n += neigh_rows[t]
             if backbone == "graphsage":
-                pre = ops["mean"].apply(x_n, out=into)
+                pre = ops["mean"].apply(x_n, out=acts[t])
             else:
                 q_dst = h @ u_dh
                 q_dst += score_rows[t]
@@ -306,17 +302,16 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
                 kept += [hidden, alpha, exp_shifted, total, msgs]
             pre += own
             pre += fixed
-        act = np.maximum(pre, 0.0, out=pre if into is None else into)
-        update = np.matmul(act, params.w_out, out=states[t] if keep else None)
+        act = np.maximum(pre, 0.0, out=acts[t])
+        update = np.matmul(act, params.w_out, out=states[t])
         update += params.b_out
         update += h
         h = update
         if not np.isfinite(h).all():
             raise NonFiniteError(f"node states diverged at evolution step {t}")
         pool.apply(h, out=snapshots[t])
-        if keep:
-            saved.append(kept + [act])
-    return snapshots, ((params, present, ops, pool, saved) if keep else None)
+        saved.append(kept + [act])
+    return snapshots, (params, present, ops, pool, saved)
 
 
 def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams) -> np.ndarray:

@@ -5,8 +5,8 @@ handing each stage a plain array: the node states H0 in the 7-slot layout,
 the (T, B, d) snapshots, the summary h*, and the logits keyed by task. h*
 and the logits have one row per patient, and one patient is simply a slice
 of one. Training, validation, inference and the gradient check run the
-same forward, which with `keep` leaves what `FullModel.backward` needs in
-the model's `workspace`. T is the row count of the evolution's time table.
+same forward in the model's `workspace`, validation and scoring in passes
+(`score_passes`). T is the row count of the evolution's time table.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ if TYPE_CHECKING:
     from .cohort import CohortArrays
 
 INTEGRATORS = ("lstm", "mean")
+
+# Patients per forward pass of validation and scoring. A row of a BLAS matrix
+# product may depend on how many rows share the call, so neither takes its
+# pass length from the training batch size.
+SCORE_PASS = 64
 
 # Upper bounds on sizes, so that a mistyped 10^9 is rejected before anything
 # is allocated: each model width, and the step and bin counts.
@@ -182,16 +187,15 @@ class FullModel:
         return _named(self.grad_stages)
 
     def forward(self, cohort: CohortArrays, keep: bool = False):
-        """The slice's (B, K) logits per task, keyed like `labels`. With
-        `keep`, it leaves what `backward` needs in `workspace`: the
-        evolution's and LSTM's arrays as its buffers (`autodiff.slot`), the
-        rest under `"kept"`."""
+        """The slice's (B, K) logits per task, keyed like `labels`. The
+        evolution's and LSTM's arrays overwrite the buffers of `workspace`
+        (`autodiff.slot`); only with `keep` may `backward` follow, as it then
+        leaves the rest of what `backward` needs there under `"kept"`."""
         self.workspace.pop("kept", None)
-        out = self.workspace if keep else None
         h0 = embed_nodes(cohort, self.embedding)
-        snapshots, evolved = evolve(h0, cohort, self.evolution, out)
+        snapshots, evolved = evolve(h0, cohort, self.evolution, self.workspace)
         h_star, integrated = ((integrate_mean(snapshots), None) if self.lstm is None
-                              else integrate(snapshots, self.lstm, out))
+                              else integrate(snapshots, self.lstm, self.workspace))
         dfs_logits, context = dfs_head(h_star, self.heads)
         os_logits = os_head(h_star, context, self.heads)
         if keep:
@@ -228,6 +232,16 @@ class FullModel:
             h = hazards_from_logits(logits)
             curves[task] = (h, survival_from_hazards(h))
         return curves
+
+
+def score_passes(cohort: CohortArrays):
+    """The slices of `cohort` that validation and scoring run forward one at
+    a time, of `SCORE_PASS` patients but the last; a trailing single patient
+    joins the pass before, so no pass runs one patient through numpy's
+    matrix-vector path. The passes, and so the bits, depend on the size alone."""
+    ends = list(range(SCORE_PASS, len(cohort) - 1, SCORE_PASS))
+    for start, stop in zip([0] + ends, ends + [len(cohort)]):
+        yield cohort.take(slice(start, stop))
 
 
 def _named(stages) -> list[tuple[str, np.ndarray]]:

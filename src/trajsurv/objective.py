@@ -96,30 +96,29 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
 def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray, bins: TimeBins):
     """Mean negative log-likelihood of a batch given its B x K hazard logits
     and each patient's observed time (binned by `bins.index`) and event
-    flag, and what `nll_backward` needs: the arrays the loss is made of."""
+    flag, and what `nll_backward` needs: the logits and the two masks."""
     K = bins.count
     if logits.shape != (len(time), K) or not len(time):
         raise ShapeMismatchError("discrete-nll", logits.shape, (len(time), K))
     k = bins.index(time)[:, None]
     event = np.asarray(event)[:, None]
     cols = np.arange(K)[None, :]
-    event_mask = ((cols == k) & (event == 1)).astype(np.float64)
-    surv_mask = (cols < k + 1 - event).astype(np.float64)
-    negated = -logits
-    log_h, log_s = log_sigmoid(logits), log_sigmoid(negated)
+    event_mask = (cols == k) & (event == 1)
+    surv_mask = cols < k + 1 - event
+    log_h, log_s = log_sigmoid(logits), log_sigmoid(-logits)
     loss = -(event_mask * log_h + surv_mask * log_s).sum() * (1.0 / len(time))
-    return loss, (logits, negated, log_h, log_s, event_mask, surv_mask)
+    return loss, (logits, event_mask, surv_mask)
 
 
 def nll_backward(kept, weight: float) -> np.ndarray:
     """The gradient of `weight` times the NLL with respect to the logits,
     from what `discrete_nll` kept. d/dx log σ(x) = σ(-x) = exp(log σ(x) - x),
-    which cannot overflow. The scale and the two terms are formed in the
-    tape's order, so the bits are the tape's."""
-    logits, negated, log_h, log_s, event_mask, surv_mask = kept
+    which cannot overflow. The log-sigmoids are made again, and the terms in
+    the tape's order (x - (-y) as x + y), so the bits are the tape's."""
+    logits, event_mask, surv_mask = kept
     scale = -(weight * (1.0 / len(logits)))
-    return ((scale * event_mask) * np.exp(log_h - logits)
-            - (scale * surv_mask) * np.exp(log_s - negated))
+    return ((scale * event_mask) * np.exp(log_sigmoid(logits) - logits)
+            - (scale * surv_mask) * np.exp(log_sigmoid(-logits) + logits))
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 
 from .cohort import CohortArrays, augment
 from .heads import TimeBins
-from .model import FullModel
+from .model import FullModel, score_passes
 from .objective import (LossWeights, OptimizerState, SurvivalLabel, TrainSettings,
                         adamw_step, discrete_nll, end_epoch, nll_backward)
 
@@ -33,8 +33,12 @@ def _weighted_nll(logits: dict[str, np.ndarray], cohort: CohortArrays, bins: Tim
 
 def _mean_loss(model: FullModel, cohort: CohortArrays, weights: LossWeights) -> np.float64:
     """Mean over the slice of alpha * OS NLL + beta * DFS NLL on the model's
-    bins: validation's loss, a forward that keeps nothing."""
-    return _weighted_nll(model.forward(cohort), cohort, model.config.bins(), weights)[0]
+    bins: validation's loss, taken once over the joined logits of forwards
+    that keep nothing, one per pass of `score_passes`."""
+    parts = [model.forward(part) for part in score_passes(cohort)]
+    logits = {task: np.concatenate([part[task] for part in parts]) for task in parts[0]}
+    del parts   # so that the NLL's arrays are all the join adds to the peak
+    return _weighted_nll(logits, cohort, model.config.bins(), weights)[0]
 
 
 def loss_and_grads(model: FullModel, cohort: CohortArrays, weights: LossWeights) -> np.float64:
@@ -74,11 +78,10 @@ def train_model(model: FullModel, train: CohortArrays, val: CohortArrays,
     schedule and early stopping both watch it. With augmentation on, each
     training patient contributes its original graph plus four randomized
     variants, re-drawn every epoch from epoch-derived seeds. Every batch is
-    a slice of the shuffled training set. Each step keeps its forward state
-    in the model's `workspace` (`autodiff.slot`), emptied when the fit ends
-    or raises, and its gradient in `grad`, so training holds one step's at
-    a time, in arrays that every step reuses rather than allocates, frees
-    and faults in again. The best-epoch snapshot is a copy of `theta`.
+    a slice of the shuffled training set. Steps and validation passes write
+    their forward state into the model's `workspace` (`autodiff.slot`),
+    emptied when the fit ends or raises, and a step its gradient into
+    `grad`. The best-epoch snapshot is a copy of `theta`.
     """
     if not len(train) or not len(val):
         raise ValueError("need nonempty train and validation sets")

@@ -3,8 +3,8 @@
 The snapshots z_0..z_{T-1}, the (T, B, d) array `evolve` returns, are
 consumed by a single-layer LSTM from a zero initial state; h* is the
 elementwise mean of all hidden states so no single step dominates.
-`integrate` runs the whole recurrence; handed a workspace, it keeps the
-gates and cells there, from which `integrate_backward` runs
+`integrate` runs the whole recurrence and writes the gates and cells into
+the workspace it is handed, from which `integrate_backward` runs
 backpropagation through time. The parameters are one weight stack and one
 bias stack over the four gates; the model file names their eight gate
 slices `lstm.w_i` .. `lstm.b_o`. A model built for the integrator ablation
@@ -56,8 +56,7 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     return params
 
 
-def integrate(snapshots: np.ndarray, params: LstmParams,
-              out: dict[str, np.ndarray] | None = None):
+def integrate(snapshots: np.ndarray, params: LstmParams, out: dict[str, np.ndarray]):
     """Trajectory summary h*: the mean hidden state h_1..h_T of the LSTM over
     the (T, B, d) snapshots, as `evolution.evolve` returns them.
 
@@ -66,11 +65,10 @@ def integrate(snapshots: np.ndarray, params: LstmParams,
     `GATES` order, i f o g, so a step's gates are one contiguous block and
     its three sigmoids one contiguous part of it. The input projection of
     all T snapshots is one batched matmul outside the recurrence, and each
-    step adds one (B x d_h) @ (4, d_h, d_h) product. Handed a workspace
-    `out`, it writes the gates, cells, hidden states and tanh(c) there
+    step adds one (B x d_h) @ (4, d_h, d_h) product. It writes the gates,
+    cells, hidden states and tanh(c) into the workspace `out`
     (`autodiff.slot`) and returns h* with what `integrate_backward` needs:
-    the snapshots, weights, gates and cells. Without one it keeps nothing
-    and returns h* with None.
+    the snapshots, weights, gates and cells.
     """
     w, d_h, d = params.w, params.hidden_dim, params.input_dim
     if (w.shape[0] != 4 or params.b.shape != (4, 1, d_h) or snapshots.ndim != 3
@@ -103,7 +101,7 @@ def integrate(snapshots: np.ndarray, params: LstmParams,
             np.tanh(c, out=tanh_c[t])
             np.multiply(a[2], tanh_c[t], out=hidden[t + 1])
     h_star = hidden[1:].sum(axis=0) * (1.0 / steps)
-    return h_star, (None if out is None else (snapshots, w, gates, cells, hidden, tanh_c))
+    return h_star, (snapshots, w, gates, cells, hidden, tanh_c)
 
 
 def _gate_grads(kept, g) -> np.ndarray:

@@ -75,7 +75,7 @@ def test_02_residual_identity():
                                     rng=np.random.default_rng(1), attention_dim=4)
             for _, leaf in params.named_leaves():
                 leaf[:] = 0.0
-            for z in evolve(h0, graph, params)[0]:
+            for z in evolve(h0, graph, params, {})[0]:
                 checked += 1
                 if z.tobytes() != base:
                     mismatches += 1

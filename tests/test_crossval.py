@@ -20,7 +20,7 @@ from trajsurv.heads import point_estimate_time
 from trajsurv.crossval import (CurveTable, CvReport, FoldRow, _aggregate, emit_report,
                                evaluate_model, run_crossval)
 from trajsurv.metrics import bootstrap_ci, harrell_cindex
-from trajsurv.model import init_model
+from trajsurv.model import SCORE_PASS, init_model
 from test_training import featureless_cohort
 
 SMALL_DOC = {
@@ -446,7 +446,7 @@ class TestEvaluateModel:
 @pytest.mark.parametrize("backbone", ("graphsage", "gcn", "gat"))
 def test_scoring_is_the_same_bits_in_any_chunk(backbone):
     # The chunk is the training batch size. Scoring runs in passes of
-    # `cv.SCORE_PASS` patients whatever it is, so each patient's curves and
+    # `SCORE_PASS` patients whatever it is, so each patient's curves and
     # risks are the same bits at any batch size by construction, under any
     # BLAS. Taking the passes from the batch size held only where a row of a
     # matrix product does not depend on how many rows share the call: the
@@ -471,11 +471,26 @@ def test_scoring_is_the_same_bits_in_any_chunk(backbone):
                 assert np.array_equal(a, b), (chunk, task)
 
 
+def test_a_scoring_run_leaves_the_workspace_empty_when_it_returns_or_raises():
+    # Scoring's passes run in the model's workspace, which the run empties,
+    # as a fit does; so does a run whose evolution diverges in its first
+    # pass, after the workspace has grown.
+    config = small_config()
+    cohort, _ = simulate_cohort(70, seed=4, scenario=config.simulate)
+    model = init_model(config.model, cv.feature_widths(cohort), np.random.default_rng(2))
+    cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
+    assert model.workspace == {}
+    model.theta[...] = 1e300
+    with pytest.raises(ad.NonFiniteError, match="evolution step 0"):
+        cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
+    assert model.workspace == {}
+
+
 def test_featureless_cohort_scores_every_fold_by_ties_alone():
     # Identical features and every region present give every test patient of
     # a fold the same risk, so each fold's C-index is 0.5 exactly, each
     # (fold, task) is named tied, and no pooled interval is reported. Each
-    # fold's 20 test patients are scored in one pass (`cv.SCORE_PASS`).
+    # fold's 20 test patients are scored in one pass (`SCORE_PASS`).
     config = small_config(cv={"k": 2, "repeats": 1})
     report = run_crossval(config, featureless_cohort(40))
     assert not report.failed_folds
@@ -491,7 +506,7 @@ def test_featureless_cohort_scores_every_fold_by_ties_alone():
 @pytest.mark.parametrize("saturated", [False, True])
 def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
     """Every array a fold is scored from is == the per-patient scalar forms
-    applied to the logits of the same passes, of `cv.SCORE_PASS` patients
+    applied to the logits of the same passes, of `SCORE_PASS` patients
     whatever the batch size `chunk`:
     the hazards and survival `_predict_fold` returns, the risks, the horizon
     scores the AUC reads, and the curve rows `assemble` builds."""
@@ -507,8 +522,8 @@ def test_predict_fold_equals_scalar_oracles(chunk, saturated, monkeypatch):
                         lambda s, *rest: scores.append(s) or auc(s, *rest))
     outcome = cv._score(model, cohort, np.arange(len(cohort)), config, 0, 0)
     logits = {"dfs": [], "os": []}
-    for start in range(0, len(cohort), cv.SCORE_PASS):
-        out = model.forward(cohort.take(slice(start, start + cv.SCORE_PASS)))
+    for start in range(0, len(cohort), SCORE_PASS):
+        out = model.forward(cohort.take(slice(start, start + SCORE_PASS)))
         logits["dfs"].extend(out["dfs"])
         logits["os"].extend(out["os"])
     rows = {(c.patient_id, c.task, c.bin): (c.hazard, c.survival)

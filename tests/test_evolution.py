@@ -228,7 +228,7 @@ class TestReadout:
     def test_empty_matrix_rejected(self):
         params = init_evolution("graphsage", D, DT, 4, D, np.random.default_rng(0), 16)
         with pytest.raises(ValueError, match="empty"):
-            evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params)
+            evolve(np.zeros((0, D)), full_graph().take(slice(0, 0)), params, {})
 
 
 class TestEvolve:
@@ -239,7 +239,7 @@ class TestEvolve:
         zero_weights(params)
         g = full_graph()
         h0 = np.random.default_rng(9).normal(size=(7 * len(g), D))
-        snaps, _ = evolve(h0, g, params)
+        snaps, _ = evolve(h0, g, params, {})
         base = mean_pool(g.present).apply(h0)
         assert snaps.shape == (horizon, len(g), D)
         for z in snaps:
@@ -248,7 +248,7 @@ class TestEvolve:
     def test_snapshot_count_and_shapes(self):
         params = init_evolution("graphsage", D, DT, 12, D, np.random.default_rng(1), 16)
         g = full_graph()
-        snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params)
+        snaps, _ = evolve(np.zeros((7 * len(g), D)), g, params, {})
         assert snaps.shape == (12, 1, D)
 
     def test_time_embedding_conditions_each_step(self):
@@ -269,7 +269,7 @@ class TestEvolve:
         g = full_graph()
         h0 = np.full((7 * len(g), D), 1e10)
         with pytest.raises(ad.NonFiniteError, match="step 0"):
-            evolve(h0, g, params)
+            evolve(h0, g, params, {})
 
     def test_collect_states_includes_initial(self):
         params = init_evolution("gcn", D, DT, 2, D, np.random.default_rng(4), 16)
@@ -279,7 +279,7 @@ class TestEvolve:
         assert len(states) == 3
         assert states[0] is h0
         # The rolled states are the ones `evolve` reads its snapshots from.
-        for z, h in zip(evolve(h0.data, g, params)[0], states[1:], strict=True):
+        for z, h in zip(evolve(h0.data, g, params, {})[0], states[1:], strict=True):
             assert np.array_equal(z, mean_pool(g.present).apply(h.data))
 
 
@@ -304,8 +304,8 @@ def test_graphs_in_one_batch_match_graphs_alone():
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(13), 16)
         hs = [rng.normal(size=(7, D)) for _ in records]
-        joint, _ = evolve(np.vstack(hs), join(records), params)
-        alone = [evolve(h, r, params)[0] for h, r in zip(hs, records)]
+        joint, _ = evolve(np.vstack(hs), join(records), params, {})
+        alone = [evolve(h, r, params, {})[0] for h, r in zip(hs, records)]
         np.testing.assert_allclose(joint, np.concatenate(alone, axis=1), rtol=0, atol=1e-12)
 
 
@@ -418,16 +418,24 @@ def test_evolve_primitive_matches_the_per_op_tape(backbone, rows, steps, widths)
         assert (g[h0].data[~used[:, 0]] == 0.0).all()
 
 
-def test_evolve_without_grad_keeps_no_cache():
+def test_evolve_writes_its_state_into_the_workspace():
+    # The snapshots are a view of the workspace's buffer, and what backward
+    # reads comes back with them. A second call into the same workspace
+    # writes over the first's state, with the bits of a call on fresh
+    # arrays, one per slot.
     g = join(mixed_records())
     h0 = np.random.default_rng(24).normal(size=(7 * len(g), D))
     for backbone in BACKBONES:
         params = init_evolution(backbone, D, DT, 4, D, np.random.default_rng(25), 16)
-        kept_value, kept = evolve(h0, g, params, {})
-        value, nothing = evolve(h0, g, params)
-        assert kept is not None and len(kept[-1]) == 4
-        assert nothing is None
-        assert np.array_equal(value, kept_value)
+        workspace = {}
+        first, kept = evolve(h0, g, params, workspace)
+        assert sorted(workspace) == ["evolve.acts", "evolve.snapshots", "evolve.states"]
+        assert np.shares_memory(first, workspace["evolve.snapshots"])
+        assert len(kept[-1]) == 4
+        first = first.copy()
+        again, _ = evolve(h0, g, params, workspace)
+        fresh, _ = evolve(h0, g, params, oracles.FreshArrays())
+        assert np.array_equal(again, first) and np.array_equal(fresh, first)
 
 
 def one_batch_loss(backbone, n=64):

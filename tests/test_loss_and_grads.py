@@ -19,7 +19,7 @@ from trajsurv import model as model_module
 from trajsurv.cohort import simulate_cohort
 from trajsurv.crossval import _cascade_grad_check, feature_widths
 from trajsurv.evolution import BACKBONES
-from trajsurv.model import ModelConfig, init_model
+from trajsurv.model import ModelConfig, init_model, score_passes
 from trajsurv.objective import LossWeights
 from trajsurv.training import _mean_loss, loss_and_grads
 
@@ -102,13 +102,20 @@ def test_reused_workspace_gives_fresh_bits(backbone, integrator):
 
 
 def test_the_loss_is_validations_loss():
+    # Validation takes its NLL once, over the joined logits of its passes,
+    # and gives the one-shot loss's bits: at 40 and 65 patients in one pass
+    # (the trailing single patient joins the pass before), at 80 in two and
+    # at 320 in five.
     config = ModelConfig(hidden_dim=8, time_dim=4, summary_dim=8, context_dim=4, horizon=3,
                          num_bins=4, message_dim=8)
-    cohort = cohort_of(40)
-    model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+    larger, _ = simulate_cohort(320, seed=3)
     weights = LossWeights(0.3, 1.7)
-    loss = loss_and_grads(model, cohort, weights)
-    assert loss == _mean_loss(model, cohort, weights)
+    for cohort, passes in ((cohort_of(40), 1), (larger[:65], 1), (larger[:80], 2),
+                           (larger, 5)):
+        assert len(list(score_passes(cohort))) == passes
+        model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
+        loss = loss_and_grads(model, cohort, weights)
+        assert loss == _mean_loss(model, cohort, weights), len(cohort)
 
 
 @pytest.mark.parametrize("cascade", (True, False))

@@ -15,6 +15,7 @@ import pytest
 
 from trajsurv.autodiff import NonFiniteError
 from trajsurv.cohort import Scenario, make_cohort, record_to_graph, simulate_cohort
+from trajsurv.crossval import feature_widths
 from trajsurv.evolution import BACKBONES
 from trajsurv.graph import ANATOMICAL_KINDS, NodeKind
 from trajsurv.model import ModelConfig, init_model, load_model, save_model
@@ -392,33 +393,67 @@ def test_training_holds_one_step_tape_at_a_time(backbone):
     assert training <= 1.25 * step, (training, step)
 
 
-# One process's average minor page faults per `_train_step` of the default
-# model on a batch of `sys.argv[1]` patients (64 is cv400's shape), over 20
-# steps after two warm-up steps.
-FAULTS_PER_STEP = """
+@pytest.mark.parametrize("backbone", ["graphsage", "gat"])
+def test_validation_holds_one_pass_at_a_time(backbone):
+    """`_mean_loss` on 3,200 patients of the default model peaks within
+    1.5x of its peak on 64, each from an empty workspace: its forwards run
+    in passes of 64 in the model's workspace, so only the joined logits and
+    one task's NLL state grow with the cohort. One forward of the whole set
+    on fresh arrays peaked at 89 MB against 1.8 MB (graphsage) and 127 MB
+    against 2.6 MB (gat)."""
+    cohort, _ = simulate_cohort(3200, seed=1)
+    model = init_model(ModelConfig(backbone=backbone), feature_widths(cohort),
+                       np.random.default_rng(0))
+    peaks = []
+    for n in (64, 3200):
+        model.workspace.clear()
+        peaks.append(traced_peak(lambda: _mean_loss(model, cohort[:n], LossWeights())))
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# One process's average minor page faults per call on the first
+# `sys.argv[2]` of 130 simulated patients, with the default model, over 20
+# calls after two warm-up calls: a `_train_step` ("train"), a validation
+# pass `_mean_loss` ("validate") or a scoring run's `_predict_fold`
+# ("score").
+FAULTS_PER_CALL = """
 import resource
 import sys
 import numpy as np
 from trajsurv.cohort import simulate_cohort
-from trajsurv.crossval import feature_widths
+from trajsurv.crossval import _predict_fold, feature_widths
 from trajsurv.model import ModelConfig, init_model
 from trajsurv.objective import LossWeights, OptimizerState, TrainSettings
-from trajsurv.training import _train_step
+from trajsurv.training import _mean_loss, _train_step
 
-cohort, _ = simulate_cohort(64, seed=1)
-cohort = cohort[:int(sys.argv[1])]
+cohort, _ = simulate_cohort(130, seed=1)
+cohort = cohort[:int(sys.argv[2])]
 config, settings = ModelConfig(), TrainSettings()
 model = init_model(config, feature_widths(cohort), np.random.default_rng(0))
 state = OptimizerState(lr=settings.lr)
 weights = LossWeights(settings.alpha, settings.beta)
-step = lambda: _train_step(model, cohort, weights, state, settings)
-step()
-step()
+call = {"train": lambda: _train_step(model, cohort, weights, state, settings),
+        "validate": lambda: _mean_loss(model, cohort, weights),
+        "score": lambda: _predict_fold(model, cohort)}[sys.argv[1]]
+call()
+call()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    step()
+    call()
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
+
+
+def faults_per_call(kind: str, patients: int) -> float:
+    """`FAULTS_PER_CALL` of `kind` on `patients`, run in a fresh process,
+    since the allocator's state that earlier tests leave decides how many
+    pages a freed array takes back to the kernel."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL, kind, str(patients)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -428,17 +463,23 @@ def test_training_steps_fault_in_no_kept_state(batch):
     """A training step keeps its state in the model's workspace, and AdamW
     updates in place, so once warm a step faults in almost no pages.
     Allocating that state afresh each step faulted about 500 per step at
-    B 64; AdamW's five parameter-sized temporaries faulted about 127 at
-    B 16, where they are the step's largest arrays. The steps run in a
-    fresh process, since the allocator's state that earlier tests leave
-    decides how many pages a freed array takes back to the kernel."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, str(batch)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    per_step = float(proc.stdout)
+    B 64 (cv400's shape); AdamW's five parameter-sized temporaries faulted
+    about 127 at B 16, where they are the step's largest arrays."""
+    per_step = faults_per_call("train", batch)
     assert per_step < 50, per_step
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of Linux's getrusage")
+@pytest.mark.parametrize("kind,patients", [("validate", 64), ("score", 130)])
+def test_validation_and_scoring_fault_in_no_forward_state(kind, patients):
+    """Validation and scoring write their forwards' state into the model's
+    workspace, as a training step does, so once warm a validation pass on
+    64 patients and a scoring run on 130 (passes of 64, 64 and 2) each
+    fault in almost no pages. On fresh arrays, the validation pass faulted
+    416 and the scoring run 832."""
+    per_call = faults_per_call(kind, patients)
+    assert per_call < 50, per_call
 
 
 def featureless_cohort(n=40):

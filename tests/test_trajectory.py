@@ -18,7 +18,7 @@ from oracles import constant, leaves_of, lstm_step, tape_integrate
 
 def summary(snapshots, steps, params):
     """h* of `integrate` alone, over the (T B x d) snapshots read as `steps` steps."""
-    return integrate(snapshots.reshape(steps, -1, snapshots.shape[1]), params)[0]
+    return integrate(snapshots.reshape(steps, -1, snapshots.shape[1]), params, {})[0]
 
 DIM = 3
 
@@ -84,7 +84,7 @@ class TestLstmStep:
     def test_width_mismatch_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-            integrate(np.zeros((1, 1, DIM + 1)), p)
+            integrate(np.zeros((1, 1, DIM + 1)), p, {})
 
     def test_multi_row_step_matches_per_row(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(1))
@@ -127,16 +127,23 @@ def test_lstm_rejects_ragged_snapshots():
     # Five rows of a (rows x d) matrix are no (T, B, d) trajectory.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
     with pytest.raises(ad.ShapeMismatchError, match="lstm"):
-        integrate(np.zeros((5, DIM)), p)
+        integrate(np.zeros((5, DIM)), p, {})
 
 
-def test_lstm_without_grad_keeps_no_cache():
+def test_lstm_writes_its_state_into_the_workspace():
+    # The gates, cells, hidden states and tanh(c) are views of the
+    # workspace's buffers, and come back as what backward reads. A second
+    # call into the same workspace gives the bits of a call on fresh arrays.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
-    snaps = np.ones((4, 2, DIM))
-    kept_value, kept = integrate(snaps, p, {})
-    value, nothing = integrate(snaps, p)
-    assert kept is not None and nothing is None
-    assert np.array_equal(value, kept_value)
+    snaps = np.random.default_rng(1).normal(size=(4, 2, DIM))
+    workspace = {}
+    first, kept = integrate(snaps, p, workspace)
+    assert sorted(workspace) == ["lstm.cells", "lstm.gates", "lstm.hidden", "lstm.tanh_c"]
+    for name, array in zip(("lstm.gates", "lstm.cells", "lstm.hidden", "lstm.tanh_c"), kept[2:]):
+        assert np.shares_memory(array, workspace[name]), name
+    again, _ = integrate(snaps, p, workspace)
+    fresh, _ = integrate(snaps, p, oracles.FreshArrays())
+    assert np.array_equal(again, first) and np.array_equal(fresh, first)
 
 
 class TestIntegrate:
@@ -174,7 +181,7 @@ class TestIntegrate:
     def test_empty_sequence_rejected(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            integrate(np.zeros((0, 1, DIM)), p)
+            integrate(np.zeros((0, 1, DIM)), p, {})
 
     def test_gradients_through_recurrence(self):
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
