@@ -7,9 +7,11 @@
 # the gradient check and its refusal of an option, byte-identical reruns
 # of a tiny gat crossval and its pooled C-index intervals, `ablate
 # --variant no_cascade` against `crossval` with `cascade: false`, a trained
-# model file read back by evaluate, twice with the same bytes, the same for
-# a model with `integrator: mean` and no cascade, and the refusal of a
-# model file whose metadata names an ablation its arrays do not match.
+# model file read back by evaluate, twice with the same bytes, a graphsage
+# train with a partial last batch run twice to the same model.npz bytes,
+# the same evaluate check for a model with `integrator: mean` and no
+# cascade, and the refusal of a model file whose metadata names an
+# ablation its arrays do not match.
 # Usage:
 # bash ci/console_script.sh (with `trajsurv` on PATH).
 set -eu
@@ -107,6 +109,14 @@ echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"d": 4, "T": 2, "K": 
        "train": {"max_epochs": 3}}' > train.json
 trajsurv train --config train.json --out trained
 test -s trained/model.npz
+# train fits on 16 of the 20 patients, so batches of 6 leave a last batch of
+# 4. Run twice, it writes the same model.npz bytes: each backward writes
+# over the state its forward kept, and nothing of one step reaches the next.
+echo '{"paths": {"cohort": "sim20/cohort.json"}, "model": {"backbone": "graphsage", "d": 4,
+       "T": 2, "K": 4}, "train": {"max_epochs": 3, "batch_size": 6}}' > partial.json
+trajsurv train --config partial.json --out partial
+trajsurv train --config partial.json --out partial_again
+cmp partial/model.npz partial_again/model.npz
 # An output file that is a directory exits 1 with one stderr line, before any work.
 mkdir -p blocked/model.npz
 status=0

@@ -99,11 +99,11 @@ MUTANTS = (
            "    horizon: int = 1              # T\n",
            ("tests/test_config.py::TestDefaults::test_empty_document_yields_defaults",),
            "a static model by default; only the literal defaults test sees it"),
-    Mutant("workspace-slot-shared", "src/trajsurv/trajectory.py",
-           '    tanh_c = slot(out, "lstm.tanh_c", (steps, rows, d_h))\n',
-           '    tanh_c = slot(out, "lstm.cells", (steps, rows, d_h))\n',
+    Mutant("workspace-slot-shared", "src/trajsurv/evolution.py",
+           '    term = slot(out, "evolve.term", dh.shape)\n',
+           '    term = slot(out, "evolve.dh", dh.shape)\n',
            ("tests/test_loss_and_grads.py::test_reused_workspace_gives_fresh_bits",),
-           "tanh(c) overwrites the kept cells before the LSTM backward reads them"),
+           "each term of the evolution backward's dH is written over dH before it is added"),
     Mutant("workspace-never-grows", "src/trajsurv/autodiff.py",
            "    if buffer is None or buffer.size < size:\n",
            "    if buffer is None:\n",
@@ -240,6 +240,26 @@ MUTANTS = (
            "a forward that does not keep writes its state into fresh arrays, which each "
            "validation and scoring pass allocates, frees and faults in again; the bits are "
            "the same"),
+    Mutant("snapshot-gradient-before-weights", "src/trajsurv/trajectory.py",
+           "    da = _gate_grads(kept, g)\n",
+           "    da = _gate_grads(kept, g)\n"
+           "    for t in range(len(z)):\n"
+           "        z[t] = np.matmul(da[t], w[:, :d].transpose(0, 2, 1)).sum(axis=0)\n",
+           ("tests/test_trajectory.py::test_lstm_primitive_matches_the_per_op_tape",
+            "tests/test_autodiff.py::test_primitive_gradients_match_central_differences[lstm]"),
+           "the snapshots' gradient is written over the snapshots before the input weights' "
+           "gradient reads them; the snapshots' gradient itself stays right"),
+    Mutant("i-gate-before-g-derivative", "src/trajsurv/trajectory.py",
+           "        dg = dc * a[0] * (1.0 - a[3] * a[3])\n"
+           "        dc_next = dc * a[1]\n"
+           "        np.multiply(dc, a[3], out=a[0])\n",
+           "        np.multiply(dc, a[3], out=a[0])\n"
+           "        dg = dc * a[0] * (1.0 - a[3] * a[3])\n"
+           "        dc_next = dc * a[1]\n",
+           ("tests/test_trajectory.py::test_lstm_primitive_matches_the_per_op_tape",
+            "tests/test_autodiff.py::test_primitive_gradients_match_central_differences[lstm]"),
+           "the i gate's gradient is written over its sigmoid before the g gate's gradient "
+           "reads that sigmoid"),
 )
 
 

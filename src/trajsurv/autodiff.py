@@ -17,6 +17,8 @@ Every forward writes its evolution and LSTM state into its model's
 `workspace`, a dict of float64 buffers that `slot` hands out by name, which
 a fit or a scoring run empties when it ends. Each forward overwrites the
 last one's, so no step or pass allocates, frees and faults them in again.
+The evolution's backward keeps its own buffers there too, and the LSTM's
+backward writes its gradients over the state its forward kept.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ with one batched matmul.
 `evolve` runs one step and readout per row of the time table and returns
 the (T, B, d) snapshots. It writes each step's states into the workspace it
 is handed, from which `evolve_backward` runs backpropagation through time.
+That backward writes dH, the arc terms' gradient and each step's dp,
+neighbour gradient and term of dH into buffers of the same workspace, so
+neither pass allocates an array of a step's size per step; one (7B x m)
+scratch array per forward holds each step's projections of H in turn.
 
 Each step's message layer acts on [H | e_t] and arc attributes A, with its
 weights split by rows, W_self = [W_sh; W_st] and W_neigh = [W_nh; W_nt; W_na],
@@ -276,15 +280,16 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     # In-place updates of fresh temporaries keep the tape form's operation
     # order, and so its values, with fewer allocations. H + U is written as
     # U + H, the same bits, so that the new state needs no temporary.
+    scratch = np.empty(acts.shape[1:])     # each step's x_n, then own over it
     for t in range(steps):
         kept = [h]
-        own = h @ w_sh
-        own += self_rows[t]
         if backbone == "gcn":
+            own = np.matmul(h, w_sh, out=scratch)
+            own += self_rows[t]
             pre = ops["norm"].apply(own, out=acts[t])
             pre += params.b_msg
         else:
-            x_n = h @ w_nh
+            x_n = np.matmul(h, w_nh, out=scratch)
             x_n += neigh_rows[t]
             if backbone == "graphsage":
                 pre = ops["mean"].apply(x_n, out=acts[t])
@@ -300,6 +305,8 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
                 msgs += msg_arcs
                 pre = scatter(msgs * alpha, present, TARGET)
                 kept += [hidden, alpha, exp_shifted, total, msgs]
+            own = np.matmul(h, w_sh, out=scratch)
+            own += self_rows[t]
             pre += own
             pre += fixed
         act = np.maximum(pre, 0.0, out=acts[t])
@@ -314,10 +321,14 @@ def evolve(h0: np.ndarray, cohort: CohortArrays, params: EvolutionParams,
     return snapshots, (params, present, ops, pool, saved)
 
 
-def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams) -> np.ndarray:
+def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams,
+                    out: dict[str, np.ndarray]) -> np.ndarray:
     """dH0 from the gradient `g` of the (T, B, d) snapshots and what `evolve`
     kept; each `op.*` parameter's gradient is summed into its zeroed array
-    in `grads`.
+    in `grads`. dH, the arc terms' gradient and each step's dp, neighbour
+    gradient and term of dH are written into the workspace `out`
+    (`autodiff.slot`), so no step allocates them; the returned dH0 is a
+    view of it.
 
     Backpropagation through time over the kept states, each step's term added
     into its parameter's row block, split as `evolve` splits the weights.
@@ -342,29 +353,37 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams) -> np.ndarray:
         # Summed over the steps: the gradient of the arc term that every step
         # adds alike, graphsage's A W_na + b_msg and gat's A W_na.
         attr = ops["attr"] if gat else ops["attr_mean"]
-        d_attr = np.zeros((attr.shape[0], w_out.shape[0]))
+        d_attr = slot(out, "evolve.d_attr", (attr.shape[0], w_out.shape[0]))
+        d_attr[...] = 0.0
     if gat:
         u_dh, u_dt, u_sh, u_st, _ = np.split(params.attn_u, np.cumsum([d, d_t, d, d_t]))
         gu_dh, gu_dt, gu_sh, gu_st, gu_a = np.split(grads.attn_u, np.cumsum([d, d_t, d, d_t]))
         d_score_rows = np.zeros((e.shape[0], u_dh.shape[1]))
         d_score_arcs = np.zeros((attr.shape[0], u_dh.shape[1]))     # of A U_a + b_attn
         spread = np.ones((1, w_out.shape[0]))
-    dh = pool.T.apply(g[-1])
-    ones = np.ones((1, dh.shape[0]))
+    rows = len(present) * SLOTS
+    dh = pool.T.apply(g[-1], out=slot(out, "evolve.dh", (rows, d)))
+    ones = np.ones((1, rows))
+    # Written by every step: dp, the neighbour gradient (gcn's d_own,
+    # graphsage's d_xn), act > 0, and each term added into dH.
+    dp = slot(out, "evolve.dp", (rows, w_out.shape[0]))
+    d_nb = slot(out, "evolve.d_nb", dp.shape)
+    live = np.empty(dp.shape, dtype=bool)
+    term = slot(out, "evolve.term", dh.shape)
     for t in range(len(saved) - 1, -1, -1):
         h, *arcs, act = saved[t]
         grads.b_out += ones @ dh
         grads.w_out += act.T @ dh
-        dp = dh @ w_out.T
-        dp *= act > 0.0
+        np.matmul(dh, w_out.T, out=dp)
+        dp *= np.greater(act, 0.0, out=live)
         if neigh and not gat:
             d_attr += dp
         else:
             grads.b_msg += ones @ dp
-        d_own = dp if neigh else ops["norm"].T.apply(dp)
+        d_own = dp if neigh else ops["norm"].T.apply(dp, out=d_nb)
         gw_sh += h.T @ d_own
         d_self[t] = ones @ d_own
-        back = [d_own @ w_sh.T]
+        back = [(d_own, w_sh)]          # dh gets d_own W_sh^T, and so on
         if gat:
             hidden, alpha, exp_shifted, total, msgs = arcs
             weighted = gather(dp, present, TARGET)
@@ -379,22 +398,22 @@ def evolve_backward(kept, g: np.ndarray, grads: EvolutionParams) -> np.ndarray:
             d_attr += d_msgs
             d_xn = scatter(d_msgs, present, SOURCE)
         elif neigh:
-            d_xn = ops["mean"].T.apply(dp)
+            d_xn = ops["mean"].T.apply(dp, out=d_nb)
         if neigh:
             gw_nh += h.T @ d_xn
             d_neigh[t] = ones @ d_xn
-            back.append(d_xn @ w_nh.T)
+            back.append((d_xn, w_nh))
         if gat:
             d_dst, d_src = scatter(d_arc, present, TARGET), scatter(d_arc, present, SOURCE)
             gu_dh += h.T @ d_dst
             gu_sh += h.T @ d_src
             d_score_rows[t] = ones @ d_dst
-            back += [d_dst @ u_dh.T, d_src @ u_sh.T]
+            back += [(d_dst, u_dh), (d_src, u_sh)]
         # The readout of H_t comes first, then the update H_t + U_{t+1}.
         if t:
-            dh += pool.T.apply(g[t - 1])
-        for term in back:
-            dh += term
+            dh += pool.T.apply(g[t - 1], out=term)
+        for x, w in back:
+            dh += np.matmul(x, w.T, out=term)
     gw_st[:], grads.time_table[:] = e.T @ d_self, d_self @ w_st.T
     if neigh:
         gw_nt[:], gw_na[:] = e.T @ d_neigh, attr.T @ d_attr

@@ -206,9 +206,11 @@ class FullModel:
     def backward(self, d_logits: dict[str, np.ndarray]) -> None:
         """Write the gradient of theta into `grad` from the gradients of the
         logits per task and what the last forward kept, which it takes out of
-        `workspace` (a KeyError if it kept nothing). `grad` is zeroed, each
-        stage's backward writes its views of it, and each stage's state is
-        dropped once its backward has run, the LSTM's before the evolution's."""
+        `workspace` (a KeyError if it kept nothing), so one forward serves
+        one backward: the LSTM's backward writes over its kept gates and
+        snapshots. `grad` is zeroed, each stage's backward writes its views
+        of it, and each stage's state is dropped once its backward has run,
+        the LSTM's before the evolution's."""
         kept = self.workspace.pop("kept")
         self.grad[...] = 0.0
         embedding, evolution, lstm, heads = self.grad_stages
@@ -218,7 +220,7 @@ class FullModel:
             dz = integrate_mean_backward(dh_star, len(self.evolution.time_table))
         else:
             dz = integrate_backward(kept.pop("lstm"), dh_star, lstm)
-        dh0 = evolve_backward(kept.pop("evolve"), dz, evolution)
+        dh0 = evolve_backward(kept.pop("evolve"), dz, evolution, self.workspace)
         embed_backward(kept.pop("cohort"), dh0, embedding)
 
     def predict_curves(self, cohort: CohortArrays) -> dict[str, tuple[np.ndarray, np.ndarray]]:

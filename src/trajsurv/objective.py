@@ -90,7 +90,11 @@ def label_to_bin(time: float, bins: TimeBins) -> int:
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """log σ(x) = min(x, 0) - log(1 + e^-|x|): finite and exact at any logit."""
-    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    tail = np.abs(x)
+    np.log1p(np.exp(np.negative(tail, out=tail), out=tail), out=tail)
+    out = np.minimum(x, 0.0)
+    out -= tail
+    return out
 
 
 def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray, bins: TimeBins):
@@ -105,8 +109,14 @@ def discrete_nll(logits: np.ndarray, time: np.ndarray, event: np.ndarray, bins: 
     cols = np.arange(K)[None, :]
     event_mask = (cols == k) & (event == 1)
     surv_mask = cols < k + 1 - event
-    log_h, log_s = log_sigmoid(logits), log_sigmoid(-logits)
-    loss = -(event_mask * log_h + surv_mask * log_s).sum() * (1.0 / len(time))
+    # event_mask * log_h + surv_mask * log_s, formed in place; log_s first,
+    # so that -logits is freed before log_h is made.
+    log_s = log_sigmoid(-logits)
+    log_s *= surv_mask
+    log_h = log_sigmoid(logits)
+    log_h *= event_mask
+    log_h += log_s
+    loss = -log_h.sum() * (1.0 / len(time))
     return loss, (logits, event_mask, surv_mask)
 
 

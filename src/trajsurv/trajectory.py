@@ -3,9 +3,12 @@
 The snapshots z_0..z_{T-1}, the (T, B, d) array `evolve` returns, are
 consumed by a single-layer LSTM from a zero initial state; h* is the
 elementwise mean of all hidden states so no single step dominates.
-`integrate` runs the whole recurrence and writes the gates and cells into
-the workspace it is handed, from which `integrate_backward` runs
-backpropagation through time. The parameters are one weight stack and one
+`integrate` runs the whole recurrence and writes the gates, cells and
+hidden states into the workspace it is handed, from which
+`integrate_backward` runs backpropagation through time. A kept state serves
+one backward, which consumes it: the gate gradients are written over the
+gates and the snapshots' gradient over the snapshots, and tanh(c) is made
+again from the kept cells. The parameters are one weight stack and one
 bias stack over the four gates; the model file names their eight gate
 slices `lstm.w_i` .. `lstm.b_o`. A model built for the integrator ablation
 has no LSTM at all: `integrate_mean` averages the raw snapshots instead.
@@ -66,9 +69,11 @@ def integrate(snapshots: np.ndarray, params: LstmParams, out: dict[str, np.ndarr
     its three sigmoids one contiguous part of it. The input projection of
     all T snapshots is one batched matmul outside the recurrence, and each
     step adds one (B x d_h) @ (4, d_h, d_h) product. It writes the gates,
-    cells, hidden states and tanh(c) into the workspace `out`
-    (`autodiff.slot`) and returns h* with what `integrate_backward` needs:
-    the snapshots, weights, gates and cells.
+    (T, 4, B, d_h), and the cells and hidden states, (T + 1, B, d_h), into
+    the workspace `out` (`autodiff.slot`); tanh(c') is written into h' and
+    multiplied by o there, so it has no buffer. It returns h* with what
+    `integrate_backward` needs: the snapshots, weights, gates, cells and
+    hidden states, which that backward consumes.
     """
     w, d_h, d = params.w, params.hidden_dim, params.input_dim
     if (w.shape[0] != 4 or params.b.shape != (4, 1, d_h) or snapshots.ndim != 3
@@ -82,7 +87,6 @@ def integrate(snapshots: np.ndarray, params: LstmParams, out: dict[str, np.ndarr
     cells = slot(out, "lstm.cells", (steps + 1, rows, d_h))      # c_0 .. c_T
     hidden = slot(out, "lstm.hidden", (steps + 1, rows, d_h))    # h_0 .. h_T
     cells[0] = hidden[0] = 0.0
-    tanh_c = slot(out, "lstm.tanh_c", (steps, rows, d_h))
     # 1 / (1 + e^-x) overflows only to 1 / inf = 0, the correctly rounded value.
     with np.errstate(over="ignore"):
         for t in range(steps):
@@ -98,62 +102,71 @@ def integrate(snapshots: np.ndarray, params: LstmParams, out: dict[str, np.ndarr
             c = cells[t + 1]
             np.multiply(a[1], cells[t], out=c)
             c += a[0] * a[3]
-            np.tanh(c, out=tanh_c[t])
-            np.multiply(a[2], tanh_c[t], out=hidden[t + 1])
+            h = np.tanh(c, out=hidden[t + 1])        # then o * tanh(c), in place
+            h *= a[2]
     h_star = hidden[1:].sum(axis=0) * (1.0 / steps)
-    return h_star, (snapshots, w, gates, cells, hidden, tanh_c)
+    return h_star, (snapshots, w, gates, cells, hidden)
 
 
 def _gate_grads(kept, g) -> np.ndarray:
     """The (T, 4, B, d_h) gradient of the pre-activation gates, in `GATES`
-    order, by backpropagation through time from the gradient `g` of h*."""
-    z, w, gates, cells, hidden, tanh_c = kept
+    order, by backpropagation through time from the gradient `g` of h*,
+    written over the kept gates: step t's once its activations, their
+    derivatives and dc*f are read. tanh(c_t) is made again from the kept
+    cell by the forward's ufunc, so its bits are the forward's."""
+    z, w, gates, cells, _ = kept
     steps = gates.shape[0]
     w_h_t = w[:, z.shape[2]:].transpose(0, 2, 1)
     dh_out = g * (1.0 / steps)          # every h_t enters the mean once
-    da = np.empty_like(gates)
     dh = dh_out
     dc_next = 0.0
     for t in range(steps - 1, -1, -1):
-        a, dat = gates[t], da[t]
-        tc = tanh_c[t]
+        a = gates[t]
+        tc = np.tanh(cells[t + 1])
         dc = dh * a[2] * (1.0 - tc * tc) + dc_next
-        np.multiply(dc, a[3], out=dat[0])
-        np.multiply(dc, cells[t], out=dat[1])
-        np.multiply(dh, tc, out=dat[2])
-        dat[:3] *= a[:3] * (1.0 - a[:3])
-        np.multiply(dc * a[0], 1.0 - a[3] * a[3], out=dat[3])
+        slopes = a[:3] * (1.0 - a[:3])
+        dg = dc * a[0] * (1.0 - a[3] * a[3])
         dc_next = dc * a[1]
+        np.multiply(dc, a[3], out=a[0])
+        np.multiply(dc, cells[t], out=a[1])
+        np.multiply(dh, tc, out=a[2])
+        a[:3] *= slopes
+        a[3] = dg
         if t:
-            dh = dh_out + np.matmul(dat, w_h_t).sum(axis=0)
-    return da
+            dh = dh_out + np.matmul(a, w_h_t).sum(axis=0)
+    return gates
 
 
 def integrate_backward(kept, g: np.ndarray, grads: LstmParams) -> np.ndarray:
     """The gradient of the snapshots from the gradient `g` of h* and what
-    `integrate` kept; the parameters' gradients are written into the
-    stacks of `grads`. No (T, 4, ...) product is ever stacked; each weight
-    gradient is summed in the order of the sum over such a stack, so its
-    bits are that sum's. A bias gradient is a row of ones times the steps'
-    summed gate gradients, equal to their column sum up to roundoff."""
-    z, w, _, _, hidden, _ = kept
+    `integrate` kept, written over the kept snapshots; the parameters'
+    gradients are written into the stacks of `grads`. It consumes the kept
+    state: the gate gradients overwrite the gates, and the snapshot
+    gradient the snapshots once the weight gradients have read them, so it
+    allocates nothing of the gates' or the snapshots' size. Each weight
+    gradient is summed step by step in the order of the sum over the
+    stacked (T, 4, ., d_h) products, so its bits are that sum's. A bias
+    gradient is a row of ones times the steps' summed gate gradients,
+    equal to their column sum up to roundoff."""
+    z, w, _, _, hidden = kept
     d = z.shape[2]
     da = _gate_grads(kept, g)
-    # Summed step by step, in the order of a sum over the stacked (T, 4, ., d_h)
-    # products, which would hold T copies of the weights at once; summed in
-    # contiguous arrays, since adding into the stacks' strided halves is slower.
+    # Summed in contiguous arrays, since adding into the stacks' strided
+    # halves is slower.
     dw_x, dw_h = np.matmul(z[0].T, da[0]), np.matmul(hidden[0].T, da[0])
     for t in range(1, len(z)):
         dw_x += np.matmul(z[t].T, da[t])
         dw_h += np.matmul(hidden[t].T, da[t])
     grads.w[:, :d], grads.w[:, d:] = dw_x, dw_h
     np.matmul(np.ones(da.shape[2]), da.sum(axis=0), out=grads.b[:, 0])
-    # Gate by gate: the stacked (T, 4, B, d) product would be 4x dz.
+    # Step by step and gate by gate: the stacked (T, 4, B, d) product would be 4x dz.
     w_x_t = w[:, :d].transpose(0, 2, 1)
-    dz = np.matmul(da[:, 0], w_x_t[0])
-    for k in range(1, len(GATES)):
-        dz += np.matmul(da[:, k], w_x_t[k])
-    return dz
+    term = np.empty(z.shape[1:])
+    for t in range(len(z)):
+        np.matmul(da[t, 0], w_x_t[0], out=z[t])
+        for k in range(1, len(GATES)):
+            z[t] += np.matmul(da[t, k], w_x_t[k], out=term)
+    return z
 
 
 def integrate_mean(snapshots: np.ndarray) -> np.ndarray:

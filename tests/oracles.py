@@ -432,9 +432,11 @@ def evolve_node(h0, cohort, params):
 def lstm_node(snapshots, steps, params):
     """`trajectory.integrate` as one tape node over the (T B x d) snapshots,
     read as `steps` steps, and the leaves of `params` (a `leaves_of`
-    LSTM); its rule is `integrate_backward`."""
+    LSTM); its rule is `integrate_backward`. The rule writes the snapshots'
+    gradient over the snapshots it kept, so the node keeps a copy, not the
+    parent's value."""
     arrays = arrays_of(params)
-    value, kept = integrate(snapshots.data.reshape(steps, -1, snapshots.cols), arrays,
+    value, kept = integrate(snapshots.data.reshape(steps, -1, snapshots.cols).copy(), arrays,
                             FreshArrays())
     names, leaves = zip(*params.named_leaves())
     return Tensor._node(value, "lstm", (snapshots,) + leaves, (names, kept, value.shape, arrays))
@@ -455,7 +457,8 @@ def _fused_rule(backward_fn):
     return rule
 
 
-_BACKWARD["evolve"] = _fused_rule(evolve_backward)
+_BACKWARD["evolve"] = _fused_rule(
+    lambda kept, g, grads: evolve_backward(kept, g, grads, FreshArrays()))
 _BACKWARD["lstm"] = _fused_rule(integrate_backward)
 MODEL_RULES = frozenset(_BACKWARD)
 

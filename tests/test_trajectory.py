@@ -9,8 +9,8 @@ import pytest
 from trajsurv import autodiff as ad
 from trajsurv.cohort import Scenario, simulate_cohort
 from trajsurv.model import load_model
-from trajsurv.trajectory import (init_lstm, integrate, integrate_backward, integrate_mean,
-                                 integrate_mean_backward)
+from trajsurv.trajectory import (_gate_grads, init_lstm, integrate, integrate_backward,
+                                 integrate_mean, integrate_mean_backward)
 
 import oracles
 from oracles import constant, leaves_of, lstm_step, tape_integrate
@@ -131,19 +131,35 @@ def test_lstm_rejects_ragged_snapshots():
 
 
 def test_lstm_writes_its_state_into_the_workspace():
-    # The gates, cells, hidden states and tanh(c) are views of the
-    # workspace's buffers, and come back as what backward reads. A second
-    # call into the same workspace gives the bits of a call on fresh arrays.
+    # The gates, cells and hidden states are views of the workspace's
+    # buffers, and come back as what backward reads; tanh(c) is written
+    # into the hidden states, so it has no buffer. A second call into the
+    # same workspace gives the bits of a call on fresh arrays.
     p = init_lstm(DIM, DIM, np.random.default_rng(0))
     snaps = np.random.default_rng(1).normal(size=(4, 2, DIM))
     workspace = {}
     first, kept = integrate(snaps, p, workspace)
-    assert sorted(workspace) == ["lstm.cells", "lstm.gates", "lstm.hidden", "lstm.tanh_c"]
-    for name, array in zip(("lstm.gates", "lstm.cells", "lstm.hidden", "lstm.tanh_c"), kept[2:]):
+    assert sorted(workspace) == ["lstm.cells", "lstm.gates", "lstm.hidden"]
+    for name, array in zip(("lstm.gates", "lstm.cells", "lstm.hidden"), kept[2:]):
         assert np.shares_memory(array, workspace[name]), name
     again, _ = integrate(snaps, p, workspace)
     fresh, _ = integrate(snaps, p, oracles.FreshArrays())
     assert np.array_equal(again, first) and np.array_equal(fresh, first)
+
+
+def test_lstm_backward_writes_over_the_state_it_consumes():
+    # The gate gradients are written over the kept gates, and the snapshots'
+    # gradient over the kept snapshots, so backward allocates neither; a
+    # kept state serves one backward.
+    p = init_lstm(DIM, DIM, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    snaps, g = rng.normal(size=(4, 2, DIM)), rng.normal(size=(2, DIM))
+    workspace = {}
+    _, kept = integrate(snaps, p, workspace)
+    assert np.shares_memory(_gate_grads(kept, g), workspace["lstm.gates"])
+    _, kept = integrate(snaps, p, workspace)
+    dz = integrate_backward(kept, g, ad.map_arrays(p, np.zeros_like))
+    assert dz.shape == snaps.shape and np.shares_memory(dz, snaps)
 
 
 class TestIntegrate:
@@ -187,7 +203,8 @@ class TestIntegrate:
         p = init_lstm(DIM, DIM, np.random.default_rng(10))
         rng = np.random.default_rng(11)
         seq = rng.normal(size=(3, DIM))
-        _, kept = integrate(seq.reshape(3, 1, DIM), p, {})
+        # A copy: backward writes the snapshots' gradient over the snapshots.
+        _, kept = integrate(seq.reshape(3, 1, DIM).copy(), p, {})
         grads = ad.map_arrays(p, np.zeros_like)
         integrate_backward(kept, np.ones((1, DIM)), grads)
         assert ad.grad_check(lambda: summary(seq, 3, p).sum(), dict(grads.named_leaves()),
